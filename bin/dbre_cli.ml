@@ -55,8 +55,8 @@ let print_quarantine reports =
    clean CLI failure instead of cmdliner's "internal error" *)
 let handle_errors ?(hint = false) f =
   try f ()
-  with Dbre.Error.Error e ->
-    Format.eprintf "dbre: %a@." Dbre.Error.pp e;
+  with Relational.Error.Error e ->
+    Format.eprintf "dbre: %a@." Relational.Error.pp e;
     if hint then
       Format.eprintf "hint: --lenient quarantines unparseable tuples@.";
     1
@@ -87,21 +87,31 @@ let parse_oracle = function
       | None -> Error (Printf.sprintf "bad threshold in %S" s))
   | s -> Error (Printf.sprintf "unknown oracle mode %S" s)
 
-let engine_arg =
-  let doc =
-    "Extension-check engine: 'columnar' (default: dictionary-encoded \
-     columns, memoized per table), 'partition', 'naive' (the row-hashing \
-     baseline), 'parallel' or 'parallel:<domains>'."
-  in
-  Arg.(value & opt string "default" & info [ "engine" ] ~docv:"ENGINE" ~doc)
-
 let parse_engine s =
-  match Dbre.Engine.of_string s with
+  match Relational.Engine.of_string s with
   | Some e -> Ok e
   | None ->
       Error
-        (Printf.sprintf
-           "unknown engine %S (use naive|partition|columnar|parallel[:<n>])" s)
+        (Printf.sprintf "unknown engine %S (use default|parallel|parallel:<n>)"
+           s)
+
+(* validated at parse time, so a bad value is a usage error; the flag
+   stays a string because job specs fold it through Engine.of_string *)
+let engine_arg =
+  let doc =
+    "Extension-check parallelism: 'default' (sequential), 'parallel' (one \
+     domain per recommended core, capped at 16) or 'parallel:<domains>'. \
+     Every check runs over the memoized dictionary-encoded column store; \
+     artifacts are identical at every domain count."
+  in
+  let engine =
+    Arg.conv
+      ( (fun s ->
+          Result.map_error (fun m -> `Msg m)
+            (Result.map (fun _ -> s) (parse_engine s))),
+        Format.pp_print_string )
+  in
+  Arg.(value & opt engine "default" & info [ "engine" ] ~docv:"ENGINE" ~doc)
 
 let deadline_arg =
   let doc =
@@ -223,7 +233,7 @@ let report_result ?dot ?markdown result =
 (* a stage failed: print the structured error, the completed-stage
    prefix, and how to resume when checkpoints were written *)
 let report_partial ?checkpoint_dir (p : Dbre.Pipeline.partial) =
-  Format.eprintf "pipeline failed: %a@." Dbre.Error.pp p.Dbre.Pipeline.p_error;
+  Format.eprintf "pipeline failed: %a@." Relational.Error.pp p.Dbre.Pipeline.p_error;
   let completed =
     List.filter_map
       (fun (name, done_) -> if done_ then Some name else None)
@@ -324,7 +334,7 @@ let lint_hooks_arg =
 let lint_pre_hook db input =
   let schema = Database.schema db in
   let sources =
-    match (input : Dbre.Pipeline.input) with
+    match (input : Dbre.Job_spec.workload) with
     | Dbre.Job_spec.Equijoins _ -> []
     | Dbre.Job_spec.Programs progs ->
         List.mapi
@@ -408,7 +418,7 @@ let analyze_cmd =
             print_quarantine p.Dbre.Pipeline.p_quarantine;
             if
               (not lenient)
-              && p.Dbre.Pipeline.p_error.Dbre.Error.stage = Some Dbre.Error.Load
+              && p.Dbre.Pipeline.p_error.Relational.Error.stage = Some Relational.Error.Load
             then
               Format.eprintf "hint: --lenient quarantines unparseable tuples@.";
             report_partial ?checkpoint_dir p)

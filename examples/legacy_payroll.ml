@@ -83,7 +83,7 @@ let () =
     with
     | Ok r -> r
     | Error p ->
-        Format.eprintf "pipeline failed: %a@." Dbre.Error.pp
+        Format.eprintf "pipeline failed: %a@." Relational.Error.pp
           p.Dbre.Pipeline.p_error;
         exit 1
   in

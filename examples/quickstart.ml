@@ -39,7 +39,7 @@ let () =
     match Dbre.Pipeline.run_checked ~config db (Dbre.Job_spec.Equijoins q) with
     | Ok r -> r
     | Error p ->
-        Format.eprintf "pipeline failed: %a@." Dbre.Error.pp
+        Format.eprintf "pipeline failed: %a@." Relational.Error.pp
           p.Dbre.Pipeline.p_error;
         exit 1
   in
@@ -118,7 +118,7 @@ let () =
   | Error e -> Format.printf "spec not serializable: %s@." e);
   match Dbre.Job.run ~oracle:(Workload.Paper_example.oracle ()) spec with
   | Error p ->
-      Format.eprintf "job failed: %a@." Dbre.Error.pp p.Dbre.Pipeline.p_error;
+      Format.eprintf "job failed: %a@." Relational.Error.pp p.Dbre.Pipeline.p_error;
       exit 1
   | Ok job_result ->
       let same =

@@ -25,10 +25,6 @@ let join_resolvable db (j : Sqlx.Equijoin.t) =
   side j.Sqlx.Equijoin.rel1 j.Sqlx.Equijoin.attrs1
   && side j.Sqlx.Equijoin.rel2 j.Sqlx.Equijoin.attrs2
 
-let store_for engine tbl =
-  if Engine.cached engine then Column_store.of_table tbl
-  else Column_store.build tbl
-
 (* materialize the intersection of the two projections as a new relation *)
 let conceptualize ~engine db (j : Sqlx.Equijoin.t) name =
   let t1 = Database.table db j.Sqlx.Equijoin.rel1 in
@@ -39,18 +35,15 @@ let conceptualize ~engine db (j : Sqlx.Equijoin.t) name =
   in
   let rel = Relation.make ~domains ~uniques:[ attrs ] name attrs in
   Database.add_relation db rel;
-  let d1, d2 =
-    match engine.Engine.check with
-    | Engine.Columnar ->
-        ( Column_store.distinct_set (store_for engine t1) j.Sqlx.Equijoin.attrs1,
-          Column_store.distinct_set (store_for engine t2) j.Sqlx.Equijoin.attrs2
-        )
-    | Engine.Naive | Engine.Partition ->
-        ( Table.distinct_table t1 j.Sqlx.Equijoin.attrs1,
-          Table.distinct_table t2 j.Sqlx.Equijoin.attrs2 )
+  let distinct t attrs =
+    Column_store.distinct_set
+      (Column_store.of_table ~delta_fraction:engine.Engine.delta_fraction t)
+      attrs
   in
-  (* sort the intersection so the materialized extension is identical
-     whichever engine computed it (hash order is not) *)
+  let d1 = distinct t1 j.Sqlx.Equijoin.attrs1
+  and d2 = distinct t2 j.Sqlx.Equijoin.attrs2 in
+  (* sort the intersection so the materialized extension does not
+     depend on hash order *)
   let intersection =
     Hashtbl.fold
       (fun values () acc ->
@@ -72,7 +65,7 @@ let fresh_name db base =
 (* Plan every count the elicitation loop will need as one batch: the
    planner builds each distinct (table, attrs) side once — fanning
    tables over the engine's persistent Domain_pool under a parallel
-   columnar engine, replacing the domain-spawn-per-call warm-up of
+   engine, replacing the domain-spawn-per-call warm-up of
    PR 2 — and answers the N_k / N_l / N_kl triples in Q-order. The
    elicitation loop itself stays sequential in the order of [Q]
    (expert decisions are inherently ordered) and conceptualization

@@ -51,19 +51,18 @@ val run :
   result
 (** Runs the algorithm. The database is mutated only by conceptualized
     NEI relations (added with their intersection extension, sorted so
-    every engine materializes the same table). Equi-joins over unknown
+    the materialized table does not depend on hash order). Equi-joins over unknown
     relations or attributes are skipped (recorded as
     {!Empty_intersection} with zero counts). Duplicate INDs are elicited
     once.
 
-    All three counts go through [engine] (default {!Engine.default}:
-    memoized columnar). With [parallelism = Domains n] (n > 1) and a
-    cached columnar engine, the per-table stores and distinct sets of
-    every side of [Q] are pre-built by [n] domains — each table owned
-    by exactly one domain — before the sequential elicitation loop
+    All three counts come from the tables' memoized column stores
+    ([engine] defaults to {!Engine.default}). With
+    [parallelism = Domains n] (n > 1), the per-table stores and distinct
+    sets of every side of [Q] are pre-built by [n] domains — each table
+    owned by exactly one domain — before the sequential elicitation loop
     consumes them, so the result (and its order) is identical to the
-    sequential run. Any other engine configuration warms nothing and
-    runs fully sequentially.
+    sequential run.
 
     [supervise] is polled once per equi-join, between oracle decisions.
     On a trip the run degrades gracefully: the already-processed prefix

@@ -73,10 +73,13 @@ let supervisor spec =
     ?max_heap_words:b.Engine.max_heap_words ?fuel:spec.fuel ()
 
 (* ------------------------------------------------------------------ *)
-(* JSON encoding (version 1, pinned by a golden test)                  *)
+(* JSON encoding (version 2, pinned by a golden test)                  *)
 (* ------------------------------------------------------------------ *)
 
-let version = 1
+(* v2 dropped the engine's "check" and "cache" fields; v1 documents
+   still decode with those two fields ignored, since artifacts never
+   depended on them *)
+let version = 2
 
 let source_to_json (relation, source) =
   let open Json in
@@ -215,8 +218,6 @@ let engine_to_json (e : Engine.t) =
   let open Json in
   Obj
     [
-      ("check", String (Engine.check_to_string e.Engine.check));
-      ("cache", Bool (e.Engine.cache = Engine.Cache_shared));
       ( "domains",
         Int
           (match e.Engine.parallelism with
@@ -233,37 +234,21 @@ let engine_to_json (e : Engine.t) =
 
 let engine_of_json j =
   let open Json in
-  let check =
-    match mem_string "check" j with
-    | Some "naive" -> Ok Engine.Naive
-    | Some "partition" -> Ok Engine.Partition
-    | Some "columnar" | None -> Ok Engine.Columnar
-    | Some s -> Error (Printf.sprintf "unknown engine check %S" s)
-  in
-  let on_exhausted =
-    match mem_string "on_exhausted" j with
-    | Some "fail" -> Ok `Fail
-    | Some "partial" | None -> Ok `Partial
-    | Some s -> Error (Printf.sprintf "unknown on_exhausted policy %S" s)
-  in
-  match (check, on_exhausted) with
-  | Error e, _ | _, Error e -> Error e
-  | Ok check, Ok on_exhausted ->
-      let cache =
-        if Option.value ~default:true (mem_bool "cache" j) then
-          Engine.Cache_shared
-        else Engine.Cache_off
-      in
+  match mem_string "on_exhausted" j with
+  | Some s when s <> "fail" && s <> "partial" ->
+      Error (Printf.sprintf "unknown on_exhausted policy %S" s)
+  | on_exhausted ->
       let parallelism =
         match mem_int "domains" j with
         | Some n when n > 1 -> Engine.Domains n
         | _ -> Engine.Sequential
       in
-      let deadline_s = mem_float "deadline_s" j in
-      let max_heap_words = mem_int "max_heap_words" j in
       Ok
-        (Engine.make ~check ~cache ~parallelism ?deadline_s ?max_heap_words
-           ~on_exhausted ())
+        (Engine.make ~parallelism ?deadline_s:(mem_float "deadline_s" j)
+           ?max_heap_words:(mem_int "max_heap_words" j)
+           ~on_exhausted:
+             (if on_exhausted = Some "fail" then `Fail else `Partial)
+           ())
 
 let to_json spec =
   let open Json in
@@ -297,7 +282,7 @@ let to_json spec =
 let of_json j =
   let open Json in
   match mem_int "version" j with
-  | Some v when v <> version ->
+  | Some v when v <> 1 && v <> version ->
       Error (Printf.sprintf "unsupported job-spec version %d" v)
   | None -> Error "job spec is missing \"version\""
   | Some _ -> (
@@ -389,7 +374,7 @@ let of_args ?label ~ddl ?data_dir ?programs_dir ?(engine = "default")
     | None ->
         Error
           (Printf.sprintf
-             "unknown engine %S (use naive|partition|columnar|parallel[:<n>])"
+             "unknown engine %S (use default|parallel|parallel:<n>)"
              engine)
   in
   let* on_exhausted =

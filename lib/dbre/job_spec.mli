@@ -105,7 +105,11 @@ val oracle_spec_of_string : string -> (oracle_spec, string) result
 val oracle_spec_to_string : oracle_spec -> string
 
 val version : int
-(** Encoding version stamped into and required of every document. *)
+(** Encoding version stamped into every document (currently 2).
+    {!of_json} also accepts version 1, whose engine object carried
+    ["check"] and ["cache"] fields; they are ignored, since the
+    artifacts never depended on them. Any other version is an
+    [Error]. *)
 
 val to_json : t -> (Json.t, string) result
 (** Deterministic encoding (field order fixed, version stamped);

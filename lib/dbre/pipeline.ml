@@ -1,15 +1,6 @@
 open Relational
 open Deps
 
-type input = Job_spec.workload =
-  | Equijoins of Sqlx.Equijoin.t list
-      [@deprecated "use Job_spec.Equijoins: Pipeline.input is Job_spec.workload"]
-  | Programs of string list
-      [@deprecated "use Job_spec.Programs: Pipeline.input is Job_spec.workload"]
-  | Sql_scripts of string list
-      [@deprecated
-        "use Job_spec.Sql_scripts: Pipeline.input is Job_spec.workload"]
-
 type stage_event =
   | Stage_started of Error.stage
   | Stage_restored of Error.stage
@@ -21,7 +12,7 @@ type config = {
   engine : Engine.t;
   migrate_data : bool;
   on_bad_tuple : [ `Fail | `Quarantine ];
-  pre_hook : (Database.t -> input -> unit) option;
+  pre_hook : (Database.t -> Job_spec.workload -> unit) option;
   post_hook : (result -> unit) option;
   progress : (stage_event -> unit) option;
   workload_flow : bool;

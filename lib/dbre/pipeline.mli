@@ -14,23 +14,6 @@
 
 open Relational
 
-type input = Job_spec.workload =
-  | Equijoins of Sqlx.Equijoin.t list
-      [@deprecated "use Job_spec.Equijoins: Pipeline.input is Job_spec.workload"]
-      (** the paper's assumption: [Q] has been computed *)
-  | Programs of string list
-      [@deprecated "use Job_spec.Programs: Pipeline.input is Job_spec.workload"]
-      (** host-program sources: embedded SQL is scanned, parsed, and
-          [Q] extracted *)
-  | Sql_scripts of string list
-      [@deprecated
-        "use Job_spec.Sql_scripts: Pipeline.input is Job_spec.workload"]
-      (** plain SQL script texts *)
-(** The workload is now described by {!Job_spec.workload}; [input]
-    remains as an equation of it so existing signatures keep compiling.
-    The re-declared constructors are deprecated — construct and match
-    through [Job_spec]. *)
-
 type stage_event =
   | Stage_started of Error.stage
   | Stage_restored of Error.stage
@@ -48,12 +31,12 @@ type config = {
       (** one engine descriptor drives every extension check of the run:
           FD checks (RHS-Discovery), distinct/join counting
           (IND-Discovery) and the optional parallel warm-up. Build one
-          with {!Engine.make}, or use a preset ({!Engine.naive},
-          {!Engine.partition}, {!Engine.columnar}, {!Engine.parallel}) *)
+          with {!Engine.make}, or use {!Engine.default} or
+          {!Engine.parallel} *)
   migrate_data : bool;  (** populate the restructured database *)
   on_bad_tuple : [ `Fail | `Quarantine ];
       (** what {!load_extension} does with unparseable tuples *)
-  pre_hook : (Database.t -> input -> unit) option;
+  pre_hook : (Database.t -> Job_spec.workload -> unit) option;
       (** called with the inputs before the first stage (under the
           [Extract] error boundary) — e.g. a lint gate over the schema
           and workload; raising [Error.Error] aborts the run with a
@@ -115,7 +98,7 @@ val run_checked :
   ?checkpoint_dir:string ->
   ?resume_from:string ->
   Database.t ->
-  input ->
+  Job_spec.workload ->
   (result, partial) Stdlib.result
 (** Runs IND-Discovery, LHS-Discovery, RHS-Discovery, Restruct and
     Translate in sequence, each under a typed-error boundary: a stage
@@ -157,7 +140,7 @@ val refresh_checked :
   ?quarantine:Quarantine.report list ->
   ?checkpoint_dir:string ->
   Database.t ->
-  input ->
+  Job_spec.workload ->
   Refresh.report * (result, partial) Stdlib.result
 (** Re-verify a database that has mutated since a previous run: one
     coordinated delta pass brings every memoized store up to date
@@ -176,7 +159,7 @@ val run :
   ?checkpoint_dir:string ->
   ?resume_from:string ->
   Database.t ->
-  input ->
+  Job_spec.workload ->
   result
 (** Thin wrapper over {!run_checked} keeping the historical
     exception-raising contract: raises [Error.Error] (the structured

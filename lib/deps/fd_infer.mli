@@ -1,30 +1,19 @@
 (** Functional-dependency inference from data.
 
-    Two single-FD check engines (naive hashing and stripped partitions),
-    plus a full levelwise discovery of all minimal FDs in the spirit of
-    Mannila–Räihä [12] / TANE — the {e exhaustive baseline} the paper's
-    query-guided elicitation is compared against (experiment B4). *)
+    The FD check over the memoized column store, plus a full levelwise
+    discovery of all minimal FDs in the spirit of Mannila–Räihä [12] —
+    the {e exhaustive baseline} the paper's query-guided elicitation is
+    compared against (experiment B4). *)
 
 open Relational
 
-val holds_naive : Table.t -> Fd.t -> bool
-(** Hash LHS projections, compare RHS projections within each bucket.
-    One pass; NULL groups with NULL. *)
-
-val holds_partition : Table.t -> Fd.t -> bool
-(** The TANE criterion [e(X) = e(X ∪ Y)] over stripped partitions. *)
-
-val holds_columnar : ?delta_fraction:float -> Table.t -> Fd.t -> bool
-(** Check against the table's memoized {!Column_store}: the stripped
-    LHS partition and the verdict itself are cached, so repeated checks
-    after the first are O(1) until the table changes — after which the
-    store delta-refreshes itself (within [delta_fraction], see
-    {!Column_store.of_table}) instead of rebuilding. *)
-
 val holds : ?engine:Engine.t -> Table.t -> Fd.t -> bool
-(** Dispatch on [engine.check] ({!Engine.default} — columnar with
-    shared caches — when omitted); [engine.cache = Cache_off] makes the
-    columnar path build a throwaway store. *)
+(** Does the FD hold on the extension? NULL-LHS rows are exempt and
+    NULL = NULL on the RHS. Answered by one {!Column_store.fd_batch}
+    over the RHS attributes on the table's memoized store, so repeated
+    checks are O(1) until the table changes — after which the store
+    delta-refreshes itself (within [engine.delta_fraction], see
+    {!Column_store.of_table}) instead of rebuilding. *)
 
 val holds_all :
   ?engine:Engine.t ->
@@ -34,11 +23,10 @@ val holds_all :
   rhs:string list ->
   (string * bool) list
 (** Batched check of every [lhs -> a] for [a] in [rhs], in order,
-    through {!Relational.Verify_plan.fd_group}: under the partition and
-    columnar engines the LHS partition is refined once per attribute
-    instead of scanned per candidate, and independent sweeps fan out
-    over the engine's {!Relational.Domain_pool}. Verdicts are identical
-    to per-candidate {!holds} calls (engine-equivalence contract).
+    through {!Relational.Verify_plan.fd_group}: one fused sweep answers
+    every candidate instead of one scan per candidate, and column
+    encoding fans out over the engine's {!Relational.Domain_pool}.
+    Verdicts are identical to per-candidate {!holds} calls.
     [supervise] is threaded to the planner, which polls it at sweep
     granularity; a trip raises [Supervise.Interrupt]. *)
 
@@ -64,34 +52,16 @@ val discover :
 (** All minimal FDs [X -> a] with [|X| ≤ max_lhs] (default 3) satisfied
     by the table, found levelwise with candidate pruning: supersets of a
     found LHS are not tested for the same RHS, and key LHSes prune all
-    larger candidates. Returns the FDs (combined by LHS) and search
-    statistics. Exponential in arity — the point of the baseline.
+    larger candidates. Key tests and FD tests both run over the table's
+    memoized column store: {!Column_store.count_distinct} per LHS, and
+    one {!Column_store.fd_batch} per LHS over its uncovered candidates.
+    Returns the FDs (combined by LHS) and search statistics. Exponential
+    in arity — the point of the baseline.
 
     [supervise] is polled once per LHS candidate set; a trip ends the
     search at that boundary and the FDs found so far come back with
     [stats.exhausted] naming the tripped budget (no exception
     escapes). *)
-
-val discover_tane :
-  ?max_lhs:int ->
-  ?supervise:Supervise.t ->
-  rel:string ->
-  Table.t ->
-  Fd.t list * stats
-(** Same contract as {!discover} (all minimal FDs with [|X| ≤ max_lhs]),
-    but every satisfaction test goes through {e memoized stripped
-    partitions}: [π_X] is computed once per attribute set by
-    {!Partition.product} over smaller sets and reused by every candidate
-    that mentions it. Per-check this is slower than hashing (B3), but
-    across a full levelwise search the partitions amortize — the
-    trade-off TANE exploits.
-
-    NULL caveat: partition products cannot express the per-candidate
-    "skip rows with a NULL left-hand side" exemption, so this engine
-    treats NULL as an ordinary value throughout (both for grouping and
-    for right-hand-side comparison). On NULL-free extensions it returns
-    exactly {!discover}'s output (property-tested); on extensions with
-    nullable identifiers prefer {!discover}. *)
 
 val discover_for_lhs :
   ?engine:Engine.t ->

@@ -2,33 +2,10 @@ open Relational
 
 type stats = { sets_tested : int; keys_found : int }
 
-let unique_over_rows table attrs =
-  (* SQL semantics: NULL-holding rows skipped; require at least one
-     non-null witness *)
-  let idx = Table.positions table attrs in
-  let seen = Hashtbl.create (max 16 (Table.cardinality table)) in
-  let witnesses = ref 0 in
-  try
-    Array.iter
-      (fun tup ->
-        if not (Tuple.has_null_at idx tup) then begin
-          incr witnesses;
-          let key = Tuple.project_list idx tup in
-          if Hashtbl.mem seen key then raise Exit else Hashtbl.add seen key ()
-        end)
-      (Table.rows table);
-    !witnesses > 0
-  with Exit -> false
-
 let unique_over ?(engine = Engine.default) table attrs =
-  match engine.Engine.check with
-  | Engine.Naive | Engine.Partition -> unique_over_rows table attrs
-  | Engine.Columnar ->
-      let store =
-        if Engine.cached engine then Column_store.of_table table
-        else Column_store.build table
-      in
-      Column_store.unique store attrs
+  Column_store.unique
+    (Column_store.of_table ~delta_fraction:engine.Engine.delta_fraction table)
+    attrs
 
 let minimal_unique_sets ?engine ?(max_size = 3) table =
   let attrs = Array.of_list (Table.schema table).Relation.attrs in

@@ -16,9 +16,9 @@ open Relational
 type stats = { sets_tested : int; keys_found : int }
 
 val unique_over : ?engine:Engine.t -> Table.t -> string list -> bool
-(** SQL UNIQUE over the extension. Columnar engines (the default)
-    answer from the memoized column store — repeated probes of the same
-    levelwise search share dictionaries and witness counts. *)
+(** SQL UNIQUE over the extension, answered from the memoized column
+    store — repeated probes of the same levelwise search share
+    dictionaries and witness counts. *)
 
 val minimal_unique_sets :
   ?engine:Engine.t -> ?max_size:int -> Table.t -> string list list * stats

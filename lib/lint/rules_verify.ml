@@ -156,9 +156,10 @@ let check_result r = l201 r @ l202 r @ l203 r @ l204 r @ l205 r @ l206 r
    precise typed error if the disagreement is real. *)
 
 (* width of the first CSV record, when it can be read cheaply and
-   unambiguously: None for readers (probing consumes them), missing
-   files, empty documents, or records using quotes (a quoted comma
-   would make the naive count wrong) *)
+   unambiguously: None for readers and non-regular files such as named
+   pipes (probing would consume them, or block the daemon until a
+   writer shows up), missing files, empty documents, or records using
+   quotes (a quoted comma would make the naive count wrong) *)
 let first_record_width (source : Source.t) =
   let width_of_text text =
     let line =
@@ -181,6 +182,9 @@ let first_record_width (source : Source.t) =
   in
   match source with
   | Source.Csv_inline text -> width_of_text text
+  | Source.Csv_file path
+    when not (try Sys.is_regular_file path with Sys_error _ -> false) ->
+      None
   | Source.Csv_file path -> (
       match open_in_bin path with
       | exception Sys_error _ -> None

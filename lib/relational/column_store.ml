@@ -1,11 +1,13 @@
 (* Dictionary-encoded columnar view of a table, with shared caches for
-   the projection/partition workloads dependency discovery issues.
+   the projection and grouping workloads dependency discovery issues:
+   the library's one implementation of every extension primitive.
 
-   Equality semantics deliberately mirror the row-based primitives:
-   codes are interned with the polymorphic hashtable (structural
-   equality on [Value.t]), exactly what [Table.distinct_table] and the
-   naive FD check key their hashtables with, so every engine agrees
-   verdict-for-verdict.
+   Equality semantics deliberately mirror the row-at-a-time
+   definitions: codes are interned by structural equality on
+   [Value.t] ([compare _ _ = 0], the polymorphic hashtable's identity),
+   exactly what
+   [Table.distinct_table] and the reference FD check key their
+   hashtables with, so the store agrees with them verdict-for-verdict.
 
    Layout: each encoded column is a sequence of immutable *sealed
    segments* of exactly [seg_rows] rows (codes bit-packed to the
@@ -61,17 +63,7 @@ type column = {
          live values), for the IND disjoint-range short-circuit *)
 }
 
-type partition = { groups : int array array; p_rows : int }
-
-type stats = {
-  columns_encoded : int;
-  distinct_sets : int;
-  partitions : int;
-  fd_verdicts : int;
-  join_counts : int;
-}
-
-(* Retained state of a completed fused FD sweep (see [sweep_fused] and
+(* Retained state of a completed fused FD sweep (see
    [sweep_fused_codes]): the LHS key -> group-id tables plus, per
    surviving (true-verdict) RHS attribute, the per-group representative
    value. Enough to re-check a verdict against appended rows in
@@ -100,14 +92,14 @@ type t = {
   seg_rows : int;  (* fixed sealed-segment size for this store *)
   columns : column option array;  (* by attribute position, lazy *)
   interns : (Value.t, int) Hashtbl.t option array;
-      (* per-column value -> code, retained (or lazily rebuilt from the
-         dictionary) so appended rows intern in O(1) per cell *)
-  memoized : bool;  (* stashed in Table.ext: worth retaining interns
-                       and sweep states for incremental refresh *)
+      (* per-column value -> code, built from the dictionary on the
+         first delta append and kept so later appends intern in O(1)
+         per cell *)
+  memoized : bool;  (* stashed in Table.ext: worth retaining sweep
+                       states for incremental refresh *)
   distinct_sets : (string list, (Value.t list, unit) Hashtbl.t) Hashtbl.t;
   witnesses : (string list, int) Hashtbl.t;  (* NULL-free rows per attrs *)
-  partitions : (string list, partition) Hashtbl.t;
-  fd_verdicts : (string list * string list, bool) Hashtbl.t;
+  fd_verdicts : (string list * string, bool) Hashtbl.t;
   fd_sweeps : (string list, sweep_state) Hashtbl.t;
   join_counts : (string list * int * string list, int) Hashtbl.t;
 }
@@ -300,7 +292,6 @@ let column_codes (col : column) =
   out
 
 let column_dict (col : column) = col.dict
-let column_nulls (col : column) = col.nulls
 
 (* Iterate the row blocks of [cols] in row order: every sealed segment
    (a store's columns all seal at the same fixed boundaries, so block
@@ -326,29 +317,6 @@ let iter_blocks t (cols : column array) f =
     if tlen > 0 then f tails tlen (nseg * sr)
   end
 
-(* random access into one column with a one-segment decode cache —
-   partition-group refinement visits rows in ascending order, so
-   consecutive hits land in the same segment *)
-let code_reader t (col : column) =
-  let sr = t.seg_rows in
-  let nseg = Array.length col.segs in
-  let ns = nseg * sr in
-  if nseg = 0 then fun row -> col.tail.(row)
-  else begin
-    let cache_idx = ref (-1) in
-    let cache = Array.make sr 0 in
-    fun row ->
-      if row >= ns then col.tail.(row - ns)
-      else begin
-        let s = row / sr in
-        if !cache_idx <> s then begin
-          Packed_codes.decode_into (seg_payload col.segs.(s)) cache;
-          cache_idx := s
-        end;
-        cache.(row mod sr)
-      end
-  end
-
 (* ------------------------------------------------------------------ *)
 (* store construction                                                  *)
 (* ------------------------------------------------------------------ *)
@@ -370,7 +338,6 @@ let make_store ?seg_rows ~memoized table =
       memoized;
       distinct_sets = Hashtbl.create 8;
       witnesses = Hashtbl.create 8;
-      partitions = Hashtbl.create 8;
       fd_verdicts = Hashtbl.create 16;
       fd_sweeps = Hashtbl.create 8;
       join_counts = Hashtbl.create 8;
@@ -424,31 +391,190 @@ let column_of_codes ~seg_rows codes dict nulls =
     vrange = None;
   }
 
+(* Flat open-addressing intern table, shared by [encode] and the
+   Builder. Same key semantics as a polymorphic hashtable —
+   [compare _ _ = 0] for identity — and codes are assigned in first-
+   occurrence order either way, so a finished builder's dictionaries
+   are indistinguishable from a post-hoc encode of the same rows; but
+   probing flat arrays allocates nothing per lookup, which matters
+   when every cell of a column passes through.
+
+   [Value.Int] keys (the shape of key-like columns, where nearly
+   every cell misses) get their own unboxed side table: no box to
+   hash or chase on a probe. Cross-constructor values never compare
+   equal, so partitioning by constructor cannot change identity. *)
+type vtab = {
+  mutable v_cap : int;  (* power of two *)
+  mutable v_size : int;
+  mutable v_hs : int array;  (* 0 = empty slot, else [hash lor 1] *)
+  mutable v_keys : Value.t array;
+  mutable v_codes : int array;
+  mutable n_cap : int;  (* the Value.Int side, unboxed *)
+  mutable n_size : int;
+  mutable n_tab : int array;  (* interleaved [key; code] pairs *)
+}
+
+(* the int side keys slots directly by value; [min_int] marks an
+   empty slot (Int min_int itself goes through the boxed side) *)
+let ntab_make cap =
+  Array.init (2 * cap) (fun j -> if j land 1 = 0 then min_int else 0)
+
+let vtab_create () =
+  {
+    v_cap = 256;
+    v_size = 0;
+    v_hs = Array.make 256 0;
+    v_keys = Array.make 256 Value.Null;
+    v_codes = Array.make 256 0;
+    n_cap = 256;
+    n_size = 0;
+    n_tab = ntab_make 256;
+  }
+
+(* Placement only, never identity. Low bits pass through so runs of
+   sequential keys occupy sequential slots (cache-friendly inserts and
+   rehashes); high bits are folded in so huge keys still spread. *)
+let int_hash n = (n lxor (n lsr 32)) land max_int
+
+let ntab_slot t n =
+  let mask = t.n_cap - 1 in
+  let i = ref (int_hash n land mask) in
+  while
+    let k = Array.unsafe_get t.n_tab (2 * !i) in
+    k <> min_int && k <> n
+  do
+    i := (!i + 1) land mask
+  done;
+  !i
+
+let ntab_grow t =
+  let old = t.n_tab and old_cap = t.n_cap in
+  let cap = t.n_cap * 2 in
+  t.n_cap <- cap;
+  t.n_tab <- ntab_make cap;
+  let mask = cap - 1 in
+  for j = 0 to old_cap - 1 do
+    let k = old.(2 * j) in
+    if k <> min_int then begin
+      let i = ref (int_hash k land mask) in
+      while t.n_tab.(2 * !i) <> min_int do
+        i := (!i + 1) land mask
+      done;
+      t.n_tab.(2 * !i) <- k;
+      t.n_tab.((2 * !i) + 1) <- old.((2 * j) + 1)
+    end
+  done
+
+(* indices are masked to the (power-of-two) capacity, so the
+   unchecked reads cannot go out of bounds *)
+let vtab_slot t h v =
+  let mask = t.v_cap - 1 in
+  let i = ref (h land mask) in
+  while
+    let h' = Array.unsafe_get t.v_hs !i in
+    h' <> 0
+    && not (h' = h && Stdlib.compare (Array.unsafe_get t.v_keys !i) v = 0)
+  do
+    i := (!i + 1) land mask
+  done;
+  !i
+
+(* quadruple once the table is clearly high-cardinality: rehashing is
+   the dominant interning cost for key-like columns, and fewer, larger
+   steps move each entry O(1) times instead of O(log n) *)
+let vtab_grow t =
+  let old_hs = t.v_hs and old_keys = t.v_keys and old_codes = t.v_codes in
+  let cap = t.v_cap * if t.v_cap >= 65536 then 4 else 2 in
+  t.v_cap <- cap;
+  t.v_hs <- Array.make cap 0;
+  t.v_keys <- Array.make cap Value.Null;
+  t.v_codes <- Array.make cap 0;
+  let mask = cap - 1 in
+  Array.iteri
+    (fun j h ->
+      if h <> 0 then begin
+        let i = ref (h land mask) in
+        while t.v_hs.(!i) <> 0 do
+          i := (!i + 1) land mask
+        done;
+        t.v_hs.(!i) <- h;
+        t.v_keys.(!i) <- old_keys.(j);
+        t.v_codes.(!i) <- old_codes.(j)
+      end)
+    old_hs
+
+(* growable dictionary in code order; slot 0 is the NULL code *)
+type dvec = { mutable ddata : Value.t array; mutable dlen : int }
+
+let dvec_create () = { ddata = Array.make 256 Value.Null; dlen = 1 }
+
+let dvec_push d v =
+  if d.dlen = Array.length d.ddata then begin
+    let a = Array.make (2 * d.dlen) Value.Null in
+    Array.blit d.ddata 0 a 0 d.dlen;
+    d.ddata <- a
+  end;
+  d.ddata.(d.dlen) <- v;
+  d.dlen <- d.dlen + 1
+
+(* the code of [v] in the column whose intern table is [t] and whose
+   dictionary is [d], interning it as the next code on a miss *)
+let intern_into t d v =
+  match v with
+  | Value.Null -> 0
+  | Value.Int n when n <> min_int ->
+      let i = ntab_slot t n in
+      if t.n_tab.(2 * i) <> min_int then t.n_tab.((2 * i) + 1)
+      else begin
+        let c = d.dlen in
+        let i =
+          if (t.n_size + 1) * 2 > t.n_cap then begin
+            ntab_grow t;
+            ntab_slot t n
+          end
+          else i
+        in
+        t.n_tab.(2 * i) <- n;
+        t.n_tab.((2 * i) + 1) <- c;
+        t.n_size <- t.n_size + 1;
+        dvec_push d v;
+        c
+      end
+  | _ ->
+      let h = Hashtbl.hash v lor 1 in
+      let i = vtab_slot t h v in
+      if t.v_hs.(i) <> 0 then t.v_codes.(i)
+      else begin
+        let c = d.dlen in
+        let i =
+          if (t.v_size + 1) * 2 > t.v_cap then begin
+            vtab_grow t;
+            vtab_slot t h v
+          end
+          else i
+        in
+        t.v_hs.(i) <- h;
+        t.v_keys.(i) <- v;
+        t.v_codes.(i) <- c;
+        t.v_size <- t.v_size + 1;
+        dvec_push d v;
+        c
+      end
+
 let encode t pos =
   let rows = Table.rows t.table in
   let codes = Array.make t.n_rows 0 in
-  let intern : (Value.t, int) Hashtbl.t = Hashtbl.create 256 in
-  let rev_dict = ref [ Value.Null ] in
-  let next = ref 1 in
+  let tab = vtab_create () and dict = dvec_create () in
   let nulls = ref 0 in
   Array.iteri
     (fun i tup ->
-      let v = tup.(pos) in
-      if Value.is_null v then incr nulls
-      else
-        match Hashtbl.find_opt intern v with
-        | Some c -> codes.(i) <- c
-        | None ->
-            let c = !next in
-            incr next;
-            Hashtbl.add intern v c;
-            rev_dict := v :: !rev_dict;
-            codes.(i) <- c)
+      let c = intern_into tab dict tup.(pos) in
+      if c = 0 then incr nulls;
+      codes.(i) <- c)
     rows;
-  ( column_of_codes ~seg_rows:t.seg_rows codes
-      (Array.of_list (List.rev !rev_dict))
-      !nulls,
-    intern )
+  column_of_codes ~seg_rows:t.seg_rows codes
+    (Array.sub dict.ddata 0 dict.dlen)
+    !nulls
 
 let pos_of t a =
   try Relation.attr_index (Table.schema t.table) a
@@ -457,11 +583,10 @@ let pos_of t a =
       (Printf.sprintf "Column_store(%s): unknown attribute %s"
          (Table.schema t.table).Relation.name a)
 
-(* memoized stores keep the encode pass's intern table so appended
-   rows can extend the dictionary in O(1) per cell *)
-let stash_encoded t pos (c, intern) =
+(* a fresh column's intern table is built on the first delta append
+   ([intern_of]), so stores that are never refreshed never pay for it *)
+let stash_encoded t pos c =
   t.columns.(pos) <- Some c;
-  if t.memoized then t.interns.(pos) <- Some intern;
   c
 
 let column t a =
@@ -581,9 +706,6 @@ let witness_count t attrs =
 
 let count_distinct t attrs = Hashtbl.length (distinct_set t attrs)
 
-let project_distinct t attrs =
-  Hashtbl.fold (fun k () acc -> k :: acc) (distinct_set t attrs) []
-
 let unique t attrs =
   let w = witness_count t attrs in
   w > 0 && count_distinct t attrs = w
@@ -655,386 +777,8 @@ let equijoin_distinct_count t1 a1 t2 a2 =
       end
 
 (* ------------------------------------------------------------------ *)
-(* partitions and FD checks                                            *)
+(* FD checks                                                           *)
 (* ------------------------------------------------------------------ *)
-
-let compute_partition t attrs =
-  let cols = columns t attrs in
-  let width = Array.length cols in
-  let grouped : (int list, int list ref) Hashtbl.t =
-    Hashtbl.create (max 16 (min t.n_rows 65536 / 4 + 16))
-  in
-  iter_blocks t cols (fun bufs len base ->
-      for i = 0 to len - 1 do
-        let null = ref false in
-        let key = ref [] in
-        for j = width - 1 downto 0 do
-          let code = bufs.(j).(i) in
-          if code = 0 then null := true else key := code :: !key
-        done;
-        if not !null then
-          match Hashtbl.find_opt grouped !key with
-          | Some cell -> cell := (base + i) :: !cell
-          | None -> Hashtbl.add grouped !key (ref [ base + i ])
-      done);
-  let groups =
-    Hashtbl.fold
-      (fun _ cell acc ->
-        match !cell with
-        | [] | [ _ ] -> acc
-        | members -> Array.of_list (List.rev members) :: acc)
-      grouped []
-  in
-  { groups = Array.of_list groups; p_rows = t.n_rows }
-
-(* Partition straight off the row array: one hash pass over values, no
-   dictionary encode. Used when the attributes are not already encoded —
-   a batched FD check reads its LHS exactly once, so paying an encode
-   pass before partitioning would double the cost. Groups are stripped
-   (size >= 2) exactly like [compute_partition]; group order can differ
-   between the two builders, which no consumer observes (every verdict
-   and error count folds over all groups). Structural equality on
-   [Value.t] is the same relation the dictionaries intern with, so the
-   grouping is identical. *)
-let compute_partition_rows t attrs =
-  let rows = Table.rows t.table in
-  let strip cells =
-    let groups =
-      List.fold_left
-        (fun acc cell ->
-          match !cell with
-          | [] | [ _ ] -> acc
-          | members -> Array.of_list (List.rev members) :: acc)
-        [] cells
-    in
-    { groups = Array.of_list groups; p_rows = t.n_rows }
-  in
-  match List.map (pos_of t) attrs with
-  | [ pos ] ->
-      (* single-attribute LHS, the dominant §6.2.2 shape: scalar keys *)
-      let grouped : (Value.t, int list ref) Hashtbl.t =
-        Hashtbl.create (max 16 (t.n_rows / 4))
-      in
-      for row = 0 to t.n_rows - 1 do
-        let v = rows.(row).(pos) in
-        if not (Value.is_null v) then
-          match Hashtbl.find_opt grouped v with
-          | Some cell -> cell := row :: !cell
-          | None -> Hashtbl.add grouped v (ref [ row ])
-      done;
-      strip (Hashtbl.fold (fun _ cell acc -> cell :: acc) grouped [])
-  | poss ->
-      let poss = Array.of_list poss in
-      let grouped : (Value.t list, int list ref) Hashtbl.t =
-        Hashtbl.create (max 16 (t.n_rows / 4))
-      in
-      for row = 0 to t.n_rows - 1 do
-        let tup = rows.(row) in
-        let null = ref false in
-        let key = ref [] in
-        for j = Array.length poss - 1 downto 0 do
-          let v = tup.(poss.(j)) in
-          if Value.is_null v then null := true else key := v :: !key
-        done;
-        if not !null then
-          match Hashtbl.find_opt grouped !key with
-          | Some cell -> cell := row :: !cell
-          | None -> Hashtbl.add grouped !key (ref [ row ])
-      done;
-      strip (Hashtbl.fold (fun _ cell acc -> cell :: acc) grouped [])
-
-let partition t attrs =
-  match Hashtbl.find_opt t.partitions attrs with
-  | Some p -> p
-  | None ->
-      (* codes already paid for -> int-keyed pass; otherwise partition
-         the raw values and skip the encode entirely *)
-      let all_encoded =
-        List.for_all (fun a -> t.columns.(pos_of t a) <> None) attrs
-      in
-      let p =
-        if all_encoded then compute_partition t attrs
-        else compute_partition_rows t attrs
-      in
-      Hashtbl.add t.partitions attrs p;
-      p
-
-let partition_error p =
-  Array.fold_left (fun acc g -> acc + Array.length g - 1) 0 p.groups
-
-let fd_holds t ~lhs ~rhs =
-  let key = (lhs, rhs) in
-  match Hashtbl.find_opt t.fd_verdicts key with
-  | Some v -> v
-  | None ->
-      let p = partition t lhs in
-      let readers = Array.map (code_reader t) (columns t rhs) in
-      let same r0 r = Array.for_all (fun rd -> rd r0 = rd r) readers in
-      let verdict =
-        Array.for_all
-          (fun g ->
-            let r0 = g.(0) in
-            Array.for_all (fun r -> same r0 r) g)
-          p.groups
-      in
-      Hashtbl.add t.fd_verdicts key verdict;
-      verdict
-
-(* Dense group-id map of the [lhs] partition: [gid.(row)] is the row's
-   group index, -1 on NULL-LHS rows. Reuses a memoized stripped
-   partition when one exists (its dropped singletons land on -1, which
-   is sound: a one-row group cannot refute any candidate); otherwise
-   one hash pass over the raw values — no member lists, no dictionary
-   encode. *)
-let lhs_gid t lhs =
-  let gid = Array.make t.n_rows (-1) in
-  match Hashtbl.find_opt t.partitions lhs with
-  | Some p ->
-      Array.iteri
-        (fun g members -> Array.iter (fun r -> gid.(r) <- g) members)
-        p.groups;
-      (gid, Array.length p.groups)
-  | None ->
-      let rows = Table.rows t.table in
-      let next = ref 0 in
-      (match List.map (pos_of t) lhs with
-      | [ pos ] ->
-          (* single-attribute LHS, the dominant §6.2.2 shape *)
-          let ids : (Value.t, int) Hashtbl.t =
-            Hashtbl.create (max 16 (t.n_rows / 4))
-          in
-          for row = 0 to t.n_rows - 1 do
-            let v = rows.(row).(pos) in
-            if not (Value.is_null v) then (
-              match Hashtbl.find_opt ids v with
-              | Some g -> gid.(row) <- g
-              | None ->
-                  Hashtbl.add ids v !next;
-                  gid.(row) <- !next;
-                  incr next)
-          done
-      | poss ->
-          let poss = Array.of_list poss in
-          let ids : (Value.t list, int) Hashtbl.t =
-            Hashtbl.create (max 16 (t.n_rows / 4))
-          in
-          for row = 0 to t.n_rows - 1 do
-            let tup = rows.(row) in
-            let null = ref false in
-            let key = ref [] in
-            for j = Array.length poss - 1 downto 0 do
-              let v = tup.(poss.(j)) in
-              if Value.is_null v then null := true else key := v :: !key
-            done;
-            if not !null then (
-              match Hashtbl.find_opt ids !key with
-              | Some g -> gid.(row) <- g
-              | None ->
-                  Hashtbl.add ids !key !next;
-                  gid.(row) <- !next;
-                  incr next)
-          done);
-      (gid, !next)
-
-(* One candidate answered by a row-major sweep: remember the first RHS
-   value seen per LHS group, refute on the first disagreement. NULL
-   compares equal to NULL under structural equality, exactly like the
-   reserved 0 code. Reads only frozen arrays and allocates its own
-   scratch — safe from worker domains. *)
-let sweep_one rows (gid : int array) n_groups pos =
-  let repr = Array.make n_groups Value.Null in
-  let seen = Array.make n_groups false in
-  let ok = ref true in
-  let row = ref 0 in
-  let n = Array.length gid in
-  while !ok && !row < n do
-    let g = gid.(!row) in
-    if g >= 0 then begin
-      let v = rows.(!row).(pos) in
-      if not seen.(g) then begin
-        seen.(g) <- true;
-        repr.(g) <- v
-      end
-      else begin
-        let r = repr.(g) in
-        if not (r == v || Value.equal r v) then ok := false
-      end
-    end;
-    incr row
-  done;
-  !ok
-
-(* Every candidate answered in one fused row-major pass: each tuple is
-   fetched once and compared against every still-live candidate's
-   representative; a mismatch kills just that candidate, and the pass
-   stops once all are dead. The live set is kept compact (dead
-   candidates are swap-removed), so once the easy refutations land in
-   the first few hundred rows the per-row work shrinks to just the
-   surviving candidates. Physical equality short-circuits the
-   structural compare — sound, since [==] implies [Value.equal]. *)
-let sweep_all rows (gid : int array) n_groups (positions : int array) =
-  let m = Array.length positions in
-  let verdict = Array.make m true in
-  let repr = Array.map (fun _ -> Array.make n_groups Value.Null) positions in
-  let seen = Array.make n_groups false in
-  let live = Array.init m Fun.id in
-  let n_live = ref m in
-  let row = ref 0 in
-  let n = Array.length gid in
-  while !n_live > 0 && !row < n do
-    let g = gid.(!row) in
-    if g >= 0 then begin
-      let tup = rows.(!row) in
-      if not seen.(g) then begin
-        seen.(g) <- true;
-        for j = 0 to !n_live - 1 do
-          let k = live.(j) in
-          repr.(k).(g) <- tup.(positions.(k))
-        done
-      end
-      else begin
-        let j = ref 0 in
-        while !j < !n_live do
-          let k = live.(!j) in
-          let v = tup.(positions.(k)) in
-          let r = repr.(k).(g) in
-          if r == v || Value.equal r v then incr j
-          else begin
-            verdict.(k) <- false;
-            decr n_live;
-            live.(!j) <- live.(!n_live)
-          end
-        done
-      end
-    end;
-    incr row
-  done;
-  verdict
-
-(* One fused pass answering every candidate without materializing the
-   group-id array: each row's LHS key is hashed to its group (created
-   on first sight, at which point the row seeds every live candidate's
-   representative) and compared in place against the live candidates'
-   representatives. Saves a full second pass over the rows compared to
-   [lhs_gid] + [sweep_all]; used on the sequential path when the
-   columns are not already encoded and no memoized partition exists.
-
-   With [?retain] (the RHS attribute names aligned with [positions]),
-   a completed pass with at least one surviving candidate leaves its
-   key tables and the survivors' representative arrays behind as the
-   LHS's [sweep_state] — the structure the delta passes re-check
-   appended rows against. A pass that early-exited (every candidate
-   refuted) retains nothing: its key tables are incomplete, and there
-   is no true verdict to maintain. *)
-let sweep_fused ?retain t lhs rows (positions : int array) =
-  let m = Array.length positions in
-  let verdict = Array.make m true in
-  (* group count is unknown until the pass ends; n_rows bounds it *)
-  let cap = max 1 t.n_rows in
-  let repr = Array.map (fun _ -> Array.make cap Value.Null) positions in
-  let live = Array.init m Fun.id in
-  let n_live = ref m in
-  let next = ref 0 in
-  let keys_out = ref None in
-  let seed tup g =
-    for j = 0 to !n_live - 1 do
-      let k = live.(j) in
-      repr.(k).(g) <- tup.(positions.(k))
-    done
-  in
-  let refine tup g =
-    let j = ref 0 in
-    while !j < !n_live do
-      let k = live.(!j) in
-      let v = tup.(positions.(k)) in
-      let r = repr.(k).(g) in
-      if r == v || Value.equal r v then incr j
-      else begin
-        verdict.(k) <- false;
-        decr n_live;
-        live.(!j) <- live.(!n_live)
-      end
-    done
-  in
-  (match List.map (pos_of t) lhs with
-  | [ pos ] ->
-      (* [Int] keys — the dominant shape for generated foreign keys —
-         take an immediate-keyed table (constant-time hash and
-         compare); everything else falls back to the generic one.
-         Both draw group ids from the same counter, and the split
-         mirrors polymorphic equality (an [Int] never equals a
-         [Float] there), so grouping is unchanged. *)
-      let int_ids : (int, int) Hashtbl.t =
-        Hashtbl.create (max 16 (t.n_rows / 4))
-      in
-      let ids : (Value.t, int) Hashtbl.t = Hashtbl.create 16 in
-      keys_out := Some (Scalar_keys (int_ids, ids));
-      let row = ref 0 in
-      while !n_live > 0 && !row < t.n_rows do
-        let tup = rows.(!row) in
-        (match tup.(pos) with
-        | Value.Int x -> (
-            match Hashtbl.find int_ids x with
-            | g -> refine tup g
-            | exception Not_found ->
-                let g = !next in
-                incr next;
-                Hashtbl.add int_ids x g;
-                seed tup g)
-        | v ->
-            if not (Value.is_null v) then (
-              match Hashtbl.find ids v with
-              | g -> refine tup g
-              | exception Not_found ->
-                  let g = !next in
-                  incr next;
-                  Hashtbl.add ids v g;
-                  seed tup g));
-        incr row
-      done
-  | poss ->
-      let poss = Array.of_list poss in
-      let ids : (Value.t list, int) Hashtbl.t =
-        Hashtbl.create (max 16 (t.n_rows / 4))
-      in
-      keys_out := Some (Tuple_keys ids);
-      let row = ref 0 in
-      while !n_live > 0 && !row < t.n_rows do
-        let tup = rows.(!row) in
-        let null = ref false in
-        let key = ref [] in
-        for j = Array.length poss - 1 downto 0 do
-          let v = tup.(poss.(j)) in
-          if Value.is_null v then null := true else key := v :: !key
-        done;
-        (if not !null then
-           match Hashtbl.find ids !key with
-           | g -> refine tup g
-           | exception Not_found ->
-               let g = !next in
-               incr next;
-               Hashtbl.add ids !key g;
-               seed tup g);
-        incr row
-      done);
-  (match (retain, !keys_out) with
-  | Some names, Some keys when !n_live > 0 ->
-      (* survivors were live for the whole pass, so every group's
-         representative is seeded for them; trim to the group count *)
-      let reprs = Hashtbl.create (max 4 !n_live) in
-      for j = 0 to !n_live - 1 do
-        let k = live.(j) in
-        Hashtbl.replace reprs names.(k) (ref (Array.sub repr.(k) 0 !next))
-      done;
-      Hashtbl.replace t.fd_sweeps lhs
-        {
-          sw_groups = !next;
-          sw_keys = keys;
-          sw_lhs_pos = Array.of_list (List.map (pos_of t) lhs);
-          sw_reprs = reprs;
-        }
-  | _ -> ());
-  verdict
 
 (* ---- zone-map pruning ------------------------------------------- *)
 
@@ -1114,21 +858,27 @@ let irepr_ensure r n =
     r := a
   end
 
-(* The fused FD batch over dictionary codes: the segment-native
-   counterpart of [sweep_fused], used when LHS and all candidate RHS
-   columns are already encoded — no row materialization, one aligned
-   decode per (segment, live column). Grouping by LHS code is grouping
-   by value (interning is injective per column), and RHS code equality
-   is RHS value equality (NULL's reserved 0 compares like NULL=NULL),
-   so verdicts are identical to the row sweeps.
+(* The fused FD batch over dictionary codes. Every candidate is
+   answered in one pass over the encoded columns, block-aligned: one
+   decode per (segment, live column), no row materialization. Each
+   row's LHS code (or code tuple) finds its group, created on first
+   sight, at which point the row seeds every live candidate's
+   representative code; later rows compare in place against the live
+   candidates' representatives. A mismatch kills just that candidate
+   (swap-removed from the compact live set), and the pass stops once
+   all are dead. Grouping by LHS code is grouping by value (interning
+   is injective per column), NULL-LHS rows are exempt, and RHS code
+   equality is RHS value equality (NULL's reserved 0 compares like
+   NULL = NULL).
 
    With [retain:None] the sweep additionally consults the zone maps
    ([zone_skippable]) and skips provably verdict-irrelevant segments.
-   With [?retain] the completed pass (if any candidate survives)
-   converts its code-level state into the same value-keyed
-   [sweep_state] a row sweep would have retained — group ids are
-   assigned in first-occurrence row order on both paths, so the
-   retained structure is indistinguishable. *)
+   With [?retain] (the RHS attribute names aligned with [positions]) a
+   completed pass with at least one surviving candidate converts its
+   code-level state into the value-keyed [sweep_state] the delta
+   passes advance over appended rows. A pass that early-exited (every
+   candidate refuted) retains nothing: its key tables are incomplete,
+   and there is no true verdict to maintain. *)
 let sweep_fused_codes ?retain t lhs (positions : int array) =
   let m = Array.length positions in
   let verdict = Array.make m true in
@@ -1140,12 +890,17 @@ let sweep_fused_codes ?retain t lhs (positions : int array) =
       positions
   in
   let sr = t.seg_rows in
-  let nseg = if Array.length lcols = 0 then 0 else Array.length lcols.(0).segs in
+  (* a store's columns all seal at the same boundaries; an empty LHS
+     puts every row in one group, so the layout comes from the RHS *)
+  let layout = if Array.length lcols > 0 then lcols.(0) else rcols.(0) in
+  let nseg = Array.length layout.segs in
   let live = Array.init m Fun.id in
   let n_live = ref m in
   let next = ref 0 in
   let repr = Array.map (fun _ -> ref (Array.make 64 0)) positions in
-  let prune = retain = None && (Ooc.config ()).zone_pruning in
+  let prune =
+    retain = None && Array.length lcols > 0 && (Ooc.config ()).zone_pruning
+  in
   let skip = if prune && nseg > 0 then zone_skippable lcols else [||] in
   (* per-block sweep bodies, one per LHS shape *)
   let single = Array.length lcols = 1 in
@@ -1242,11 +997,11 @@ let sweep_fused_codes ?retain t lhs (positions : int array) =
     done
   end;
   (* open tail: plain arrays, never skipped *)
-  if !n_live > 0 && Array.length lcols.(0).tail > 0 then
+  if !n_live > 0 && Array.length layout.tail > 0 then
     sweep_block
       (Array.map (fun (c : column) -> c.tail) lcols)
       (Array.map (fun (c : column) -> c.tail) rcols)
-      (Array.length lcols.(0).tail);
+      (Array.length layout.tail);
   (* retention: translate code-level state to the value-keyed form the
      delta passes advance (pruning is off whenever we get here) *)
   (match retain with
@@ -1299,107 +1054,41 @@ let sweep_fused_codes ?retain t lhs (positions : int array) =
   | _ -> ());
   verdict
 
-(* The batched FD check: one LHS partition pass answers every RHS
-   attribute by refinement sweeps, instead of [|rhs|] independent full
-   scans. When every needed column is already encoded (Builder-loaded
-   or warmed stores) the batch runs segment-by-segment over the packed
-   codes — no row materialization, zone-map pruning on cold stores;
-   otherwise the LHS collapses to a dense group-id array and the RHS
-   candidates are swept row-major over the raw values (fused into a
-   single early-exiting pass when sequential, one sweep per worker
-   under [pool]). Verdicts land by index, so the result order is the
-   submission order whatever the domain count. Fresh verdicts are
-   memoized only from the submitting domain (the verdict table is not
-   thread-safe). *)
+(* The batched FD check: one fused pass answers every RHS attribute of
+   a shared LHS. Columns are encoded first — Builder-loaded and
+   delta-maintained stores already are; [pool] fans the encode passes
+   of a store built by row inserts over the worker domains — and the
+   sweep then runs segment-by-segment over the packed codes. Verdicts
+   land by index, so the result order is the submission order.
+   Already-memoized verdicts are reused; fresh ones are memoized. Call
+   only from the domain that owns the store. *)
 let fd_batch ?pool t ~lhs ~rhs =
   let rhs_arr = Array.of_list rhs in
-  let n = Array.length rhs_arr in
-  let cached = Array.map (fun a -> Hashtbl.find_opt t.fd_verdicts (lhs, [ a ])) rhs_arr in
-  let misses = List.filter (fun i -> cached.(i) = None) (List.init n Fun.id) in
-  let verdicts = Array.make n false in
-  Array.iteri
-    (fun i c -> match c with Some v -> verdicts.(i) <- v | None -> ())
-    cached;
+  let verdicts =
+    Array.map (fun a -> Hashtbl.find_opt t.fd_verdicts (lhs, a)) rhs_arr
+  in
+  let misses =
+    List.filter
+      (fun i -> verdicts.(i) = None)
+      (List.init (Array.length rhs_arr) Fun.id)
+  in
   (match misses with
   | [] -> ()
   | _ ->
       let misses = Array.of_list misses in
-      let positions = Array.map (fun i -> pos_of t rhs_arr.(i)) misses in
-      let retain_names () =
-        if t.memoized then Some (Array.map (fun i -> rhs_arr.(i)) misses)
-        else None
-      in
+      let names = Array.map (fun i -> rhs_arr.(i)) misses in
+      ensure_columns ?pool t (lhs @ Array.to_list names);
+      let retain = if t.memoized then Some names else None in
       let res =
-        match pool with
-        | Some pool when Domain_pool.size pool > 1 && Array.length misses > 1
-          ->
-            (* force the row-array cache on the submitting domain;
-               workers only read it *)
-            let rows = Table.rows t.table in
-            let gid, n_groups = lhs_gid t lhs in
-            Domain_pool.map_array pool
-              (fun pos -> sweep_one rows gid n_groups pos)
-              positions
-        | _ ->
-            let all_encoded =
-              List.for_all (fun a -> t.columns.(pos_of t a) <> None) lhs
-              && Array.for_all (fun p -> t.columns.(p) <> None) positions
-            in
-            if all_encoded then
-              sweep_fused_codes ?retain:(retain_names ()) t lhs positions
-            else if Hashtbl.mem t.partitions lhs then
-              let rows = Table.rows t.table in
-              let gid, n_groups = lhs_gid t lhs in
-              sweep_all rows gid n_groups positions
-            else
-              let rows = Table.rows t.table in
-              sweep_fused ?retain:(retain_names ()) t lhs rows positions
+        sweep_fused_codes ?retain t lhs (Array.map (pos_of t) names)
       in
-      Array.iteri (fun k i -> verdicts.(i) <- res.(k)) misses;
-      Array.iter
-        (fun i ->
-          let key = (lhs, [ rhs_arr.(i) ]) in
-          if not (Hashtbl.mem t.fd_verdicts key) then
-            Hashtbl.add t.fd_verdicts key verdicts.(i))
+      Array.iteri
+        (fun k i ->
+          verdicts.(i) <- Some res.(k);
+          Hashtbl.replace t.fd_verdicts (lhs, rhs_arr.(i)) res.(k))
         misses);
-  Array.to_list (Array.mapi (fun i a -> (a, verdicts.(i))) rhs_arr)
-
-(* ------------------------------------------------------------------ *)
-(* grouping (NULL as ordinary value, as FD-style callers need)         *)
-(* ------------------------------------------------------------------ *)
-
-let group_rows t attrs =
-  let cols = columns t attrs in
-  let width = Array.length cols in
-  let grouped : (int list, int list) Hashtbl.t =
-    Hashtbl.create (max 16 (min t.n_rows 65536 / 4 + 16))
-  in
-  iter_blocks t cols (fun bufs len base ->
-      for i = 0 to len - 1 do
-        let key = ref [] in
-        for j = width - 1 downto 0 do
-          key := bufs.(j).(i) :: !key
-        done;
-        let prev = try Hashtbl.find grouped !key with Not_found -> [] in
-        Hashtbl.replace grouped !key ((base + i) :: prev)
-      done);
-  let out = Hashtbl.create (max 16 (Hashtbl.length grouped)) in
-  Hashtbl.iter
-    (fun key members -> Hashtbl.add out (decode cols key) members)
-    grouped;
-  out
-
-let stats t =
-  {
-    columns_encoded =
-      Array.fold_left
-        (fun acc c -> match c with Some _ -> acc + 1 | None -> acc)
-        0 t.columns;
-    distinct_sets = Hashtbl.length t.distinct_sets;
-    partitions = Hashtbl.length t.partitions;
-    fd_verdicts = Hashtbl.length t.fd_verdicts;
-    join_counts = Hashtbl.length t.join_counts;
-  }
+  Array.to_list
+    (Array.mapi (fun i a -> (a, Option.value ~default:false verdicts.(i))) rhs_arr)
 
 (* ------------------------------------------------------------------ *)
 (* residency reporting                                                 *)
@@ -1463,8 +1152,8 @@ let intern_of t pos (col : column) =
   match t.interns.(pos) with
   | Some h -> h
   | None ->
-      (* Builder-made stores arrive without intern tables: rebuild one
-         from the dictionary in O(|dict|). Dead tail codes are
+      (* encoded columns arrive without intern tables: build one from
+         the dictionary in O(|dict|). Dead tail codes are
          reclaimed before this runs (see [reclaim_tail]), so every
          entry interned here is live. *)
       let h = Hashtbl.create 256 in
@@ -1686,9 +1375,10 @@ let repr_ensure r n =
    its LHS group (founding and seeding a fresh one on a new key) and is
    compared against every tracked attribute's representative; the
    returned table names the attributes that saw a disagreement. Key
-   routing mirrors [sweep_fused] exactly (Int fast path, NULL-LHS rows
-   exempt), so the advanced state is indistinguishable from a fresh
-   full sweep over the extended extension. *)
+   routing mirrors the fused sweep exactly (NULL-LHS rows exempt, one
+   group per distinct LHS value, ids in first-occurrence order), so the
+   advanced state is indistinguishable from a fresh full sweep over the
+   extended extension. *)
 let advance_sweep_state t st tups =
   let flipped : (string, unit) Hashtbl.t = Hashtbl.create 4 in
   let attrs =
@@ -1753,8 +1443,8 @@ let advance_sweep_state t st tups =
    - a TRUE verdict survives any delete (an FD holding on a superset
      holds on the subset); FALSE verdicts are dropped on delete.
    TRUE verdicts under appends are re-checked against the retained
-   sweep state; those without one (pool sweeps, partition-path sweeps,
-   [fd_holds]-path verdicts) are dropped and recomputed on demand. *)
+   sweep state; those without one (the state was replaced by a later
+   sweep over the same LHS) are dropped and recomputed on demand. *)
 let recheck_fd_verdicts t tups =
   let flips : (string list, (string, unit) Hashtbl.t) Hashtbl.t =
     Hashtbl.create 8
@@ -1764,17 +1454,13 @@ let recheck_fd_verdicts t tups =
     t.fd_sweeps;
   let entries = Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.fd_verdicts [] in
   List.iter
-    (fun (((lhs, rhs) as key), v) ->
+    (fun (((lhs, a) as key), v) ->
       if v then
         match Hashtbl.find_opt t.fd_sweeps lhs with
-        | None -> Hashtbl.remove t.fd_verdicts key
-        | Some st ->
-            if List.for_all (fun a -> Hashtbl.mem st.sw_reprs a) rhs then begin
-              let fl = Hashtbl.find flips lhs in
-              if List.exists (fun a -> Hashtbl.mem fl a) rhs then
-                Hashtbl.replace t.fd_verdicts key false
-            end
-            else Hashtbl.remove t.fd_verdicts key)
+        | Some st when Hashtbl.mem st.sw_reprs a ->
+            if Hashtbl.mem (Hashtbl.find flips lhs) a then
+              Hashtbl.replace t.fd_verdicts key false
+        | _ -> Hashtbl.remove t.fd_verdicts key)
     entries
 
 (* patch every memoized distinct set and witness count with the
@@ -1818,10 +1504,6 @@ let apply_delta t ~summary delta =
         t.columns;
       let added = patch_distinct_append t tups in
       recheck_fd_verdicts t tups;
-      (* stripped partitions are not patched in place: group membership
-         arrays would need per-key indexes kept alive; they rebuild
-         lazily on next demand instead *)
-      Hashtbl.reset t.partitions;
       t.n_rows <- t.n_rows + Array.length tups;
       (match !summary with
       | `Appended acc -> summary := `Appended (added :: acc)
@@ -1837,7 +1519,6 @@ let apply_delta t ~summary delta =
          deletion provably cannot flip survive *)
       Hashtbl.reset t.distinct_sets;
       Hashtbl.reset t.witnesses;
-      Hashtbl.reset t.partitions;
       Hashtbl.reset t.fd_sweeps;
       let entries =
         Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.fd_verdicts []
@@ -1866,7 +1547,6 @@ let rebuild_in_place t table =
   Array.fill t.interns 0 (Array.length t.interns) None;
   Hashtbl.reset t.distinct_sets;
   Hashtbl.reset t.witnesses;
-  Hashtbl.reset t.partitions;
   Hashtbl.reset t.fd_verdicts;
   Hashtbl.reset t.fd_sweeps;
   Hashtbl.reset t.join_counts;
@@ -2044,131 +1724,6 @@ module Builder = struct
     v.data.(v.len) <- x;
     v.len <- v.len + 1
 
-  (* Flat open-addressing intern table. Same key semantics as the
-     polymorphic hashtable [encode] uses — [compare _ _ = 0] for
-     identity — so a finished builder's dictionaries are
-     indistinguishable from a post-hoc encode of the same rows; but
-     probing flat arrays allocates nothing per lookup, which matters
-     when every cell of a bulk load passes through.
-
-     [Value.Int] keys (the shape of key-like columns, where nearly
-     every cell misses) get their own unboxed side table: no box to
-     hash or chase on a probe. Cross-constructor values never compare
-     equal, so partitioning by constructor cannot change identity. *)
-  type vtab = {
-    mutable v_cap : int;  (* power of two *)
-    mutable v_size : int;
-    mutable v_hs : int array;  (* 0 = empty slot, else [hash lor 1] *)
-    mutable v_keys : Value.t array;
-    mutable v_codes : int array;
-    mutable n_cap : int;  (* the Value.Int side, unboxed *)
-    mutable n_size : int;
-    mutable n_tab : int array;  (* interleaved [key; code] pairs *)
-  }
-
-  (* the int side keys slots directly by value; [min_int] marks an
-     empty slot (Int min_int itself goes through the boxed side) *)
-  let ntab_make cap =
-    Array.init (2 * cap) (fun j -> if j land 1 = 0 then min_int else 0)
-
-  let vtab_create () =
-    {
-      v_cap = 256;
-      v_size = 0;
-      v_hs = Array.make 256 0;
-      v_keys = Array.make 256 Value.Null;
-      v_codes = Array.make 256 0;
-      n_cap = 256;
-      n_size = 0;
-      n_tab = ntab_make 256;
-    }
-
-  (* Placement only, never identity. Low bits pass through so runs of
-     sequential keys occupy sequential slots (cache-friendly inserts and
-     rehashes); high bits are folded in so huge keys still spread. *)
-  let int_hash n = (n lxor (n lsr 32)) land max_int
-
-  let ntab_slot t n =
-    let mask = t.n_cap - 1 in
-    let i = ref (int_hash n land mask) in
-    while
-      let k = Array.unsafe_get t.n_tab (2 * !i) in
-      k <> min_int && k <> n
-    do
-      i := (!i + 1) land mask
-    done;
-    !i
-
-  let ntab_grow t =
-    let old = t.n_tab and old_cap = t.n_cap in
-    let cap = t.n_cap * 2 in
-    t.n_cap <- cap;
-    t.n_tab <- ntab_make cap;
-    let mask = cap - 1 in
-    for j = 0 to old_cap - 1 do
-      let k = old.(2 * j) in
-      if k <> min_int then begin
-        let i = ref (int_hash k land mask) in
-        while t.n_tab.(2 * !i) <> min_int do
-          i := (!i + 1) land mask
-        done;
-        t.n_tab.(2 * !i) <- k;
-        t.n_tab.((2 * !i) + 1) <- old.((2 * j) + 1)
-      end
-    done
-
-  (* indices are masked to the (power-of-two) capacity, so the
-     unchecked reads cannot go out of bounds *)
-  let vtab_slot t h v =
-    let mask = t.v_cap - 1 in
-    let i = ref (h land mask) in
-    while
-      let h' = Array.unsafe_get t.v_hs !i in
-      h' <> 0
-      && not (h' = h && Stdlib.compare (Array.unsafe_get t.v_keys !i) v = 0)
-    do
-      i := (!i + 1) land mask
-    done;
-    !i
-
-  (* quadruple once the table is clearly high-cardinality: rehashing is
-     the dominant interning cost for key-like columns, and fewer, larger
-     steps move each entry O(1) times instead of O(log n) *)
-  let vtab_grow t =
-    let old_hs = t.v_hs and old_keys = t.v_keys and old_codes = t.v_codes in
-    let cap = t.v_cap * if t.v_cap >= 65536 then 4 else 2 in
-    t.v_cap <- cap;
-    t.v_hs <- Array.make cap 0;
-    t.v_keys <- Array.make cap Value.Null;
-    t.v_codes <- Array.make cap 0;
-    let mask = cap - 1 in
-    Array.iteri
-      (fun j h ->
-        if h <> 0 then begin
-          let i = ref (h land mask) in
-          while t.v_hs.(!i) <> 0 do
-            i := (!i + 1) land mask
-          done;
-          t.v_hs.(!i) <- h;
-          t.v_keys.(!i) <- old_keys.(j);
-          t.v_codes.(!i) <- old_codes.(j)
-        end)
-      old_hs
-
-  (* growable dictionary in code order; slot 0 is the NULL code *)
-  type dvec = { mutable ddata : Value.t array; mutable dlen : int }
-
-  let dvec_create () = { ddata = Array.make 256 Value.Null; dlen = 1 }
-
-  let dvec_push d v =
-    if d.dlen = Array.length d.ddata then begin
-      let a = Array.make (2 * d.dlen) Value.Null in
-      Array.blit d.ddata 0 a 0 d.dlen;
-      d.ddata <- a
-    end;
-    d.ddata.(d.dlen) <- v;
-    d.dlen <- d.dlen + 1
-
   type b = {
     b_rel : Relation.t;
     b_arity : int;
@@ -2178,7 +1733,6 @@ module Builder = struct
     b_segs : segment list array;  (* sealed so far, reversed *)
     b_intern : vtab array;
     b_dict : dvec array;  (* per column, indexed by code *)
-    b_next : int array;  (* next free code per column *)
     b_nulls : int array;
     mutable b_rows : int;
     mutable b_tail_len : int;  (* rows currently in the open vecs *)
@@ -2196,7 +1750,6 @@ module Builder = struct
       b_segs = Array.make arity [];
       b_intern = Array.init arity (fun _ -> vtab_create ());
       b_dict = Array.init arity (fun _ -> dvec_create ());
-      b_next = Array.make arity 1;
       b_nulls = Array.make arity 0;
       b_rows = 0;
       b_tail_len = 0;
@@ -2204,51 +1757,7 @@ module Builder = struct
 
   let rows b = b.b_rows
 
-  let intern b pos v =
-    match v with
-    | Value.Null -> 0
-    | Value.Int n when n <> min_int ->
-        let t = b.b_intern.(pos) in
-        let i = ntab_slot t n in
-        if t.n_tab.(2 * i) <> min_int then t.n_tab.((2 * i) + 1)
-        else begin
-          let c = b.b_next.(pos) in
-          b.b_next.(pos) <- c + 1;
-          let i =
-            if (t.n_size + 1) * 2 > t.n_cap then begin
-              ntab_grow t;
-              ntab_slot t n
-            end
-            else i
-          in
-          t.n_tab.(2 * i) <- n;
-          t.n_tab.((2 * i) + 1) <- c;
-          t.n_size <- t.n_size + 1;
-          dvec_push b.b_dict.(pos) v;
-          c
-        end
-    | _ ->
-        let t = b.b_intern.(pos) in
-        let h = Hashtbl.hash v lor 1 in
-        let i = vtab_slot t h v in
-        if t.v_hs.(i) <> 0 then t.v_codes.(i)
-        else begin
-          let c = b.b_next.(pos) in
-          b.b_next.(pos) <- c + 1;
-          let i =
-            if (t.v_size + 1) * 2 > t.v_cap then begin
-              vtab_grow t;
-              vtab_slot t h v
-            end
-            else i
-          in
-          t.v_hs.(i) <- h;
-          t.v_keys.(i) <- v;
-          t.v_codes.(i) <- c;
-          t.v_size <- t.v_size + 1;
-          dvec_push b.b_dict.(pos) v;
-          c
-        end
+  let intern b pos v = intern_into b.b_intern.(pos) b.b_dict.(pos) v
 
   (* every column has exactly [b_seg_rows] pending codes: seal all of
      them at once so the finished segments stay row-aligned across the

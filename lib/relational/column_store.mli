@@ -8,8 +8,10 @@
     computes them over {e dense integer codes}: each attribute's values
     are interned once into a dictionary (NULL holding the reserved code
     0), and every derived structure — single/multi-column distinct sets,
-    TANE-style stripped partitions, FD verdicts, cross-table equi-join
-    counts — is memoized inside the store, keyed by attribute list.
+    FD verdicts, cross-table equi-join counts — is memoized inside the
+    store, keyed by attribute list. This is the only implementation of
+    those primitives in the library; the row-at-a-time reference
+    implementations they are tested against live with the tests.
 
     {b Segments.} A column is not one flat code array but a sequence of
     sealed, immutable, fixed-row-count segments (default
@@ -39,12 +41,12 @@
     {!of_table} is never stale. A fresh throwaway store (cold cache)
     can be built with {!build}.
 
-    Equality semantics are identical to the row-based primitives
+    Equality semantics are those of the row-based definitions
     (structural equality on [Value.t], NULL skipped by distinct
-    counting, NULL = NULL for grouping), so the columnar engine agrees
-    verdict-for-verdict with [Table] / [Fd_infer] — property-tested by
-    the engine-equivalence suite, and by the out-of-core suite on both
-    sides of the spill threshold. *)
+    counting, NULL = NULL for grouping), so the store agrees
+    verdict-for-verdict with a row-at-a-time reference — property-tested
+    by the equivalence suite, and by the out-of-core suite on both sides
+    of the spill threshold. *)
 
 type t
 
@@ -59,17 +61,6 @@ val column_codes : column -> int array
 
 val column_dict : column -> Value.t array
 (** code -> value; [dict.(0) = Null]. Do not mutate. *)
-
-val column_nulls : column -> int
-(** Number of NULL rows in the column. *)
-
-type partition = private {
-  groups : int array array;  (** equivalence classes of size ≥ 2 *)
-  p_rows : int;
-}
-(** Stripped partition over the encoded columns; rows holding NULL in
-    any of the partitioning attributes are dropped (the FD-check
-    exemption). *)
 
 type Table.ext += Store of t
 (** How the memoized instance is stashed in {!Table.ext_cache}. *)
@@ -154,8 +145,6 @@ val count_distinct : t -> string list -> int
     dictionary holds only live codes; a tail-only liveness pass covers
     the window between a tail delete and the next reclaim). *)
 
-val project_distinct : t -> string list -> Value.t list list
-
 val witness_count : t -> string list -> int
 (** Number of rows NULL-free on the given attributes. *)
 
@@ -174,53 +163,22 @@ val equijoin_distinct_count : t -> string list -> t -> string list -> int
     mutation renews its uid, so entries can never be served stale;
     {!refresh_all} patches and rekeys them exactly. *)
 
-val partition : t -> string list -> partition
-(** Memoized stripped partition on the given attributes (NULL-holding
-    rows dropped). Built segment-by-segment from the code columns when
-    they are already encoded, else in one pass over the raw rows
-    without encoding; both builders group by the same structural
-    equality. *)
-
-val partition_error : partition -> int
-(** [Σ (|c| - 1)] over groups. *)
-
-val fd_holds : t -> lhs:string list -> rhs:string list -> bool
-(** Does [lhs -> rhs] hold on the extension? Computed by refining the
-    memoized [lhs] partition against the [rhs] code columns (NULL-LHS
-    rows exempt, NULL = NULL on the RHS — the naive engine's
-    semantics); the verdict is memoized per [(lhs, rhs)]. *)
-
 val fd_batch :
   ?pool:Domain_pool.t -> t -> lhs:string list -> rhs:string list ->
   (string * bool) list
-(** Batched form of {!fd_holds} for one shared LHS: group once on the
-    LHS, answer every [rhs] attribute in a single refinement sweep.
-    When all the touched columns are already encoded, the sweep runs
-    segment-by-segment over the packed codes — never materializing the
-    row array — and skips segments whose zone maps prove they cannot
+(** [(a, lhs -> a holds)] for every [a] of [rhs], in order: the FD
+    check (NULL-LHS rows exempt, NULL = NULL on the RHS). Columns not
+    yet encoded are encoded first ({!ensure_columns}, fanned over
+    [pool] when one is given); then one fused sweep groups on the LHS
+    codes and answers every candidate, segment-by-segment over the
+    packed codes — never materializing the row array. A cold
+    ({!build}) store skips segments whose zone maps prove they cannot
     flip any verdict (a segment all of whose LHS codes are distinct
     within the segment and disjoint from every other segment's range
-    holds only singleton groups). Otherwise sweeps run over raw values.
-    Already-memoized verdicts are reused; fresh ones are memoized. With
-    [pool], the sweeps fan out over the worker domains; results are
-    returned in [rhs] order regardless (see the {!Domain_pool}
-    determinism contract). *)
-
-val group_rows : t -> string list -> (Value.t list, int list) Hashtbl.t
-(** Row indices grouped by projection with NULL as an ordinary value —
-    the [Table.group_rows] contract, computed over codes. Not memoized
-    (callers typically consume the grouping once). *)
-
-type stats = {
-  columns_encoded : int;
-  distinct_sets : int;
-  partitions : int;
-  fd_verdicts : int;
-  join_counts : int;
-}
-
-val stats : t -> stats
-(** Cache occupancy, for tests and instrumentation. *)
+    holds only singleton groups); a memoized store instead retains the
+    sweep state so appends re-check verdicts in O(delta).
+    Already-memoized verdicts are reused; fresh ones are memoized. Call
+    only from the domain that owns the store. *)
 
 type residency = {
   sealed_segments : int;

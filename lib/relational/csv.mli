@@ -138,15 +138,5 @@ val load_from_reader :
     reader has no random access to split on). A [Sys_error] escaping
     the reader comes back as [Error e] with code {!Error.Io_error}. *)
 
-val load_reference :
-  ?header:bool ->
-  ?mode:[ `Strict | `Quarantine ] ->
-  Relation.t ->
-  string ->
-  (Table.t * Quarantine.report option, Error.t) result
-(** The seed row-at-a-time loader, kept verbatim as the equivalence
-    oracle: the ingest test suite and bench B14 pin {!load} against it.
-    Same contract as {!load}, minus parallelism and laziness. *)
-
 val dump_table : ?header:bool -> Table.t -> string
 (** Render a table's extension as CSV (header row by default). *)

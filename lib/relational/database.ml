@@ -32,24 +32,19 @@ let add_relation t r =
 
 let cardinality t name = Table.cardinality (table t name)
 
-let store_for engine tbl =
-  if Engine.cached engine then
-    Column_store.of_table ~delta_fraction:engine.Engine.delta_fraction tbl
-  else Column_store.build tbl
-
 let count_distinct ?(engine = Engine.default) t name attrs =
-  let tbl = table t name in
-  match engine.Engine.check with
-  | Engine.Columnar -> Column_store.count_distinct (store_for engine tbl) attrs
-  | Engine.Naive | Engine.Partition -> Table.count_distinct tbl attrs
+  Column_store.count_distinct
+    (Column_store.of_table ~delta_fraction:engine.Engine.delta_fraction
+       (table t name))
+    attrs
 
 let join_count ?(engine = Engine.default) t (r1, x1) (r2, x2) =
-  let t1 = table t r1 and t2 = table t r2 in
-  match engine.Engine.check with
-  | Engine.Columnar ->
-      Column_store.equijoin_distinct_count (store_for engine t1) x1
-        (store_for engine t2) x2
-  | Engine.Naive | Engine.Partition -> Table.equijoin_distinct_count t1 x1 t2 x2
+  let delta_fraction = engine.Engine.delta_fraction in
+  Column_store.equijoin_distinct_count
+    (Column_store.of_table ~delta_fraction (table t r1))
+    x1
+    (Column_store.of_table ~delta_fraction (table t r2))
+    x2
 
 let total_tuples t =
   Hashtbl.fold (fun _ tbl acc -> acc + Table.cardinality tbl) t.tables 0

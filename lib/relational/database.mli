@@ -31,14 +31,14 @@ val add_relation : t -> Relation.t -> unit
 val cardinality : t -> string -> int
 
 val count_distinct : ?engine:Engine.t -> t -> string -> string list -> int
-(** [count_distinct db r x] is the paper's [||r[X]||]. The default
-    {!Engine.default} answers from the memoized column store; pass
-    {!Engine.naive} for the row-at-a-time seed path. *)
+(** [count_distinct db r x] is the paper's [||r[X]||], answered from
+    the table's memoized column store ([engine] supplies its
+    delta-refresh threshold). *)
 
 val join_count :
   ?engine:Engine.t -> t -> string * string list -> string * string list -> int
-(** [join_count db (r1, x1) (r2, x2)] is [||r1[X1] ⋈ r2[X2]||] —
-    columnar engines intersect the two memoized distinct sets. *)
+(** [join_count db (r1, x1) (r2, x2)] is [||r1[X1] ⋈ r2[X2]||]: the
+    intersection of the two memoized distinct sets. *)
 
 val total_tuples : t -> int
 

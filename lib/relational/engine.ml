@@ -1,5 +1,3 @@
-type check = Naive | Partition | Columnar
-type cache_policy = Cache_off | Cache_shared
 type parallelism = Sequential | Domains of int
 
 type budget = {
@@ -9,8 +7,6 @@ type budget = {
 }
 
 type t = {
-  check : check;
-  cache : cache_policy;
   parallelism : parallelism;
   budget : budget;
   delta_fraction : float;
@@ -18,8 +14,7 @@ type t = {
 
 let no_budget = { deadline_s = None; max_heap_words = None; on_exhausted = `Partial }
 
-let make ?(check = Columnar) ?(cache = Cache_shared)
-    ?(parallelism = Sequential) ?deadline_s ?max_heap_words
+let make ?(parallelism = Sequential) ?deadline_s ?max_heap_words
     ?(on_exhausted = `Partial)
     ?(delta_fraction = Column_store.default_delta_fraction) ?spill_dir
     ?resident_budget_words ?segment_rows ?zone_pruning () =
@@ -30,7 +25,7 @@ let make ?(check = Columnar) ?(cache = Cache_shared)
     spill_dir <> None || resident_budget_words <> None || segment_rows <> None
     || zone_pruning <> None
   then Ooc.configure ?spill_dir ?resident_budget_words ?segment_rows ?zone_pruning ();
-  { check; cache; parallelism;
+  { parallelism;
     budget = { deadline_s; max_heap_words; on_exhausted };
     delta_fraction }
 
@@ -58,9 +53,6 @@ let supervisor t =
 let fail_on_exhausted t = t.budget.on_exhausted = `Fail
 
 let default = make ()
-let naive = make ~check:Naive ~cache:Cache_off ()
-let partition = make ~check:Partition ~cache:Cache_off ()
-let columnar = make ()
 
 (* hosts can recommend absurd counts (128-core build machines); past
    ~16 domains every stage here is memory-bound and extra workers only
@@ -75,25 +67,12 @@ let parallel ?domains () =
   in
   make ~parallelism:(if n <= 1 then Sequential else Domains n) ()
 
-let of_fd_variant = function
-  | `Naive -> naive
-  | `Partition -> partition
-
 let domain_count t =
   match t.parallelism with Sequential -> 1 | Domains n -> max 1 n
 
-let cached t = match t.cache with Cache_shared -> true | Cache_off -> false
-
-let check_to_string = function
-  | Naive -> "naive"
-  | Partition -> "partition"
-  | Columnar -> "columnar"
-
 let of_string s =
   match String.lowercase_ascii (String.trim s) with
-  | "naive" -> Some naive
-  | "partition" -> Some partition
-  | "columnar" | "default" -> Some columnar
+  | "default" -> Some default
   | "parallel" -> Some (parallel ())
   | s when String.length s > 9 && String.sub s 0 9 = "parallel:" -> (
       match int_of_string_opt (String.sub s 9 (String.length s - 9)) with
@@ -102,8 +81,7 @@ let of_string s =
   | _ -> None
 
 let pp ppf t =
-  Format.fprintf ppf "%s/%s/%s" (check_to_string t.check)
-    (match t.cache with Cache_shared -> "shared-cache" | Cache_off -> "no-cache")
+  Format.pp_print_string ppf
     (match t.parallelism with
     | Sequential -> "sequential"
     | Domains n -> Printf.sprintf "%d-domains" n);

@@ -1,32 +1,13 @@
-(** First-class extension-check engines.
+(** The extension-check engine descriptor.
 
     Every counting primitive the paper issues against the extension —
     [||r[X]||], [||r_k[A_k] ⋈ r_l[A_l]||], FD satisfaction, key checks —
-    can be answered by several interchangeable engines. An {!t} value
-    names the algorithm ({!check}), whether derived structures are
-    memoized per table ({!cache_policy}), and how much [Domain]-level
-    parallelism independent checks may use ({!parallelism}).
-
-    This record replaces the [[ `Naive | `Partition ]] polymorphic
-    variant that used to be duplicated across [Fd_infer.holds],
-    [Pipeline.config] and the bench call sites. It is pure data: the
-    dispatch lives with each primitive ([Fd_infer.holds],
-    [Database.count_distinct], [Ind_discovery.run], …), so the type can
-    sit at the bottom of the dependency stack. [Dbre.Engine] re-exports
-    this module for pipeline users. *)
-
-type check =
-  | Naive  (** row-at-a-time hashing over [Value.t] projections (seed) *)
-  | Partition  (** TANE stripped partitions for FD checks *)
-  | Columnar
-      (** dictionary-encoded columns ({!Column_store}): distinct sets,
-          partitions and verdicts over dense [int] codes *)
-
-type cache_policy =
-  | Cache_off  (** rebuild every derived structure per call *)
-  | Cache_shared
-      (** memoize the column store (and its distinct sets, partitions
-          and FD verdicts) per table, invalidated by inserts *)
+    has exactly one implementation, over the table's memoized
+    {!Column_store}. An {!t} value carries only what a run may vary
+    around it: how much [Domain]-level parallelism independent passes
+    may use ({!parallelism}), the run's resource {!budget}, and the
+    delta-refresh threshold of the memoized stores. It is pure data, so
+    the type can sit at the bottom of the dependency stack. *)
 
 type parallelism =
   | Sequential
@@ -43,8 +24,6 @@ type budget = {
 }
 
 type t = {
-  check : check;
-  cache : cache_policy;
   parallelism : parallelism;
   budget : budget;
   delta_fraction : float;
@@ -59,8 +38,6 @@ val no_budget : budget
     every preset. *)
 
 val make :
-  ?check:check ->
-  ?cache:cache_policy ->
   ?parallelism:parallelism ->
   ?deadline_s:float ->
   ?max_heap_words:int ->
@@ -72,7 +49,7 @@ val make :
   ?zone_pruning:bool ->
   unit ->
   t
-(** Defaults: [Columnar], [Cache_shared], [Sequential], {!no_budget},
+(** Defaults: [Sequential], {!no_budget},
     [Column_store.default_delta_fraction] — i.e. {!default}.
 
     The out-of-core parameters ([spill_dir], [resident_budget_words],
@@ -101,17 +78,7 @@ val fail_on_exhausted : t -> bool
 (** [budget.on_exhausted = `Fail]. *)
 
 val default : t
-(** [Columnar] with shared caches, sequential: the fastest
-    single-domain configuration, and the library-wide default. *)
-
-val naive : t
-(** The seed behavior: row hashing, no caching. The baseline engine. *)
-
-val partition : t
-(** Stripped-partition FD checks, row-based counts, no caching. *)
-
-val columnar : t
-(** Alias of {!default}. *)
+(** Sequential, no budget: the library-wide default. *)
 
 val max_domains : int
 (** Ceiling (16) applied to the host recommendation: past it the
@@ -120,23 +87,17 @@ val max_domains : int
     construction; {!pool} clamps them when handing out workers. *)
 
 val parallel : ?domains:int -> unit -> t
-(** Columnar + shared caches + [Domains n]. [n] defaults to
+(** [Domains n]. [n] defaults to
     [Stdlib.Domain.recommended_domain_count ()] capped at
     {!max_domains}; when the result is 1 the engine degrades to
     [Sequential]. *)
 
-val of_fd_variant : [ `Naive | `Partition ] -> t
-(** Migration helper for call sites still holding the retired
-    polymorphic variant. *)
-
 val domain_count : t -> int
 (** 1 for [Sequential]. *)
 
-val cached : t -> bool
-
 val of_string : string -> t option
-(** ["naive" | "partition" | "columnar" | "default" | "parallel" |
-    "parallel:<n>"] — CLI parsing. *)
+(** ["default" | "parallel" | "parallel:<n>"] — CLI parsing; [None]
+    for anything else. *)
 
 val pool : t -> Domain_pool.t option
 (** The persistent worker pool backing this engine's parallelism:
@@ -145,7 +106,6 @@ val pool : t -> Domain_pool.t option
     engine's domain count (clamped to {!max_domains}) — spawned once on
     first use and reused across all pipeline stages. *)
 
-val check_to_string : check -> string
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 

@@ -111,5 +111,5 @@ let pp ppf e = Format.pp_print_string ppf (to_string e)
 
 let () =
   Printexc.register_printer (function
-    | Error e -> Some ("Dbre.Error.Error " ^ to_string e)
+    | Error e -> Some ("Relational.Error.Error " ^ to_string e)
     | _ -> None)

@@ -9,7 +9,7 @@
     result) rather than abort.
 
     This module lives in [relational] so the data layer can raise typed
-    errors; [Dbre.Error] re-exports it for pipeline users. *)
+    errors; the pipeline layers raise the same type. *)
 
 type stage =
   | Load  (** CSV/DDL ingestion *)

@@ -12,9 +12,7 @@
     Pool tasks may read the latched verdict with {!tripped} (one atomic
     load, no limit evaluation) but never poll, so the sequence of
     evaluation points — and therefore the exact group boundary where a
-    fuel-tripped run stops — is independent of the domain count.
-
-    [Dbre.Supervise] re-exports this module for pipeline users. *)
+    fuel-tripped run stops — is independent of the domain count. *)
 
 type reason =
   | Cancelled  (** {!cancel} was called (or the fuel ran out) *)

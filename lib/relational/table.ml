@@ -231,18 +231,6 @@ let project_distinct t attrs =
 
 let count_distinct t attrs = Hashtbl.length (distinct_table t attrs)
 
-let equijoin_distinct_count t1 a1 t2 a2 =
-  if List.length a1 <> List.length a2 then
-    invalid_arg "Table.equijoin_distinct_count: width mismatch";
-  (* iterate over the smaller distinct set, probe the larger *)
-  let d1 = distinct_table t1 a1 and d2 = distinct_table t2 a2 in
-  let small, large =
-    if Hashtbl.length d1 <= Hashtbl.length d2 then (d1, d2) else (d2, d1)
-  in
-  Hashtbl.fold
-    (fun k () acc -> if Hashtbl.mem large k then acc + 1 else acc)
-    small 0
-
 let group_rows t attrs =
   let idx = positions t attrs in
   let groups = Hashtbl.create (max 16 (cardinality t)) in

@@ -1,12 +1,13 @@
 (** Tables: a relation schema together with its extension.
 
-    This is the engine behind the paper's counting primitives (§2):
-    [||r[X]||] is {!count_distinct} and [||r_k[A_k] ⋈ r_l[A_l]||] is
-    {!equijoin_distinct_count}. Following SQL [COUNT(DISTINCT …)]
-    semantics, rows holding a NULL in any projected attribute are ignored
-    by the distinct-counting operations; functional-dependency style
-    grouping (which needs NULL = NULL) is provided separately by
-    {!group_rows}. *)
+    The paper's counting primitives (§2) over a stored extension are
+    answered by the table's memoized {!Column_store}; the row-level
+    {!count_distinct} and {!distinct_table} here serve tables that never
+    get a store (translation and execution intermediates). Following SQL
+    [COUNT(DISTINCT …)] semantics, rows holding a NULL in any projected
+    attribute are ignored by the distinct-counting operations;
+    functional-dependency style grouping (which needs NULL = NULL) is
+    provided separately by {!group_rows}. *)
 
 type t
 
@@ -125,10 +126,6 @@ val count_distinct : t -> string list -> int
 val distinct_table : t -> string list -> (Value.t list, unit) Hashtbl.t
 (** The set of distinct non-null projections, as a hash table keyed by
     projected value lists — reusable across several intersection counts. *)
-
-val equijoin_distinct_count : t -> string list -> t -> string list -> int
-(** [||r1[x1] ⋈ r2[x2]||] — the number of distinct (non-null) values
-    common to both projections. [x1] and [x2] must have the same width. *)
 
 val group_rows : t -> string list -> (Value.t list, int list) Hashtbl.t
 (** Group row indices by their projection on the given attributes, with

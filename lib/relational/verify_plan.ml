@@ -6,75 +6,41 @@
    N_k / N_l / N_kl for every equi-join of Q, where the same projection
    side recurs across joins. Answering each request independently
    re-scans the extension per candidate; this module groups the
-   requests and answers every group from one pass — one stripped-
-   partition refinement for all RHS attributes of an FD group, one
+   requests and answers every group from one pass — one fused sweep
+   over the encoded columns for all RHS attributes of an FD group, one
    distinct-set build per projection side of an IND batch — fanning the
    independent passes over the engine's persistent Domain_pool.
 
    Determinism: results always come back in submission order, whatever
-   the engine or domain count, and verdicts/counts are engine-
-   independent (the engine-equivalence contract), so oracles see the
-   same decision sequence batched or not. *)
+   the domain count, and verdicts/counts equal the row-at-a-time
+   reference (the equivalence contract), so oracles see the same
+   decision sequence batched or not. *)
 
 type side = string * string list
 
 type counts = { n_left : int; n_right : int; n_join : int }
 
-let store_for engine tbl =
-  if Engine.cached engine then
-    Column_store.of_table ~delta_fraction:engine.Engine.delta_fraction tbl
-  else Column_store.build tbl
+(* Supervision: [fd_group]/[ind_batch] poll the token at sweep
+   granularity — once per batched pass — and raise
+   [Supervise.Interrupt] on a trip; the discovery loops above catch it
+   at a group boundary. Pool-fanned passes get the token as the batch
+   token, so a trip latched by the driver drains the fan-out without
+   running the remaining builds. *)
 
 (* ------------------------------------------------------------------ *)
 (* FD groups                                                            *)
 (* ------------------------------------------------------------------ *)
 
-(* the seed's row-at-a-time check, reproduced here so the Naive engine
-   stays a genuinely unbatched per-candidate baseline *)
-let holds_row_scan table lhs rhs_attr =
-  let lidx = Table.positions table lhs in
-  let ridx = Table.positions table [ rhs_attr ] in
-  let seen = Hashtbl.create (max 16 (Table.cardinality table)) in
-  try
-    Array.iter
-      (fun tup ->
-        if not (Tuple.has_null_at lidx tup) then begin
-          let key = Tuple.project_list lidx tup in
-          let rhs = Tuple.project_list ridx tup in
-          match Hashtbl.find_opt seen key with
-          | Some rhs0 -> if rhs0 <> rhs then raise Exit
-          | None -> Hashtbl.add seen key rhs
-        end)
-      (Table.rows table);
-    true
-  with Exit -> false
-
-(* Supervision: [fd_group]/[ind_batch] poll the token at sweep
-   granularity — before each full scan on the Naive path, once per
-   batched pass otherwise — and raise [Supervise.Interrupt] on a trip;
-   the discovery loops above catch it at a group boundary. Pool-fanned
-   passes get the token as the batch token, so a trip latched by the
-   driver drains the fan-out without running the remaining sweeps. *)
-
 let fd_group ?(engine = Engine.default) ?(supervise = Supervise.unlimited)
     table ~lhs ~rhs =
   match rhs with
   | [] -> []
-  | _ -> (
+  | _ ->
       Supervise.check supervise;
-      match engine.Engine.check with
-      | Engine.Naive ->
-          (* unbatched on purpose: one full scan per candidate *)
-          List.map
-            (fun a ->
-              Supervise.check supervise;
-              (a, holds_row_scan table lhs a))
-            rhs
-      | Engine.Partition | Engine.Columnar ->
-          Column_store.fd_batch
-            ?pool:(Engine.pool engine)
-            (store_for engine table)
-            ~lhs ~rhs)
+      Column_store.fd_batch ?pool:(Engine.pool engine)
+        (Column_store.of_table ~delta_fraction:engine.Engine.delta_fraction
+           table)
+        ~lhs ~rhs
 
 (* ------------------------------------------------------------------ *)
 (* IND batches                                                          *)
@@ -84,113 +50,77 @@ let ind_batch ?(engine = Engine.default) ?(supervise = Supervise.unlimited)
     db probes =
   match probes with
   | [] -> []
-  | _ -> (
+  | _ ->
       Supervise.check supervise;
-      match engine.Engine.check with
-      | Engine.Naive | Engine.Partition ->
-          (* row-based, but each distinct projection side is hashed
-             once for the whole batch instead of once per probe *)
-          let sets : (side, (Value.t list, unit) Hashtbl.t) Hashtbl.t =
-            Hashtbl.create 16
-          in
-          let set_of ((rel, attrs) as s) =
-            match Hashtbl.find_opt sets s with
-            | Some h -> h
-            | None ->
-                Supervise.check supervise;
-                let h = Table.distinct_table (Database.table db rel) attrs in
-                Hashtbl.add sets s h;
-                h
-          in
-          List.map
-            (fun (l, r) ->
-              let dl = set_of l and dr = set_of r in
-              let small, large =
-                if Hashtbl.length dl <= Hashtbl.length dr then (dl, dr)
-                else (dr, dl)
-              in
-              let n_join =
-                Hashtbl.fold
-                  (fun k () acc -> if Hashtbl.mem large k then acc + 1 else acc)
-                  small 0
-              in
-              {
-                n_left = Hashtbl.length dl;
-                n_right = Hashtbl.length dr;
-                n_join;
-              })
-            probes
-      | Engine.Columnar ->
-          (* one store per table for the whole batch (memoized or
-             throwaway per the cache policy); build each side's
-             distinct set once, fanning tables over the pool — a table
-             is touched by exactly one task, so no store is shared
-             while building *)
-          let stores : (string, Column_store.t) Hashtbl.t =
-            Hashtbl.create 16
-          in
-          let store_of rel =
-            match Hashtbl.find_opt stores rel with
-            | Some s -> s
-            | None ->
-                let s = store_for engine (Database.table db rel) in
-                Hashtbl.add stores rel s;
-                s
-          in
-          let per_table : (string, string list list) Hashtbl.t =
-            Hashtbl.create 16
-          in
-          let order = ref [] in
-          let add (rel, attrs) =
-            ignore (store_of rel);
-            match Hashtbl.find_opt per_table rel with
-            | None ->
-                order := rel :: !order;
-                Hashtbl.add per_table rel [ attrs ]
-            | Some prev ->
-                if not (List.mem attrs prev) then
-                  Hashtbl.replace per_table rel (attrs :: prev)
-          in
-          List.iter
-            (fun (l, r) ->
-              add l;
-              add r)
-            probes;
-          let tables =
-            Array.of_list
-              (List.rev_map
-                 (fun rel -> (store_of rel, Hashtbl.find per_table rel))
-                 !order)
-          in
-          let warm i =
-            let store, attr_lists = tables.(i) in
-            List.iter
-              (fun attrs -> ignore (Column_store.distinct_set store attrs))
-              attr_lists
-          in
-          (* the warm pre-pass reads only the latched verdict — on the
-             pool path tasks may not poll, and the sequential fallback
-             must consume exactly as much fuel (none) so the trip
-             boundary is independent of the domain count *)
-          (match Engine.pool engine with
-          | Some pool
-            when Domain_pool.size pool > 1 && Array.length tables > 1 ->
-              Domain_pool.parallel_for ~supervise pool (Array.length tables)
-                warm
-          | _ ->
-              for i = 0 to Array.length tables - 1 do
-                (match Supervise.tripped supervise with
-                | Some r -> raise (Supervise.Interrupt r)
-                | None -> ());
-                warm i
-              done);
-          List.map
-            (fun ((lrel, lattrs), (rrel, rattrs)) ->
-              Supervise.check supervise;
-              let sl = store_of lrel and sr = store_of rrel in
-              {
-                n_left = Column_store.count_distinct sl lattrs;
-                n_right = Column_store.count_distinct sr rattrs;
-                n_join = Column_store.equijoin_distinct_count sl lattrs sr rattrs;
-              })
-            probes)
+      (* one store per table for the whole batch; build each side's
+         distinct set once, fanning tables over the pool — a table is
+         touched by exactly one task, so no store is shared while
+         building *)
+      let stores : (string, Column_store.t) Hashtbl.t = Hashtbl.create 16 in
+      let store_of rel =
+        match Hashtbl.find_opt stores rel with
+        | Some s -> s
+        | None ->
+            let s =
+              Column_store.of_table
+                ~delta_fraction:engine.Engine.delta_fraction
+                (Database.table db rel)
+            in
+            Hashtbl.add stores rel s;
+            s
+      in
+      let per_table : (string, string list list) Hashtbl.t =
+        Hashtbl.create 16
+      in
+      let order = ref [] in
+      let add (rel, attrs) =
+        ignore (store_of rel);
+        match Hashtbl.find_opt per_table rel with
+        | None ->
+            order := rel :: !order;
+            Hashtbl.add per_table rel [ attrs ]
+        | Some prev ->
+            if not (List.mem attrs prev) then
+              Hashtbl.replace per_table rel (attrs :: prev)
+      in
+      List.iter
+        (fun (l, r) ->
+          add l;
+          add r)
+        probes;
+      let tables =
+        Array.of_list
+          (List.rev_map
+             (fun rel -> (store_of rel, Hashtbl.find per_table rel))
+             !order)
+      in
+      let warm i =
+        let store, attr_lists = tables.(i) in
+        List.iter
+          (fun attrs -> ignore (Column_store.distinct_set store attrs))
+          attr_lists
+      in
+      (* the warm pre-pass reads only the latched verdict — on the pool
+         path tasks may not poll, and the sequential fallback must
+         consume exactly as much fuel (none) so the trip boundary is
+         independent of the domain count *)
+      (match Engine.pool engine with
+      | Some pool when Domain_pool.size pool > 1 && Array.length tables > 1 ->
+          Domain_pool.parallel_for ~supervise pool (Array.length tables) warm
+      | _ ->
+          for i = 0 to Array.length tables - 1 do
+            (match Supervise.tripped supervise with
+            | Some r -> raise (Supervise.Interrupt r)
+            | None -> ());
+            warm i
+          done);
+      List.map
+        (fun ((lrel, lattrs), (rrel, rattrs)) ->
+          Supervise.check supervise;
+          let sl = store_of lrel and sr = store_of rrel in
+          {
+            n_left = Column_store.count_distinct sl lattrs;
+            n_right = Column_store.count_distinct sr rattrs;
+            n_join = Column_store.equijoin_distinct_count sl lattrs sr rattrs;
+          })
+        probes

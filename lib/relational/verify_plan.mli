@@ -7,28 +7,20 @@
     across joins. This planner groups such requests and answers each
     group from one pass over the {!Column_store}:
 
-    - an {b FD group} computes the LHS stripped partition once and
-      answers every RHS attribute with a single refinement sweep,
+    - an {b FD group} encodes the touched columns once and answers
+      every RHS attribute with a single fused sweep over the LHS codes,
       instead of [|rhs|] independent full scans;
     - an {b IND batch} builds each distinct [(table, attrs)] side's
-      hash once and reuses it across every probe that mentions it,
-      fanning per-table builds over the engine's persistent
+      distinct set once and reuses it across every probe that mentions
+      it, fanning per-table builds over the engine's persistent
       {!Domain_pool}.
 
     {b Determinism contract.} Results come back in submission order,
-    and every verdict/count is engine- and domain-count-independent
-    (the engine-equivalence property), so an oracle consuming batched
-    answers sees exactly the decision sequence of the per-candidate
-    code it replaced. Golden pipeline artifacts are byte-identical
-    between the batched and naive engines (asserted by bench B13 and
-    the verify-plan suite).
-
-    Engine dispatch: [Naive] keeps genuinely per-candidate FD row
-    scans (it is the measured unbatched baseline) but still shares
-    distinct sets within an IND batch; [Partition] and [Columnar] take
-    the columnar batch paths; [Cache_off] builds throwaway stores
-    scoped to the batch; [Domains n] draws workers from the shared
-    {!Domain_pool.get} pool. *)
+    and every verdict/count is domain-count-independent and equal to
+    the row-at-a-time reference the equivalence suite checks against,
+    so an oracle consuming batched answers sees exactly the decision
+    sequence of per-candidate checks. [Domains n] draws workers from
+    the shared {!Domain_pool.get} pool. *)
 
 type side = string * string list
 (** A projection side: relation name × attribute list. *)
@@ -47,10 +39,9 @@ val fd_group :
 (** [fd_group table ~lhs ~rhs] is [(a, lhs -> a holds)] for every
     [a] of [rhs], in order. [lhs] should be normalized
     ([Attribute.Names.normalize]) so memoized verdicts are shared with
-    single-FD checks. [supervise] is polled at sweep granularity (per
-    full scan on [Naive], per batched pass otherwise); a trip raises
-    [Supervise.Interrupt] for the discovery loop to catch at a group
-    boundary. *)
+    single-FD checks. [supervise] is polled once per batched pass; a
+    trip raises [Supervise.Interrupt] for the discovery loop to catch at
+    a group boundary. *)
 
 val ind_batch :
   ?engine:Engine.t ->

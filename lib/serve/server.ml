@@ -190,8 +190,13 @@ let diagnostic_json (d : Dbre_lint.Diagnostic.t) =
 (* Runner threads                                                      *)
 (* ------------------------------------------------------------------ *)
 
-let settle t entry state =
+(* [outcome] is what the run produced; a cancel that reached the job
+   before this lock (and so was answered "running") still wins. Reading
+   [cancel_requested] outside the lock would let such a cancel land in
+   the gap and the job settle as its outcome. *)
+let settle t entry outcome =
   locked t (fun () ->
+      let state = if entry.cancel_requested then Cancelled else outcome in
       entry.state <- state;
       push_event t entry
         [
@@ -220,10 +225,10 @@ let settle_result t entry result =
   | Ok result ->
       entry.artifacts <- Dbre.Report.artifacts result;
       entry.error <- Json.Null;
-      settle t entry (if entry.cancel_requested then Cancelled else Done)
+      settle t entry Done
   | Error partial ->
       entry.error <- error_json partial.Dbre.Pipeline.p_error;
-      settle t entry (if entry.cancel_requested then Cancelled else Failed)
+      settle t entry Failed
 
 let run_entry t entry =
   locked t (fun () ->
@@ -235,7 +240,7 @@ let run_entry t entry =
     match Dbre.Job.database ~supervise:entry.supervise ~progress spec with
     | Error e ->
         entry.error <- error_json e;
-        settle t entry (if entry.cancel_requested then Cancelled else Failed)
+        settle t entry Failed
     | Ok (db, quarantine) ->
         (* retain the loaded database: mutate / refresh re-verify it
            in place instead of reloading *)

@@ -101,7 +101,7 @@ let test_fuzz_columnar () =
       let report =
         check_refresh_equivalence
           ~msg:(Printf.sprintf "artifacts (seed %Ld)" seed)
-          (with_engine Engine.columnar) seed
+          (with_engine Engine.default) seed
       in
       (* the burst is small (≤6 rows on 40+-row tables): under the
          default fraction every touched store absorbs its delta *)
@@ -169,7 +169,7 @@ let test_fd_broken_by_insert () =
       ]
   in
   let f = fd "R" [ "a" ] [ "b" ] in
-  let engine = Engine.columnar in
+  let engine = Engine.default in
   Alcotest.(check bool) "a -> b holds before" true (Fd_infer.holds ~engine t f);
   (* harmless append: new group, then a repeat of an existing pair *)
   Table.insert t [ vi 4; vs "w"; vi 50 ];
@@ -186,8 +186,8 @@ let test_fd_broken_by_insert () =
   Table.insert t [ vi 1; vs "DIFFERENT"; vi 70 ];
   Alcotest.(check bool) "flips to false incrementally" false
     (Fd_infer.holds ~engine t f);
-  Alcotest.(check bool) "naive recompute agrees" false
-    (Fd_infer.holds ~engine:Engine.naive t f)
+  Alcotest.(check bool) "reference agrees" false
+    (Reference.Fd_infer.holds_naive t f)
 
 (* an IND (join count = referencing side's distinct count) must flip
    when the referenced row is deleted, through the coordinated
@@ -216,12 +216,12 @@ let test_ind_broken_by_delete () =
   | Some (Refresh.Store_absorbed 1) -> ()
   | _ -> Alcotest.fail "R should absorb its one-row delete");
   Alcotest.(check bool) "IND broken after delete" false (n_join () = n_left ());
-  Alcotest.(check int) "join count matches naive recompute"
-    (Database.join_count ~engine:Engine.naive db ("L", [ "ref" ])
-       ("R", [ "id" ]))
+  Alcotest.(check int) "join count matches the reference"
+    (Reference.Counts.equijoin_distinct_count (Database.table db "L")
+       [ "ref" ] (Database.table db "R") [ "id" ])
     (n_join ());
-  Alcotest.(check int) "distinct count matches naive recompute"
-    (Database.count_distinct ~engine:Engine.naive db "L" [ "ref" ])
+  Alcotest.(check int) "distinct count matches the reference"
+    (Reference.Counts.count_distinct (Database.table db "L") [ "ref" ])
     (n_left ())
 
 (* ---------- the mutation log itself ---------- *)

@@ -1,6 +1,6 @@
 (* Streaming columnar ingest: the chunk-fed scanner and the one-pass
    loader are pinned against the seed row-at-a-time loader
-   (Csv.load_reference), which is kept verbatim as the equivalence
+   (Reference.Csv.load), kept with the tests as the equivalence
    oracle. Randomized docs are generated from a fixed-seed LCG so every
    run replays the same corpus. *)
 
@@ -131,7 +131,7 @@ let test_loader_equivalence () =
     let text = gen_csv ~header () in
     List.iter
       (fun mode ->
-        let reference = show (Csv.load_reference ~header ~mode rel3 text) in
+        let reference = show (Reference.Csv.load ~header ~mode rel3 text) in
         Alcotest.(check string)
           (Printf.sprintf "sequential %S" text)
           reference
@@ -147,7 +147,7 @@ let test_parallel_equivalence () =
     let text = gen_csv ~header () in
     List.iter
       (fun mode ->
-        let reference = show (Csv.load_reference ~header ~mode rel3 text) in
+        let reference = show (Reference.Csv.load ~header ~mode rel3 text) in
         Alcotest.(check string)
           (Printf.sprintf "parallel %S" text)
           reference
@@ -179,7 +179,7 @@ let test_dictionary_equivalence () =
     let text = gen_csv ~header:true () in
     match
       ( Csv.load ~mode:`Quarantine rel3 text,
-        Csv.load_reference ~mode:`Quarantine rel3 text )
+        Reference.Csv.load ~mode:`Quarantine rel3 text )
     with
     | Ok (t1, _), Ok (t2, _) -> check_store_eq "random doc" t1 t2
     | _ -> Alcotest.fail "quarantine load failed"
@@ -210,7 +210,7 @@ let test_memo_bypass () =
   let pool = Lazy.force pool3 in
   List.iter
     (fun mode ->
-      let reference = show (Csv.load_reference ~mode bypass_rel dirty) in
+      let reference = show (Reference.Csv.load ~mode bypass_rel dirty) in
       Alcotest.(check string)
         "dirty, sequential" reference
         (show (Csv.load ~mode bypass_rel dirty));
@@ -219,7 +219,7 @@ let test_memo_bypass () =
         (show (Csv.load ~mode ~pool ~min_parallel_bytes:1 bypass_rel dirty)))
     [ `Strict; `Quarantine ];
   let clean = bypass_csv ~dirty:false rows in
-  match (Csv.load bypass_rel clean, Csv.load_reference bypass_rel clean) with
+  match (Csv.load bypass_rel clean, Reference.Csv.load bypass_rel clean) with
   | Ok (t1, _), Ok (t2, _) -> check_store_eq "bypass doc" t1 t2
   | _ -> Alcotest.fail "clean bypass load failed"
 
@@ -294,7 +294,7 @@ let test_golden_edges () =
         (fun mode ->
           Alcotest.(check string)
             (Printf.sprintf "degenerate %S" text)
-            (show (Csv.load_reference ~mode bypass_rel text))
+            (show (Reference.Csv.load ~mode bypass_rel text))
             (show (Csv.load ~mode bypass_rel text)))
         [ `Strict; `Quarantine ])
     [ ""; "id,tag\n"; "id,tag"; "\"torn"; "id,tag\n1,x\n\"torn" ]

@@ -1,7 +1,8 @@
 (* Job_spec: the serializable run description shared by the one-shot
    CLI and the daemon's wire protocol. The JSON encoding is pinned by a
-   golden string — version 1 is a compatibility promise, so any change
-   here must bump [Job_spec.version]. *)
+   golden string — each version is a compatibility promise, so any
+   change here must bump [Job_spec.version], and the decoder keeps
+   accepting the older versions (pinned by the v1 goldens below). *)
 
 open Relational
 module Job_spec = Dbre.Job_spec
@@ -10,24 +11,33 @@ let golden_spec () =
   Job_spec.make ~label:"golden"
     ~sources:[ ("R", Source.csv_inline "a,b\n1,x\n") ]
     ~engine:
-      (Engine.make ~check:Engine.Partition ~cache:Engine.Cache_off
-         ~parallelism:(Engine.Domains 3) ~deadline_s:2.5
+      (Engine.make ~parallelism:(Engine.Domains 3) ~deadline_s:2.5
          ~max_heap_words:1_000_000 ~on_exhausted:`Fail ())
     ~oracle:(Job_spec.Threshold 0.8) ~lenient:true ~migrate_data:false
     ~checkpoint_dir:"/tmp/ck" ~resume:true ~fuel:42
     ~ddl:"CREATE TABLE R (a INT, b VARCHAR(4));"
     (Job_spec.Equijoins [ Sqlx.Equijoin.make ("R", [ "a" ]) ("S", [ "a" ]) ])
 
-let golden_json =
+let golden_json ~version ~engine_prefix =
   String.concat ""
     [
-      {|{"version":1,"label":"golden","ddl":"CREATE TABLE R (a INT, b VARCHAR(4));",|};
+      Printf.sprintf {|{"version":%d,|} version;
+      {|"label":"golden","ddl":"CREATE TABLE R (a INT, b VARCHAR(4));",|};
       {|"sources":[{"relation":"R","kind":"csv-inline","text":"a,b\n1,x\n"}],|};
       {|"workload":{"kind":"equijoins","joins":[{"rel1":"R","attrs1":["a"],"rel2":"S","attrs2":["a"]}]},|};
-      {|"engine":{"check":"partition","cache":false,"domains":3,"deadline_s":2.5,"max_heap_words":1000000,"on_exhausted":"fail"},|};
+      {|"engine":{|};
+      engine_prefix;
+      {|"domains":3,"deadline_s":2.5,"max_heap_words":1000000,"on_exhausted":"fail"},|};
       {|"oracle":"threshold:0.8","lenient":true,"migrate_data":false,|};
       {|"checkpoint_dir":"/tmp/ck","resume":true,"fuel":42}|};
     ]
+
+let golden_v2 = golden_json ~version:2 ~engine_prefix:""
+
+(* the same spec as version 1 wrote it, when the engine still
+   carried a check algorithm and a cache policy *)
+let golden_v1 =
+  golden_json ~version:1 ~engine_prefix:{|"check":"partition","cache":false,|}
 
 let to_string_exn spec =
   match Job_spec.to_string spec with
@@ -40,8 +50,20 @@ let of_string_exn text =
   | Error e -> Alcotest.fail e
 
 let test_golden () =
-  Alcotest.(check string) "pinned v1 encoding" golden_json
+  Alcotest.(check string) "pinned v2 encoding" golden_v2
     (to_string_exn (golden_spec ()))
+
+(* a v1 document still decodes: its check and cache are ignored,
+   everything else survives, and re-encoding writes v2 *)
+let test_golden_v1 () =
+  Alcotest.(check string) "v1 decodes and re-encodes as v2" golden_v2
+    (to_string_exn (of_string_exn golden_v1));
+  let minimal =
+    of_string_exn
+      {|{"version":1,"ddl":"","workload":{"kind":"programs","texts":[]},"engine":{"check":"partition","cache":false}}|}
+  in
+  Alcotest.(check bool) "v1 check/cache decode to the default engine" true
+    (minimal.Job_spec.engine = Engine.default)
 
 let test_roundtrip () =
   let spec = golden_spec () in
@@ -230,6 +252,11 @@ let test_of_args_errors () =
   write ddl_path "CREATE TABLE R (a INT);";
   Fun.protect ~finally:(fun () -> Sys.remove ddl_path) @@ fun () ->
   check_err "unknown engine" (Job_spec.of_args ~ddl:ddl_path ~engine:"warp" ());
+  List.iter
+    (fun old ->
+      check_err ("retired engine " ^ old)
+        (Job_spec.of_args ~ddl:ddl_path ~engine:old ()))
+    [ "naive"; "partition"; "columnar" ];
   check_err "unknown oracle" (Job_spec.of_args ~ddl:ddl_path ~oracle:"psychic" ());
   check_err "unknown policy"
     (Job_spec.of_args ~ddl:ddl_path ~on_exhausted:"shrug" ());
@@ -246,9 +273,24 @@ let test_supervisor_is_cancellable () =
   Supervise.cancel s;
   Alcotest.(check bool) "cancel trips it" true (Supervise.tripped s <> None)
 
+(* the --engine grammar: one sequential default and the parallel
+   forms; the retired check-algorithm names are refused *)
+let test_engine_grammar () =
+  Alcotest.(check bool) "default" true
+    (Engine.of_string "default" = Some Engine.default);
+  Alcotest.(check bool) "parallel:3" true
+    (Engine.of_string "parallel:3" = Some (Engine.parallel ~domains:3 ()));
+  Alcotest.(check bool) "parallel" true (Engine.of_string "parallel" <> None);
+  List.iter
+    (fun s ->
+      Alcotest.(check bool) (s ^ " refused") true (Engine.of_string s = None))
+    [ "naive"; "partition"; "columnar"; "parallel:0"; "parallel:x"; "" ]
+
 let suite =
   [
-    Alcotest.test_case "golden v1 JSON" `Quick test_golden;
+    Alcotest.test_case "golden v2 JSON" `Quick test_golden;
+    Alcotest.test_case "golden v1 JSON still decodes" `Quick test_golden_v1;
+    Alcotest.test_case "engine grammar" `Quick test_engine_grammar;
     Alcotest.test_case "round-trip" `Quick test_roundtrip;
     Alcotest.test_case "defaults round-trip" `Quick test_defaults_roundtrip;
     Alcotest.test_case "in-memory travels as csv-inline" `Quick

@@ -71,7 +71,7 @@ let gen_text ~n ~cardinality =
 let load_both text =
   match
     ( Csv.load ~mode:`Strict rel2 text,
-      Csv.load_reference ~mode:`Strict rel2 text )
+      Reference.Csv.load ~mode:`Strict rel2 text )
   with
   | Ok (t1, _), Ok (t2, _) -> (t1, t2)
   | _ -> Alcotest.fail "csv load failed"
@@ -179,7 +179,7 @@ let test_spill_roundtrip () =
       in
       Alcotest.(check bool) "spilled codes = resident codes" true
         (codes_spilled = codes_ram);
-      (* verdicts through the spilled store agree with the naive engine *)
+      (* verdicts through the spilled store hold the expected verdicts *)
       let verdicts = Column_store.fd_batch s ~lhs:[ "g" ] ~rhs:[ "h"; "k" ] in
       Alcotest.(check (list (pair string bool)))
         "fd verdicts over spilled segments"
@@ -341,12 +341,12 @@ let test_fuzzed_mutations () =
           ignore (Column_store.refresh ~delta_fraction:1.0 t)
         done;
         check_equals_fresh_encode (Printf.sprintf "round %d" round) t s;
-        (* verdicts over the mutated store match the naive engine *)
+        (* verdicts over the mutated store match the reference *)
         let f = fd "R" [ "a" ] [ "b" ] in
         Alcotest.(check bool)
           (Printf.sprintf "round %d: fd verdict" round)
-          (Deps.Fd_infer.holds ~engine:Engine.naive t f)
-          (Deps.Fd_infer.holds ~engine:Engine.columnar t f)
+          (Reference.Fd_infer.holds_naive t f)
+          (Deps.Fd_infer.holds t f)
       done)
 
 (* -- full pipeline under a spill budget ------------------------------- *)
@@ -369,7 +369,7 @@ let test_pipeline_spilled_identity () =
   let run () =
     let g = Gen.generate spec in
     artifacts_exn
-      { Pipeline.default_config with Pipeline.engine = Engine.columnar }
+      { Pipeline.default_config with Pipeline.engine = Engine.default }
       g.Gen.db
       (Job_spec.Equijoins g.Gen.equijoins)
   in

@@ -1,5 +1,8 @@
+(* The reference stripped partitions (TANE machinery) the FD checks
+   are compared against. *)
+
 open Helpers
-open Deps
+module Partition = Reference.Partition
 
 let sample () =
   table "T" [ "a"; "b"; "c" ]

@@ -100,8 +100,11 @@ let test_sql_scripts_input () =
     [ ind ("HEmployee", [ "no" ]) ("Person", [ "id" ]) ]
     r.Pipeline.ind_result.Ind_discovery.inds
 
-let test_partition_engine_agrees () =
-  let run engine =
+(* the paper's expert neither enforces nor rejects an FD, so every
+   elicited FD must be exactly the reference's verdicts; the
+   multi-domain runs must also repeat the sequential F *)
+let test_domain_counts_agree () =
+  let run (name, engine) =
     let db = Workload.Paper_example.database () in
     let config =
       {
@@ -111,14 +114,20 @@ let test_partition_engine_agrees () =
         migrate_data = false;
       }
     in
-    (Pipeline.run ~config db
-       (Job_spec.Equijoins (Workload.Paper_example.equijoins ())))
-      .Pipeline.rhs_result.Rhs_discovery.fds
+    let r =
+      Pipeline.run ~config db
+        (Job_spec.Equijoins (Workload.Paper_example.equijoins ()))
+    in
+    check_ind_steps_reference ("IND step via " ^ name) db
+      r.Pipeline.ind_result;
+    check_rhs_steps_reference ("F via " ^ name) db r.Pipeline.rhs_result;
+    r.Pipeline.rhs_result.Rhs_discovery.fds
   in
-  check_sorted_fds "engines agree on F" (run Dbre.Engine.naive)
-    (run Dbre.Engine.partition);
-  check_sorted_fds "columnar agrees on F" (run Dbre.Engine.naive)
-    (run Dbre.Engine.columnar)
+  let expected = run ("1 domain", Relational.Engine.default) in
+  check_sorted_fds "2 domains agree on F" expected
+    (run ("2 domains", Relational.Engine.parallel ~domains:2 ()));
+  check_sorted_fds "4 domains agree on F" expected
+    (run ("4 domains", Relational.Engine.parallel ~domains:4 ()))
 
 let test_no_migration_config () =
   let db = Workload.Paper_example.database () in
@@ -126,7 +135,7 @@ let test_no_migration_config () =
     {
       Pipeline.default_config with
       Pipeline.oracle = Workload.Paper_example.oracle ();
-      engine = Dbre.Engine.naive;
+      engine = Relational.Engine.default;
       migrate_data = false;
     }
   in
@@ -202,7 +211,7 @@ let suite =
     Alcotest.test_case "paper: expert events" `Quick test_paper_events;
     Alcotest.test_case "paper: report renders" `Quick test_paper_report_renders;
     Alcotest.test_case "sql-scripts input" `Quick test_sql_scripts_input;
-    Alcotest.test_case "partition engine agrees" `Quick test_partition_engine_agrees;
+    Alcotest.test_case "domain counts agree" `Quick test_domain_counts_agree;
     Alcotest.test_case "no-migration config" `Quick test_no_migration_config;
     Alcotest.test_case "synthetic ground truth" `Quick test_synthetic_recovery;
     Alcotest.test_case "synthetic via programs" `Quick test_synthetic_from_programs;

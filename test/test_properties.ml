@@ -167,19 +167,24 @@ let closure_props =
               keys);
   ]
 
-(* FD engines agree with the specification *)
+(* the FD check and its references agree with the specification *)
 let fd_engine_props =
   [
+    prop "holds = spec" (QCheck.pair arb_table arb_attr_set) (fun (t, lhs) ->
+        let rhs = Attribute.Names.diff attr_pool lhs in
+        QCheck.assume (rhs <> []);
+        let f = Fd.make "R" lhs rhs in
+        Fd_infer.holds t f = Fd.satisfied_by t f);
     prop "naive = spec" (QCheck.pair arb_table arb_attr_set) (fun (t, lhs) ->
         let rhs = Attribute.Names.diff attr_pool lhs in
         QCheck.assume (rhs <> []);
         let f = Fd.make "R" lhs rhs in
-        Fd_infer.holds_naive t f = Fd.satisfied_by t f);
+        Reference.Fd_infer.holds_naive t f = Fd.satisfied_by t f);
     prop "partition = spec" (QCheck.pair arb_table arb_attr_set) (fun (t, lhs) ->
         let rhs = Attribute.Names.diff attr_pool lhs in
         QCheck.assume (rhs <> []);
         let f = Fd.make "R" lhs rhs in
-        Fd_infer.holds_partition t f = Fd.satisfied_by t f);
+        Reference.Fd_infer.holds_partition t f = Fd.satisfied_by t f);
     prop "error rate zero iff holds" (QCheck.pair arb_table arb_attr_set)
       (fun (t, lhs) ->
         let rhs = Attribute.Names.diff attr_pool lhs in
@@ -188,7 +193,7 @@ let fd_engine_props =
         Fd.satisfied_by t f = (Fd_infer.error_rate t f = 0.0));
     prop "tane = discover on null-free tables" arb_table_no_null (fun t ->
         let d, _ = Fd_infer.discover ~max_lhs:3 ~rel:"R" t in
-        let tn, _ = Fd_infer.discover_tane ~max_lhs:3 ~rel:"R" t in
+        let tn, _ = Reference.Fd_infer.discover_tane ~max_lhs:3 ~rel:"R" t in
         List.sort Fd.compare d = List.sort Fd.compare tn);
     prop "discovered fds hold and are minimal" arb_table (fun t ->
         let fds, _ = Fd_infer.discover ~max_lhs:2 ~rel:"R" t in
@@ -209,7 +214,9 @@ let fd_engine_props =
              fds);
   ]
 
-(* partitions *)
+(* reference stripped partitions *)
+module Partition = Reference.Partition
+
 let partition_props =
   [
     prop "product agrees with direct partition"
@@ -232,6 +239,10 @@ let partition_props =
         Partition.rank p = Hashtbl.length g);
   ]
 
+let join_count t1 a1 t2 a2 =
+  Column_store.equijoin_distinct_count (Column_store.of_table t1) a1
+    (Column_store.of_table t2) a2
+
 (* IND count-based test = materialized test *)
 let ind_props =
   [
@@ -251,11 +262,15 @@ let ind_props =
         Ind.satisfied db i = Ind.satisfied_materialized db i);
     prop "join count bounded by both sides" (QCheck.pair arb_table arb_table)
       (fun (t1, t2) ->
-        let n = Table.equijoin_distinct_count t1 [ "a" ] t2 [ "b" ] in
+        let n = join_count t1 [ "a" ] t2 [ "b" ] in
         n <= Table.count_distinct t1 [ "a" ] && n <= Table.count_distinct t2 [ "b" ]);
     prop "join count symmetric" (QCheck.pair arb_table arb_table) (fun (t1, t2) ->
-        Table.equijoin_distinct_count t1 [ "a" ] t2 [ "b" ]
-        = Table.equijoin_distinct_count t2 [ "b" ] t1 [ "a" ]);
+        join_count t1 [ "a" ] t2 [ "b" ] = join_count t2 [ "b" ] t1 [ "a" ]);
+    prop "join count = reference" (QCheck.pair arb_table arb_table)
+      (fun (t1, t2) ->
+        join_count t1 [ "a"; "c" ] t2 [ "b"; "d" ]
+        = Reference.Counts.equijoin_distinct_count t1 [ "a"; "c" ] t2
+            [ "b"; "d" ]);
   ]
 
 (* CSV: dump/load identity on typed tables *)

@@ -126,17 +126,19 @@ let test_multi_attr_candidate () =
   check_sorted_fds "composite lhs" [ fd "M" [ "x"; "y" ] [ "v" ] ] r.Rhs_discovery.fds
 
 let test_engines_agree () =
-  let for_engine engine =
-    (Rhs_discovery.run ~engine Oracle.automatic (db ())
-       ~lhs:[ cand "W" "ref" ] ~hidden:[])
-      .Rhs_discovery.fds
-  in
-  check_sorted_fds "naive = partition"
-    (for_engine Relational.Engine.naive)
-    (for_engine Relational.Engine.partition);
-  check_sorted_fds "naive = columnar"
-    (for_engine Relational.Engine.naive)
-    (for_engine Relational.Engine.columnar)
+  List.iter
+    (fun (name, engine) ->
+      let db = db () in
+      let r =
+        Rhs_discovery.run ~engine Oracle.automatic db ~lhs:[ cand "W" "ref" ]
+          ~hidden:[]
+      in
+      check_rhs_steps_reference (name ^ " = reference") db r)
+    [
+      ("1 domain", Relational.Engine.default);
+      ("2 domains", Relational.Engine.parallel ~domains:2 ());
+      ("4 domains", Relational.Engine.parallel ~domains:4 ());
+    ]
 
 let suite =
   [

@@ -224,21 +224,77 @@ let test_cancel_queued_job () =
       Alcotest.(check int) "no artifacts" 0 (List.length artifacts)
   | Error (code, msg) -> Alcotest.failf "artifacts: %s: %s" code msg
 
+(* open a FIFO's write end once its reader has opened the read end
+   (non-blocking opens fail with ENXIO until then); [None] if no reader
+   shows up in time *)
+let open_fifo_writer path =
+  let rec go tries =
+    match Unix.openfile path [ Unix.O_WRONLY; Unix.O_NONBLOCK ] 0 with
+    | fd ->
+        Unix.clear_nonblock fd;
+        Some fd
+    | exception Unix.Unix_error (Unix.ENXIO, _, _) when tries > 0 ->
+        Thread.delay 0.01;
+        go (tries - 1)
+    | exception Unix.Unix_error (Unix.ENXIO, _, _) -> None
+  in
+  go 1000
+
 let test_cancel_running_job () =
-  (* a big extension keeps the job in its load/discovery stages long
-     enough to cancel it mid-run: the supervision token trips and the
-     job settles as cancelled, not done *)
-  let s = spec ~label:"doomed" ~rows:120_000 ~deps:40 () in
+  (* the job's first source is a FIFO, so it blocks in Loading until
+     the test writes it: the cancel deterministically lands while the
+     job runs, and the job must settle as cancelled, not done, however
+     quickly it finishes once fed *)
+  let fifo =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "dbre_cancel_%d.fifo" (Unix.getpid ()))
+  in
+  rm_rf fifo;
+  Unix.mkfifo fifo 0o600;
+  let fed = ref false in
+  let feed () =
+    if not !fed then begin
+      fed := true;
+      match open_fifo_writer fifo with
+      | Some fd -> (
+          let text = emp_csv ~deps:4 () in
+          (* the loader may see the latched cancel as soon as its open
+             returns and close the read end before this write *)
+          try
+            ignore (Unix.write_substring fd text 0 (String.length text));
+            Unix.close fd
+          with Unix.Unix_error (Unix.EPIPE, _, _) -> Unix.close fd)
+      | None -> ()
+    end
+  in
+  Fun.protect ~finally:(fun () -> rm_rf fifo) @@ fun () ->
+  let s =
+    Job_spec.make ~label:"doomed"
+      ~sources:
+        [
+          ("Emp", Source.csv_file fifo);
+          ("Dept", Source.csv_inline (dept_csv ~deps:4 ()));
+        ]
+      ~ddl
+      (Job_spec.Sql_scripts [ script ])
+  in
   with_server ~max_jobs:1 @@ fun server ->
   with_client server @@ fun c ->
-  let id, _ = submit_exn c s in
-  (* wait for the first event: the job is now running *)
+  (* feed before the daemon stops, even on failure: its runner is
+     blocked on the FIFO until then *)
+  Fun.protect ~finally:feed @@ fun () ->
+  let id, diags = submit_exn c s in
+  (* no pre-run diagnostic events, so the first event is the job's own
+     and it is running, blocked on the FIFO *)
+  Alcotest.(check int) "no pre-run diagnostics" 0 (List.length diags);
   (match Client.watch c id with
   | Ok _ -> ()
   | Error (code, msg) -> Alcotest.failf "watch: %s: %s" code msg);
   (match Client.cancel c id with
-  | Ok _ -> ()
+  | Ok state ->
+      Alcotest.(check string) "cancel answered while running" "running" state
   | Error (code, msg) -> Alcotest.failf "cancel: %s: %s" code msg);
+  feed ();
   let state, _ = wait_exn c id in
   Alcotest.(check string) "settles as cancelled" "cancelled" state
 
@@ -470,6 +526,44 @@ let test_restart_resumes_from_checkpoints () =
   Alcotest.(check string) "id counter moved past the adopted job"
     "job-000042" id2
 
+(* a state dir written by a daemon of the version-1 spec format: the
+   restarted daemon must still decode the spec (dropping the retired
+   engine check/cache fields), run it and settle it done *)
+let test_restart_adopts_v1_spec () =
+  let dir = Filename.concat (Filename.get_temp_dir_name ()) "dbre_restart_v1" in
+  rm_rf dir;
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  let s = spec ~label:"elder" () in
+  let expected = local_artifacts s in
+  let v2 =
+    match Job_spec.to_string s with Ok text -> text | Error e -> Alcotest.fail e
+  in
+  let replace ~sub ~by text =
+    let n = String.length sub in
+    let rec find i =
+      if i + n > String.length text then Alcotest.failf "no %S in spec" sub
+      else if String.sub text i n = sub then i
+      else find (i + 1)
+    in
+    let i = find 0 in
+    String.sub text 0 i ^ by ^ String.sub text (i + n) (String.length text - i - n)
+  in
+  let v1 =
+    v2
+    |> replace ~sub:{|{"version":2,|} ~by:{|{"version":1,|}
+    |> replace ~sub:{|"engine":{|} ~by:{|"engine":{"check":"partition","cache":false,|}
+  in
+  let id = "job-000007" in
+  let jdir = Filename.concat dir id in
+  mkdir_p jdir;
+  Out_channel.with_open_bin (Filename.concat jdir "spec.json") (fun oc ->
+      Out_channel.output_string oc v1);
+  with_server ~max_jobs:1 ~state_dir:dir @@ fun server ->
+  with_client server @@ fun c ->
+  let state, artifacts = wait_exn c id in
+  Alcotest.(check string) "v1 job done after adoption" "done" state;
+  check_artifacts "byte-identical to a local run" expected artifacts
+
 (* ------------------------------------------------------------------ *)
 (* Mutation and delta refresh                                          *)
 (* ------------------------------------------------------------------ *)
@@ -573,6 +667,8 @@ let suite =
       test_restart_runs_queued_job;
     Alcotest.test_case "restart resumes from checkpoints" `Quick
       test_restart_resumes_from_checkpoints;
+    Alcotest.test_case "restart adopts a v1 spec" `Quick
+      test_restart_adopts_v1_spec;
     Alcotest.test_case "mutate + refresh is byte-identical to resubmit" `Quick
       test_mutate_refresh_matches_resubmit;
   ]

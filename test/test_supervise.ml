@@ -8,6 +8,9 @@
    domains. *)
 
 open Dbre
+module Engine = Relational.Engine
+module Error = Relational.Error
+module Supervise = Relational.Supervise
 module Sexp = Relational.Sexp
 module Pool = Relational.Domain_pool
 

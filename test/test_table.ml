@@ -47,13 +47,19 @@ let test_equijoin_count () =
     table "S" [ "town" ]
       [ [ vs "paris" ]; [ vs "lyon" ]; [ vs "berlin" ]; [ vnull ] ]
   in
+  let s1 = Column_store.of_table t1 and s2 = Column_store.of_table t2 in
   Alcotest.(check int) "intersection" 2
-    (Table.equijoin_distinct_count t1 [ "city" ] t2 [ "town" ]);
+    (Column_store.equijoin_distinct_count s1 [ "city" ] s2 [ "town" ]);
   Alcotest.(check int) "symmetric" 2
-    (Table.equijoin_distinct_count t2 [ "town" ] t1 [ "city" ]);
+    (Column_store.equijoin_distinct_count s2 [ "town" ] s1 [ "city" ]);
+  Alcotest.(check int) "reference agrees" 2
+    (Reference.Counts.equijoin_distinct_count t1 [ "city" ] t2 [ "town" ]);
   Alcotest.check_raises "width mismatch"
-    (Invalid_argument "Table.equijoin_distinct_count: width mismatch")
-    (fun () -> ignore (Table.equijoin_distinct_count t1 [ "city"; "pop" ] t2 [ "town" ]))
+    (Invalid_argument "Column_store.equijoin_distinct_count: width mismatch")
+    (fun () ->
+      ignore
+        (Column_store.equijoin_distinct_count s1 [ "city"; "pop" ] s2
+           [ "town" ]))
 
 let test_group_rows () =
   let t = sample () in

@@ -1,10 +1,10 @@
 (* Verify_plan + Domain_pool: the batching planner must return exactly
-   what the naive per-candidate engine returns — FD verdicts in RHS
-   order, IND count triples in probe order, identical NEI decisions —
-   on NULL-heavy and scaled extensions, including right after an insert
-   cleared the Table.ext store cache; and the pool must fall back to
-   in-order sequential execution on one domain, preserve result order
-   on many, and propagate task exceptions.
+   what the per-candidate row-at-a-time reference returns — FD verdicts
+   in RHS order, IND count triples in probe order — and identical NEI
+   decisions at every domain count, on NULL-heavy and scaled
+   extensions, including right after an insert; and the pool must fall
+   back to in-order sequential execution on one domain, preserve result
+   order on many, and propagate task exceptions.
 
    Deterministic by construction: tables come from seeded Workload.Rng
    streams and Workload.Gen_schema specs. *)
@@ -14,14 +14,13 @@ open Relational
 open Deps
 module Rng = Workload.Rng
 
-let batched_engines =
+let parallel_engines =
   [
-    ("partition", Engine.partition);
-    ("columnar", Engine.columnar);
-    ("columnar-uncached", Engine.make ~cache:Engine.Cache_off ());
-    ("parallel:2", Engine.parallel ~domains:2 ());
-    ("parallel:4", Engine.parallel ~domains:4 ());
+    ("2 domains", Engine.parallel ~domains:2 ());
+    ("4 domains", Engine.parallel ~domains:4 ());
   ]
+
+let engines = ("1 domain", Engine.default) :: parallel_engines
 
 let random_table rng ?(null_rate = 0.15) name attrs n_rows =
   let cell rng i =
@@ -36,13 +35,13 @@ let random_table rng ?(null_rate = 0.15) name attrs n_rows =
 
 let attrs6 = [ "a"; "b"; "c"; "d"; "e"; "f" ]
 
-(* ---------- fd_group vs per-candidate naive ---------- *)
+(* ---------- fd_group vs the per-candidate reference ---------- *)
 
 let per_candidate_naive table lhs rhs =
   List.map
     (fun b ->
       ( b,
-        Fd_infer.holds ~engine:Engine.naive table
+        Reference.Fd_infer.holds_naive table
           (Fd.make (Table.schema table).Relation.name lhs [ b ]) ))
     rhs
 
@@ -56,16 +55,16 @@ let test_fd_group_matches_naive () =
       let lhs = List.sort String.compare (Rng.sample rng k attrs6) in
       let rhs = List.filter (fun a -> not (List.mem a lhs)) attrs6 in
       let expected = per_candidate_naive t lhs rhs in
-      (* the Naive engine goes through the genuinely-unbatched planner
-         path and must agree too *)
       List.iter
         (fun (name, engine) ->
+          (* each domain count sweeps its own cold store *)
+          Table.clear_ext_cache t;
           Alcotest.(check (list (pair string bool)))
             (Printf.sprintf "round %d: fd_group via %s (lhs=%s)" round name
                (String.concat "," lhs))
             expected
-            (Dbre.Verify_plan.fd_group ~engine t ~lhs ~rhs))
-        (("naive", Engine.naive) :: batched_engines)
+            (Relational.Verify_plan.fd_group ~engine t ~lhs ~rhs))
+        engines
     done
   done
 
@@ -77,7 +76,7 @@ let test_fd_batch_memo_consistent () =
     let t = random_table rng ~null_rate:0.3 "T" attrs6 (Rng.int_in rng 1 40) in
     let lhs = [ Rng.pick rng attrs6 ] in
     let rhs = List.filter (fun a -> not (List.mem a lhs)) attrs6 in
-    let engine = Engine.columnar in
+    let engine = Engine.default in
     (* warm a strict subset of the verdicts through single checks *)
     List.iteri
       (fun i b ->
@@ -88,24 +87,19 @@ let test_fd_batch_memo_consistent () =
     Alcotest.(check (list (pair string bool)))
       (Printf.sprintf "round %d: batch over part-memoized store" round)
       (per_candidate_naive t lhs rhs)
-      (Dbre.Verify_plan.fd_group ~engine t ~lhs ~rhs)
+      (Relational.Verify_plan.fd_group ~engine t ~lhs ~rhs)
   done
 
-(* ---------- ind_batch vs per-probe naive ---------- *)
-
-let naive_counts db probes =
-  List.map
-    (fun (l, r) ->
-      ( Database.count_distinct ~engine:Engine.naive db (fst l) (snd l),
-        Database.count_distinct ~engine:Engine.naive db (fst r) (snd r),
-        Database.join_count ~engine:Engine.naive db l r ))
-    probes
+(* ---------- ind_batch vs the per-probe reference ---------- *)
 
 let triples counts =
   List.map
-    (fun (c : Dbre.Verify_plan.counts) ->
-      (c.Dbre.Verify_plan.n_left, c.n_right, c.n_join))
+    (fun (c : Relational.Verify_plan.counts) ->
+      (c.Relational.Verify_plan.n_left, c.n_right, c.n_join))
     counts
+
+let naive_counts db probes =
+  triples (List.map (fun (l, r) -> Reference.Counts.ind_counts db l r) probes)
 
 let test_ind_batch_matches_naive () =
   let rng = Rng.create 41L in
@@ -129,11 +123,13 @@ let test_ind_batch_matches_naive () =
     let expected = naive_counts db probes in
     List.iter
       (fun (name, engine) ->
+        Table.clear_ext_cache t1;
+        Table.clear_ext_cache t2;
         Alcotest.(check (list (triple int int int)))
           (Printf.sprintf "round %d: ind_batch via %s" round name)
           expected
-          (triples (Dbre.Verify_plan.ind_batch ~engine db probes)))
-      (("naive", Engine.naive) :: batched_engines)
+          (triples (Relational.Verify_plan.ind_batch ~engine db probes)))
+      engines
   done
 
 (* ---------- scaled workload: full stages agree, incl. NEI ---------- *)
@@ -150,7 +146,7 @@ let scaled_spec seed =
 
 (* corrupt a planted reference so the elicitation hits real NEI
    decision points, then require the identical decision trace (counts
-   triples, cases, INDs, FDs) from every engine *)
+   triples, cases, INDs, FDs) at every domain count *)
 let corrupted_workload () =
   let g = Workload.Gen_schema.generate (scaled_spec 77L) in
   let db = g.Workload.Gen_schema.db in
@@ -176,13 +172,20 @@ let nei_trace (r : Dbre.Ind_discovery.result) =
     r.Dbre.Ind_discovery.steps
 
 let test_scaled_ind_discovery_agree () =
-  let run engine =
+  (* every run's counts and cases are the reference's; the multi-domain
+     runs must also repeat the sequential trace *)
+  let run (name, engine) =
     let g = corrupted_workload () in
-    Dbre.Ind_discovery.run ~engine
-      (Dbre.Oracle.threshold ~nei_ratio:0.8)
-      g.Workload.Gen_schema.db g.Workload.Gen_schema.equijoins
+    let db = g.Workload.Gen_schema.db in
+    let r =
+      Dbre.Ind_discovery.run ~engine
+        (Dbre.Oracle.threshold ~nei_ratio:0.8)
+        db g.Workload.Gen_schema.equijoins
+    in
+    check_ind_steps_reference (Printf.sprintf "NEI step via %s" name) db r;
+    r
   in
-  let expected = run Engine.naive in
+  let expected = run (List.hd engines) in
   Alcotest.(check bool)
     "corruption produced at least one NEI decision" true
     (List.exists
@@ -190,14 +193,14 @@ let test_scaled_ind_discovery_agree () =
        (nei_trace expected));
   List.iter
     (fun (name, engine) ->
-      let r = run engine in
+      let r = run (name, engine) in
       Alcotest.(check (list string))
         (Printf.sprintf "NEI trace via %s" name)
         (nei_trace expected) (nei_trace r);
       check_sorted_inds
         (Printf.sprintf "INDs via %s" name)
         expected.Dbre.Ind_discovery.inds r.Dbre.Ind_discovery.inds)
-    batched_engines
+    parallel_engines
 
 let test_scaled_rhs_discovery_agree () =
   let lhs_of g =
@@ -205,12 +208,19 @@ let test_scaled_rhs_discovery_agree () =
       (fun (i : Ind.t) -> Attribute.make i.Ind.lhs_rel i.Ind.lhs_attrs)
       g.Workload.Gen_schema.truth.Workload.Gen_schema.planted_inds
   in
-  let run engine =
+  (* every (lhs, candidate) verdict is the reference's; the
+     multi-domain runs must also repeat the sequential F *)
+  let run (name, engine) =
     let g = Workload.Gen_schema.generate (scaled_spec 83L) in
-    Dbre.Rhs_discovery.run ~engine Dbre.Oracle.automatic
-      g.Workload.Gen_schema.db ~lhs:(lhs_of g) ~hidden:[]
+    let db = g.Workload.Gen_schema.db in
+    let r =
+      Dbre.Rhs_discovery.run ~engine Dbre.Oracle.automatic db ~lhs:(lhs_of g)
+        ~hidden:[]
+    in
+    check_rhs_steps_reference (Printf.sprintf "F via %s" name) db r;
+    r
   in
-  let expected = run Engine.naive in
+  let expected = run (List.hd engines) in
   Alcotest.(check bool)
     "workload elicits at least one FD" true
     (expected.Dbre.Rhs_discovery.fds <> []);
@@ -218,8 +228,9 @@ let test_scaled_rhs_discovery_agree () =
     (fun (name, engine) ->
       check_sorted_fds
         (Printf.sprintf "F via %s" name)
-        expected.Dbre.Rhs_discovery.fds (run engine).Dbre.Rhs_discovery.fds)
-    batched_engines
+        expected.Dbre.Rhs_discovery.fds
+        (run (name, engine)).Dbre.Rhs_discovery.fds)
+    parallel_engines
 
 (* ---------- batches stay correct across cache invalidation ---------- *)
 
@@ -236,14 +247,14 @@ let test_batch_after_invalidation () =
     let db = db_rows t in
     let lhs = [ Rng.pick rng attrs6 ] in
     let rhs = List.filter (fun a -> not (List.mem a lhs)) attrs6 in
-    let engine = Engine.columnar in
+    let engine = Engine.default in
     (* warm the memoized store with a first batch + counts *)
-    ignore (Dbre.Verify_plan.fd_group ~engine t ~lhs ~rhs);
+    ignore (Relational.Verify_plan.fd_group ~engine t ~lhs ~rhs);
     ignore
-      (Dbre.Verify_plan.ind_batch ~engine db
+      (Relational.Verify_plan.ind_batch ~engine db
          [ (("T", lhs), ("T", [ List.hd rhs ])) ]);
-    (* insert clears the Table.ext store slot; the next batch must see
-       the new row *)
+    (* the insert is absorbed by the memoized store's delta refresh;
+       the next batch must see the new row *)
     let row =
       List.mapi
         (fun i _ ->
@@ -254,12 +265,12 @@ let test_batch_after_invalidation () =
     Alcotest.(check (list (pair string bool)))
       (Printf.sprintf "round %d: fd_group after insert" round)
       (per_candidate_naive t lhs rhs)
-      (Dbre.Verify_plan.fd_group ~engine t ~lhs ~rhs);
+      (Relational.Verify_plan.fd_group ~engine t ~lhs ~rhs);
     let probes = [ (("T", lhs), ("T", [ List.hd rhs ])) ] in
     Alcotest.(check (list (triple int int int)))
       (Printf.sprintf "round %d: ind_batch after insert" round)
       (naive_counts db probes)
-      (triples (Dbre.Verify_plan.ind_batch ~engine db probes))
+      (triples (Relational.Verify_plan.ind_batch ~engine db probes))
   done
 
 (* ---------- Domain_pool ---------- *)
@@ -295,7 +306,7 @@ let test_pool_reuse_and_registry () =
      pool per size otherwise *)
   Alcotest.(check bool)
     "sequential engine has no pool" true
-    (Engine.pool Engine.columnar = None);
+    (Engine.pool Engine.default = None);
   Alcotest.(check bool)
     "1-domain engine has no pool" true
     (Engine.pool (Engine.make ~parallelism:(Engine.Domains 1) ()) = None);
@@ -336,11 +347,11 @@ let test_pool_exception_propagation () =
 
 let suite =
   [
-    Alcotest.test_case "fd_group matches per-candidate naive" `Quick
+    Alcotest.test_case "fd_group matches per-candidate reference" `Quick
       test_fd_group_matches_naive;
     Alcotest.test_case "fd batches compose with memoized verdicts" `Quick
       test_fd_batch_memo_consistent;
-    Alcotest.test_case "ind_batch matches per-probe naive" `Quick
+    Alcotest.test_case "ind_batch matches per-probe reference" `Quick
       test_ind_batch_matches_naive;
     Alcotest.test_case "scaled IND-Discovery agrees (NEI trace)" `Quick
       test_scaled_ind_discovery_agree;
