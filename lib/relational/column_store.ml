@@ -11,23 +11,14 @@
 
    Layout: each encoded column is a sequence of immutable *sealed
    segments* of exactly [seg_rows] rows (codes bit-packed to the
-   dictionary width, carrying a zone map: min/max code, null count,
-   within-segment distinct count) followed by one open mutable *tail*
-   of plain int codes holding the remainder. Appends extend the tail
-   and seal full chunks off its front; sealed segments never change, so
-   they can spill to disk under the [Ooc] residency budget and mmap
-   back on demand without any coherence protocol. All of a store's
-   columns seal at the same fixed row boundaries, so multi-column
-   passes iterate block-aligned: decode segment [s] of every needed
-   column, sweep [seg_rows] rows, move on. *)
-
-type zone = {
-  z_rows : int;  (* rows in the segment (always the store's seg_rows) *)
-  z_min : int;  (* smallest non-NULL code, 0 if all NULL *)
-  z_max : int;  (* largest non-NULL code, 0 if all NULL *)
-  z_nulls : int;
-  z_distinct : int;  (* exact count of distinct non-NULL codes *)
-}
+   width of the segment's largest code) followed by one open mutable
+   *tail* of plain int codes holding the remainder. Appends extend the
+   tail and seal full chunks off its front; sealed segments never
+   change, so they can spill to disk under the [Ooc] residency budget
+   and mmap back on demand without any coherence protocol. All of a
+   store's columns seal at the same fixed row boundaries, so
+   multi-column passes iterate block-aligned: decode segment [s] of
+   every needed column, sweep [seg_rows] rows, move on. *)
 
 type seg_data =
   | Seg_mem of Packed_codes.t  (* resident (packed) or mapped payload *)
@@ -35,10 +26,34 @@ type seg_data =
 
 type segment = {
   seg_id : int;  (* process-unique: the [Ooc] residency key *)
-  seg_zone : zone;
+  seg_len : int;  (* rows in the segment (always the store's seg_rows) *)
+  seg_max : int;  (* largest code in the segment, 0 if all NULL *)
   seg_width : int;  (* pack width in bits; 0 = raw 64-bit *)
   mutable seg_data : seg_data;
   mutable seg_path : string option;  (* spill file, once written *)
+}
+
+(* Flat open-addressing intern tables (see the encoding section).
+   The String side of [vtab], keyed by bytes: interleaved [hash; code]
+   pairs (hash 0 marks an empty slot, so stored hashes are [lor 1])
+   and a parallel key array. *)
+type stab = {
+  mutable s_cap : int;  (* power of two *)
+  mutable s_size : int;
+  mutable s_hc : int array;
+  mutable s_keys : string array;
+}
+
+type vtab = {
+  mutable v_cap : int;  (* power of two *)
+  mutable v_size : int;
+  mutable v_hs : int array;  (* 0 = empty slot, else [hash lor 1] *)
+  mutable v_keys : Value.t array;
+  mutable v_codes : int array;
+  mutable n_cap : int;  (* the Value.Int side, unboxed *)
+  mutable n_size : int;
+  mutable n_tab : int array;  (* interleaved [key; code] pairs *)
+  strs : stab;  (* the Value.String side, keyed by bytes *)
 }
 
 type column = {
@@ -51,37 +66,39 @@ type column = {
          segments (first-occurrence interning puts every code below a
          sealed maximum before that maximum's first row). Codes >=
          sealed_dict live only in the tail — the only region deletes
-         can orphan them from, so the liveness fallback scans the tail
-         alone. *)
-  tail_exact : bool;
-      (* every dict code >= sealed_dict still occurs in [tail];
-         tail-only deletes clear this, and the next append or seal
-         runs a tail reclaim pass that compacts the dead suffix codes
-         away and restores it *)
+         can orphan them from, so a tail delete reclaims dead codes by
+         scanning the tail alone. *)
   mutable vrange : (int * int) option option;
-      (* memoized all-[Int] dictionary value range (superset of the
-         live values), for the IND disjoint-range short-circuit *)
+      (* memoized all-[Int] dictionary value range, for the IND
+         disjoint-range short-circuit *)
+  mutable interner : vtab option;
+      (* value -> code over [dict], built from it on the first delta
+         append and kept so later appends intern in O(1) per cell;
+         dropped whenever codes are renumbered *)
 }
 
-(* Retained state of a completed fused FD sweep (see
-   [sweep_fused_codes]): the LHS key -> group-id tables plus, per
-   surviving (true-verdict) RHS attribute, the per-group representative
-   value. Enough to re-check a verdict against appended rows in
-   O(delta) — each new row either joins an existing group (compare
-   against the representative) or founds a new one (seed it). Dropped
-   on any delete: group emptiness is not tracked, so a deletion could
-   leave a stale representative behind. *)
-type group_keys =
-  | Scalar_keys of (int, int) Hashtbl.t * (Value.t, int) Hashtbl.t
-      (* single-attribute LHS: unboxed Int fast path + boxed rest *)
-  | Tuple_keys of (Value.t list, int) Hashtbl.t
-
-type sweep_state = {
+(* The code-level state of one fused FD sweep over a shared LHS (see
+   [sweep_fused]): the LHS code -> group-id table, and per candidate
+   RHS attribute its representative code per group and whether it
+   still holds. A completed sweep with surviving candidates is kept,
+   and appended rows' codes run through the same kernel, re-checking
+   its true verdicts in O(delta). Every delete drops the retained
+   sweeps (group emptiness is not tracked, so a representative could
+   outlive its rows), which also keeps codes meaning the same values
+   when a delta arrives: appends never renumber, since dead tail codes
+   are reclaimed at delete time (see [compact_column]). *)
+type sweep = {
+  sw_lhs : int array;  (* LHS attribute positions *)
+  sw_rhs : int array;  (* candidate RHS positions *)
+  sw_names : string array;  (* candidate RHS names, aligned with sw_rhs *)
+  mutable sw_gid : int array;
+      (* single-attribute LHS: code -> group id, -1 before first sight *)
+  sw_tuple_gid : (int list, int) Hashtbl.t;  (* wider LHS: codes -> id *)
   mutable sw_groups : int;
-  sw_keys : group_keys;
-  sw_lhs_pos : int array;
-  sw_reprs : (string, Value.t array ref) Hashtbl.t;
-      (* rhs attr -> representative per group id; grown on demand *)
+  sw_repr : int array array;  (* candidate -> group id -> RHS code *)
+  sw_holds : bool array;  (* candidate -> no conflict seen *)
+  sw_live : int array;  (* holding candidates, compact in [0, sw_n_live) *)
+  mutable sw_n_live : int;
 }
 
 type t = {
@@ -91,16 +108,10 @@ type t = {
   mutable n_rows : int;
   seg_rows : int;  (* fixed sealed-segment size for this store *)
   columns : column option array;  (* by attribute position, lazy *)
-  interns : (Value.t, int) Hashtbl.t option array;
-      (* per-column value -> code, built from the dictionary on the
-         first delta append and kept so later appends intern in O(1)
-         per cell *)
-  memoized : bool;  (* stashed in Table.ext: worth retaining sweep
-                       states for incremental refresh *)
   distinct_sets : (string list, (Value.t list, unit) Hashtbl.t) Hashtbl.t;
   witnesses : (string list, int) Hashtbl.t;  (* NULL-free rows per attrs *)
   fd_verdicts : (string list * string, bool) Hashtbl.t;
-  fd_sweeps : (string list, sweep_state) Hashtbl.t;
+  fd_sweeps : (string list, sweep) Hashtbl.t;
   join_counts : (string list * int * string list, int) Hashtbl.t;
 }
 
@@ -185,63 +196,21 @@ let release_segment seg =
 let release_column (c : column) = Array.iter release_segment c.segs
 
 (* Seal [src.(off .. off+seg_rows-1)] into an immutable segment:
-   compute the zone map, bit-pack at the slice's width, register with
+   bit-pack at the width of the slice's largest code, register with
    the residency budget. *)
 let seal_segment ~seg_rows (src : int array) off =
-  let zmin = ref max_int and zmax = ref 0 and nulls = ref 0 in
+  let top = ref 0 in
   for i = off to off + seg_rows - 1 do
-    let c = src.(i) in
-    if c = 0 then incr nulls
-    else begin
-      if c < !zmin then zmin := c;
-      if c > !zmax then zmax := c
-    end
+    if src.(i) > !top then top := src.(i)
   done;
-  let zmin = if !nulls = seg_rows then 0 else !zmin in
-  let distinct =
-    if !nulls = seg_rows then 0
-    else begin
-      let range = !zmax - zmin + 1 in
-      if range <= 1 lsl 22 then begin
-        (* dense code range: transient bitset *)
-        let seen = Bytes.make range '\000' in
-        let d = ref 0 in
-        for i = off to off + seg_rows - 1 do
-          let c = src.(i) in
-          if c > 0 then begin
-            let j = c - zmin in
-            if Bytes.unsafe_get seen j = '\000' then begin
-              Bytes.unsafe_set seen j '\001';
-              incr d
-            end
-          end
-        done;
-        !d
-      end
-      else begin
-        let seen = Hashtbl.create 1024 in
-        for i = off to off + seg_rows - 1 do
-          let c = src.(i) in
-          if c > 0 then Hashtbl.replace seen c ()
-        done;
-        Hashtbl.length seen
-      end
-    end
-  in
-  let p = Packed_codes.pack ~width:(Packed_codes.width_for !zmax) src off
+  let p = Packed_codes.pack ~width:(Packed_codes.width_for !top) src off
       seg_rows
   in
   let seg =
     {
       seg_id = Atomic.fetch_and_add seg_counter 1;
-      seg_zone =
-        {
-          z_rows = seg_rows;
-          z_min = zmin;
-          z_max = !zmax;
-          z_nulls = !nulls;
-          z_distinct = distinct;
-        };
+      seg_len = seg_rows;
+      seg_max = !top;
       seg_width = Packed_codes.width p;
       seg_data = Seg_mem p;
       seg_path = None;
@@ -264,7 +233,7 @@ let seg_payload seg =
       in
       let p =
         Packed_codes.map_file path ~width:seg.seg_width
-          ~len:seg.seg_zone.z_rows
+          ~len:seg.seg_len
       in
       seg.seg_data <- Seg_mem p;
       Ooc.note_map ();
@@ -272,10 +241,10 @@ let seg_payload seg =
       p
 
 let sealed_rows (col : column) =
-  Array.fold_left (fun acc s -> acc + s.seg_zone.z_rows) 0 col.segs
+  Array.fold_left (fun acc s -> acc + s.seg_len) 0 col.segs
 
 let max_sealed_code segs floor =
-  Array.fold_left (fun acc sg -> max acc (sg.seg_zone.z_max + 1)) floor segs
+  Array.fold_left (fun acc sg -> max acc (sg.seg_max + 1)) floor segs
 
 (* decoded flat copy — oracle/test accessor, not a hot path *)
 let column_codes (col : column) =
@@ -321,7 +290,7 @@ let iter_blocks t (cols : column array) f =
 (* store construction                                                  *)
 (* ------------------------------------------------------------------ *)
 
-let make_store ?seg_rows ~memoized table =
+let make_store ?seg_rows table =
   let arity = Relation.arity (Table.schema table) in
   let seg_rows =
     match seg_rows with Some r -> r | None -> (Ooc.config ()).segment_rows
@@ -334,8 +303,6 @@ let make_store ?seg_rows ~memoized table =
       n_rows = Table.cardinality table;
       seg_rows;
       columns = Array.make arity None;
-      interns = Array.make arity None;
-      memoized;
       distinct_sets = Hashtbl.create 8;
       witnesses = Hashtbl.create 8;
       fd_verdicts = Hashtbl.create 16;
@@ -364,8 +331,6 @@ let make_store ?seg_rows ~memoized table =
     s;
   s
 
-let build table = make_store ~memoized:false table
-
 let table t = t.table
 let table_version t = t.built_version
 let uid t = t.uid
@@ -387,8 +352,8 @@ let column_of_codes ~seg_rows codes dict nulls =
     dict;
     nulls;
     sealed_dict = max_sealed_code segs 1;
-    tail_exact = true;
     vrange = None;
+    interner = None;
   }
 
 (* Flat open-addressing intern table, shared by [encode] and the
@@ -405,28 +370,6 @@ let column_of_codes ~seg_rows codes dict nulls =
    can look a raw CSV cell up before (or instead of) building a value.
    Cross-constructor values never compare equal, so partitioning by
    constructor cannot change identity. *)
-
-(* The String side of [vtab], keyed by bytes: interleaved
-   [hash; code] pairs (hash 0 marks an empty slot, so stored hashes
-   are [lor 1]) and a parallel key array. *)
-type stab = {
-  mutable s_cap : int;  (* power of two *)
-  mutable s_size : int;
-  mutable s_hc : int array;
-  mutable s_keys : string array;
-}
-
-type vtab = {
-  mutable v_cap : int;  (* power of two *)
-  mutable v_size : int;
-  mutable v_hs : int array;  (* 0 = empty slot, else [hash lor 1] *)
-  mutable v_keys : Value.t array;
-  mutable v_codes : int array;
-  mutable n_cap : int;  (* the Value.Int side, unboxed *)
-  mutable n_size : int;
-  mutable n_tab : int array;  (* interleaved [key; code] pairs *)
-  strs : stab;  (* the Value.String side, keyed by bytes *)
-}
 
 let stab_create cap =
   { s_cap = cap; s_size = 0; s_hc = Array.make (2 * cap) 0; s_keys = Array.make cap "" }
@@ -670,8 +613,6 @@ let pos_of t a =
       (Printf.sprintf "Column_store(%s): unknown attribute %s"
          (Table.schema t.table).Relation.name a)
 
-(* a fresh column's intern table is built on the first delta append
-   ([intern_of]), so stores that are never refreshed never pay for it *)
 let stash_encoded t pos c =
   t.columns.(pos) <- Some c;
   c
@@ -727,29 +668,13 @@ let decode cols code_list =
 let compute_distinct t attrs =
   match attrs with
   | [ a ] ->
-      (* single column: the dictionary is the distinct set; no row
-         pass. Codes below [sealed_dict] occur in immutable sealed
-         segments, so they are live by construction; codes above live
-         only in the tail, where deletes can orphan them — the
-         presence fallback scans just the tail. *)
+      (* single column: the dictionary is the distinct set (deletes
+         drop dead codes as they compact), so no row pass *)
       let c = column t a in
       let set = Hashtbl.create (max 16 (Array.length c.dict)) in
-      if c.tail_exact then
-        Array.iteri
-          (fun code v -> if code > 0 then Hashtbl.add set [ v ] ())
-          c.dict
-      else begin
-        let sd = c.sealed_dict in
-        let live = Array.make (Array.length c.dict - sd) false in
-        Array.iter
-          (fun code -> if code >= sd then live.(code - sd) <- true)
-          c.tail;
-        Array.iteri
-          (fun code v ->
-            if code > 0 && (code < sd || live.(code - sd)) then
-              Hashtbl.add set [ v ] ())
-          c.dict
-      end;
+      Array.iteri
+        (fun code v -> if code > 0 then Hashtbl.add set [ v ] ())
+        c.dict;
       (set, t.n_rows - c.nulls)
   | _ ->
       let cols = columns t attrs in
@@ -797,9 +722,9 @@ let unique t attrs =
   let w = witness_count t attrs in
   w > 0 && count_distinct t attrs = w
 
-(* memoized all-[Int] dictionary value range; a superset of the live
-   values (dead codes only widen it), so range disjointness still
-   proves an empty intersection *)
+(* memoized all-[Int] dictionary value range: the dictionary holds
+   exactly the live values, so range disjointness proves an empty
+   intersection *)
 let int_range (col : column) =
   match col.vrange with
   | Some r -> r
@@ -835,8 +760,6 @@ let equijoin_distinct_count t1 a1 t2 a2 =
          ranges cannot intersect: the count is provably 0 without
          building either distinct set *)
       let short_circuit =
-        (Ooc.config ()).zone_pruning
-        &&
         match (a1, a2) with
         | [ x ], [ y ] -> (
             match (int_range (column t1 x), int_range (column t2 y)) with
@@ -867,279 +790,166 @@ let equijoin_distinct_count t1 a1 t2 a2 =
 (* FD checks                                                           *)
 (* ------------------------------------------------------------------ *)
 
-(* ---- zone-map pruning ------------------------------------------- *)
-
-(* Per LHS column, mark the sealed segments that are provably
-   verdict-irrelevant for an FD sweep:
-
-   - an all-NULL segment contributes only exempt rows;
-   - a segment whose non-NULL codes are all distinct within the
-     segment ([z_distinct] = non-null rows) *and* whose [z_min,z_max]
-     code interval is disjoint from every other segment's interval and
-     from the tail's can only found singleton groups, and no row
-     elsewhere can ever join them — singletons cannot refute any
-     candidate, and skipping them leaves every other group intact.
-
-   For a multi-attribute LHS it suffices that *one* column isolates a
-   segment: its code is then unique to the segment, so the full LHS
-   tuple is too. Sound only when the sweep retains no state (a skipped
-   singleton group would be missing from a retained sweep_state, and a
-   later append could wrongly "found" it afresh) — callers pass
-   [retain:None] to enable pruning. *)
-let zone_skippable (lcols : column array) =
-  let nseg = if Array.length lcols = 0 then 0 else Array.length lcols.(0).segs in
-  let skip = Array.make nseg false in
-  if nseg > 0 then
-    Array.iter
-      (fun (lc : column) ->
-        (* tail interval (ignoring NULLs); None when empty *)
-        let tmin = ref max_int and tmax = ref min_int in
-        Array.iter
-          (fun c ->
-            if c > 0 then begin
-              if c < !tmin then tmin := c;
-              if c > !tmax then tmax := c
-            end)
-          lc.tail;
-        (* intervals of every non-empty region, sorted by min code;
-           index -1 is the tail *)
-        let ivs = ref [] in
-        if !tmax >= !tmin then ivs := (!tmin, !tmax, -1) :: !ivs;
-        Array.iteri
-          (fun s seg ->
-            let z = seg.seg_zone in
-            if z.z_nulls = z.z_rows then skip.(s) <- true
-            else ivs := (z.z_min, z.z_max, s) :: !ivs)
-          lc.segs;
-        let ivs = Array.of_list !ivs in
-        Array.sort (fun (a, _, _) (b, _, _) -> compare a b) ivs;
-        (* sorted by min: an interval overlaps some other iff the
-           running max of its predecessors reaches it or its successor
-           starts inside it *)
-        let running_max = ref min_int in
-        Array.iteri
-          (fun i (lo, hi, s) ->
-            (if s >= 0 then
-               let z = lc.segs.(s).seg_zone in
-               let isolated =
-                 !running_max < lo
-                 && (i = Array.length ivs - 1
-                    ||
-                    let lo', _, _ = ivs.(i + 1) in
-                    lo' > hi)
-               in
-               if isolated && z.z_distinct = z.z_rows - z.z_nulls then
-                 skip.(s) <- true);
-            if hi > !running_max then running_max := hi)
-          ivs)
-      lcols;
-  skip
-
-(* ensure a per-candidate group->code representative array can hold
+(* grow candidate [k]'s group -> representative code array to hold
    group id [n-1] *)
-let irepr_ensure r n =
-  let len = Array.length !r in
+let repr_grow st k n =
+  let r = st.sw_repr.(k) in
+  let len = Array.length r in
   if n > len then begin
     let a = Array.make (max n (max 64 (2 * len))) 0 in
-    Array.blit !r 0 a 0 len;
-    r := a
+    Array.blit r 0 a 0 len;
+    st.sw_repr.(k) <- a
+  end
+
+(* grow a single-attribute LHS group table to cover a dictionary of
+   [n] codes *)
+let gid_grow st n =
+  let len = Array.length st.sw_gid in
+  if n > len then begin
+    let a = Array.make (max n (2 * len)) (-1) in
+    Array.blit st.sw_gid 0 a 0 len;
+    st.sw_gid <- a
+  end
+
+(* The FD kernel over one block of rows: [lbufs] holds the block's LHS
+   codes, [rbufs.(k)] candidate [k]'s RHS codes. Each row's LHS code
+   (or code tuple) finds its group, created on first sight, at which
+   point the row seeds every holding candidate's representative code;
+   later rows compare in place against it. A mismatch refutes just
+   that candidate (swap-removed from the compact live set, its
+   representatives freed), and the block stops once none holds.
+   Grouping by LHS code is grouping by value (interning is injective
+   per column), NULL-LHS rows are exempt, and RHS code equality is RHS
+   value equality (NULL's reserved 0 compares like NULL = NULL). *)
+let sweep_block st (lbufs : int array array) (rbufs : int array array) len =
+  let seed i g =
+    for j = 0 to st.sw_n_live - 1 do
+      let k = st.sw_live.(j) in
+      repr_grow st k (g + 1);
+      st.sw_repr.(k).(g) <- rbufs.(k).(i)
+    done
+  in
+  let refine i g =
+    let j = ref 0 in
+    while !j < st.sw_n_live do
+      let k = st.sw_live.(!j) in
+      if st.sw_repr.(k).(g) = rbufs.(k).(i) then incr j
+      else begin
+        st.sw_holds.(k) <- false;
+        st.sw_repr.(k) <- [||];
+        st.sw_n_live <- st.sw_n_live - 1;
+        st.sw_live.(!j) <- st.sw_live.(st.sw_n_live)
+      end
+    done
+  in
+  let found () =
+    let g = st.sw_groups in
+    st.sw_groups <- g + 1;
+    g
+  in
+  if Array.length lbufs = 1 then begin
+    let lbuf = lbufs.(0) in
+    let i = ref 0 in
+    while st.sw_n_live > 0 && !i < len do
+      let c = lbuf.(!i) in
+      if c > 0 then begin
+        let g = st.sw_gid.(c) in
+        if g >= 0 then refine !i g
+        else begin
+          let g = found () in
+          st.sw_gid.(c) <- g;
+          seed !i g
+        end
+      end;
+      incr i
+    done
+  end
+  else begin
+    (* any other width, the empty LHS included (one group of all rows) *)
+    let w = Array.length lbufs in
+    let i = ref 0 in
+    while st.sw_n_live > 0 && !i < len do
+      let null = ref false in
+      let key = ref [] in
+      for j = w - 1 downto 0 do
+        let c = lbufs.(j).(!i) in
+        if c = 0 then null := true else key := c :: !key
+      done;
+      (if not !null then
+         match Hashtbl.find st.sw_tuple_gid !key with
+         | g -> refine !i g
+         | exception Not_found ->
+             let g = found () in
+             Hashtbl.add st.sw_tuple_gid !key g;
+             seed !i g);
+      incr i
+    done
   end
 
 (* The fused FD batch over dictionary codes. Every candidate is
    answered in one pass over the encoded columns, block-aligned: one
-   decode per (segment, live column), no row materialization. Each
-   row's LHS code (or code tuple) finds its group, created on first
-   sight, at which point the row seeds every live candidate's
-   representative code; later rows compare in place against the live
-   candidates' representatives. A mismatch kills just that candidate
-   (swap-removed from the compact live set), and the pass stops once
-   all are dead. Grouping by LHS code is grouping by value (interning
-   is injective per column), NULL-LHS rows are exempt, and RHS code
-   equality is RHS value equality (NULL's reserved 0 compares like
-   NULL = NULL).
-
-   With [retain:None] the sweep additionally consults the zone maps
-   ([zone_skippable]) and skips provably verdict-irrelevant segments.
-   With [?retain] (the RHS attribute names aligned with [positions]) a
-   completed pass with at least one surviving candidate converts its
-   code-level state into the value-keyed [sweep_state] the delta
-   passes advance over appended rows. A pass that early-exited (every
-   candidate refuted) retains nothing: its key tables are incomplete,
-   and there is no true verdict to maintain. *)
-let sweep_fused_codes ?retain t lhs (positions : int array) =
-  let m = Array.length positions in
-  let verdict = Array.make m true in
+   decode per (segment, LHS or holding candidate column), then the
+   open tail, no row materialization. A pass that ends with a holding
+   candidate keeps its state in [fd_sweeps] for the delta re-check
+   ([sweep_delta]); one that refuted every candidate keeps nothing. *)
+let sweep_fused t lhs names =
   let lcols = columns t lhs in
+  let positions = Array.map (pos_of t) names in
   let rcols =
     Array.map
       (fun p ->
         match t.columns.(p) with Some c -> c | None -> assert false)
       positions
   in
+  let m = Array.length names in
+  let single = Array.length lcols = 1 in
+  let st =
+    {
+      sw_lhs = Array.of_list (List.map (pos_of t) lhs);
+      sw_rhs = positions;
+      sw_names = names;
+      sw_gid =
+        (if single then Array.make (Array.length lcols.(0).dict) (-1) else [||]);
+      sw_tuple_gid =
+        Hashtbl.create
+          (if single then 0 else max 16 (min t.n_rows 65536 / 4 + 16));
+      sw_groups = 0;
+      sw_repr = Array.make m [||];
+      sw_holds = Array.make m true;
+      sw_live = Array.init m Fun.id;
+      sw_n_live = m;
+    }
+  in
   let sr = t.seg_rows in
   (* a store's columns all seal at the same boundaries; an empty LHS
      puts every row in one group, so the layout comes from the RHS *)
   let layout = if Array.length lcols > 0 then lcols.(0) else rcols.(0) in
   let nseg = Array.length layout.segs in
-  let live = Array.init m Fun.id in
-  let n_live = ref m in
-  let next = ref 0 in
-  let repr = Array.map (fun _ -> ref (Array.make 64 0)) positions in
-  let prune =
-    retain = None && Array.length lcols > 0 && (Ooc.config ()).zone_pruning
-  in
-  let skip = if prune && nseg > 0 then zone_skippable lcols else [||] in
-  (* per-block sweep bodies, one per LHS shape *)
-  let single = Array.length lcols = 1 in
-  let gid_of_code =
-    if single then Array.make (Array.length lcols.(0).dict) (-1) else [||]
-  in
-  let tuple_ids : (int list, int) Hashtbl.t =
-    if single then Hashtbl.create 0
-    else Hashtbl.create (max 16 (min t.n_rows 65536 / 4 + 16))
-  in
-  let seed rbufs i g =
-    for j = 0 to !n_live - 1 do
-      let k = live.(j) in
-      let r = repr.(k) in
-      irepr_ensure r (g + 1);
-      (!r).(g) <- rbufs.(k).(i)
-    done
-  in
-  let refine rbufs i g =
-    let j = ref 0 in
-    while !j < !n_live do
-      let k = live.(!j) in
-      if (!(repr.(k))).(g) = rbufs.(k).(i) then incr j
-      else begin
-        verdict.(k) <- false;
-        decr n_live;
-        live.(!j) <- live.(!n_live)
-      end
-    done
-  in
-  let sweep_block lbufs rbufs len =
-    if single then begin
-      let lbuf = lbufs.(0) in
-      let i = ref 0 in
-      while !n_live > 0 && !i < len do
-        let c = lbuf.(!i) in
-        if c > 0 then begin
-          let g = gid_of_code.(c) in
-          if g >= 0 then refine rbufs !i g
-          else begin
-            let g = !next in
-            incr next;
-            gid_of_code.(c) <- g;
-            seed rbufs !i g
-          end
-        end;
-        incr i
-      done
-    end
-    else begin
-      let w = Array.length lbufs in
-      let i = ref 0 in
-      while !n_live > 0 && !i < len do
-        let null = ref false in
-        let key = ref [] in
-        for j = w - 1 downto 0 do
-          let c = lbufs.(j).(!i) in
-          if c = 0 then null := true else key := c :: !key
-        done;
-        (if not !null then
-           match Hashtbl.find tuple_ids !key with
-           | g -> refine rbufs !i g
-           | exception Not_found ->
-               let g = !next in
-               incr next;
-               Hashtbl.add tuple_ids !key g;
-               seed rbufs !i g);
-        incr i
-      done
-    end
-  in
-  (* sealed segments: decode LHS and live candidates block-aligned *)
   if nseg > 0 then begin
-    let w = Array.length lcols in
-    let lscratch = Array.init w (fun _ -> Array.make sr 0) in
+    let lscratch = Array.map (fun _ -> Array.make sr 0) lcols in
     let rscratch = Array.map (fun _ -> Array.make sr 0) positions in
     let s = ref 0 in
-    while !n_live > 0 && !s < nseg do
-      if prune && skip.(!s) then Ooc.note_zone_skip ()
-      else begin
-        Ooc.note_zone_sweep ();
-        for j = 0 to w - 1 do
-          Packed_codes.decode_into (seg_payload lcols.(j).segs.(!s))
-            lscratch.(j)
-        done;
-        for j = 0 to !n_live - 1 do
-          let k = live.(j) in
-          Packed_codes.decode_into (seg_payload rcols.(k).segs.(!s))
-            rscratch.(k)
-        done;
-        sweep_block lscratch rscratch sr
-      end;
+    while st.sw_n_live > 0 && !s < nseg do
+      Ooc.note_zone_sweep ();
+      Array.iteri
+        (fun j (lc : column) ->
+          Packed_codes.decode_into (seg_payload lc.segs.(!s)) lscratch.(j))
+        lcols;
+      for j = 0 to st.sw_n_live - 1 do
+        let k = st.sw_live.(j) in
+        Packed_codes.decode_into (seg_payload rcols.(k).segs.(!s)) rscratch.(k)
+      done;
+      sweep_block st lscratch rscratch sr;
       incr s
     done
   end;
-  (* open tail: plain arrays, never skipped *)
-  if !n_live > 0 && Array.length layout.tail > 0 then
-    sweep_block
+  if st.sw_n_live > 0 && Array.length layout.tail > 0 then
+    sweep_block st
       (Array.map (fun (c : column) -> c.tail) lcols)
       (Array.map (fun (c : column) -> c.tail) rcols)
       (Array.length layout.tail);
-  (* retention: translate code-level state to the value-keyed form the
-     delta passes advance (pruning is off whenever we get here) *)
-  (match retain with
-  | Some names when !n_live > 0 ->
-      let keys =
-        if single then begin
-          let int_ids : (int, int) Hashtbl.t =
-            Hashtbl.create (max 16 !next)
-          in
-          let ids : (Value.t, int) Hashtbl.t = Hashtbl.create 16 in
-          let dict = lcols.(0).dict in
-          Array.iteri
-            (fun c g ->
-              if g >= 0 then
-                match dict.(c) with
-                | Value.Int x -> Hashtbl.replace int_ids x g
-                | v -> Hashtbl.replace ids v g)
-            gid_of_code;
-          Scalar_keys (int_ids, ids)
-        end
-        else begin
-          let ids : (Value.t list, int) Hashtbl.t =
-            Hashtbl.create (max 16 (Hashtbl.length tuple_ids))
-          in
-          let lcols_l = Array.to_list lcols in
-          Hashtbl.iter
-            (fun key g ->
-              Hashtbl.replace ids
-                (List.map2 (fun (lc : column) c -> lc.dict.(c)) lcols_l key)
-                g)
-            tuple_ids;
-          Tuple_keys ids
-        end
-      in
-      let reprs = Hashtbl.create (max 4 !n_live) in
-      for j = 0 to !n_live - 1 do
-        let k = live.(j) in
-        let dict = rcols.(k).dict in
-        let codes = !(repr.(k)) in
-        Hashtbl.replace reprs names.(k)
-          (ref (Array.init !next (fun g -> dict.(codes.(g)))))
-      done;
-      Hashtbl.replace t.fd_sweeps lhs
-        {
-          sw_groups = !next;
-          sw_keys = keys;
-          sw_lhs_pos = Array.of_list (List.map (pos_of t) lhs);
-          sw_reprs = reprs;
-        }
-  | _ -> ());
-  verdict
+  if st.sw_n_live > 0 then Hashtbl.replace t.fd_sweeps lhs st;
+  st.sw_holds
 
 (* The batched FD check: one fused pass answers every RHS attribute of
    a shared LHS. Columns are encoded first — Builder-loaded and
@@ -1165,10 +975,7 @@ let fd_batch ?pool t ~lhs ~rhs =
       let misses = Array.of_list misses in
       let names = Array.map (fun i -> rhs_arr.(i)) misses in
       ensure_columns ?pool t (lhs @ Array.to_list names);
-      let retain = if t.memoized then Some names else None in
-      let res =
-        sweep_fused_codes ?retain t lhs (Array.map (pos_of t) names)
-      in
+      let res = sweep_fused t lhs names in
       Array.iteri
         (fun k i ->
           verdicts.(i) <- Some res.(k);
@@ -1235,124 +1042,102 @@ type refresh_summary =
       (* per memoized attribute list, the keys newly added *)
   | Sum_invalidated
 
-let intern_of t pos (col : column) =
-  match t.interns.(pos) with
-  | Some h -> h
+(* the value -> code table over a column's dictionary, built from it
+   on the column's first delta append *)
+let column_interner (col : column) =
+  match col.interner with
+  | Some tab -> tab
   | None ->
-      (* encoded columns arrive without intern tables: build one from
-         the dictionary in O(|dict|). Dead tail codes are
-         reclaimed before this runs (see [reclaim_tail]), so every
-         entry interned here is live. *)
-      let h = Hashtbl.create 256 in
-      Array.iteri
-        (fun code v -> if code > 0 then Hashtbl.replace h v code)
-        col.dict;
-      t.interns.(pos) <- Some h;
-      h
+      let tab = vtab_create () and d = dvec_create () in
+      (* dictionary entries are distinct, so code [c] interns as [c] *)
+      Array.iteri (fun c v -> if c > 0 then ignore (intern_into tab d v)) col.dict;
+      col.interner <- Some tab;
+      tab
 
-(* Compact dead dictionary codes out of the tail after a tail-only
-   delete: codes >= sealed_dict that no longer occur are dropped from
-   the dictionary and the surviving suffix codes are remapped by first
-   occurrence — exactly the dictionary a fresh encode of the surviving
-   rows would build, so downstream consumers cannot tell the store was
-   ever mutated. Sealed segments are untouched (their codes are all
-   below [sealed_dict] and provably live). Runs before any append or
-   seal while [tail_exact] is false. *)
-let reclaim_tail t pos (col : column) =
-  if col.tail_exact then col
-  else begin
-    let sd = col.sealed_dict in
-    let dlen = Array.length col.dict in
-    let nsuf = dlen - sd in
-    if nsuf <= 0 then { col with tail_exact = true }
-    else begin
-      let live = Array.make nsuf false in
-      Array.iter (fun c -> if c >= sd then live.(c - sd) <- true) col.tail;
-      if Array.for_all Fun.id live then { col with tail_exact = true }
-      else begin
-        let remap = Array.make nsuf 0 in
-        let next = ref sd in
-        for j = 0 to nsuf - 1 do
-          if live.(j) then begin
-            remap.(j) <- !next;
-            incr next
-          end
-        done;
-        let dict = Array.make !next Value.Null in
-        Array.blit col.dict 0 dict 0 sd;
-        for j = 0 to nsuf - 1 do
-          if live.(j) then dict.(remap.(j)) <- col.dict.(sd + j)
-        done;
-        let tail =
-          Array.map (fun c -> if c >= sd then remap.(c - sd) else c) col.tail
-        in
-        t.interns.(pos) <- None;
-        { col with tail; dict; tail_exact = true; vrange = None }
-      end
-    end
-  end
-
-(* extend one encoded column with appended rows: reclaim any dead tail
-   codes, intern each cell (extending the dictionary on first sight),
-   grow the tail and seal full chunks off its front *)
-let extend_column t pos col tups =
-  let col = reclaim_tail t pos col in
+(* extend one encoded column with appended rows: intern each cell
+   (extending the dictionary on first sight), grow the tail and seal
+   full chunks off its front. Also returns the appended rows' codes,
+   for the retained FD sweeps. *)
+let extend_column t pos (col : column) tups =
   let k = Array.length tups in
   let t0 = Array.length col.tail in
   let codes = Array.make (t0 + k) 0 in
   Array.blit col.tail 0 codes 0 t0;
-  let intern = intern_of t pos col in
-  let rev_new = ref [] in
-  let next = ref (Array.length col.dict) in
+  let tab = column_interner col in
+  (* the vector starts full, so the first new code reallocates it:
+     [col.dict] itself is never written *)
+  let d = { ddata = col.dict; dlen = Array.length col.dict } in
   let nulls = ref col.nulls in
   Array.iteri
     (fun i tup ->
-      let v = tup.(pos) in
-      if Value.is_null v then incr nulls
-      else
-        match Hashtbl.find_opt intern v with
-        | Some c -> codes.(t0 + i) <- c
-        | None ->
-            let c = !next in
-            incr next;
-            Hashtbl.add intern v c;
-            rev_new := v :: !rev_new;
-            codes.(t0 + i) <- c)
+      let c = intern_into tab d tup.(pos) in
+      if c = 0 then incr nulls;
+      codes.(t0 + i) <- c)
     tups;
   let dict =
-    match !rev_new with
-    | [] -> col.dict
-    | l -> Array.append col.dict (Array.of_list (List.rev l))
+    if d.dlen = Array.length col.dict then col.dict
+    else Array.sub d.ddata 0 d.dlen
   in
   let sr = t.seg_rows in
   let total = t0 + k in
   let extra = total / sr in
-  if extra = 0 then
-    { col with tail = codes; dict; nulls = !nulls; vrange = None }
+  let col =
+    if extra = 0 then { col with tail = codes; dict; nulls = !nulls; vrange = None }
+    else begin
+      let fresh = Array.init extra (fun s -> seal_segment ~seg_rows:sr codes (s * sr)) in
+      {
+        col with
+        segs = Array.append col.segs fresh;
+        tail = Array.sub codes (extra * sr) (total - (extra * sr));
+        dict;
+        nulls = !nulls;
+        (* tail deletes reclaim as they go, so the tail is in
+           first-occurrence order: codes at or below a freshly sealed
+           maximum all occur in the sealed region — the invariant
+           sealed_dict certifies *)
+        sealed_dict = max_sealed_code fresh col.sealed_dict;
+        vrange = None;
+      }
+    end
+  in
+  (col, Array.sub codes t0 k)
+
+(* Drop the dictionary codes a tail delete left dead: codes >=
+   sealed_dict (which occur only in the tail) are renumbered by first
+   occurrence over the surviving tail and the rest dropped — exactly
+   the dictionary a fresh encode of the surviving rows would build.
+   Sealed segments are untouched: their codes are all below
+   [sealed_dict] and provably live. *)
+let reclaim_tail (col : column) =
+  let sd = col.sealed_dict in
+  let dlen = Array.length col.dict in
+  let remap = Array.make (max 0 (dlen - sd)) (-1) in
+  let next = ref sd in
+  Array.iter
+    (fun c ->
+      if c >= sd && remap.(c - sd) < 0 then begin
+        remap.(c - sd) <- !next;
+        incr next
+      end)
+    col.tail;
+  let identity = ref (!next = dlen) in
+  Array.iteri (fun j c -> if c <> sd + j then identity := false) remap;
+  if !identity then col
   else begin
-    let fresh = Array.init extra (fun s -> seal_segment ~seg_rows:sr codes (s * sr)) in
-    {
-      segs = Array.append col.segs fresh;
-      tail = Array.sub codes (extra * sr) (total - (extra * sr));
-      dict;
-      nulls = !nulls;
-      (* the reclaim above restored first-occurrence order over the
-         tail, so codes at or below a freshly sealed maximum all occur
-         in the sealed region — the invariant sealed_dict certifies *)
-      sealed_dict = max_sealed_code fresh col.sealed_dict;
-      tail_exact = true;
-      vrange = None;
-    }
+    let dict = Array.make !next Value.Null in
+    Array.blit col.dict 0 dict 0 sd;
+    Array.iteri (fun j c -> if c >= 0 then dict.(c) <- col.dict.(sd + j)) remap;
+    let tail = Array.map (fun c -> if c >= sd then remap.(c - sd) else c) col.tail in
+    { col with tail; dict; vrange = None; interner = None }
   end
 
 (* Drop deleted row positions. Tail-only deletes (the common delta
-   shape) just compact the tail and clear [tail_exact] — the next
-   append or distinct read reclaims or scans the tail alone. Deletes
+   shape) compact the tail and reclaim its dead codes. Deletes
    reaching sealed rows stream-recompact the whole column: codes are
    remapped by first occurrence over the surviving rows and dead
-   dictionary entries are dropped, reproducing a fresh encode
-   exactly. *)
-let compact_column t pos (col : column) idxs =
+   dictionary entries are dropped. Either way the column is exactly a
+   fresh encode of the surviving rows. *)
+let compact_column t (col : column) idxs =
   let sr = t.seg_rows in
   let ns = Array.length col.segs * sr in
   let k = Array.length idxs in
@@ -1373,7 +1158,7 @@ let compact_column t pos (col : column) idxs =
         incr j
       end
     done;
-    { col with tail; nulls = !nulls; tail_exact = false; vrange = None }
+    reclaim_tail { col with tail; nulls = !nulls; vrange = None }
   end
   else begin
     let dlen = Array.length col.dict in
@@ -1431,12 +1216,11 @@ let compact_column t pos (col : column) idxs =
         dict = Array.of_list (Value.Null :: List.rev !rev_dict);
         nulls = !nulls;
         sealed_dict = max_sealed_code segs 1;
-        tail_exact = true;
         vrange = None;
+        interner = None;
       }
     in
     release_column col;
-    t.interns.(pos) <- None;
     col'
   end
 
@@ -1450,105 +1234,54 @@ let project_opt (poss : int array) tup =
   in
   go (Array.length poss - 1) []
 
-let repr_ensure r n =
-  let len = Array.length !r in
-  if n > len then begin
-    let a = Array.make (max n (max 16 (2 * len))) Value.Null in
-    Array.blit !r 0 a 0 len;
-    r := a
+(* Run appended rows' codes ([fresh.(pos)] per encoded column, as
+   [extend_column] just interned them) through a retained sweep: the
+   same kernel, continuing from the state the full pass left. *)
+let sweep_delta t st (fresh : int array array) n =
+  if st.sw_n_live > 0 && n > 0 then begin
+    if Array.length st.sw_lhs = 1 then
+      (match t.columns.(st.sw_lhs.(0)) with
+      | Some c -> gid_grow st (Array.length c.dict)
+      | None -> assert false);
+    sweep_block st
+      (Array.map (fun p -> fresh.(p)) st.sw_lhs)
+      (Array.map (fun p -> fresh.(p)) st.sw_rhs)
+      n
   end
-
-(* Advance one retained sweep state over appended rows: each row joins
-   its LHS group (founding and seeding a fresh one on a new key) and is
-   compared against every tracked attribute's representative; the
-   returned table names the attributes that saw a disagreement. Key
-   routing mirrors the fused sweep exactly (NULL-LHS rows exempt, one
-   group per distinct LHS value, ids in first-occurrence order), so the
-   advanced state is indistinguishable from a fresh full sweep over the
-   extended extension. *)
-let advance_sweep_state t st tups =
-  let flipped : (string, unit) Hashtbl.t = Hashtbl.create 4 in
-  let attrs =
-    Hashtbl.fold (fun a r acc -> (a, pos_of t a, r) :: acc) st.sw_reprs []
-  in
-  let existing tup g =
-    List.iter
-      (fun (a, pos, r) ->
-        let v = tup.(pos) in
-        let rv = (!r).(g) in
-        if not (rv == v || Value.equal rv v) then Hashtbl.replace flipped a ())
-      attrs
-  in
-  let fresh tup g =
-    List.iter
-      (fun (_, pos, r) ->
-        repr_ensure r (g + 1);
-        (!r).(g) <- tup.(pos))
-      attrs
-  in
-  let next () =
-    let g = st.sw_groups in
-    st.sw_groups <- g + 1;
-    g
-  in
-  Array.iter
-    (fun tup ->
-      match st.sw_keys with
-      | Scalar_keys (int_ids, ids) -> (
-          match tup.(st.sw_lhs_pos.(0)) with
-          | Value.Int x -> (
-              match Hashtbl.find_opt int_ids x with
-              | Some g -> existing tup g
-              | None ->
-                  let g = next () in
-                  Hashtbl.add int_ids x g;
-                  fresh tup g)
-          | v ->
-              if not (Value.is_null v) then (
-                match Hashtbl.find_opt ids v with
-                | Some g -> existing tup g
-                | None ->
-                    let g = next () in
-                    Hashtbl.add ids v g;
-                    fresh tup g))
-      | Tuple_keys ids -> (
-          match project_opt st.sw_lhs_pos tup with
-          | None -> ()
-          | Some key -> (
-              match Hashtbl.find_opt ids key with
-              | Some g -> existing tup g
-              | None ->
-                  let g = next () in
-                  Hashtbl.add ids key g;
-                  fresh tup g)))
-    tups;
-  flipped
 
 (* The verdict short-circuits of the delta pass:
    - a FALSE verdict survives any append (extra rows cannot repair a
      violated FD); it is re-checked in O(delta) only if TRUE;
    - a TRUE verdict survives any delete (an FD holding on a superset
      holds on the subset); FALSE verdicts are dropped on delete.
-   TRUE verdicts under appends are re-checked against the retained
-   sweep state; those without one (the state was replaced by a later
-   sweep over the same LHS) are dropped and recomputed on demand. *)
-let recheck_fd_verdicts t tups =
-  let flips : (string list, (string, unit) Hashtbl.t) Hashtbl.t =
-    Hashtbl.create 8
+   TRUE verdicts under appends are re-checked by their retained sweep;
+   those without one (the sweep was dropped by a delete or replaced
+   by a later sweep over the same LHS) are dropped and recomputed on
+   demand. Sweeps left with no holding candidate are dropped. *)
+let recheck_fd_verdicts t fresh n =
+  Hashtbl.iter (fun _ st -> sweep_delta t st fresh n) t.fd_sweeps;
+  let holds lhs a =
+    match Hashtbl.find_opt t.fd_sweeps lhs with
+    | None -> None
+    | Some st ->
+        let r = ref None in
+        Array.iteri
+          (fun k b -> if String.equal a b then r := Some st.sw_holds.(k))
+          st.sw_names;
+        !r
   in
-  Hashtbl.iter
-    (fun lhs st -> Hashtbl.replace flips lhs (advance_sweep_state t st tups))
-    t.fd_sweeps;
   let entries = Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.fd_verdicts [] in
   List.iter
     (fun (((lhs, a) as key), v) ->
       if v then
-        match Hashtbl.find_opt t.fd_sweeps lhs with
-        | Some st when Hashtbl.mem st.sw_reprs a ->
-            if Hashtbl.mem (Hashtbl.find flips lhs) a then
-              Hashtbl.replace t.fd_verdicts key false
-        | _ -> Hashtbl.remove t.fd_verdicts key)
-    entries
+        match holds lhs a with
+        | Some true -> ()
+        | Some false -> Hashtbl.replace t.fd_verdicts key false
+        | None -> Hashtbl.remove t.fd_verdicts key)
+    entries;
+  Hashtbl.filter_map_inplace
+    (fun _ st -> if st.sw_n_live > 0 then Some st else None)
+    t.fd_sweeps
 
 (* patch every memoized distinct set and witness count with the
    appended rows; per attribute list, the newly-added keys feed the
@@ -1582,15 +1315,18 @@ let patch_distinct_append t tups =
 let apply_delta t ~summary delta =
   match delta with
   | Table.Rows_appended tups ->
+      let fresh = Array.make (Array.length t.columns) [||] in
       Array.iteri
         (fun pos c ->
           match c with
           | Some col ->
-              t.columns.(pos) <- Some (extend_column t pos col tups)
+              let col, codes = extend_column t pos col tups in
+              t.columns.(pos) <- Some col;
+              fresh.(pos) <- codes
           | None -> ())
         t.columns;
       let added = patch_distinct_append t tups in
-      recheck_fd_verdicts t tups;
+      recheck_fd_verdicts t fresh (Array.length tups);
       t.n_rows <- t.n_rows + Array.length tups;
       (match !summary with
       | `Appended acc -> summary := `Appended (added :: acc)
@@ -1599,7 +1335,7 @@ let apply_delta t ~summary delta =
       Array.iteri
         (fun pos c ->
           match c with
-          | Some col -> t.columns.(pos) <- Some (compact_column t pos col idxs)
+          | Some col -> t.columns.(pos) <- Some (compact_column t col idxs)
           | None -> ())
         t.columns;
       (* value-derived memos are dropped wholesale; only verdicts a
@@ -1631,7 +1367,6 @@ let rebuild_in_place t table =
   t.built_version <- Table.version table;
   t.n_rows <- Table.cardinality table;
   Array.fill t.columns 0 (Array.length t.columns) None;
-  Array.fill t.interns 0 (Array.length t.interns) None;
   Hashtbl.reset t.distinct_sets;
   Hashtbl.reset t.witnesses;
   Hashtbl.reset t.fd_verdicts;
@@ -1706,15 +1441,9 @@ let of_table ?delta_fraction table =
       else s.table <- table;
       s
   | _ ->
-      let s = make_store ~memoized:true table in
+      let s = make_store table in
       Table.set_ext_cache table (Store s);
       s
-
-let refresh ?delta_fraction table =
-  match Table.ext_cache table with
-  | Some (Store s) ->
-      Some (fst (refresh_in_place ?delta_fraction ~coordinated:false s table))
-  | _ -> None
 
 let refresh_all ?delta_fraction tables =
   (* pass 1: refresh every stashed store, remembering its old uid *)
@@ -1941,8 +1670,8 @@ module Builder = struct
             dict = Array.sub b.b_dict.(p).ddata 0 b.b_dict.(p).dlen;
             nulls = b.b_nulls.(p);
             sealed_dict = max_sealed_code segs 1;
-            tail_exact = true;
             vrange = None;
+            interner = None;
           })
     in
     let n = b.b_rows in
@@ -1954,7 +1683,7 @@ module Builder = struct
           Array.mapi (fun p (c : column) -> c.dict.(mats.(p).(i))) cols)
     in
     let table = Table.create_deferred b.b_rel ~size:n produce in
-    let store = make_store ~seg_rows:b.b_seg_rows ~memoized:true table in
+    let store = make_store ~seg_rows:b.b_seg_rows table in
     Array.iteri (fun p c -> store.columns.(p) <- Some c) cols;
     Table.set_ext_cache table (Store store);
     table

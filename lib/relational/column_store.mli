@@ -17,14 +17,9 @@
     sealed, immutable, fixed-row-count segments (default
     {!Ooc.default_segment_rows} rows; [Engine.make ?segment_rows]
     overrides) followed by an open mutable tail. Sealed segments are
-    bit-packed to the dictionary width (1/2/4/8/16/32 bits per code)
-    and carry a zone map — min/max code, NULL count, exact distinct
-    count — consulted by the verification sweeps: an FD sweep skips a
-    segment whose zone map proves it cannot flip any verdict, and an
-    IND probe over all-integer dictionaries with disjoint value ranges
-    short-circuits to zero without touching a distinct set. Under a
-    configured residency budget ({!Ooc.configure}, or
-    [Engine.make ?spill_dir ?resident_budget_words]) cold segments
+    bit-packed to the width of their largest code (1/2/4/8/16/32 bits
+    per code). Under a configured residency budget ({!Ooc.configure},
+    or [Engine.make ?spill_dir ?resident_budget_words]) cold segments
     spill their packed image to disk and are mapped back on demand
     ([Unix.map_file]); the packed byte image {e is} the spill file, so
     the spill round-trip cannot alter a code.
@@ -38,8 +33,8 @@
     counts, re-checking retained FD sweep states in O(delta) — with a
     fallback to full rebuild when the delta exceeds a configurable
     fraction of the extension. Either way a store handed out by
-    {!of_table} is never stale. A fresh throwaway store (cold cache)
-    can be built with {!build}.
+    {!of_table} is never stale. A store is only ever reached through
+    its table: a cold store is the [of_table] of a fresh table.
 
     Equality semantics are those of the row-based definitions
     (structural equality on [Value.t], NULL skipped by distinct
@@ -77,31 +72,23 @@ val of_table : ?delta_fraction:float -> Table.t -> t
     when the delta is within [delta_fraction] of the extension, by full
     rebuild otherwise) — the returned store is never stale. *)
 
-val build : Table.t -> t
-(** A fresh private store ignoring (and not touching) the memo slot —
-    cold-cache measurements and short-lived tables. Not
-    delta-maintained (it is rebuilt every call anyway). Segment size
-    comes from the current {!Ooc.config}. *)
-
 type refresh_outcome =
   | Store_fresh  (** store already matched the table version *)
   | Store_absorbed of int  (** delta of this many rows applied in place *)
   | Store_rebuilt  (** delta too large or log trimmed: full rebuild *)
 
-val refresh : ?delta_fraction:float -> Table.t -> refresh_outcome option
-(** Bring the table's stashed store (if any) up to date now, reporting
-    what that took. [None] when no store is stashed. Equivalent to the
-    implicit refresh {!of_table} performs, as an explicit entry point. *)
-
 val refresh_all :
   ?delta_fraction:float -> Table.t list -> refresh_outcome option list
-(** Coordinated refresh across a set of tables (a database): every
-    stashed store is refreshed, then cross-store equi-join memos are
-    patched {e exactly} from the refreshed stores' added-key summaries
-    instead of being dropped — the coordination single-store refresh
-    cannot do (it only knows the peer's uid, not the peer). Join memos
-    whose peer is outside the set, or either of whose sides saw a
-    deletion or rebuild, are dropped and recomputed on demand. *)
+(** Bring the stashed stores of a set of tables (a database) up to
+    date now, reporting per table what that took ([None] when no store
+    is stashed). This is the refresh {!of_table} performs implicitly,
+    made explicit and coordinated: every stashed store is refreshed,
+    then cross-store equi-join memos are patched {e exactly} from the
+    refreshed stores' added-key summaries instead of being dropped —
+    which the implicit single-store refresh cannot do (it only knows
+    the peer's uid, not the peer). Join memos whose peer is outside
+    the set, or either of whose sides saw a deletion or rebuild, are
+    dropped and recomputed on demand. *)
 
 type delta_stats = {
   rows_absorbed : int;  (** total delta rows applied in place *)
@@ -141,9 +128,8 @@ val distinct_set : t -> string list -> (Value.t list, unit) Hashtbl.t
 
 val count_distinct : t -> string list -> int
 (** [||r[X]||]. Single-attribute counts are read off the dictionary
-    with no row pass (after deletes have been compacted away, the
-    dictionary holds only live codes; a tail-only liveness pass covers
-    the window between a tail delete and the next reclaim). *)
+    with no row pass: deletes drop dead codes as they compact, so the
+    dictionary holds exactly the live values. *)
 
 val witness_count : t -> string list -> int
 (** Number of rows NULL-free on the given attributes. *)
@@ -157,8 +143,8 @@ val equijoin_distinct_count : t -> string list -> t -> string list -> int
     sets (iterating the smaller). When both sides are single integer
     attributes with disjoint dictionary value ranges, the count
     short-circuits to 0 without materializing either distinct set (the
-    dictionary range is a superset of the live values, so disjointness
-    is a proof). The count itself is memoized in the left store, keyed
+    dictionary holds exactly the live values, so disjointness is a
+    proof). The count itself is memoized in the left store, keyed
     by [(x1, uid r2, x2)] — a store refreshed or rebuilt after a
     mutation renews its uid, so entries can never be served stale;
     {!refresh_all} patches and rekeys them exactly. *)
@@ -171,14 +157,13 @@ val fd_batch :
     yet encoded are encoded first ({!ensure_columns}, fanned over
     [pool] when one is given); then one fused sweep groups on the LHS
     codes and answers every candidate, segment-by-segment over the
-    packed codes — never materializing the row array. A cold
-    ({!build}) store skips segments whose zone maps prove they cannot
-    flip any verdict (a segment all of whose LHS codes are distinct
-    within the segment and disjoint from every other segment's range
-    holds only singleton groups); a memoized store instead retains the
-    sweep state so appends re-check verdicts in O(delta).
-    Already-memoized verdicts are reused; fresh ones are memoized. Call
-    only from the domain that owns the store. *)
+    packed codes — never materializing the row array. A sweep that
+    ends with a holding candidate keeps its code-level state (LHS
+    group table, per-candidate representative codes), and appended
+    rows' codes run through the same kernel, so appends re-check true
+    verdicts in O(delta). Already-memoized verdicts are reused; fresh
+    ones are memoized. Call only from the domain that owns the
+    store. *)
 
 type residency = {
   sealed_segments : int;
@@ -202,10 +187,10 @@ val residency : t -> residency
     finishes: no second encode pass, and no eager tuple array (see
     {!Table.create_deferred}).
 
-    Interning is the same polymorphic-hashtable structural equality as
-    the post-hoc encoder, and codes are assigned in row order, so a
-    finished builder is indistinguishable from [of_table] + encode over
-    the same rows. *)
+    Interning shares the post-hoc encoder's flat intern table
+    (structural equality on [Value.t]), and codes are assigned in row
+    order, so a finished builder is indistinguishable from [of_table]
+    + encode over the same rows. *)
 module Builder : sig
   type b
   type t = b

@@ -17,14 +17,12 @@ let no_budget = { deadline_s = None; max_heap_words = None; on_exhausted = `Part
 let make ?(parallelism = Sequential) ?deadline_s ?max_heap_words
     ?(on_exhausted = `Partial)
     ?(delta_fraction = Column_store.default_delta_fraction) ?spill_dir
-    ?resident_budget_words ?segment_rows ?zone_pruning () =
+    ?resident_budget_words ?segment_rows () =
   (* out-of-core parameters configure the process-wide Ooc policy (the
      thing being budgeted — the heap — is process-wide); the engine
      record itself stays pure data so job specs round-trip unchanged *)
-  if
-    spill_dir <> None || resident_budget_words <> None || segment_rows <> None
-    || zone_pruning <> None
-  then Ooc.configure ?spill_dir ?resident_budget_words ?segment_rows ?zone_pruning ();
+  if spill_dir <> None || resident_budget_words <> None || segment_rows <> None
+  then Ooc.configure ?spill_dir ?resident_budget_words ?segment_rows ();
   { parallelism;
     budget = { deadline_s; max_heap_words; on_exhausted };
     delta_fraction }
@@ -100,12 +98,11 @@ let describe t =
   let d = Column_store.delta_stats () in
   let c = Ooc.config () in
   let o = Ooc.stats () in
-  let swept = o.Ooc.zone_segments_skipped + o.Ooc.zone_segments_swept in
   Printf.sprintf
     "%s [%d domain%s resolved; host recommends %d, cap %d] [delta: %g \
      fallback, %d rows absorbed, %d incremental / %d full refreshes] [ooc: \
      %d-row segments, spill %s, budget %s, %d resident segs (%d words), %d \
-     spills / %d maps / %d evictions, zone skip %d/%d%s, %d IND \
+     spills / %d maps / %d evictions, %d segments swept, %d IND \
      short-circuits]"
     (to_string t) (domain_count t)
     (if domain_count t = 1 then "" else "s")
@@ -118,11 +115,7 @@ let describe t =
     | Some w -> Printf.sprintf "%dw" w
     | None -> "off")
     o.Ooc.resident_segments o.Ooc.resident_words o.Ooc.spill_writes
-    o.Ooc.map_loads o.Ooc.evictions o.Ooc.zone_segments_skipped swept
-    (if swept = 0 then ""
-     else
-       Printf.sprintf " (%.0f%%)"
-         (100. *. float_of_int o.Ooc.zone_segments_skipped /. float_of_int swept))
+    o.Ooc.map_loads o.Ooc.evictions o.Ooc.zone_segments_swept
     o.Ooc.ind_zone_short_circuits
 
 let pool t =

@@ -46,14 +46,13 @@ val make :
   ?spill_dir:string ->
   ?resident_budget_words:int ->
   ?segment_rows:int ->
-  ?zone_pruning:bool ->
   unit ->
   t
 (** Defaults: [Sequential], {!no_budget},
     [Column_store.default_delta_fraction] — i.e. {!default}.
 
     The out-of-core parameters ([spill_dir], [resident_budget_words],
-    [segment_rows], [zone_pruning]) are the front door to
+    [segment_rows]) are the front door to
     {!Ooc.configure}: they adjust the {e process-wide} segment policy
     (the budgeted resource — the heap — is process-wide, and segments
     from every store compete for it) rather than a field of the
@@ -115,6 +114,6 @@ val describe : t -> string
     statistics (fallback fraction in effect, rows absorbed, incremental
     vs full refreshes — {!Column_store.delta_stats}), and the
     out-of-core state ({!Ooc.config} and {!Ooc.stats}: segment size,
-    spill dir, budget, residency, spill/map/eviction counts, zone-map
-    skip rate, IND short-circuits) — for bench logs and serve job
+    spill dir, budget, residency, spill/map/eviction counts, segments
+    swept, IND short-circuits) — for bench logs and serve job
     status. *)

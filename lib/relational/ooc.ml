@@ -21,7 +21,6 @@ type config = {
   spill_dir : string option;
   resident_budget_words : int option;
   segment_rows : int;
-  zone_pruning : bool;
 }
 
 let default_segment_rows = 65536
@@ -31,7 +30,6 @@ let default_config =
     spill_dir = None;
     resident_budget_words = None;
     segment_rows = default_segment_rows;
-    zone_pruning = true;
   }
 
 let current = ref default_config
@@ -46,8 +44,7 @@ let rec mkdir_p dir =
     (try Unix.mkdir dir 0o700 with Unix.Unix_error (Unix.EEXIST, _, _) -> ())
   end
 
-let configure ?spill_dir ?resident_budget_words ?segment_rows ?zone_pruning ()
-    =
+let configure ?spill_dir ?resident_budget_words ?segment_rows () =
   (* validate (and perform the one effect that can raise) before taking
      the lock: a raise below would leak it *)
   (match segment_rows with
@@ -66,9 +63,6 @@ let configure ?spill_dir ?resident_budget_words ?segment_rows ?zone_pruning ()
   in
   let c =
     match segment_rows with None -> c | Some r -> { c with segment_rows = r }
-  in
-  let c =
-    match zone_pruning with None -> c | Some z -> { c with zone_pruning = z }
   in
   current := c;
   Mutex.unlock config_lock
@@ -95,13 +89,11 @@ let spill_target ~id =
 let spill_writes = Atomic.make 0
 let map_loads = Atomic.make 0
 let evictions = Atomic.make 0
-let zone_segments_skipped = Atomic.make 0
 let zone_segments_swept = Atomic.make 0
 let ind_zone_short_circuits = Atomic.make 0
 
 let note_spill () = Atomic.incr spill_writes
 let note_map () = Atomic.incr map_loads
-let note_zone_skip () = Atomic.incr zone_segments_skipped
 let note_zone_sweep () = Atomic.incr zone_segments_swept
 let note_ind_short_circuit () = Atomic.incr ind_zone_short_circuits
 
@@ -244,7 +236,7 @@ let stats () =
     spill_writes = Atomic.get spill_writes;
     map_loads = Atomic.get map_loads;
     evictions = Atomic.get evictions;
-    zone_segments_skipped = Atomic.get zone_segments_skipped;
+    zone_segments_skipped = 0;
     zone_segments_swept = Atomic.get zone_segments_swept;
     ind_zone_short_circuits = Atomic.get ind_zone_short_circuits;
   }
@@ -253,16 +245,14 @@ let reset_stats () =
   Atomic.set spill_writes 0;
   Atomic.set map_loads 0;
   Atomic.set evictions 0;
-  Atomic.set zone_segments_skipped 0;
   Atomic.set zone_segments_swept 0;
   Atomic.set ind_zone_short_circuits 0
 
 (* run [f] under a temporary configuration, restoring the previous one
    afterwards; test/bench helper *)
-let with_config ?spill_dir ?resident_budget_words ?segment_rows ?zone_pruning
-    f =
+let with_config ?spill_dir ?resident_budget_words ?segment_rows f =
   let saved = config () in
-  configure ?spill_dir ?resident_budget_words ?segment_rows ?zone_pruning ();
+  configure ?spill_dir ?resident_budget_words ?segment_rows ();
   Fun.protect
     ~finally:(fun () ->
       Mutex.lock config_lock;

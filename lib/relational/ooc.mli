@@ -13,9 +13,6 @@ type config = {
   resident_budget_words : int option;
       (** soft cap on summed resident segment payload words *)
   segment_rows : int;  (** rows per sealed segment (default 65536) *)
-  zone_pruning : bool;
-      (** allow zone-map segment skipping and IND range short-circuits
-          (default true) *)
 }
 
 val default_segment_rows : int
@@ -25,7 +22,6 @@ val configure :
   ?spill_dir:string ->
   ?resident_budget_words:int ->
   ?segment_rows:int ->
-  ?zone_pruning:bool ->
   unit ->
   unit
 (** Merge the given fields into the current configuration. Creates the
@@ -39,7 +35,6 @@ val with_config :
   ?spill_dir:string ->
   ?resident_budget_words:int ->
   ?segment_rows:int ->
-  ?zone_pruning:bool ->
   (unit -> 'a) ->
   'a
 (** Run under a temporary configuration, restoring the previous one
@@ -74,7 +69,6 @@ val bury : int list -> unit
 
 val note_spill : unit -> unit
 val note_map : unit -> unit
-val note_zone_skip : unit -> unit
 val note_zone_sweep : unit -> unit
 val note_ind_short_circuit : unit -> unit
 
@@ -85,8 +79,11 @@ type stats = {
   map_loads : int;
   evictions : int;
   zone_segments_skipped : int;
-  zone_segments_swept : int;
+      (** always 0: no sweep skips segments; kept so the record's
+          readers keep their shape *)
+  zone_segments_swept : int;  (** sealed segments decoded by FD sweeps *)
   ind_zone_short_circuits : int;
+      (** IND probes answered 0 from disjoint dictionary value ranges *)
 }
 
 val stats : unit -> stats

@@ -422,13 +422,11 @@ let status_fields entry =
             match oc.Ooc.resident_budget_words with
             | Some w -> Json.Int w
             | None -> Json.Null );
-          ("zone_pruning", Json.Bool oc.Ooc.zone_pruning);
           ("resident_segments", Json.Int os.Ooc.resident_segments);
           ("resident_words", Json.Int os.Ooc.resident_words);
           ("spill_writes", Json.Int os.Ooc.spill_writes);
           ("map_loads", Json.Int os.Ooc.map_loads);
           ("evictions", Json.Int os.Ooc.evictions);
-          ("zone_segments_skipped", Json.Int os.Ooc.zone_segments_skipped);
           ("zone_segments_swept", Json.Int os.Ooc.zone_segments_swept);
           ( "ind_zone_short_circuits",
             Json.Int os.Ooc.ind_zone_short_circuits );

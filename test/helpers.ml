@@ -13,6 +13,12 @@ let table ?uniques ?not_nulls name attrs rows =
   List.iter (Table.insert t) rows;
   t
 
+(* a cold column store over [t]'s rows: the memoized store of a copy *)
+let cold_store t =
+  let copy = Table.create (Table.schema t) in
+  Table.insert_many copy (Table.to_lists t);
+  Column_store.of_table copy
+
 (* build a database from (relation, rows) pairs *)
 let database rels_rows =
   let schema = Schema.of_relations (List.map fst rels_rows) in

@@ -176,8 +176,8 @@ let test_fd_broken_by_insert () =
   Table.insert t [ vi 1; vs "x"; vi 60 ];
   (* 2 delta rows on a 4-row table exceeds the default fraction, so
      widen the budget to pin the absorb path *)
-  (match Column_store.refresh ~delta_fraction:1.0 t with
-  | Some (Column_store.Store_absorbed n) ->
+  (match Column_store.refresh_all ~delta_fraction:1.0 [ t ] with
+  | [ Some (Column_store.Store_absorbed n) ] ->
       Alcotest.(check int) "two appended rows absorbed" 2 n
   | _ -> Alcotest.fail "expected an incremental absorb");
   Alcotest.(check bool) "still holds after harmless appends" true
@@ -188,6 +188,171 @@ let test_fd_broken_by_insert () =
     (Fd_infer.holds ~engine t f);
   Alcotest.(check bool) "reference agrees" false
     (Reference.Fd_infer.holds_naive t f)
+
+(* RHS equality is code equality, on the full sweep and on the delta
+   re-check alike: [Int 1] and [Float 1.0] intern to different codes
+   (as they key differently in the reference's hashtable), so an
+   appended [(1, Float 1.0)] breaks [a -> b] even though
+   [Value.equal] calls the two values equal *)
+let test_fd_int_float_rhs () =
+  let rows = [ vi 1; vi 1 ] :: List.init 39 (fun i -> [ vi (i + 2); vi 5 ]) in
+  let t = table "r" [ "a"; "b" ] rows in
+  let check_fd msg expected =
+    Alcotest.(check (list (pair string bool)))
+      msg
+      [ ("b", expected) ]
+      (Column_store.fd_batch (Column_store.of_table t) ~lhs:[ "a" ]
+         ~rhs:[ "b" ])
+  in
+  check_fd "a -> b holds before" true;
+  Table.insert t [ vi 1; Value.Float 1.0 ];
+  (match Column_store.refresh_all [ t ] with
+  | [ Some (Column_store.Store_absorbed 1) ] -> ()
+  | _ -> Alcotest.fail "expected the one-row append to be absorbed");
+  check_fd "delta re-check refutes a -> b" false;
+  Alcotest.(check (list (pair string bool)))
+    "a cold store agrees"
+    [ ("b", false) ]
+    (Column_store.fd_batch (cold_store t) ~lhs:[ "a" ] ~rhs:[ "b" ]);
+  Alcotest.(check bool) "the reference agrees" false
+    (Reference.Fd_infer.holds_naive t (fd "r" [ "a" ] [ "b" ]))
+
+(* ---------- operation sequences against the reference ---------- *)
+
+(* Seeded random sequences of appends, tail deletes, sealed deletes and
+   FD batches on one delta-maintained store with 16-row segments. Every
+   batch verdict is checked against the reference, and after every
+   step the store's columns must equal a fresh encode of the current
+   rows. Each round opens with the order a retained sweep must
+   survive: values first seen in the tail are appended, one of them is
+   deleted, a sweep runs, and an append brings the others back. *)
+let seq_attrs = [ "a"; "b"; "c"; "d" ]
+let seq_lhss = [ [ "a" ]; [ "b" ]; [ "c" ]; [ "a"; "b" ]; [ "b"; "d" ] ]
+
+(* One row of S(a, b, c, d): c = 10 (a mod 7) and d = b, so a -> c,
+   b -> d and ab -> c hold on the initial rows. Appended rows may break
+   them: c by noise, d by a Float spelling of the same number (a
+   different value). Appended a-values are often brand-new to the round
+   ([fresh] counts them) or one of the three newest, so values first
+   seen in the tail recur, while their c-values are old ones: a delete
+   renumbers the tail's a-codes but not its c-codes. *)
+let seq_row rng ~appended fresh =
+  let a =
+    match Rng.int rng 5 with
+    | (0 | 1) when appended ->
+        incr fresh;
+        100 + !fresh
+    | 2 when appended && !fresh > 0 ->
+        100 + !fresh - Rng.int rng (min 3 !fresh)
+    | _ -> Rng.int rng 7
+  in
+  let b = Rng.int rng 4 in
+  [
+    (if Rng.chance rng 0.1 then vnull else vi a);
+    (if Rng.chance rng 0.1 then vnull else vs (Printf.sprintf "s%d" b));
+    vi (if appended && Rng.chance rng 0.2 then Rng.int rng 1000 else a mod 7 * 10);
+    (if Rng.chance rng 0.08 then vnull
+     else if appended && Rng.chance rng 0.05 then Value.Float (float_of_int b)
+     else vi b);
+  ]
+
+let seq_fuzz_domains domains =
+  let pool = if domains = 1 then None else Some (Domain_pool.get domains) in
+  let rng = Rng.create (Int64.of_int (4242 + domains)) in
+  let seg = 16 in
+  Ooc.with_config ~segment_rows:seg (fun () ->
+      for round = 1 to 12 do
+        let fresh = ref 0 in
+        let t =
+          table "S" seq_attrs
+            (List.init (seg + Rng.int rng 40) (fun _ ->
+                 seq_row rng ~appended:false fresh))
+        in
+        let store () = Column_store.of_table ~delta_fraction:1.0 t in
+        let step = ref 0 in
+        let ctx () =
+          Printf.sprintf "%d domains, round %d, step %d" domains round !step
+        in
+        let batch lhs =
+          let others = List.filter (fun a -> not (List.mem a lhs)) seq_attrs in
+          let rhs =
+            Rng.sample rng (Rng.int_in rng 1 (List.length others)) others
+          in
+          List.iter
+            (fun (a, v) ->
+              Alcotest.(check bool)
+                (Printf.sprintf "%s: %s -> %s" (ctx ())
+                   (String.concat "," lhs) a)
+                (Reference.Fd_infer.holds_naive t (fd "S" lhs [ a ]))
+                v)
+            (Column_store.fd_batch ?pool (store ()) ~lhs ~rhs)
+        in
+        let append () =
+          Table.insert_many t
+            (List.init (Rng.int_in rng 1 5) (fun _ ->
+                 seq_row rng ~appended:true fresh))
+        in
+        let n_sealed () = Table.cardinality t / seg * seg in
+        let tail_delete () =
+          let n = Table.cardinality t and ns = n_sealed () in
+          if n > ns then
+            Table.delete_rows t
+              (List.sort_uniq compare
+                 (List.init (Rng.int_in rng 1 2) (fun _ ->
+                      Rng.int_in rng ns (n - 1))))
+        in
+        let sealed_delete () =
+          if n_sealed () > 0 then
+            Table.delete_rows t [ Rng.int rng (n_sealed ()) ]
+        in
+        let check_encoding () =
+          let cold = cold_store t and s = store () in
+          List.iter
+            (fun a ->
+              let cm = Column_store.column s a
+              and cf = Column_store.column cold a in
+              Alcotest.(check bool)
+                (Printf.sprintf "%s: %s = fresh encode" (ctx ()) a)
+                true
+                (Column_store.column_dict cm = Column_store.column_dict cf
+                && Column_store.column_codes cm = Column_store.column_codes cf))
+            seq_attrs
+        in
+        (* four brand-new a-values, then the oldest of them deleted *)
+        let new_values () =
+          Table.insert_many t
+            (List.init 4 (fun _ ->
+                 incr fresh;
+                 let a = 100 + !fresh in
+                 [ vi a; vs "s0"; vi (a mod 7 * 10); vi 0 ]))
+        in
+        let delete_oldest_new () =
+          Table.delete_rows t [ Table.cardinality t - 4 ]
+        in
+        let ops =
+          [
+            new_values;
+            delete_oldest_new;
+            (fun () -> List.iter batch seq_lhss);
+            append;
+          ]
+          @ List.init 25 (fun _ ->
+                match Rng.int rng 6 with
+                | 0 | 1 -> append
+                | 2 -> tail_delete
+                | 3 -> sealed_delete
+                | _ -> fun () -> batch (Rng.pick rng seq_lhss))
+        in
+        List.iter
+          (fun op ->
+            incr step;
+            op ();
+            check_encoding ())
+          ops;
+        List.iter batch seq_lhss
+      done)
+
+let test_sequence_fuzz () = List.iter seq_fuzz_domains [ 1; 2; 4 ]
 
 (* an IND (join count = referencing side's distinct count) must flip
    when the referenced row is deleted, through the coordinated
@@ -292,6 +457,10 @@ let suite =
       test_fallback_threshold;
     Alcotest.test_case "FD broken by insert flips incrementally" `Quick
       test_fd_broken_by_insert;
+    Alcotest.test_case "Int/Float RHS on the delta path" `Quick
+      test_fd_int_float_rhs;
+    Alcotest.test_case "operation sequences = reference (1/2/4 domains)"
+      `Quick test_sequence_fuzz;
     Alcotest.test_case "IND broken by delete flips via refresh" `Quick
       test_ind_broken_by_delete;
     Alcotest.test_case "mutation log semantics" `Quick test_mutation_log;

@@ -290,8 +290,8 @@ let test_encode_first_agree () =
     Table.insert_many t (rows (Rng.int_in rng 1 6));
     (* absorb in place, so true verdicts are re-checked against the
        retained sweep state rather than recomputed *)
-    (match Column_store.refresh ~delta_fraction:1.0 t with
-    | Some (Column_store.Store_absorbed _) -> ()
+    (match Column_store.refresh_all ~delta_fraction:1.0 [ t ] with
+    | [ Some (Column_store.Store_absorbed _) ] -> ()
     | _ -> Alcotest.failf "round %d: expected an in-place absorb" round);
     Alcotest.(check (list (pair string bool)))
       (Printf.sprintf "round %d: verdicts after append" round)

@@ -1,5 +1,5 @@
-(* Out-of-core column store: bit-packed segments, spill + mmap, and
-   zone-map pruning must be invisible to every verdict.
+(* Out-of-core column store: bit-packed segments and spill + mmap
+   must be invisible to every verdict.
 
    - fuzzed segment-boundary equivalence: the streaming builder and the
      seed reference loader produce identical codes and dictionaries for
@@ -7,9 +7,8 @@
    - spill -> mmap -> verdict round-trip: encoding under a tiny
      residency budget spills segments and maps them back, and neither
      the decoded codes nor any FD/IND verdict changes;
-   - zone-map pruning property: every segment the sweep skips is
-     verdict-irrelevant — the same batch with pruning disabled returns
-     the same verdicts (fuzzed), and isolated-key data actually skips;
+   - the IND disjoint-range short-circuit answers 0 only when the
+     dictionary value ranges really are disjoint;
    - delete compaction: tail-only deletes take the reclaim path, deep
      deletes recompact, and both end up identical to a fresh encode of
      the surviving rows;
@@ -158,7 +157,7 @@ let test_spill_roundtrip () =
     (fun () ->
       Ooc.reset_stats ();
       let t = table "R" [ "k"; "g"; "h" ] (skew_rows 200) in
-      let s = Column_store.build t in
+      let s = Column_store.of_table t in
       Column_store.ensure_columns s [ "k"; "g"; "h" ];
       (* 64 words cannot hold two 32-row segments: the encode pass
          itself must have spilled *)
@@ -174,8 +173,7 @@ let test_spill_roundtrip () =
         ((Ooc.stats ()).Ooc.map_loads > 0);
       let codes_ram =
         Ooc.with_config ~resident_budget_words:max_int (fun () ->
-            let s2 = Column_store.build t in
-            Column_store.column_codes (Column_store.column s2 "k"))
+            Column_store.column_codes (Column_store.column (cold_store t) "k"))
       in
       Alcotest.(check bool) "spilled codes = resident codes" true
         (codes_spilled = codes_ram);
@@ -188,73 +186,23 @@ let test_spill_roundtrip () =
       Alcotest.(check int) "distinct count over spilled segments" 200
         (Column_store.count_distinct s [ "k" ]))
 
-(* -- zone-map pruning -------------------------------------------------- *)
-
-(* sequential unique keys: every sealed segment's code interval is
-   isolated and all-distinct, so a non-retaining sweep skips them all *)
-let test_zone_pruning_skips () =
-  Ooc.with_config ~segment_rows:16 ~zone_pruning:true (fun () ->
-      let t = table "R" [ "k"; "g"; "h" ] (skew_rows 100) in
-      let s = Column_store.build t in
-      Column_store.ensure_columns s [ "k"; "g"; "h" ];
-      Ooc.reset_stats ();
-      let v = Column_store.fd_batch s ~lhs:[ "k" ] ~rhs:[ "g"; "h" ] in
-      Alcotest.(check (list (pair string bool)))
-        "unique lhs: all hold"
-        [ ("g", true); ("h", true) ]
-        v;
-      let st = Ooc.stats () in
-      Alcotest.(check int) "every sealed segment skipped" 6
-        st.Ooc.zone_segments_skipped;
-      Alcotest.(check int) "none swept" 0 st.Ooc.zone_segments_swept)
-
-(* fuzzed: pruning on vs off must return identical verdict batches,
-   including tables engineered to defeat the skip conditions (keys
-   duplicated across segments, NULLs, violations hiding in the tail) *)
-let test_zone_pruning_equivalence () =
-  reset_lcg ();
-  for round = 1 to 60 do
-    let n = 20 + rand 60 in
-    let kcard = 1 + rand (n + 20) in
-    let rows =
-      List.init n (fun i ->
-          [
-            (if rand 12 = 0 then vnull
-             else vi (match rand 3 with 0 -> i | _ -> rand kcard));
-            (if rand 12 = 0 then vnull else vs (Printf.sprintf "g%d" (rand 9)));
-            vi (rand 5);
-          ])
-    in
-    let run pruning =
-      Ooc.with_config ~segment_rows:16 ~zone_pruning:pruning (fun () ->
-          let t = table "R" [ "a"; "b"; "c" ] rows in
-          let s = Column_store.build t in
-          Column_store.ensure_columns s [ "a"; "b"; "c" ];
-          ( Column_store.fd_batch s ~lhs:[ "a" ] ~rhs:[ "b"; "c" ],
-            Column_store.fd_batch s ~lhs:[ "a"; "b" ] ~rhs:[ "c" ] ))
-    in
-    let on = run true and off = run false in
-    Alcotest.(check bool)
-      (Printf.sprintf "round %d: pruned verdicts = unpruned" round)
-      true (on = off)
-  done
+(* -- IND short-circuit ------------------------------------------------ *)
 
 (* the IND disjoint-range short-circuit is a proof, not a heuristic *)
 let test_ind_short_circuit () =
-  Ooc.with_config ~zone_pruning:true (fun () ->
-      let l = table "L" [ "ref" ] (List.init 50 (fun i -> [ vi (1000 + i) ])) in
-      let r = table "R" [ "id" ] (List.init 50 (fun i -> [ vi i ])) in
-      let sl = Column_store.build l and sr = Column_store.build r in
-      Ooc.reset_stats ();
-      Alcotest.(check int) "disjoint ranges join to 0" 0
-        (Column_store.equijoin_distinct_count sl [ "ref" ] sr [ "id" ]);
-      Alcotest.(check int) "short-circuit taken" 1
-        (Ooc.stats ()).Ooc.ind_zone_short_circuits;
-      (* overlapping ranges take the real intersection *)
-      let r2 = table "R2" [ "id" ] (List.init 50 (fun i -> [ vi (990 + i) ])) in
-      let sr2 = Column_store.build r2 in
-      Alcotest.(check int) "overlap counts exactly" 40
-        (Column_store.equijoin_distinct_count sl [ "ref" ] sr2 [ "id" ]))
+  let l = table "L" [ "ref" ] (List.init 50 (fun i -> [ vi (1000 + i) ])) in
+  let r = table "R" [ "id" ] (List.init 50 (fun i -> [ vi i ])) in
+  let sl = cold_store l and sr = cold_store r in
+  Ooc.reset_stats ();
+  Alcotest.(check int) "disjoint ranges join to 0" 0
+    (Column_store.equijoin_distinct_count sl [ "ref" ] sr [ "id" ]);
+  Alcotest.(check int) "short-circuit taken" 1
+    (Ooc.stats ()).Ooc.ind_zone_short_circuits;
+  (* overlapping ranges take the real intersection *)
+  let r2 = table "R2" [ "id" ] (List.init 50 (fun i -> [ vi (990 + i) ])) in
+  let sr2 = cold_store r2 in
+  Alcotest.(check int) "overlap counts exactly" 40
+    (Column_store.equijoin_distinct_count sl [ "ref" ] sr2 [ "id" ])
 
 (* -- delete compaction and code reclaim ------------------------------- *)
 
@@ -263,7 +211,7 @@ let mod_rows n =
       [ vi (i mod 13); vs (Printf.sprintf "s%d" (i mod 5)); vi i ])
 
 let check_equals_fresh_encode msg t s =
-  let fresh = Column_store.build t in
+  let fresh = cold_store t in
   List.iter
     (fun a ->
       let cm = Column_store.column s a and cf = Column_store.column fresh a in
@@ -286,8 +234,8 @@ let test_delete_compaction () =
       (* tail-only delete (rows 48,49 sit past the 6th sealed segment):
          counts stay exact through the tail liveness fallback *)
       Table.delete_rows t [ 48; 49 ];
-      (match Column_store.refresh ~delta_fraction:1.0 t with
-      | Some (Column_store.Store_absorbed 2) -> ()
+      (match Column_store.refresh_all ~delta_fraction:1.0 [ t ] with
+      | [ Some (Column_store.Store_absorbed 2) ] -> ()
       | _ -> Alcotest.fail "expected a 2-row absorb");
       Alcotest.(check int) "distinct a after tail delete" 13
         (Column_store.count_distinct s [ "a" ]);
@@ -296,15 +244,15 @@ let test_delete_compaction () =
       (* the next append reclaims dead tail codes: the store is now
          exactly a fresh encode of the surviving rows *)
       Table.insert t [ vi 99; vs "s99"; vi 999 ];
-      (match Column_store.refresh ~delta_fraction:1.0 t with
-      | Some (Column_store.Store_absorbed 1) -> ()
+      (match Column_store.refresh_all ~delta_fraction:1.0 [ t ] with
+      | [ Some (Column_store.Store_absorbed 1) ] -> ()
       | _ -> Alcotest.fail "expected a 1-row absorb");
       check_equals_fresh_encode "after tail reclaim" t s;
       (* deep delete (row 0 lives in the first sealed segment): full
          recompaction, again identical to a fresh encode *)
       Table.delete_rows t [ 0; 20; 40 ];
-      (match Column_store.refresh ~delta_fraction:1.0 t with
-      | Some (Column_store.Store_absorbed 3) -> ()
+      (match Column_store.refresh_all ~delta_fraction:1.0 [ t ] with
+      | [ Some (Column_store.Store_absorbed 3) ] -> ()
       | _ -> Alcotest.fail "expected a 3-row absorb");
       check_equals_fresh_encode "after deep compaction" t s;
       Alcotest.(check int) "distinct c after deep delete" 46
@@ -338,7 +286,7 @@ let test_fuzzed_mutations () =
                 Table.delete_rows t
                   (List.sort_uniq compare [ rand m; rand m ])
           | _ -> Table.insert t [ vi (rand 20); vs "fresh" ]);
-          ignore (Column_store.refresh ~delta_fraction:1.0 t)
+          ignore (Column_store.refresh_all ~delta_fraction:1.0 [ t ])
         done;
         check_equals_fresh_encode (Printf.sprintf "round %d" round) t s;
         (* verdicts over the mutated store match the reference *)
@@ -393,10 +341,6 @@ let suite =
       test_boundary_equivalence;
     Alcotest.test_case "16/32-bit dictionaries" `Quick test_wide_dictionaries;
     Alcotest.test_case "spill -> mmap round-trip" `Quick test_spill_roundtrip;
-    Alcotest.test_case "zone maps skip isolated-key segments" `Quick
-      test_zone_pruning_skips;
-    Alcotest.test_case "pruned verdicts = unpruned (fuzzed)" `Quick
-      test_zone_pruning_equivalence;
     Alcotest.test_case "IND disjoint-range short-circuit" `Quick
       test_ind_short_circuit;
     Alcotest.test_case "delete compaction = fresh encode" `Quick
