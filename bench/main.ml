@@ -579,7 +579,7 @@ let b8 () =
   let target = List.hd g.Workload.Gen_schema.truth.Workload.Gen_schema.planted_inds in
   (* agreement check first *)
   let agree =
-    Deps.Ind.satisfied db target = Deps.Ind.satisfied_materialized db target
+    Deps.Ind.satisfied db target = Reference.Counts.ind_satisfied db target
   in
   Printf.printf "  engines agree on %s: %b\n" (Deps.Ind.to_string target) agree;
   let tests =
@@ -588,7 +588,7 @@ let b8 () =
         (Staged.stage (fun () -> ignore (Deps.Ind.satisfied db target)));
       Test.make ~name:"materialized projections"
         (Staged.stage (fun () ->
-             ignore (Deps.Ind.satisfied_materialized db target)));
+             ignore (Reference.Counts.ind_satisfied db target)));
     ]
   in
   ignore (run_group (Test.make_grouped ~name:"b8" tests));
@@ -1620,10 +1620,10 @@ let b18 () =
         Table.insert_many t batch)
       (Schema.relations (Database.schema db))
   in
-  (* schema-only restructuring: data migration re-materializes the
-     restructured extensions wholesale on every run (B6's number) and
-     is not delta-maintained — with it on it swamps the verification
-     cost this group isolates *)
+  (* schema-only restructuring: data migration re-projects every
+     restructured extension from the stores on every run (B6's number)
+     and is not delta-maintained — with it on it would add a cost this
+     group does not isolate *)
   let config = { Dbre.Pipeline.default_config with migrate_data = false } in
   let g = Workload.Gen_schema.generate spec in
   let input = Dbre.Job_spec.Equijoins g.Workload.Gen_schema.equijoins in
@@ -1704,9 +1704,9 @@ let b19 () =
       (Filename.get_temp_dir_name ())
       (Printf.sprintf "dbre-b19-%d" (Unix.getpid ()))
   in
-  (* schema-only restructuring, as in B18: data migration would
-     re-materialize restructured extensions as plain row arrays and
-     swamp the store-residency numbers this group isolates *)
+  (* schema-only restructuring, as in B18: data migration would add
+     the restructured relations' own stores to the residency numbers
+     this group isolates *)
   let config = { Dbre.Pipeline.default_config with migrate_data = false } in
   let run_pipeline () =
     let g = Workload.Gen_schema.generate spec in

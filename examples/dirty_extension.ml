@@ -122,9 +122,8 @@ let () =
     }
   in
   let table = Database.table db2 tfd.Fd.rel in
-  Format.printf "@.g3 error of the scrambled FD: %.3f (fraction of rows to \
-                 delete for it to hold)@."
-    (Fd_infer.error_rate table tfd);
+  Format.printf "@.scrambled FD %s holds in the extension: %b@."
+    (Fd.to_string tfd) (Fd_infer.holds table tfd);
   let config =
     { Dbre.Pipeline.default_config with Dbre.Pipeline.oracle = enforcing }
   in

@@ -60,7 +60,7 @@ let () =
      mining (%b), elicited by the guided method (%b) - it is an integrity \
      constraint, not a conceptual object, and normalizing along it would \
      produce an erroneous design [13].@."
-    (Fd.satisfied_by (Database.table db "Person") zip)
+    (Fd_infer.holds (Database.table db "Person") zip)
     (let fds, _ = Fd_infer.discover ~max_lhs:1 ~rel:"Person" (Database.table db "Person") in
      List.exists
        (fun (f : Fd.t) ->

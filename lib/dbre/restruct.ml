@@ -43,29 +43,28 @@ let rewrite_inds ~rel ~moved ~new_rel ~exact inds =
       Ind.make lhs rhs)
     inds
 
+(* [rel]'s extension projected from the input table [src], when there
+   is one: the code columns move through the store, never as rows *)
+let extension_of ?distinct src rel =
+  match src with
+  | Some t -> Column_store.project ?distinct (Column_store.of_table t) rel
+  | None -> Table.create rel
+
 let run (oracle : Oracle.t) ?db ~schema ~fds ~hidden ~inds () =
   let schema = ref schema in
   let inds = ref inds in
   let renamings = ref [] in
   let out_db = Option.map Database.copy_structure db in
-  (* copy original extensions into the output database *)
-  (match (db, out_db) with
-  | Some src, Some dst ->
-      List.iter
-        (fun r ->
-          let name = r.Relation.name in
-          Array.iter
-            (fun tup -> Table.insert_tuple (Database.table dst name) tup)
-            (Table.rows (Database.table src name)))
-        (Schema.relations (Database.schema src))
-  | _ -> ());
-  let add_relation rel rows =
+  let source rel = Option.bind db (fun d -> Database.table_opt d rel) in
+  (* a new relation: distinct projection of its source, NULL-free on
+     the identifier [non_null] (a null identifier denotes "no object") *)
+  let add_relation rel ~src ~non_null =
     schema := Schema.add !schema rel;
-    match out_db with
-    | None -> ()
-    | Some d ->
-        Database.add_relation d rel;
-        List.iter (Database.insert d rel.Relation.name) rows
+    Option.iter
+      (fun d ->
+        Database.replace_table d
+          (extension_of ~distinct:non_null (source src) rel))
+      out_db
   in
   (* ---- hidden objects ---- *)
   List.iter
@@ -84,15 +83,7 @@ let run (oracle : Oracle.t) ?db ~schema ~fds ~hidden ~inds () =
         | None -> []
       in
       let rel = Relation.make ~domains ~uniques:[ attrs ] name attrs in
-      let rows =
-        match db with
-        | None -> []
-        | Some d -> (
-            match Database.table_opt d src_rel with
-            | Some t -> Table.project_distinct t attrs
-            | None -> [])
-      in
-      add_relation rel rows;
+      add_relation rel ~src:src_rel ~non_null:attrs;
       renamings := (h, name) :: !renamings;
       let moved = Attribute.Names.normalize attrs in
       inds := rewrite_inds ~rel:src_rel ~moved ~new_rel:name ~exact:true !inds;
@@ -132,47 +123,15 @@ let run (oracle : Oracle.t) ?db ~schema ~fds ~hidden ~inds () =
                    ordered)
               name ordered
           in
-          let rows =
-            match db with
-            | None -> []
-            | Some d -> (
-                match Database.table_opt d fd.Fd.rel with
-                | Some t ->
-                    (* distinct projections with a non-null LHS: a null
-                       identifier denotes "no object" *)
-                    let lidx = Table.positions t fd.Fd.lhs in
-                    let oidx = Table.positions t ordered in
-                    let seen = Hashtbl.create 64 in
-                    Array.fold_left
-                      (fun acc tup ->
-                        if Tuple.has_null_at lidx tup then acc
-                        else
-                          let proj = Tuple.project_list oidx tup in
-                          if Hashtbl.mem seen proj then acc
-                          else begin
-                            Hashtbl.add seen proj ();
-                            proj :: acc
-                          end)
-                      [] (Table.rows t)
-                    |> List.rev
-                | None -> [])
-          in
-          add_relation rel rows;
+          add_relation rel ~src:fd.Fd.rel ~non_null:fd.Fd.lhs;
           renamings := (Attribute.make fd.Fd.rel fd.Fd.lhs, name) :: !renamings;
-          (* shrink the source relation *)
+          (* shrink the source relation; its extension moves once, after
+             every split (see below) *)
           let shrunk = Relation.remove_attrs source fd.Fd.rhs in
           schema := Schema.replace !schema shrunk;
-          (match out_db with
-          | None -> ()
-          | Some d ->
-              let old_table = Database.table d fd.Fd.rel in
-              let keep_idx = Table.positions old_table shrunk.Relation.attrs in
-              let new_table = Table.create shrunk in
-              Array.iter
-                (fun tup -> Table.insert_tuple new_table (Tuple.project keep_idx tup))
-                (Table.rows old_table);
-              (* swap the table in place by re-adding *)
-              Database.replace_table d new_table);
+          Option.iter
+            (fun d -> Database.replace_table d (Table.create shrunk))
+            out_db;
           (* rewrite INDs: A_i occurrences exactly, B_i subsets *)
           inds :=
             rewrite_inds ~rel:fd.Fd.rel ~moved:fd.Fd.lhs ~new_rel:name
@@ -183,6 +142,18 @@ let run (oracle : Oracle.t) ?db ~schema ~fds ~hidden ~inds () =
           inds := !inds @ [ Ind.make (fd.Fd.rel, fd.Fd.lhs) (name, fd.Fd.lhs) ]
       | Some _ -> () (* LHS gone or RHS fully moved: nothing left to split *))
     fds;
+  (* every input relation, shrunk or not, moves once: a plain projection
+     onto its final attributes (the identity when nothing was split) *)
+  (match (db, out_db) with
+  | Some src, Some dst ->
+      List.iter
+        (fun r ->
+          let name = r.Relation.name in
+          Database.replace_table dst
+            (extension_of (source name)
+               (Table.schema (Database.table dst name))))
+        (Schema.relations (Database.schema src))
+  | _ -> ());
   let final_schema = !schema in
   let nontrivial (ind : Ind.t) =
     not

@@ -29,14 +29,10 @@ let participation db rel attrs =
   match Option.bind db (fun d -> Database.table_opt d rel) with
   | None -> None
   | Some t when List.for_all (Relation.has_attr (Table.schema t)) attrs ->
-      let idx = Table.positions t attrs in
-      let non_null =
-        Array.fold_left
-          (fun acc tup -> if Tuple.has_null_at idx tup then acc else acc + 1)
-          0 (Table.rows t)
-      in
+      let s = Column_store.of_table t in
+      let witnesses = Column_store.witness_count s attrs in
       Some
-        (if Table.count_distinct t attrs < non_null then Er.Eer.Many
+        (if Column_store.count_distinct s attrs < witnesses then Er.Eer.Many
          else Er.Eer.One)
   | Some _ -> None
 

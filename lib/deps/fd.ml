@@ -73,50 +73,6 @@ let parse s =
           if rel = "" || lhs = [] || rhs = [] then fail ()
           else make rel lhs rhs)
 
-let non_null_groups table lhs =
-  let groups = Table.group_rows table lhs in
-  Hashtbl.fold
-    (fun key members acc ->
-      if List.exists Value.is_null key then acc else (key, members) :: acc)
-    groups []
-
-let satisfied_by table t =
-  let ridx = Table.positions table t.rhs in
-  let rows = Table.rows table in
-  try
-    List.iter
-      (fun (_, members) ->
-        match members with
-        | [] | [ _ ] -> ()
-        | first :: rest ->
-            let rhs0 = Tuple.project_list ridx rows.(first) in
-            List.iter
-              (fun i ->
-                if Tuple.project_list ridx rows.(i) <> rhs0 then raise Exit)
-              rest)
-      (non_null_groups table t.lhs);
-    true
-  with Exit -> false
-
-let violations table t =
-  let ridx = Table.positions table t.rhs in
-  let rows = Table.rows table in
-  List.fold_left
-    (fun acc (lhs0, members) ->
-      match members with
-      | [] | [ _ ] -> acc
-      | first :: rest -> (
-          let rhs0 = Tuple.project_list ridx rows.(first) in
-          match
-            List.find_opt
-              (fun i -> Tuple.project_list ridx rows.(i) <> rhs0)
-              rest
-          with
-          | None -> acc
-          | Some i ->
-              ((lhs0, rhs0), (lhs0, Tuple.project_list ridx rows.(i))) :: acc))
-    [] (non_null_groups table t.lhs)
-
 module Set = Stdlib.Set.Make (struct
   type nonrec t = t
 

@@ -3,8 +3,6 @@
     Attribute lists are kept canonical (sorted, duplicate-free); use
     {!make}. The right-hand side never overlaps the left-hand side. *)
 
-open Relational
-
 type t = private { rel : string; lhs : string list; rhs : string list }
 
 val make : string -> string list -> string list -> t
@@ -32,19 +30,5 @@ val to_string : t -> string
 val parse : string -> t
 (** Inverse of {!to_string}: ["R: a,b -> c"]. Raises [Failure] on a
     malformed input. *)
-
-val satisfied_by : Table.t -> t -> bool
-(** Check of the §2 definition: for all tuples [t], [t'],
-    [t[X] = t'[X] ⇒ t[Y] = t'[Y]], restricted to tuples whose [X]
-    projection is NULL-free — a NULL identifier denotes "no object
-    present" and cannot contradict the dependency (the paper elicits
-    FDs from nullable identifiers such as [Department.emp]). On the
-    RHS, NULL compares equal to NULL. The FD's relation name is not
-    checked against the table. *)
-
-val violations : Table.t -> t -> ((Value.t list * Value.t list) * (Value.t list * Value.t list)) list
-(** Witnesses of violation: pairs of [(lhs values, rhs values)] groups
-    that share the LHS but differ on the RHS; at most one witness pair is
-    reported per conflicting LHS value. *)
 
 module Set : Set.S with type elt = t

@@ -17,44 +17,6 @@ let holds_all ?(engine = Engine.default) ?supervise table ~lhs ~rhs =
   let lhs = Attribute.Names.normalize lhs in
   Verify_plan.fd_group ~engine ?supervise table ~lhs ~rhs
 
-let error_rate table (fd : Fd.t) =
-  let n = Table.cardinality table in
-  if n = 0 then 0.0
-  else begin
-    (* g3: n minus the size of a maximum consistent subset; for an FD the
-       maximum subset keeps, per LHS value, the most frequent RHS value *)
-    let lidx = Table.positions table fd.lhs in
-    let ridx = Table.positions table fd.rhs in
-    let per_lhs : (Value.t list, (Value.t list, int) Hashtbl.t) Hashtbl.t =
-      Hashtbl.create 64
-    in
-    let nulls = ref 0 in
-    Array.iter
-      (fun tup ->
-        if Tuple.has_null_at lidx tup then incr nulls
-        else
-        let key = Tuple.project_list lidx tup in
-        let rhs = Tuple.project_list ridx tup in
-        let inner =
-          match Hashtbl.find_opt per_lhs key with
-          | Some h -> h
-          | None ->
-              let h = Hashtbl.create 4 in
-              Hashtbl.add per_lhs key h;
-              h
-        in
-        Hashtbl.replace inner rhs
-          (1 + Option.value ~default:0 (Hashtbl.find_opt inner rhs)))
-      (Table.rows table);
-    let kept =
-      Hashtbl.fold
-        (fun _ inner acc ->
-          acc + Hashtbl.fold (fun _ c best -> max c best) inner 0)
-        per_lhs 0
-    in
-    float_of_int (n - kept - !nulls) /. float_of_int n
-  end
-
 type stats = {
   candidates_tested : int;
   fds_found : int;

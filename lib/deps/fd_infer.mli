@@ -30,10 +30,6 @@ val holds_all :
     [supervise] is threaded to the planner, which polls it at sweep
     granularity; a trip raises [Supervise.Interrupt]. *)
 
-val error_rate : Table.t -> Fd.t -> float
-(** Fraction of rows that must be removed for the FD to hold
-    ([g3] error measure): 0 when it holds. *)
-
 type stats = {
   candidates_tested : int;
   fds_found : int;

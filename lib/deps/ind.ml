@@ -79,16 +79,6 @@ let satisfied db t =
   let c = counts db t in
   c.n_join = c.n_left
 
-let satisfied_materialized db t =
-  let left = Table.distinct_table (Database.table db t.lhs_rel) t.lhs_attrs in
-  let right = Table.distinct_table (Database.table db t.rhs_rel) t.rhs_attrs in
-  try
-    Hashtbl.iter
-      (fun k () -> if not (Hashtbl.mem right k) then raise Exit)
-      left;
-    true
-  with Exit -> false
-
 let key_based schema t =
   Schema.is_key schema t.rhs_rel (Attribute.Names.normalize t.rhs_attrs)
 

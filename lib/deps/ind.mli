@@ -43,11 +43,6 @@ val satisfied : Database.t -> t -> bool
 (** [r[X] ⊆ s[Y]] over distinct non-null projections — the count-based
     test [N_kl = N_k] of §6.1. *)
 
-val satisfied_materialized : Database.t -> t -> bool
-(** Same semantics, computed by materializing both projections and
-    testing set inclusion directly (specification variant; used to
-    cross-check the count-based test). *)
-
 val key_based : Schema.t -> t -> bool
 (** Is the right-hand side a declared key of its relation — i.e. is this
     IND a referential integrity constraint? *)

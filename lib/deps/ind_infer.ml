@@ -13,15 +13,19 @@ let all_attrs db =
         r.Relation.attrs)
     (Schema.relations (Database.schema db))
 
-(* effective domain: declared domain, or inferred from data when Unknown *)
+let store db rel = Column_store.of_table (Database.table db rel)
+
+(* effective domain: declared domain, or inferred from data when
+   Unknown — the lub over the column's dictionary, which holds each
+   live value once (lub is a semilattice join, so order and
+   multiplicity do not matter) *)
 let effective_domain db (rel, a, declared) =
   match declared with
   | Domain.Unknown ->
-      let table = Database.table db rel in
-      let i = Relation.attr_index (Table.schema table) a in
       Array.fold_left
-        (fun acc tup -> Domain.lub acc (Domain.of_value tup.(i)))
-        Domain.Unknown (Table.rows table)
+        (fun acc v -> Domain.lub acc (Domain.of_value v))
+        Domain.Unknown
+        (Column_store.column_dict (Column_store.column (store db rel) a))
   | d -> d
 
 let discover_unary db =
@@ -32,7 +36,7 @@ let discover_unary db =
   let value_sets =
     List.map
       (fun (rel, a, d) ->
-        ((rel, a, d), Table.distinct_table (Database.table db rel) [ a ]))
+        ((rel, a, d), Column_store.distinct_set (store db rel) [ a ]))
       enriched
   in
   let n = List.length attrs in
@@ -63,18 +67,3 @@ let discover_unary db =
   let inds = List.rev !found in
   (inds, { pairs_considered = considered; pairs_tested = !tested;
            inds_found = List.length inds })
-
-let discover_unary_brute db =
-  let attrs = all_attrs db in
-  List.concat_map
-    (fun (r1, a1, _) ->
-      List.filter_map
-        (fun (r2, a2, _) ->
-          if (r1, a1) = (r2, a2) then None
-          else
-            let ind = Ind.make (r1, [ a1 ]) (r2, [ a2 ]) in
-            let c = Ind.counts db ind in
-            if c.Ind.n_left > 0 && c.Ind.n_join = c.Ind.n_left then Some ind
-            else None)
-        attrs)
-    attrs

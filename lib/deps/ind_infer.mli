@@ -16,12 +16,9 @@ type stats = {
 
 val discover_unary : Database.t -> Ind.t list * stats
 (** All satisfied unary INDs [R.a ≪ S.b] with [(R, a) ≠ (S, b)], domain
-    filtering first, then a single shared value-index pass: for each
-    attribute its distinct non-null value set is materialized once and
-    inclusions are tested pairwise. Trivial self-inclusions are skipped;
+    filtering first, then a single shared value-index pass: each
+    attribute's distinct non-null value set is its memoized
+    {!Column_store.distinct_set}, and inclusions are tested pairwise.
+    [Unknown] declared domains are inferred from the column
+    dictionaries. Trivial self-inclusions are skipped;
     both directions of an equality are reported. *)
-
-val discover_unary_brute : Database.t -> Ind.t list
-(** Specification variant without the domain filter or the shared index:
-    tests every ordered pair directly with {!Ind.satisfied}. Quadratic
-    and slow — used by tests to validate {!discover_unary}. *)

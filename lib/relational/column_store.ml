@@ -5,8 +5,7 @@
    Equality semantics deliberately mirror the row-at-a-time
    definitions: codes are interned by structural equality on
    [Value.t] ([compare _ _ = 0], the polymorphic hashtable's identity),
-   exactly what
-   [Table.distinct_table] and the reference FD check key their
+   exactly what the row-level reference implementations key their
    hashtables with, so the store agrees with them verdict-for-verdict.
 
    Layout: each encoded column is a sequence of immutable *sealed
@@ -659,11 +658,40 @@ let ensure_columns ?pool t attrs =
 (* distinct sets                                                       *)
 (* ------------------------------------------------------------------ *)
 
-(* decode a code tuple back to the value list [Table.distinct_table]
-   would have keyed with *)
+(* decode a code tuple back to the value list a row-level distinct
+   projection would have keyed with *)
 let decode cols code_list =
   List.map2 (fun (c : column) code -> c.dict.(code)) (Array.to_list cols)
     code_list
+
+(* The code-tuple dedup loop: walk [cols]' rows in order and, for each
+   row NULL-free on every column flagged in [need], count a witness and
+   call [fresh bufs i] the first time its code tuple (NULL codes
+   included) is seen. Returns the seen code tuples and the witness
+   count. Distinct sets and deduplicating projections both run it. *)
+let dedup_codes t cols need fresh =
+  let width = Array.length cols in
+  let seen : (int list, unit) Hashtbl.t =
+    Hashtbl.create (max 16 (min t.n_rows 65536 / 4 + 16))
+  in
+  let witnesses = ref 0 in
+  iter_blocks t cols (fun bufs len _base ->
+      for i = 0 to len - 1 do
+        let null = ref false in
+        let key = ref [] in
+        for j = width - 1 downto 0 do
+          let code = bufs.(j).(i) in
+          if code = 0 && need.(j) then null := true;
+          key := code :: !key
+        done;
+        if not !null then begin
+          incr witnesses;
+          let before = Hashtbl.length seen in
+          Hashtbl.replace seen !key ();
+          if Hashtbl.length seen > before then fresh bufs i
+        end
+      done);
+  (seen, !witnesses)
 
 let compute_distinct t attrs =
   match attrs with
@@ -678,27 +706,12 @@ let compute_distinct t attrs =
       (set, t.n_rows - c.nulls)
   | _ ->
       let cols = columns t attrs in
-      let width = Array.length cols in
-      let seen : (int list, unit) Hashtbl.t =
-        Hashtbl.create (max 16 (min t.n_rows 65536 / 4 + 16))
+      let seen, witnesses =
+        dedup_codes t cols (Array.map (fun _ -> true) cols) (fun _ _ -> ())
       in
-      let witnesses = ref 0 in
-      iter_blocks t cols (fun bufs len _base ->
-          for i = 0 to len - 1 do
-            let null = ref false in
-            let key = ref [] in
-            for j = width - 1 downto 0 do
-              let code = bufs.(j).(i) in
-              if code = 0 then null := true else key := code :: !key
-            done;
-            if not !null then begin
-              incr witnesses;
-              Hashtbl.replace seen !key ()
-            end
-          done);
       let set = Hashtbl.create (max 16 (Hashtbl.length seen)) in
       Hashtbl.iter (fun key () -> Hashtbl.add set (decode cols key) ()) seen;
-      (set, !witnesses)
+      (set, witnesses)
 
 let distinct_set t attrs =
   match Hashtbl.find_opt t.distinct_sets attrs with
@@ -1577,6 +1590,13 @@ module Builder = struct
   let find_int b pos n = ntab_find b.b_intern.(pos) n
   let find_string b pos s = stab_find b.b_intern.(pos).strs s
 
+  (* the next code at [pos], for a value the caller knows is new to the
+     column: no intern-table probe, and no entry for later lookups *)
+  let fresh_code b pos v =
+    let d = b.b_dict.(pos) in
+    dvec_push d v;
+    d.dlen - 1
+
   (* every column has exactly [b_seg_rows] pending codes: seal all of
      them at once so the finished segments stay row-aligned across the
      store's columns. The sealed codes leave the heap-resident vecs
@@ -1689,6 +1709,58 @@ module Builder = struct
     table
 end
 
+(* ------------------------------------------------------------------ *)
+(* projection                                                          *)
+(* ------------------------------------------------------------------ *)
 
-
-
+(* Each projected column's codes are remapped to the output's own
+   first-occurrence codes as rows are emitted, so the result's
+   dictionaries and codes are exactly those a fresh encode of the
+   projected rows would assign. A source dictionary holds each value
+   once, so a source code seen for the first time always carries a
+   value new to the output column: it takes the next output code with
+   no intern-table probe. *)
+let project ?distinct t (rel : Relation.t) =
+  let attrs = rel.Relation.attrs in
+  let cols = columns t attrs in
+  let m = Array.length cols in
+  let b = Builder.create rel in
+  let remap =
+    Array.map
+      (fun (c : column) ->
+        let r = Array.make (Array.length c.dict) (-1) in
+        r.(0) <- 0;
+        r)
+      cols
+  in
+  let row = Array.make m 0 in
+  let emit bufs i =
+    for j = 0 to m - 1 do
+      let code = bufs.(j).(i) in
+      let r = remap.(j) in
+      if r.(code) < 0 then
+        r.(code) <- Builder.fresh_code b j cols.(j).dict.(code);
+      row.(j) <- r.(code)
+    done;
+    Builder.append b row
+  in
+  (match distinct with
+  | None ->
+      iter_blocks t cols (fun bufs len _base ->
+          for i = 0 to len - 1 do
+            emit bufs i
+          done)
+  | Some non_null ->
+      List.iter
+        (fun a ->
+          if not (List.mem a attrs) then
+            invalid_arg
+              (Printf.sprintf
+                 "Column_store.project(%s): %s is not a projected attribute"
+                 rel.Relation.name a))
+        non_null;
+      let need =
+        Array.of_list (List.map (fun a -> List.mem a non_null) attrs)
+      in
+      ignore (dedup_codes t cols need emit));
+  Builder.finish b

@@ -123,8 +123,10 @@ val ensure_columns : ?pool:Domain_pool.t -> t -> string list -> unit
     order per column). Call only from the domain that owns the store. *)
 
 val distinct_set : t -> string list -> (Value.t list, unit) Hashtbl.t
-(** Distinct NULL-free projections keyed exactly as
-    [Table.distinct_table] keys them — memoized; do not mutate. *)
+(** The distinct NULL-free projections on the given attributes, keyed
+    by their value lists in the order given (SQL [COUNT(DISTINCT …)]
+    semantics: a row holding NULL in any of them is skipped) —
+    memoized; do not mutate. *)
 
 val count_distinct : t -> string list -> int
 (** [||r[X]||]. Single-attribute counts are read off the dictionary
@@ -137,6 +139,20 @@ val witness_count : t -> string list -> int
 val unique : t -> string list -> bool
 (** SQL UNIQUE over the extension: all NULL-free rows distinct, and at
     least one witness. *)
+
+val project : ?distinct:string list -> t -> Relation.t -> Table.t
+(** [project s rel] is the extension of [s] projected onto [rel]'s
+    attributes — a subset of the store's, in [rel]'s order — as a new
+    table over [rel], rows in source order. With [~distinct:xs] rows
+    holding NULL in any of [xs] (which must be projected attributes)
+    are skipped and only the first occurrence of each projected row is
+    kept, by the same code-tuple pass {!distinct_set} runs. The pass
+    walks the encoded blocks (mapping spilled segments back as needed)
+    and remaps each column's codes to the output's first-occurrence
+    codes through a {!Builder}: the result is a deferred table whose
+    store is fully encoded, with the dictionaries and codes a fresh
+    encode of the projected rows would have, and no tuple array is
+    built on either side. *)
 
 val equijoin_distinct_count : t -> string list -> t -> string list -> int
 (** [||r1[x1] ⋈ r2[x2]||] by intersecting the two memoized distinct

@@ -49,17 +49,6 @@ let join_count ?(engine = Engine.default) t (r1, x1) (r2, x2) =
 let total_tuples t =
   Hashtbl.fold (fun _ tbl acc -> acc + Table.cardinality tbl) t.tables 0
 
-let check_constraints t =
-  let errors =
-    List.concat_map
-      (fun r ->
-        match Table.check_constraints (table t r.Relation.name) with
-        | Ok () -> []
-        | Error msgs -> msgs)
-      (Schema.relations t.schema)
-  in
-  match errors with [] -> Ok () | errs -> Error errs
-
 let copy_structure t = create t.schema
 
 let pp_stats ppf t =

@@ -42,9 +42,6 @@ val join_count :
 
 val total_tuples : t -> int
 
-val check_constraints : t -> (unit, string list) result
-(** Check every relation's dictionary constraints against its extension. *)
-
 val copy_structure : t -> t
 (** A new database with the same schema and fresh empty tables. *)
 

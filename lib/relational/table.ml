@@ -214,74 +214,6 @@ let positions t attrs =
 
 let value t tup a = tup.(Relation.attr_index t.schema a)
 
-let distinct_table t attrs =
-  let idx = positions t attrs in
-  let seen = Hashtbl.create (max 16 (cardinality t)) in
-  Array.iter
-    (fun tup ->
-      if not (Tuple.has_null_at idx tup) then
-        let key = Tuple.project_list idx tup in
-        if not (Hashtbl.mem seen key) then Hashtbl.add seen key ())
-    (rows t);
-  seen
-
-let project_distinct t attrs =
-  let seen = distinct_table t attrs in
-  Hashtbl.fold (fun k () acc -> k :: acc) seen []
-
-let count_distinct t attrs = Hashtbl.length (distinct_table t attrs)
-
-let group_rows t attrs =
-  let idx = positions t attrs in
-  let groups = Hashtbl.create (max 16 (cardinality t)) in
-  Array.iteri
-    (fun i tup ->
-      let key = Tuple.project_list idx tup in
-      let prev = try Hashtbl.find groups key with Not_found -> [] in
-      Hashtbl.replace groups key (i :: prev))
-    (rows t);
-  groups
-
-let select t pred =
-  Array.fold_right (fun tup acc -> if pred tup then tup :: acc else acc)
-    (rows t) []
-
-let check_unique t attrs =
-  let idx = positions t attrs in
-  let seen = Hashtbl.create (max 16 (cardinality t)) in
-  let ok = ref true in
-  Array.iter
-    (fun tup ->
-      if !ok && not (Tuple.has_null_at idx tup) then begin
-        let key = Tuple.project_list idx tup in
-        if Hashtbl.mem seen key then ok := false
-        else Hashtbl.add seen key ()
-      end)
-    (rows t);
-  !ok
-
-let check_not_null t attr =
-  let i = Relation.attr_index t.schema attr in
-  Array.for_all (fun tup -> not (Value.is_null tup.(i))) (rows t)
-
-let check_constraints t =
-  let name = t.schema.Relation.name in
-  let errors = ref [] in
-  List.iter
-    (fun u ->
-      if not (check_unique t u) then
-        errors :=
-          Printf.sprintf "%s: unique(%s) violated" name
-            (Attribute.Names.to_string u)
-          :: !errors)
-    t.schema.Relation.uniques;
-  List.iter
-    (fun a ->
-      if not (check_not_null t a) then
-        errors := Printf.sprintf "%s: not null(%s) violated" name a :: !errors)
-    (Relation.not_null_attrs t.schema);
-  match !errors with [] -> Ok () | errs -> Error (List.rev errs)
-
 let pp ?(max_rows = 20) ppf t =
   Format.fprintf ppf "@[<v>%a@ " Relation.pp t.schema;
   let all = rows t in

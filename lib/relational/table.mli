@@ -1,13 +1,11 @@
 (** Tables: a relation schema together with its extension.
 
-    The paper's counting primitives (§2) over a stored extension are
-    answered by the table's memoized {!Column_store}; the row-level
-    {!count_distinct} and {!distinct_table} here serve tables that never
-    get a store (translation and execution intermediates). Following SQL
-    [COUNT(DISTINCT …)] semantics, rows holding a NULL in any projected
-    attribute are ignored by the distinct-counting operations;
-    functional-dependency style grouping (which needs NULL = NULL) is
-    provided separately by {!group_rows}. *)
+    A table stores and mutates rows; it answers no counting question.
+    The paper's primitives over an extension (§2) — [||r[X]||], join
+    counts, FD and key checks, projections — are answered by the
+    table's memoized {!Column_store} ({!Column_store.of_table}), the
+    library's one implementation of each; the row-at-a-time versions
+    they are tested against live with the tests. *)
 
 type t
 
@@ -86,7 +84,7 @@ val clear_ext_cache : t -> unit
 val insert : t -> Value.t list -> unit
 (** Append one tuple. Raises [Invalid_argument] on an arity mismatch. No
     constraint checking happens on insert — legacy extensions are allowed
-    to violate their dictionary constraints; use {!check_constraints}. *)
+    to violate their dictionary constraints. *)
 
 val insert_many : t -> Value.t list list -> unit
 (** Append a whole batch transactionally: every row's arity is
@@ -115,33 +113,6 @@ val positions : t -> string list -> int array
 
 val value : t -> Tuple.t -> string -> Value.t
 (** [value t tup a] is the component of [tup] for attribute [a]. *)
-
-val project_distinct : t -> string list -> Value.t list list
-(** Distinct non-null projections of the table on the given attributes
-    (each inner list follows the order given). *)
-
-val count_distinct : t -> string list -> int
-(** [||r[X]||] — the paper's [SELECT COUNT(DISTINCT X) FROM R]. *)
-
-val distinct_table : t -> string list -> (Value.t list, unit) Hashtbl.t
-(** The set of distinct non-null projections, as a hash table keyed by
-    projected value lists — reusable across several intersection counts. *)
-
-val group_rows : t -> string list -> (Value.t list, int list) Hashtbl.t
-(** Group row indices by their projection on the given attributes, with
-    NULL treated as an ordinary value (the grouping an FD check needs). *)
-
-val select : t -> (Tuple.t -> bool) -> Tuple.t list
-
-val check_unique : t -> string list -> bool
-(** Does the extension satisfy uniqueness of the given attribute set?
-    (NULL-holding rows are skipped, as in SQL UNIQUE.) *)
-
-val check_not_null : t -> string -> bool
-
-val check_constraints : t -> (unit, string list) result
-(** Verify every declared unique and not-null constraint against the
-    extension; [Error msgs] lists each violated constraint. *)
 
 val pp : ?max_rows:int -> Format.formatter -> t -> unit
 (** Debug rendering: header plus at most [max_rows] rows (default 20). *)

@@ -431,10 +431,19 @@ let run_string ?host db input =
 (* Statement execution                                                  *)
 (* ------------------------------------------------------------------ *)
 
-let find_relation db rel =
-  match Schema.find (Database.schema db) rel with
-  | Some r -> r
+let find_table db rel =
+  match Database.table_opt db rel with
+  | Some t -> t
   | None -> err "unknown relation %s" rel
+
+let find_relation db rel = Table.schema (find_table db rel)
+
+let check_columns (relation : Relation.t) cols =
+  List.iter
+    (fun c ->
+      if not (Relation.has_attr relation c) then
+        err "unknown column %s in %s" c relation.Relation.name)
+    cols
 
 let tuple_from_bindings (relation : Relation.t) bindings =
   List.map
@@ -444,6 +453,7 @@ let tuple_from_bindings (relation : Relation.t) bindings =
 let insert_rows db rel cols rows =
   let relation = find_relation db rel in
   let order = Option.value ~default:relation.Relation.attrs cols in
+  check_columns relation order;
   List.iter
     (fun row ->
       if List.length row <> List.length order then
@@ -455,7 +465,10 @@ let insert_rows db rel cols rows =
 let exec_statement ?(host = default_host) db (stmt : Ast.statement) =
   match stmt with
   | Ast.Query q -> ignore (eval_query host db None q)
-  | Ast.Create ct -> Database.add_relation db (Ddl.relation_of_create ct)
+  | Ast.Create ct ->
+      if Schema.mem (Database.schema db) ct.Ast.ct_name then
+        err "CREATE TABLE %s: relation already exists" ct.Ast.ct_name;
+      Database.add_relation db (Ddl.relation_of_create ct)
   | Ast.Insert (rel, cols, rows) ->
       let literal = function
         | Ast.Lit v -> v
@@ -468,8 +481,9 @@ let exec_statement ?(host = default_host) db (stmt : Ast.statement) =
       let d = eval_query host db None q in
       insert_rows db rel cols d.Algebra.rows
   | Ast.Update (rel, sets, where) ->
-      let table = Database.table db rel in
+      let table = find_table db rel in
       let relation = Table.schema table in
+      check_columns relation (List.map fst sets);
       let cols =
         List.map (fun a -> rel ^ "." ^ a) relation.Relation.attrs
       in
@@ -493,7 +507,7 @@ let exec_statement ?(host = default_host) db (stmt : Ast.statement) =
         (Table.rows table);
       Database.replace_table db fresh
   | Ast.Delete (rel, where) ->
-      let table = Database.table db rel in
+      let table = find_table db rel in
       let relation = Table.schema table in
       let cols = List.map (fun a -> rel ^ "." ^ a) relation.Relation.attrs in
       let fresh = Table.create relation in
@@ -507,7 +521,7 @@ let exec_statement ?(host = default_host) db (stmt : Ast.statement) =
         (Table.rows table);
       Database.replace_table db fresh
   | Ast.Alter (rel, Ast.Drop_column col) ->
-      let table = Database.table db rel in
+      let table = find_table db rel in
       let relation = Table.schema table in
       if not (Relation.has_attr relation col) then
         err "ALTER %s: unknown column %s" rel col;
@@ -519,6 +533,7 @@ let exec_statement ?(host = default_host) db (stmt : Ast.statement) =
         (Table.rows table);
       Database.replace_table db fresh
   | Ast.Alter (rel, Ast.Add_foreign_key (cols, target, tcols)) ->
+      check_columns (find_relation db rel) cols;
       let target_rel = find_relation db target in
       let tcols =
         if tcols = [] then
@@ -527,17 +542,15 @@ let exec_statement ?(host = default_host) db (stmt : Ast.statement) =
           | [] -> err "ALTER %s: %s has no key to reference" rel target
         else tcols
       in
-      let included =
-        let left = Table.distinct_table (Database.table db rel) cols in
-        let right = Table.distinct_table (Database.table db target) tcols in
-        try
-          Hashtbl.iter
-            (fun k () -> if not (Hashtbl.mem right k) then raise Exit)
-            left;
-          true
-        with Exit -> false
-      in
-      if not included then
+      check_columns target_rel tcols;
+      if List.length cols <> List.length tcols then
+        err "ALTER %s ADD FOREIGN KEY: %d columns reference %d in %s" rel
+          (List.length cols) (List.length tcols) target;
+      (* r[X] ⊆ s[Y] iff ||r[X] ⋈ s[Y]|| = ||r[X]|| *)
+      if
+        Database.join_count db (rel, cols) (target, tcols)
+        <> Database.count_distinct db rel cols
+      then
         err "ALTER %s ADD FOREIGN KEY (%s) REFERENCES %s: violated by the \
              extension"
           rel (String.concat "," cols) target

@@ -38,10 +38,15 @@ val exec_statement : ?host:(string -> Value.t) -> Database.t -> Ast.statement ->
     - [ALTER TABLE … DROP COLUMN] physically removes the column
       (constraints mentioning it are discarded);
     - [ALTER TABLE … ADD FOREIGN KEY] {e validates} the constraint
-      against the extension and raises {!Error} when violated (the
-      engine has no persistent constraint store — this models a DBMS
-      rejecting an unsatisfiable [ALTER]).
-    [Query] statements evaluate and discard their result. *)
+      against the extension — [r[X] ⊆ s[Y]] iff
+      [||r[X] ⋈ s[Y]|| = ||r[X]||], counted by the column stores — and
+      raises {!Error} when violated (the engine has no persistent
+      constraint store — this models a DBMS rejecting an unsatisfiable
+      [ALTER]).
+    [Query] statements evaluate and discard their result. Raises
+    {!Error} on an unknown relation or column, a [CREATE TABLE] of an
+    existing relation, or foreign-key column lists of different
+    widths. *)
 
 val exec_script : ?host:(string -> Value.t) -> Database.t -> string -> unit
 (** Parse and {!exec_statement} each statement in order. *)

@@ -19,6 +19,24 @@ let cold_store t =
   Table.insert_many copy (Table.to_lists t);
   Column_store.of_table copy
 
+(* a fresh, not yet created spill directory under the temp dir, and its
+   removal (spill directories are flat) *)
+let spill_dir_counter = ref 0
+
+let fresh_spill_dir () =
+  incr spill_dir_counter;
+  Filename.concat
+    (Filename.get_temp_dir_name ())
+    (Printf.sprintf "dbre-ooc-test-%d-%d" (Unix.getpid ()) !spill_dir_counter)
+
+let rm_rf dir =
+  if Sys.file_exists dir then begin
+    Array.iter
+      (fun f -> try Sys.remove (Filename.concat dir f) with Sys_error _ -> ())
+      (Sys.readdir dir);
+    try Unix.rmdir dir with Unix.Unix_error _ -> ()
+  end
+
 (* build a database from (relation, rows) pairs *)
 let database rels_rows =
   let schema = Schema.of_relations (List.map fst rels_rows) in

@@ -1,23 +1,81 @@
 (* Reference counting primitives over the raw row array: the seed's
    row-at-a-time hashing, with SQL COUNT(DISTINCT) semantics (rows
-   holding a NULL in any projected attribute are skipped). *)
+   holding a NULL in any projected attribute are skipped). None of it
+   goes through a column store. *)
 
 open Relational
 
-let count_distinct = Table.count_distinct
+(* the set of distinct NULL-free projections, keyed by value lists *)
+let distinct_table t attrs =
+  let idx = Table.positions t attrs in
+  let seen = Hashtbl.create (max 16 (Table.cardinality t)) in
+  Array.iter
+    (fun tup ->
+      if not (Tuple.has_null_at idx tup) then
+        let key = Tuple.project_list idx tup in
+        if not (Hashtbl.mem seen key) then Hashtbl.add seen key ())
+    (Table.rows t);
+  seen
+
+let project_distinct t attrs =
+  Hashtbl.fold (fun k () acc -> k :: acc) (distinct_table t attrs) []
+
+(* ||r[X]|| *)
+let count_distinct t attrs = Hashtbl.length (distinct_table t attrs)
 
 (* ||r1[x1] |X| r2[x2]||: iterate the smaller distinct set, probe the
    larger *)
 let equijoin_distinct_count t1 a1 t2 a2 =
   if List.length a1 <> List.length a2 then
     invalid_arg "Reference.Counts.equijoin_distinct_count: width mismatch";
-  let d1 = Table.distinct_table t1 a1 and d2 = Table.distinct_table t2 a2 in
+  let d1 = distinct_table t1 a1 and d2 = distinct_table t2 a2 in
   let small, large =
     if Hashtbl.length d1 <= Hashtbl.length d2 then (d1, d2) else (d2, d1)
   in
   Hashtbl.fold
     (fun k () acc -> if Hashtbl.mem large k then acc + 1 else acc)
     small 0
+
+(* rows projected onto [attrs] in source order; with [~non_null] the
+   projection is distinct (first occurrences kept) and skips rows
+   holding NULL in any of [non_null] — the data moves of Restruct *)
+let project ?non_null t attrs =
+  let idx = Table.positions t attrs in
+  let rows = Array.to_list (Table.rows t) in
+  match non_null with
+  | None -> List.map (Tuple.project_list idx) rows
+  | Some xs ->
+      let nidx = Table.positions t xs in
+      let seen = Hashtbl.create 64 in
+      List.filter_map
+        (fun tup ->
+          if Tuple.has_null_at nidx tup then None
+          else
+            let key = Tuple.project_list idx tup in
+            if Hashtbl.mem seen key then None
+            else begin
+              Hashtbl.add seen key ();
+              Some key
+            end)
+        rows
+
+(* row indices grouped by projection, NULL as an ordinary value (the
+   grouping an FD check needs) *)
+let group_rows t attrs =
+  let idx = Table.positions t attrs in
+  let groups = Hashtbl.create (max 16 (Table.cardinality t)) in
+  Array.iteri
+    (fun i tup ->
+      let key = Tuple.project_list idx tup in
+      let prev = try Hashtbl.find groups key with Not_found -> [] in
+      Hashtbl.replace groups key (i :: prev))
+    (Table.rows t);
+  groups
+
+let select t pred =
+  Array.fold_right
+    (fun tup acc -> if pred tup then tup :: acc else acc)
+    (Table.rows t) []
 
 (* SQL UNIQUE: NULL-holding rows skipped; at least one non-null
    witness required *)
@@ -37,6 +95,57 @@ let unique_over_rows table attrs =
     !witnesses > 0
   with Exit -> false
 
+(* a declared UNIQUE constraint: all NULL-free projections distinct
+   (no witness required) *)
+let check_unique t attrs =
+  let idx = Table.positions t attrs in
+  let witnesses =
+    Array.fold_left
+      (fun n tup -> if Tuple.has_null_at idx tup then n else n + 1)
+      0 (Table.rows t)
+  in
+  count_distinct t attrs = witnesses
+
+let check_not_null t attr =
+  let i = Relation.attr_index (Table.schema t) attr in
+  Array.for_all (fun tup -> not (Value.is_null tup.(i))) (Table.rows t)
+
+(* every declared unique and not-null constraint; [Error] lists the
+   violated ones *)
+let check_constraints t =
+  let rel = Table.schema t in
+  let name = rel.Relation.name in
+  let unique_errors =
+    List.filter_map
+      (fun u ->
+        if check_unique t u then None
+        else
+          Some
+            (Printf.sprintf "%s: unique(%s) violated" name
+               (Attribute.Names.to_string u)))
+      rel.Relation.uniques
+  in
+  let null_errors =
+    List.filter_map
+      (fun a ->
+        if check_not_null t a then None
+        else Some (Printf.sprintf "%s: not null(%s) violated" name a))
+      (Relation.not_null_attrs rel)
+  in
+  match unique_errors @ null_errors with [] -> Ok () | errs -> Error errs
+
+let database_constraints db =
+  match
+    List.concat_map
+      (fun r ->
+        match check_constraints (Database.table db r.Relation.name) with
+        | Ok () -> []
+        | Error msgs -> msgs)
+      (Schema.relations (Database.schema db))
+  with
+  | [] -> Ok ()
+  | errs -> Error errs
+
 (* the §6.1 triple of one IND probe *)
 let ind_counts db (lrel, lattrs) (rrel, rattrs) =
   let tl = Database.table db lrel and tr = Database.table db rrel in
@@ -45,3 +154,31 @@ let ind_counts db (lrel, lattrs) (rrel, rattrs) =
     n_right = count_distinct tr rattrs;
     n_join = equijoin_distinct_count tl lattrs tr rattrs;
   }
+
+(* r[X] ⊆ s[Y] by materializing both projections and testing set
+   inclusion directly *)
+let ind_satisfied db (ind : Deps.Ind.t) =
+  let left = distinct_table (Database.table db ind.lhs_rel) ind.lhs_attrs in
+  let right = distinct_table (Database.table db ind.rhs_rel) ind.rhs_attrs in
+  Hashtbl.fold (fun k () ok -> ok && Hashtbl.mem right k) left true
+
+(* every non-trivial satisfied unary IND, each ordered attribute pair
+   tested directly: no domain filter, no shared value index *)
+let discover_unary_brute db =
+  let attrs =
+    List.concat_map
+      (fun r -> List.map (fun a -> (r.Relation.name, a)) r.Relation.attrs)
+      (Schema.relations (Database.schema db))
+  in
+  List.concat_map
+    (fun (r1, a1) ->
+      List.filter_map
+        (fun (r2, a2) ->
+          if (r1, a1) = (r2, a2) then None
+          else
+            let c = ind_counts db (r1, [ a1 ]) (r2, [ a2 ]) in
+            if c.Verify_plan.n_left > 0 && c.n_join = c.n_left then
+              Some (Deps.Ind.make (r1, [ a1 ]) (r2, [ a2 ]))
+            else None)
+        attrs)
+    attrs

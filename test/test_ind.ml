@@ -48,11 +48,11 @@ let test_counts_satisfied () =
   Alcotest.(check int) "n_join" 2 c.Ind.n_join;
   Alcotest.(check bool) "satisfied" true (Ind.satisfied db i);
   Alcotest.(check bool) "materialized agrees" true
-    (Ind.satisfied_materialized db i);
+    (Reference.Counts.ind_satisfied db i);
   let rev = ind ("P", [ "id" ]) ("E", [ "no" ]) in
   Alcotest.(check bool) "reverse fails" false (Ind.satisfied db rev);
   Alcotest.(check bool) "reverse materialized agrees" false
-    (Ind.satisfied_materialized db rev);
+    (Reference.Counts.ind_satisfied db rev);
   let partial = ind ("X", [ "k" ]) ("P", [ "id" ]) in
   Alcotest.(check bool) "partial overlap fails" false (Ind.satisfied db partial)
 

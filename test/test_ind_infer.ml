@@ -29,7 +29,7 @@ let test_discover_unary () =
 let test_agrees_with_brute () =
   let db = db () in
   let fast, _ = Ind_infer.discover_unary db in
-  let brute = Ind_infer.discover_unary_brute db in
+  let brute = Reference.Counts.discover_unary_brute db in
   check_sorted_inds "agreement" brute fast
 
 let test_empty_attr_not_included () =

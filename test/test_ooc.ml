@@ -31,22 +31,6 @@ let rand m =
 
 let reset_lcg () = lcg := 424242
 
-let spill_dir_counter = ref 0
-
-let fresh_spill_dir () =
-  incr spill_dir_counter;
-  Filename.concat
-    (Filename.get_temp_dir_name ())
-    (Printf.sprintf "dbre-ooc-test-%d-%d" (Unix.getpid ()) !spill_dir_counter)
-
-let rm_rf dir =
-  if Sys.file_exists dir then begin
-    Array.iter
-      (fun f -> try Sys.remove (Filename.concat dir f) with Sys_error _ -> ())
-      (Sys.readdir dir);
-    try Unix.rmdir dir with Unix.Unix_error _ -> ()
-  end
-
 (* -- fuzzed segment-boundary equivalence ------------------------------ *)
 
 let rel2 =

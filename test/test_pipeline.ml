@@ -57,7 +57,7 @@ let test_paper_zipcode_not_elicited () =
      navigates it (the paper's point about irrelevant FDs) *)
   let db = Workload.Paper_example.database () in
   Alcotest.(check bool) "holds in data" true
-    (Fd.satisfied_by (Database.table db "Person")
+    (Reference.Fd_infer.satisfied_by (Database.table db "Person")
        (fd "Person" [ "zip-code" ] [ "state" ]));
   let r = Workload.Paper_example.run () in
   Alcotest.(check bool) "never elicited" false

@@ -82,7 +82,7 @@ let suite =
     prop "migrated dictionary constraints hold" (fun spec ->
         let _, r = run_pipeline spec in
         match r.Dbre.Pipeline.restruct_result.Dbre.Restruct.database with
-        | Some db -> Result.is_ok (Database.check_constraints db)
+        | Some db -> Result.is_ok (Reference.Counts.database_constraints db)
         | None -> false);
     prop "planted dependencies recovered on clean data" (fun spec ->
         let g, r = run_pipeline spec in

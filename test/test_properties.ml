@@ -174,30 +174,30 @@ let fd_engine_props =
         let rhs = Attribute.Names.diff attr_pool lhs in
         QCheck.assume (rhs <> []);
         let f = Fd.make "R" lhs rhs in
-        Fd_infer.holds t f = Fd.satisfied_by t f);
+        Fd_infer.holds t f = Reference.Fd_infer.satisfied_by t f);
     prop "naive = spec" (QCheck.pair arb_table arb_attr_set) (fun (t, lhs) ->
         let rhs = Attribute.Names.diff attr_pool lhs in
         QCheck.assume (rhs <> []);
         let f = Fd.make "R" lhs rhs in
-        Reference.Fd_infer.holds_naive t f = Fd.satisfied_by t f);
+        Reference.Fd_infer.holds_naive t f = Reference.Fd_infer.satisfied_by t f);
     prop "partition = spec" (QCheck.pair arb_table arb_attr_set) (fun (t, lhs) ->
         let rhs = Attribute.Names.diff attr_pool lhs in
         QCheck.assume (rhs <> []);
         let f = Fd.make "R" lhs rhs in
-        Reference.Fd_infer.holds_partition t f = Fd.satisfied_by t f);
+        Reference.Fd_infer.holds_partition t f = Reference.Fd_infer.satisfied_by t f);
     prop "error rate zero iff holds" (QCheck.pair arb_table arb_attr_set)
       (fun (t, lhs) ->
         let rhs = Attribute.Names.diff attr_pool lhs in
         QCheck.assume (rhs <> []);
         let f = Fd.make "R" lhs rhs in
-        Fd.satisfied_by t f = (Fd_infer.error_rate t f = 0.0));
+        Reference.Fd_infer.satisfied_by t f = (Reference.Fd_infer.error_rate t f = 0.0));
     prop "tane = discover on null-free tables" arb_table_no_null (fun t ->
         let d, _ = Fd_infer.discover ~max_lhs:3 ~rel:"R" t in
         let tn, _ = Reference.Fd_infer.discover_tane ~max_lhs:3 ~rel:"R" t in
         List.sort Fd.compare d = List.sort Fd.compare tn);
     prop "discovered fds hold and are minimal" arb_table (fun t ->
         let fds, _ = Fd_infer.discover ~max_lhs:2 ~rel:"R" t in
-        List.for_all (Fd.satisfied_by t) fds
+        List.for_all (Reference.Fd_infer.satisfied_by t) fds
         && List.for_all
              (fun (f : Fd.t) ->
                (* removing any lhs attr breaks it (minimality) *)
@@ -208,7 +208,7 @@ let fd_engine_props =
                       not
                         (List.for_all
                            (fun b ->
-                             Fd.satisfied_by t (Fd.make "R" smaller [ b ]))
+                             Reference.Fd_infer.satisfied_by t (Fd.make "R" smaller [ b ]))
                            f.Fd.rhs))
                     f.Fd.lhs)
              fds);
@@ -235,7 +235,7 @@ let partition_props =
     prop "rank counts distinct groupings" arb_table (fun t ->
         let p = Partition.of_table t [ "a" ] in
         (* rank = number of distinct 'a' values with NULL as a value *)
-        let g = Table.group_rows t [ "a" ] in
+        let g = Reference.Counts.group_rows t [ "a" ] in
         Partition.rank p = Hashtbl.length g);
   ]
 
@@ -259,11 +259,11 @@ let ind_props =
           db
         in
         let i = Ind.make ("T1", [ "a" ]) ("T2", [ "b" ]) in
-        Ind.satisfied db i = Ind.satisfied_materialized db i);
+        Ind.satisfied db i = Reference.Counts.ind_satisfied db i);
     prop "join count bounded by both sides" (QCheck.pair arb_table arb_table)
       (fun (t1, t2) ->
         let n = join_count t1 [ "a" ] t2 [ "b" ] in
-        n <= Table.count_distinct t1 [ "a" ] && n <= Table.count_distinct t2 [ "b" ]);
+        n <= Reference.Counts.count_distinct t1 [ "a" ] && n <= Reference.Counts.count_distinct t2 [ "b" ]);
     prop "join count symmetric" (QCheck.pair arb_table arb_table) (fun (t1, t2) ->
         join_count t1 [ "a" ] t2 [ "b" ] = join_count t2 [ "b" ] t1 [ "a" ]);
     prop "join count = reference" (QCheck.pair arb_table arb_table)

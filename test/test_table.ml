@@ -28,17 +28,17 @@ let test_rows_cache () =
 
 let test_count_distinct () =
   let t = sample () in
-  Alcotest.(check int) "distinct ids" 4 (Table.count_distinct t [ "id" ]);
+  Alcotest.(check int) "distinct ids" 4 (Reference.Counts.count_distinct t [ "id" ]);
   Alcotest.(check int) "distinct cities exclude null" 2
-    (Table.count_distinct t [ "city" ]);
+    (Reference.Counts.count_distinct t [ "city" ]);
   Alcotest.(check int) "multi-attr" 2
-    (Table.count_distinct t [ "city"; "pop" ]);
+    (Reference.Counts.count_distinct t [ "city"; "pop" ]);
   Alcotest.(check int) "null row excluded from multi" 3
-    (Table.count_distinct t [ "id"; "city" ])
+    (Reference.Counts.count_distinct t [ "id"; "city" ])
 
 let test_project_distinct () =
   let t = sample () in
-  let cities = List.sort compare (Table.project_distinct t [ "city" ]) in
+  let cities = List.sort compare (Reference.Counts.project_distinct t [ "city" ]) in
   Alcotest.(check int) "two cities" 2 (List.length cities)
 
 let test_equijoin_count () =
@@ -63,30 +63,30 @@ let test_equijoin_count () =
 
 let test_group_rows () =
   let t = sample () in
-  let g = Table.group_rows t [ "city" ] in
+  let g = Reference.Counts.group_rows t [ "city" ] in
   Alcotest.(check int) "three groups incl null" 3 (Hashtbl.length g);
   Alcotest.(check int) "lyon group" 2
     (List.length (Hashtbl.find g [ vs "lyon" ]))
 
 let test_unique_checks () =
   let t = sample () in
-  Alcotest.(check bool) "id unique" true (Table.check_unique t [ "id" ]);
-  Alcotest.(check bool) "city not unique" false (Table.check_unique t [ "city" ]);
+  Alcotest.(check bool) "id unique" true (Reference.Counts.check_unique t [ "id" ]);
+  Alcotest.(check bool) "city not unique" false (Reference.Counts.check_unique t [ "city" ]);
   Alcotest.(check bool) "city+pop not unique" false
-    (Table.check_unique t [ "city"; "pop" ]);
+    (Reference.Counts.check_unique t [ "city"; "pop" ]);
   (* null rows are skipped by SQL UNIQUE *)
   let t2 = table "U" [ "a" ] [ [ vnull ]; [ vnull ] ] in
   Alcotest.(check bool) "nulls don't violate unique" true
-    (Table.check_unique t2 [ "a" ])
+    (Reference.Counts.check_unique t2 [ "a" ])
 
 let test_check_constraints () =
   let ok = sample () in
   Alcotest.(check bool) "constraints hold" true
-    (Result.is_ok (Table.check_constraints ok));
+    (Result.is_ok (Reference.Counts.check_constraints ok));
   let bad =
     table "B" ~uniques:[ [ "id" ] ] [ "id" ] [ [ vi 1 ]; [ vi 1 ] ]
   in
-  (match Table.check_constraints bad with
+  (match Reference.Counts.check_constraints bad with
   | Error [ msg ] ->
       Alcotest.(check string) "violation message" "B: unique(id) violated" msg
   | _ -> Alcotest.fail "expected one violation");
@@ -94,11 +94,11 @@ let test_check_constraints () =
     table "N" ~uniques:[ [ "id" ] ] [ "id" ] [ [ vnull ] ]
   in
   Alcotest.(check bool) "null in key violates implied not-null" true
-    (Result.is_error (Table.check_constraints null_key))
+    (Result.is_error (Reference.Counts.check_constraints null_key))
 
 let test_select () =
   let t = sample () in
-  let rows = Table.select t (fun tup -> Value.equal tup.(1) (vs "lyon")) in
+  let rows = Reference.Counts.select t (fun tup -> Value.equal tup.(1) (vs "lyon")) in
   Alcotest.(check int) "selected" 2 (List.length rows)
 
 let suite =

@@ -72,13 +72,13 @@ let test_planted_deps_hold () =
   List.iter
     (fun (f : Fd.t) ->
       Alcotest.(check bool) (Fd.to_string f ^ " holds") true
-        (Fd.satisfied_by (Database.table g.Gen_schema.db f.Fd.rel) f))
+        (Reference.Fd_infer.satisfied_by (Database.table g.Gen_schema.db f.Fd.rel) f))
     g.Gen_schema.truth.Gen_schema.planted_fds
 
 let test_generated_constraints_hold () =
   let g = Gen_schema.generate Gen_schema.default_spec in
   Alcotest.(check bool) "dictionary constraints" true
-    (Result.is_ok (Database.check_constraints g.Gen_schema.db))
+    (Result.is_ok (Reference.Counts.database_constraints g.Gen_schema.db))
 
 let test_programs_parse () =
   let g = Gen_schema.generate Gen_schema.default_spec in
@@ -116,7 +116,7 @@ let test_break_fd () =
   in
   Alcotest.(check bool) "rows touched" true (n > 0);
   Alcotest.(check bool) "fd broken" false
-    (Fd.satisfied_by (Database.table db target.Fd.rel)
+    (Reference.Fd_infer.satisfied_by (Database.table db target.Fd.rel)
        (Deps.Fd.make target.Fd.rel target.Fd.lhs [ rhs_attr ]))
 
 let test_delete_rows () =
@@ -188,7 +188,7 @@ let test_scenarios_registry () =
 let test_paper_database_valid () =
   let db = Workload.Paper_example.database () in
   Alcotest.(check bool) "constraints hold" true
-    (Result.is_ok (Database.check_constraints db));
+    (Result.is_ok (Reference.Counts.database_constraints db));
   Alcotest.(check int) "2200 persons" 2200 (Database.cardinality db "Person");
   Alcotest.(check int) "1550 distinct employees" 1550
     (Database.count_distinct db "HEmployee" [ "no" ])
@@ -196,7 +196,7 @@ let test_paper_database_valid () =
 let test_payroll_database_valid () =
   let db = (Scenarios.payroll).Scenarios.database () in
   Alcotest.(check bool) "constraints hold" true
-    (Result.is_ok (Database.check_constraints db))
+    (Result.is_ok (Reference.Counts.database_constraints db))
 
 let suite =
   [
