@@ -35,20 +35,14 @@ let conceptualize ~engine db (j : Sqlx.Equijoin.t) name =
   in
   let rel = Relation.make ~domains ~uniques:[ attrs ] name attrs in
   Database.add_relation db rel;
-  let distinct t attrs =
-    Column_store.distinct_set
-      (Column_store.of_table ~delta_fraction:engine.Engine.delta_fraction t)
-      attrs
+  let store t =
+    Column_store.of_table ~delta_fraction:engine.Engine.delta_fraction t
   in
-  let d1 = distinct t1 j.Sqlx.Equijoin.attrs1
-  and d2 = distinct t2 j.Sqlx.Equijoin.attrs2 in
   (* sort the intersection so the materialized extension does not
      depend on hash order *)
   let intersection =
-    Hashtbl.fold
-      (fun values () acc ->
-        if Hashtbl.mem d2 values then values :: acc else acc)
-      d1 []
+    Column_store.common_values (store t1) j.Sqlx.Equijoin.attrs1 (store t2)
+      j.Sqlx.Equijoin.attrs2
   in
   List.iter
     (fun values -> Database.insert db name values)
@@ -63,7 +57,7 @@ let fresh_name db base =
   go 0
 
 (* Plan every count the elicitation loop will need as one batch: the
-   planner builds each distinct (table, attrs) side once — fanning
+   planner prepares each distinct (table, attrs) side once — fanning
    tables over the engine's persistent Domain_pool under a parallel
    engine, replacing the domain-spawn-per-call warm-up of
    PR 2 — and answers the N_k / N_l / N_kl triples in Q-order. The

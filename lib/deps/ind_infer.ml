@@ -30,40 +30,32 @@ let effective_domain db (rel, a, declared) =
 
 let discover_unary db =
   let attrs = all_attrs db in
-  let enriched =
-    List.map (fun ((rel, a, _) as t) -> (rel, a, effective_domain db t)) attrs
-  in
-  let value_sets =
+  let sides =
     List.map
-      (fun (rel, a, d) ->
-        ((rel, a, d), Column_store.distinct_set (store db rel) [ a ]))
-      enriched
+      (fun ((rel, a, _) as t) ->
+        let s = store db rel in
+        ((rel, a, effective_domain db t), s, Column_store.count_distinct s [ a ]))
+      attrs
   in
   let n = List.length attrs in
   let considered = n * (n - 1) in
   let tested = ref 0 in
   let found = ref [] in
+  (* [r1.a1] is included in [r2.a2] when every code of its dictionary
+     translates into [r2.a2]'s *)
   List.iter
-    (fun ((r1, a1, d1), set1) ->
+    (fun ((r1, a1, d1), s1, n1) ->
       List.iter
-        (fun ((r2, a2, d2), set2) ->
+        (fun ((r2, a2, d2), s2, n2) ->
           if (r1, a1) <> (r2, a2) && Domain.compatible d1 d2 then begin
             incr tested;
-            if Hashtbl.length set1 <= Hashtbl.length set2 then begin
-              let included =
-                try
-                  Hashtbl.iter
-                    (fun k () -> if not (Hashtbl.mem set2 k) then raise Exit)
-                    set1;
-                  true
-                with Exit -> false
-              in
-              if included && Hashtbl.length set1 > 0 then
-                found := Ind.make (r1, [ a1 ]) (r2, [ a2 ]) :: !found
-            end
+            if
+              n1 > 0 && n1 <= n2
+              && Column_store.unary_included s1 a1 s2 a2
+            then found := Ind.make (r1, [ a1 ]) (r2, [ a2 ]) :: !found
           end)
-        value_sets)
-    value_sets;
+        sides)
+    sides;
   let inds = List.rev !found in
   (inds, { pairs_considered = considered; pairs_tested = !tested;
            inds_found = List.length inds })

@@ -16,9 +16,11 @@ type stats = {
 
 val discover_unary : Database.t -> Ind.t list * stats
 (** All satisfied unary INDs [R.a ≪ S.b] with [(R, a) ≠ (S, b)], domain
-    filtering first, then a single shared value-index pass: each
-    attribute's distinct non-null value set is its memoized
-    {!Column_store.distinct_set}, and inclusions are tested pairwise.
+    filtering first, then pairwise inclusion tests on dictionary codes:
+    each attribute's distinct non-null values are its column
+    dictionary, and [R.a ≪ S.b] holds when every code of [R.a]'s
+    dictionary translates into [S.b]'s ({!Column_store.unary_included},
+    which stops at the first code that does not).
     [Unknown] declared domains are inferred from the column
     dictionaries. Trivial self-inclusions are skipped;
     both directions of an equality are reported. *)

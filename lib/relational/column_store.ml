@@ -67,13 +67,17 @@ type column = {
          sealed_dict live only in the tail — the only region deletes
          can orphan them from, so a tail delete reclaims dead codes by
          scanning the tail alone. *)
-  mutable vrange : (int * int) option option;
-      (* memoized all-[Int] dictionary value range, for the IND
-         disjoint-range short-circuit *)
   mutable interner : vtab option;
-      (* value -> code over [dict], built from it on the first delta
-         append and kept so later appends intern in O(1) per cell;
-         dropped whenever codes are renumbered *)
+      (* value -> code over [dict], built from it on first need (a
+         delta append, or a join count probing this column) and kept,
+         so later appends intern and later probes translate in O(1)
+         per value; dropped whenever codes are renumbered *)
+}
+
+(* The distinct code tuples of a column list (see [dedup_codes]). *)
+type keyset = {
+  ks_tuples : (int array, unit) Hashtbl.t;
+  mutable ks_witnesses : int;  (* rows the tuples were drawn from *)
 }
 
 (* The code-level state of one fused FD sweep over a shared LHS (see
@@ -107,8 +111,9 @@ type t = {
   mutable n_rows : int;
   seg_rows : int;  (* fixed sealed-segment size for this store *)
   columns : column option array;  (* by attribute position, lazy *)
-  distinct_sets : (string list, (Value.t list, unit) Hashtbl.t) Hashtbl.t;
-  witnesses : (string list, int) Hashtbl.t;  (* NULL-free rows per attrs *)
+  keysets : (string list, keyset) Hashtbl.t;
+      (* NULL-free distinct code tuples, per attribute list of two or
+         more: one attribute's distinct set is its dictionary *)
   fd_verdicts : (string list * string, bool) Hashtbl.t;
   fd_sweeps : (string list, sweep) Hashtbl.t;
   join_counts : (string list * int * string list, int) Hashtbl.t;
@@ -302,8 +307,7 @@ let make_store ?seg_rows table =
       n_rows = Table.cardinality table;
       seg_rows;
       columns = Array.make arity None;
-      distinct_sets = Hashtbl.create 8;
-      witnesses = Hashtbl.create 8;
+      keysets = Hashtbl.create 8;
       fd_verdicts = Hashtbl.create 16;
       fd_sweeps = Hashtbl.create 8;
       join_counts = Hashtbl.create 8;
@@ -351,7 +355,6 @@ let column_of_codes ~seg_rows codes dict nulls =
     dict;
     nulls;
     sealed_dict = max_sealed_code segs 1;
-    vrange = None;
     interner = None;
   }
 
@@ -539,16 +542,15 @@ let dvec_push d v =
   d.ddata.(d.dlen) <- v;
   d.dlen <- d.dlen + 1
 
-(* the code of [v] in the column whose intern table is [t] and whose
-   dictionary is [d], interning it as the next code on a miss *)
-let intern_into t d v =
+(* the code bound to [v] in the intern table [t] (NULL is 0); when
+   absent, binds [v] to [c] and returns -1 *)
+let vtab_bind t v c =
   match v with
   | Value.Null -> 0
   | Value.Int n when n <> min_int ->
       let i = ntab_slot t n in
       if t.n_tab.(2 * i) <> min_int then t.n_tab.((2 * i) + 1)
       else begin
-        let c = d.dlen in
         let i =
           if (t.n_size + 1) * 2 > t.n_cap then begin
             ntab_grow t;
@@ -559,22 +561,14 @@ let intern_into t d v =
         t.n_tab.(2 * i) <- n;
         t.n_tab.((2 * i) + 1) <- c;
         t.n_size <- t.n_size + 1;
-        dvec_push d v;
-        c
+        -1
       end
-  | Value.String s ->
-      let c = stab_bind t.strs s d.dlen in
-      if c >= 0 then c
-      else begin
-        dvec_push d v;
-        d.dlen - 1
-      end
+  | Value.String s -> stab_bind t.strs s c
   | _ ->
       let h = Hashtbl.hash v lor 1 in
       let i = vtab_slot t h v in
       if t.v_hs.(i) <> 0 then t.v_codes.(i)
       else begin
-        let c = d.dlen in
         let i =
           if (t.v_size + 1) * 2 > t.v_cap then begin
             vtab_grow t;
@@ -586,9 +580,29 @@ let intern_into t d v =
         t.v_keys.(i) <- v;
         t.v_codes.(i) <- c;
         t.v_size <- t.v_size + 1;
-        dvec_push d v;
-        c
+        -1
       end
+
+(* the code of [v] in the column whose intern table is [t] and whose
+   dictionary is [d], interning it as the next code on a miss *)
+let intern_into t d v =
+  let c = vtab_bind t v d.dlen in
+  if c >= 0 then c
+  else begin
+    dvec_push d v;
+    d.dlen - 1
+  end
+
+(* the code of [v] in the column whose intern table is [t], or -1:
+   [intern_into]'s lookup, never inserting *)
+let vtab_find t v =
+  match v with
+  | Value.Null -> 0
+  | Value.Int n when n <> min_int -> ntab_find t n
+  | Value.String s -> stab_find t.strs s
+  | _ ->
+      let i = vtab_slot t (Hashtbl.hash v lor 1) v in
+      if t.v_hs.(i) <> 0 then t.v_codes.(i) else -1
 
 let encode t pos =
   let rows = Table.rows t.table in
@@ -655,149 +669,153 @@ let ensure_columns ?pool t attrs =
       | _ -> Array.iter (fun p -> ignore (stash_encoded t p (encode t p))) ps)
 
 (* ------------------------------------------------------------------ *)
-(* distinct sets                                                       *)
+(* distinct code tuples                                                *)
 (* ------------------------------------------------------------------ *)
 
-(* decode a code tuple back to the value list a row-level distinct
-   projection would have keyed with *)
-let decode cols code_list =
-  List.map2 (fun (c : column) code -> c.dict.(code)) (Array.to_list cols)
-    code_list
+(* the value -> code table over a column's dictionary, built from it
+   on first need *)
+let column_interner (col : column) =
+  match col.interner with
+  | Some tab -> tab
+  | None ->
+      let tab = vtab_create () in
+      Array.iteri (fun c v -> if c > 0 then ignore (vtab_bind tab v c)) col.dict;
+      col.interner <- Some tab;
+      tab
+
+(* add the tuple [codes] (not retained); [true] when it is new *)
+let ks_add ks codes =
+  (not (Hashtbl.mem ks.ks_tuples codes))
+  && begin
+       Hashtbl.add ks.ks_tuples (Array.copy codes) ();
+       true
+     end
 
 (* The code-tuple dedup loop: walk [cols]' rows in order and, for each
    row NULL-free on every column flagged in [need], count a witness and
    call [fresh bufs i] the first time its code tuple (NULL codes
-   included) is seen. Returns the seen code tuples and the witness
-   count. Distinct sets and deduplicating projections both run it. *)
+   included) is seen. Returns the seen tuples. Distinct sets and
+   deduplicating projections both run it. *)
 let dedup_codes t cols need fresh =
   let width = Array.length cols in
-  let seen : (int list, unit) Hashtbl.t =
-    Hashtbl.create (max 16 (min t.n_rows 65536 / 4 + 16))
-  in
-  let witnesses = ref 0 in
+  let size = max 16 (min t.n_rows 65536 / 4 + 16) in
+  let ks = { ks_tuples = Hashtbl.create size; ks_witnesses = 0 } in
+  let key = Array.make width 0 in
   iter_blocks t cols (fun bufs len _base ->
       for i = 0 to len - 1 do
         let null = ref false in
-        let key = ref [] in
-        for j = width - 1 downto 0 do
+        for j = 0 to width - 1 do
           let code = bufs.(j).(i) in
           if code = 0 && need.(j) then null := true;
-          key := code :: !key
+          key.(j) <- code
         done;
         if not !null then begin
-          incr witnesses;
-          let before = Hashtbl.length seen in
-          Hashtbl.replace seen !key ();
-          if Hashtbl.length seen > before then fresh bufs i
+          ks.ks_witnesses <- ks.ks_witnesses + 1;
+          if ks_add ks key then fresh bufs i
         end
       done);
-  (seen, !witnesses)
+  ks
 
-let compute_distinct t attrs =
-  match attrs with
-  | [ a ] ->
-      (* single column: the dictionary is the distinct set (deletes
-         drop dead codes as they compact), so no row pass *)
-      let c = column t a in
-      let set = Hashtbl.create (max 16 (Array.length c.dict)) in
-      Array.iteri
-        (fun code v -> if code > 0 then Hashtbl.add set [ v ] ())
-        c.dict;
-      (set, t.n_rows - c.nulls)
-  | _ ->
-      let cols = columns t attrs in
-      let seen, witnesses =
-        dedup_codes t cols (Array.map (fun _ -> true) cols) (fun _ _ -> ())
-      in
-      let set = Hashtbl.create (max 16 (Hashtbl.length seen)) in
-      Hashtbl.iter (fun key () -> Hashtbl.add set (decode cols key) ()) seen;
-      (set, witnesses)
-
-let distinct_set t attrs =
-  match Hashtbl.find_opt t.distinct_sets attrs with
-  | Some set -> set
+(* the memoized NULL-free distinct tuples of two or more attributes *)
+let keyset t attrs =
+  match Hashtbl.find_opt t.keysets attrs with
+  | Some ks -> ks
   | None ->
-      let set, witnesses = compute_distinct t attrs in
-      Hashtbl.add t.distinct_sets attrs set;
-      Hashtbl.add t.witnesses attrs witnesses;
-      set
+      let cols = columns t attrs in
+      let ks = dedup_codes t cols (Array.map (fun _ -> true) cols) (fun _ _ -> ()) in
+      Hashtbl.add t.keysets attrs ks;
+      ks
+
+(* A single attribute needs no row pass: the dictionary is the
+   distinct set (deletes drop dead codes as they compact). *)
+let count_distinct t attrs =
+  match attrs with
+  | [ a ] -> Array.length (column t a).dict - 1
+  | _ -> Hashtbl.length (keyset t attrs).ks_tuples
 
 let witness_count t attrs =
-  match Hashtbl.find_opt t.witnesses attrs with
-  | Some n -> n
-  | None ->
-      ignore (distinct_set t attrs);
-      Hashtbl.find t.witnesses attrs
-
-let count_distinct t attrs = Hashtbl.length (distinct_set t attrs)
+  match attrs with
+  | [ a ] -> t.n_rows - (column t a).nulls
+  | _ -> (keyset t attrs).ks_witnesses
 
 let unique t attrs =
   let w = witness_count t attrs in
   w > 0 && count_distinct t attrs = w
 
-(* memoized all-[Int] dictionary value range: the dictionary holds
-   exactly the live values, so range disjointness proves an empty
-   intersection *)
-let int_range (col : column) =
-  match col.vrange with
-  | Some r -> r
-  | None ->
-      let n = Array.length col.dict in
-      let r =
-        if n <= 1 then None
-        else begin
-          let lo = ref max_int and hi = ref min_int and ok = ref true in
-          let i = ref 1 in
-          while !ok && !i < n do
-            (match col.dict.(!i) with
-            | Value.Int x ->
-                if x < !lo then lo := x;
-                if x > !hi then hi := x
-            | _ -> ok := false);
-            incr i
-          done;
-          if !ok then Some (!lo, !hi) else None
-        end
-      in
-      col.vrange <- Some r;
-      r
+let prepare ?(probe = false) t attrs =
+  (match attrs with [ _ ] -> () | _ -> ignore (keyset t attrs));
+  Array.iter (fun c -> if probe then ignore (column_interner c)) (columns t attrs)
+
+(* [f k] on every distinct NULL-free code tuple of [attrs] ([k] is a
+   scratch buffer): a single attribute's are its dictionary's codes *)
+let iter_keys t attrs f =
+  match attrs with
+  | [ a ] ->
+      let k = [| 0 |] in
+      for c = 1 to Array.length (column t a).dict - 1 do
+        k.(0) <- c;
+        f k
+      done
+  | _ -> Hashtbl.iter (fun k () -> f k) (keyset t attrs).ks_tuples
+
+(* whether a tuple of live codes is one of [t]'s distinct tuples on
+   [attrs]: always, for a single attribute *)
+let key_test t attrs =
+  match attrs with [ _ ] -> fun _ -> true | _ -> Hashtbl.mem (keyset t attrs).ks_tuples
+
+(* Write to [k'] the codes in [cols'] of the value tuple the code tuple
+   [k] spells in [cols]; [false] when some component's value is absent
+   there. Each component is looked up in its peer column's interner, so
+   equality is structural [Value.t] equality, exactly as interning
+   partitions. *)
+let translate (cols : column array) (cols' : column array) k k' =
+  let rec go j =
+    j = Array.length k
+    ||
+    let d = vtab_find (column_interner cols'.(j)) cols.(j).dict.(k.(j)) in
+    k'.(j) <- d;
+    d > 0 && go (j + 1)
+  in
+  go 0
+
+let walks_left t1 a1 t2 a2 = count_distinct t1 a1 <= count_distinct t2 a2
+
+(* [f k1] for every distinct NULL-free projection of [t1] on [a1] that
+   also occurs in [t2] on [a2], with its codes in [t1]'s columns ([k1],
+   a scratch buffer): walks the side [walks_left] picks and translates
+   each of its tuples into the other side's codes *)
+let iter_join fn t1 a1 t2 a2 f =
+  if List.length a1 <> List.length a2 then
+    invalid_arg (Printf.sprintf "Column_store.%s: width mismatch" fn);
+  let walk s1 x1 s2 x2 g =
+    let cols1 = columns s1 x1 and cols2 = columns s2 x2 in
+    let member = key_test s2 x2 and k2 = Array.make (List.length x1) 0 in
+    iter_keys s1 x1 (fun k1 -> if translate cols1 cols2 k1 k2 && member k2 then g k1 k2)
+  in
+  if walks_left t1 a1 t2 a2 then walk t1 a1 t2 a2 (fun k1 _ -> f k1)
+  else walk t2 a2 t1 a1 (fun _ k1 -> f k1)
 
 let equijoin_distinct_count t1 a1 t2 a2 =
-  if List.length a1 <> List.length a2 then
-    invalid_arg "Column_store.equijoin_distinct_count: width mismatch";
   let key = (a1, t2.uid, a2) in
   match Hashtbl.find_opt t1.join_counts key with
   | Some n -> n
   | None ->
-      (* all-Int single-attribute sides with disjoint dictionary value
-         ranges cannot intersect: the count is provably 0 without
-         building either distinct set *)
-      let short_circuit =
-        match (a1, a2) with
-        | [ x ], [ y ] -> (
-            match (int_range (column t1 x), int_range (column t2 y)) with
-            | Some (l1, h1), Some (l2, h2) -> h1 < l2 || h2 < l1
-            | _ -> false)
-        | _ -> false
-      in
-      if short_circuit then begin
-        Ooc.note_ind_short_circuit ();
-        Hashtbl.add t1.join_counts key 0;
-        0
-      end
-      else begin
-        let d1 = distinct_set t1 a1 and d2 = distinct_set t2 a2 in
-        let small, large =
-          if Hashtbl.length d1 <= Hashtbl.length d2 then (d1, d2) else (d2, d1)
-        in
-        let n =
-          Hashtbl.fold
-            (fun k () acc -> if Hashtbl.mem large k then acc + 1 else acc)
-            small 0
-        in
-        Hashtbl.add t1.join_counts key n;
-        n
-      end
+      let n = ref 0 in
+      iter_join "equijoin_distinct_count" t1 a1 t2 a2 (fun _ -> incr n);
+      Hashtbl.add t1.join_counts key !n;
+      !n
+
+let unary_included t1 a1 t2 a2 =
+  let d1 = (column t1 a1).dict and tab = column_interner (column t2 a2) in
+  let rec go c = c = Array.length d1 || (vtab_find tab d1.(c) > 0 && go (c + 1)) in
+  go 1
+
+let common_values t1 a1 t2 a2 =
+  let cols = columns t1 a1 in
+  let acc = ref [] in
+  iter_join "common_values" t1 a1 t2 a2 (fun k1 ->
+      acc := Array.to_list (Array.mapi (fun j c -> cols.(j).dict.(c)) k1) :: !acc);
+  !acc
 
 (* ------------------------------------------------------------------ *)
 (* FD checks                                                           *)
@@ -1048,24 +1066,19 @@ type refresh_outcome =
   | Store_rebuilt
 
 (* What an incremental refresh did to this store's distinct sets —
-   the evidence coordinated join-count patching needs. *)
+   the evidence coordinated join-count patching needs, as codes.
+   Appends never renumber, so one attribute's newly added values are
+   exactly its dictionary's new entries. *)
 type refresh_summary =
   | Sum_unchanged
-  | Sum_appended of (string list * Value.t list list) list
-      (* per memoized attribute list, the keys newly added *)
+  | Sum_appended of {
+      dict_before : int array;
+          (* per attribute position, dictionary size before the first
+             append (0 if not encoded) *)
+      tuples : (string list, int array list) Hashtbl.t;
+          (* per memoized keyset, the code tuples newly added *)
+    }
   | Sum_invalidated
-
-(* the value -> code table over a column's dictionary, built from it
-   on the column's first delta append *)
-let column_interner (col : column) =
-  match col.interner with
-  | Some tab -> tab
-  | None ->
-      let tab = vtab_create () and d = dvec_create () in
-      (* dictionary entries are distinct, so code [c] interns as [c] *)
-      Array.iteri (fun c v -> if c > 0 then ignore (intern_into tab d v)) col.dict;
-      col.interner <- Some tab;
-      tab
 
 (* extend one encoded column with appended rows: intern each cell
    (extending the dictionary on first sight), grow the tail and seal
@@ -1095,7 +1108,7 @@ let extend_column t pos (col : column) tups =
   let total = t0 + k in
   let extra = total / sr in
   let col =
-    if extra = 0 then { col with tail = codes; dict; nulls = !nulls; vrange = None }
+    if extra = 0 then { col with tail = codes; dict; nulls = !nulls }
     else begin
       let fresh = Array.init extra (fun s -> seal_segment ~seg_rows:sr codes (s * sr)) in
       {
@@ -1109,7 +1122,6 @@ let extend_column t pos (col : column) tups =
            maximum all occur in the sealed region — the invariant
            sealed_dict certifies *)
         sealed_dict = max_sealed_code fresh col.sealed_dict;
-        vrange = None;
       }
     end
   in
@@ -1141,7 +1153,7 @@ let reclaim_tail (col : column) =
     Array.blit col.dict 0 dict 0 sd;
     Array.iteri (fun j c -> if c >= 0 then dict.(c) <- col.dict.(sd + j)) remap;
     let tail = Array.map (fun c -> if c >= sd then remap.(c - sd) else c) col.tail in
-    { col with tail; dict; vrange = None; interner = None }
+    { col with tail; dict; interner = None }
   end
 
 (* Drop deleted row positions. Tail-only deletes (the common delta
@@ -1171,7 +1183,7 @@ let compact_column t (col : column) idxs =
         incr j
       end
     done;
-    reclaim_tail { col with tail; nulls = !nulls; vrange = None }
+    reclaim_tail { col with tail; nulls = !nulls }
   end
   else begin
     let dlen = Array.length col.dict in
@@ -1229,23 +1241,12 @@ let compact_column t (col : column) idxs =
         dict = Array.of_list (Value.Null :: List.rev !rev_dict);
         nulls = !nulls;
         sealed_dict = max_sealed_code segs 1;
-        vrange = None;
         interner = None;
       }
     in
     release_column col;
     col'
   end
-
-(* NULL-free value projection, in attribute order *)
-let project_opt (poss : int array) tup =
-  let rec go j acc =
-    if j < 0 then Some acc
-    else
-      let v = tup.(poss.(j)) in
-      if Value.is_null v then None else go (j - 1) (v :: acc)
-  in
-  go (Array.length poss - 1) []
 
 (* Run appended rows' codes ([fresh.(pos)] per encoded column, as
    [extend_column] just interned them) through a retained sweep: the
@@ -1296,34 +1297,24 @@ let recheck_fd_verdicts t fresh n =
     (fun _ st -> if st.sw_n_live > 0 then Some st else None)
     t.fd_sweeps
 
-(* patch every memoized distinct set and witness count with the
-   appended rows; per attribute list, the newly-added keys feed the
-   coordinated join-count patch *)
-let patch_distinct_append t tups =
-  let sets =
-    Hashtbl.fold (fun attrs set acc -> (attrs, set) :: acc) t.distinct_sets []
-  in
-  List.map
-    (fun (attrs, set) ->
+(* patch every memoized keyset with the appended rows' codes
+   ([fresh.(pos)] per encoded column), recording in [added] the tuples
+   each newly gained, for the coordinated join-count patch *)
+let patch_keysets_append t (fresh : int array array) n added =
+  Hashtbl.iter
+    (fun attrs ks ->
       let poss = Array.of_list (List.map (pos_of t) attrs) in
-      let added = ref [] in
-      let fresh_witnesses = ref 0 in
-      Array.iter
-        (fun tup ->
-          match project_opt poss tup with
-          | None -> ()
-          | Some key ->
-              incr fresh_witnesses;
-              if not (Hashtbl.mem set key) then begin
-                Hashtbl.add set key ();
-                added := key :: !added
-              end)
-        tups;
-      (match Hashtbl.find_opt t.witnesses attrs with
-      | Some w -> Hashtbl.replace t.witnesses attrs (w + !fresh_witnesses)
-      | None -> ());
-      (attrs, !added))
-    sets
+      let key = Array.make (Array.length poss) 0 in
+      for i = 0 to n - 1 do
+        Array.iteri (fun j p -> key.(j) <- fresh.(p).(i)) poss;
+        if not (Array.mem 0 key) then begin
+          ks.ks_witnesses <- ks.ks_witnesses + 1;
+          if ks_add ks key then
+            Hashtbl.replace added attrs
+              (Array.copy key :: Option.value ~default:[] (Hashtbl.find_opt added attrs))
+        end
+      done)
+    t.keysets
 
 let apply_delta t ~summary delta =
   match delta with
@@ -1338,12 +1329,13 @@ let apply_delta t ~summary delta =
               fresh.(pos) <- codes
           | None -> ())
         t.columns;
-      let added = patch_distinct_append t tups in
+      (* after a delete no keyset is memoized, so nothing is added *)
+      let added =
+        match !summary with `Appended a -> a | `Invalidated -> Hashtbl.create 1
+      in
+      patch_keysets_append t fresh (Array.length tups) added;
       recheck_fd_verdicts t fresh (Array.length tups);
-      t.n_rows <- t.n_rows + Array.length tups;
-      (match !summary with
-      | `Appended acc -> summary := `Appended (added :: acc)
-      | `Invalidated -> ())
+      t.n_rows <- t.n_rows + Array.length tups
   | Table.Rows_deleted (idxs, _removed) ->
       Array.iteri
         (fun pos c ->
@@ -1351,10 +1343,9 @@ let apply_delta t ~summary delta =
           | Some col -> t.columns.(pos) <- Some (compact_column t col idxs)
           | None -> ())
         t.columns;
-      (* value-derived memos are dropped wholesale; only verdicts a
+      (* code-derived memos are dropped wholesale; only verdicts a
          deletion provably cannot flip survive *)
-      Hashtbl.reset t.distinct_sets;
-      Hashtbl.reset t.witnesses;
+      Hashtbl.reset t.keysets;
       Hashtbl.reset t.fd_sweeps;
       let entries =
         Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.fd_verdicts []
@@ -1380,8 +1371,7 @@ let rebuild_in_place t table =
   t.built_version <- Table.version table;
   t.n_rows <- Table.cardinality table;
   Array.fill t.columns 0 (Array.length t.columns) None;
-  Hashtbl.reset t.distinct_sets;
-  Hashtbl.reset t.witnesses;
+  Hashtbl.reset t.keysets;
   Hashtbl.reset t.fd_verdicts;
   Hashtbl.reset t.fd_sweeps;
   Hashtbl.reset t.join_counts;
@@ -1411,7 +1401,12 @@ let refresh_in_place ?(delta_fraction = default_delta_fraction) ~coordinated t
     match deltas with
     | Some ds when float_of_int (total_delta_rows ds) <= budget ->
         let n = total_delta_rows ds in
-        let summary = ref (`Appended []) in
+        let dict_before =
+          Array.map
+            (function Some (c : column) -> Array.length c.dict | None -> 0)
+            t.columns
+        in
+        let summary = ref (`Appended (Hashtbl.create 8)) in
         List.iter (fun d -> apply_delta t ~summary d) ds;
         t.table <- table;
         t.built_version <- version;
@@ -1422,19 +1417,7 @@ let refresh_in_place ?(delta_fraction = default_delta_fraction) ~coordinated t
         let sum =
           match !summary with
           | `Invalidated -> Sum_invalidated
-          | `Appended batches ->
-              let merged : (string list, Value.t list list ref) Hashtbl.t =
-                Hashtbl.create 8
-              in
-              List.iter
-                (List.iter (fun (attrs, keys) ->
-                     match Hashtbl.find_opt merged attrs with
-                     | Some cell -> cell := keys @ !cell
-                     | None -> Hashtbl.add merged attrs (ref keys)))
-                batches;
-              Sum_appended
-                (Hashtbl.fold (fun attrs cell acc -> (attrs, !cell) :: acc)
-                   merged [])
+          | `Appended tuples -> Sum_appended { dict_before; tuples }
         in
         (Store_absorbed n, sum)
     | _ ->
@@ -1477,10 +1460,11 @@ let refresh_all ?delta_fraction tables =
      keys (attrs1, peer uid, attrs2); the peer's old uid finds its
      refreshed store, the patched count is rekeyed under the peer's
      renewed uid. The exact delta is |A1 ∩ d2| + |{k ∈ A2 : k ∈ d1 and
-     k ∉ A1}| where A_i are the newly-added keys and d_i the patched
-     distinct sets. Entries touching a store outside this set, or a
-     side whose summary was invalidated, are dropped and recomputed on
-     demand from the patched distinct sets. *)
+     k ∉ A1}| where A_i are the newly-added code tuples and d_i the
+     patched distinct sets; a tuple crosses to the other side by
+     [translate]. Entries touching a store outside this set, or a side
+     whose summary was invalidated, are dropped and recomputed on
+     demand. *)
   let registry = Hashtbl.create 16 in
   List.iter
     (function
@@ -1488,11 +1472,30 @@ let refresh_all ?delta_fraction tables =
           Hashtbl.replace registry old_uid (s, summary)
       | None -> ())
     items;
-  let added_of summary attrs =
-    match summary with
-    | Sum_unchanged -> Some []
-    | Sum_appended l -> List.assoc_opt attrs l
-    | Sum_invalidated -> None
+  let added_of s summary attrs =
+    match (summary, attrs) with
+    | Sum_unchanged, _ -> Some []
+    | Sum_invalidated, _ -> None
+    | Sum_appended { dict_before; _ }, [ a ] -> (
+        let pos = pos_of s a in
+        let before = dict_before.(pos) in
+        match s.columns.(pos) with
+        | Some c when before > 0 ->
+            Some (List.init (Array.length c.dict - before) (fun i -> [| before + i |]))
+        | _ -> None)
+    | Sum_appended { tuples; _ }, _ ->
+        if Hashtbl.mem s.keysets attrs then
+          Some (Option.value ~default:[] (Hashtbl.find_opt tuples attrs))
+        else None
+  in
+  (* the keys of [added] whose translation into [cols'] is a key there
+     and passes [keep] *)
+  let hits cols cols' member keep =
+    List.fold_left
+      (fun n k ->
+        let k' = Array.make (Array.length k) 0 in
+        if translate cols cols' k k' && member k' && keep k' then n + 1 else n)
+      0
   in
   List.iter
     (function
@@ -1507,31 +1510,19 @@ let refresh_all ?delta_fraction tables =
               match Hashtbl.find_opt registry peer_uid with
               | None -> ()  (* peer outside the refreshed set: drop *)
               | Some (p, sum2) -> (
-                  match (added_of sum1 a1, added_of sum2 a2) with
-                  | Some added1, Some added2 -> (
-                      match
-                        ( Hashtbl.find_opt s.distinct_sets a1,
-                          Hashtbl.find_opt p.distinct_sets a2 )
-                      with
-                      | Some d1, Some d2 ->
-                          let a1set =
-                            Hashtbl.create (max 4 (List.length added1))
-                          in
-                          List.iter
-                            (fun k -> Hashtbl.replace a1set k ())
-                            added1;
-                          let extra = ref 0 in
-                          List.iter
-                            (fun k -> if Hashtbl.mem d2 k then incr extra)
-                            added1;
-                          List.iter
-                            (fun k ->
-                              if Hashtbl.mem d1 k && not (Hashtbl.mem a1set k)
-                              then incr extra)
-                            added2;
-                          Hashtbl.replace s.join_counts (a1, p.uid, a2)
-                            (n + !extra)
-                      | _ -> ())
+                  match (added_of s sum1 a1, added_of p sum2 a2) with
+                  | Some added1, Some added2 ->
+                      let cols1 = columns s a1 and cols2 = columns p a2 in
+                      let mine = Hashtbl.create (max 4 (List.length added1)) in
+                      List.iter (fun k -> Hashtbl.replace mine k ()) added1;
+                      let n =
+                        n
+                        + hits cols1 cols2 (key_test p a2) (fun _ -> true) added1
+                        + hits cols2 cols1 (key_test s a1)
+                            (fun k' -> not (Hashtbl.mem mine k'))
+                            added2
+                      in
+                      Hashtbl.replace s.join_counts (a1, p.uid, a2) n
                   | _ -> ()))
             entries)
     items;
@@ -1690,7 +1681,6 @@ module Builder = struct
             dict = Array.sub b.b_dict.(p).ddata 0 b.b_dict.(p).dlen;
             nulls = b.b_nulls.(p);
             sealed_dict = max_sealed_code segs 1;
-            vrange = None;
             interner = None;
           })
     in

@@ -7,9 +7,10 @@
     distinct sets and groupings over the same extension. This module
     computes them over {e dense integer codes}: each attribute's values
     are interned once into a dictionary (NULL holding the reserved code
-    0), and every derived structure — single/multi-column distinct sets,
-    FD verdicts, cross-table equi-join counts — is memoized inside the
-    store, keyed by attribute list. This is the only implementation of
+    0), and every derived structure — multi-column distinct code-tuple
+    sets, FD verdicts, cross-table equi-join counts — is memoized inside
+    the store, keyed by attribute list (a single column's distinct set
+    is its dictionary). This is the only implementation of
     those primitives in the library; the row-at-a-time reference
     implementations they are tested against live with the tests.
 
@@ -29,10 +30,10 @@
     compares its build version against {!Table.version} and refreshes
     itself in place by replaying the table's mutation log
     ({!Table.deltas_since}) — appending into the open tail (sealing
-    full chunks as they accumulate), patching distinct sets and witness
-    counts, re-checking retained FD sweep states in O(delta) — with a
-    fallback to full rebuild when the delta exceeds a configurable
-    fraction of the extension. Either way a store handed out by
+    full chunks as they accumulate), patching distinct code-tuple sets
+    and witness counts, re-checking retained FD sweep states in
+    O(delta) — with a fallback to full rebuild when the delta exceeds a
+    configurable fraction of the extension. Either way a store handed out by
     {!of_table} is never stale. A store is only ever reached through
     its table: a cold store is the [of_table] of a fresh table.
 
@@ -84,7 +85,8 @@ val refresh_all :
     is stashed). This is the refresh {!of_table} performs implicitly,
     made explicit and coordinated: every stashed store is refreshed,
     then cross-store equi-join memos are patched {e exactly} from the
-    refreshed stores' added-key summaries instead of being dropped —
+    refreshed stores' added-key summaries, kept as codes that cross to
+    the peer store through its intern tables, instead of being dropped —
     which the implicit single-store refresh cannot do (it only knows
     the peer's uid, not the peer). Join memos whose peer is outside
     the set, or either of whose sides saw a deletion or rebuild, are
@@ -122,16 +124,11 @@ val ensure_columns : ?pool:Domain_pool.t -> t -> string list -> unit
     identical to sequential encoding because interning stays in row
     order per column). Call only from the domain that owns the store. *)
 
-val distinct_set : t -> string list -> (Value.t list, unit) Hashtbl.t
-(** The distinct NULL-free projections on the given attributes, keyed
-    by their value lists in the order given (SQL [COUNT(DISTINCT …)]
-    semantics: a row holding NULL in any of them is skipped) —
-    memoized; do not mutate. *)
-
 val count_distinct : t -> string list -> int
-(** [||r[X]||]. Single-attribute counts are read off the dictionary
-    with no row pass: deletes drop dead codes as they compact, so the
-    dictionary holds exactly the live values. *)
+(** [||r[X]||], skipping rows with a NULL in [X]. One attribute's count
+    is its dictionary size, with no row pass (deletes drop dead codes as
+    they compact); several attributes' distinct code tuples are
+    memoized. *)
 
 val witness_count : t -> string list -> int
 (** Number of rows NULL-free on the given attributes. *)
@@ -146,7 +143,7 @@ val project : ?distinct:string list -> t -> Relation.t -> Table.t
     table over [rel], rows in source order. With [~distinct:xs] rows
     holding NULL in any of [xs] (which must be projected attributes)
     are skipped and only the first occurrence of each projected row is
-    kept, by the same code-tuple pass {!distinct_set} runs. The pass
+    kept, by the same code-tuple pass {!count_distinct} runs. The pass
     walks the encoded blocks (mapping spilled segments back as needed)
     and remaps each column's codes to the output's first-occurrence
     codes through a {!Builder}: the result is a deferred table whose
@@ -155,15 +152,36 @@ val project : ?distinct:string list -> t -> Relation.t -> Table.t
     built on either side. *)
 
 val equijoin_distinct_count : t -> string list -> t -> string list -> int
-(** [||r1[x1] ⋈ r2[x2]||] by intersecting the two memoized distinct
-    sets (iterating the smaller). When both sides are single integer
-    attributes with disjoint dictionary value ranges, the count
-    short-circuits to 0 without materializing either distinct set (the
-    dictionary holds exactly the live values, so disjointness is a
-    proof). The count itself is memoized in the left store, keyed
-    by [(x1, uid r2, x2)] — a store refreshed or rebuilt after a
-    mutation renews its uid, so entries can never be served stale;
-    {!refresh_all} patches and rekeys them exactly. *)
+(** [||r1[x1] ⋈ r2[x2]||] on dictionary codes: walk the distinct code
+    tuples of the side {!walks_left} picks and count those whose values
+    the other side's intern tables know (for several attributes, whose
+    translation is also in its distinct set). Equality is structural
+    [Value.t] equality ([Int 1] ≠ [Float 1.0]). Memoized in the left
+    store, keyed by [(x1, uid r2, x2)] — a refreshed or rebuilt store
+    renews its uid, so entries are never stale; {!refresh_all} patches
+    and rekeys them exactly. Raises [Invalid_argument] on a width
+    mismatch. *)
+
+val walks_left : t -> string list -> t -> string list -> bool
+(** Whether a join count of [r1] on [x1] with [r2] on [x2] walks [r1]'s
+    tuples and probes [r2]'s intern tables: the side with fewer distinct
+    tuples is walked, the left one on a tie. *)
+
+val unary_included : t -> string -> t -> string -> bool
+(** Every non-NULL value of [r1.a1] occurs in [r2.a2]: walks [r1.a1]'s
+    dictionary through [r2.a2]'s intern table, stopping at the first
+    miss. *)
+
+val common_values : t -> string list -> t -> string list -> Value.t list list
+(** The distinct NULL-free projections of [r1] on [x1] that also occur
+    in [r2] on [x2], as [r1]'s value lists, in no particular order:
+    the tuples {!equijoin_distinct_count} counts, decoded. *)
+
+val prepare : ?probe:bool -> t -> string list -> unit
+(** Build one side of a join count: its columns and, for several
+    attributes, its distinct code tuples; with [~probe:true] (the side
+    {!walks_left} probes) also its intern tables. Touches only this
+    store, so distinct stores may be prepared on different domains. *)
 
 val fd_batch :
   ?pool:Domain_pool.t -> t -> lhs:string list -> rhs:string list ->

@@ -37,8 +37,9 @@ val count_distinct : ?engine:Engine.t -> t -> string -> string list -> int
 
 val join_count :
   ?engine:Engine.t -> t -> string * string list -> string * string list -> int
-(** [join_count db (r1, x1) (r2, x2)] is [||r1[X1] ⋈ r2[X2]||]: the
-    intersection of the two memoized distinct sets. *)
+(** [join_count db (r1, x1) (r2, x2)] is [||r1[X1] ⋈ r2[X2]||],
+    counted on dictionary codes
+    ({!Column_store.equijoin_distinct_count}). *)
 
 val total_tuples : t -> int
 

@@ -3,7 +3,7 @@
 
    The pool exists because dependency verification fans the same shape
    of work out over and over — encode a column, sweep a partition,
-   build one side's distinct set — and spawning domains per call (the
+   prepare one side of an equi-join — and spawning domains per call (the
    PR 2 warm-up) pays the ~50us spawn cost on every batch. Workers here
    are spawned once, parked on a condition variable between batches,
    and claim task indices with [Atomic.fetch_and_add] so an uneven

@@ -102,8 +102,7 @@ let describe t =
     "%s [%d domain%s resolved; host recommends %d, cap %d] [delta: %g \
      fallback, %d rows absorbed, %d incremental / %d full refreshes] [ooc: \
      %d-row segments, spill %s, budget %s, %d resident segs (%d words), %d \
-     spills / %d maps / %d evictions, %d segments swept, %d IND \
-     short-circuits]"
+     spills / %d maps / %d evictions, %d segments swept]"
     (to_string t) (domain_count t)
     (if domain_count t = 1 then "" else "s")
     (Stdlib.Domain.recommended_domain_count ())
@@ -116,7 +115,6 @@ let describe t =
     | None -> "off")
     o.Ooc.resident_segments o.Ooc.resident_words o.Ooc.spill_writes
     o.Ooc.map_loads o.Ooc.evictions o.Ooc.zone_segments_swept
-    o.Ooc.ind_zone_short_circuits
 
 let pool t =
   match t.parallelism with

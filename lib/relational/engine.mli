@@ -115,5 +115,4 @@ val describe : t -> string
     vs full refreshes — {!Column_store.delta_stats}), and the
     out-of-core state ({!Ooc.config} and {!Ooc.stats}: segment size,
     spill dir, budget, residency, spill/map/eviction counts, segments
-    swept, IND short-circuits) — for bench logs and serve job
-    status. *)
+    swept) — for bench logs and serve job status. *)

@@ -90,12 +90,10 @@ let spill_writes = Atomic.make 0
 let map_loads = Atomic.make 0
 let evictions = Atomic.make 0
 let zone_segments_swept = Atomic.make 0
-let ind_zone_short_circuits = Atomic.make 0
 
 let note_spill () = Atomic.incr spill_writes
 let note_map () = Atomic.incr map_loads
 let note_zone_sweep () = Atomic.incr zone_segments_swept
-let note_ind_short_circuit () = Atomic.incr ind_zone_short_circuits
 
 (* ------------------------------------------------------------------ *)
 (* residency manager                                                   *)
@@ -238,15 +236,14 @@ let stats () =
     evictions = Atomic.get evictions;
     zone_segments_skipped = 0;
     zone_segments_swept = Atomic.get zone_segments_swept;
-    ind_zone_short_circuits = Atomic.get ind_zone_short_circuits;
+    ind_zone_short_circuits = 0;
   }
 
 let reset_stats () =
   Atomic.set spill_writes 0;
   Atomic.set map_loads 0;
   Atomic.set evictions 0;
-  Atomic.set zone_segments_swept 0;
-  Atomic.set ind_zone_short_circuits 0
+  Atomic.set zone_segments_swept 0
 
 (* run [f] under a temporary configuration, restoring the previous one
    afterwards; test/bench helper *)

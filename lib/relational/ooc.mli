@@ -70,7 +70,6 @@ val bury : int list -> unit
 val note_spill : unit -> unit
 val note_map : unit -> unit
 val note_zone_sweep : unit -> unit
-val note_ind_short_circuit : unit -> unit
 
 type stats = {
   resident_segments : int;
@@ -83,7 +82,9 @@ type stats = {
           readers keep their shape *)
   zone_segments_swept : int;  (** sealed segments decoded by FD sweeps *)
   ind_zone_short_circuits : int;
-      (** IND probes answered 0 from disjoint dictionary value ranges *)
+      (** always 0: IND counts run on dictionary codes with no range
+          short-circuit; kept so the record's readers keep their
+          shape *)
 }
 
 val stats : unit -> stats

@@ -8,7 +8,7 @@
    re-scans the extension per candidate; this module groups the
    requests and answers every group from one pass — one fused sweep
    over the encoded columns for all RHS attributes of an FD group, one
-   distinct-set build per projection side of an IND batch — fanning the
+   code-level preparation per projection side of an IND batch — fanning the
    independent passes over the engine's persistent Domain_pool.
 
    Determinism: results always come back in submission order, whatever
@@ -52,10 +52,7 @@ let ind_batch ?(engine = Engine.default) ?(supervise = Supervise.unlimited)
   | [] -> []
   | _ ->
       Supervise.check supervise;
-      (* one store per table for the whole batch; build each side's
-         distinct set once, fanning tables over the pool — a table is
-         touched by exactly one task, so no store is shared while
-         building *)
+      (* one store per table for the whole batch *)
       let stores : (string, Column_store.t) Hashtbl.t = Hashtbl.create 16 in
       let store_of rel =
         match Hashtbl.find_opt stores rel with
@@ -69,51 +66,49 @@ let ind_batch ?(engine = Engine.default) ?(supervise = Supervise.unlimited)
             Hashtbl.add stores rel s;
             s
       in
-      let per_table : (string, string list list) Hashtbl.t =
-        Hashtbl.create 16
+      (* [Column_store.prepare] every side once, fanning tables over the
+         pool: a table is touched by exactly one task, so no store is
+         shared while building. The pre-pass reads only the latched
+         verdict — on the pool path tasks may not poll, and the
+         sequential fallback must consume exactly as much fuel (none)
+         so the trip boundary is independent of the domain count. *)
+      let warm ?probe sides =
+        let sides = List.sort_uniq compare sides in
+        let tables =
+          Array.of_list
+            (List.map
+               (fun rel ->
+                 ( store_of rel,
+                   List.filter_map
+                     (fun (r, attrs) -> if r = rel then Some attrs else None)
+                     sides ))
+               (List.sort_uniq compare (List.map fst sides)))
+        in
+        let task i =
+          let store, attr_lists = tables.(i) in
+          List.iter (Column_store.prepare ?probe store) attr_lists
+        in
+        match Engine.pool engine with
+        | Some pool when Domain_pool.size pool > 1 && Array.length tables > 1 ->
+            Domain_pool.parallel_for ~supervise pool (Array.length tables) task
+        | _ ->
+            for i = 0 to Array.length tables - 1 do
+              (match Supervise.tripped supervise with
+              | Some r -> raise (Supervise.Interrupt r)
+              | None -> ());
+              task i
+            done
       in
-      let order = ref [] in
-      let add (rel, attrs) =
-        ignore (store_of rel);
-        match Hashtbl.find_opt per_table rel with
-        | None ->
-            order := rel :: !order;
-            Hashtbl.add per_table rel [ attrs ]
-        | Some prev ->
-            if not (List.mem attrs prev) then
-              Hashtbl.replace per_table rel (attrs :: prev)
-      in
-      List.iter
-        (fun (l, r) ->
-          add l;
-          add r)
-        probes;
-      let tables =
-        Array.of_list
-          (List.rev_map
-             (fun rel -> (store_of rel, Hashtbl.find per_table rel))
-             !order)
-      in
-      let warm i =
-        let store, attr_lists = tables.(i) in
-        List.iter
-          (fun attrs -> ignore (Column_store.distinct_set store attrs))
-          attr_lists
-      in
-      (* the warm pre-pass reads only the latched verdict — on the pool
-         path tasks may not poll, and the sequential fallback must
-         consume exactly as much fuel (none) so the trip boundary is
-         independent of the domain count *)
-      (match Engine.pool engine with
-      | Some pool when Domain_pool.size pool > 1 && Array.length tables > 1 ->
-          Domain_pool.parallel_for ~supervise pool (Array.length tables) warm
-      | _ ->
-          for i = 0 to Array.length tables - 1 do
-            (match Supervise.tripped supervise with
-            | Some r -> raise (Supervise.Interrupt r)
-            | None -> ());
-            warm i
-          done);
+      (* first every side's columns and code-tuple sets, then the
+         intern tables of the side each count probes *)
+      warm (List.concat_map (fun (l, r) -> [ l; r ]) probes);
+      warm ~probe:true
+        (List.map
+           (fun (((lrel, lattrs) as l), ((rrel, rattrs) as r)) ->
+             if Column_store.walks_left (store_of lrel) lattrs (store_of rrel) rattrs
+             then r
+             else l)
+           probes);
       List.map
         (fun ((lrel, lattrs), (rrel, rattrs)) ->
           Supervise.check supervise;

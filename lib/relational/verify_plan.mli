@@ -10,10 +10,11 @@
     - an {b FD group} encodes the touched columns once and answers
       every RHS attribute with a single fused sweep over the LHS codes,
       instead of [|rhs|] independent full scans;
-    - an {b IND batch} builds each distinct [(table, attrs)] side's
-      distinct set once and reuses it across every probe that mentions
-      it, fanning per-table builds over the engine's persistent
-      {!Domain_pool}.
+    - an {b IND batch} prepares each distinct [(table, attrs)] side
+      once — its columns and code-tuple set, then the intern tables of
+      the side each count probes ({!Column_store.prepare}) — and reuses
+      it across every probe that mentions it, fanning per-table work
+      over the engine's persistent {!Domain_pool}.
 
     {b Determinism contract.} Results come back in submission order,
     and every verdict/count is domain-count-independent and equal to

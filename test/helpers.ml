@@ -133,6 +133,48 @@ let check_rhs_steps_reference msg db (r : Dbre.Rhs_discovery.result) =
       | _ -> Alcotest.(check (list string)) label [] holding)
     r.Dbre.Rhs_discovery.steps
 
+(* rows of [t] NULL-free on every one of [attrs] *)
+let reference_witnesses t attrs =
+  let idx = Table.positions t attrs in
+  Array.fold_left
+    (fun n tup -> if Tuple.has_null_at idx tup then n else n + 1)
+    0 (Table.rows t)
+
+(* value lists compared by [compare], the equality interning uses
+   ([Value.equal] would call [Int 1] and [Float 1.0] equal) *)
+let value_rows =
+  Alcotest.testable
+    (Fmt.Dump.list (Fmt.Dump.list Value.pp))
+    (fun a b -> compare a b = 0)
+
+(* The memoized stores of [t1] and [t2] against [Reference.Counts]:
+   each side's distinct count and witnesses, the join count both ways
+   round, and the common projections. *)
+let check_join_counts msg (t1, a1) (t2, a2) =
+  let s1 = Column_store.of_table t1 and s2 = Column_store.of_table t2 in
+  let side name t a s =
+    Alcotest.(check int)
+      (Printf.sprintf "%s: ||%s||" msg name)
+      (Reference.Counts.count_distinct t a)
+      (Column_store.count_distinct s a);
+    Alcotest.(check int)
+      (Printf.sprintf "%s: %s witnesses" msg name)
+      (reference_witnesses t a)
+      (Column_store.witness_count s a)
+  in
+  side "left" t1 a1 s1;
+  side "right" t2 a2 s2;
+  let want = Reference.Counts.equijoin_distinct_count t1 a1 t2 a2 in
+  Alcotest.(check int) (msg ^ ": join") want
+    (Column_store.equijoin_distinct_count s1 a1 s2 a2);
+  Alcotest.(check int) (msg ^ ": join, sides swapped") want
+    (Column_store.equijoin_distinct_count s2 a2 s1 a1);
+  let right = Reference.Counts.distinct_table t2 a2 in
+  Alcotest.check value_rows (msg ^ ": common values")
+    (List.sort compare
+       (List.filter (Hashtbl.mem right) (Reference.Counts.project_distinct t1 a1)))
+    (List.sort compare (Column_store.common_values s1 a1 s2 a2))
+
 (* substring check for error-message assertions *)
 let contains ~sub s =
   let n = String.length s and m = String.length sub in

@@ -225,7 +225,16 @@ let test_fd_int_float_rhs () =
    step the store's columns must equal a fresh encode of the current
    rows. Each round opens with the order a retained sweep must
    survive: values first seen in the tail are appended, one of them is
-   deleted, a sweep runs, and an append brings the others back. *)
+   deleted, a sweep runs, and an append brings the others back.
+
+   A second table T(a, d) mutates alongside S: each of S's 25 random
+   draws is followed by one of T's (append, tail delete, sealed delete,
+   or new keys appended to both tables). After every step both
+   stores are refreshed together ([Column_store.refresh_all]), and the
+   IND counts of S[a] ⋈ T[a] and S[a, d] ⋈ T[a, d] — distinct counts,
+   witnesses and join counts, whose memos the refresh patches on codes
+   — must equal the reference's, also when one step adds the same new
+   key to both tables. *)
 let seq_attrs = [ "a"; "b"; "c"; "d" ]
 let seq_lhss = [ [ "a" ]; [ "b" ]; [ "c" ]; [ "a"; "b" ]; [ "b"; "d" ] ]
 
@@ -256,18 +265,38 @@ let seq_row rng ~appended fresh =
      else vi b);
   ]
 
+(* T's rows: an S row's a and d *)
+let t_row rng ~appended fresh =
+  match seq_row rng ~appended fresh with
+  | [ a; _; _; d ] -> [ a; d ]
+  | _ -> assert false
+
+let ind_probes = [ ("a", [ "a" ]); ("a,d", [ "a"; "d" ]) ]
+
 let seq_fuzz_domains domains =
   let pool = if domains = 1 then None else Some (Domain_pool.get domains) in
+  let engine =
+    if domains = 1 then Engine.default else Engine.parallel ~domains ()
+  in
   let rng = Rng.create (Int64.of_int (4242 + domains)) in
+  (* T draws from its own stream, so S's operation mix is unchanged *)
+  let trng = Rng.create (Int64.of_int (8484 + domains)) in
   let seg = 16 in
   Ooc.with_config ~segment_rows:seg (fun () ->
       for round = 1 to 12 do
         let fresh = ref 0 in
-        let t =
-          table "S" seq_attrs
-            (List.init (seg + Rng.int rng 40) (fun _ ->
-                 seq_row rng ~appended:false fresh))
+        let db =
+          database
+            [
+              ( Relation.make "S" seq_attrs,
+                List.init (seg + Rng.int rng 40) (fun _ ->
+                    seq_row rng ~appended:false fresh) );
+              ( Relation.make "T" [ "a"; "d" ],
+                List.init (seg + Rng.int trng 40) (fun _ ->
+                    t_row trng ~appended:false fresh) );
+            ]
         in
+        let t = Database.table db "S" and tt = Database.table db "T" in
         let store () = Column_store.of_table ~delta_fraction:1.0 t in
         let step = ref 0 in
         let ctx () =
@@ -287,23 +316,50 @@ let seq_fuzz_domains domains =
                 v)
             (Column_store.fd_batch ?pool (store ()) ~lhs ~rhs)
         in
-        let append () =
+        let append_to rng t row () =
           Table.insert_many t
             (List.init (Rng.int_in rng 1 5) (fun _ ->
-                 seq_row rng ~appended:true fresh))
+                 row rng ~appended:true fresh))
         in
-        let n_sealed () = Table.cardinality t / seg * seg in
-        let tail_delete () =
-          let n = Table.cardinality t and ns = n_sealed () in
+        let n_sealed t = Table.cardinality t / seg * seg in
+        let tail_delete rng t () =
+          let n = Table.cardinality t and ns = n_sealed t in
           if n > ns then
             Table.delete_rows t
               (List.sort_uniq compare
                  (List.init (Rng.int_in rng 1 2) (fun _ ->
                       Rng.int_in rng ns (n - 1))))
         in
-        let sealed_delete () =
-          if n_sealed () > 0 then
-            Table.delete_rows t [ Rng.int rng (n_sealed ()) ]
+        let sealed_delete rng t () =
+          if n_sealed t > 0 then
+            Table.delete_rows t [ Rng.int rng (n_sealed t) ]
+        in
+        let append = append_to rng t seq_row in
+        (* refresh both stores together, then the IND counts: the join
+           memos computed after the previous step are the patched ones *)
+        let check_inds () =
+          ignore (Column_store.refresh_all ~delta_fraction:1.0 [ t; tt ]);
+          let probes =
+            List.map (fun (_, attrs) -> (("S", attrs), ("T", attrs))) ind_probes
+          in
+          List.iter2
+            (fun (name, attrs) (c : Verify_plan.counts) ->
+              let want =
+                Reference.Counts.ind_counts db ("S", attrs) ("T", attrs)
+              in
+              Alcotest.(check (triple int int int))
+                (Printf.sprintf "%s: S[%s] |X| T[%s]" (ctx ()) name name)
+                (want.Verify_plan.n_left, want.n_right, want.n_join)
+                (c.Verify_plan.n_left, c.n_right, c.n_join);
+              List.iter
+                (fun (rel, tbl) ->
+                  Alcotest.(check int)
+                    (Printf.sprintf "%s: %s[%s] witnesses" (ctx ()) rel name)
+                    (reference_witnesses tbl attrs)
+                    (Column_store.witness_count (Column_store.of_table tbl) attrs))
+                [ ("S", t); ("T", tt) ])
+            ind_probes
+            (Verify_plan.ind_batch ~engine db probes)
         in
         let check_encoding () =
           let cold = cold_store t and s = store () in
@@ -329,6 +385,18 @@ let seq_fuzz_domains domains =
         let delete_oldest_new () =
           Table.delete_rows t [ Table.cardinality t - 4 ]
         in
+        (* brand-new values appended to both tables at once: keys both
+           refreshed sides add, which the join patch must count once *)
+        let shared_new () =
+          let vals =
+            List.init (Rng.int_in trng 1 3) (fun _ ->
+                incr fresh;
+                100 + !fresh)
+          in
+          Table.insert_many t
+            (List.map (fun a -> [ vi a; vs "s0"; vi (a mod 7 * 10); vi 0 ]) vals);
+          Table.insert_many tt (List.map (fun a -> [ vi a; vi 0 ]) vals)
+        in
         let ops =
           [
             new_values;
@@ -336,17 +404,31 @@ let seq_fuzz_domains domains =
             (fun () -> List.iter batch seq_lhss);
             append;
           ]
-          @ List.init 25 (fun _ ->
-                match Rng.int rng 6 with
-                | 0 | 1 -> append
-                | 2 -> tail_delete
-                | 3 -> sealed_delete
-                | _ -> fun () -> batch (Rng.pick rng seq_lhss))
+          (* 25 S draws over S's six arms, each followed by one T
+             draw *)
+          @ List.concat
+              (List.init 25 (fun _ ->
+                   let s_op =
+                     match Rng.int rng 6 with
+                     | 0 | 1 -> append
+                     | 2 -> tail_delete rng t
+                     | 3 -> sealed_delete rng t
+                     | _ -> fun () -> batch (Rng.pick rng seq_lhss)
+                   in
+                   let t_op =
+                     match Rng.int trng 4 with
+                     | 0 -> append_to trng tt t_row
+                     | 1 -> tail_delete trng tt
+                     | 2 -> sealed_delete trng tt
+                     | _ -> shared_new
+                   in
+                   [ s_op; t_op ]))
         in
         List.iter
           (fun op ->
             incr step;
             op ();
+            check_inds ();
             check_encoding ())
           ops;
         List.iter batch seq_lhss

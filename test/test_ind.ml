@@ -69,6 +69,36 @@ let test_lhs_rhs_accessors () =
   Alcotest.(check attr) "lhs qualified" (Attribute.make "A" [ "x"; "y" ]) (Ind.lhs i);
   Alcotest.(check attr) "rhs qualified" (Attribute.make "B" [ "u"; "v" ]) (Ind.rhs i)
 
+(* Join counts run on dictionary codes: a value crosses to the other
+   column through its intern table, which must partition exactly as
+   the reference's hashtables do. *)
+let test_code_level_equality () =
+  let m = min_int in
+  let cases =
+    [
+      ("Int 1 vs Float 1.0", [ vi 1; vi 2 ], [ Value.Float 1.0; vi 2 ]);
+      ("Int min_int both sides", [ vi m; vi 0; vi m ], [ vi m; vi 5 ]);
+      ("String \"1\" vs Int 1", [ vs "1"; vs "2" ], [ vi 1; vs "2" ]);
+      ("all-NULL column", [ vnull; vnull ], [ vi 1; vnull ]);
+      ("empty side", [], [ vi 1; vs "1" ]);
+      ( "mixed constructors",
+        [ vi 3; Value.Float 2.5; vs "x"; vnull; Value.Bool true; vi m ],
+        [ Value.Float 2.5; vs "x"; vi 3; Value.Bool true; Value.Float 3.0 ] );
+    ]
+  in
+  List.iter
+    (fun (msg, left, right) ->
+      let l =
+        table "L" [ "x"; "y" ]
+          (List.mapi (fun i v -> [ v; (if i mod 2 = 0 then v else vs "y") ]) left)
+      in
+      let r = table "R" [ "x" ] (List.map (fun v -> [ v ]) right) in
+      check_join_counts msg (l, [ "x" ]) (r, [ "x" ]);
+      check_join_counts (msg ^ ", reversed") (r, [ "x" ]) (l, [ "x" ]);
+      check_join_counts (msg ^ ", self-join") (l, [ "x" ]) (l, [ "y" ]);
+      check_join_counts (msg ^ ", same column") (l, [ "x" ]) (l, [ "x" ]))
+    cases
+
 let suite =
   [
     Alcotest.test_case "make validation" `Quick test_make;
@@ -77,4 +107,6 @@ let suite =
     Alcotest.test_case "counts and satisfaction" `Quick test_counts_satisfied;
     Alcotest.test_case "key-based" `Quick test_key_based;
     Alcotest.test_case "accessors" `Quick test_lhs_rhs_accessors;
+    Alcotest.test_case "join counts: value equality on codes" `Quick
+      test_code_level_equality;
   ]
