@@ -26,7 +26,7 @@ let join_resolvable db (j : Sqlx.Equijoin.t) =
   && side j.Sqlx.Equijoin.rel2 j.Sqlx.Equijoin.attrs2
 
 (* materialize the intersection of the two projections as a new relation *)
-let conceptualize ~engine db (j : Sqlx.Equijoin.t) name =
+let conceptualize db (j : Sqlx.Equijoin.t) name =
   let t1 = Database.table db j.Sqlx.Equijoin.rel1 in
   let t2 = Database.table db j.Sqlx.Equijoin.rel2 in
   let attrs = j.Sqlx.Equijoin.attrs1 in
@@ -35,14 +35,11 @@ let conceptualize ~engine db (j : Sqlx.Equijoin.t) name =
   in
   let rel = Relation.make ~domains ~uniques:[ attrs ] name attrs in
   Database.add_relation db rel;
-  let store t =
-    Column_store.of_table ~delta_fraction:engine.Engine.delta_fraction t
-  in
   (* sort the intersection so the materialized extension does not
      depend on hash order *)
   let intersection =
-    Column_store.common_values (store t1) j.Sqlx.Equijoin.attrs1 (store t2)
-      j.Sqlx.Equijoin.attrs2
+    Column_store.common_values (Column_store.of_table t1)
+      j.Sqlx.Equijoin.attrs1 (Column_store.of_table t2) j.Sqlx.Equijoin.attrs2
   in
   List.iter
     (fun values -> Database.insert db name values)
@@ -142,9 +139,9 @@ let run ?(engine = Engine.default) ?(supervise = Supervise.unlimited) ?prior
             (c.Verify_plan.n_left, c.Verify_plan.n_right, c.Verify_plan.n_join)
         | None ->
             (* became resolvable mid-loop: count directly *)
-            ( Database.count_distinct ~engine db (fst left) (snd left),
-              Database.count_distinct ~engine db (fst right) (snd right),
-              Database.join_count ~engine db left right )
+            ( Database.count_distinct db (fst left) (snd left),
+              Database.count_distinct db (fst right) (snd right),
+              Database.join_count db left right )
       in
       let counts = { Ind.n_left; n_right; n_join } in
       let case =
@@ -168,7 +165,7 @@ let run ?(engine = Engine.default) ?(supervise = Supervise.unlimited) ?prior
           (match decision with
           | Oracle.Conceptualize name ->
               let name = fresh_name db name in
-              let rel = conceptualize ~engine db j name in
+              let rel = conceptualize db j name in
               new_relations := rel :: !new_relations;
               add_ind (Ind.make (name, rel.Relation.attrs) left);
               add_ind (Ind.make (name, rel.Relation.attrs) right)

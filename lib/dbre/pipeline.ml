@@ -313,9 +313,7 @@ let run ?config ?supervise ?quarantine ?checkpoint_dir ?resume_from db input =
 
 let refresh_checked ?(config = default_config) ?supervise ?quarantine
     ?checkpoint_dir db input =
-  let report =
-    Refresh.database ~delta_fraction:config.engine.Engine.delta_fraction db
-  in
+  let report = Refresh.database db in
   (* every checkpointed stage embeds verdicts over the pre-mutation
      extension; none may be resumed from *)
   (match checkpoint_dir with

@@ -144,7 +144,8 @@ val refresh_checked :
   Refresh.report * (result, partial) Stdlib.result
 (** Re-verify a database that has mutated since a previous run: one
     coordinated delta pass brings every memoized store up to date
-    ({!Refresh.database}, honoring the engine's [delta_fraction]), the
+    ({!Refresh.database}, absorbing deltas up to
+    {!Relational.Column_store.delta_fraction} of each extension), the
     checkpoint directory is invalidated (every stage artifact embeds
     verdicts over the old extension — see {!Checkpoint.invalidate}),
     then {!run_checked} re-runs the stages without resuming. The

@@ -6,8 +6,7 @@ open Relational
 let holds ?(engine = Engine.default) table (fd : Fd.t) =
   List.for_all snd
     (Column_store.fd_batch ?pool:(Engine.pool engine)
-       (Column_store.of_table ~delta_fraction:engine.Engine.delta_fraction
-          table)
+       (Column_store.of_table table)
        ~lhs:(Attribute.Names.normalize fd.lhs)
        ~rhs:fd.rhs)
 

@@ -12,7 +12,7 @@ val holds : ?engine:Engine.t -> Table.t -> Fd.t -> bool
     NULL = NULL on the RHS. Answered by one {!Column_store.fd_batch}
     over the RHS attributes on the table's memoized store, so repeated
     checks are O(1) until the table changes — after which the store
-    delta-refreshes itself (within [engine.delta_fraction], see
+    delta-refreshes itself (within {!Column_store.delta_fraction}, see
     {!Column_store.of_table}) instead of rebuilding. *)
 
 val holds_all :

@@ -2,12 +2,10 @@ open Relational
 
 type stats = { sets_tested : int; keys_found : int }
 
-let unique_over ?(engine = Engine.default) table attrs =
-  Column_store.unique
-    (Column_store.of_table ~delta_fraction:engine.Engine.delta_fraction table)
-    attrs
+let unique_over table attrs =
+  Column_store.unique (Column_store.of_table table) attrs
 
-let minimal_unique_sets ?engine ?(max_size = 3) table =
+let minimal_unique_sets ?(max_size = 3) table =
   let attrs = Array.of_list (Table.schema table).Relation.attrs in
   let n = Array.length attrs in
   let max_size = min max_size n in
@@ -22,7 +20,7 @@ let minimal_unique_sets ?engine ?(max_size = 3) table =
           let set = Attribute.Names.normalize acc in
           if not (superset_of_key set) then begin
             incr tested;
-            if unique_over ?engine table set then found := set :: !found
+            if unique_over table set then found := set :: !found
           end
         end
         else
@@ -42,19 +40,18 @@ let minimal_unique_sets ?engine ?(max_size = 3) table =
   in
   (keys, { sets_tested = !tested; keys_found = List.length keys })
 
-let suggest ?engine ?max_size db =
+let suggest ?max_size db =
   List.filter_map
     (fun rel ->
       if rel.Relation.uniques <> [] then None
       else
         let keys, _ =
-          minimal_unique_sets ?engine ?max_size
-            (Database.table db rel.Relation.name)
+          minimal_unique_sets ?max_size (Database.table db rel.Relation.name)
         in
         if keys = [] then None else Some (rel.Relation.name, keys))
     (Schema.relations (Database.schema db))
 
-let apply_suggestions ?engine ?max_size ~confirm db =
+let apply_suggestions ?max_size ~confirm db =
   let added = ref 0 in
   List.iter
     (fun (rel_name, keys) ->
@@ -69,5 +66,5 @@ let apply_suggestions ?engine ?max_size ~confirm db =
             incr added
           end)
         keys)
-    (suggest ?engine ?max_size db);
+    (suggest ?max_size db);
   !added

@@ -15,13 +15,12 @@ open Relational
 
 type stats = { sets_tested : int; keys_found : int }
 
-val unique_over : ?engine:Engine.t -> Table.t -> string list -> bool
+val unique_over : Table.t -> string list -> bool
 (** SQL UNIQUE over the extension, answered from the memoized column
     store — repeated probes of the same levelwise search share
     dictionaries and witness counts. *)
 
-val minimal_unique_sets :
-  ?engine:Engine.t -> ?max_size:int -> Table.t -> string list list * stats
+val minimal_unique_sets : ?max_size:int -> Table.t -> string list list * stats
 (** All minimal attribute sets (size ≤ [max_size], default 3) that are
     unique over the extension, in SQL semantics: rows with a NULL in the
     set are skipped by the uniqueness check, but a set whose projection
@@ -29,17 +28,12 @@ val minimal_unique_sets :
     result is sorted by size then lexicographically. An empty table has
     no keys. Supersets of a found key are pruned, not tested. *)
 
-val suggest :
-  ?engine:Engine.t ->
-  ?max_size:int ->
-  Database.t ->
-  (string * string list list) list
+val suggest : ?max_size:int -> Database.t -> (string * string list list) list
 (** Per relation of the database, the discovered minimal unique sets —
     only for relations with {e no} declared unique constraint (declared
     keys need no suggestion). *)
 
 val apply_suggestions :
-  ?engine:Engine.t ->
   ?max_size:int ->
   confirm:(string -> string list -> bool) ->
   Database.t ->

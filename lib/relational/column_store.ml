@@ -147,7 +147,7 @@ let reset_delta_stats () =
   Atomic.set incremental_ctr 0;
   Atomic.set rebuild_ctr 0
 
-let default_delta_fraction = 0.25
+let delta_fraction = 0.25
 
 (* ------------------------------------------------------------------ *)
 (* segment lifecycle                                                   *)
@@ -1336,7 +1336,7 @@ let apply_delta t ~summary delta =
       patch_keysets_append t fresh (Array.length tups) added;
       recheck_fd_verdicts t fresh (Array.length tups);
       t.n_rows <- t.n_rows + Array.length tups
-  | Table.Rows_deleted (idxs, _removed) ->
+  | Table.Rows_deleted idxs ->
       Array.iteri
         (fun pos c ->
           match c with
@@ -1358,7 +1358,7 @@ let apply_delta t ~summary delta =
 
 let delta_size = function
   | Table.Rows_appended tups -> Array.length tups
-  | Table.Rows_deleted (idxs, _) -> Array.length idxs
+  | Table.Rows_deleted idxs -> Array.length idxs
 
 let total_delta_rows ds = List.fold_left (fun acc d -> acc + delta_size d) 0 ds
 
@@ -1385,8 +1385,7 @@ let rebuild_in_place t table =
    path drops this store's own join memos. Either way a changed store
    renews its uid, so a foreign memo keyed on the old identity can
    never be served stale. *)
-let refresh_in_place ?(delta_fraction = default_delta_fraction) ~coordinated t
-    table =
+let refresh_in_place ~coordinated t table =
   let version = Table.version table in
   if t.built_version = version then begin
     t.table <- table;
@@ -1429,11 +1428,11 @@ let refresh_in_place ?(delta_fraction = default_delta_fraction) ~coordinated t
    stale store refreshes itself in place before it is returned, so a
    retrieved store is never stale — the structural invalidation the
    ext-clear used to provide, now at delta cost instead of full loss. *)
-let of_table ?delta_fraction table =
+let of_table table =
   match Table.ext_cache table with
   | Some (Store s) ->
       if s.built_version <> Table.version table then
-        ignore (refresh_in_place ?delta_fraction ~coordinated:false s table)
+        ignore (refresh_in_place ~coordinated:false s table)
       else s.table <- table;
       s
   | _ ->
@@ -1441,7 +1440,7 @@ let of_table ?delta_fraction table =
       Table.set_ext_cache table (Store s);
       s
 
-let refresh_all ?delta_fraction tables =
+let refresh_all tables =
   (* pass 1: refresh every stashed store, remembering its old uid *)
   let items =
     List.map
@@ -1450,7 +1449,7 @@ let refresh_all ?delta_fraction tables =
         | Some (Store s) ->
             let old_uid = s.uid in
             let outcome, summary =
-              refresh_in_place ?delta_fraction ~coordinated:true s tbl
+              refresh_in_place ~coordinated:true s tbl
             in
             Some (s, old_uid, outcome, summary)
         | _ -> None)

@@ -61,16 +61,16 @@ val column_dict : column -> Value.t array
 type Table.ext += Store of t
 (** How the memoized instance is stashed in {!Table.ext_cache}. *)
 
-val default_delta_fraction : float
-(** Incremental-refresh budget when none is given: deltas up to this
-    fraction of the extension are absorbed in place, larger ones
-    trigger a full rebuild. Currently [0.25]. *)
+val delta_fraction : float
+(** Incremental-refresh budget: deltas up to this fraction of the
+    extension are absorbed in place, larger ones trigger a full
+    rebuild. [0.25]. *)
 
-val of_table : ?delta_fraction:float -> Table.t -> t
+val of_table : Table.t -> t
 (** The memoized store for this table. Building is O(1); columns are
     encoded on first use. If the table has mutated since the store was
     built, the store refreshes itself in place first (incrementally
-    when the delta is within [delta_fraction] of the extension, by full
+    when the delta is within {!delta_fraction} of the extension, by full
     rebuild otherwise) — the returned store is never stale. *)
 
 type refresh_outcome =
@@ -78,8 +78,7 @@ type refresh_outcome =
   | Store_absorbed of int  (** delta of this many rows applied in place *)
   | Store_rebuilt  (** delta too large or log trimmed: full rebuild *)
 
-val refresh_all :
-  ?delta_fraction:float -> Table.t list -> refresh_outcome option list
+val refresh_all : Table.t list -> refresh_outcome option list
 (** Bring the stashed stores of a set of tables (a database) up to
     date now, reporting per table what that took ([None] when no store
     is stashed). This is the refresh {!of_table} performs implicitly,

@@ -32,18 +32,14 @@ let add_relation t r =
 
 let cardinality t name = Table.cardinality (table t name)
 
-let count_distinct ?(engine = Engine.default) t name attrs =
-  Column_store.count_distinct
-    (Column_store.of_table ~delta_fraction:engine.Engine.delta_fraction
-       (table t name))
-    attrs
+let count_distinct t name attrs =
+  Column_store.count_distinct (Column_store.of_table (table t name)) attrs
 
-let join_count ?(engine = Engine.default) t (r1, x1) (r2, x2) =
-  let delta_fraction = engine.Engine.delta_fraction in
+let join_count t (r1, x1) (r2, x2) =
   Column_store.equijoin_distinct_count
-    (Column_store.of_table ~delta_fraction (table t r1))
+    (Column_store.of_table (table t r1))
     x1
-    (Column_store.of_table ~delta_fraction (table t r2))
+    (Column_store.of_table (table t r2))
     x2
 
 let total_tuples t =

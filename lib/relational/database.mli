@@ -30,13 +30,11 @@ val add_relation : t -> Relation.t -> unit
 
 val cardinality : t -> string -> int
 
-val count_distinct : ?engine:Engine.t -> t -> string -> string list -> int
+val count_distinct : t -> string -> string list -> int
 (** [count_distinct db r x] is the paper's [||r[X]||], answered from
-    the table's memoized column store ([engine] supplies its
-    delta-refresh threshold). *)
+    the table's memoized column store. *)
 
-val join_count :
-  ?engine:Engine.t -> t -> string * string list -> string * string list -> int
+val join_count : t -> string * string list -> string * string list -> int
 (** [join_count db (r1, x1) (r2, x2)] is [||r1[X1] ⋈ r2[X2]||],
     counted on dictionary codes
     ({!Column_store.equijoin_distinct_count}). *)

@@ -12,13 +12,9 @@
     count or the interleaving. Tasks must only write state owned by
     their own index.
 
-    {b Two batch tiers.} {!parallel_for}/{!map_array} are the hot
-    verify path: trusted tasks, no per-task fencing beyond one atomic
-    read of the batch's {!Supervise.t}. {!map_supervised} is the
-    service tier: per-attempt wall-clock timeouts, per-task exception
-    capture, bounded retry with exponential backoff, and replacement of
-    workers written off as wedged — the hardening a long-running DBRE
-    service needs against pathological jobs.
+    {b One batch tier.} {!parallel_for}/{!map_array} are the hot
+    verify path: trusted, finite tasks, no per-task fencing beyond one
+    atomic read of the batch's {!Supervise.t}.
 
     Batches may be submitted from several sys-threads of one domain
     (the analysis daemon's concurrent jobs share the registry pools):
@@ -54,53 +50,11 @@ val parallel_for : ?supervise:Supervise.t -> t -> int -> (int -> unit) -> unit
 val map_array : ?supervise:Supervise.t -> t -> ('a -> 'b) -> 'a array -> 'b array
 (** Parallel map; [out.(i) = f xs.(i)] regardless of scheduling. *)
 
-type failure =
-  | Crashed of exn  (** every attempt raised; carries the last one *)
-  | Timed_out  (** no attempt finished inside its timeout *)
-  | Interrupted of Supervise.reason  (** the batch token tripped *)
-
-val map_supervised :
-  t ->
-  ?supervise:Supervise.t ->
-  ?timeout_s:float ->
-  ?retries:int ->
-  ?backoff_s:float ->
-  ('a -> 'b) ->
-  'a array ->
-  ('b, failure) result array
-(** The hardened batch: each attempt of [f xs.(i)] is fenced.
-
-    - An exception is captured per task (not first-wins) and the task
-      is retried up to [retries] more times (default 1), sleeping
-      [backoff_s] (default 2ms, doubling per attempt) between attempts.
-    - When [timeout_s] is set and an attempt does not complete in time,
-      the batch is {e abandoned}: no further tasks are claimed, results
-      of the attempt are dropped (publication is per-attempt, so a
-      stale writer lands in a dead epoch), workers still inside a task
-      after a short grace are written off as wedged and replaced by
-      fresh domains, and the unfinished tasks are retried on the
-      replacements. A written-off worker that eventually returns
-      retires instead of doubling the pool.
-    - A {!Supervise.t} trip stops the batch at the next task boundary;
-      unfinished tasks report [Interrupted].
-
-    Results land by index: [Ok] on the first successful attempt,
-    otherwise the final {!failure}. [f] may run concurrently with a
-    wedged earlier attempt of the same element, so it must tolerate
-    re-execution (idempotent or effect-free). On a size-1 pool the
-    batch runs inline on the caller: the token is honored between
-    tasks but a wedged task cannot be preempted. *)
-
 val batches : t -> int
 (** Batches served so far (observability for tests and bench logs). *)
 
-val lost_workers : t -> int
-(** Workers written off as wedged and replaced over the pool's
-    lifetime. *)
-
 val shutdown : t -> unit
-(** Stop and join the workers. Idempotent and exception-safe: only
-    workers that recorded their own exit are joined (bounded wait), so
-    a wedged worker cannot hang teardown and a worker that died mid-job
-    cannot make shutdown raise. Registry pools are shut down
-    automatically at exit; call this only on pools you {!create}d. *)
+(** Stop and join the workers. Idempotent: a second call is a no-op.
+    A worker that is mid-task finishes that task first. Registry pools
+    are shut down automatically at exit; call this only on pools you
+    {!create}d. *)

@@ -6,26 +6,19 @@ type budget = {
   on_exhausted : [ `Partial | `Fail ];
 }
 
-type t = {
-  parallelism : parallelism;
-  budget : budget;
-  delta_fraction : float;
-}
+type t = { parallelism : parallelism; budget : budget }
 
 let no_budget = { deadline_s = None; max_heap_words = None; on_exhausted = `Partial }
 
 let make ?(parallelism = Sequential) ?deadline_s ?max_heap_words
-    ?(on_exhausted = `Partial)
-    ?(delta_fraction = Column_store.default_delta_fraction) ?spill_dir
-    ?resident_budget_words ?segment_rows () =
+    ?(on_exhausted = `Partial) ?spill_dir ?resident_budget_words ?segment_rows
+    () =
   (* out-of-core parameters configure the process-wide Ooc policy (the
      thing being budgeted — the heap — is process-wide); the engine
      record itself stays pure data so job specs round-trip unchanged *)
   if spill_dir <> None || resident_budget_words <> None || segment_rows <> None
   then Ooc.configure ?spill_dir ?resident_budget_words ?segment_rows ();
-  { parallelism;
-    budget = { deadline_s; max_heap_words; on_exhausted };
-    delta_fraction }
+  { parallelism; budget = { deadline_s; max_heap_words; on_exhausted } }
 
 let with_budget ?deadline_s ?max_heap_words ?on_exhausted t =
   let b = t.budget in
@@ -106,7 +99,7 @@ let describe t =
     (to_string t) (domain_count t)
     (if domain_count t = 1 then "" else "s")
     (Stdlib.Domain.recommended_domain_count ())
-    max_domains t.delta_fraction d.Column_store.rows_absorbed
+    max_domains Column_store.delta_fraction d.Column_store.rows_absorbed
     d.Column_store.incremental_refreshes d.Column_store.full_rebuilds
     c.Ooc.segment_rows
     (match c.Ooc.spill_dir with Some dir -> dir | None -> "off")

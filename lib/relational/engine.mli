@@ -5,9 +5,9 @@
     has exactly one implementation, over the table's memoized
     {!Column_store}. An {!t} value carries only what a run may vary
     around it: how much [Domain]-level parallelism independent passes
-    may use ({!parallelism}), the run's resource {!budget}, and the
-    delta-refresh threshold of the memoized stores. It is pure data, so
-    the type can sit at the bottom of the dependency stack. *)
+    may use ({!parallelism}) and the run's resource {!budget}. It is
+    pure data, so the type can sit at the bottom of the dependency
+    stack. *)
 
 type parallelism =
   | Sequential
@@ -23,15 +23,7 @@ type budget = {
           [Error.Resource_exhausted] ([`Fail]) *)
 }
 
-type t = {
-  parallelism : parallelism;
-  budget : budget;
-  delta_fraction : float;
-      (** incremental-refresh budget for the memoized column stores:
-          deltas up to this fraction of a table's extension are
-          absorbed in place, larger ones trigger a full rebuild
-          (default {!Column_store.default_delta_fraction}) *)
-}
+type t = { parallelism : parallelism; budget : budget }
 
 val no_budget : budget
 (** No deadline, no heap ceiling, [`Partial] policy — the default of
@@ -42,14 +34,12 @@ val make :
   ?deadline_s:float ->
   ?max_heap_words:int ->
   ?on_exhausted:[ `Partial | `Fail ] ->
-  ?delta_fraction:float ->
   ?spill_dir:string ->
   ?resident_budget_words:int ->
   ?segment_rows:int ->
   unit ->
   t
-(** Defaults: [Sequential], {!no_budget},
-    [Column_store.default_delta_fraction] — i.e. {!default}.
+(** Defaults: [Sequential], {!no_budget} — i.e. {!default}.
 
     The out-of-core parameters ([spill_dir], [resident_budget_words],
     [segment_rows]) are the front door to
@@ -111,8 +101,8 @@ val to_string : t -> string
 val describe : t -> string
 (** {!to_string} plus the resolved domain count, the host
     recommendation and the {!max_domains} cap, the delta-cache
-    statistics (fallback fraction in effect, rows absorbed, incremental
-    vs full refreshes — {!Column_store.delta_stats}), and the
+    statistics ({!Column_store.delta_fraction}, rows absorbed,
+    incremental vs full refreshes — {!Column_store.delta_stats}), the
     out-of-core state ({!Ooc.config} and {!Ooc.stats}: segment size,
     spill dir, budget, residency, spill/map/eviction counts, segments
     swept) — for bench logs and serve job status. *)

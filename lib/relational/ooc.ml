@@ -67,11 +67,6 @@ let configure ?spill_dir ?resident_budget_words ?segment_rows () =
   current := c;
   Mutex.unlock config_lock
 
-let reset_config () =
-  Mutex.lock config_lock;
-  current := default_config;
-  Mutex.unlock config_lock
-
 (* fresh spill path for a segment, or [None] when no spill dir is set
    (segments are then pinned in RAM regardless of budget) *)
 let spill_target ~id =

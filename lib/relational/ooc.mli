@@ -29,8 +29,6 @@ val configure :
     (existing stores keep their segment size; the budget applies to all
     segments immediately). *)
 
-val reset_config : unit -> unit
-
 val with_config :
   ?spill_dir:string ->
   ?resident_budget_words:int ->

@@ -16,7 +16,7 @@ type report = {
   rows_applied : int;  (* delta rows absorbed across all stores *)
 }
 
-let database ?delta_fraction db =
+let database db =
   let rels = Schema.relations (Database.schema db) in
   let named =
     List.filter_map
@@ -25,9 +25,7 @@ let database ?delta_fraction db =
         Option.map (fun tbl -> (name, tbl)) (Database.table_opt db name))
       rels
   in
-  let outcomes =
-    Column_store.refresh_all ?delta_fraction (List.map snd named)
-  in
+  let outcomes = Column_store.refresh_all (List.map snd named) in
   let relations =
     List.concat
       (List.map2

@@ -4,7 +4,8 @@
     {!Table.delete_rows}, …), {!database} replays every relation's
     mutation log into its stashed {!Column_store} in one coordinated
     pass: each store refreshes incrementally when the delta is within
-    the fallback fraction (full rebuild otherwise), and cross-store
+    {!Column_store.delta_fraction} of its extension (full rebuild
+    otherwise), and cross-store
     equi-join memos are patched {e exactly} from the refreshed stores'
     added-key summaries rather than dropped — see
     {!Column_store.refresh_all}.
@@ -32,10 +33,9 @@ type report = {
   rows_applied : int;  (** delta rows absorbed across all stores *)
 }
 
-val database : ?delta_fraction:float -> Database.t -> report
+val database : Database.t -> report
 (** Refresh every relation's stashed store (see
-    {!Column_store.refresh_all}); [delta_fraction] defaults to
-    {!Column_store.default_delta_fraction}. *)
+    {!Column_store.refresh_all}). *)
 
 val pp_outcome : Format.formatter -> outcome -> unit
 val pp : Format.formatter -> report -> unit

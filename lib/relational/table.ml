@@ -7,7 +7,7 @@ type source = Rows of Tuple.t list | Deferred of (unit -> Tuple.t array)
 
 type delta =
   | Rows_appended of Tuple.t array
-  | Rows_deleted of int array * Tuple.t array
+  | Rows_deleted of int array
 
 type t = {
   schema : Relation.t;
@@ -47,7 +47,7 @@ let clear_ext_cache t = t.ext <- None
 
 let delta_rows = function
   | Rows_appended tups -> Array.length tups
-  | Rows_deleted (idxs, _) -> Array.length idxs
+  | Rows_deleted idxs -> Array.length idxs
 
 (* Trimming bounds the log's memory at roughly one extra copy of the
    extension: once the logged tuples exceed max(cardinality, 1024),
@@ -176,7 +176,6 @@ let delete_rows t idxs =
         idxs;
       let idxs = Array.of_list (List.sort_uniq Int.compare idxs) in
       let all = rows t in
-      let removed = Array.map (fun i -> all.(i)) idxs in
       let k = Array.length idxs in
       let kept = Array.make (n - k) [||] in
       let j = ref 0 and d = ref 0 in
@@ -191,7 +190,7 @@ let delete_rows t idxs =
       t.cache <- Some kept;
       t.size <- n - k;
       t.version <- t.version + 1;
-      log_push t (Rows_deleted (idxs, removed))
+      log_push t (Rows_deleted idxs)
 
 let with_schema t schema =
   if schema.Relation.attrs <> t.schema.Relation.attrs then

@@ -20,10 +20,9 @@ type delta =
   | Rows_appended of Tuple.t array
       (** tuples appended, in insertion order (one {!insert} or one
           whole {!insert_many} batch) *)
-  | Rows_deleted of int array * Tuple.t array
+  | Rows_deleted of int array
       (** ascending row indices {e in the numbering just before this
-          deletion}, paired with the removed tuples — enough to patch
-          value-level memos without re-reading the extension *)
+          deletion} *)
 (** One logged mutation. Each bumps {!version} by exactly one. *)
 
 val create : Relation.t -> t

@@ -38,9 +38,7 @@ let fd_group ?(engine = Engine.default) ?(supervise = Supervise.unlimited)
   | _ ->
       Supervise.check supervise;
       Column_store.fd_batch ?pool:(Engine.pool engine)
-        (Column_store.of_table ~delta_fraction:engine.Engine.delta_fraction
-           table)
-        ~lhs ~rhs
+        (Column_store.of_table table) ~lhs ~rhs
 
 (* ------------------------------------------------------------------ *)
 (* IND batches                                                          *)
@@ -58,11 +56,7 @@ let ind_batch ?(engine = Engine.default) ?(supervise = Supervise.unlimited)
         match Hashtbl.find_opt stores rel with
         | Some s -> s
         | None ->
-            let s =
-              Column_store.of_table
-                ~delta_fraction:engine.Engine.delta_fraction
-                (Database.table db rel)
-            in
+            let s = Column_store.of_table (Database.table db rel) in
             Hashtbl.add stores rel s;
             s
       in

@@ -399,13 +399,11 @@ let status_fields entry =
     ("refreshes", Json.Int entry.refreshes);
     ( "delta",
       (* the delta-cache statistics behind this job's verdicts: the
-         fallback fraction in effect plus the process-wide maintenance
-         counters (Column_store.delta_stats) *)
+         fallback fraction plus the process-wide maintenance counters
+         (Column_store.delta_stats) *)
       Json.Obj
         [
-          ( "fraction",
-            Json.Float entry.spec.Dbre.Job_spec.engine.Engine.delta_fraction
-          );
+          ("fraction", Json.Float Column_store.delta_fraction);
           ("rows_absorbed", Json.Int d.Column_store.rows_absorbed);
           ( "incremental_refreshes",
             Json.Int d.Column_store.incremental_refreshes );

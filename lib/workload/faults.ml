@@ -127,17 +127,3 @@ let cancelling_oracle ~after supervise (oracle : Dbre.Oracle.t) =
       incr n;
       if !n = after then Supervise.cancel supervise)
     oracle
-
-let wedge_until flag =
-  while not (Atomic.get flag) do
-    Stdlib.Domain.cpu_relax ()
-  done
-
-let transient ~failures f =
-  if failures < 0 then invalid_arg "Faults.transient: negative failures";
-  let left = Atomic.make failures in
-  fun x ->
-    if Atomic.fetch_and_add left (-1) > 0 then
-      Error.raisef Error.Invariant "injected transient crash (%d left)"
-        (Atomic.get left)
-    else f x

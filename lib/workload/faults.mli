@@ -46,10 +46,9 @@ val failing_oracle : every:int -> Dbre.Oracle.t -> Dbre.Oracle.t
 
 (** {2 Execution faults}
 
-    Deterministic stand-ins for the pathologies the supervised runtime
-    ({!Relational.Supervise}, {!Relational.Domain_pool.map_supervised})
-    must survive: stalled experts, jobs that wedge forever, and tasks
-    that crash transiently. *)
+    Deterministic stand-ins for the expert-side pathologies the
+    supervised runtime ({!Relational.Supervise}) must survive: a stalled
+    expert and a cancelled session. *)
 
 val slow_oracle : delay_s:float -> Dbre.Oracle.t -> Dbre.Oracle.t
 (** Sleep [delay_s] seconds before every decision — an expert session
@@ -62,16 +61,3 @@ val cancelling_oracle :
     keep answering normally) — models an operator hitting ctrl-C at a
     reproducible point mid-elicitation. Raises [Invalid_argument] when
     [after <= 0]. *)
-
-val wedge_until : bool Atomic.t -> unit
-(** Spin (with [Domain.cpu_relax]) until the flag flips — the canonical
-    wedged-job body for pool-timeout tests: deterministic to trigger,
-    releasable so test runs terminate. *)
-
-val transient : failures:int -> ('a -> 'b) -> 'a -> 'b
-(** [transient ~failures f] crashes ([Error.Error], code [Invariant])
-    on the first [failures] invocations {e across all arguments}, then
-    behaves as [f] — the retry-once recovery case of
-    {!Relational.Domain_pool.map_supervised}. The countdown is atomic,
-    so it is safe to call from pool workers. Raises [Invalid_argument]
-    on a negative count. *)

@@ -41,13 +41,15 @@ let sample_row rng t =
   List.mapi (fun i v -> if i = k then List.nth donor i else v) base
 
 (* one fuzzed burst against every named relation: a transactional batch
-   append, a single insert, then a small delete. Deterministic in
-   (rng seed, extension), so an identical database can replay it. *)
-let mutate rng db names =
+   append (of 1-3 rows, or [burst] rows), a single insert, then a small
+   delete. Deterministic in (rng seed, extension), so an identical
+   database can replay it. *)
+let mutate ?burst rng db names =
   List.iter
     (fun name ->
       let t = Database.table db name in
-      let batch = List.init (1 + Rng.int rng 3) (fun _ -> sample_row rng t) in
+      let n = match burst with Some n -> n | None -> 1 + Rng.int rng 3 in
+      let batch = List.init n (fun _ -> sample_row rng t) in
       Table.insert_many t batch;
       Database.insert db name (sample_row rng t);
       let m = Table.cardinality t in
@@ -64,7 +66,7 @@ let artifacts_exn config db input =
 (* warm-run a generated workload, mutate it, refresh incrementally; an
    identical database mutated the same way and run cold must produce
    the very same artifact bytes. Returns the refresh report. *)
-let check_refresh_equivalence ~msg config seed =
+let check_refresh_equivalence ?burst ~msg config seed =
   let spec = gen_spec seed in
   let g = Gen.generate spec in
   let names =
@@ -76,7 +78,7 @@ let check_refresh_equivalence ~msg config seed =
   let mut_seed = Int64.add spec.Gen.seed 1000L in
   (* warm: full run (stores memoized), mutate, delta refresh *)
   ignore (artifacts_exn config g.Gen.db input);
-  mutate (Rng.create mut_seed) g.Gen.db names;
+  mutate ?burst (Rng.create mut_seed) g.Gen.db names;
   let report, result = Pipeline.refresh_checked ~config g.Gen.db input in
   let refreshed =
     match result with
@@ -87,7 +89,7 @@ let check_refresh_equivalence ~msg config seed =
   in
   (* cold: same generator output, same burst, no prior run, no caches *)
   let h = Gen.generate spec in
-  mutate (Rng.create mut_seed) h.Gen.db names;
+  mutate ?burst (Rng.create mut_seed) h.Gen.db names;
   List.iter (fun n -> Table.clear_ext_cache (Database.table h.Gen.db n)) names;
   let cold = artifacts_exn config h.Gen.db input in
   Alcotest.(check (list (pair string string))) msg cold refreshed;
@@ -124,31 +126,38 @@ let test_fuzz_domains () =
            11L))
     [ 2; 4 ]
 
-(* the same workload on both sides of the fallback threshold: a loose
-   fraction absorbs every delta, a zero fraction rebuilds every store —
-   and the artifacts are identical either way *)
+(* the same workload on both sides of the fallback threshold: the
+   default burst stays within the fraction and every delta is absorbed,
+   a burst as large as the largest table exceeds a quarter of every
+   table and every store rebuilds — and the artifacts are identical
+   either way *)
 let test_fallback_threshold () =
   Column_store.reset_delta_stats ();
   let absorb =
     check_refresh_equivalence ~msg:"artifacts (absorb side)"
-      (with_engine (Engine.make ~delta_fraction:1.0 ()))
-      31L
+      Pipeline.default_config 31L
   in
-  Alcotest.(check int) "loose fraction: no rebuilds" 0 absorb.Refresh.rebuilt;
-  Alcotest.(check bool) "loose fraction: absorbed" true
+  Alcotest.(check int) "small burst: no rebuilds" 0 absorb.Refresh.rebuilt;
+  Alcotest.(check bool) "small burst: absorbed" true
     (absorb.Refresh.absorbed >= 1);
   let stats = Column_store.delta_stats () in
   Alcotest.(check bool) "incremental counter moved" true
     (stats.Column_store.incremental_refreshes >= 1);
   Alcotest.(check bool) "absorbed rows counted" true
     (stats.Column_store.rows_absorbed >= absorb.Refresh.rows_applied);
-  let rebuild =
-    check_refresh_equivalence ~msg:"artifacts (rebuild side)"
-      (with_engine (Engine.make ~delta_fraction:0.0 ()))
-      31L
+  let burst =
+    let db = (Gen.generate (gen_spec 31L)).Gen.db in
+    List.fold_left
+      (fun acc r -> max acc (Database.cardinality db r.Relation.name))
+      0
+      (Schema.relations (Database.schema db))
   in
-  Alcotest.(check int) "zero fraction: no absorbs" 0 rebuild.Refresh.absorbed;
-  Alcotest.(check bool) "zero fraction: rebuilt" true
+  let rebuild =
+    check_refresh_equivalence ~burst ~msg:"artifacts (rebuild side)"
+      Pipeline.default_config 31L
+  in
+  Alcotest.(check int) "large burst: no absorbs" 0 rebuild.Refresh.absorbed;
+  Alcotest.(check bool) "large burst: rebuilt" true
     (rebuild.Refresh.rebuilt >= 1);
   let stats = Column_store.delta_stats () in
   Alcotest.(check bool) "rebuild counter moved" true
@@ -161,12 +170,15 @@ let test_fallback_threshold () =
 let test_fd_broken_by_insert () =
   let t =
     table "R" [ "a"; "b"; "c" ]
-      [
-        [ vi 1; vs "x"; vi 10 ];
-        [ vi 1; vs "x"; vi 20 ];
-        [ vi 2; vs "y"; vi 30 ];
-        [ vi 3; vs "z"; vi 40 ];
-      ]
+      ([
+         [ vi 1; vs "x"; vi 10 ];
+         [ vi 1; vs "x"; vi 20 ];
+         [ vi 2; vs "y"; vi 30 ];
+         [ vi 3; vs "z"; vi 40 ];
+       ]
+      (* padding with fresh a-values keeps the 2-row deltas below within
+         the fraction *)
+      @ List.init 8 (fun i -> [ vi (100 + i); vs "p"; vi (100 + i) ]))
   in
   let f = fd "R" [ "a" ] [ "b" ] in
   let engine = Engine.default in
@@ -174,9 +186,7 @@ let test_fd_broken_by_insert () =
   (* harmless append: new group, then a repeat of an existing pair *)
   Table.insert t [ vi 4; vs "w"; vi 50 ];
   Table.insert t [ vi 1; vs "x"; vi 60 ];
-  (* 2 delta rows on a 4-row table exceeds the default fraction, so
-     widen the budget to pin the absorb path *)
-  (match Column_store.refresh_all ~delta_fraction:1.0 [ t ] with
+  (match Column_store.refresh_all [ t ] with
   | [ Some (Column_store.Store_absorbed n) ] ->
       Alcotest.(check int) "two appended rows absorbed" 2 n
   | _ -> Alcotest.fail "expected an incremental absorb");
@@ -297,7 +307,7 @@ let seq_fuzz_domains domains =
             ]
         in
         let t = Database.table db "S" and tt = Database.table db "T" in
-        let store () = Column_store.of_table ~delta_fraction:1.0 t in
+        let store () = Column_store.of_table t in
         let step = ref 0 in
         let ctx () =
           Printf.sprintf "%d domains, round %d, step %d" domains round !step
@@ -338,7 +348,7 @@ let seq_fuzz_domains domains =
         (* refresh both stores together, then the IND counts: the join
            memos computed after the previous step are the patched ones *)
         let check_inds () =
-          ignore (Column_store.refresh_all ~delta_fraction:1.0 [ t; tt ]);
+          ignore (Column_store.refresh_all [ t; tt ]);
           let probes =
             List.map (fun (_, attrs) -> (("S", attrs), ("T", attrs))) ind_probes
           in
@@ -484,12 +494,9 @@ let test_mutation_log () =
   | _ -> Alcotest.fail "expected a single appended batch");
   Table.delete_rows t [ 0 ];
   (match Table.deltas_since t v0 with
-  | Some [ Table.Rows_appended _; Table.Rows_deleted (idxs, tups) ] ->
+  | Some [ Table.Rows_appended _; Table.Rows_deleted idxs ] ->
       Alcotest.(check (list int)) "deleted indices" [ 0 ]
-        (Array.to_list idxs);
-      Alcotest.(check (list value)) "deleted tuples carry their values"
-        [ vi 1; vi 2 ]
-        (Tuple.to_list tups.(0))
+        (Array.to_list idxs)
   | _ -> Alcotest.fail "expected append then delete, oldest first");
   Alcotest.(check bool) "current version replays as Some []" true
     (Table.deltas_since t (Table.version t) = Some []);
@@ -511,7 +518,7 @@ let test_log_trim () =
   Alcotest.(check bool) "store still answers correctly after trim" true
     (Column_store.count_distinct (Column_store.of_table t) [ "a" ] = 500);
   (match Table.deltas_since t v1 with
-  | Some [ Table.Rows_deleted (idxs, _) ] ->
+  | Some [ Table.Rows_deleted idxs ] ->
       Alcotest.(check int) "newest entry still replayable" 1500
         (Array.length idxs)
   | _ -> Alcotest.fail "expected the delete entry to survive the trim")

@@ -304,7 +304,7 @@ let test_delete_compaction () =
       (* tail-only delete (rows 48,49 sit past the 6th sealed segment):
          counts stay exact through the tail liveness fallback *)
       Table.delete_rows t [ 48; 49 ];
-      (match Column_store.refresh_all ~delta_fraction:1.0 [ t ] with
+      (match Column_store.refresh_all [ t ] with
       | [ Some (Column_store.Store_absorbed 2) ] -> ()
       | _ -> Alcotest.fail "expected a 2-row absorb");
       Alcotest.(check int) "distinct a after tail delete" 13
@@ -314,14 +314,14 @@ let test_delete_compaction () =
       (* the next append reclaims dead tail codes: the store is now
          exactly a fresh encode of the surviving rows *)
       Table.insert t [ vi 99; vs "s99"; vi 999 ];
-      (match Column_store.refresh_all ~delta_fraction:1.0 [ t ] with
+      (match Column_store.refresh_all [ t ] with
       | [ Some (Column_store.Store_absorbed 1) ] -> ()
       | _ -> Alcotest.fail "expected a 1-row absorb");
       check_equals_fresh_encode "after tail reclaim" t s;
       (* deep delete (row 0 lives in the first sealed segment): full
          recompaction, again identical to a fresh encode *)
       Table.delete_rows t [ 0; 20; 40 ];
-      (match Column_store.refresh_all ~delta_fraction:1.0 [ t ] with
+      (match Column_store.refresh_all [ t ] with
       | [ Some (Column_store.Store_absorbed 3) ] -> ()
       | _ -> Alcotest.fail "expected a 3-row absorb");
       check_equals_fresh_encode "after deep compaction" t s;
@@ -356,7 +356,7 @@ let test_fuzzed_mutations () =
                 Table.delete_rows t
                   (List.sort_uniq compare [ rand m; rand m ])
           | _ -> Table.insert t [ vi (rand 20); vs "fresh" ]);
-          ignore (Column_store.refresh_all ~delta_fraction:1.0 [ t ])
+          ignore (Column_store.refresh_all [ t ])
         done;
         check_equals_fresh_encode (Printf.sprintf "round %d" round) t s;
         (* verdicts over the mutated store match the reference *)

@@ -1,8 +1,6 @@
-(* The supervised execution runtime: token semantics, the hardened
-   domain pool under injected execution faults (wedged jobs, crashing
-   workers), and budget-tripped pipeline runs that degrade to typed
-   partial results, checkpoint, and resume to artifacts identical to an
-   unbudgeted run. The fuel trip is deterministic and — by the
+(* The supervised execution runtime: token semantics and budget-tripped
+   pipeline runs that degrade to typed partial results, checkpoint, and
+   resume to artifacts identical to an unbudgeted run. The fuel trip is deterministic and — by the
    Supervise contract — lands on the same group boundary whatever the
    domain count, which the randomized prefix suite asserts at 1/2/4
    domains. *)
@@ -12,7 +10,6 @@ module Engine = Relational.Engine
 module Error = Relational.Error
 module Supervise = Relational.Supervise
 module Sexp = Relational.Sexp
-module Pool = Relational.Domain_pool
 
 let rec rm_rf path =
   if Sys.file_exists path then
@@ -90,71 +87,6 @@ let test_token_unlimited () =
   Supervise.cancel t;
   Alcotest.(check bool) "cancel latches" true
     (Supervise.tripped t = Some Supervise.Cancelled)
-
-(* --- pool hardening --- *)
-
-let warm pool = ignore (Pool.map_array pool (fun x -> x) [| 1; 2; 3 |])
-
-let test_pool_wedged_job () =
-  let pool = Pool.create 2 in
-  warm pool;
-  let released = Atomic.make false in
-  let attempts = Atomic.make 0 in
-  (* the first attempt at element 0 wedges until [released]; every
-     retry answers normally *)
-  let f x =
-    if x = 0 && Atomic.fetch_and_add attempts 1 = 0 then
-      Workload.Faults.wedge_until released;
-    x * 10
-  in
-  let rs =
-    Pool.map_supervised pool ~timeout_s:0.05 ~retries:2 f [| 0; 1; 2; 3 |]
-  in
-  Alcotest.(check bool) "wedged task retried to completion" true
-    (rs = [| Ok 0; Ok 10; Ok 20; Ok 30 |]);
-  Alcotest.(check bool) "wedged worker written off and replaced" true
-    (Pool.lost_workers pool >= 1);
-  (* the replacement keeps the pool serviceable *)
-  Alcotest.(check bool) "pool still serves batches" true
-    (Pool.map_array pool (fun x -> x + 1) [| 1; 2; 3 |] = [| 2; 3; 4 |]);
-  Atomic.set released true;
-  Pool.shutdown pool;
-  (* idempotent: a second shutdown is a no-op *)
-  Pool.shutdown pool
-
-let test_pool_crash_retry () =
-  let pool = Pool.create 2 in
-  warm pool;
-  (* exactly one injected crash: the failed task must be retried *)
-  let f = Workload.Faults.transient ~failures:1 (fun x -> x * x) in
-  let rs = Pool.map_supervised pool ~retries:1 f [| 1; 2; 3; 4 |] in
-  Alcotest.(check bool) "transient crash retried" true
-    (rs = [| Ok 1; Ok 4; Ok 9; Ok 16 |]);
-  (* a task that crashes on every attempt surfaces as [Crashed] without
-     aborting the batch or the pool *)
-  let g x = if x = 3 then failwith "boom" else x in
-  let rs = Pool.map_supervised pool ~retries:1 g [| 1; 2; 3; 4 |] in
-  Alcotest.(check bool) "healthy tasks unaffected" true
-    (rs.(0) = Ok 1 && rs.(1) = Ok 2 && rs.(3) = Ok 4);
-  (match rs.(2) with
-  | Error (Pool.Crashed (Failure _)) -> ()
-  | _ -> Alcotest.fail "expected Crashed (Failure _)");
-  Alcotest.(check bool) "pool survives crashing tasks" true
-    (Pool.map_array pool (fun x -> x + 1) [| 7 |] = [| 8 |]);
-  Pool.shutdown pool
-
-let test_pool_interrupted () =
-  let pool = Pool.create 2 in
-  warm pool;
-  let s = Supervise.create () in
-  Supervise.cancel s;
-  let rs = Pool.map_supervised pool ~supervise:s (fun x -> x) [| 1; 2; 3 |] in
-  Alcotest.(check bool) "tripped batch reports Interrupted" true
-    (Array.for_all
-       (function
-         | Error (Pool.Interrupted Supervise.Cancelled) -> true | _ -> false)
-       rs);
-  Pool.shutdown pool
 
 (* --- ingest budget --- *)
 
@@ -410,12 +342,6 @@ let suite =
     Alcotest.test_case "token: deadline and heap" `Quick test_token_limits;
     Alcotest.test_case "token: unlimited vs cancellable" `Quick
       test_token_unlimited;
-    Alcotest.test_case "pool: wedged job times out, retried on replacement"
-      `Quick test_pool_wedged_job;
-    Alcotest.test_case "pool: crashing tasks are retried then reported" `Quick
-      test_pool_crash_retry;
-    Alcotest.test_case "pool: tripped batch drains as Interrupted" `Quick
-      test_pool_interrupted;
     Alcotest.test_case "ingest: tripped token is a typed error" `Quick
       test_csv_budget;
     Alcotest.test_case "cancellation prefix at 1/2/4 domains" `Quick

@@ -345,6 +345,73 @@ let test_pool_exception_propagation () =
       Domain_pool.shutdown pool)
     [ 1; 4 ]
 
+(* a tripped token: the batch runs no task and re-raises the latched
+   verdict, on the sequential fallback and on worker domains alike *)
+let test_pool_cancelled_token size () =
+  let pool = Domain_pool.create size in
+  let s = Supervise.create () in
+  Supervise.cancel s;
+  let ran = Atomic.make 0 in
+  (match
+     Domain_pool.parallel_for ~supervise:s pool 16 (fun _ ->
+         ignore (Atomic.fetch_and_add ran 1))
+   with
+  | () -> Alcotest.fail "expected Supervise.Interrupt"
+  | exception Supervise.Interrupt Supervise.Cancelled -> ());
+  Alcotest.(check int)
+    (Printf.sprintf "pool of %d runs no task" size)
+    0 (Atomic.get ran);
+  Domain_pool.shutdown pool
+
+(* idempotent shutdown: the second call returns at once, after a pool
+   that served batches and after one that never did *)
+let test_pool_shutdown_twice () =
+  List.iter
+    (fun size ->
+      let pool = Domain_pool.create size in
+      let hits = Atomic.make 0 in
+      Domain_pool.parallel_for pool 16 (fun _ ->
+          ignore (Atomic.fetch_and_add hits 1));
+      Domain_pool.shutdown pool;
+      Alcotest.(check int)
+        (Printf.sprintf "pool of %d ran its batch before shutdown" size)
+        16 (Atomic.get hits);
+      Domain_pool.shutdown pool;
+      Alcotest.(check int)
+        (Printf.sprintf "second shutdown of pool of %d serves nothing" size)
+        1 (Domain_pool.batches pool);
+      let idle = Domain_pool.create size in
+      Domain_pool.shutdown idle;
+      Domain_pool.shutdown idle)
+    [ 1; 4 ]
+
+(* the daemon's runner threads share registry pools: batches submitted
+   from two sys-threads at once queue on the pool and each completes
+   as if it ran alone *)
+let test_pool_concurrent_submitters () =
+  let pool = Domain_pool.get 2 in
+  let before = Domain_pool.batches pool in
+  let rounds = 50 in
+  let submitter k () =
+    let ok = ref true in
+    for r = 1 to rounds do
+      let input = Array.init 64 (fun i -> (k * 1000) + r + i) in
+      let out = Domain_pool.map_array pool (fun x -> x * 2) input in
+      if out <> Array.map (fun x -> x * 2) input then ok := false
+    done;
+    !ok
+  in
+  let results = Array.make 2 false in
+  let threads =
+    List.init 2 (fun k ->
+        Thread.create (fun () -> results.(k) <- submitter k ()) ())
+  in
+  List.iter Thread.join threads;
+  Alcotest.(check (array bool)) "every batch result correct" [| true; true |]
+    results;
+  Alcotest.(check int) "one batch per submission" (before + (2 * rounds))
+    (Domain_pool.batches pool)
+
 let suite =
   [
     Alcotest.test_case "fd_group matches per-candidate reference" `Quick
@@ -365,6 +432,14 @@ let suite =
       test_pool_map_array_order;
     Alcotest.test_case "pool: persistent + engine registry" `Quick
       test_pool_reuse_and_registry;
+    Alcotest.test_case "pool: cancelled token runs no task (1 domain)" `Quick
+      (test_pool_cancelled_token 1);
+    Alcotest.test_case "pool: cancelled token runs no task (4 domains)" `Quick
+      (test_pool_cancelled_token 4);
+    Alcotest.test_case "pool: second shutdown is a no-op" `Quick
+      test_pool_shutdown_twice;
+    Alcotest.test_case "pool: concurrent submitters share a pool" `Quick
+      test_pool_concurrent_submitters;
     Alcotest.test_case "pool: task exceptions propagate" `Quick
       test_pool_exception_propagation;
   ]
