@@ -53,6 +53,9 @@ type vtab = {
   mutable n_size : int;
   mutable n_tab : int array;  (* interleaved [key; code] pairs *)
   strs : stab;  (* the Value.String side, keyed by bytes *)
+  mutable st_side : int;  (* a staged miss (see [vtab_reserve]): its side *)
+  mutable st_slot : int;  (* its slot *)
+  mutable st_word : int;  (* its int key, or its hash *)
 }
 
 type column = {
@@ -392,6 +395,9 @@ let vtab_create () =
     n_size = 0;
     n_tab = ntab_make 256;
     strs = stab_create 256;
+    st_side = 0;
+    st_slot = 0;
+    st_word = 0;
   }
 
 (* Placement only, never identity. Low bits pass through so runs of
@@ -433,67 +439,63 @@ let ntab_grow t =
     end
   done
 
-(* the code of [n] on the int side, or -1 *)
-let ntab_find t n =
-  if n = min_int then -1
-  else
-    let i = ntab_slot t n in
-    if t.n_tab.(2 * i) <> min_int then t.n_tab.((2 * i) + 1) else -1
+(* The one string hash: FNV-1a over a byte range, so the loader hashes
+   a CSV cell in place, and a string hashes the same as its bytes do.
+   The final fold brings high bits down to the low ones [home] places
+   by (FNV's low bits mix poorly). *)
+let bytes_hash buf off len =
+  let h = ref 0x2bf29ce484222325 in
+  for i = off to off + len - 1 do
+    h := (!h lxor Char.code (Bytes.unsafe_get buf i)) * 0x100000001b3
+  done;
+  !h lxor (!h lsr 29) lor 1
 
-let str_hash (s : string) = Hashtbl.hash s lor 1
+(* does [key] spell the bytes [buf.[off] .. buf.[off+len-1]]? *)
+let key_is key buf off len =
+  String.length key = len
+  &&
+  let i = ref 0 in
+  while
+    !i < len && String.unsafe_get key !i = Bytes.unsafe_get buf (off + !i)
+  do
+    incr i
+  done;
+  !i = len
 
 (* indices are masked to the (power-of-two) capacity, so the
    unchecked reads cannot go out of bounds *)
-let stab_slot t h s =
+let stab_slot t h buf off len =
   let mask = t.s_cap - 1 in
   let i = ref (home h mask) in
   while
     let h' = Array.unsafe_get t.s_hc (2 * !i) in
-    h' <> 0 && not (h' = h && String.equal (Array.unsafe_get t.s_keys !i) s)
+    h' <> 0
+    && not (h' = h && key_is (Array.unsafe_get t.s_keys !i) buf off len)
   do
     i := (!i + 1) land mask
   done;
   !i
 
-let stab_put t i h s c =
-  t.s_hc.(2 * i) <- h;
-  t.s_hc.((2 * i) + 1) <- c;
-  t.s_keys.(i) <- s
-
+(* keys are distinct, so each goes to the first empty slot from its
+   home: no key is read, only moved *)
 let stab_grow t =
-  let old_hc = t.s_hc and old_keys = t.s_keys in
-  t.s_cap <- t.s_cap * 2;
+  let old_hc = t.s_hc and old_keys = t.s_keys and old_cap = t.s_cap in
+  t.s_cap <- old_cap * 2;
   t.s_hc <- Array.make (2 * t.s_cap) 0;
   t.s_keys <- Array.make t.s_cap "";
-  (* keys are distinct, so [stab_slot] stops at an empty slot *)
-  Array.iteri
-    (fun j s ->
-      let h = old_hc.(2 * j) in
-      if h <> 0 then stab_put t (stab_slot t h s) h s old_hc.((2 * j) + 1))
-    old_keys
-
-(* the code of [s], or -1 *)
-let stab_find t s =
-  let i = stab_slot t (str_hash s) s in
-  if t.s_hc.(2 * i) <> 0 then t.s_hc.((2 * i) + 1) else -1
-
-(* the code bound to [s]; when absent, binds [s] to [c] and returns -1 *)
-let stab_bind t s c =
-  let h = str_hash s in
-  let i = stab_slot t h s in
-  if t.s_hc.(2 * i) <> 0 then t.s_hc.((2 * i) + 1)
-  else begin
-    let i =
-      if (t.s_size + 1) * 2 > t.s_cap then begin
-        stab_grow t;
-        stab_slot t h s
-      end
-      else i
-    in
-    stab_put t i h s c;
-    t.s_size <- t.s_size + 1;
-    -1
-  end
+  let mask = t.s_cap - 1 in
+  for j = 0 to old_cap - 1 do
+    let h = old_hc.(2 * j) in
+    if h <> 0 then begin
+      let i = ref (home h mask) in
+      while t.s_hc.(2 * !i) <> 0 do
+        i := (!i + 1) land mask
+      done;
+      t.s_hc.(2 * !i) <- h;
+      t.s_hc.((2 * !i) + 1) <- old_hc.((2 * j) + 1);
+      t.s_keys.(!i) <- old_keys.(j)
+    end
+  done
 
 let vtab_slot t h v =
   let mask = t.v_cap - 1 in
@@ -542,64 +544,101 @@ let dvec_push d v =
   d.ddata.(d.dlen) <- v;
   d.dlen <- d.dlen + 1
 
-(* the code bound to [v] in the intern table [t] (NULL is 0); when
-   absent, binds [v] to [c] and returns -1 *)
-let vtab_bind t v c =
+(* Inserting takes one probe. [vtab_reserve] first grows every side
+   that one more insert would take past half full, so the empty slot a
+   probe stops at stays valid until one insert: a miss is *staged*
+   there (its key already in the slot, its hash or key word still
+   empty, so no probe sees it) and [vtab_commit] binds it. *)
+let vtab_reserve t =
+  if (t.n_size + 1) * 2 > t.n_cap then ntab_grow t;
+  if (t.strs.s_size + 1) * 2 > t.strs.s_cap then stab_grow t.strs;
+  if (t.v_size + 1) * 2 > t.v_cap then vtab_grow t
+
+let stage t side i w =
+  t.st_side <- side;
+  t.st_slot <- i;
+  t.st_word <- w;
+  -1
+
+(* the code of [n <> min_int], or -1 with the miss staged *)
+let probe_int t n =
+  let i = ntab_slot t n in
+  if t.n_tab.(2 * i) <> min_int then t.n_tab.((2 * i) + 1) else stage t 0 i n
+
+(* the code of the string spelled by the bytes, or -1 with the miss
+   staged: as [key], or (when [key] is "") as a copy of the bytes *)
+let probe_str t buf off len key =
+  let st = t.strs and h = bytes_hash buf off len in
+  let i = stab_slot st h buf off len in
+  if st.s_hc.(2 * i) <> 0 then st.s_hc.((2 * i) + 1)
+  else begin
+    st.s_keys.(i) <- (if key = "" then Bytes.sub_string buf off len else key);
+    stage t 1 i h
+  end
+
+(* the code of [v] (NULL is 0), or -1 with the miss staged *)
+let vtab_probe t v =
   match v with
   | Value.Null -> 0
-  | Value.Int n when n <> min_int ->
-      let i = ntab_slot t n in
-      if t.n_tab.(2 * i) <> min_int then t.n_tab.((2 * i) + 1)
-      else begin
-        let i =
-          if (t.n_size + 1) * 2 > t.n_cap then begin
-            ntab_grow t;
-            ntab_slot t n
-          end
-          else i
-        in
-        t.n_tab.(2 * i) <- n;
-        t.n_tab.((2 * i) + 1) <- c;
-        t.n_size <- t.n_size + 1;
-        -1
-      end
-  | Value.String s -> stab_bind t.strs s c
+  | Value.Int n when n <> min_int -> probe_int t n
+  | Value.String s ->
+      probe_str t (Bytes.unsafe_of_string s) 0 (String.length s) s
   | _ ->
       let h = Hashtbl.hash v lor 1 in
       let i = vtab_slot t h v in
       if t.v_hs.(i) <> 0 then t.v_codes.(i)
       else begin
-        let i =
-          if (t.v_size + 1) * 2 > t.v_cap then begin
-            vtab_grow t;
-            vtab_slot t h v
-          end
-          else i
-        in
-        t.v_hs.(i) <- h;
         t.v_keys.(i) <- v;
-        t.v_codes.(i) <- c;
-        t.v_size <- t.v_size + 1;
-        -1
+        stage t 2 i h
       end
 
-(* the code of [v] in the column whose intern table is [t] and whose
-   dictionary is [d], interning it as the next code on a miss *)
+(* bind the staged miss to [c]; its value *)
+let vtab_commit t c =
+  let i = t.st_slot and w = t.st_word in
+  match t.st_side with
+  | 0 ->
+      t.n_tab.(2 * i) <- w;
+      t.n_tab.((2 * i) + 1) <- c;
+      t.n_size <- t.n_size + 1;
+      Value.Int w
+  | 1 ->
+      let st = t.strs in
+      st.s_hc.(2 * i) <- w;
+      st.s_hc.((2 * i) + 1) <- c;
+      st.s_size <- st.s_size + 1;
+      Value.String st.s_keys.(i)
+  | _ ->
+      t.v_hs.(i) <- w;
+      t.v_codes.(i) <- c;
+      t.v_size <- t.v_size + 1;
+      t.v_keys.(i)
+
+(* the staged miss of the column whose intern table is [t] and whose
+   dictionary is [d], interned as its next code *)
+let commit_into t d =
+  let c = d.dlen in
+  dvec_push d (vtab_commit t c);
+  c
+
+(* the code of [v] in that column, interning it on a miss *)
 let intern_into t d v =
-  let c = vtab_bind t v d.dlen in
-  if c >= 0 then c
-  else begin
-    dvec_push d v;
-    d.dlen - 1
-  end
+  vtab_reserve t;
+  let c = vtab_probe t v in
+  if c >= 0 then c else commit_into t d
 
 (* the code of [v] in the column whose intern table is [t], or -1:
-   [intern_into]'s lookup, never inserting *)
+   [intern_into]'s lookup, which writes nothing *)
 let vtab_find t v =
   match v with
   | Value.Null -> 0
-  | Value.Int n when n <> min_int -> ntab_find t n
-  | Value.String s -> stab_find t.strs s
+  | Value.Int n when n <> min_int ->
+      let i = ntab_slot t n in
+      if t.n_tab.(2 * i) <> min_int then t.n_tab.((2 * i) + 1) else -1
+  | Value.String s ->
+      let b = Bytes.unsafe_of_string s and n = String.length s in
+      let st = t.strs in
+      let i = stab_slot st (bytes_hash b 0 n) b 0 n in
+      if st.s_hc.(2 * i) <> 0 then st.s_hc.((2 * i) + 1) else -1
   | _ ->
       let i = vtab_slot t (Hashtbl.hash v lor 1) v in
       if t.v_hs.(i) <> 0 then t.v_codes.(i) else -1
@@ -679,7 +718,14 @@ let column_interner (col : column) =
   | Some tab -> tab
   | None ->
       let tab = vtab_create () in
-      Array.iteri (fun c v -> if c > 0 then ignore (vtab_bind tab v c)) col.dict;
+      Array.iteri
+        (fun c v ->
+          if c > 0 then begin
+            vtab_reserve tab;
+            ignore (vtab_probe tab v);
+            ignore (vtab_commit tab c)
+          end)
+        col.dict;
       col.interner <- Some tab;
       tab
 
@@ -1553,6 +1599,7 @@ module Builder = struct
     b_intern : vtab array;
     b_dict : dvec array;  (* per column, indexed by code *)
     b_nulls : int array;
+    b_row : int array;  (* the open row's codes; -1 = staged miss *)
     mutable b_rows : int;
     mutable b_tail_len : int;  (* rows currently in the open vecs *)
   }
@@ -1570,15 +1617,12 @@ module Builder = struct
       b_intern = Array.init arity (fun _ -> vtab_create ());
       b_dict = Array.init arity (fun _ -> dvec_create ());
       b_nulls = Array.make arity 0;
+      b_row = Array.make arity 0;
       b_rows = 0;
       b_tail_len = 0;
     }
 
   let rows b = b.b_rows
-
-  let intern b pos v = intern_into b.b_intern.(pos) b.b_dict.(pos) v
-  let find_int b pos n = ntab_find b.b_intern.(pos) n
-  let find_string b pos s = stab_find b.b_intern.(pos).strs s
 
   (* the next code at [pos], for a value the caller knows is new to the
      column: no intern-table probe, and no entry for later lookups *)
@@ -1601,17 +1645,56 @@ module Builder = struct
     done;
     b.b_tail_len <- 0
 
+  let push b p c =
+    vec_push b.b_codes.(p) c;
+    if c = 0 then b.b_nulls.(p) <- b.b_nulls.(p) + 1
+
+  let row_done b =
+    b.b_rows <- b.b_rows + 1;
+    b.b_tail_len <- b.b_tail_len + 1;
+    if b.b_arity > 0 && b.b_tail_len = b.b_seg_rows then seal_all b
+
   let append b codes =
     if Array.length codes <> b.b_arity then
       invalid_arg "Column_store.Builder.append: arity mismatch";
     for p = 0 to b.b_arity - 1 do
-      let c = codes.(p) in
-      vec_push b.b_codes.(p) c;
-      if c = 0 then b.b_nulls.(p) <- b.b_nulls.(p) + 1
+      push b p codes.(p)
     done;
-    b.b_rows <- b.b_rows + 1;
-    b.b_tail_len <- b.b_tail_len + 1;
-    if b.b_arity > 0 && b.b_tail_len = b.b_seg_rows then seal_all b
+    row_done b
+
+  (* One probe per cell (see [vtab_reserve]): each column takes at most
+     one cell per row, so reserving every column's table when the row
+     opens keeps each staged miss valid until the row ends. *)
+  let begin_row b =
+    for p = 0 to b.b_arity - 1 do
+      vtab_reserve b.b_intern.(p)
+    done
+
+  let cell b pos c =
+    b.b_row.(pos) <- c;
+    c
+
+  let cell_int b pos n =
+    cell b pos
+      (if n = min_int then vtab_probe b.b_intern.(pos) (Value.Int n)
+       else probe_int b.b_intern.(pos) n)
+
+  let cell_bytes b pos buf off len =
+    cell b pos (probe_str b.b_intern.(pos) buf off len "")
+
+  let cell_value b pos v = cell b pos (vtab_probe b.b_intern.(pos) v)
+
+  let drop_row b = Array.fill b.b_row 0 b.b_arity 0
+
+  (* staged misses become codes in attribute order, the order a
+     row-at-a-time intern assigns them *)
+  let end_row b =
+    for p = 0 to b.b_arity - 1 do
+      let c = b.b_row.(p) in
+      push b p (if c < 0 then commit_into b.b_intern.(p) b.b_dict.(p) else c);
+      b.b_row.(p) <- 0
+    done;
+    row_done b
 
   (* Merge [src] (a chunk-local builder) onto the end of [dst].
      Appending chunk dictionaries in chunk order reproduces the global
@@ -1631,7 +1714,7 @@ module Builder = struct
           let local = src.b_dict.(p) in
           let r = Array.make local.dlen 0 in
           for c = 1 to local.dlen - 1 do
-            r.(c) <- intern dst p local.ddata.(c)
+            r.(c) <- intern_into dst.b_intern.(p) dst.b_dict.(p) local.ddata.(c)
           done;
           r)
     in

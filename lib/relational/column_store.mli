@@ -231,22 +231,30 @@ module Builder : sig
   val create : Relation.t -> t
   (** Captures the segment size from the current {!Ooc.config}. *)
 
-  val intern : t -> int -> Value.t -> int
-  (** [intern b pos v] is the dictionary code for [v] in the column at
-      attribute position [pos] (NULL is always 0), allocating the next
-      code on first sight. Interning a value does not append a row:
-      callers stage a whole row's codes, then {!append} once — rows
-      rejected mid-parse must never touch the dictionary. *)
+  val begin_row : t -> unit
+  (** Open a row of cells, closed by {!end_row} or {!drop_row}: grow
+      now every intern table that one more insert would take past half
+      full, so the slot each [cell_*] call probes stays valid until the
+      row ends. *)
 
-  val find_int : t -> int -> int -> int
-  (** [find_int b pos n] is the code of [Value.Int n] at [pos], or -1
-      when absent; nothing is allocated or interned. [min_int] always
-      reports -1 (only {!intern} resolves it), which a caller that
-      stages misses and interns them later may safely ignore. *)
+  val cell_int : t -> int -> int -> int
+  val cell_bytes : t -> int -> bytes -> int -> int -> int
+  val cell_value : t -> int -> Value.t -> int
+  (** [cell_int b pos n], [cell_bytes b pos buf off len] (the
+      [Value.String] spelled by those bytes, hashed and compared in
+      place) and [cell_value b pos v] set the open row's cell at
+      attribute position [pos] with one probe of its column's table:
+      the code when the value is interned (NULL is always 0), else -1
+      with the miss staged (bytes are copied, so [buf] may be reused at
+      once). At most one call per position per row. *)
 
-  val find_string : t -> int -> string -> int
-  (** [find_string b pos s] is the code of [Value.String s] at [pos],
-      or -1 when absent — a lookup by the bytes themselves. *)
+  val end_row : t -> unit
+  (** Intern the row's staged misses, in attribute order, as the next
+      codes of their columns, then {!append} the row. Positions no
+      [cell_*] call set are NULL. *)
+
+  val drop_row : t -> unit
+  (** Discard the open row: its staged misses never reach a dictionary. *)
 
   val append : t -> int array -> unit
   (** Append one row of codes (one per attribute position, in

@@ -19,10 +19,13 @@ let raise_syntax ?relation (e : syntax_error) =
 
 type row = { index : int; line : int; fields : string array }
 
-(* Incremental chunk-fed scanner. Field bytes are sliced straight out
-   of the chunk when a field lies within one chunk ([sc_buf] is touched
-   only by escapes and chunk boundaries), so the common path allocates
-   one string per field and nothing else. Positions ([sc_line],
+(* Incremental chunk-fed scanner. It hands each cell to [sc_cell] as a
+   byte view [(buf, off, len)] that is valid only during the call: a
+   cell lying within one chunk is a view into that chunk, and one with
+   escapes or straddling a chunk boundary a view into [sc_scratch]
+   (touched only then). [sc_row] follows the last cell of each row, and
+   [sc_drop] discards the cells of a row torn at EOF. So the common
+   path copies and allocates nothing. Positions ([sc_line],
    [sc_line_start], [sc_abs]) are absolute document offsets, which is
    what lets a parallel worker resume mid-document with exact line and
    column reporting.
@@ -34,76 +37,99 @@ type row = { index : int; line : int; fields : string array }
 type sc_mode = Sc_plain | Sc_quoted | Sc_quote_end | Sc_cr_end
 
 type scanner = {
-  sc_emit : int -> int -> string array -> unit;  (* row index, line, fields *)
-  sc_buf : Buffer.t;
-  mutable sc_fbuf : string array;  (* fields of the row being assembled *)
-  mutable sc_nf : int;
+  sc_cell : bytes -> int -> int -> unit;
+  sc_row : int -> int -> int -> unit;  (* row index, line, start offset *)
+  sc_drop : unit -> unit;
+  mutable sc_scratch : bytes;
+  mutable sc_slen : int;
+  mutable sc_cells : int;  (* cells emitted in the open row *)
   mutable sc_mode : sc_mode;
   mutable sc_line : int;
   mutable sc_line_start : int;  (* absolute offset where the line starts *)
   mutable sc_row_line : int;
+  mutable sc_row_start : int;  (* absolute offset where the row starts *)
   mutable sc_row_index : int;
   mutable sc_abs : int;  (* absolute offset of the next byte to be fed *)
   mutable sc_qline : int;  (* where the currently open quote opened *)
   mutable sc_qcol : int;
-  mutable sc_errors : syntax_error list;  (* reversed *)
 }
 
-let scanner_start ?(row_index = 0) ?(line = 1) ?(abs = 0) emit =
+let scanner_start ?(row_index = 0) ?(line = 1) ?(abs = 0) ~cell ~row ~drop () =
   {
-    sc_emit = emit;
-    sc_buf = Buffer.create 64;
-    sc_fbuf = Array.make 8 "";
-    sc_nf = 0;
+    sc_cell = cell;
+    sc_row = row;
+    sc_drop = drop;
+    sc_scratch = Bytes.create 64;
+    sc_slen = 0;
+    sc_cells = 0;
     sc_mode = Sc_plain;
     sc_line = line;
     sc_line_start = abs;
     sc_row_line = line;
+    sc_row_start = abs;
     sc_row_index = row_index;
     sc_abs = abs;
     sc_qline = 0;
     sc_qcol = 0;
-    sc_errors = [];
   }
 
-let scanner_make emit = scanner_start emit
-
-let push_field_string st f =
-  if st.sc_nf = Array.length st.sc_fbuf then begin
-    let d = Array.make (2 * st.sc_nf) "" in
-    Array.blit st.sc_fbuf 0 d 0 st.sc_nf;
-    st.sc_fbuf <- d
+let scratch_add st s off len =
+  let need = st.sc_slen + len in
+  if need > Bytes.length st.sc_scratch then begin
+    let d = Bytes.create (max need (2 * Bytes.length st.sc_scratch)) in
+    Bytes.blit st.sc_scratch 0 d 0 st.sc_slen;
+    st.sc_scratch <- d
   end;
-  st.sc_fbuf.(st.sc_nf) <- f;
-  st.sc_nf <- st.sc_nf + 1
+  Bytes.blit s off st.sc_scratch st.sc_slen len;
+  st.sc_slen <- need
 
 let emit_row st =
-  let fields = Array.sub st.sc_fbuf 0 st.sc_nf in
-  st.sc_emit st.sc_row_index st.sc_row_line fields;
+  st.sc_row st.sc_row_index st.sc_row_line st.sc_row_start;
   st.sc_row_index <- st.sc_row_index + 1;
-  st.sc_nf <- 0
+  st.sc_cells <- 0
+
+(* the run [s.[fstart] .. s.[j-1]] into the scratch *)
+let flush_run st s fstart j =
+  if j > fstart then scratch_add st s fstart (j - fstart)
+
+(* emit the cell ending at [j]: a view into [s], or into the scratch if
+   part of the cell is already there *)
+let push_cell st s fstart j =
+  st.sc_cells <- st.sc_cells + 1;
+  if st.sc_slen = 0 then st.sc_cell s fstart (j - fstart)
+  else begin
+    flush_run st s fstart j;
+    st.sc_cell st.sc_scratch 0 st.sc_slen;
+    st.sc_slen <- 0
+  end
+
+(* a row ended; the next line and row start at absolute offset [next] *)
+let end_row st next =
+  emit_row st;
+  st.sc_line <- st.sc_line + 1;
+  st.sc_line_start <- next;
+  st.sc_row_line <- st.sc_line;
+  st.sc_row_start <- next
+
+(* the bytes that end a plain run and a quoted run *)
+let stop_table stops =
+  String.init 256 (fun c ->
+      if String.contains stops (Char.chr c) then '\001' else '\000')
+
+let plain_stop = stop_table ",\n\r\""
+let quoted_stop = stop_table "\"\n"
 
 (* Feed the bytes [s.[off] .. s.[off+len-1]] to the scanner. It only
-   reads [s] (string callers pass [Bytes.unsafe_of_string]) and copies
-   fields out, so a caller may refill and feed the same buffer again. *)
+   reads [s] (string callers pass [Bytes.unsafe_of_string]) and keeps
+   no view into it past the call, so a caller may refill and feed the
+   same buffer again. Ordinary bytes are skipped a run at a time. *)
 let scanner_feed st s off len =
   let limit = off + len in
+  if off < 0 || len < 0 || limit > Bytes.length s then
+    invalid_arg "Csv.scanner_feed";
   let base = st.sc_abs - off in
   let fstart = ref off in
   let i = ref off in
-  let flush_run j =
-    if j > !fstart then Buffer.add_subbytes st.sc_buf s !fstart (j - !fstart)
-  in
-  let push_field j =
-    if Buffer.length st.sc_buf = 0 then
-      push_field_string st (Bytes.sub_string s !fstart (j - !fstart))
-    else begin
-      flush_run j;
-      let f = Buffer.contents st.sc_buf in
-      Buffer.clear st.sc_buf;
-      push_field_string st f
-    end
-  in
   if len > 0 then begin
     (* resolve a lookahead pending from the previous chunk *)
     (match st.sc_mode with
@@ -113,12 +139,12 @@ let scanner_feed st s off len =
           fstart := off + 1
         end;
         st.sc_line_start <- base + !i;
+        st.sc_row_start <- base + !i;
         st.sc_mode <- Sc_plain
     | Sc_quote_end ->
         if Bytes.get s off = '"' then begin
-          Buffer.add_char st.sc_buf '"';
+          (* an escaped quote: the second '"' starts the next run *)
           i := off + 1;
-          fstart := off + 1;
           st.sc_mode <- Sc_quoted
         end
         else st.sc_mode <- Sc_plain
@@ -126,105 +152,111 @@ let scanner_feed st s off len =
     while !i < limit do
       match st.sc_mode with
       | Sc_plain -> (
-          match Bytes.get s !i with
-          | ',' ->
-              push_field !i;
-              fstart := !i + 1;
-              incr i
-          | '\n' ->
-              push_field !i;
-              emit_row st;
-              st.sc_line <- st.sc_line + 1;
-              st.sc_line_start <- base + !i + 1;
-              st.sc_row_line <- st.sc_line;
-              fstart := !i + 1;
-              incr i
-          | '\r' ->
-              push_field !i;
-              emit_row st;
-              st.sc_line <- st.sc_line + 1;
-              st.sc_row_line <- st.sc_line;
-              if !i + 1 < limit then begin
-                if Bytes.get s (!i + 1) = '\n' then i := !i + 2 else incr i;
-                st.sc_line_start <- base + !i;
-                fstart := !i
-              end
-              else begin
-                st.sc_mode <- Sc_cr_end;
+          while
+            !i < limit
+            && String.unsafe_get plain_stop (Char.code (Bytes.unsafe_get s !i))
+               = '\000'
+          do
+            incr i
+          done;
+          if !i < limit then
+            match Bytes.unsafe_get s !i with
+            | ',' ->
+                push_cell st s !fstart !i;
                 incr i;
                 fstart := !i
-              end
-          | '"' when Buffer.length st.sc_buf = 0 && !i = !fstart ->
-              (* a quote opens a quoted field only on empty content;
-                 mid-field quotes are literal (the [_] branch below) *)
-              st.sc_qline <- st.sc_line;
-              st.sc_qcol <- base + !i - st.sc_line_start + 1;
-              st.sc_mode <- Sc_quoted;
-              fstart := !i + 1;
-              incr i
-          | _ -> incr i)
+            | '\n' ->
+                push_cell st s !fstart !i;
+                incr i;
+                end_row st (base + !i);
+                fstart := !i
+            | '\r' ->
+                push_cell st s !fstart !i;
+                incr i;
+                if !i = limit then st.sc_mode <- Sc_cr_end
+                else if Bytes.unsafe_get s !i = '\n' then incr i;
+                (* at a chunk's end, the next chunk fixes the row start *)
+                end_row st (base + !i);
+                fstart := !i
+            | _ (* '"' *) ->
+                if st.sc_slen = 0 && !i = !fstart then begin
+                  (* a quote opens a quoted field only on empty content;
+                     mid-field quotes are literal *)
+                  st.sc_qline <- st.sc_line;
+                  st.sc_qcol <- base + !i - st.sc_line_start + 1;
+                  st.sc_mode <- Sc_quoted;
+                  fstart := !i + 1
+                end;
+                incr i)
       | Sc_quoted -> (
-          match Bytes.get s !i with
-          | '"' ->
-              flush_run !i;
-              if !i + 1 < limit then begin
-                if Bytes.get s (!i + 1) = '"' then begin
-                  Buffer.add_char st.sc_buf '"';
-                  i := !i + 2
+          while
+            !i < limit
+            && String.unsafe_get quoted_stop
+                 (Char.code (Bytes.unsafe_get s !i))
+               = '\000'
+          do
+            incr i
+          done;
+          if !i < limit then
+            match Bytes.unsafe_get s !i with
+            | '"' ->
+                flush_run st s !fstart !i;
+                if !i + 1 < limit then begin
+                  if Bytes.unsafe_get s (!i + 1) = '"' then begin
+                    fstart := !i + 1;
+                    i := !i + 2
+                  end
+                  else begin
+                    st.sc_mode <- Sc_plain;
+                    incr i;
+                    fstart := !i
+                  end
                 end
                 else begin
-                  st.sc_mode <- Sc_plain;
-                  incr i
-                end;
-                fstart := !i
-              end
-              else begin
-                st.sc_mode <- Sc_quote_end;
-                incr i;
-                fstart := !i
-              end
-          | '\n' ->
-              st.sc_line <- st.sc_line + 1;
-              st.sc_line_start <- base + !i + 1;
-              incr i
-          | _ -> incr i)
+                  st.sc_mode <- Sc_quote_end;
+                  incr i;
+                  fstart := !i
+                end
+            | _ (* '\n' *) ->
+                st.sc_line <- st.sc_line + 1;
+                st.sc_line_start <- base + !i + 1;
+                incr i)
       | Sc_cr_end | Sc_quote_end ->
           (* only reachable at the very end of a chunk *)
           assert false
     done;
     (match st.sc_mode with
-    | Sc_plain | Sc_quoted -> flush_run limit
+    | Sc_plain | Sc_quoted -> flush_run st s !fstart limit
     | Sc_cr_end | Sc_quote_end -> ());
     st.sc_abs <- st.sc_abs + len
   end
 
+(* The one possible syntax error comes back in the list: a quote left
+   open at EOF, whose torn row is dropped. A pending quote or '\r'
+   closed its field or row right at EOF. *)
 let scanner_finish st =
-  (match st.sc_mode with
-  | Sc_quoted ->
-      st.sc_errors <-
+  let errors =
+    if st.sc_mode <> Sc_quoted then []
+    else begin
+      st.sc_slen <- 0;
+      st.sc_cells <- 0;
+      st.sc_drop ();
+      [
         {
           se_row = st.sc_row_index;
           se_line = st.sc_qline;
           se_col = st.sc_qcol;
           se_message = unterminated_message st.sc_qline st.sc_qcol;
-        }
-        :: st.sc_errors;
-      (* the torn row is dropped *)
-      Buffer.clear st.sc_buf;
-      st.sc_nf <- 0;
-      st.sc_mode <- Sc_plain
-  | Sc_quote_end ->
-      (* the pending quote closed its field right at EOF *)
-      st.sc_mode <- Sc_plain
-  | Sc_cr_end -> st.sc_mode <- Sc_plain
-  | Sc_plain -> ());
-  if Buffer.length st.sc_buf > 0 || st.sc_nf > 0 then begin
-    let f = Buffer.contents st.sc_buf in
-    Buffer.clear st.sc_buf;
-    push_field_string st f;
+        };
+      ]
+    end
+  in
+  if st.sc_slen > 0 || st.sc_cells > 0 then begin
+    st.sc_cell st.sc_scratch 0 st.sc_slen;
+    st.sc_slen <- 0;
     emit_row st
   end;
-  List.rev st.sc_errors
+  errors
 
 (* ingest supervision: the token is polled once per [supervised_rows]
    emitted rows (and once per reader chunk) — coarse enough to cost one
@@ -232,49 +264,62 @@ let scanner_finish st =
    deadline stops a bulk load at a chunk boundary *)
 let supervised_rows = 4096
 
-let supervised_emit supervise emit index line fields =
+let supervised supervise row index line start =
   if index land (supervised_rows - 1) = 0 then Supervise.check supervise;
-  emit index line fields
+  row index line start
 
-let fold ?(supervise = Supervise.unlimited) ~f ~init text =
-  let acc = ref init in
-  let st =
-    scanner_make
-      (supervised_emit supervise (fun index line fields ->
-           acc := f !acc { index; line; fields }))
-  in
-  scanner_feed st (Bytes.unsafe_of_string text) 0 (String.length text);
-  (!acc, scanner_finish st)
-
-let fold_reader ?(supervise = Supervise.unlimited) ~f ~init read =
-  let acc = ref init in
-  let st =
-    scanner_make
-      (supervised_emit supervise (fun index line fields ->
-           acc := f !acc { index; line; fields }))
-  in
+(* Feed [next]'s chunks, (bytes, length) until [None], to [st], then
+   finish it. The scanner keeps no view into a chunk once
+   [scanner_feed] returns, so a producer may refill and hand over the
+   same buffer again and again. *)
+let scan_chunks ~supervise st next =
   let rec loop () =
     Supervise.check supervise;
-    match read () with
-    | None -> ()
-    | Some chunk ->
-        scanner_feed st (Bytes.unsafe_of_string chunk) 0 (String.length chunk);
+    match next () with
+    | None -> scanner_finish st
+    | Some (s, len) ->
+        scanner_feed st s 0 len;
         loop ()
   in
-  loop ();
-  (!acc, scanner_finish st)
+  loop ()
 
-let parse text =
-  let rows, errors =
-    fold ~f:(fun acc r -> Array.to_list r.fields :: acc) ~init:[] text
+let of_strings read () =
+  Option.map (fun c -> (Bytes.unsafe_of_string c, String.length c)) (read ())
+
+(* a reader that yields [text], once *)
+let once text = Seq.to_dispenser (Seq.return text)
+
+(* the [row] consumer: each cell view is copied out, and a row's cells
+   become its [fields] *)
+let fold_reader ?(supervise = Supervise.unlimited) ~f ~init read =
+  let acc = ref init and cells = ref [] in
+  let row index line _ =
+    let fields = Array.of_list (List.rev !cells) in
+    cells := [];
+    acc := f !acc { index; line; fields }
   in
-  match errors with [] -> List.rev rows | e :: _ -> raise_syntax e
+  let st =
+    scanner_start
+      ~cell:(fun buf off len -> cells := Bytes.sub_string buf off len :: !cells)
+      ~row:(supervised supervise row)
+      ~drop:(fun () -> cells := [])
+      ()
+  in
+  let errors = scan_chunks ~supervise st (of_strings read) in
+  (!acc, errors)
+
+let fold ?supervise ~f ~init text = fold_reader ?supervise ~f ~init (once text)
 
 let parse_lenient text =
   let rows, errors =
     fold ~f:(fun acc r -> Array.to_list r.fields :: acc) ~init:[] text
   in
   (List.rev rows, errors)
+
+let parse text =
+  match parse_lenient text with
+  | rows, [] -> rows
+  | _, e :: _ -> raise_syntax e
 
 (* ------------------------------------------------------------------ *)
 (* rendering                                                           *)
@@ -313,21 +358,21 @@ let data_row_index ~header idx = if header then idx - 1 else idx
 
 exception Stop_sink
 
-(* One consumer of scanned rows: resolves the header, types each cell
-   through its declared domain, and appends dictionary codes straight
-   into a [Column_store.Builder] — no [string list list], no eager
-   tuples. The Builder's per-column dictionary is the only table a
-   cell goes through: an [Int] cell is looked up by the int its digits
-   spell and a [String] cell by its bytes, so a repeated cell of the
-   two bulk domains costs one probe and no box. Any other domain
-   ([Float], [Date], [Bool], undeclared) is parsed and interned by
-   value, since many spellings may denote one value.
+(* The loader's consumer of scanned cells: resolves the header, types
+   each cell through its declared domain, and hands it straight to a
+   [Column_store.Builder] — no [string array] per row, no eager tuples.
+   The Builder's per-column dictionary is the only table a cell goes
+   through, with one probe: an [Int] cell by the int its digits spell
+   and a [String] cell by its bytes, in place, so a repeated cell of the
+   two bulk domains costs no string and no box. Any other domain
+   ([Float], [Date], [Bool], undeclared) is copied out, parsed and
+   interned by value, since many spellings may denote one value.
 
-   A row is interned transactionally: every cell is looked up or
-   parsed first, misses and parses are staged, and codes are interned
-   only if the whole row survives, so quarantined rows never pollute
-   the dictionaries. All NaN spellings intern to one code
-   ([compare nan nan = 0]), exactly as a post-hoc encode would. *)
+   A row is interned transactionally: a cell's miss is staged in the
+   Builder, and [end_row] interns the staged values only if the whole
+   row survives, so quarantined rows never pollute the dictionaries.
+   All NaN spellings intern to one code ([compare nan nan = 0]),
+   exactly as a post-hoc encode would. *)
 type sink = {
   k_rel : Relation.t;
   k_name : string;
@@ -336,12 +381,15 @@ type sink = {
   k_builder : Column_store.Builder.t;
   k_attrs : string array;
   k_domains : Domain.t array;
-  k_codes : int array;  (* scratch: the row's codes, -1 = staged miss *)
-  k_ints : int array;  (* scratch: staged [Int] misses *)
-  k_vals : Value.t array;  (* scratch: staged parses of other domains *)
-  mutable k_map : int array;  (* attr position -> field index, -1 absent *)
+  mutable k_inv : int array;  (* field index -> attr position, -1 ignored *)
   mutable k_width : int;
   mutable k_have_map : bool;
+  mutable k_hdr_cells : string list;  (* the header row so far, reversed *)
+  mutable k_nf : int;  (* cells seen in the open row *)
+  mutable k_bad : int;
+      (* the open row's first ill-typed attribute in declaration order;
+         the arity when none. Cells of later attributes are not typed. *)
+  mutable k_bad_raw : string;
   mutable k_hdr_entries : Quarantine.entry list;  (* reversed *)
   mutable k_row_entries : Quarantine.entry list;  (* reversed *)
   mutable k_rows : int;  (* data rows seen *)
@@ -350,15 +398,15 @@ type sink = {
   mutable k_stopped : bool;
 }
 
-let sink_make ~strict ~header ?map_width rel =
+let sink_make ~strict ~header ?inv_width rel =
   let arity = Relation.arity rel in
   let attrs = Array.of_list rel.Relation.attrs in
-  let map, width, have_map =
-    match map_width with
-    | Some (map, width) -> (map, width, true)
+  let inv, width, have_map =
+    match inv_width with
+    | Some (inv, width) -> (inv, width, true)
     | None ->
-        if header then (Array.make arity (-1), 0, false)
-        else (Array.init arity (fun p -> p), arity, true)
+        if header then ([||], 0, false)
+        else (Array.init arity Fun.id, arity, true)
   in
   {
     k_rel = rel;
@@ -368,12 +416,13 @@ let sink_make ~strict ~header ?map_width rel =
     k_builder = Column_store.Builder.create rel;
     k_attrs = attrs;
     k_domains = Array.map (Relation.domain_of rel) attrs;
-    k_codes = Array.make arity 0;
-    k_ints = Array.make arity 0;
-    k_vals = Array.make arity Value.Null;
-    k_map = map;
+    k_inv = inv;
     k_width = width;
     k_have_map = have_map;
+    k_hdr_cells = [];
+    k_nf = 0;
+    k_bad = arity;
+    k_bad_raw = "";
     k_hdr_entries = [];
     k_row_entries = [];
     k_rows = 0;
@@ -429,13 +478,16 @@ let resolve_header k (hdr : string array) =
     in
     go 0
   in
-  k.k_map <- Array.map find_pos k.k_attrs;
+  let map = Array.map find_pos k.k_attrs in
+  (* a column named twice binds its first occurrence only *)
+  k.k_inv <- Array.make (Array.length hdr) (-1);
+  Array.iteri (fun p j -> if j >= 0 then k.k_inv.(j) <- p) map;
   k.k_width <- Array.length hdr;
   k.k_have_map <- true;
   if not k.k_strict then
     Array.iteri
       (fun p a ->
-        if k.k_map.(p) < 0 then
+        if map.(p) < 0 then
           k.k_hdr_entries <-
             {
               Quarantine.row = None;
@@ -448,19 +500,19 @@ let resolve_header k (hdr : string array) =
             :: k.k_hdr_entries)
       k.k_attrs
 
-(* The [Int] fast path: plain [-]digits (at most 18 of them) parse
-   without a box or an option. [min_int], which no such spelling
-   denotes, sends every other cell to [int_of_string_opt], so
-   acceptance is exactly [Domain.parse_opt]'s. *)
-let plain_int raw =
-  let n = String.length raw in
-  let neg = n > 0 && String.unsafe_get raw 0 = '-' in
-  let start = if neg then 1 else 0 in
-  if n - start < 1 || n - start > 18 then min_int
+(* The [Int] fast path: plain [-]digits (at most 18 of them) in
+   [buf.[off] .. buf.[off+len-1]] parse without a copy, a box or an
+   option. [min_int], which no such spelling denotes, sends every other
+   cell to [int_of_string_opt], so acceptance is exactly
+   [Domain.parse_opt]'s. *)
+let plain_int buf off len =
+  let neg = len > 0 && Bytes.unsafe_get buf off = '-' in
+  let start = if neg then off + 1 else off and stop = off + len in
+  if stop - start < 1 || stop - start > 18 then min_int
   else begin
     let v = ref 0 and ok = ref true and i = ref start in
-    while !ok && !i < n do
-      let c = Char.code (String.unsafe_get raw !i) - Char.code '0' in
+    while !ok && !i < stop do
+      let c = Char.code (Bytes.unsafe_get buf !i) - Char.code '0' in
       if c < 0 || c > 9 then ok := false
       else begin
         v := (!v * 10) + c;
@@ -473,8 +525,8 @@ let plain_int raw =
 (* The [Float] fast path: a plain [-]digits[.digits] spelling of at
    most 15 digits is [w /. 10^k] with [w < 2^53] and [k <= 15], both
    exact doubles, so the one correctly rounded division yields the bits
-   [float_of_string] does (Clinger's fast path) without its copy and
-   [strtod]. Every other spelling goes to [Domain.parse_opt]. *)
+   [float_of_string] does (Clinger's fast path) without its [strtod].
+   Every other spelling goes to [Domain.parse_opt]. *)
 let pow10 = Array.init 16 (fun k -> float_of_string ("1e" ^ string_of_int k))
 
 let parse_float raw =
@@ -498,26 +550,61 @@ let parse_float raw =
     let x = float_of_int !w /. pow10.(max !frac 0) in
     Some (Value.Float (if neg then -.x else x))
 
-(* the code of an [Int] cell if interned, else -1 with the int staged *)
-let stage_int k p n =
-  let c = Column_store.Builder.find_int k.k_builder p n in
-  if c < 0 then k.k_ints.(p) <- n;
-  c
+(* type the non-empty cell [buf.[off..off+len-1]] of attribute [p] into
+   the open row (an empty cell is NULL, code 0: no probe) *)
+let mark_bad k p raw =
+  k.k_bad <- p;
+  k.k_bad_raw <- raw
 
-let sink_row k idx line (fields : string array) =
-  if k.k_header && not k.k_have_map then resolve_header k fields
+let type_cell k p buf off len =
+  let b = k.k_builder in
+  match k.k_domains.(p) with
+  | Domain.Int -> (
+      let n = plain_int buf off len in
+      if n <> min_int then ignore (Column_store.Builder.cell_int b p n)
+      else
+        let raw = Bytes.sub_string buf off len in
+        match int_of_string_opt raw with
+        | Some n -> ignore (Column_store.Builder.cell_int b p n)
+        | None -> mark_bad k p raw)
+  | Domain.String -> ignore (Column_store.Builder.cell_bytes b p buf off len)
+  | d -> (
+      let raw = Bytes.sub_string buf off len in
+      match
+        if d = Domain.Float then parse_float raw else Domain.parse_opt d raw
+      with
+      | Some v -> ignore (Column_store.Builder.cell_value b p v)
+      | None -> mark_bad k p raw)
+
+let sink_cell k buf off len =
+  if not k.k_stopped then begin
+    let j = k.k_nf in
+    k.k_nf <- j + 1;
+    if not k.k_have_map then
+      k.k_hdr_cells <- Bytes.sub_string buf off len :: k.k_hdr_cells
+    else if j < k.k_width && len > 0 then begin
+      let p = k.k_inv.(j) in
+      if p >= 0 && p < k.k_bad then type_cell k p buf off len
+    end
+  end
+
+(* a width mismatch outranks an ill-typed cell *)
+let sink_row k idx line =
+  if not k.k_have_map then
+    resolve_header k (Array.of_list (List.rev k.k_hdr_cells))
   else begin
     k.k_rows <- k.k_rows + 1;
     let ridx = data_row_index ~header:k.k_header idx in
-    let nfields = Array.length fields in
-    if nfields <> k.k_width then begin
+    let b = k.k_builder in
+    if k.k_nf <> k.k_width then begin
+      Column_store.Builder.drop_row b;
       if k.k_strict then
         strict_fail k
           (Error.make ~relation:k.k_name ~severity:Error.Recoverable
              Error.Csv_arity
              (Printf.sprintf
                 "Csv.load(%s): row %d (line %d): width %d, expected %d" k.k_name
-                ridx line nfields k.k_width))
+                ridx line k.k_nf k.k_width))
       else
         k.k_row_entries <-
           {
@@ -526,85 +613,57 @@ let sink_row k idx line (fields : string array) =
               Error.make ~relation:k.k_name ~severity:Error.Recoverable
                 Error.Csv_arity
                 (Printf.sprintf "row %d (line %d): width %d, expected %d" ridx
-                   line nfields k.k_width);
+                   line k.k_nf k.k_width);
           }
           :: k.k_row_entries
     end
+    else if k.k_bad < Array.length k.k_attrs then begin
+      Column_store.Builder.drop_row b;
+      let p = k.k_bad in
+      let err =
+        Error.make ~relation:k.k_name ~attribute:k.k_attrs.(p)
+          ~severity:Error.Recoverable Error.Type_mismatch
+          (Printf.sprintf "row %d (line %d): %S is not a %s" ridx line
+             k.k_bad_raw
+             (Domain.to_string k.k_domains.(p)))
+      in
+      if k.k_strict then strict_fail k err
+      else
+        k.k_row_entries <-
+          { Quarantine.row = Some ridx; error = err } :: k.k_row_entries
+    end
     else begin
-      let b = k.k_builder in
-      let arity = Array.length k.k_attrs in
-      let bad = ref (-1) in
-      for p = 0 to arity - 1 do
-        if !bad < 0 then begin
-          let j = k.k_map.(p) in
-          let raw = if j < 0 then "" else fields.(j) in
-          k.k_codes.(p) <-
-            (if raw = "" then 0
-             else
-               match k.k_domains.(p) with
-               | Domain.Int -> (
-                   let n = plain_int raw in
-                   if n <> min_int then stage_int k p n
-                   else
-                     match int_of_string_opt raw with
-                     | Some n -> stage_int k p n
-                     | None ->
-                         bad := p;
-                         0)
-               | Domain.String -> Column_store.Builder.find_string b p raw
-               | d -> (
-                   match
-                     if d = Domain.Float then parse_float raw
-                     else Domain.parse_opt d raw
-                   with
-                   | Some v ->
-                       k.k_vals.(p) <- v;
-                       -1
-                   | None ->
-                       bad := p;
-                       0))
-        end
-      done;
-      if !bad >= 0 then begin
-        let p = !bad in
-        let raw = fields.(k.k_map.(p)) in
-        let err =
-          Error.make ~relation:k.k_name ~attribute:k.k_attrs.(p)
-            ~severity:Error.Recoverable Error.Type_mismatch
-            (Printf.sprintf "row %d (line %d): %S is not a %s" ridx line raw
-               (Domain.to_string k.k_domains.(p)))
-        in
-        if k.k_strict then strict_fail k err
-        else
-          k.k_row_entries <-
-            { Quarantine.row = Some ridx; error = err } :: k.k_row_entries
-      end
-      else begin
-        (* a staged [String] miss is still in [fields] *)
-        for p = 0 to arity - 1 do
-          if k.k_codes.(p) < 0 then
-            k.k_codes.(p) <-
-              (match k.k_domains.(p) with
-              | Domain.Int ->
-                  Column_store.Builder.intern b p (Value.Int k.k_ints.(p))
-              | Domain.String ->
-                  Column_store.Builder.intern b p
-                    (Value.String fields.(k.k_map.(p)))
-              | _ -> Column_store.Builder.intern b p k.k_vals.(p))
-        done;
-        Column_store.Builder.append b k.k_codes;
-        k.k_kept <- k.k_kept + 1
-      end
+      Column_store.Builder.end_row b;
+      k.k_kept <- k.k_kept + 1
     end
   end
+
+let reset_row k =
+  k.k_nf <- 0;
+  k.k_bad <- Array.length k.k_attrs;
+  Column_store.Builder.begin_row k.k_builder
 
 (* In strict mode the first problem stops ingestion but not scanning:
    the legacy loader scanned the whole document up front, so a torn
    quote at EOF outranks any earlier row error. The sink goes inert and
    the (cheap) scan drains to EOF to find out. *)
-let sink_emit k idx line fields =
-  if not k.k_stopped then
-    try sink_row k idx line fields with Stop_sink -> k.k_stopped <- true
+let sink_row_end k idx line _ =
+  if not k.k_stopped then begin
+    (try sink_row k idx line with Stop_sink -> k.k_stopped <- true);
+    reset_row k
+  end
+
+(* a row torn at EOF: its cells so far leave no trace *)
+let sink_drop k =
+  k.k_hdr_cells <- [];
+  Column_store.Builder.drop_row k.k_builder;
+  reset_row k
+
+let sink_scanner ?row_index ?line ?abs ?(supervise = Supervise.unlimited) k =
+  scanner_start ?row_index ?line ?abs ~cell:(sink_cell k)
+    ~row:(supervised supervise (sink_row_end k))
+    ~drop:(fun () -> sink_drop k)
+    ()
 
 let syntax_entry ~header name (e : syntax_error) torn =
   let row =
@@ -659,121 +718,34 @@ let finalize ~strict k (errors : syntax_error list) =
 (* ------------------------------------------------------------------ *)
 
 (* Quote parity cannot split this grammar (a mid-field quote is
-   literal), so chunk boundaries come from one allocation-free pass of
-   the quote state machine: for each target offset, the first row start
-   at or after it, together with the row index and line there — exactly
-   the state a worker's scanner needs to resume. The same pass finds
-   the end of the first row (where data starts when a header is
-   present) and whether the document ends inside an open quote. *)
-let light_scan text targets =
-  let n = String.length text in
-  let ntargets = Array.length targets in
-  let boundaries = ref [] in
-  let t_idx = ref 0 in
-  let first_row_end = ref None in
-  let line = ref 1 and line_start = ref 0 in
-  let row = ref 0 in
-  let empty = ref true in
-  (* is the current field's content empty (quote-opening position)? *)
-  let quoted = ref false in
-  let content = ref false in
-  let qline = ref 0 and qcol = ref 0 in
-  let i = ref 0 in
-  let row_end next =
-    incr row;
-    incr line;
-    line_start := next;
-    empty := true;
-    if !first_row_end = None then first_row_end := Some (next, !row, !line);
-    while !t_idx < ntargets && next >= targets.(!t_idx) do
-      if
-        match !boundaries with
-        | (prev, _, _) :: _ -> prev <> next
-        | [] -> true
-      then boundaries := (next, !row, !line) :: !boundaries;
-      incr t_idx
-    done
-  in
-  while !i < n do
-    let c = text.[!i] in
-    if !quoted then
-      match c with
-      | '"' ->
-          if !i + 1 < n && text.[!i + 1] = '"' then begin
-            content := true;
-            i := !i + 2
-          end
-          else begin
-            quoted := false;
-            empty := not !content;
-            incr i
-          end
-      | '\n' ->
-          content := true;
-          incr line;
-          line_start := !i + 1;
-          incr i
-      | _ ->
-          content := true;
-          incr i
-    else
-      match c with
-      | ',' ->
-          empty := true;
-          incr i
-      | '\n' ->
-          row_end (!i + 1);
-          incr i
-      | '\r' ->
-          if !i + 1 < n && text.[!i + 1] = '\n' then begin
-            row_end (!i + 2);
-            i := !i + 2
-          end
-          else begin
-            row_end (!i + 1);
-            incr i
-          end
-      | '"' when !empty ->
-          quoted := true;
-          content := false;
-          qline := !line;
-          qcol := !i - !line_start + 1;
-          empty := false;
-          incr i
-      | _ ->
-          empty := false;
-          incr i
-  done;
-  let syntax =
-    if !quoted then
-      Some
-        {
-          se_row = !row;
-          se_line = !qline;
-          se_col = !qcol;
-          se_message = unterminated_message !qline !qcol;
-        }
-    else None
-  in
-  (List.rev !boundaries, !first_row_end, syntax)
-
-(* chunk: (start offset, end offset, first row index, first line) *)
+   literal), so the chunk plan comes from one pass of the scanner
+   itself, which reports where each row starts: for each target offset,
+   the first row starting at or after it, with the row index and line
+   there — exactly the state a worker's scanner resumes from. The same
+   pass finds where data starts (the second row, under a header) and
+   whether the document ends inside an open quote.
+   chunk: (start offset, end offset, first row index, first line) *)
 let plan_chunks ~header text k =
   let n = String.length text in
-  let targets = Array.init (k - 1) (fun j -> (j + 1) * (n / k)) in
-  let boundaries, first_row_end, light_syntax = light_scan text targets in
-  let start =
-    if header then
-      match first_row_end with None -> None | Some s -> Some s
-    else Some (0, 0, 1)
+  let step = n / k in
+  let data = ref (if header then None else Some (0, 0, 1)) in
+  let bounds = ref [] and t = ref 1 in
+  let row index line start =
+    if header && index = 1 then data := Some (start, index, line);
+    if !t < k && start >= !t * step then begin
+      if start > 0 && start < n then bounds := (start, index, line) :: !bounds;
+      while !t < k && start >= !t * step do
+        incr t
+      done
+    end
   in
-  match start with
-  | None -> None
-  | Some (doff, drow, dline) ->
-      let bs =
-        List.filter (fun (off, _, _) -> off > doff && off < n) boundaries
-      in
-      let starts = Array.of_list ((doff, drow, dline) :: bs) in
+  let st = scanner_start ~cell:(fun _ _ _ -> ()) ~row ~drop:ignore () in
+  scanner_feed st (Bytes.unsafe_of_string text) 0 n;
+  let syntax = scanner_finish st in
+  Option.map
+    (fun ((doff, _, _) as first) ->
+      let later = List.filter (fun (off, _, _) -> off > doff) !bounds in
+      let starts = Array.of_list (first :: List.rev later) in
       let m = Array.length starts in
       let chunks =
         Array.init m (fun c ->
@@ -786,37 +758,35 @@ let plan_chunks ~header text k =
             in
             (s, stop, r, l))
       in
-      Some (chunks, light_syntax)
+      (chunks, syntax))
+    !data
 
-let run_parallel ~header ~strict ~pool rel text chunks light_syntax =
+let run_parallel ~header ~strict ~pool rel text chunks plan_syntax =
   let name = rel.Relation.name in
   let master = sink_make ~strict ~header rel in
   (if header then begin
      (* the header row is the slice before the first chunk; it ends at
         a row boundary, so this emits exactly one row and no errors *)
      let doff, _, _, _ = chunks.(0) in
-     let st = scanner_make (sink_emit master) in
+     let st = sink_scanner master in
      scanner_feed st (Bytes.unsafe_of_string text) 0 doff;
      ignore (scanner_finish st)
    end);
   if master.k_stopped then begin
     (* strict header problem; a torn quote anywhere still outranks it *)
-    match light_syntax with
-    | Some e -> raise_syntax ~relation:name e
-    | None -> (
+    match plan_syntax with
+    | e :: _ -> raise_syntax ~relation:name e
+    | [] -> (
         match master.k_error with
         | Some e -> raise (Error.Error e)
         | None -> assert false)
   end;
-  let map = master.k_map and width = master.k_width in
+  let inv_width = (master.k_inv, master.k_width) in
   let outs =
     Domain_pool.map_array pool
       (fun (start_off, stop_off, srow, sline) ->
-        let k = sink_make ~strict ~header ~map_width:(map, width) rel in
-        let st =
-          scanner_start ~row_index:srow ~line:sline ~abs:start_off
-            (sink_emit k)
-        in
+        let k = sink_make ~strict ~header ~inv_width rel in
+        let st = sink_scanner ~row_index:srow ~line:sline ~abs:start_off k in
         scanner_feed st (Bytes.unsafe_of_string text) start_off
           (stop_off - start_off);
         let errs = scanner_finish st in
@@ -846,22 +816,10 @@ let run_parallel ~header ~strict ~pool rel text chunks light_syntax =
 let default_min_parallel_bytes = 1 lsl 16
 
 (* The sequential loader, whatever the input: [next] yields chunks as
-   (bytes, length) until [None]. The scanner keeps no reference to a
-   chunk once [scanner_feed] returns, so a producer may refill and
-   hand over the same buffer again and again. *)
+   (bytes, length) until [None] (see [scan_chunks]). *)
 let run_sequential ~header ~strict ~supervise rel next =
   let k = sink_make ~strict ~header rel in
-  let st = scanner_make (supervised_emit supervise (sink_emit k)) in
-  let rec loop () =
-    Supervise.check supervise;
-    match next () with
-    | Some (s, len) ->
-        scanner_feed st s 0 len;
-        loop ()
-    | None -> ()
-  in
-  loop ();
-  finalize ~strict k (scanner_finish st)
+  finalize ~strict k (scan_chunks ~supervise (sink_scanner ~supervise k) next)
 
 let run_load ~header ~strict ?pool ?(supervise = Supervise.unlimited)
     ?(min_parallel_bytes = default_min_parallel_bytes) rel text =
@@ -875,17 +833,10 @@ let run_load ~header ~strict ?pool ?(supervise = Supervise.unlimited)
   in
   let plan = if nchunks > 1 then plan_chunks ~header text nchunks else None in
   match (plan, pool) with
-  | Some (chunks, light_syntax), Some pool when Array.length chunks > 1 ->
+  | Some (chunks, plan_syntax), Some pool when Array.length chunks > 1 ->
       Supervise.check supervise;
-      run_parallel ~header ~strict ~pool rel text chunks light_syntax
-  | _ ->
-      let fed = ref false in
-      run_sequential ~header ~strict ~supervise rel (fun () ->
-          if !fed then None
-          else begin
-            fed := true;
-            Some (Bytes.unsafe_of_string text, String.length text)
-          end)
+      run_parallel ~header ~strict ~pool rel text chunks plan_syntax
+  | _ -> run_sequential ~header ~strict ~supervise rel (of_strings (once text))
 
 (* run a loader, turning every failure it can raise into a typed error *)
 let guarded mode rel run =
@@ -913,10 +864,7 @@ let load_from_reader ?(header = true) ?(mode = `Strict)
     ?(supervise = Supervise.unlimited) rel read =
   let strict = mode = `Strict in
   guarded mode rel (fun () ->
-      run_sequential ~header ~strict ~supervise rel (fun () ->
-          Option.map
-            (fun chunk -> (Bytes.unsafe_of_string chunk, String.length chunk))
-            (read ())))
+      run_sequential ~header ~strict ~supervise rel (of_strings read))
 
 let load_file ?(header = true) ?(mode = `Strict) ?pool
     ?(supervise = Supervise.unlimited) ?min_parallel_bytes rel path =
@@ -931,7 +879,7 @@ let load_file ?(header = true) ?(mode = `Strict) ?pool
       | _ ->
           In_channel.with_open_bin path (fun ic ->
               let buf = Bytes.create (1 lsl 20) in
-              (* fed in place: see [run_sequential] *)
+              (* fed in place: see [scan_chunks] *)
               run_sequential ~header ~strict ~supervise rel (fun () ->
                   let r = input ic buf 0 (Bytes.length buf) in
                   if r > 0 then Some (buf, r) else None)))

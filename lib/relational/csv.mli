@@ -5,12 +5,14 @@
     newline is written quoted; embedded quotes are doubled. Empty fields
     load as NULL when typed through a {!Domain.t}.
 
-    Reading is built on a streaming chunk-fed scanner ({!fold},
-    {!fold_reader}): fields are sliced straight out of the input
-    buffer, and the loaders type and dictionary-encode rows directly
-    into a {!Column_store} as they stream past — no intermediate
-    [string list list] and no eager tuple array (rows materialize
-    lazily, see {!Table.create_deferred}).
+    Reading is built on one streaming chunk-fed scanner that emits
+    each cell as a byte view into the input (or, for a cell with
+    escapes or straddling a chunk, into its own scratch). The loaders
+    type each cell in place and intern it into a {!Column_store} with
+    one probe — no per-cell string, no per-row array, no eager tuple
+    array (rows materialize lazily, see {!Table.create_deferred}).
+    {!fold} and {!fold_reader} are the consumer that copies cells out
+    into {!row}s.
 
     Every entry point comes in two flavors: strict (raises
     [Error.Error] with a positioned message) and lenient (drops the

@@ -78,9 +78,10 @@ let show = function
 let scan_whole text =
   Csv.fold ~f:(fun acc r -> r :: acc) ~init:[] text
 
-let scan_chunked size text =
+(* a reader handing [text] over in chunks of [size] bytes *)
+let chunk_reader size text =
   let pos = ref 0 in
-  let reader () =
+  fun () ->
     if !pos >= String.length text then None
     else begin
       let n = min size (String.length text - !pos) in
@@ -88,8 +89,9 @@ let scan_chunked size text =
       pos := !pos + n;
       Some chunk
     end
-  in
-  Csv.fold_reader ~f:(fun acc r -> r :: acc) ~init:[] reader
+
+let scan_chunked size text =
+  Csv.fold_reader ~f:(fun acc r -> r :: acc) ~init:[] (chunk_reader size text)
 
 let show_scan (rows, errs) =
   String.concat ";"
@@ -187,6 +189,184 @@ let test_dictionary_equivalence () =
     | _ -> Alcotest.fail "quarantine load failed"
   done
 
+(* -- loader: chunk boundaries are invisible ----------------------------- *)
+
+(* A cell that straddles a chunk reaches the Builder as a view into the
+   scanner's scratch rather than into the chunk, so the loader itself,
+   not just the scanner, is fuzzed at every chunk size. *)
+let test_loader_chunking () =
+  reset_lcg ();
+  for _ = 1 to 300 do
+    let header = rand 2 = 0 in
+    let text = gen_csv ~header () in
+    List.iter
+      (fun mode ->
+        let reference = Reference.Csv.load ~header ~mode rel3 text in
+        List.iter
+          (fun size ->
+            let got =
+              Csv.load_from_reader ~header ~mode rel3 (chunk_reader size text)
+            in
+            let what = Printf.sprintf "chunk=%d of %S" size text in
+            Alcotest.(check string) what (show reference) (show got);
+            match (got, reference) with
+            | Ok (t1, _), Ok (t2, _) -> check_store_eq what t1 t2
+            | _ -> ())
+          [ 1; 2; 3; 7; 64 ])
+      [ `Strict; `Quarantine ]
+  done
+
+(* [Csv.load] and the reference agree on [text] in both modes: the same
+   error, or the same report and dictionaries *)
+let check_vs_reference ?pool what rel text =
+  List.iter
+    (fun mode ->
+      let tag =
+        Printf.sprintf "%s, %s" what
+          (match mode with `Strict -> "strict" | `Quarantine -> "quarantine")
+      in
+      match
+        ( Csv.load ~mode ?pool ~min_parallel_bytes:1 rel text,
+          Reference.Csv.load ~mode rel text )
+      with
+      | Ok (t1, r1), Ok (t2, r2) ->
+          Alcotest.(check string)
+            (tag ^ " report")
+            (Option.fold ~none:"none" ~some:Quarantine.to_string r2)
+            (Option.fold ~none:"none" ~some:Quarantine.to_string r1);
+          check_store_eq tag t1 t2
+      | Error e1, Error e2 ->
+          Alcotest.(check string)
+            (tag ^ " error") (Error.to_string e2) (Error.to_string e1)
+      | _ -> Alcotest.failf "%s: outcomes differ" tag)
+    [ `Strict; `Quarantine ]
+
+let dict_of t a =
+  Column_store.column_dict (Column_store.column (Column_store.of_table t) a)
+
+let quarantined rel text =
+  match Csv.load ~mode:`Quarantine rel text with
+  | Ok (t, _) -> t
+  | Error e -> Alcotest.failf "quarantine load failed: %s" (Error.to_string e)
+
+(* -- one probe per cell: a rejected row leaves no trace ----------------- *)
+
+(* Each rejected row below stages values new to its columns before the
+   row dies; none of them may reach a dictionary, and a later row that
+   brings them back must intern them as fresh first occurrences. A row
+   of empty cells follows each rejected one, so a staged miss that
+   outlived its row would be committed there. *)
+let abc_rel =
+  Relation.make "abc"
+    ~domains:[ ("a", Domain.Int); ("b", Domain.String); ("c", Domain.Int) ]
+    [ "a"; "b"; "c" ]
+
+let test_rejected_rows () =
+  let doc rows = String.concat "\n" rows ^ "\n" in
+  let check what text ~absent =
+    check_vs_reference what abc_rel text;
+    let t = quarantined abc_rel text in
+    List.iter
+      (fun (a, v) ->
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: %s never interned in %s" what
+             (Value.to_string v) a)
+          false
+          (Array.mem v (dict_of t a)))
+      absent
+  in
+  (* file order c,b,a: the ill-typed c comes first in the file but last
+     in declaration order, so b and a are still typed and staged; with a
+     ill-typed too, the error names a *)
+  check "late attribute, early in the file"
+    (doc
+       [
+         "c,b,a"; "1,x,1"; "zz,new1,77"; ",,"; "zz,new2,yy"; "2,,2";
+         "3,new1,78";
+       ])
+    ~absent:[ ("b", vs "new2"); ("a", vi 77) ];
+  check "wrong width"
+    (doc [ "a,b,c"; "1,x,1"; "77,new1,77,extra"; ",,"; "78,new2"; "2,,2" ])
+    ~absent:[ ("a", vi 77); ("b", vs "new1"); ("c", vi 77); ("a", vi 78) ];
+  check "torn quote at EOF"
+    ("a,b,c\n1,x,1\n77,new1,\"torn")
+    ~absent:[ ("a", vi 77); ("b", vs "new1") ];
+  (* the second [a] is bound to no attribute: never typed, never interned *)
+  check "column named twice"
+    (doc [ "a,b,a,c"; "1,x,zz,1"; "2,y,42,2" ])
+    ~absent:[ ("a", vi 42) ]
+
+(* 100k distinct strings that differ only in their trailing digits,
+   each seen twice, across several growths of the byte-keyed table *)
+let test_trailing_digits () =
+  let n = 100_000 in
+  let rel = Relation.make "keys" ~domains:[ ("s", Domain.String) ] [ "s" ] in
+  let b = Buffer.create (n * 40) in
+  Buffer.add_string b "s\n";
+  for pass = 0 to 1 do
+    for i = 0 to n - 1 do
+      let k = if pass = 0 then i else (i * 7919) mod n in
+      Printf.bprintf b "customer-account-reference-%06d\n" k
+    done
+  done;
+  let text = Buffer.contents b in
+  match (Csv.load rel text, Reference.Csv.load rel text) with
+  | Ok (t1, _), Ok (t2, _) ->
+      check_store_eq "trailing digits" t1 t2;
+      Alcotest.(check int)
+        "one code per distinct key" (n + 1)
+        (Array.length (dict_of t1 "s"))
+  | _ -> Alcotest.fail "trailing-digits load failed"
+
+(* -- Int acceptance off the fast path ----------------------------------- *)
+
+(* Only plain [-]digits take the fast path; every other spelling must be
+   accepted or rejected exactly as [Domain.parse_opt] does, and every
+   spelling of one int must share its code. *)
+let int_spellings =
+  [
+    "+5"; "5"; "0x1F"; "31"; "0b101"; "1_000"; "1000"; "-0"; "0"; "007"; "7";
+    "-"; "+"; "9999999999999999999"; "4611686018427387904";
+    "-4611686018427387904"; "4611686018427387903"; "0o17"; "15"; "--1";
+    "1-"; "0x"; " 7"; "7.0";
+  ]
+
+let test_int_spellings () =
+  let rel =
+    Relation.make "ints"
+      ~domains:[ ("i", Domain.Int); ("tag", Domain.String) ]
+      [ "i"; "tag" ]
+  in
+  let parsed s = Domain.parse_opt Domain.Int s in
+  let row k s = Printf.sprintf "%s,r%d\n" s k in
+  List.iteri
+    (fun k s ->
+      let text = "i,tag\n" ^ row k s in
+      check_vs_reference (Printf.sprintf "spelling %S" s) rel text;
+      Alcotest.(check bool)
+        (Printf.sprintf "%S accepted as parse_opt does" s)
+        (parsed s <> None)
+        (Result.is_ok (Csv.load rel text)))
+    int_spellings;
+  let text = String.concat "" ("i,tag\n" :: List.mapi row int_spellings) in
+  check_vs_reference "all spellings" rel text;
+  let kept = List.filter (fun s -> parsed s <> None) int_spellings in
+  let codes =
+    Column_store.column_codes
+      (Column_store.column (Column_store.of_table (quarantined rel text)) "i")
+  in
+  List.iteri
+    (fun r1 s1 ->
+      List.iteri
+        (fun r2 s2 ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%S and %S share a code iff they spell one int" s1
+               s2)
+            (parsed s1 = parsed s2)
+            (codes.(r1) = codes.(r2)))
+        kept)
+    kept
+
 (* -- key-like columns: 40k distinct cells in one column --------------- *)
 
 let bypass_rel =
@@ -281,22 +461,7 @@ let test_spellings () =
       in
       let tag s = Printf.sprintf "%s, domains=%d" s n in
       List.iter
-        (fun (what, text) ->
-          List.iter
-            (fun mode ->
-              match (load mode text, Reference.Csv.load ~mode spell_rel text) with
-              | Ok (t1, r1), Ok (t2, r2) ->
-                  Alcotest.(check string)
-                    (tag (what ^ " report"))
-                    (Option.fold ~none:"none" ~some:Quarantine.to_string r2)
-                    (Option.fold ~none:"none" ~some:Quarantine.to_string r1);
-                  check_store_eq (tag what) t1 t2
-              | Error e1, Error e2 ->
-                  Alcotest.(check string)
-                    (tag (what ^ " error"))
-                    (Error.to_string e2) (Error.to_string e1)
-              | _ -> Alcotest.fail (tag (what ^ ": outcomes differ")))
-            [ `Strict; `Quarantine ])
+        (fun (what, text) -> check_vs_reference ?pool (tag what) spell_rel text)
         [ ("clean", clean); ("dirty", dirty) ];
       (match load `Strict clean with
       | Ok (t, _) ->
@@ -329,10 +494,7 @@ let test_spellings () =
       | Error e -> Alcotest.failf "clean spellings: %s" (Error.to_string e));
       match load `Quarantine dirty with
       | Ok (t, _) ->
-          let dict a =
-            Column_store.column_dict
-              (Column_store.column (Column_store.of_table t) a)
-          in
+          let dict = dict_of t in
           (* the last row re-introduces 77 and 9.25 after the poisoned
              rows: they must take the next codes, not stale ones *)
           Alcotest.(check bool)
@@ -525,6 +687,12 @@ let suite =
       test_parallel_equivalence;
     Alcotest.test_case "dictionaries match the reference encode" `Quick
       test_dictionary_equivalence;
+    Alcotest.test_case "chunked load = reference" `Quick test_loader_chunking;
+    Alcotest.test_case "rejected rows leave no trace" `Quick test_rejected_rows;
+    Alcotest.test_case "100k keys differing in trailing digits" `Quick
+      test_trailing_digits;
+    Alcotest.test_case "Int spellings off the fast path" `Quick
+      test_int_spellings;
     Alcotest.test_case "40k distinct keys with planted errors" `Quick
       test_high_cardinality;
     Alcotest.test_case "many spellings, one code" `Quick test_spellings;
