@@ -1430,9 +1430,11 @@ let b16 () =
     (pretty_time mean) reps;
   record "latency/submit-to-first-event" mean "ns";
 
-  (* K-concurrent throughput over 2 runner threads vs the same K jobs
+  (* K-concurrent throughput over 2 worker domains vs the same K jobs
      submitted one at a time, plus the byte-identity gate: every
-     daemon-run job must match its local Job.run artifacts exactly *)
+     daemon-run job must match its local Job.run artifacts exactly. The
+     two modes alternate for [mode_reps] rounds and the gate reads their
+     medians: one shot of each swung the ratio by +-20% run to run *)
   let k = 4 in
   let specs =
     List.init k (fun i ->
@@ -1454,51 +1456,62 @@ let b16 () =
         | Ok (_, artifacts) -> artifacts
         | Error (code, msg) -> failwith (code ^ ": " ^ msg))
   in
-  let t0 = Unix.gettimeofday () in
-  let sequential =
-    List.map
-      (fun s ->
-        let c = Dbre_serve.Client.connect socket in
-        Fun.protect ~finally:(fun () -> Dbre_serve.Client.close c)
-        @@ fun () -> submit_and_wait c s)
-      specs
+  let on_connection s =
+    let c = Dbre_serve.Client.connect socket in
+    Fun.protect ~finally:(fun () -> Dbre_serve.Client.close c) @@ fun () ->
+    submit_and_wait c s
   in
-  let seq_s = Unix.gettimeofday () -. t0 in
-  let results = Array.make k [] in
-  let t0 = Unix.gettimeofday () in
-  let threads =
-    List.mapi
-      (fun i s ->
-        Thread.create
-          (fun () ->
-            let c = Dbre_serve.Client.connect socket in
-            Fun.protect ~finally:(fun () -> Dbre_serve.Client.close c)
-            @@ fun () -> results.(i) <- submit_and_wait c s)
-          ())
-      specs
+  let sequential () = List.map on_connection specs in
+  let concurrent () =
+    let results = Array.make k [] in
+    let threads =
+      List.mapi
+        (fun i s -> Thread.create (fun () -> results.(i) <- on_connection s) ())
+        specs
+    in
+    List.iter Thread.join threads;
+    Array.to_list results
   in
-  List.iter Thread.join threads;
-  let conc_s = Unix.gettimeofday () -. t0 in
-  let identical =
-    List.for_all2 (fun a b -> a = b) expected sequential
-    && List.for_all2 (fun a b -> a = b) expected
-         (Array.to_list results)
+  let timed f =
+    let t0 = Unix.gettimeofday () in
+    let r = f () in
+    (Unix.gettimeofday () -. t0, r)
   in
+  let mode_reps = if !smoke then 2 else 5 in
+  let rounds =
+    List.init mode_reps (fun _ ->
+        let seq_s, seq = timed sequential in
+        let conc_s, conc = timed concurrent in
+        (seq_s, conc_s, seq = expected && conc = expected))
+  in
+  let median xs =
+    let a = Array.of_list xs in
+    Array.sort compare a;
+    let n = Array.length a in
+    if n mod 2 = 1 then a.(n / 2) else (a.((n / 2) - 1) +. a.(n / 2)) /. 2.0
+  in
+  let seq_s = median (List.map (fun (s, _, _) -> s) rounds) in
+  let conc_s = median (List.map (fun (_, c, _) -> c) rounds) in
+  let identical = List.for_all (fun (_, _, ok) -> ok) rounds in
   Printf.printf
-    "  %d jobs: sequential %s, concurrent (2 workers) %s -> %.2fx\n" k
+    "  %d jobs, median of %d alternating rounds: sequential %s, concurrent \
+     (2 workers) %s -> %.2fx on %d cores\n"
+    k mode_reps
     (pretty_time (seq_s *. 1e9))
     (pretty_time (conc_s *. 1e9))
-    (seq_s /. conc_s);
+    (seq_s /. conc_s)
+    (Stdlib.Domain.recommended_domain_count ());
   Printf.printf "  artifacts byte-identical (local = seq = concurrent): %s\n"
     (if identical then "OK" else "FAILED");
   record "throughput/sequential" (seq_s *. 1e9) "ns";
   record "throughput/concurrent" (conc_s *. 1e9) "ns";
-  (* runner threads are sys-threads sharing one domain: they buy
-     multiplexing (streaming, cancellation, fairness), not CPU
-     parallelism — that lives inside a job's Domain_pool. The gate is
-     therefore an overhead bound, not a speedup floor: interleaving K
-     jobs must not cost more than ~25% over running them back to back
-     (enforced outside --smoke; tiny smoke jobs are all fixed cost) *)
+  (* the daemon runs each of its 2 workers on its own domain, so on a
+     multi-core host the K interleaved jobs overlap; a job's own engine
+     batches still share one Domain_pool, and on one core the workers
+     only multiplex. The gate is therefore an overhead bound that holds
+     on any core count, not a speedup floor: interleaving K jobs must
+     not cost more than ~25% over running them back to back (enforced
+     outside --smoke; tiny smoke jobs are all fixed cost) *)
   record ?target:(full_target 0.8) "throughput/multiplex-margin"
     (seq_s /. conc_s) "x";
   record ~target:1.0 "serve/byte-identical" (if identical then 1.0 else 0.0)

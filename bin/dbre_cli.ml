@@ -886,10 +886,28 @@ let serve_cmd =
   in
   let max_jobs_arg =
     let doc =
-      "Number of jobs run concurrently (each under its own supervision \
-       budget; engine-level domain parallelism is shared)."
+      Printf.sprintf
+        "Number of jobs run at once, each on its own worker domain and \
+         under its own supervision budget (0 to %d; 0 accepts and persists \
+         jobs without running them). The engine-level domain pool is \
+         shared by all jobs."
+        Engine.max_domains
     in
-    Arg.(value & opt int 2 & info [ "max-jobs" ] ~docv:"N" ~doc)
+    (* bounded at parse time, so an out-of-range count is a usage error
+       rather than a daemon that spawns a domain per job *)
+    let jobs =
+      Arg.conv
+        ( (fun s ->
+            match int_of_string_opt s with
+            | Some n when n >= 0 && n <= Engine.max_domains -> Ok n
+            | _ ->
+                Error
+                  (`Msg
+                    (Printf.sprintf "must be an integer between 0 and %d, got %S"
+                       Engine.max_domains s))),
+          Format.pp_print_int )
+    in
+    Arg.(value & opt jobs 2 & info [ "max-jobs" ] ~docv:"N" ~doc)
   in
   let run socket state_dir max_jobs =
     let server = Dbre_serve.Server.create ~max_jobs ?state_dir ~socket () in

@@ -33,7 +33,8 @@ type t = {
   submission : Mutex.t;
       (* serializes whole batches: the pool runs one batch at a time,
          but since the analysis daemon it can be *asked* from several
-         sys-threads at once (concurrent jobs sharing one engine).
+         sys-threads or worker domains at once (concurrent jobs sharing
+         one engine).
          Each submitting thread holds this for its entire batch, so
          the single-submitter invariant of [current]/[epoch]/[batches]
          is preserved; nested submission from inside a task still

@@ -16,10 +16,10 @@
     verify path: trusted, finite tasks, no per-task fencing beyond one
     atomic read of the batch's {!Supervise.t}.
 
-    Batches may be submitted from several sys-threads of one domain
-    (the analysis daemon's concurrent jobs share the registry pools):
-    an internal lock serializes whole batches, so submitters queue and
-    each batch runs exactly as if it were the only one. Nested
+    Batches may be submitted from several sys-threads or domains at
+    once (the analysis daemon's worker domains share the registry
+    pools): an internal lock serializes whole batches, so submitters
+    queue and each batch runs exactly as if it were the only one. Nested
     submission from inside a task deadlocks and is not supported. *)
 
 type t

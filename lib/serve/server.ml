@@ -42,6 +42,10 @@ type t = {
   max_jobs : int;
   mutex : Mutex.t;
   cond : Condition.t;
+      (* events, settlement and shutdown: what watchers and [run] wait on *)
+  work : Condition.t;
+      (* a queued job or [stop]: what idle workers wait on, so an event
+         wakes no worker domain *)
   jobs : (string, entry) Hashtbl.t;
   mutable order : string list;  (* submission order, newest first *)
   mutable queue : string list;  (* pending ids, oldest first *)
@@ -50,7 +54,7 @@ type t = {
   mutable shutdown_requested : bool;
   mutable listener : Unix.file_descr option;
   mutable acceptor : Thread.t option;
-  mutable workers : Thread.t list;
+  mutable workers : unit Stdlib.Domain.t list;
   mutable handlers : Thread.t list;
   mutable clients : Unix.file_descr list;
 }
@@ -187,24 +191,28 @@ let diagnostic_json (d : Dbre_lint.Diagnostic.t) =
     ]
 
 (* ------------------------------------------------------------------ *)
-(* Runner threads                                                      *)
+(* Worker domains                                                      *)
 (* ------------------------------------------------------------------ *)
 
 (* [outcome] is what the run produced; a cancel that reached the job
    before this lock (and so was answered "running") still wins. Reading
    [cancel_requested] outside the lock would let such a cancel land in
-   the gap and the job settle as its outcome. *)
-let settle t entry outcome =
+   the gap and the job settle as its outcome. The run's [error] and
+   [artifacts] (when it has them) are written in the same locked
+   section: handlers on other domains read them under the lock and must
+   never see a settled state without them. *)
+let settle ?error ?artifacts t entry outcome =
   locked t (fun () ->
       let state = if entry.cancel_requested then Cancelled else outcome in
+      Option.iter (fun e -> entry.error <- e) error;
+      Option.iter (fun a -> entry.artifacts <- a) artifacts;
       entry.state <- state;
       push_event t entry
         [
           ("kind", Json.String "settled");
           ("state", Json.String (state_to_string state));
         ];
-      persist_status t entry;
-      Condition.broadcast t.cond)
+      persist_status t entry)
 
 (* the daemon always checkpoints into its state dir (unless the spec
    pins its own directory) and always offers resume: a fresh job
@@ -223,12 +231,17 @@ let effective_spec t entry =
 let settle_result t entry result =
   match result with
   | Ok result ->
-      entry.artifacts <- Dbre.Report.artifacts result;
-      entry.error <- Json.Null;
-      settle t entry Done
+      settle ~artifacts:(Dbre.Report.artifacts result) ~error:Json.Null t
+        entry Done
   | Error partial ->
-      entry.error <- error_json partial.Dbre.Pipeline.p_error;
-      settle t entry Failed
+      settle ~error:(error_json partial.Dbre.Pipeline.p_error) t entry Failed
+
+let crash_json exn =
+  Json.Obj
+    [
+      ("code", Json.String "crashed");
+      ("message", Json.String (Printexc.to_string exn));
+    ]
 
 let run_entry t entry =
   locked t (fun () ->
@@ -238,9 +251,7 @@ let run_entry t entry =
   let progress ev = locked t (fun () -> push_event t entry (job_event ev)) in
   try
     match Dbre.Job.database ~supervise:entry.supervise ~progress spec with
-    | Error e ->
-        entry.error <- error_json e;
-        settle t entry Failed
+    | Error e -> settle ~error:(error_json e) t entry Failed
     | Ok (db, quarantine) ->
         (* retain the loaded database: mutate / refresh re-verify it
            in place instead of reloading *)
@@ -250,14 +261,7 @@ let run_entry t entry =
         settle_result t entry
           (Dbre.Job.verify ~progress ~supervise:entry.supervise ~db
              ~quarantine spec)
-  with exn ->
-    entry.error <-
-      Json.Obj
-        [
-          ("code", Json.String "crashed");
-          ("message", Json.String (Printexc.to_string exn));
-        ];
-    settle t entry Failed
+  with exn -> settle ~error:(crash_json exn) t entry Failed
 
 let rec worker t =
   let job =
@@ -270,7 +274,7 @@ let rec worker t =
                 t.queue <- rest;
                 Hashtbl.find_opt t.jobs id
             | [] ->
-                Condition.wait t.cond t.mutex;
+                Condition.wait t.work t.mutex;
                 wait ()
         in
         wait ())
@@ -296,7 +300,7 @@ let enqueue t entry =
   Hashtbl.replace t.jobs entry.id entry;
   t.order <- entry.id :: t.order;
   t.queue <- t.queue @ [ entry.id ];
-  Condition.broadcast t.cond
+  Condition.signal t.work
 
 let submit t spec_json =
   match Dbre.Job_spec.of_json spec_json with
@@ -599,13 +603,7 @@ let refresh_job t id =
                 (("report", refresh_report_json report)
                 :: status_fields entry))
       | exception exn ->
-          entry.error <-
-            Json.Obj
-              [
-                ("code", Json.String "crashed");
-                ("message", Json.String (Printexc.to_string exn));
-              ];
-          settle t entry Failed;
+          settle ~error:(crash_json exn) t entry Failed;
           Protocol.error ~code:"crashed" (Printexc.to_string exn))
 
 let events_since entry since =
@@ -705,8 +703,7 @@ let handle t request =
                           ("kind", Json.String "settled");
                           ("state", Json.String "cancelled");
                         ];
-                      persist_status t entry;
-                      Condition.broadcast t.cond
+                      persist_status t entry
                     end
                   end;
                   Protocol.ok
@@ -895,12 +892,17 @@ let adopt_state t =
 (* ------------------------------------------------------------------ *)
 
 let create ?(max_jobs = 2) ?state_dir ~socket () =
+  if max_jobs < 0 || max_jobs > Engine.max_domains then
+    invalid_arg
+      (Printf.sprintf "Server.create: max_jobs must be between 0 and %d, got %d"
+         Engine.max_domains max_jobs);
   {
     socket_path = socket;
     state_dir;
     max_jobs;
     mutex = Mutex.create ();
     cond = Condition.create ();
+    work = Condition.create ();
     jobs = Hashtbl.create 16;
     order = [];
     queue = [];
@@ -927,7 +929,7 @@ let start t =
   t.listener <- Some listener;
   t.acceptor <- Some (Thread.create (acceptor t) listener);
   t.workers <-
-    List.init t.max_jobs (fun _ -> Thread.create worker t)
+    List.init t.max_jobs (fun _ -> Stdlib.Domain.spawn (fun () -> worker t))
 
 let stop t =
   let already =
@@ -935,6 +937,7 @@ let stop t =
         let was = t.stopping in
         t.stopping <- true;
         Condition.broadcast t.cond;
+        Condition.broadcast t.work;
         was)
   in
   if not already then begin
@@ -961,7 +964,7 @@ let stop t =
             try Unix.shutdown fd Unix.SHUTDOWN_ALL
             with Unix.Unix_error _ -> ())
           t.clients);
-    List.iter Thread.join t.workers;
+    List.iter Stdlib.Domain.join t.workers;
     t.workers <- [];
     let handlers = locked t (fun () -> t.handlers) in
     List.iter Thread.join handlers;

@@ -1,12 +1,27 @@
 (** The analysis daemon: [dbre serve].
 
     A {!t} listens on a Unix-domain socket, speaks the {!Protocol}
-    wire format, and multiplexes submitted {!Dbre.Job_spec.t} jobs
-    onto [max_jobs] runner threads. Each job runs under its own
+    wire format, and runs submitted {!Dbre.Job_spec.t} jobs on
+    [max_jobs] worker domains, so on a multi-core host that many jobs
+    run in parallel. The acceptor and the per-connection handlers are
+    sys-threads of the calling domain. Each job runs under its own
     supervision token ({!Dbre.Job_spec.supervisor}), so [cancel] trips
-    exactly one job's budget; actual parallelism inside a job comes
-    from its engine's {!Relational.Domain_pool}, which serializes
-    whole batches across concurrently running jobs.
+    exactly one job's budget; parallelism inside a job comes from its
+    engine's {!Relational.Domain_pool}, which serializes whole batches
+    across the jobs that share it.
+
+    {b What jobs share.} Two jobs on two domains share only
+    domain-safe state: the out-of-core manager ({!Relational.Ooc}: a
+    mutex plus a lock-free graveyard for finalized segments), the
+    column-store and [Ooc] counters (atomics), the {!Relational.Domain_pool}
+    registry (a mutex), and the read-only SQL keyword table. Supervision
+    tokens are atomics, one per job. A job's own entry — state, events,
+    error, artifacts — is written under the daemon's lock, in the same
+    locked section as its settlement, and every handler reads it under
+    that lock. The one unlocked read is [status]'s per-store residency
+    of a running job's database, which counts segments while the worker
+    may still be sealing or spilling them: the counts are a snapshot,
+    never a crash.
 
     {b Artifacts.} A finished job's artifacts are exactly
     {!Dbre.Report.artifacts} of the {!Dbre.Job.run} result — the same
@@ -44,20 +59,27 @@ type t
 
 val create :
   ?max_jobs:int -> ?state_dir:string -> socket:string -> unit -> t
-(** [max_jobs] (default 2) runner threads; [max_jobs = 0] accepts and
-    persists submissions without running them (drained by a restart —
-    also how tests stage a "crashed mid-queue" daemon). [state_dir] is
-    created if missing and scanned for jobs a previous daemon left
-    behind. Nothing is bound until {!start}. *)
+(** [max_jobs] (default 2) is the number of jobs in flight, one worker
+    domain each; [max_jobs = 0] accepts and persists submissions without
+    running them (drained by a restart — also how tests stage a "crashed
+    mid-queue" daemon). [state_dir] is created if missing and scanned
+    for jobs a previous daemon left behind. Nothing is bound or spawned
+    until {!start}.
+
+    @raise Invalid_argument if [max_jobs] is negative or above
+    {!Relational.Engine.max_domains}: a domain per job past that many
+    buys only contention, and the runtime's domain limit is shared with
+    every job's engine pool. *)
 
 val start : t -> unit
 (** Bind the socket (an existing file at the path is replaced), spawn
-    the acceptor and runner threads, and return. Re-enqueued jobs from
-    the state dir start running immediately. *)
+    the acceptor thread and the [max_jobs] worker domains, and return.
+    Re-enqueued jobs from the state dir start running immediately. *)
 
 val stop : t -> unit
 (** Stop accepting connections and new work, wait for running jobs to
-    settle, close the socket and join every thread. Queued jobs stay
+    settle, close the socket and join every thread and worker domain.
+    Queued jobs stay
     queued in the state dir (a later daemon picks them up); without a
     state dir they are lost. Idempotent. *)
 

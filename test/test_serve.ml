@@ -169,16 +169,17 @@ let test_event_stream_shape () =
       Alcotest.failf "expected 1 tail event, got %d" (List.length evs)
   | Error (code, msg) -> Alcotest.failf "events: %s: %s" code msg
 
-let test_concurrent_jobs_byte_identical () =
+let test_concurrent_jobs_byte_identical ~max_jobs () =
   (* four different specs, submitted concurrently on four connections
-     over two runner threads, must each match their own local run *)
+     over [max_jobs] worker domains, must each match their own local
+     run *)
   let specs =
     List.init 4 (fun i ->
         spec ~label:(Printf.sprintf "c%d" i) ~rows:(50 + (10 * i))
           ~deps:(3 + i) ())
   in
   let expected = List.map local_artifacts specs in
-  with_server ~max_jobs:2 @@ fun server ->
+  with_server ~max_jobs @@ fun server ->
   let results = Array.make 4 ("", []) in
   let threads =
     List.mapi
@@ -240,14 +241,18 @@ let open_fifo_writer path =
   in
   go 1000
 
-let test_cancel_running_job () =
-  (* the job's first source is a FIFO, so it blocks in Loading until
-     the test writes it: the cancel deterministically lands while the
-     job runs, and the job must settle as cancelled, not done, however
-     quickly it finishes once fed *)
+let fifo_counter = ref 0
+
+(* A job held in its load: its Emp source is a FIFO, so it blocks in
+   Loading until [feed] writes the rows of [spec ()]'s Emp. [f] gets the
+   spec and [feed]; the FIFO is always fed on the way out, so call this
+   inside [with_server]: a daemon cannot stop while a worker is blocked
+   on it. *)
+let with_held_job ?(label = "held") f =
+  incr fifo_counter;
   let fifo =
     Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "dbre_cancel_%d.fifo" (Unix.getpid ()))
+      (Printf.sprintf "dbre_hold_%d_%d.fifo" (Unix.getpid ()) !fifo_counter)
   in
   rm_rf fifo;
   Unix.mkfifo fifo 0o600;
@@ -258,7 +263,7 @@ let test_cancel_running_job () =
       match open_fifo_writer fifo with
       | Some fd -> (
           let text = emp_csv ~deps:4 () in
-          (* the loader may see the latched cancel as soon as its open
+          (* the loader may see a latched cancel as soon as its open
              returns and close the read end before this write *)
           try
             ignore (Unix.write_substring fd text 0 (String.length text));
@@ -267,9 +272,8 @@ let test_cancel_running_job () =
       | None -> ()
     end
   in
-  Fun.protect ~finally:(fun () -> rm_rf fifo) @@ fun () ->
   let s =
-    Job_spec.make ~label:"doomed"
+    Job_spec.make ~label
       ~sources:
         [
           ("Emp", Source.csv_file fifo);
@@ -278,18 +282,36 @@ let test_cancel_running_job () =
       ~ddl
       (Job_spec.Sql_scripts [ script ])
   in
-  with_server ~max_jobs:1 @@ fun server ->
-  with_client server @@ fun c ->
-  (* feed before the daemon stops, even on failure: its runner is
-     blocked on the FIFO until then *)
-  Fun.protect ~finally:feed @@ fun () ->
+  Fun.protect
+    ~finally:(fun () ->
+      feed ();
+      rm_rf fifo)
+    (fun () -> f s feed)
+
+(* submit a held job and return once it is running, blocked on its
+   FIFO: it has no pre-run diagnostics, so its first event is its own *)
+let submit_held c s =
   let id, diags = submit_exn c s in
-  (* no pre-run diagnostic events, so the first event is the job's own
-     and it is running, blocked on the FIFO *)
   Alcotest.(check int) "no pre-run diagnostics" 0 (List.length diags);
   (match Client.watch c id with
   | Ok _ -> ()
   | Error (code, msg) -> Alcotest.failf "watch: %s: %s" code msg);
+  id
+
+let state_of c id =
+  match Client.status c id with
+  | Ok st -> Option.value ~default:"?" (Json.mem_string "state" st)
+  | Error (code, msg) -> Alcotest.failf "status %s: %s: %s" id code msg
+
+let test_cancel_running_job () =
+  (* the job blocks in Loading until the test feeds it: the cancel
+     deterministically lands while the job runs, and the job must
+     settle as cancelled, not done, however quickly it finishes once
+     fed *)
+  with_server ~max_jobs:1 @@ fun server ->
+  with_client server @@ fun c ->
+  with_held_job ~label:"doomed" @@ fun s feed ->
+  let id = submit_held c s in
   (match Client.cancel c id with
   | Ok state ->
       Alcotest.(check string) "cancel answered while running" "running" state
@@ -568,6 +590,33 @@ let test_restart_adopts_v1_spec () =
 (* Mutation and delta refresh                                          *)
 (* ------------------------------------------------------------------ *)
 
+(* the mutation the refresh tests apply to [spec ~rows:40 ()]: delete
+   the first employee, append these two *)
+let mutation_inserts =
+  [
+    [ Value.Int 101; Value.String "d1"; Value.String "dept-1" ];
+    [ Value.Int 102; Value.String "d2"; Value.String "dept-2" ];
+  ]
+
+(* the same extension, loaded fresh: rows 2..40 plus the two appended
+   employees *)
+let mutated_spec () =
+  let b = Buffer.create 1024 in
+  Buffer.add_string b "eid,dep,dname\n";
+  for i = 2 to 40 do
+    let d = i mod 4 in
+    Buffer.add_string b (Printf.sprintf "%d,d%d,dept-%d\n" i d d)
+  done;
+  Buffer.add_string b "101,d1,dept-1\n102,d2,dept-2\n";
+  Job_spec.make
+    ~sources:
+      [
+        ("Emp", Source.csv_inline (Buffer.contents b));
+        ("Dept", Source.csv_inline (dept_csv ~deps:4 ()));
+      ]
+    ~ddl
+    (Job_spec.Sql_scripts [ script ])
+
 (* mutate a settled job's retained extension, refresh, and check the
    refreshed artifacts are byte-identical to running the same job over
    the mutated rows from scratch *)
@@ -577,14 +626,7 @@ let test_mutate_refresh_matches_resubmit () =
           let id, _ = submit_exn c (spec ~rows:40 ()) in
           let state, _ = wait_exn c id in
           Alcotest.(check string) "settled" "done" state;
-          (* delete the first employee, append two new ones *)
-          let insert =
-            [
-              [ Value.Int 101; Value.String "d1"; Value.String "dept-1" ];
-              [ Value.Int 102; Value.String "d2"; Value.String "dept-2" ];
-            ]
-          in
-          (match Client.mutate c ~insert ~delete:[ 0 ] id "Emp" with
+          (match Client.mutate c ~insert:mutation_inserts ~delete:[ 0 ] id "Emp" with
           | Ok (cardinality, _version) ->
               Alcotest.(check int) "cardinality after mutate" 41 cardinality
           | Error (code, msg) -> Alcotest.failf "mutate: %s: %s" code msg);
@@ -597,27 +639,8 @@ let test_mutate_refresh_matches_resubmit () =
             | Ok (arts, _) -> arts
             | Error (code, msg) -> Alcotest.failf "artifacts: %s: %s" code msg
           in
-          (* the same extension, loaded fresh: rows 2..40 plus the two
-             appended employees *)
-          let b = Buffer.create 1024 in
-          Buffer.add_string b "eid,dep,dname\n";
-          for i = 2 to 40 do
-            let d = i mod 4 in
-            Buffer.add_string b (Printf.sprintf "%d,d%d,dept-%d\n" i d d)
-          done;
-          Buffer.add_string b "101,d1,dept-1\n102,d2,dept-2\n";
-          let mutated_spec =
-            Job_spec.make
-              ~sources:
-                [
-                  ("Emp", Source.csv_inline (Buffer.contents b));
-                  ("Dept", Source.csv_inline (dept_csv ~deps:4 ()));
-                ]
-              ~ddl
-              (Job_spec.Sql_scripts [ script ])
-          in
           check_artifacts "refresh = resubmit over mutated rows"
-            (local_artifacts mutated_spec)
+            (local_artifacts (mutated_spec ()))
             refreshed;
           (* status reports the refresh and the delta-cache counters *)
           (match Client.status c id with
@@ -645,6 +668,217 @@ let test_mutate_refresh_matches_resubmit () =
                   Alcotest.failf "no-op mutate: %s: %s" code msg)
           | Ok _ -> Alcotest.fail "arity-mismatched insert succeeded"))
 
+(* ------------------------------------------------------------------ *)
+(* Worker domains                                                      *)
+(* ------------------------------------------------------------------ *)
+
+let test_max_jobs_bounded () =
+  (* rejected before anything is bound or spawned: [start] is never
+     called *)
+  List.iter
+    (fun max_jobs ->
+      match Server.create ~max_jobs ~socket:(fresh_socket ()) () with
+      | _ -> Alcotest.failf "max_jobs %d was accepted" max_jobs
+      | exception Invalid_argument _ -> ())
+    [ -1; Engine.max_domains + 1 ];
+  List.iter
+    (fun max_jobs ->
+      ignore (Server.create ~max_jobs ~socket:(fresh_socket ()) ()))
+    [ 0; Engine.max_domains ]
+
+let test_held_job_does_not_block_another () =
+  (* one worker is stuck in a load; the other runs a second job to the
+     end, and the stuck one can still be cancelled *)
+  let other = spec ~label:"free" ~rows:80 ~deps:5 () in
+  let expected = local_artifacts other in
+  with_server ~max_jobs:2 @@ fun server ->
+  with_client server @@ fun c ->
+  with_held_job @@ fun held feed ->
+  let hid = submit_held c held in
+  let oid, _ = submit_exn c other in
+  let state, artifacts = wait_exn c oid in
+  Alcotest.(check string) "the free job is done" "done" state;
+  check_artifacts "byte-identical to its local run" expected artifacts;
+  Alcotest.(check string) "the held job still runs" "running" (state_of c hid);
+  (match Client.cancel c hid with
+  | Ok state ->
+      Alcotest.(check string) "cancel answered while running" "running" state
+  | Error (code, msg) -> Alcotest.failf "cancel: %s: %s" code msg);
+  feed ();
+  let state, _ = wait_exn c hid in
+  Alcotest.(check string) "the held job settles as cancelled" "cancelled"
+    state
+
+(* [state] and what must come with it, as a handler reads them *)
+let check_settled_pair ~what ~state ~error ~artifacts =
+  match state with
+  | "done" ->
+      if error <> Json.Null then Alcotest.failf "%s: done with an error" what;
+      if artifacts = Some [] then Alcotest.failf "%s: done without artifacts" what
+  | "failed" ->
+      if error = Json.Null then Alcotest.failf "%s: failed without an error" what
+  | "queued" | "running" | "cancelled" -> ()
+  | s -> Alcotest.failf "%s: unknown state %S" what s
+
+let test_poll_while_jobs_settle () =
+  (* six jobs, four that finish and two that fail, settle on two worker
+     domains while a third connection polls status and artifacts: a
+     settled state is never seen without its artifacts or error *)
+  let ghost =
+    Job_spec.make ~label:"ghost"
+      ~sources:[ ("Ghost", Source.csv_inline "a\n1\n") ]
+      ~ddl (Job_spec.Sql_scripts [ script ])
+  in
+  let tripped =
+    spec ~label:"tripped"
+      ~engine:(Engine.with_budget ~on_exhausted:`Fail Engine.default)
+      ~fuel:1 ()
+  in
+  let good i =
+    spec ~label:(Printf.sprintf "p%d" i) ~rows:(150 + (40 * i)) ~deps:(3 + i) ()
+  in
+  let specs = [ good 0; ghost; good 1; good 2; tripped; good 3 ] in
+  with_server ~max_jobs:2 @@ fun server ->
+  let ids =
+    with_client server @@ fun a ->
+    with_client server @@ fun b ->
+    List.mapi
+      (fun i s -> fst (submit_exn (if i < 3 then a else b) s))
+      specs
+  in
+  with_client server @@ fun c ->
+  let field name r = Option.value ~default:Json.Null (Json.member name r) in
+  let rec poll rounds =
+    (* every job is polled each round, settled or not *)
+    let settled =
+      List.for_all Fun.id
+      @@ List.map
+        (fun id ->
+          let st =
+            match Client.status c id with
+            | Ok st -> st
+            | Error (code, msg) -> Alcotest.failf "status: %s: %s" code msg
+          in
+          let state = Option.value ~default:"?" (Json.mem_string "state" st) in
+          check_settled_pair ~what:("status " ^ id) ~state
+            ~error:(field "error" st) ~artifacts:None;
+          let r =
+            Client.request c (Protocol.request "artifacts" [ ("id", Json.String id) ])
+          in
+          match Protocol.error_of r with
+          | Some ("not-settled", _) -> false
+          | Some (code, msg) -> Alcotest.failf "artifacts: %s: %s" code msg
+          | None ->
+              let state =
+                Option.value ~default:"?" (Json.mem_string "state" r)
+              in
+              let artifacts =
+                match Json.member "artifacts" r with
+                | Some (Json.Obj fields) -> fields
+                | _ -> []
+              in
+              check_settled_pair ~what:("artifacts " ^ id) ~state
+                ~error:(field "error" r) ~artifacts:(Some artifacts);
+              true)
+        ids
+    in
+    if not settled then begin
+      if rounds > 100_000 then Alcotest.fail "jobs never settled";
+      poll (rounds + 1)
+    end
+  in
+  poll 0;
+  List.iter2
+    (fun id s ->
+      let state, artifacts = wait_exn c id in
+      if s == ghost || s == tripped then
+        Alcotest.(check string) (id ^ " failed") "failed" state
+      else begin
+        Alcotest.(check string) (id ^ " done") "done" state;
+        check_artifacts (id ^ " byte-identical to its local run")
+          (local_artifacts s) artifacts
+      end)
+    ids specs
+
+let test_refresh_while_two_run () =
+  (* both workers are held in loads; a settled job is mutated and
+     refreshed in its handler meanwhile, and matches a cold run over
+     the mutated rows *)
+  with_server ~max_jobs:2 @@ fun server ->
+  with_client server @@ fun c ->
+  let id, _ = submit_exn c (spec ~rows:40 ()) in
+  Alcotest.(check string) "settled" "done" (fst (wait_exn c id));
+  with_held_job ~label:"h1" @@ fun h1 feed1 ->
+  with_held_job ~label:"h2" @@ fun h2 feed2 ->
+  let i1 = submit_held c h1 in
+  let i2 = submit_held c h2 in
+  (match Client.mutate c ~insert:mutation_inserts ~delete:[ 0 ] id "Emp" with
+  | Ok (cardinality, _) ->
+      Alcotest.(check int) "cardinality after mutate" 41 cardinality
+  | Error (code, msg) -> Alcotest.failf "mutate: %s: %s" code msg);
+  (match Client.refresh c id with
+  | Ok (_, state) -> Alcotest.(check string) "refreshed" "done" state
+  | Error (code, msg) -> Alcotest.failf "refresh: %s: %s" code msg);
+  (match Client.artifacts c id with
+  | Ok (arts, _) ->
+      check_artifacts "refresh = cold run over the mutated rows"
+        (local_artifacts (mutated_spec ()))
+        arts
+  | Error (code, msg) -> Alcotest.failf "artifacts: %s: %s" code msg);
+  List.iter
+    (fun i ->
+      Alcotest.(check string) "held job still running" "running" (state_of c i))
+    [ i1; i2 ];
+  feed1 ();
+  feed2 ();
+  let expected = local_artifacts (spec ()) in
+  List.iter
+    (fun i ->
+      let state, arts = wait_exn c i in
+      Alcotest.(check string) "held job done once fed" "done" state;
+      check_artifacts "held job byte-identical to its local run" expected arts)
+    [ i1; i2 ]
+
+let test_stop_waits_for_running_jobs () =
+  (* [stop] with two jobs running returns only once both settled (their
+     persisted status says so), and a second [stop] is a no-op *)
+  let dir = Filename.concat (Filename.get_temp_dir_name ()) "dbre_stop_wait" in
+  rm_rf dir;
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  with_server ~max_jobs:2 ~state_dir:dir @@ fun server ->
+  let ids, stopped =
+    with_client server @@ fun c ->
+    with_held_job ~label:"h1" @@ fun h1 feed1 ->
+    with_held_job ~label:"h2" @@ fun h2 feed2 ->
+    let ids = [ submit_held c h1; submit_held c h2 ] in
+    let stopped = Atomic.make false in
+    let stopper =
+      Thread.create
+        (fun () ->
+          Server.stop server;
+          Atomic.set stopped true)
+        ()
+    in
+    Thread.delay 0.1;
+    let early = Atomic.get stopped in
+    feed1 ();
+    feed2 ();
+    Thread.join stopper;
+    Alcotest.(check bool) "stop waited for the held jobs" false early;
+    (ids, Atomic.get stopped)
+  in
+  Alcotest.(check bool) "stop returned" true stopped;
+  let read path = In_channel.with_open_bin path In_channel.input_all in
+  List.iter
+    (fun id ->
+      let jdir = Filename.concat dir id in
+      Alcotest.(check string) (id ^ " settled before stop returned") "done"
+        (read (Filename.concat jdir "status"));
+      Alcotest.(check int) (id ^ " artifacts persisted") 5
+        (Array.length (Sys.readdir (Filename.concat jdir "artifacts"))))
+    ids;
+  Server.stop server
+
 let suite =
   [
     Alcotest.test_case "ping" `Quick test_ping;
@@ -652,7 +886,11 @@ let suite =
       test_one_job_byte_identical;
     Alcotest.test_case "event stream shape" `Quick test_event_stream_shape;
     Alcotest.test_case "4 concurrent jobs byte-identical" `Quick
-      test_concurrent_jobs_byte_identical;
+      (test_concurrent_jobs_byte_identical ~max_jobs:2);
+    Alcotest.test_case "4 concurrent jobs byte-identical on 1 worker" `Quick
+      (test_concurrent_jobs_byte_identical ~max_jobs:1);
+    Alcotest.test_case "4 concurrent jobs byte-identical on 4 workers" `Quick
+      (test_concurrent_jobs_byte_identical ~max_jobs:4);
     Alcotest.test_case "cancel a queued job" `Quick test_cancel_queued_job;
     Alcotest.test_case "cancel a running job" `Quick test_cancel_running_job;
     Alcotest.test_case "budget trip is typed over the wire" `Quick
@@ -671,4 +909,13 @@ let suite =
       test_restart_adopts_v1_spec;
     Alcotest.test_case "mutate + refresh is byte-identical to resubmit" `Quick
       test_mutate_refresh_matches_resubmit;
+    Alcotest.test_case "max_jobs is bounded" `Quick test_max_jobs_bounded;
+    Alcotest.test_case "a held job does not block another" `Quick
+      test_held_job_does_not_block_another;
+    Alcotest.test_case "polling never sees a half-settled job" `Quick
+      test_poll_while_jobs_settle;
+    Alcotest.test_case "refresh while two jobs run" `Quick
+      test_refresh_while_two_run;
+    Alcotest.test_case "stop waits for running jobs" `Quick
+      test_stop_waits_for_running_jobs;
   ]

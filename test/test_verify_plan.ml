@@ -385,10 +385,11 @@ let test_pool_shutdown_twice () =
       Domain_pool.shutdown idle)
     [ 1; 4 ]
 
-(* the daemon's runner threads share registry pools: batches submitted
-   from two sys-threads at once queue on the pool and each completes
-   as if it ran alone *)
-let test_pool_concurrent_submitters () =
+(* the daemon's worker domains share registry pools: batches submitted
+   from two submitters at once, sys-threads of one domain or two
+   domains, queue on the pool and each completes as if it ran alone.
+   [spawn f] starts [f] and returns its join. *)
+let test_pool_concurrent_submitters ~spawn () =
   let pool = Domain_pool.get 2 in
   let before = Domain_pool.batches pool in
   let rounds = 50 in
@@ -402,11 +403,8 @@ let test_pool_concurrent_submitters () =
     !ok
   in
   let results = Array.make 2 false in
-  let threads =
-    List.init 2 (fun k ->
-        Thread.create (fun () -> results.(k) <- submitter k ()) ())
-  in
-  List.iter Thread.join threads;
+  let joins = List.init 2 (fun k -> spawn (fun () -> results.(k) <- submitter k ())) in
+  List.iter (fun join -> join ()) joins;
   Alcotest.(check (array bool)) "every batch result correct" [| true; true |]
     results;
   Alcotest.(check int) "one batch per submission" (before + (2 * rounds))
@@ -439,7 +437,13 @@ let suite =
     Alcotest.test_case "pool: second shutdown is a no-op" `Quick
       test_pool_shutdown_twice;
     Alcotest.test_case "pool: concurrent submitters share a pool" `Quick
-      test_pool_concurrent_submitters;
+      (test_pool_concurrent_submitters ~spawn:(fun f ->
+           let th = Thread.create f () in
+           fun () -> Thread.join th));
+    Alcotest.test_case "pool: submitters on two domains share a pool" `Quick
+      (test_pool_concurrent_submitters ~spawn:(fun f ->
+           let d = Stdlib.Domain.spawn f in
+           fun () -> Stdlib.Domain.join d));
     Alcotest.test_case "pool: task exceptions propagate" `Quick
       test_pool_exception_propagation;
   ]
