@@ -361,7 +361,7 @@ let b3 () =
           Test.make
             ~name:(Printf.sprintf "column-store/rows=%d" n)
             (Staged.stage (fun () ->
-                 Table.clear_ext_cache table;
+                 Column_store.drop_memos (Table.store table);
                  ignore (Deps.Fd_infer.holds table f)));
         ])
       (Lazy.force workloads)
@@ -375,7 +375,7 @@ let b3 () =
     [
       Test.make ~name:"amortized/column store per candidate"
         (Staged.stage (fun () ->
-             Table.clear_ext_cache dept;
+             Column_store.drop_memos (Table.store dept);
              ignore (Deps.Fd_infer.discover ~max_lhs:2 ~rel:"Person" dept)));
       Test.make ~name:"amortized/memoized partitions (TANE)"
         (Staged.stage (fun () ->
@@ -856,7 +856,7 @@ let b13_artifact_spec () =
 (* drop every memoized store, so the next check starts cold *)
 let cold_db db =
   List.iter
-    (fun rel -> Table.clear_ext_cache (Database.table db rel.Relation.name))
+    (fun rel -> Column_store.drop_memos (Table.store (Database.table db rel.Relation.name)))
     (Schema.relations (Database.schema db))
 
 (* best-of-[reps]: the minimum is the run least disturbed by the
@@ -883,11 +883,8 @@ let b13 () =
   (* FD batching: the RHS-Discovery shape — one candidate LHS (a planted
      reference attribute), every non-key non-LHS attribute of the
      relation as RHS. Unbatched is the reference per-candidate loop
-     (one full row scan per RHS); batched is one fused sweep over a
-     store whose columns are already encoded — the pipeline's shape,
-     where the loader's Builder encodes every column — with no memoized
-     verdict, both at one domain. The cold variant also pays the encode
-     of a store built by row inserts. *)
+     (one full row scan per RHS); batched is one fused sweep over the
+     table's store with no memoized verdict, both at one domain. *)
   let f =
     List.hd g.Workload.Gen_schema.truth.Workload.Gen_schema.planted_fds
   in
@@ -908,35 +905,22 @@ let b13 () =
             (Deps.Fd.make rel.Relation.name lhs [ b ]) ))
       rhs
   in
-  let cold () = Table.clear_ext_cache table in
-  let encoded () =
-    cold ();
-    Column_store.ensure_columns (Column_store.of_table table) (lhs @ rhs)
-  in
+  let cold () = Column_store.drop_memos (Table.store table) in
   let batched () = Deps.Fd_infer.holds_all table ~lhs ~rhs in
-  encoded ();
+  cold ();
   Printf.printf "  fd batch: %d rows, 1 LHS x %d RHS; verdicts agree: %b\n"
     (Table.cardinality table) (List.length rhs)
     (per_candidate () = batched ());
   let unbatched_ns = b13_time reps per_candidate in
-  let batched_ns = b13_time ~setup:encoded reps batched in
-  let cold_ns = b13_time ~setup:cold reps batched in
+  let batched_ns = b13_time ~setup:cold reps batched in
   Printf.printf
-    "  fd batch: per-candidate %s, batched over a Builder-encoded store %s \
-     -> %.1fx (target: >= 3x); with the encode of a row-built store %s -> \
-     %.2fx (no target)\n"
+    "  fd batch: per-candidate %s, batched %s -> %.1fx (target: >= 3x)\n"
     (pretty_time unbatched_ns) (pretty_time batched_ns)
-    (unbatched_ns /. batched_ns) (pretty_time cold_ns)
-    (unbatched_ns /. cold_ns);
+    (unbatched_ns /. batched_ns);
   record "fd-batch/per-candidate" unbatched_ns "ns";
   record "fd-batch/batched" batched_ns "ns";
-  record "fd-batch/batched-with-encode" cold_ns "ns";
-  (* the gate covers Builder-encoded stores only (the pipeline's
-     shape); a row-built store's encode-first cost is recorded
-     ungated next to it *)
   record ?target:(full_target 3.0) "fd-batch/speedup-encoded-store"
     (unbatched_ns /. batched_ns) "x";
-  record "fd-batch/speedup-with-encode" (unbatched_ns /. cold_ns) "x";
 
   (* IND batching: every probe of the workload's Q in one planner call —
      distinct sets built once per shared side instead of once per probe *)
@@ -1102,29 +1086,25 @@ let b14 () =
     | Ok (t, _) -> t
     | Stdlib.Error e -> failwith (Error.to_string e)
   in
-  (* the seed path to the same ready state: row-at-a-time load into an
-     eager tuple list, then a full dictionary encode of every column *)
+  (* the seed path to the same ready state: row-at-a-time parse into an
+     eager tuple list, then one insert that encodes every column *)
   let legacy () =
     match Reference.Csv.load b14_rel csv with
-    | Ok (t, _) ->
-        let st = Column_store.of_table t in
-        Column_store.ensure_columns st (Table.schema t).Relation.attrs;
-        t
+    | Ok (t, _) -> t
     | Stdlib.Error e -> failwith (Error.to_string e)
   in
   (* [top_heap_words] is a process-monotone high-water mark, so the
      lean loader must run (and be read) before the eager one; for heap
      numbers untainted by earlier groups, run this group standalone
      (`main.exe --json --check b14`). *)
-  let lazy_rows = not (Table.materialized (streaming ())) in
+  ignore (Sys.opaque_identity (streaming ()));
   let s_top = (Gc.quick_stat ()).Gc.top_heap_words in
   ignore (Sys.opaque_identity (legacy ()));
   let l_top = (Gc.quick_stat ()).Gc.top_heap_words in
   (* the two loaders alternate rep by rep, so host drift during the
      group moves both timings alike and cancels out of the ratio *)
   let s_ns, l_ns = b14_time_alternating reps streaming legacy in
-  Printf.printf "  streaming load-to-ready-store: %s (lazy rows: %b)\n%!"
-    (pretty_time s_ns) lazy_rows;
+  Printf.printf "  streaming load-to-ready-store: %s\n%!" (pretty_time s_ns);
   Printf.printf "  seed load-to-ready-store:      %s\n%!" (pretty_time l_ns);
   Printf.printf "  speedup: %.1fx (target: >= 3x)\n" (l_ns /. s_ns);
   Printf.printf
@@ -1251,10 +1231,7 @@ let b15 () =
       rel.Relation.attrs
   in
   (* encoded store, no memoized verdict: the B13 batched shape *)
-  let encoded () =
-    Table.clear_ext_cache table;
-    Column_store.ensure_columns (Column_store.of_table table) (lhs @ rhs)
-  in
+  let encoded () = Column_store.drop_memos (Table.store table) in
   let bare () = Deps.Fd_infer.holds_all table ~lhs ~rhs in
   let supervised () =
     let supervise =
@@ -1660,7 +1637,7 @@ let b18 () =
   let hdb = h.Workload.Gen_schema.db in
   mutate hdb;
   List.iter
-    (fun rel -> Table.clear_ext_cache (Database.table hdb rel.Relation.name))
+    (fun rel -> Column_store.drop_memos (Table.store (Database.table hdb rel.Relation.name)))
     (Schema.relations (Database.schema hdb));
   let t0 = Unix.gettimeofday () in
   let full = Dbre.Pipeline.run ~config hdb input in

@@ -38,8 +38,8 @@ let conceptualize db (j : Sqlx.Equijoin.t) name =
   (* sort the intersection so the materialized extension does not
      depend on hash order *)
   let intersection =
-    Column_store.common_values (Column_store.of_table t1)
-      j.Sqlx.Equijoin.attrs1 (Column_store.of_table t2) j.Sqlx.Equijoin.attrs2
+    Column_store.common_values (Table.store t1)
+      j.Sqlx.Equijoin.attrs1 (Table.store t2) j.Sqlx.Equijoin.attrs2
   in
   List.iter
     (fun values -> Database.insert db name values)

@@ -142,11 +142,12 @@ val refresh_checked :
   Database.t ->
   Job_spec.workload ->
   Refresh.report * (result, partial) Stdlib.result
-(** Re-verify a database that has mutated since a previous run: one
-    coordinated delta pass brings every memoized store up to date
-    ({!Refresh.database}, absorbing deltas up to
-    {!Relational.Column_store.delta_fraction} of each extension), the
-    checkpoint directory is invalidated (every stage artifact embeds
+(** Re-verify a database that has mutated since a previous run. The
+    mutations already patched each table's store as they applied (or
+    dropped its memos past {!Relational.Column_store.delta_fraction} of
+    the extension); one coordinated pass ({!Refresh.database}) patches
+    the join counts across tables and reports what the mutations cost,
+    the checkpoint directory is invalidated (every stage artifact embeds
     verdicts over the old extension — see {!Checkpoint.invalidate}),
     then {!run_checked} re-runs the stages without resuming. The
     re-verification reuses every memo a mutation provably could not

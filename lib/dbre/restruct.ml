@@ -47,7 +47,7 @@ let rewrite_inds ~rel ~moved ~new_rel ~exact inds =
    is one: the code columns move through the store, never as rows *)
 let extension_of ?distinct src rel =
   match src with
-  | Some t -> Column_store.project ?distinct (Column_store.of_table t) rel
+  | Some t -> Table.of_store rel (Column_store.project ?distinct (Table.store t) rel)
   | None -> Table.create rel
 
 let run (oracle : Oracle.t) ?db ~schema ~fds ~hidden ~inds () =

@@ -80,7 +80,7 @@ let run ?(engine = Engine.default) ?(supervise = Supervise.unlimited) ?prior
            misses, exactly the decision sequence of the per-candidate
            loop this replaces *)
         let verdicts =
-          Fd_infer.holds_all ~engine ~supervise table ~lhs:a_attrs ~rhs:t
+          Fd_infer.holds_all ~supervise table ~lhs:a_attrs ~rhs:t
         in
         let b =
           List.filter_map

@@ -29,7 +29,7 @@ let participation db rel attrs =
   match Option.bind db (fun d -> Database.table_opt d rel) with
   | None -> None
   | Some t when List.for_all (Relation.has_attr (Table.schema t)) attrs ->
-      let s = Column_store.of_table t in
+      let s = Table.store t in
       let witnesses = Column_store.witness_count s attrs in
       Some
         (if Column_store.count_distinct s attrs < witnesses then Er.Eer.Many

@@ -3,18 +3,17 @@ open Relational
 (* the FD check is the conjunction of one batched sweep over the RHS
    attributes; the LHS is normalized exactly as [holds_all] normalizes
    it, so memoized verdicts are shared between the two *)
-let holds ?(engine = Engine.default) table (fd : Fd.t) =
+let holds table (fd : Fd.t) =
   List.for_all snd
-    (Column_store.fd_batch ?pool:(Engine.pool engine)
-       (Column_store.of_table table)
+    (Column_store.fd_batch (Table.store table)
        ~lhs:(Attribute.Names.normalize fd.lhs)
        ~rhs:fd.rhs)
 
 (* the batched check: all [lhs -> a] verdicts from one planner group
    (one fused sweep) instead of one independent scan per attribute *)
-let holds_all ?(engine = Engine.default) ?supervise table ~lhs ~rhs =
+let holds_all ?supervise table ~lhs ~rhs =
   let lhs = Attribute.Names.normalize lhs in
-  Verify_plan.fd_group ~engine ?supervise table ~lhs ~rhs
+  Verify_plan.fd_group ?supervise table ~lhs ~rhs
 
 type stats = {
   candidates_tested : int;
@@ -29,7 +28,7 @@ type stats = {
    never an exception. *)
 
 let discover ?(max_lhs = 3) ?(supervise = Supervise.unlimited) ~rel table =
-  let store = Column_store.of_table table in
+  let store = Table.store table in
   let attrs = (Table.schema table).Relation.attrs in
   let tested = ref 0 in
   let found : Fd.t list ref = ref [] in
@@ -100,12 +99,12 @@ let discover ?(max_lhs = 3) ?(supervise = Supervise.unlimited) ~rel table =
       exhausted = !exhausted;
     } )
 
-let discover_for_lhs ?engine ?supervise ~rel table lhs =
+let discover_for_lhs ?supervise ~rel table lhs =
   let attrs = (Table.schema table).Relation.attrs in
   let candidates = List.filter (fun a -> not (List.mem a lhs)) attrs in
   let rhs =
     List.filter_map
       (fun (a, ok) -> if ok then Some a else None)
-      (holds_all ?engine ?supervise table ~lhs ~rhs:candidates)
+      (holds_all ?supervise table ~lhs ~rhs:candidates)
   in
   if rhs = [] then None else Some (Fd.make rel lhs rhs)

@@ -7,16 +7,14 @@
 
 open Relational
 
-val holds : ?engine:Engine.t -> Table.t -> Fd.t -> bool
+val holds : Table.t -> Fd.t -> bool
 (** Does the FD hold on the extension? NULL-LHS rows are exempt and
     NULL = NULL on the RHS. Answered by one {!Column_store.fd_batch}
-    over the RHS attributes on the table's memoized store, so repeated
-    checks are O(1) until the table changes — after which the store
-    delta-refreshes itself (within {!Column_store.delta_fraction}, see
-    {!Column_store.of_table}) instead of rebuilding. *)
+    over the RHS attributes on the table's store, so repeated checks
+    are O(1) until the table changes — and an append re-checks a true
+    verdict on the appended rows alone. *)
 
 val holds_all :
-  ?engine:Engine.t ->
   ?supervise:Supervise.t ->
   Table.t ->
   lhs:string list ->
@@ -24,8 +22,7 @@ val holds_all :
   (string * bool) list
 (** Batched check of every [lhs -> a] for [a] in [rhs], in order,
     through {!Relational.Verify_plan.fd_group}: one fused sweep answers
-    every candidate instead of one scan per candidate, and column
-    encoding fans out over the engine's {!Relational.Domain_pool}.
+    every candidate instead of one scan per candidate.
     Verdicts are identical to per-candidate {!holds} calls.
     [supervise] is threaded to the planner, which polls it at sweep
     granularity; a trip raises [Supervise.Interrupt]. *)
@@ -60,7 +57,6 @@ val discover :
     escapes). *)
 
 val discover_for_lhs :
-  ?engine:Engine.t ->
   ?supervise:Supervise.t ->
   rel:string ->
   Table.t ->

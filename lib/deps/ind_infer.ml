@@ -13,7 +13,7 @@ let all_attrs db =
         r.Relation.attrs)
     (Schema.relations (Database.schema db))
 
-let store db rel = Column_store.of_table (Database.table db rel)
+let store db rel = Table.store (Database.table db rel)
 
 (* effective domain: declared domain, or inferred from data when
    Unknown — the lub over the column's dictionary, which holds each

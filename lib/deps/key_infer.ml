@@ -3,7 +3,7 @@ open Relational
 type stats = { sets_tested : int; keys_found : int }
 
 let unique_over table attrs =
-  Column_store.unique (Column_store.of_table table) attrs
+  Column_store.unique (Table.store table) attrs
 
 let minimal_unique_sets ?(max_size = 3) table =
   let attrs = Array.of_list (Table.schema table).Relation.attrs in

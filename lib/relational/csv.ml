@@ -688,7 +688,7 @@ let finalize ~strict k (errors : syntax_error list) =
     match k.k_error with
     | Some e -> raise (Error.Error e)
     | None ->
-        ( Column_store.Builder.finish k.k_builder,
+        ( Table.of_store k.k_rel (Column_store.Builder.finish k.k_builder),
           {
             Quarantine.relation = k.k_name;
             total_rows = k.k_rows;
@@ -704,7 +704,7 @@ let finalize ~strict k (errors : syntax_error list) =
     let entries =
       syntax_entries @ List.rev k.k_hdr_entries @ List.rev k.k_row_entries
     in
-    ( Column_store.Builder.finish k.k_builder,
+    ( Table.of_store k.k_rel (Column_store.Builder.finish k.k_builder),
       {
         Quarantine.relation = k.k_name;
         total_rows = k.k_rows + !torn;
@@ -884,15 +884,30 @@ let load_file ?(header = true) ?(mode = `Strict) ?pool
                   let r = input ic buf 0 (Bytes.length buf) in
                   if r > 0 then Some (buf, r) else None)))
 
+(* Straight from the codes: each distinct value of a column is rendered
+   once, through its dictionary, and every row concatenates those
+   texts — what [render] of the rows' fields would write. *)
 let dump_table ?(header = true) table =
   let rel = Table.schema table in
-  let hdr = if header then [ rel.Relation.attrs ] else [] in
-  let body =
-    List.map
-      (fun row ->
-        List.map
-          (fun v -> match v with Value.Null -> "" | _ -> Value.to_string v)
-          row)
-      (Table.to_lists table)
+  let store = Table.store table in
+  let cols = Array.of_list (List.map (Column_store.column store) rel.Relation.attrs) in
+  let texts =
+    Array.map
+      (fun c ->
+        Array.map
+          (function Value.Null -> "" | v -> render_field (Value.to_string v))
+          (Column_store.column_dict c))
+      cols
   in
-  render (hdr @ body)
+  let codes = Array.map Column_store.column_codes cols in
+  let buf = Buffer.create 1024 in
+  if header then Buffer.add_string buf (render [ rel.Relation.attrs ]);
+  for i = 0 to Table.cardinality table - 1 do
+    Array.iteri
+      (fun p t ->
+        if p > 0 then Buffer.add_char buf ',';
+        Buffer.add_string buf t.(codes.(p).(i)))
+      texts;
+    Buffer.add_char buf '\n'
+  done;
+  Buffer.contents buf

@@ -9,8 +9,9 @@
     each cell as a byte view into the input (or, for a cell with
     escapes or straddling a chunk, into its own scratch). The loaders
     type each cell in place and intern it into a {!Column_store} with
-    one probe — no per-cell string, no per-row array, no eager tuple
-    array (rows materialize lazily, see {!Table.create_deferred}).
+    one probe — no per-cell string, no per-row array, no tuple array:
+    the store is the table's only copy of its rows
+    ({!Table.of_store}).
     {!fold} and {!fold_reader} are the consumer that copies cells out
     into {!row}s.
 
@@ -86,9 +87,8 @@ val load :
     declared domain ({!Domain.parse}); attributes with domain [Unknown]
     use {!Value.parse}.
 
-    The result is columnar-native: its memoized {!Column_store} is fully
-    encoded when [load] returns, and tuples materialize only if
-    {!Table.rows} is ever demanded.
+    The result is columnar-native: its {!Column_store} is complete when
+    [load] returns, and {!Table.rows} decodes tuples only when asked.
 
     [~mode:`Strict] (default) stops at the first problem: [Error e] with
     code {!Error.Csv_syntax}, {!Error.Unknown_column},

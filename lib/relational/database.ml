@@ -33,13 +33,13 @@ let add_relation t r =
 let cardinality t name = Table.cardinality (table t name)
 
 let count_distinct t name attrs =
-  Column_store.count_distinct (Column_store.of_table (table t name)) attrs
+  Column_store.count_distinct (Table.store (table t name)) attrs
 
 let join_count t (r1, x1) (r2, x2) =
   Column_store.equijoin_distinct_count
-    (Column_store.of_table (table t r1))
+    (Table.store (table t r1))
     x1
-    (Column_store.of_table (table t r2))
+    (Table.store (table t r2))
     x2
 
 let total_tuples t =

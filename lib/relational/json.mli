@@ -27,8 +27,13 @@ val to_string : t -> string
 
 exception Parse_error of string
 
+val max_depth : int
+(** The deepest nesting of arrays and objects {!of_string} accepts:
+    512. *)
+
 val of_string : string -> t
-(** Raises {!Parse_error} on malformed input or trailing garbage. *)
+(** Raises {!Parse_error} on malformed input, trailing garbage, or
+    nesting deeper than {!max_depth}. *)
 
 val of_string_opt : string -> t option
 

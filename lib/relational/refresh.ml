@@ -1,6 +1,6 @@
-(* Database-level coordinated refresh: bring every relation's memoized
-   column store up to date in one pass so cross-store join memos can be
-   patched exactly (see Column_store.refresh_all). *)
+(* Database-level coordinated refresh: close every relation's mutation
+   window in one pass so cross-store join memos can be patched exactly
+   (see Column_store.refresh_all). *)
 
 type outcome = Column_store.refresh_outcome =
   | Store_fresh
@@ -9,11 +9,11 @@ type outcome = Column_store.refresh_outcome =
 
 type report = {
   relations : (string * outcome) list;
-      (* relations that had a stashed store, in schema order *)
+      (* relations whose store holds or held a memo, in schema order *)
   fresh : int;
-  absorbed : int;  (* stores refreshed incrementally *)
+  absorbed : int;  (* stores whose memos were patched *)
   rebuilt : int;
-  rows_applied : int;  (* delta rows absorbed across all stores *)
+  rows_applied : int;  (* rows mutated across those stores *)
 }
 
 let database db =
@@ -25,7 +25,9 @@ let database db =
         Option.map (fun tbl -> (name, tbl)) (Database.table_opt db name))
       rels
   in
-  let outcomes = Column_store.refresh_all (List.map snd named) in
+  let outcomes =
+    Column_store.refresh_all (List.map (fun (_, t) -> Table.store t) named)
+  in
   let relations =
     List.concat
       (List.map2

@@ -1,21 +1,20 @@
-(** Coordinated delta refresh of a whole database's memoized stores.
+(** Coordinated refresh of a whole database's stores.
 
-    After a burst of mutations ({!Database.insert},
-    {!Table.delete_rows}, …), {!database} replays every relation's
-    mutation log into its stashed {!Column_store} in one coordinated
-    pass: each store refreshes incrementally when the delta is within
-    {!Column_store.delta_fraction} of its extension (full rebuild
-    otherwise), and cross-store
-    equi-join memos are patched {e exactly} from the refreshed stores'
-    added-key summaries rather than dropped — see
-    {!Column_store.refresh_all}.
+    Mutations ({!Database.insert}, {!Table.delete_rows}, …) apply to a
+    table's store at once and keep its own memos exact as they go.
+    What they set aside is the join counts, which span two stores:
+    {!database} closes every relation's mutation window in one
+    coordinated pass and patches those {e exactly} from the stores'
+    added code tuples rather than dropping them — see
+    {!Column_store.refresh_all}. A store whose window passed
+    {!Column_store.delta_fraction} of its extension dropped its memos
+    instead of patching them, and reports [Store_rebuilt].
 
-    Refreshing is never required for correctness: a store handed out by
-    [Column_store.of_table] always refreshes itself on demand. The
-    database-level pass exists so re-verification after mutation
-    ([Pipeline.refresh_checked], the serve [refresh] request) pays one
-    coordinated delta pass up front — keeping join memos alive — and so
-    the cost can be measured and reported. *)
+    Refreshing is never required for correctness: a dropped join memo
+    is recomputed on demand. The database-level pass exists so
+    re-verification after mutation ([Pipeline.refresh_checked], the
+    serve [refresh] request) keeps join memos alive, and so what the
+    mutations cost the memos can be measured and reported. *)
 
 type outcome = Column_store.refresh_outcome =
   | Store_fresh
@@ -24,17 +23,16 @@ type outcome = Column_store.refresh_outcome =
 
 type report = {
   relations : (string * outcome) list;
-      (** relations that had a stashed store, in schema order;
-          store-less relations (never verified, or explicitly cleared)
-          are absent *)
+      (** relations whose store holds or held a memo, in schema
+          order; the others (never verified) are absent *)
   fresh : int;
-  absorbed : int;  (** stores refreshed incrementally *)
+  absorbed : int;  (** stores whose memos were patched *)
   rebuilt : int;
-  rows_applied : int;  (** delta rows absorbed across all stores *)
+  rows_applied : int;  (** rows appended or deleted across those stores *)
 }
 
 val database : Database.t -> report
-(** Refresh every relation's stashed store (see
+(** Close every relation's mutation window (see
     {!Column_store.refresh_all}). *)
 
 val pp_outcome : Format.formatter -> outcome -> unit

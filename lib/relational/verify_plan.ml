@@ -31,14 +31,12 @@ type counts = { n_left : int; n_right : int; n_join : int }
 (* FD groups                                                            *)
 (* ------------------------------------------------------------------ *)
 
-let fd_group ?(engine = Engine.default) ?(supervise = Supervise.unlimited)
-    table ~lhs ~rhs =
+let fd_group ?(supervise = Supervise.unlimited) table ~lhs ~rhs =
   match rhs with
   | [] -> []
   | _ ->
       Supervise.check supervise;
-      Column_store.fd_batch ?pool:(Engine.pool engine)
-        (Column_store.of_table table) ~lhs ~rhs
+      Column_store.fd_batch (Table.store table) ~lhs ~rhs
 
 (* ------------------------------------------------------------------ *)
 (* IND batches                                                          *)
@@ -56,7 +54,7 @@ let ind_batch ?(engine = Engine.default) ?(supervise = Supervise.unlimited)
         match Hashtbl.find_opt stores rel with
         | Some s -> s
         | None ->
-            let s = Column_store.of_table (Database.table db rel) in
+            let s = Table.store (Database.table db rel) in
             Hashtbl.add stores rel s;
             s
       in

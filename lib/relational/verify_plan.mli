@@ -7,11 +7,11 @@
     across joins. This planner groups such requests and answers each
     group from one pass over the {!Column_store}:
 
-    - an {b FD group} encodes the touched columns once and answers
-      every RHS attribute with a single fused sweep over the LHS codes,
-      instead of [|rhs|] independent full scans;
+    - an {b FD group} answers every RHS attribute with a single fused
+      sweep over the LHS codes, instead of [|rhs|] independent full
+      scans;
     - an {b IND batch} prepares each distinct [(table, attrs)] side
-      once — its columns and code-tuple set, then the intern tables of
+      once — its code-tuple set, then the intern tables of
       the side each count probes ({!Column_store.prepare}) — and reuses
       it across every probe that mentions it, fanning per-table work
       over the engine's persistent {!Domain_pool}.
@@ -31,7 +31,6 @@ type counts = { n_left : int; n_right : int; n_join : int }
     [||r_k[A_k] ⋈ r_l[A_l]||]. *)
 
 val fd_group :
-  ?engine:Engine.t ->
   ?supervise:Supervise.t ->
   Table.t ->
   lhs:string list ->

@@ -66,9 +66,9 @@ val mutate :
 
 val refresh :
   t -> string -> (Json.t * string, string * string) result
-(** Delta re-verification of a settled, mutated job: replays the
-    mutation logs into the memoized stores and re-runs verification,
-    synchronously. [Ok (refresh report, final state)]; the job's
+(** Delta re-verification of a settled, mutated job: one coordinated
+    pass over the column stores the mutations already patched, then
+    verification re-runs, synchronously. [Ok (refresh report, final state)]; the job's
     artifacts are replaced with the re-verified ones (byte-identical
     to resubmitting the job over the mutated extension).
     [Error ("not-settled", _)] while the job is queued, running or

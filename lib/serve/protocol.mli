@@ -31,10 +31,12 @@
     - [shutdown] → [{"ok":true}] and the server stops accepting work.
 
     {b Error codes.} ["bad-frame"] (oversize or truncated frame; the
-    connection closes), ["bad-json"] (frame is not JSON),
-    ["bad-request"] (JSON but not a valid request), ["unknown-op"],
-    ["unknown-job"], ["spec-invalid"], ["not-settled"] (artifacts of a
-    live job), ["shutting-down"]. *)
+    connection closes), ["bad-json"] (frame is not JSON, or nests
+    deeper than {!Relational.Json.max_depth}), ["bad-request"] (JSON but
+    not a valid request), ["unknown-op"], ["unknown-job"],
+    ["spec-invalid"], ["not-settled"] (artifacts of a live job),
+    ["shutting-down"], ["internal-error"] (the request raised; the
+    connection keeps serving). *)
 
 open Relational
 

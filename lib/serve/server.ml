@@ -353,9 +353,9 @@ let find t id =
       | Some e -> Ok e
       | None -> Error (Protocol.error ~code:"unknown-job" id))
 
-(* per-table segment residency of the loaded database's memoized
-   stores: which sealed segments exist, which are warm, which live on
-   disk, and at what pack widths *)
+(* per-table segment residency of the loaded database's stores: which
+   sealed segments exist, which are warm, which live on disk, and at
+   what pack widths *)
 let residency_json db =
   match db with
   | None -> Json.Null
@@ -363,31 +363,23 @@ let residency_json db =
       Json.List
         (List.filter_map
            (fun (rel : Relation.t) ->
-             match Database.table_opt db rel.Relation.name with
-             | None -> None
-             | Some tbl -> (
-                 match Table.ext_cache tbl with
-                 | Some (Column_store.Store s) ->
-                     let r = Column_store.residency s in
-                     Some
-                       (Json.Obj
-                          [
-                            ("table", Json.String rel.Relation.name);
-                            ( "sealed_segments",
-                              Json.Int r.Column_store.sealed_segments );
-                            ( "resident_segments",
-                              Json.Int r.Column_store.resident_segments );
-                            ( "spilled_segments",
-                              Json.Int r.Column_store.spilled_segments );
-                            ("tail_rows", Json.Int r.Column_store.tail_rows);
-                            ( "width_histogram",
-                              Json.Obj
-                                (List.map
-                                   (fun (w, n) ->
-                                     (string_of_int w, Json.Int n))
-                                   r.Column_store.width_histogram) );
-                          ])
-                 | _ -> None))
+             Option.map
+               (fun tbl ->
+                 let r = Column_store.residency (Table.store tbl) in
+                 Json.Obj
+                   [
+                     ("table", Json.String rel.Relation.name);
+                     ("sealed_segments", Json.Int r.Column_store.sealed_segments);
+                     ("resident_segments", Json.Int r.Column_store.resident_segments);
+                     ("spilled_segments", Json.Int r.Column_store.spilled_segments);
+                     ("tail_rows", Json.Int r.Column_store.tail_rows);
+                     ( "width_histogram",
+                       Json.Obj
+                         (List.map
+                            (fun (w, n) -> (string_of_int w, Json.Int n))
+                            r.Column_store.width_histogram) );
+                   ])
+               (Database.table_opt db rel.Relation.name))
            (Schema.relations (Database.schema db)))
 
 let status_fields entry =
@@ -759,14 +751,18 @@ let handle_connection t fd =
          with _ -> ())
     | exception Unix.Unix_error _ -> ()
     | payload ->
+        (* whatever a request raises comes back as a typed error, and
+           the connection keeps serving *)
         let response =
-          match Json.of_string payload with
-          | exception Json.Parse_error msg ->
-              Protocol.error ~code:"bad-json" msg
-          | Json.Obj _ as request -> handle t request
-          | _ ->
-              Protocol.error ~code:"bad-request"
-                "request frame must be a JSON object"
+          try
+            match Json.of_string payload with
+            | Json.Obj _ as request -> handle t request
+            | _ ->
+                Protocol.error ~code:"bad-request"
+                  "request frame must be a JSON object"
+          with
+          | Json.Parse_error msg -> Protocol.error ~code:"bad-json" msg
+          | e -> Protocol.error ~code:"internal-error" (Printexc.to_string e)
         in
         (match Protocol.write_frame fd response with
         | () -> loop ()

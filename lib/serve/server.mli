@@ -30,9 +30,9 @@
 
     {b Mutation and refresh.} A settled job's loaded database is
     retained in memory: [mutate] appends/deletes rows in a named
-    relation (logged in each table's mutation log), and [refresh]
+    relation (applied to its column store at once), and [refresh]
     re-verifies the job against the mutated extension — one
-    coordinated delta pass over the memoized column stores
+    coordinated pass over the column stores
     ({!Dbre.Refresh.database}), checkpoint invalidation, then the
     verification stages re-run, synchronously in the requesting
     connection's handler. The refreshed artifacts are byte-identical

@@ -34,14 +34,15 @@ let break_fd rng db ~rel ~lhs ~rhs ~rate =
   let ri = Relation.attr_index (Table.schema table) rhs in
   (* row indices grouped by LHS projection, NULL as an ordinary value *)
   let lidx = Table.positions table lhs in
-  let groups = Hashtbl.create (max 16 (Table.cardinality table)) in
+  (* a fresh decode, so the rows are ours to scramble *)
+  let rows = Table.rows table in
+  let groups = Hashtbl.create (max 16 (Array.length rows)) in
   Array.iteri
     (fun i tup ->
       let key = Tuple.project_list lidx tup in
       let prev = try Hashtbl.find groups key with Not_found -> [] in
       Hashtbl.replace groups key (i :: prev))
-    (Table.rows table);
-  let rows = Array.map Array.copy (Table.rows table) in
+    rows;
   let touched = ref 0 in
   Hashtbl.iter
     (fun key members ->

@@ -17,7 +17,7 @@ let table ?uniques ?not_nulls name attrs rows =
 let cold_store t =
   let copy = Table.create (Table.schema t) in
   Table.insert_many copy (Table.to_lists t);
-  Column_store.of_table copy
+  Table.store copy
 
 (* a fresh, not yet created spill directory under the temp dir, and its
    removal (spill directories are flat) *)
@@ -151,7 +151,7 @@ let value_rows =
    each side's distinct count and witnesses, the join count both ways
    round, and the common projections. *)
 let check_join_counts msg (t1, a1) (t2, a2) =
-  let s1 = Column_store.of_table t1 and s2 = Column_store.of_table t2 in
+  let s1 = Table.store t1 and s2 = Table.store t2 in
   let side name t a s =
     Alcotest.(check int)
       (Printf.sprintf "%s: ||%s||" msg name)

@@ -5,17 +5,20 @@
 
 open Relational
 
-(* the set of distinct NULL-free projections, keyed by value lists *)
-let distinct_table t attrs =
-  let idx = Table.positions t attrs in
-  let seen = Hashtbl.create (max 16 (Table.cardinality t)) in
+(* the set of distinct NULL-free projections on positions [idx], keyed
+   by value lists. [Table.rows] decodes on every call, so the callers
+   that loop read the rows once and come here. *)
+let distinct_rows rows idx =
+  let seen = Hashtbl.create (max 16 (Array.length rows)) in
   Array.iter
     (fun tup ->
       if not (Tuple.has_null_at idx tup) then
         let key = Tuple.project_list idx tup in
         if not (Hashtbl.mem seen key) then Hashtbl.add seen key ())
-    (Table.rows t);
+    rows;
   seen
+
+let distinct_table t attrs = distinct_rows (Table.rows t) (Table.positions t attrs)
 
 let project_distinct t attrs =
   Hashtbl.fold (fun k () acc -> k :: acc) (distinct_table t attrs) []
@@ -97,28 +100,30 @@ let unique_over_rows table attrs =
 
 (* a declared UNIQUE constraint: all NULL-free projections distinct
    (no witness required) *)
-let check_unique t attrs =
-  let idx = Table.positions t attrs in
+let unique_in rows idx =
   let witnesses =
     Array.fold_left
       (fun n tup -> if Tuple.has_null_at idx tup then n else n + 1)
-      0 (Table.rows t)
+      0 rows
   in
-  count_distinct t attrs = witnesses
+  Hashtbl.length (distinct_rows rows idx) = witnesses
+
+let check_unique t attrs = unique_in (Table.rows t) (Table.positions t attrs)
+let not_null_in rows i = Array.for_all (fun tup -> not (Value.is_null tup.(i))) rows
 
 let check_not_null t attr =
-  let i = Relation.attr_index (Table.schema t) attr in
-  Array.for_all (fun tup -> not (Value.is_null tup.(i))) (Table.rows t)
+  not_null_in (Table.rows t) (Relation.attr_index (Table.schema t) attr)
 
 (* every declared unique and not-null constraint; [Error] lists the
    violated ones *)
 let check_constraints t =
   let rel = Table.schema t in
   let name = rel.Relation.name in
+  let rows = Table.rows t in
   let unique_errors =
     List.filter_map
       (fun u ->
-        if check_unique t u then None
+        if unique_in rows (Table.positions t u) then None
         else
           Some
             (Printf.sprintf "%s: unique(%s) violated" name
@@ -128,7 +133,7 @@ let check_constraints t =
   let null_errors =
     List.filter_map
       (fun a ->
-        if check_not_null t a then None
+        if not_null_in rows (Relation.attr_index rel a) then None
         else Some (Printf.sprintf "%s: not null(%s) violated" name a))
       (Relation.not_null_attrs rel)
   in
@@ -163,22 +168,28 @@ let ind_satisfied db (ind : Deps.Ind.t) =
   Hashtbl.fold (fun k () ok -> ok && Hashtbl.mem right k) left true
 
 (* every non-trivial satisfied unary IND, each ordered attribute pair
-   tested directly: no domain filter, no shared value index *)
+   tested directly by set inclusion of the two value sets: no domain
+   filter, no shared value index; each table's rows are read once *)
 let discover_unary_brute db =
-  let attrs =
+  let sides =
     List.concat_map
-      (fun r -> List.map (fun a -> (r.Relation.name, a)) r.Relation.attrs)
+      (fun r ->
+        let t = Database.table db r.Relation.name in
+        let rows = Table.rows t in
+        List.map
+          (fun a -> ((r.Relation.name, a), distinct_rows rows (Table.positions t [ a ])))
+          r.Relation.attrs)
       (Schema.relations (Database.schema db))
   in
   List.concat_map
-    (fun (r1, a1) ->
+    (fun (s1, d1) ->
       List.filter_map
-        (fun (r2, a2) ->
-          if (r1, a1) = (r2, a2) then None
-          else
-            let c = ind_counts db (r1, [ a1 ]) (r2, [ a2 ]) in
-            if c.Verify_plan.n_left > 0 && c.n_join = c.n_left then
-              Some (Deps.Ind.make (r1, [ a1 ]) (r2, [ a2 ]))
-            else None)
-        attrs)
-    attrs
+        (fun (s2, d2) ->
+          if s1 = s2 then None
+          else if
+            Hashtbl.length d1 > 0
+            && Hashtbl.fold (fun k () ok -> ok && Hashtbl.mem d2 k) d1 true
+          then Some (Deps.Ind.make (fst s1, [ snd s1 ]) (fst s2, [ snd s2 ]))
+          else None)
+        sides)
+    sides

@@ -2,8 +2,9 @@
    for the streaming columnar [Relational.Csv.load]: the ingest and
    out-of-core suites and bench B14 pin the streaming path against
    this, byte for byte. Same contract as [Relational.Csv.load], minus
-   parallelism and laziness: it builds the table by [Table.insert], so
-   no column is encoded. *)
+   parallelism: it parses the whole document into a list of boxed
+   tuples first, as the seed did, and hands them to the table in one
+   [Table.insert_many], so the tuples are all live while it encodes. *)
 
 open Relational
 
@@ -148,7 +149,6 @@ let load_strict ~header rel csv =
   (match syntax_errors with
   | [] -> ()
   | e :: _ -> raise_syntax ~relation:name e);
-  let table = Table.create rel in
   let attrs = rel.Relation.attrs in
   let order, data_rows =
     if header then
@@ -173,23 +173,26 @@ let load_strict ~header rel csv =
     else (attrs, rows)
   in
   let width = List.length order in
-  List.iter
-    (fun (idx, line, row) ->
-      let ridx = data_row_index ~header idx in
-      if List.length row <> width then
-        Error.raisef ~relation:name ~severity:Error.Recoverable Error.Csv_arity
-          "Csv.load(%s): row %d (line %d): width %d, expected %d" name
-          ridx line (List.length row) width;
-      match tuple_of_bindings rel ~row:ridx ~line (List.combine order row) with
-      | Ok tuple -> Table.insert table tuple
-      | Error e -> raise (Error.Error e))
-    data_rows;
+  let tuples =
+    List.map
+      (fun (idx, line, row) ->
+        let ridx = data_row_index ~header idx in
+        if List.length row <> width then
+          Error.raisef ~relation:name ~severity:Error.Recoverable Error.Csv_arity
+            "Csv.load(%s): row %d (line %d): width %d, expected %d" name
+            ridx line (List.length row) width;
+        match tuple_of_bindings rel ~row:ridx ~line (List.combine order row) with
+        | Ok tuple -> tuple
+        | Error e -> raise (Error.Error e))
+      data_rows
+  in
+  let table = Table.create rel in
+  Table.insert_many table tuples;
   table
 
 let load_lenient ~header rel csv =
   let name = rel.Relation.name in
   let rows, syntax_errors = scan csv in
-  let table = Table.create rel in
   let attrs = rel.Relation.attrs in
   let entries = ref [] in
   let add ?row error = entries := { Quarantine.row; error } :: !entries in
@@ -236,7 +239,7 @@ let load_lenient ~header rel csv =
              (Printf.sprintf "column %S absent from input; filled with NULL" a)))
     attrs;
   let width = List.length order in
-  let kept = ref 0 in
+  let kept = ref [] in
   List.iter
     (fun (idx, line, row) ->
       let ridx = data_row_index ~header idx in
@@ -253,16 +256,16 @@ let load_lenient ~header rel csv =
                order row)
         in
         match tuple_of_bindings rel ~row:ridx ~line bindings with
-        | Ok tuple ->
-            Table.insert table tuple;
-            incr kept
+        | Ok tuple -> kept := tuple :: !kept
         | Error e -> add ~row:ridx e)
     data_rows;
+  let table = Table.create rel in
+  Table.insert_many table (List.rev !kept);
   let report =
     {
       Quarantine.relation = name;
       total_rows = List.length data_rows + !torn_data_rows;
-      kept = !kept;
+      kept = Table.cardinality table;
       entries = List.rev !entries;
     }
   in

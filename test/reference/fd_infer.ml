@@ -30,9 +30,11 @@ let holds_naive table (fd : Fd.t) =
 let holds_partition table (fd : Fd.t) =
   let lidx = Table.positions table fd.lhs in
   let keep tup = not (Tuple.has_null_at lidx tup) in
-  let p_lhs = Partition.of_table ~keep table fd.lhs in
+  let rows = Table.rows table in
+  let p_lhs = Partition.of_rows ~keep rows lidx in
   let p_both =
-    Partition.of_table ~keep table (Attribute.Names.union fd.lhs fd.rhs)
+    Partition.of_rows ~keep rows
+      (Table.positions table (Attribute.Names.union fd.lhs fd.rhs))
   in
   Partition.fd_holds ~lhs:p_lhs ~lhs_rhs:p_both
 
@@ -50,6 +52,7 @@ let discover_tane ?(max_lhs = 3) ?(supervise = Supervise.unlimited) ~rel table =
   let max_lhs = min max_lhs n in
   (* memoized stripped partitions keyed by canonical attribute sets *)
   let partitions : (string list, Partition.t) Hashtbl.t = Hashtbl.create 64 in
+  let rows = Table.rows table in
   let rec partition_of set =
     match Hashtbl.find_opt partitions set with
     | Some p -> p
@@ -57,7 +60,7 @@ let discover_tane ?(max_lhs = 3) ?(supervise = Supervise.unlimited) ~rel table =
         let p =
           match set with
           | [] -> invalid_arg "discover_tane: empty attribute set"
-          | [ a ] -> Partition.of_table table [ a ]
+          | [ a ] -> Partition.of_rows rows (Table.positions table [ a ])
           | a :: rest -> Partition.product (partition_of [ a ]) (partition_of rest)
         in
         Hashtbl.add partitions set p;

@@ -68,6 +68,9 @@ let to_string v =
 
 let fail fmt = Printf.ksprintf (fun m -> raise (Parse_error m)) fmt
 
+(* the library's nesting cap, so both refuse the same documents *)
+let max_depth = Relational.Json.max_depth
+
 type state = { text : string; mutable pos : int }
 
 let peek st =
@@ -186,10 +189,12 @@ let parse_number st =
     | Some f -> Float f
     | None -> fail "bad number %S at offset %d" s start
 
-let rec parse_value st =
+let rec parse_value ~depth st =
   skip_ws st;
   match peek st with
   | None -> fail "unexpected end of input"
+  | Some ('{' | '[') when depth = max_depth ->
+      fail "nesting deeper than %d at offset %d" max_depth st.pos
   | Some '{' ->
       st.pos <- st.pos + 1;
       skip_ws st;
@@ -204,7 +209,7 @@ let rec parse_value st =
           let k = parse_string st in
           skip_ws st;
           expect st ':';
-          let v = parse_value st in
+          let v = parse_value ~depth:(depth + 1) st in
           fields := (k, v) :: !fields;
           skip_ws st;
           match peek st with
@@ -227,7 +232,7 @@ let rec parse_value st =
       else begin
         let items = ref [] in
         let rec item () =
-          let v = parse_value st in
+          let v = parse_value ~depth:(depth + 1) st in
           items := v :: !items;
           skip_ws st;
           match peek st with
@@ -248,7 +253,7 @@ let rec parse_value st =
 
 let of_string text =
   let st = { text; pos = 0 } in
-  let v = parse_value st in
+  let v = parse_value ~depth:0 st in
   skip_ws st;
   if st.pos <> String.length text then
     fail "trailing garbage at offset %d" st.pos;

@@ -2,9 +2,8 @@ open Relational
 
 type t = { groups : int array array; n_rows : int }
 
-let of_table ?keep table attrs =
-  let idx = Table.positions table attrs in
-  let grouped = Hashtbl.create (max 16 (Table.cardinality table)) in
+let of_rows ?keep rows idx =
+  let grouped = Hashtbl.create (max 16 (Array.length rows)) in
   Array.iteri
     (fun i tup ->
       let kept = match keep with None -> true | Some f -> f tup in
@@ -13,7 +12,7 @@ let of_table ?keep table attrs =
         let prev = try Hashtbl.find grouped key with Not_found -> [] in
         Hashtbl.replace grouped key (i :: prev)
       end)
-    (Table.rows table);
+    rows;
   let groups =
     Hashtbl.fold
       (fun _ members acc ->
@@ -22,7 +21,9 @@ let of_table ?keep table attrs =
         | _ -> Array.of_list (List.rev members) :: acc)
       grouped []
   in
-  { groups = Array.of_list groups; n_rows = Table.cardinality table }
+  { groups = Array.of_list groups; n_rows = Array.length rows }
+
+let of_table ?keep table attrs = of_rows ?keep (Table.rows table) (Table.positions table attrs)
 
 let num_groups t = Array.length t.groups
 

@@ -13,6 +13,11 @@ type t = private {
   n_rows : int;
 }
 
+val of_rows : ?keep:(Relational.Tuple.t -> bool) -> Tuple.t array -> int array -> t
+(** Stripped partition of rows on the given positions: what
+    {!of_table} computes, for callers that read a table's rows once
+    ([Table.rows] decodes on every call). *)
+
 val of_table : ?keep:(Relational.Tuple.t -> bool) -> Table.t -> string list -> t
 (** Stripped partition of the table on the given attributes. Rows
     rejected by [keep] (default: all kept) are excluded — used to drop

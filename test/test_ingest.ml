@@ -161,7 +161,7 @@ let test_parallel_equivalence () =
 (* -- dictionaries: codes and first-occurrence order ------------------- *)
 
 let check_store_eq msg t1 t2 =
-  let s1 = Column_store.of_table t1 and s2 = Column_store.of_table t2 in
+  let s1 = Table.store t1 and s2 = Table.store t2 in
   List.iter
     (fun a ->
       let c1 = Column_store.column s1 a and c2 = Column_store.column s2 a in
@@ -242,7 +242,7 @@ let check_vs_reference ?pool what rel text =
     [ `Strict; `Quarantine ]
 
 let dict_of t a =
-  Column_store.column_dict (Column_store.column (Column_store.of_table t) a)
+  Column_store.column_dict (Column_store.column (Table.store t) a)
 
 let quarantined rel text =
   match Csv.load ~mode:`Quarantine rel text with
@@ -353,7 +353,7 @@ let test_int_spellings () =
   let kept = List.filter (fun s -> parsed s <> None) int_spellings in
   let codes =
     Column_store.column_codes
-      (Column_store.column (Column_store.of_table (quarantined rel text)) "i")
+      (Column_store.column (Table.store (quarantined rel text)) "i")
   in
   List.iteri
     (fun r1 s1 ->
@@ -442,7 +442,7 @@ let spell_csv rows = String.concat "\r\n" ("i,f,b,d,u" :: rows) ^ "\r\n"
 
 let code_of t a row =
   (Column_store.column_codes
-     (Column_store.column (Column_store.of_table t) a)).(row)
+     (Column_store.column (Table.store t) a)).(row)
 
 let test_spellings () =
   let clean = spell_csv (spell_rows @ [ "0x10,1.0,1,2021-01-01,16" ]) in
@@ -558,29 +558,28 @@ let test_plain_decimals () =
         cells (Table.to_lists t)
   | Error e -> Alcotest.failf "decimals: %s" (Error.to_string e)
 
-(* -- laziness --------------------------------------------------------- *)
+(* -- rows decode from the store ---------------------------------------- *)
 
-let test_lazy_rows () =
+(* a loaded table's rows are decoded from its store on each call: they
+   equal the reference loader's rows after the load, an append and a
+   delete *)
+let test_rows_decode () =
   let csv = "id,tag\r\n1,x\r\n2,y\r\n3,x\r\n" in
-  match Csv.load bypass_rel csv with
-  | Ok (t, _) ->
-      Alcotest.(check bool)
-        "rows deferred after load" false (Table.materialized t);
-      Alcotest.(check int)
-        "cardinality without materializing" 3 (Table.cardinality t);
-      Alcotest.(check bool)
-        "still deferred after cardinality" false (Table.materialized t);
-      let rows = Table.rows t in
-      Alcotest.(check int) "materialized count" 3 (Array.length rows);
-      Alcotest.(check bool)
-        "materialized after rows" true (Table.materialized t);
+  match (Csv.load bypass_rel csv, Reference.Csv.load bypass_rel csv) with
+  | Ok (t, _), Ok (r, _) ->
+      Alcotest.check value_rows "after load" (Table.to_lists r) (Table.to_lists t);
+      List.iter
+        (fun t ->
+          Table.insert t [ vi 4; vs "z" ];
+          Table.delete_rows t [ 1 ])
+        [ t; r ];
+      Alcotest.check value_rows "after an append and a delete" (Table.to_lists r)
+        (Table.to_lists t);
       Alcotest.(check (list (list value)))
         "contents"
-        [
-          [ vi 1; vs "x" ]; [ vi 2; vs "y" ]; [ vi 3; vs "x" ];
-        ]
+        [ [ vi 1; vs "x" ]; [ vi 3; vs "x" ]; [ vi 4; vs "z" ] ]
         (Table.to_lists t)
-  | Error e -> Alcotest.failf "load failed: %s" (Error.to_string e)
+  | Error e, _ | _, Error e -> Alcotest.failf "load failed: %s" (Error.to_string e)
 
 (* -- golden edge cases ------------------------------------------------ *)
 
@@ -698,7 +697,7 @@ let suite =
     Alcotest.test_case "many spellings, one code" `Quick test_spellings;
     Alcotest.test_case "plain decimals are bit-exact" `Quick
       test_plain_decimals;
-    Alcotest.test_case "rows materialize lazily" `Quick test_lazy_rows;
+    Alcotest.test_case "rows decode from the store" `Quick test_rows_decode;
     Alcotest.test_case "golden edge cases" `Quick test_golden_edges;
     Alcotest.test_case "load_file roundtrip and Io_error" `Quick
       test_load_file;

@@ -193,8 +193,24 @@ let test_corrupted_documents () =
     [ {|"\u12|}; {|"\u|}; {|"\|}; {|"\q"|}; {|"abc|}; {|{"k":"v|}; {|["a\n|};
       {|"\ud8|}; deep ]
 
+(* nesting is capped: the cap itself parses, one level more is
+   refused by the library and the reference alike *)
+let test_nesting_cap () =
+  let nested n = String.make n '[' ^ String.make n ']' in
+  Alcotest.(check bool) "max_depth levels parse" true
+    (Json.of_string_opt (nested Json.max_depth) <> None);
+  let deeper = nested (Json.max_depth + 1) in
+  match (outcome Json.of_string deeper, outcome Reference.Json.of_string deeper) with
+  | Error a, Error b ->
+      Alcotest.(check string) "same error" b a;
+      Alcotest.(check string) "the cap names itself"
+        (Printf.sprintf "nesting deeper than %d at offset %d" Json.max_depth Json.max_depth)
+        a
+  | _ -> Alcotest.fail "one level past the cap was accepted"
+
 let suite =
   [
+    Alcotest.test_case "nesting is capped" `Quick test_nesting_cap;
     Alcotest.test_case "printer goldens for every escape" `Quick
       test_print_goldens;
     Alcotest.test_case "parser goldens for every escape" `Quick

@@ -59,7 +59,7 @@ let load_both text =
   | _ -> Alcotest.fail "csv load failed"
 
 let check_stores_identical msg t1 t2 =
-  let s1 = Column_store.of_table t1 and s2 = Column_store.of_table t2 in
+  let s1 = Table.store t1 and s2 = Table.store t2 in
   List.iter
     (fun a ->
       let c1 = Column_store.column s1 a and c2 = Column_store.column s2 a in
@@ -86,7 +86,7 @@ let test_boundary_equivalence () =
                 (Printf.sprintf "n=%d card=%d" n cardinality)
                 t1 t2;
               (* the builder-made store really is segmented *)
-              let r = Column_store.residency (Column_store.of_table t1) in
+              let r = Column_store.residency (Table.store t1) in
               Alcotest.(check int)
                 (Printf.sprintf "n=%d: sealed count" n)
                 (n / 16 * 2) (* two columns *)
@@ -112,9 +112,9 @@ let test_wide_dictionaries () =
       done;
       let t1, t2 = load_both (Buffer.contents b) in
       check_stores_identical "width 32" t1 t2;
-      let c = Column_store.column (Column_store.of_table t1) "k" in
+      let c = Column_store.column (Table.store t1) "k" in
       ignore c;
-      let r = Column_store.residency (Column_store.of_table t1) in
+      let r = Column_store.residency (Table.store t1) in
       (* the k column needs 32-bit codes once the dictionary passes
          65536 entries *)
       Alcotest.(check bool) "a 32-bit segment exists" true
@@ -140,10 +140,9 @@ let test_spill_roundtrip () =
     (fun () ->
       Ooc.reset_stats ();
       let t = table "R" [ "k"; "g"; "h" ] (skew_rows 200) in
-      let s = Column_store.of_table t in
-      Column_store.ensure_columns s [ "k"; "g"; "h" ];
-      (* 64 words cannot hold two 32-row segments: the encode pass
-         itself must have spilled *)
+      let s = Table.store t in
+      (* 64 words cannot hold two 32-row segments: the inserts
+         themselves must have spilled *)
       let st = Ooc.stats () in
       Alcotest.(check bool) "segments spilled" true (st.Ooc.spill_writes > 0);
       let r = Column_store.residency s in
@@ -192,12 +191,13 @@ let check_multi msg (t1, a1) (t2, a2) =
   check_join_counts msg (t1, a1) (t2, a2);
   List.iter
     (fun (t, attrs) ->
+      let rel = Relation.make "P" attrs in
       Alcotest.check value_rows
         (msg ^ ": distinct projection")
         (Reference.Counts.project ~non_null:[ List.hd attrs ] t attrs)
         (Table.to_lists
-           (Column_store.project ~distinct:[ List.hd attrs ]
-              (Column_store.of_table t) (Relation.make "P" attrs))))
+           (Table.of_store rel
+              (Column_store.project ~distinct:[ List.hd attrs ] (Table.store t) rel))))
     [ (t1, a1); (t2, a2) ]
 
 (* A two-attribute pair with small dictionaries: the right side spells
@@ -299,29 +299,30 @@ let test_delete_compaction () =
   Ooc.with_config ~segment_rows:8 (fun () ->
       let attrs = [ "a"; "b"; "c" ] in
       let t = table "R" attrs (mod_rows 50) in
-      let s = Column_store.of_table t in
-      Column_store.ensure_columns s attrs;
+      let s = Table.store t in
+      (* a memo, so the refreshes below report on this store *)
+      ignore (Column_store.count_distinct s attrs);
       (* tail-only delete (rows 48,49 sit past the 6th sealed segment):
          counts stay exact through the tail liveness fallback *)
       Table.delete_rows t [ 48; 49 ];
-      (match Column_store.refresh_all [ t ] with
+      (match Column_store.refresh_all [ s ] with
       | [ Some (Column_store.Store_absorbed 2) ] -> ()
       | _ -> Alcotest.fail "expected a 2-row absorb");
       Alcotest.(check int) "distinct a after tail delete" 13
         (Column_store.count_distinct s [ "a" ]);
       Alcotest.(check int) "distinct c after tail delete" 48
         (Column_store.count_distinct s [ "c" ]);
-      (* the next append reclaims dead tail codes: the store is now
-         exactly a fresh encode of the surviving rows *)
+      (* the delete reclaimed the dead tail codes: through an append
+         the store is exactly a fresh encode of the surviving rows *)
       Table.insert t [ vi 99; vs "s99"; vi 999 ];
-      (match Column_store.refresh_all [ t ] with
+      (match Column_store.refresh_all [ s ] with
       | [ Some (Column_store.Store_absorbed 1) ] -> ()
       | _ -> Alcotest.fail "expected a 1-row absorb");
       check_equals_fresh_encode "after tail reclaim" t s;
       (* deep delete (row 0 lives in the first sealed segment): full
          recompaction, again identical to a fresh encode *)
       Table.delete_rows t [ 0; 20; 40 ];
-      (match Column_store.refresh_all [ t ] with
+      (match Column_store.refresh_all [ s ] with
       | [ Some (Column_store.Store_absorbed 3) ] -> ()
       | _ -> Alcotest.fail "expected a 3-row absorb");
       check_equals_fresh_encode "after deep compaction" t s;
@@ -341,8 +342,7 @@ let test_fuzzed_mutations () =
             (List.init n (fun _ ->
                  [ vi (rand 9); vs (Printf.sprintf "s%d" (rand 6)) ]))
         in
-        let s = Column_store.of_table t in
-        Column_store.ensure_columns s attrs;
+        let s = Table.store t in
         ignore (Column_store.count_distinct s [ "a" ]);
         for _ = 1 to 4 do
           (match rand 3 with
@@ -356,7 +356,7 @@ let test_fuzzed_mutations () =
                 Table.delete_rows t
                   (List.sort_uniq compare [ rand m; rand m ])
           | _ -> Table.insert t [ vi (rand 20); vs "fresh" ]);
-          ignore (Column_store.refresh_all [ t ])
+          ignore (Column_store.refresh_all [ s ])
         done;
         check_equals_fresh_encode (Printf.sprintf "round %d" round) t s;
         (* verdicts over the mutated store match the reference *)

@@ -240,8 +240,8 @@ let partition_props =
   ]
 
 let join_count t1 a1 t2 a2 =
-  Column_store.equijoin_distinct_count (Column_store.of_table t1) a1
-    (Column_store.of_table t2) a2
+  Column_store.equijoin_distinct_count (Table.store t1) a1
+    (Table.store t2) a2
 
 (* IND count-based test = materialized test *)
 let ind_props =

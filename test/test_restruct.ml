@@ -192,7 +192,7 @@ let structural = Alcotest.testable Value.pp (fun a b -> Stdlib.compare a b = 0)
 (* every column of [t], dictionary and codes, is what a fresh encode of
    its rows assigns *)
 let check_fresh_encode msg t =
-  let s = Column_store.of_table t and cold = cold_store t in
+  let s = Table.store t and cold = cold_store t in
   List.iter
     (fun a ->
       let got = Column_store.column s a and want = Column_store.column cold a in
@@ -346,8 +346,7 @@ let test_moves_from_spilled_segments () =
             ])
       in
       let db = database [ (Relation.make "W" [ "id"; "ref"; "payload"; "h" ], rows) ] in
-      let s = Column_store.of_table (Database.table db "W") in
-      Column_store.ensure_columns s [ "id"; "ref"; "payload"; "h" ];
+      let s = Table.store (Database.table db "W") in
       Alcotest.(check bool) "source segments spilled" true
         ((Column_store.residency s).Column_store.spilled_segments > 0);
       let loads = (Ooc.stats ()).Ooc.map_loads in

@@ -410,6 +410,17 @@ let test_malformed_frames () =
   Protocol.write_frame fd (Protocol.request "ping" []);
   Alcotest.(check string) "still alive" "ok" (response_code fd)
 
+(* a largest-possible frame of '[' is refused at the nesting cap, and
+   the daemon goes on serving *)
+let test_deep_frame_keeps_serving () =
+  with_server @@ fun server ->
+  let fd = raw_connect server in
+  Fun.protect ~finally:(fun () -> try Unix.close fd with _ -> ())
+  @@ fun () ->
+  send_raw fd (String.make Protocol.max_frame '[');
+  Alcotest.(check string) "bad-json" "bad-json" (response_code fd);
+  with_client server @@ fun c -> Alcotest.(check bool) "a new connection is served" true (Client.ping c)
+
 let test_oversize_frame_closes_connection () =
   with_server @@ fun server ->
   let fd = raw_connect server in
@@ -897,6 +908,8 @@ let suite =
       test_budget_trip_is_typed;
     Alcotest.test_case "malformed frames get typed errors" `Quick
       test_malformed_frames;
+    Alcotest.test_case "a maximal deep frame gets a typed error" `Quick
+      test_deep_frame_keeps_serving;
     Alcotest.test_case "oversize frame closes the connection" `Quick
       test_oversize_frame_closes_connection;
     Alcotest.test_case "L207 diagnostics over the wire" `Quick

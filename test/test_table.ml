@@ -18,13 +18,47 @@ let test_insert_arity () =
     (Invalid_argument "Table.insert(T): arity mismatch (2, expected 3)")
     (fun () -> Table.insert t [ vi 9; vs "x" ])
 
-let test_rows_cache () =
+(* rows decode from the store on each call: after a load, an append and
+   a delete they are the reference row list *)
+let test_rows_decode () =
   let t = sample () in
-  let r1 = Table.rows t in
-  Alcotest.(check bool) "cache reused" true (r1 == Table.rows t);
+  let want =
+    [
+      [ vi 1; vs "lyon"; vi 500 ];
+      [ vi 2; vs "paris"; vi 2000 ];
+      [ vi 3; vs "lyon"; vi 500 ];
+      [ vi 4; vnull; vi 100 ];
+    ]
+  in
+  Alcotest.check value_rows "after the inserts" want (Table.to_lists t);
   Table.insert t [ vi 5; vs "nice"; vi 300 ];
-  Alcotest.(check int) "cache invalidated" 5 (Array.length (Table.rows t));
-  Alcotest.(check value) "insertion order" (vi 1) (Table.rows t).(0).(0)
+  Table.delete_rows t [ 1; 2 ];
+  let want = [ List.nth want 0; List.nth want 3; [ vi 5; vs "nice"; vi 300 ] ] in
+  Alcotest.check value_rows "after an append and a delete" want (Table.to_lists t);
+  Alcotest.(check bool) "a fresh array per call" true (Table.rows t != Table.rows t)
+
+(* a view under a constraint-only schema (what Key_infer installs)
+   shares its table's store: a mutation through either is seen by both *)
+let test_view_shares_mutations () =
+  let t = sample () in
+  let view = Table.with_schema t (Relation.add_unique (Table.schema t) [ "city"; "pop" ]) in
+  let same msg =
+    Alcotest.check value_rows (msg ^ ": rows") (Table.to_lists t) (Table.to_lists view);
+    Alcotest.(check int) (msg ^ ": cardinality") (Table.cardinality t) (Table.cardinality view);
+    Alcotest.(check int) (msg ^ ": version") (Table.version t) (Table.version view);
+    Alcotest.(check int)
+      (msg ^ ": distinct cities")
+      (Column_store.count_distinct (Table.store t) [ "city" ])
+      (Column_store.count_distinct (Table.store view) [ "city" ])
+  in
+  Table.insert view [ vi 5; vs "nice"; vi 300 ];
+  same "insert through the view";
+  Alcotest.(check int) "the table sees it" 5 (Table.cardinality t);
+  Table.delete_rows t [ 0; 4 ];
+  same "delete through the table";
+  Alcotest.(check int) "the view sees it" 3 (Table.cardinality view);
+  Alcotest.(check int) "distinct cities" 2
+    (Column_store.count_distinct (Table.store view) [ "city" ])
 
 let test_count_distinct () =
   let t = sample () in
@@ -47,7 +81,7 @@ let test_equijoin_count () =
     table "S" [ "town" ]
       [ [ vs "paris" ]; [ vs "lyon" ]; [ vs "berlin" ]; [ vnull ] ]
   in
-  let s1 = Column_store.of_table t1 and s2 = Column_store.of_table t2 in
+  let s1 = Table.store t1 and s2 = Table.store t2 in
   Alcotest.(check int) "intersection" 2
     (Column_store.equijoin_distinct_count s1 [ "city" ] s2 [ "town" ]);
   Alcotest.(check int) "symmetric" 2
@@ -104,7 +138,9 @@ let test_select () =
 let suite =
   [
     Alcotest.test_case "insert and arity" `Quick test_insert_arity;
-    Alcotest.test_case "row cache" `Quick test_rows_cache;
+    Alcotest.test_case "rows decode from the store" `Quick test_rows_decode;
+    Alcotest.test_case "a view shares its table's mutations" `Quick
+      test_view_shares_mutations;
     Alcotest.test_case "count distinct" `Quick test_count_distinct;
     Alcotest.test_case "project distinct" `Quick test_project_distinct;
     Alcotest.test_case "equijoin distinct count" `Quick test_equijoin_count;
