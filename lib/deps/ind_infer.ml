@@ -21,11 +21,7 @@ let store db rel = Table.store (Database.table db rel)
    multiplicity do not matter) *)
 let effective_domain db (rel, a, declared) =
   match declared with
-  | Domain.Unknown ->
-      Array.fold_left
-        (fun acc v -> Domain.lub acc (Domain.of_value v))
-        Domain.Unknown
-        (Column_store.column_dict (Column_store.column (store db rel) a))
+  | Domain.Unknown -> Column_store.column_domain (Column_store.column (store db rel) a)
   | d -> d
 
 let discover_unary db =

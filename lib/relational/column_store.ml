@@ -38,37 +38,10 @@ type segment = {
   mutable seg_path : string option;  (* spill file, once written *)
 }
 
-(* Flat open-addressing intern tables (see the interning section).
-   The String side of [vtab], keyed by bytes: interleaved [hash; code]
-   pairs (hash 0 marks an empty slot, so stored hashes are [lor 1])
-   and a parallel key array. *)
-type stab = {
-  mutable s_cap : int;  (* power of two *)
-  mutable s_size : int;
-  mutable s_hc : int array;
-  mutable s_keys : string array;
-}
-
-type vtab = {
-  mutable v_cap : int;  (* power of two *)
-  mutable v_size : int;
-  mutable v_hs : int array;  (* 0 = empty slot, else [hash lor 1] *)
-  mutable v_keys : Value.t array;
-  mutable v_codes : int array;
-  mutable n_cap : int;  (* the Value.Int side, unboxed *)
-  mutable n_size : int;
-  mutable n_tab : int array;  (* interleaved [key; code] pairs *)
-  strs : stab;  (* the Value.String side, keyed by bytes *)
-  mutable st_side : int;  (* a staged miss (see [vtab_reserve]): its side *)
-  mutable st_slot : int;  (* its slot *)
-  mutable st_word : int;  (* its int key, or its hash *)
-}
-
-(* Growable vectors: a length kept beside a capacity that doubles, so
-   one more element costs amortized O(1). A store fresh from a load
-   holds them at exact length. *)
+(* A growable code vector: a length kept beside a capacity that
+   doubles, so one more code costs amortized O(1). A store fresh from a
+   load holds it at exact length. *)
 type vec = { mutable data : int array; mutable len : int }
-type dvec = { mutable ddata : Value.t array; mutable dlen : int }
 
 let vec_push v x =
   if v.len = Array.length v.data then begin
@@ -79,24 +52,12 @@ let vec_push v x =
   v.data.(v.len) <- x;
   v.len <- v.len + 1
 
-let dvec_push d v =
-  if d.dlen = Array.length d.ddata then begin
-    let a = Array.make (max 16 (2 * d.dlen)) Value.Null in
-    Array.blit d.ddata 0 a 0 d.dlen;
-    d.ddata <- a
-  end;
-  d.ddata.(d.dlen) <- v;
-  d.dlen <- d.dlen + 1
-
 let trim_vec v = if Array.length v.data > v.len then v.data <- Array.sub v.data 0 v.len
-
-let trim_dvec d =
-  if Array.length d.ddata > d.dlen then d.ddata <- Array.sub d.ddata 0 d.dlen
 
 type column = {
   mutable segs : segment array;  (* sealed, immutable, [seg_rows] rows each *)
   tail : vec;  (* open remainder; 0 is the reserved NULL code *)
-  dict : dvec;  (* code -> value; dict.(0) = Null *)
+  mutable dict : Dict.t;  (* code <-> value, with its intern table *)
   mutable nulls : int;  (* rows holding NULL in this column *)
   mutable sealed_dict : int;
       (* codes < sealed_dict are guaranteed to occur in the sealed
@@ -105,15 +66,6 @@ type column = {
          sealed_dict live only in the tail — the only region deletes
          can orphan them from, so a tail delete reclaims dead codes by
          scanning the tail alone. *)
-  mutable interner : vtab option;
-      (* value -> code over [dict], built from it on first need (see
-         [intern_value]; a join count probing this column builds it at
-         once) and kept exact, so later appends intern and later probes
-         translate in O(1) per value; dropped when a delete reaching
-         sealed rows renumbers the column, and by a finished load *)
-  mutable scanned : int;
-      (* dictionary entries [intern_value] has read while the column
-         had no intern table *)
 }
 
 (* The distinct code tuples of a column list (see [dedup_codes]). *)
@@ -333,7 +285,9 @@ let column_codes (col : column) =
   Array.blit col.tail.data 0 out ns col.tail.len;
   out
 
-let column_dict (col : column) = Array.sub col.dict.ddata 0 col.dict.dlen
+let column_dict (col : column) = Dict.to_array col.dict
+let column_strings (col : column) = Dict.to_strings col.dict
+let column_domain (col : column) = Dict.domain col.dict
 
 (* Iterate the row blocks of [cols] in row order: every sealed segment
    (a store's columns all seal at the same fixed boundaries, so block
@@ -366,11 +320,9 @@ let empty_column () =
   {
     segs = [||];
     tail = { data = [||]; len = 0 };
-    dict = { ddata = [| Value.Null |]; dlen = 1 };
+    dict = Dict.create ();
     nulls = 0;
     sealed_dict = 1;
-    interner = None;
-    scanned = 0;
   }
 
 let create rel =
@@ -438,432 +390,6 @@ let row_done t =
         col.tail.len <- 0)
       t.columns
 
-(* ------------------------------------------------------------------ *)
-(* interning                                                           *)
-(* ------------------------------------------------------------------ *)
-
-(* Flat open-addressing intern table, one per column, shared by every
-   append (row inserts, loads, merges). Same key semantics as a
-   polymorphic hashtable — [compare _ _ = 0] for identity — with codes
-   assigned in first-occurrence order; but probing flat arrays
-   allocates nothing per lookup, which matters when every cell of a
-   column passes through.
-
-   The two constructors every bulk column is made of get unboxed side
-   tables: [Value.Int] keys by the int itself, [Value.String] keys by
-   its bytes — so a probe hashes and compares no box, and the loader
-   can look a raw CSV cell up before (or instead of) building a value.
-   Cross-constructor values never compare equal, so partitioning by
-   constructor cannot change identity. *)
-
-let stab_create cap =
-  { s_cap = cap; s_size = 0; s_hc = Array.make (2 * cap) 0; s_keys = Array.make cap "" }
-
-(* the int side keys slots directly by value; [min_int] marks an
-   empty slot (Int min_int itself goes through the boxed side), whose
-   code word is never read *)
-let ntab_make cap = Array.make (2 * cap) min_int
-
-(* the smallest power of two that holds [n] keys at most half full *)
-let cap_for n =
-  let c = ref 16 in
-  while !c < 2 * (n + 1) do
-    c := 2 * !c
-  done;
-  !c
-
-(* sized for the given number of keys per side, so filling it from a
-   dictionary never grows it *)
-let vtab_create ?(ints = 0) ?(strs = 0) ?(boxed = 0) () =
-  let v = cap_for boxed and n = cap_for ints in
-  {
-    v_cap = v;
-    v_size = 0;
-    v_hs = Array.make v 0;
-    v_keys = Array.make v Value.Null;
-    v_codes = Array.make v 0;
-    n_cap = n;
-    n_size = 0;
-    n_tab = ntab_make n;
-    strs = stab_create (cap_for strs);
-    st_side = 0;
-    st_slot = 0;
-    st_word = 0;
-  }
-
-(* Placement only, never identity. Low bits pass through so runs of
-   sequential keys occupy sequential slots (cache-friendly inserts and
-   rehashes); high bits are folded in so huge keys still spread. *)
-let int_hash n = (n lxor (n lsr 32)) land max_int
-
-(* Stored hashes of the bytes and boxed sides are [h lor 1]; they are
-   placed by [h lsr 1], since the low bit is always set and placing by
-   it would leave every even slot without a home. *)
-let home h mask = (h lsr 1) land mask
-
-let ntab_slot t n =
-  let mask = t.n_cap - 1 in
-  let i = ref (int_hash n land mask) in
-  while
-    let k = Array.unsafe_get t.n_tab (2 * !i) in
-    k <> min_int && k <> n
-  do
-    i := (!i + 1) land mask
-  done;
-  !i
-
-let ntab_grow t =
-  let old = t.n_tab and old_cap = t.n_cap in
-  let cap = t.n_cap * 2 in
-  t.n_cap <- cap;
-  t.n_tab <- ntab_make cap;
-  let mask = cap - 1 in
-  for j = 0 to old_cap - 1 do
-    let k = old.(2 * j) in
-    if k <> min_int then begin
-      let i = ref (int_hash k land mask) in
-      while t.n_tab.(2 * !i) <> min_int do
-        i := (!i + 1) land mask
-      done;
-      t.n_tab.(2 * !i) <- k;
-      t.n_tab.((2 * !i) + 1) <- old.((2 * j) + 1)
-    end
-  done
-
-(* The one string hash: FNV-1a over a byte range, so the loader hashes
-   a CSV cell in place, and a string hashes the same as its bytes do.
-   The final fold brings high bits down to the low ones [home] places
-   by (FNV's low bits mix poorly). *)
-let bytes_hash buf off len =
-  let h = ref 0x2bf29ce484222325 in
-  for i = off to off + len - 1 do
-    h := (!h lxor Char.code (Bytes.unsafe_get buf i)) * 0x100000001b3
-  done;
-  !h lxor (!h lsr 29) lor 1
-
-(* does [key] spell the bytes [buf.[off] .. buf.[off+len-1]]? *)
-let key_is key buf off len =
-  String.length key = len
-  &&
-  let i = ref 0 in
-  while
-    !i < len && String.unsafe_get key !i = Bytes.unsafe_get buf (off + !i)
-  do
-    incr i
-  done;
-  !i = len
-
-(* indices are masked to the (power-of-two) capacity, so the
-   unchecked reads cannot go out of bounds *)
-let stab_slot t h buf off len =
-  let mask = t.s_cap - 1 in
-  let i = ref (home h mask) in
-  while
-    let h' = Array.unsafe_get t.s_hc (2 * !i) in
-    h' <> 0
-    && not (h' = h && key_is (Array.unsafe_get t.s_keys !i) buf off len)
-  do
-    i := (!i + 1) land mask
-  done;
-  !i
-
-(* keys are distinct, so each goes to the first empty slot from its
-   home: no key is read, only moved *)
-let stab_grow t =
-  let old_hc = t.s_hc and old_keys = t.s_keys and old_cap = t.s_cap in
-  t.s_cap <- old_cap * 2;
-  t.s_hc <- Array.make (2 * t.s_cap) 0;
-  t.s_keys <- Array.make t.s_cap "";
-  let mask = t.s_cap - 1 in
-  for j = 0 to old_cap - 1 do
-    let h = old_hc.(2 * j) in
-    if h <> 0 then begin
-      let i = ref (home h mask) in
-      while t.s_hc.(2 * !i) <> 0 do
-        i := (!i + 1) land mask
-      done;
-      t.s_hc.(2 * !i) <- h;
-      t.s_hc.((2 * !i) + 1) <- old_hc.((2 * j) + 1);
-      t.s_keys.(!i) <- old_keys.(j)
-    end
-  done
-
-let vtab_slot t h v =
-  let mask = t.v_cap - 1 in
-  let i = ref (home h mask) in
-  while
-    let h' = Array.unsafe_get t.v_hs !i in
-    h' <> 0
-    && not (h' = h && Stdlib.compare (Array.unsafe_get t.v_keys !i) v = 0)
-  do
-    i := (!i + 1) land mask
-  done;
-  !i
-
-let vtab_grow t =
-  let old_hs = t.v_hs and old_keys = t.v_keys and old_codes = t.v_codes in
-  let cap = t.v_cap * 2 in
-  t.v_cap <- cap;
-  t.v_hs <- Array.make cap 0;
-  t.v_keys <- Array.make cap Value.Null;
-  t.v_codes <- Array.make cap 0;
-  let mask = cap - 1 in
-  Array.iteri
-    (fun j h ->
-      if h <> 0 then begin
-        let i = ref (home h mask) in
-        while t.v_hs.(!i) <> 0 do
-          i := (!i + 1) land mask
-        done;
-        t.v_hs.(!i) <- h;
-        t.v_keys.(!i) <- old_keys.(j);
-        t.v_codes.(!i) <- old_codes.(j)
-      end)
-    old_hs
-
-(* Inserting takes one probe. [vtab_reserve] first grows every side
-   that one more insert would take past half full, so the empty slot a
-   probe stops at stays valid until one insert: a miss is *staged*
-   there (its key already in the slot, its hash or key word still
-   empty, so no probe sees it) and [vtab_bind] binds it. *)
-let vtab_reserve t =
-  if (t.n_size + 1) * 2 > t.n_cap then ntab_grow t;
-  if (t.strs.s_size + 1) * 2 > t.strs.s_cap then stab_grow t.strs;
-  if (t.v_size + 1) * 2 > t.v_cap then vtab_grow t
-
-let stage t side i w =
-  t.st_side <- side;
-  t.st_slot <- i;
-  t.st_word <- w;
-  -1
-
-(* the code of [n <> min_int], or -1 with the miss staged *)
-let probe_int t n =
-  let i = ntab_slot t n in
-  if t.n_tab.(2 * i) <> min_int then t.n_tab.((2 * i) + 1) else stage t 0 i n
-
-(* the code of the string spelled by the bytes, or -1 with the miss
-   staged: as [key], or (when [key] is "") as a copy of the bytes *)
-let probe_str t buf off len key =
-  let st = t.strs and h = bytes_hash buf off len in
-  let i = stab_slot st h buf off len in
-  if st.s_hc.(2 * i) <> 0 then st.s_hc.((2 * i) + 1)
-  else begin
-    st.s_keys.(i) <- (if key = "" then Bytes.sub_string buf off len else key);
-    stage t 1 i h
-  end
-
-(* the code of [v] (NULL is 0), or -1 with the miss staged *)
-let vtab_probe t v =
-  match v with
-  | Value.Null -> 0
-  | Value.Int n when n <> min_int -> probe_int t n
-  | Value.String s ->
-      probe_str t (Bytes.unsafe_of_string s) 0 (String.length s) s
-  | _ ->
-      let h = Hashtbl.hash v lor 1 in
-      let i = vtab_slot t h v in
-      if t.v_hs.(i) <> 0 then t.v_codes.(i)
-      else begin
-        t.v_keys.(i) <- v;
-        stage t 2 i h
-      end
-
-(* bind the staged miss to [c] *)
-let vtab_bind t c =
-  let i = t.st_slot and w = t.st_word in
-  match t.st_side with
-  | 0 ->
-      t.n_tab.(2 * i) <- w;
-      t.n_tab.((2 * i) + 1) <- c;
-      t.n_size <- t.n_size + 1
-  | 1 ->
-      let st = t.strs in
-      st.s_hc.(2 * i) <- w;
-      st.s_hc.((2 * i) + 1) <- c;
-      st.s_size <- st.s_size + 1
-  | _ ->
-      t.v_hs.(i) <- w;
-      t.v_codes.(i) <- c;
-      t.v_size <- t.v_size + 1
-
-(* the staged miss of the column whose intern table is [t] and whose
-   dictionary is [d], interned as its next code: its value is built
-   from the staged key *)
-let commit_into t d =
-  let c = d.dlen in
-  dvec_push d
-    (match t.st_side with
-    | 0 -> Value.Int t.st_word
-    | 1 -> Value.String t.strs.s_keys.(t.st_slot)
-    | _ -> t.v_keys.(t.st_slot));
-  vtab_bind t c;
-  c
-
-(* the code of [v] in that column, interning it on a miss (the
-   dictionary keeps [v] itself) *)
-let intern_into t d v =
-  vtab_reserve t;
-  let c = vtab_probe t v in
-  if c >= 0 then c
-  else begin
-    let c = d.dlen in
-    vtab_bind t c;
-    dvec_push d v;
-    c
-  end
-
-(* the code of [v] in the column whose intern table is [t], or -1:
-   [intern_into]'s lookup, which writes nothing *)
-let vtab_find t v =
-  match v with
-  | Value.Null -> 0
-  | Value.Int n when n <> min_int ->
-      let i = ntab_slot t n in
-      if t.n_tab.(2 * i) <> min_int then t.n_tab.((2 * i) + 1) else -1
-  | Value.String s ->
-      let b = Bytes.unsafe_of_string s and n = String.length s in
-      let st = t.strs in
-      let i = stab_slot st (bytes_hash b 0 n) b 0 n in
-      if st.s_hc.(2 * i) <> 0 then st.s_hc.((2 * i) + 1) else -1
-  | _ ->
-      let i = vtab_slot t (Hashtbl.hash v lor 1) v in
-      if t.v_hs.(i) <> 0 then t.v_codes.(i) else -1
-
-(* Empty slot [i] of a linear-probing side of [cap] slots and close the
-   gap: each later entry of the probe run moves back into the hole
-   unless its home lies cyclically in (hole, j], so every remaining key
-   stays reachable from its home. *)
-let shift_delete ~cap ~occupied ~home ~move ~clear i =
-  let mask = cap - 1 in
-  clear i;
-  let hole = ref i and j = ref ((i + 1) land mask) in
-  while occupied !j do
-    let h = home !j in
-    let stays = if !hole <= !j then !hole < h && h <= !j else !hole < h || h <= !j in
-    if not stays then begin
-      move !j !hole;
-      clear !j;
-      hole := !j
-    end;
-    j := (!j + 1) land mask
-  done
-
-(* forget [v], which the column's table holds (a code dropped from
-   the dictionary) *)
-let vtab_remove t v =
-  match v with
-  | Value.Null -> ()
-  | Value.Int n when n <> min_int ->
-      let tab = t.n_tab and mask = t.n_cap - 1 in
-      shift_delete ~cap:t.n_cap
-        ~occupied:(fun j -> tab.(2 * j) <> min_int)
-        ~home:(fun j -> int_hash tab.(2 * j) land mask)
-        ~move:(fun j i ->
-          tab.(2 * i) <- tab.(2 * j);
-          tab.((2 * i) + 1) <- tab.((2 * j) + 1))
-        ~clear:(fun i -> tab.(2 * i) <- min_int)
-        (ntab_slot t n);
-      t.n_size <- t.n_size - 1
-  | Value.String s ->
-      let st = t.strs and b = Bytes.unsafe_of_string s and len = String.length s in
-      let mask = st.s_cap - 1 in
-      shift_delete ~cap:st.s_cap
-        ~occupied:(fun j -> st.s_hc.(2 * j) <> 0)
-        ~home:(fun j -> home st.s_hc.(2 * j) mask)
-        ~move:(fun j i ->
-          st.s_hc.(2 * i) <- st.s_hc.(2 * j);
-          st.s_hc.((2 * i) + 1) <- st.s_hc.((2 * j) + 1);
-          st.s_keys.(i) <- st.s_keys.(j))
-        ~clear:(fun i ->
-          st.s_hc.(2 * i) <- 0;
-          st.s_keys.(i) <- "")
-        (stab_slot st (bytes_hash b 0 len) b 0 len);
-      st.s_size <- st.s_size - 1
-  | _ ->
-      let mask = t.v_cap - 1 in
-      shift_delete ~cap:t.v_cap
-        ~occupied:(fun j -> t.v_hs.(j) <> 0)
-        ~home:(fun j -> home t.v_hs.(j) mask)
-        ~move:(fun j i ->
-          t.v_hs.(i) <- t.v_hs.(j);
-          t.v_keys.(i) <- t.v_keys.(j);
-          t.v_codes.(i) <- t.v_codes.(j))
-        ~clear:(fun i ->
-          t.v_hs.(i) <- 0;
-          t.v_keys.(i) <- Value.Null)
-        (vtab_slot t (Hashtbl.hash v lor 1) v);
-      t.v_size <- t.v_size - 1
-
-(* point [v], which the column's table holds, at code [c] (a code
-   renumbered in the dictionary) *)
-let vtab_rebind t v c =
-  match v with
-  | Value.Null -> ()
-  | Value.Int n when n <> min_int -> t.n_tab.((2 * ntab_slot t n) + 1) <- c
-  | Value.String s ->
-      let st = t.strs and b = Bytes.unsafe_of_string s and len = String.length s in
-      st.s_hc.((2 * stab_slot st (bytes_hash b 0 len) b 0 len) + 1) <- c
-  | _ -> t.v_codes.(vtab_slot t (Hashtbl.hash v lor 1) v) <- c
-
-(* the value -> code table over a column's dictionary, built from it
-   on first need *)
-let column_interner (col : column) =
-  match col.interner with
-  | Some tab -> tab
-  | None ->
-      let ints = ref 0 and strs = ref 0 in
-      for c = 1 to col.dict.dlen - 1 do
-        match col.dict.ddata.(c) with
-        | Value.Int n when n <> min_int -> incr ints
-        | Value.String _ -> incr strs
-        | _ -> ()
-      done;
-      let boxed = col.dict.dlen - 1 - !ints - !strs in
-      let tab = vtab_create ~ints:!ints ~strs:!strs ~boxed () in
-      for c = 1 to col.dict.dlen - 1 do
-        vtab_reserve tab;
-        ignore (vtab_probe tab col.dict.ddata.(c));
-        vtab_bind tab c
-      done;
-      col.interner <- Some tab;
-      tab
-
-(* the code of [v] in [d], or -1, by reading the dictionary; also the
-   entries read *)
-let dict_scan d v =
-  let same =
-    match v with
-    | Value.Int n -> ( function Value.Int m -> m = n | _ -> false)
-    | Value.String s -> ( function Value.String s' -> String.equal s s' | _ -> false)
-    | _ -> fun v' -> Stdlib.compare v v' = 0
-  in
-  let c = ref 1 in
-  while !c < d.dlen && not (same d.ddata.(!c)) do
-    incr c
-  done;
-  ((if !c < d.dlen then !c else -1), !c)
-
-(* The code of [v] in [col], interning it on a miss; NULL is always 0.
-   A column with no intern table (one fresh from a load) reads its
-   dictionary instead, until its lookups have read as many entries as
-   the dictionary holds, and only then builds the table: a few appended
-   rows never pay for an index over the whole dictionary, and many pay
-   at most twice the build. *)
-let intern_value (col : column) v =
-  match (v, col.interner) with
-  | Value.Null, _ -> 0
-  | _, Some tab -> intern_into tab col.dict v
-  | _, None when col.scanned >= col.dict.dlen -> intern_into (column_interner col) col.dict v
-  | _, None ->
-      let c, read = dict_scan col.dict v in
-      col.scanned <- col.scanned + read;
-      if c > 0 then c
-      else begin
-        dvec_push col.dict v;
-        col.dict.dlen - 1
-      end
-
 let pos_of t a =
   try Relation.attr_index t.rel a
   with Not_found ->
@@ -926,7 +452,7 @@ let keyset t attrs =
    distinct set (deletes drop dead codes as they compact). *)
 let count_distinct t attrs =
   match attrs with
-  | [ a ] -> (column t a).dict.dlen - 1
+  | [ a ] -> Dict.length (column t a).dict - 1
   | _ -> Hashtbl.length (keyset t attrs).ks_tuples
 
 let witness_count t attrs =
@@ -940,7 +466,7 @@ let unique t attrs =
 
 let prepare ?(probe = false) t attrs =
   (match attrs with [ _ ] -> () | _ -> ignore (keyset t attrs));
-  Array.iter (fun c -> if probe then ignore (column_interner c)) (columns t attrs)
+  Array.iter (fun c -> if probe then Dict.index c.dict) (columns t attrs)
 
 (* [f k] on every distinct NULL-free code tuple of [attrs] ([k] is a
    scratch buffer): a single attribute's are its dictionary's codes *)
@@ -948,7 +474,7 @@ let iter_keys t attrs f =
   match attrs with
   | [ a ] ->
       let k = [| 0 |] in
-      for c = 1 to (column t a).dict.dlen - 1 do
+      for c = 1 to Dict.length (column t a).dict - 1 do
         k.(0) <- c;
         f k
       done
@@ -961,14 +487,13 @@ let key_test t attrs =
 
 (* Write to [k'] the codes in [cols'] of the value tuple the code tuple
    [k] spells in [cols]; [false] when some component's value is absent
-   there. Each component is looked up in its peer column's interner, so
-   equality is structural [Value.t] equality, exactly as interning
-   partitions. *)
+   there. Each component is looked up in its peer column's intern
+   table, so equality is the identity interning partitions by. *)
 let translate (cols : column array) (cols' : column array) k k' =
   let rec go j =
     j = Array.length k
     ||
-    let d = vtab_find (column_interner cols'.(j)) cols.(j).dict.ddata.(k.(j)) in
+    let d = Dict.find_in cols'.(j).dict cols.(j).dict k.(j) in
     k'.(j) <- d;
     d > 0 && go (j + 1)
   in
@@ -1003,16 +528,13 @@ let equijoin_distinct_count t1 a1 t2 a2 =
       t2.watched <- true;
       !n
 
-let unary_included t1 a1 t2 a2 =
-  let d1 = (column t1 a1).dict and tab = column_interner (column t2 a2) in
-  let rec go c = c = d1.dlen || (vtab_find tab d1.ddata.(c) > 0 && go (c + 1)) in
-  go 1
+let unary_included t1 a1 t2 a2 = Dict.included (column t1 a1).dict (column t2 a2).dict
 
 let common_values t1 a1 t2 a2 =
   let cols = columns t1 a1 in
   let acc = ref [] in
   iter_join "common_values" t1 a1 t2 a2 (fun k1 ->
-      acc := Array.to_list (Array.mapi (fun j c -> cols.(j).dict.ddata.(c)) k1) :: !acc);
+      acc := Array.to_list (Array.mapi (fun j c -> Dict.get cols.(j).dict c) k1) :: !acc);
   !acc
 
 (* ------------------------------------------------------------------ *)
@@ -1132,7 +654,7 @@ let sweep_fused t lhs names =
       sw_lhs = Array.of_list (List.map (pos_of t) lhs);
       sw_rhs = positions;
       sw_names = names;
-      sw_gid = (if single then Array.make lcols.(0).dict.dlen (-1) else [||]);
+      sw_gid = (if single then Array.make (Dict.length lcols.(0).dict) (-1) else [||]);
       sw_tuple_gid =
         Hashtbl.create
           (if single then 0 else max 16 (min t.n_rows 65536 / 4 + 16));
@@ -1214,6 +736,7 @@ type residency = {
   spilled_segments : int;
   tail_rows : int;
   width_histogram : (int * int) list;
+  dict_words : int;
 }
 
 let residency t =
@@ -1239,6 +762,7 @@ let residency t =
     tail_rows = (if Array.length t.columns = 0 then 0 else t.columns.(0).tail.len);
     width_histogram =
       List.sort compare (Hashtbl.fold (fun w n acc -> (w, n) :: acc) widths []);
+    dict_words = Array.fold_left (fun acc (c : column) -> acc + Dict.heap_words c.dict) 0 t.columns;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -1251,7 +775,7 @@ let residency t =
 let sweep_delta t st (fresh : int array array) n =
   if st.sw_n_live > 0 && n > 0 then begin
     if Array.length st.sw_lhs = 1 then
-      gid_grow st t.columns.(st.sw_lhs.(0)).dict.dlen;
+      gid_grow st (Dict.length t.columns.(st.sw_lhs.(0)).dict);
     sweep_block st
       (Array.map (fun p -> fresh.(p)) st.sw_lhs)
       (Array.map (fun p -> fresh.(p)) st.sw_rhs)
@@ -1318,21 +842,20 @@ let patch_keysets_append t (fresh : int array array) n added =
    seen at or after [i0], can die or move. They are renumbered by first
    occurrence over the surviving rows from [i0] on and the dead ones
    dropped — exactly the dictionary a fresh encode of the surviving
-   rows would build. An intern table stays exact: the dropped values
-   leave it and the renumbered ones are rebound. When no row from [i0]
+   rows would build, its intern table kept exact. When no row from [i0]
    on held the newest code ([newest_after] false), that code occurs
    before [i0], so it is the largest there and nothing can die or move:
    the usual delete of rows appended since the last new value reads no
    survivor. *)
 let reclaim_tail (col : column) i0 ~newest_after =
-  let tail = col.tail and dict = col.dict in
-  let top = ref (if newest_after then col.sealed_dict - 1 else dict.dlen - 1) in
+  let tail = col.tail and len = Dict.length col.dict in
+  let top = ref (if newest_after then col.sealed_dict - 1 else len - 1) in
   if newest_after then
     for i = 0 to i0 - 1 do
       if tail.data.(i) > !top then top := tail.data.(i)
     done;
   let lo = !top + 1 in
-  let remap = Array.make (max 0 (dict.dlen - lo)) (-1) in
+  let remap = Array.make (max 0 (len - lo)) (-1) in
   let next = ref lo in
   for i = i0 to tail.len - 1 do
     let c = tail.data.(i) in
@@ -1341,21 +864,10 @@ let reclaim_tail (col : column) i0 ~newest_after =
       incr next
     end
   done;
-  let identity = ref (!next = dict.dlen) in
+  let identity = ref (!next = len) in
   Array.iteri (fun j c -> if c <> lo + j then identity := false) remap;
   if not !identity then begin
-    let moved = Array.sub dict.ddata lo (Array.length remap) in
-    (match col.interner with
-    | Some tab ->
-        Array.iteri
-          (fun j c ->
-            if c < 0 then vtab_remove tab moved.(j)
-            else if c <> lo + j then vtab_rebind tab moved.(j) c)
-          remap
-    | None -> ());
-    Array.iteri (fun j c -> if c >= 0 then dict.ddata.(c) <- moved.(j)) remap;
-    Array.fill dict.ddata !next (dict.dlen - !next) Value.Null;
-    dict.dlen <- !next;
+    Dict.reclaim col.dict ~lo remap ~next:!next;
     for i = i0 to tail.len - 1 do
       let c = tail.data.(i) in
       if c >= lo then tail.data.(i) <- remap.(c - lo)
@@ -1374,7 +886,7 @@ let compact_column t (col : column) idxs =
   let ns = Array.length col.segs * sr in
   let k = Array.length idxs in
   if idxs.(0) >= ns then begin
-    let tail = col.tail and newest = col.dict.dlen - 1 in
+    let tail = col.tail and newest = Dict.length col.dict - 1 in
     let data = tail.data in
     let i0 = idxs.(0) - ns in
     let j = ref i0 and d = ref 0 and newest_after = ref false in
@@ -1394,8 +906,8 @@ let compact_column t (col : column) idxs =
     reclaim_tail col i0 ~newest_after:!newest_after
   end
   else begin
-    let remap = Array.make col.dict.dlen (-1) in
-    let rev_dict = ref [] in
+    let remap = Array.make (Dict.length col.dict) (-1) in
+    let order = Array.make (Dict.length col.dict) 0 in
     let next = ref 1 in
     let nulls = ref 0 in
     let segs_acc = ref [] in
@@ -1426,7 +938,7 @@ let compact_column t (col : column) idxs =
               let m = !next in
               incr next;
               remap.(c) <- m;
-              rev_dict := col.dict.ddata.(c) :: !rev_dict;
+              order.(m) <- c;
               push m
             end
           end
@@ -1442,16 +954,12 @@ let compact_column t (col : column) idxs =
     consume ns col.tail.len col.tail.data;
     Array.iter release_segment col.segs;
     let segs = Array.of_list (List.rev !segs_acc) in
-    let dict = Array.of_list (Value.Null :: List.rev !rev_dict) in
     col.segs <- segs;
     col.tail.data <- Array.sub buf 0 !blen;
     col.tail.len <- !blen;
-    col.dict.ddata <- dict;
-    col.dict.dlen <- Array.length dict;
+    col.dict <- Dict.select col.dict order !next;
     col.nulls <- !nulls;
-    col.sealed_dict <- max_sealed_code segs 1;
-    col.interner <- None;
-    col.scanned <- 0
+    col.sealed_dict <- max_sealed_code segs 1
   end
 
 let reset_memos t =
@@ -1482,7 +990,7 @@ let begin_mutation t k ~rows_after =
           {
             base_uid = t.uid;
             base_rows = t.n_rows;
-            dict_before = Array.map (fun (c : column) -> c.dict.dlen) t.columns;
+            dict_before = Array.map (fun (c : column) -> Dict.length c.dict) t.columns;
             added;
             stashed = Hashtbl.fold (fun key n acc -> (key, n) :: acc) t.join_counts [];
             rows = 0;
@@ -1521,7 +1029,7 @@ let append t (rows : Value.t array array) =
       let row = rows.(i) in
       for p = 0 to Array.length cols - 1 do
         let col = cols.(p) in
-        let c = intern_value col row.(p) in
+        let c = Dict.intern col.dict row.(p) in
         push_code col c;
         if patch then fresh.(p).(i) <- c
       done;
@@ -1554,11 +1062,12 @@ let delete t idxs =
     Hashtbl.filter_map_inplace (fun _ v -> if v then Some v else None) t.fd_verdicts
   end
 
-(* every row, decoded: each column's codes once, then the tuples *)
+(* every row, decoded: each column's codes and values once, then the
+   tuples, which share each distinct value *)
 let decode t =
   let codes = Array.map column_codes t.columns in
-  Array.init t.n_rows (fun i ->
-      Array.mapi (fun p (c : column) -> c.dict.ddata.(codes.(p).(i))) t.columns)
+  let values = Array.map column_dict t.columns in
+  Array.init t.n_rows (fun i -> Array.mapi (fun p vals -> vals.(codes.(p).(i))) values)
 
 (* ------------------------------------------------------------------ *)
 (* coordinated refresh                                                 *)
@@ -1638,7 +1147,7 @@ let refresh_all stores =
     | Sum_appended { dict_before; _ }, [ a ] ->
         let pos = pos_of s a in
         let before = dict_before.(pos) in
-        Some (List.init (s.columns.(pos).dict.dlen - before) (fun i -> [| before + i |]))
+        Some (List.init (Dict.length s.columns.(pos).dict - before) (fun i -> [| before + i |]))
     | Sum_appended { tuples; _ }, _ -> Hashtbl.find_opt tuples attrs
   in
   (* the keys of [added] whose translation into [cols'] is a key there
@@ -1684,7 +1193,6 @@ let refresh_all stores =
 module Builder = struct
   type b = {
     store : store;
-    tabs : vtab array;  (* the store's intern tables, by position *)
     row : int array;  (* the open row's codes; -1 = staged miss *)
   }
 
@@ -1692,18 +1200,11 @@ module Builder = struct
 
   let create rel =
     let store = create rel in
-    {
-      store;
-      tabs = Array.map column_interner store.columns;
-      row = Array.make (Relation.arity rel) 0;
-    }
+    { store; row = Array.make (Relation.arity rel) 0 }
 
   (* the next code at [pos], for a value the caller knows is new to the
-     column: no intern-table probe, and no entry for later lookups *)
-  let fresh_code b pos v =
-    let d = b.store.columns.(pos).dict in
-    dvec_push d v;
-    d.dlen - 1
+     column: no intern-table probe *)
+  let fresh_code b pos src c = Dict.push_from b.store.columns.(pos).dict src c
 
   let append b codes =
     let cols = b.store.columns in
@@ -1714,25 +1215,21 @@ module Builder = struct
     done;
     row_done b.store
 
-  (* One probe per cell (see [vtab_reserve]): each column takes at most
+  (* One probe per cell (see [Dict.reserve]): each column takes at most
      one cell per row, so reserving every column's table when the row
      opens keeps each staged miss valid until the row ends. *)
-  let begin_row b =
-    for p = 0 to Array.length b.tabs - 1 do
-      vtab_reserve b.tabs.(p)
-    done
+  let begin_row b = Array.iter (fun (col : column) -> Dict.reserve col.dict) b.store.columns
 
   let cell b pos c =
     b.row.(pos) <- c;
     c
 
-  let cell_int b pos n =
-    cell b pos
-      (if n = min_int then vtab_probe b.tabs.(pos) (Value.Int n)
-       else probe_int b.tabs.(pos) n)
+  let cell_int b pos n = cell b pos (Dict.probe_int b.store.columns.(pos).dict n)
 
-  let cell_bytes b pos buf off len = cell b pos (probe_str b.tabs.(pos) buf off len "")
-  let cell_value b pos v = cell b pos (vtab_probe b.tabs.(pos) v)
+  let cell_bytes b pos buf off len =
+    cell b pos (Dict.probe_bytes b.store.columns.(pos).dict buf off len)
+
+  let cell_value b pos v = cell b pos (Dict.probe_value b.store.columns.(pos).dict v)
   let drop_row b = Array.fill b.row 0 (Array.length b.row) 0
 
   (* staged misses become codes in attribute order, the order a
@@ -1741,7 +1238,7 @@ module Builder = struct
     let cols = b.store.columns in
     for p = 0 to Array.length cols - 1 do
       let c = b.row.(p) and col = cols.(p) in
-      push_code col (if c < 0 then commit_into b.tabs.(p) col.dict else c);
+      push_code col (if c < 0 then Dict.commit col.dict else c);
       b.row.(p) <- 0
     done;
     row_done b.store
@@ -1762,9 +1259,9 @@ module Builder = struct
     let remap =
       Array.mapi
         (fun p (col : column) ->
-          let r = Array.make col.dict.dlen 0 in
-          for c = 1 to col.dict.dlen - 1 do
-            r.(c) <- intern_into dst.tabs.(p) d.columns.(p).dict col.dict.ddata.(c)
+          let r = Array.make (Dict.length col.dict) 0 in
+          for c = 1 to Dict.length col.dict - 1 do
+            r.(c) <- Dict.intern_from d.columns.(p).dict col.dict c
           done;
           r)
         s.columns
@@ -1792,8 +1289,7 @@ module Builder = struct
     Array.iter
       (fun (col : column) ->
         trim_vec col.tail;
-        trim_dvec col.dict;
-        col.interner <- None)
+        Dict.trim col.dict)
       b.store.columns;
     b.store
 end
@@ -1817,7 +1313,7 @@ let project ?distinct t (rel : Relation.t) =
   let remap =
     Array.map
       (fun (c : column) ->
-        let r = Array.make c.dict.dlen (-1) in
+        let r = Array.make (Dict.length c.dict) (-1) in
         r.(0) <- 0;
         r)
       cols
@@ -1828,7 +1324,7 @@ let project ?distinct t (rel : Relation.t) =
       let code = bufs.(j).(i) in
       let r = remap.(j) in
       if r.(code) < 0 then
-        r.(code) <- Builder.fresh_code b j cols.(j).dict.ddata.(code);
+        r.(code) <- Builder.fresh_code b j cols.(j).dict code;
       row.(j) <- r.(code)
     done;
     Builder.append b row

@@ -7,7 +7,8 @@
     distinct sets and groupings over the same extension. This module
     computes them over {e dense integer codes}: each attribute's values
     are interned once into a dictionary (NULL holding the reserved code
-    0), and every derived structure — multi-column distinct code-tuple
+    0; a {!Dict}, which keeps an [Int] or [String] column's values
+    unboxed), and every derived structure — multi-column distinct code-tuple
     sets, FD verdicts, cross-table equi-join counts — is memoized inside
     the store, keyed by attribute list (a single column's distinct set
     is its dictionary). This is the only implementation of
@@ -53,7 +54,18 @@ val column_codes : column -> int array
     sealed segment and the tail. Allocates; test/oracle use only. *)
 
 val column_dict : column -> Value.t array
-(** code -> value; [dict.(0) = Null]. A fresh copy. *)
+(** code -> value; [dict.(0) = Null]. A boundary accessor: a fresh
+    copy, every entry built as a [Value.t] (the dictionary itself keeps
+    [Int] and [String] columns unboxed, see {!Dict}); no store path
+    reads a dictionary through it. *)
+
+val column_strings : column -> string array
+(** code -> the value's [Value.to_string], [""] for NULL, read off the
+    dictionary without building a value: what a CSV dump writes. *)
+
+val column_domain : column -> Domain.t
+(** The lub of the domains of the column's live values ([Unknown] when
+    it has none). *)
 
 (** {2 The extension} *)
 
@@ -222,6 +234,10 @@ type residency = {
   tail_rows : int;  (** rows in the open tail *)
   width_histogram : (int * int) list;
       (** pack width in bits (0 = raw) -> sealed segment count *)
+  dict_words : int;
+      (** heap words of the columns' dictionaries and of any live
+          intern tables ({!Dict.heap_words}): always resident, and
+          reported beside the budget, not counted in it *)
 }
 
 val residency : t -> residency

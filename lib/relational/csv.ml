@@ -894,9 +894,9 @@ let dump_table ?(header = true) table =
   let texts =
     Array.map
       (fun c ->
-        Array.map
-          (function Value.Null -> "" | v -> render_field (Value.to_string v))
-          (Column_store.column_dict c))
+        Array.mapi
+          (fun code s -> if code = 0 then "" else render_field s)
+          (Column_store.column_strings c))
       cols
   in
   let codes = Array.map Column_store.column_codes cols in

@@ -240,34 +240,32 @@ let write_file path t =
           (* a mapped payload already lives in its spill file *)
           invalid_arg "Packed_codes.write_file: already mapped")
 
+(* A spill file of the wrong size is damaged: a short one would make
+   [Unix.map_file] try to grow a read-only descriptor, and a long one
+   would map its prefix without complaint. *)
 let map_file path ~width ~len =
-  let fd = Unix.openfile path [ Unix.O_RDONLY ] 0 in
-  Fun.protect
-    ~finally:(fun () -> Unix.close fd)
-    (fun () ->
-      if width = 0 then begin
-        (* unpackable segments round-trip through the 64-bit encoding *)
-        let bytes = 8 * len in
-        let g =
-          Unix.map_file fd Bigarray.char Bigarray.c_layout false [| bytes |]
-        in
-        let data = Bigarray.array1_of_genarray g in
-        let a = Array.make len 0 in
-        for i = 0 to len - 1 do
-          let v = ref 0 in
-          for b = 7 downto 0 do
-            v :=
-              (!v lsl 8)
-              lor Char.code (Bigarray.Array1.get data ((8 * i) + b))
-          done;
-          a.(i) <- !v
-        done;
-        Raw a
-      end
-      else begin
-        let bytes = packed_bytes ~width len in
-        let g =
-          Unix.map_file fd Bigarray.char Bigarray.c_layout false [| bytes |]
-        in
-        Mapped { width; n = len; data = Bigarray.array1_of_genarray g }
-      end)
+  let expected = if width = 0 then 8 * len else packed_bytes ~width len in
+  let fail msg = Error.raisef Error.Io_error "Packed_codes.map_file(%s): %s" path msg in
+  let map fd =
+    let actual = (Unix.fstat fd).Unix.st_size in
+    if actual <> expected then
+      fail (Printf.sprintf "spill file holds %d bytes, expected %d" actual expected);
+    Bigarray.array1_of_genarray
+      (Unix.map_file fd Bigarray.char Bigarray.c_layout false [| expected |])
+  in
+  let data =
+    try
+      let fd = Unix.openfile path [ Unix.O_RDONLY ] 0 in
+      Fun.protect ~finally:(fun () -> Unix.close fd) (fun () -> map fd)
+    with Unix.Unix_error (e, fn, _) -> fail (fn ^ ": " ^ Unix.error_message e)
+  in
+  if width = 0 then
+    (* unpackable segments round-trip through the 64-bit encoding *)
+    Raw
+      (Array.init len (fun i ->
+           let v = ref 0 in
+           for b = 7 downto 0 do
+             v := (!v lsl 8) lor Char.code (Bigarray.Array1.get data ((8 * i) + b))
+           done;
+           !v))
+  else Mapped { width; n = len; data }

@@ -57,4 +57,7 @@ val write_file : string -> t -> unit
 
 val map_file : string -> width:int -> len:int -> t
 (** Map a spill file written by {!write_file} back as a [Mapped]
-    payload ([Raw] for [width = 0]). *)
+    payload ([Raw] for [width = 0]). Raises [Error.Error] with
+    {!Error.Io_error}, naming the path, when the file cannot be opened
+    or mapped, or when its size is not exactly the payload's (the
+    message gives both byte counts). *)

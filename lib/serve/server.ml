@@ -354,8 +354,9 @@ let find t id =
       | None -> Error (Protocol.error ~code:"unknown-job" id))
 
 (* per-table segment residency of the loaded database's stores: which
-   sealed segments exist, which are warm, which live on disk, and at
-   what pack widths *)
+   sealed segments exist, which are warm, which live on disk, at what
+   pack widths, and the words the dictionaries hold (outside the
+   budget) *)
 let residency_json db =
   match db with
   | None -> Json.Null
@@ -371,6 +372,7 @@ let residency_json db =
                      ("table", Json.String rel.Relation.name);
                      ("sealed_segments", Json.Int r.Column_store.sealed_segments);
                      ("resident_segments", Json.Int r.Column_store.resident_segments);
+                     ("dict_words", Json.Int r.Column_store.dict_words);
                      ("spilled_segments", Json.Int r.Column_store.spilled_segments);
                      ("tail_rows", Json.Int r.Column_store.tail_rows);
                      ( "width_histogram",

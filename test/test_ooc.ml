@@ -405,6 +405,59 @@ let test_pipeline_spilled_identity () =
   Alcotest.(check (list (pair string string)))
     "artifacts byte-identical across the spill threshold" in_ram spilled
 
+(* -- a damaged spill file ---------------------------------------------- *)
+
+(* Spill a generated database under a tiny budget, then damage every
+   spill file: decoding a table with spilled segments, and the pipeline
+   over the database, must both fail with a typed [Io_error], never a
+   raw [Unix_error]. Nothing reads the store before the damage, so no
+   spill file is mapped while it changes size. *)
+let test_damaged_spill_files () =
+  let spec =
+    { Gen.default_spec with Gen.seed = 78L; rows_per_entity = 60; rows_per_denorm = 120 }
+  in
+  let is_io_error msg = function
+    | Error.Error e ->
+        Alcotest.(check bool) (msg ^ ": " ^ Error.to_string e) true (e.Error.code = Error.Io_error)
+    | exn -> Alcotest.failf "%s: raised %s" msg (Printexc.to_string exn)
+  in
+  let size path = (Unix.stat path).Unix.st_size in
+  List.iter
+    (fun (what, damage) ->
+      let dir = fresh_spill_dir () in
+      Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+      Ooc.with_config ~spill_dir:dir ~resident_budget_words:512 ~segment_rows:16 (fun () ->
+          let g = Gen.generate spec in
+          let files = Sys.readdir dir in
+          Alcotest.(check bool) (what ^ ": spill files written") true (Array.length files > 0);
+          Array.iter (fun f -> damage (Filename.concat dir f)) files;
+          let decoded = ref 0 in
+          List.iter
+            (fun (rel : Relation.t) ->
+              let t = Database.table g.Gen.db rel.Relation.name in
+              if (Column_store.residency (Table.store t)).Column_store.spilled_segments > 0 then begin
+                incr decoded;
+                match Table.rows t with
+                | _ -> Alcotest.failf "%s: %s decoded from damaged files" what rel.Relation.name
+                | exception exn -> is_io_error (what ^ ": decode " ^ rel.Relation.name) exn
+              end)
+            (Schema.relations (Database.schema g.Gen.db));
+          Alcotest.(check bool) (what ^ ": a table had spilled segments") true (!decoded > 0);
+          match
+            Pipeline.run_checked
+              ~config:{ Pipeline.default_config with Pipeline.engine = Engine.default }
+              g.Gen.db (Job_spec.Equijoins g.Gen.equijoins)
+          with
+          | Ok _ -> Alcotest.failf "%s: the pipeline ran over damaged files" what
+          | Error p -> is_io_error (what ^ ": pipeline") (Error.Error p.Pipeline.p_error)))
+    [
+      ("truncated", fun path -> Unix.truncate path (size path / 2));
+      ( "extended",
+        fun path ->
+          Out_channel.with_open_gen [ Open_append; Open_binary ] 0o600 path (fun oc ->
+              Out_channel.output_string oc (String.make 8 '\000')) );
+    ]
+
 let suite =
   [
     Alcotest.test_case "segment boundaries: builder = reference" `Quick
@@ -421,4 +474,5 @@ let suite =
       test_fuzzed_mutations;
     Alcotest.test_case "pipeline artifacts identical across spill" `Quick
       test_pipeline_spilled_identity;
+    Alcotest.test_case "damaged spill files raise Io_error" `Quick test_damaged_spill_files;
   ]
