@@ -24,7 +24,12 @@ let () =
     scenario.Workload.Scenarios.description;
 
   let db = scenario.Workload.Scenarios.database () in
-  Format.printf "Relations and extensions:@.%a@." Database.pp_stats db;
+  Format.printf "Relations and extensions:@.";
+  List.iter
+    (fun r ->
+      Format.printf "%-20s arity=%d  rows=%d@." r.Relation.name (Relation.arity r)
+        (Database.cardinality db r.Relation.name))
+    (Schema.relations (Database.schema db));
 
   (* show what the embedded-SQL scanner recovers from the sources *)
   let extraction =

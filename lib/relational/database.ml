@@ -46,13 +46,3 @@ let total_tuples t =
   Hashtbl.fold (fun _ tbl acc -> acc + Table.cardinality tbl) t.tables 0
 
 let copy_structure t = create t.schema
-
-let pp_stats ppf t =
-  Format.fprintf ppf "@[<v>";
-  List.iter
-    (fun r ->
-      Format.fprintf ppf "%-20s arity=%d  rows=%d@ " r.Relation.name
-        (Relation.arity r)
-        (cardinality t r.Relation.name))
-    (Schema.relations t.schema);
-  Format.fprintf ppf "@]"

@@ -43,6 +43,3 @@ val total_tuples : t -> int
 
 val copy_structure : t -> t
 (** A new database with the same schema and fresh empty tables. *)
-
-val pp_stats : Format.formatter -> t -> unit
-(** One line per relation: name, arity, cardinality. *)

@@ -11,8 +11,7 @@
 
    [Raw] is the escape hatch (and the int-array fast path): codes too
    wide to pack (beyond 32 bits, which no realistic dictionary reaches)
-   stay as the original array, and [decode_into]/[get] treat it as the
-   identity. *)
+   stay as the original array, and [decode_into] copies it. *)
 
 type buf =
   (char, Bigarray.int8_unsigned_elt, Bigarray.c_layout) Bigarray.Array1.t
@@ -34,10 +33,6 @@ let width_for max_code =
   else 0
 
 let packed_bytes ~width n = ((n * width) + 7) / 8
-
-let length = function
-  | Raw a -> Array.length a
-  | Packed { n; _ } | Mapped { n; _ } -> n
 
 let width = function
   | Raw _ -> 0
@@ -90,15 +85,6 @@ let pack ~width (src : int array) off n =
         done);
     Packed { width; n; data }
   end
-
-let raw a = Raw a
-
-let of_array (src : int array) off n =
-  let m = ref 0 in
-  for i = off to off + n - 1 do
-    if src.(i) > !m then m := src.(i)
-  done;
-  pack ~width:(width_for !m) src off n
 
 (* The two decode loops are intentionally twinned: [Bytes] and
    [Bigarray] have no common zero-cost accessor, and this is the inner
@@ -168,46 +154,6 @@ let decode_into t (dst : int array) =
   | Packed { width; n; data } -> decode_bytes_into ~width data n dst
   | Mapped { width; n; data } -> decode_buf_into ~width data n dst
 
-let to_array t =
-  let dst = Array.make (length t) 0 in
-  decode_into t dst;
-  dst
-
-let get t i =
-  match t with
-  | Raw a -> a.(i)
-  | Packed { width; data; _ } -> (
-      match width with
-      | 8 -> Char.code (Bytes.get data i)
-      | 16 ->
-          Char.code (Bytes.get data (2 * i))
-          lor (Char.code (Bytes.get data ((2 * i) + 1)) lsl 8)
-      | 32 ->
-          Char.code (Bytes.get data (4 * i))
-          lor (Char.code (Bytes.get data ((4 * i) + 1)) lsl 8)
-          lor (Char.code (Bytes.get data ((4 * i) + 2)) lsl 16)
-          lor (Char.code (Bytes.get data ((4 * i) + 3)) lsl 24)
-      | w ->
-          let per = 8 / w in
-          (Char.code (Bytes.get data (i / per)) lsr (w * (i mod per)))
-          land ((1 lsl w) - 1))
-  | Mapped { width; data; _ } -> (
-      match width with
-      | 8 -> Char.code (Bigarray.Array1.get data i)
-      | 16 ->
-          Char.code (Bigarray.Array1.get data (2 * i))
-          lor (Char.code (Bigarray.Array1.get data ((2 * i) + 1)) lsl 8)
-      | 32 ->
-          Char.code (Bigarray.Array1.get data (4 * i))
-          lor (Char.code (Bigarray.Array1.get data ((4 * i) + 1)) lsl 8)
-          lor (Char.code (Bigarray.Array1.get data ((4 * i) + 2)) lsl 16)
-          lor (Char.code (Bigarray.Array1.get data ((4 * i) + 3)) lsl 24)
-      | w ->
-          let per = 8 / w in
-          (Char.code (Bigarray.Array1.get data (i / per))
-          lsr (w * (i mod per)))
-          land ((1 lsl w) - 1))
-
 (* ------------------------------------------------------------------ *)
 (* spill files                                                         *)
 (* ------------------------------------------------------------------ *)
@@ -238,14 +184,14 @@ let write_file path t =
       | Raw a -> write_all fd (raw_to_bytes a)
       | Mapped _ ->
           (* a mapped payload already lives in its spill file *)
-          invalid_arg "Packed_codes.write_file: already mapped")
+          invalid_arg "write_file: the payload is already mapped")
 
 (* A spill file of the wrong size is damaged: a short one would make
    [Unix.map_file] try to grow a read-only descriptor, and a long one
    would map its prefix without complaint. *)
 let map_file path ~width ~len =
   let expected = if width = 0 then 8 * len else packed_bytes ~width len in
-  let fail msg = Error.raisef Error.Io_error "Packed_codes.map_file(%s): %s" path msg in
+  let fail msg = Error.raisef Error.Io_error "spill file %s: %s" path msg in
   let map fd =
     let actual = (Unix.fstat fd).Unix.st_size in
     if actual <> expected then

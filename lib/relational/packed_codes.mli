@@ -1,10 +1,10 @@
-(** Immutable bit-packed vectors of dictionary codes.
+(** Immutable bit-packed vectors of dictionary codes: the payload of a
+    sealed segment, read only by {!Ooc}.
 
-    Sealed column segments store their codes at 1/2/4/8/16/32 bits per
-    code (little-endian bit order), with a plain [int array] fast path
-    ([raw]) for unpackable widths. The packed byte image is exactly
-    what a spill file contains, so spilling and mapping back cannot
-    alter codes. *)
+    Codes are stored at 1/2/4/8/16/32 bits per code (little-endian bit
+    order), with a plain [int array] ([Raw]) for unpackable widths. The
+    packed byte image is exactly what a spill file contains, so
+    spilling and mapping back cannot alter codes. *)
 
 type buf =
   (char, Bigarray.int8_unsigned_elt, Bigarray.c_layout) Bigarray.Array1.t
@@ -27,15 +27,6 @@ val pack : width:int -> int array -> int -> int -> t
 (** [pack ~width src off n] packs [src.(off .. off+n-1)]. [width] must
     come from {!width_for}; [width = 0] yields [Raw]. *)
 
-val raw : int array -> t
-(** Wrap an int array without packing (the caller transfers ownership:
-    the array must not be mutated afterwards). *)
-
-val of_array : int array -> int -> int -> t
-(** [of_array src off n] packs at the smallest width that fits the
-    slice's maximum code. *)
-
-val length : t -> int
 val width : t -> int
 (** Pack width in bits; [0] for [Raw]. *)
 
@@ -43,12 +34,9 @@ val heap_words : t -> int
 (** Approximate resident heap cost in words (the residency budget's
     unit). *)
 
-val get : t -> int -> int
 val decode_into : t -> int array -> unit
-(** [decode_into t dst] writes all [length t] codes into [dst.(0..)].
-    [dst] may be longer than [length t]. *)
-
-val to_array : t -> int array
+(** [decode_into t dst] writes every code of [t] into [dst.(0..)],
+    which may be longer. *)
 
 val write_file : string -> t -> unit
 (** Write the packed payload (or the 64-bit LE encoding of a [Raw]) to

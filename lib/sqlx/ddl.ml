@@ -1,5 +1,24 @@
 open Relational
 
+(* A statement [Relation.make] would refuse is malformed SQL: say so
+   as a parse error naming the table and the column. *)
+let check_create (ct : Ast.create_table) attrs keys =
+  let fail fmt =
+    Printf.ksprintf (fun m -> raise (Parser.Error m)) ("CREATE TABLE %s: " ^^ fmt) ct.ct_name
+  in
+  let rec distinct = function
+    | [] -> ()
+    | a :: rest ->
+        if a = "" then fail "empty column name";
+        if List.mem a rest then fail "column %s declared twice" a;
+        distinct rest
+  in
+  if attrs = [] then fail "no column declared";
+  distinct attrs;
+  List.iter
+    (List.iter (fun a -> if not (List.mem a attrs) then fail "key names undeclared column %s" a))
+    keys
+
 let relation_of_create (ct : Ast.create_table) =
   let attrs = List.map (fun (c : Ast.column_def) -> c.col_name) ct.columns in
   let domains =
@@ -34,6 +53,7 @@ let relation_of_create (ct : Ast.create_table) =
         else None)
       ct.columns
   in
+  check_create ct attrs table_uniques;
   Relation.make ~domains
     ~uniques:(col_uniques @ table_uniques)
     ~not_nulls ct.ct_name attrs
@@ -46,14 +66,17 @@ let foreign_keys_of_create (ct : Ast.create_table) =
       | Ast.T_unique _ | Ast.T_primary_key _ -> None)
     ct.constraints
 
+let add_relation schema (ct : Ast.create_table) =
+  if Schema.mem schema ct.ct_name then
+    raise (Parser.Error (Printf.sprintf "CREATE TABLE %s: table declared twice" ct.ct_name));
+  Schema.add schema (relation_of_create ct)
+
 let schema_of_script script =
   let stmts = Parser.parse_script script in
   List.fold_left
     (fun (schema, fks) stmt ->
       match stmt with
-      | Ast.Create ct ->
-          ( Schema.add schema (relation_of_create ct),
-            fks @ foreign_keys_of_create ct )
+      | Ast.Create ct -> (add_relation schema ct, fks @ foreign_keys_of_create ct)
       | Ast.Query _ | Ast.Insert _ | Ast.Insert_select _ | Ast.Update _
       | Ast.Delete _ | Ast.Alter _ | Ast.Select_into _ | Ast.Declare_cursor _
       | Ast.Open_cursor _ | Ast.Fetch _ | Ast.Close_cursor _
@@ -102,7 +125,7 @@ let load_script script =
     List.fold_left
       (fun schema stmt ->
         match stmt with
-        | Ast.Create ct -> Schema.add schema (relation_of_create ct)
+        | Ast.Create ct -> add_relation schema ct
         | _ -> schema)
       Schema.empty stmts
   in

@@ -10,7 +10,9 @@ open Relational
 
 val relation_of_create : Ast.create_table -> Relation.t
 (** Column types map through {!Domain.of_sql_type}; PRIMARY KEY implies
-    UNIQUE + NOT NULL on its columns. *)
+    UNIQUE + NOT NULL on its columns. Raises [Parser.Error], naming the
+    table and the column, when no column is declared, a column name is
+    empty or declared twice, or a key names an undeclared column. *)
 
 val foreign_keys_of_create : Ast.create_table -> (string * string list * string * string list) list
 (** [(table, cols, referenced table, referenced cols)] per FOREIGN KEY
@@ -19,8 +21,8 @@ val foreign_keys_of_create : Ast.create_table -> (string * string list * string 
 val schema_of_script : string -> Schema.t * (string * string list * string * string list) list
 (** Parse a DDL script and build the schema plus declared foreign keys.
     Non-DDL statements in the script are ignored. Raises
-    [Parser.Error] on malformed SQL, [Invalid_argument] on duplicate
-    relations. *)
+    [Parser.Error] on malformed SQL, on a table declared twice and on
+    the statements {!relation_of_create} refuses, and nothing else. *)
 
 val sql_type_of_domain : Domain.t -> string
 (** [INT] / [FLOAT] / [BOOLEAN] / [DATE] / [VARCHAR(80)] (also for

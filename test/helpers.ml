@@ -196,3 +196,26 @@ let expect_error name code f =
         (Error.code_to_string code)
         (Error.code_to_string e.Error.code);
       e
+
+(* [text] damaged one to three times: a bit flipped, the text cut short,
+   one of [tokens] inserted, or a slice of the text spliced in
+   elsewhere: what the totality properties of the decoders feed them *)
+let gen_mutated ~tokens text =
+  QCheck.Gen.(
+    let once s =
+      let n = String.length s in
+      let* at = int_range 0 n in
+      let* at' = int_range 0 n in
+      let* bit = int_range 0 7 in
+      let* tok = oneofl tokens in
+      let lo = min at at' and hi = max at at' in
+      oneofl
+        [
+          String.mapi (fun i c -> if i = at then Char.chr (Char.code c lxor (1 lsl bit)) else c) s;
+          String.sub s 0 at;
+          String.sub s 0 at ^ tok ^ String.sub s at (n - at);
+          String.sub s 0 at ^ String.sub s lo (hi - lo) ^ String.sub s at (n - at);
+        ]
+    in
+    let rec go k s = if k = 0 then return s else once s >>= go (k - 1) in
+    int_range 1 3 >>= fun k -> go k text)

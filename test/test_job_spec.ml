@@ -286,6 +286,18 @@ let test_engine_grammar () =
       Alcotest.(check bool) (s ^ " refused") true (Engine.of_string s = None))
     [ "naive"; "partition"; "columnar"; "parallel:0"; "parallel:x"; "" ]
 
+(* whatever a damaged v2 document holds, decoding answers Ok or Error *)
+let prop_of_string_total =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:3000 ~name:"mutated v2 specs decode to Ok or Error"
+       (QCheck.make ~print:(Printf.sprintf "%S")
+          (Helpers.gen_mutated
+             ~tokens:[ "{"; "}"; "["; "]"; ":"; ","; {|"|}; "\\"; "\\u"; "null"; "true"; "-1";
+                       "1e999"; {|"version"|}; {|"ddl"|}; {|"kind"|}; "0" ]
+             golden_v2))
+       (fun text ->
+         match Job_spec.of_string text with Ok _ | Error _ -> true))
+
 let suite =
   [
     Alcotest.test_case "golden v2 JSON" `Quick test_golden;
@@ -303,4 +315,5 @@ let suite =
     Alcotest.test_case "of_args errors" `Quick test_of_args_errors;
     Alcotest.test_case "supervisor is always cancellable" `Quick
       test_supervisor_is_cancellable;
+    prop_of_string_total;
   ]
