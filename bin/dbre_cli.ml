@@ -561,7 +561,6 @@ let migrate_cmd =
             Dbre.Pipeline.default_config with
             Dbre.Pipeline.oracle;
             engine;
-            on_bad_tuple = (if lenient then `Quarantine else `Fail);
           }
         in
         match

@@ -54,7 +54,6 @@ let config ?oracle ?progress (spec : Job_spec.t) =
       (match oracle with Some o -> o | None -> Job_spec.oracle spec);
     engine = spec.Job_spec.engine;
     migrate_data = spec.Job_spec.migrate_data;
-    on_bad_tuple = (if spec.Job_spec.lenient then `Quarantine else `Fail);
     progress =
       Option.map (fun f -> fun ev -> f (Stage ev)) progress;
   }

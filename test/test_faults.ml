@@ -39,7 +39,7 @@ let prop name arb f =
   QCheck_alcotest.to_alcotest (QCheck.Test.make ~count ~name arb f)
 
 let lenient_config =
-  { Pipeline.default_config with migrate_data = false; on_bad_tuple = `Quarantine }
+  { Pipeline.default_config with migrate_data = false }
 
 (* Dump every table of the generated database, inject [fault] into each
    document, and reload leniently into a fresh database. *)
