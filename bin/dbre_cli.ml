@@ -14,56 +14,25 @@
 open Cmdliner
 open Relational
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
 let write_file path contents =
   let oc = open_out_bin path in
   Fun.protect
     ~finally:(fun () -> close_out_noerr oc)
     (fun () -> output_string oc contents)
 
-let load_database ?(lenient = false) ?(engine = Engine.default) ~ddl_path
-    ~data_dir () =
-  let schema, _fks = Sqlx.Ddl.schema_of_script (read_file ddl_path) in
-  let db = Database.create schema in
-  let reports = ref [] in
-  let mode = if lenient then `Quarantine else `Strict in
-  let pool = Engine.pool engine in
-  List.iter
-    (fun rel ->
-      let name = rel.Relation.name in
-      let csv_path = Filename.concat data_dir (name ^ ".csv") in
-      if Sys.file_exists csv_path then
-        (* the streaming loader reads the file in chunks itself — no
-           whole-file slurp — and surfaces read failures as Error.t *)
-        match Csv.load_file ~mode ?pool rel csv_path with
-        | Ok (table, report) ->
-            Option.iter (fun r -> reports := r :: !reports) report;
-            Database.replace_table db table
-        | Error e -> raise (Error.Error e))
-    (Schema.relations schema);
-  (db, List.rev !reports)
-
 let print_quarantine reports =
   List.iter (fun q -> Format.printf "%a@." Quarantine.pp q) reports
 
-(* strict loading raises [Error.Error] on dirty inputs; report it as a
-   clean CLI failure instead of cmdliner's "internal error" *)
-let handle_errors ?(hint = false) f =
-  try f ()
-  with Relational.Error.Error e ->
-    Format.eprintf "dbre: %a@." Relational.Error.pp e;
-    if hint then
-      Format.eprintf "hint: --lenient quarantines unparseable tuples@.";
-    1
+let report_error ?(hint = false) e =
+  Format.eprintf "dbre: %a@." Relational.Error.pp e;
+  if hint then
+    Format.eprintf "hint: --lenient quarantines unparseable tuples@.";
+  1
 
-let load_programs dir =
-  Sys.readdir dir |> Array.to_list |> List.sort String.compare
-  |> List.map (fun f -> read_file (Filename.concat dir f))
+(* a stage that raises [Error.Error] is reported as a clean CLI failure
+   instead of cmdliner's "internal error" *)
+let handle_errors ?hint f =
+  try f () with Relational.Error.Error e -> report_error ?hint e
 
 (* ------------------------------------------------------------------ *)
 (* Common args                                                          *)
@@ -76,16 +45,6 @@ let oracle_arg =
      'threshold:<ratio>' (force NEIs whose overlap exceeds the ratio)."
   in
   Arg.(value & opt string "auto" & info [ "oracle" ] ~docv:"MODE" ~doc)
-
-let parse_oracle = function
-  | "auto" -> Ok Dbre.Oracle.automatic
-  | "skeptical" -> Ok Dbre.Oracle.skeptical
-  | "interactive" -> Ok (Dbre.Oracle.interactive ())
-  | s when String.length s > 10 && String.sub s 0 10 = "threshold:" -> (
-      match float_of_string_opt (String.sub s 10 (String.length s - 10)) with
-      | Some r -> Ok (Dbre.Oracle.threshold ~nei_ratio:r)
-      | None -> Error (Printf.sprintf "bad threshold in %S" s))
-  | s -> Error (Printf.sprintf "unknown oracle mode %S" s)
 
 let parse_engine s =
   match Relational.Engine.of_string s with
@@ -256,6 +215,16 @@ let report_partial ?checkpoint_dir (p : Dbre.Pipeline.partial) =
   | None -> ());
   1
 
+(* a failed run: quarantine reports, the load hint for strict runs,
+   then the partial result *)
+let report_failure ~lenient ?checkpoint_dir (p : Dbre.Pipeline.partial) =
+  print_quarantine p.Dbre.Pipeline.p_quarantine;
+  if
+    (not lenient)
+    && p.Dbre.Pipeline.p_error.Relational.Error.stage = Some Relational.Error.Load
+  then Format.eprintf "hint: --lenient quarantines unparseable tuples@.";
+  report_partial ?checkpoint_dir p
+
 (* ------------------------------------------------------------------ *)
 (* example                                                              *)
 (* ------------------------------------------------------------------ *)
@@ -374,14 +343,14 @@ let with_lint_hooks lint config =
 (* fold the per-run flags into one Job_spec — the exact value a daemon
    submission would carry — handling the one oracle mode that cannot
    live in a spec (interactive) as a Job.run override *)
-let spec_of_flags ?label ~ddl ~data ~programs ~oracle ~engine ~deadline
-    ~max_heap_mb ~on_exhausted ~lenient ~checkpoint_dir ~resume () =
+let spec_of_flags ?label ?data ?programs ?deadline ?max_heap_mb ?on_exhausted
+    ?checkpoint_dir ?resume ~ddl ~oracle ~engine ~lenient () =
   let interactive = oracle = "interactive" in
   match
     Dbre.Job_spec.of_args ?label ~ddl ?data_dir:data ?programs_dir:programs
       ~engine
       ~oracle:(if interactive then "auto" else oracle)
-      ?deadline ?max_heap_mb ~on_exhausted ~lenient ?checkpoint_dir ~resume ()
+      ?deadline ?max_heap_mb ?on_exhausted ~lenient ?checkpoint_dir ?resume ()
   with
   | Error _ as e -> e
   | Ok spec ->
@@ -394,9 +363,8 @@ let analyze_cmd =
     match
       Result.bind (configure_ooc spill_dir resident_budget segment_rows)
         (fun () ->
-          spec_of_flags ~ddl ~data:(Some data) ~programs:(Some programs)
-            ~oracle ~engine ~deadline ~max_heap_mb ~on_exhausted ~lenient
-            ~checkpoint_dir ~resume ())
+          spec_of_flags ~ddl ~data ~programs ?deadline ?max_heap_mb
+            ~on_exhausted ?checkpoint_dir ~resume ~oracle ~engine ~lenient ())
     with
     | Error msg ->
         prerr_endline msg;
@@ -414,14 +382,7 @@ let analyze_cmd =
             print_quarantine result.Dbre.Pipeline.quarantine;
             report_result ?dot ?markdown result;
             0
-        | Error p ->
-            print_quarantine p.Dbre.Pipeline.p_quarantine;
-            if
-              (not lenient)
-              && p.Dbre.Pipeline.p_error.Relational.Error.stage = Some Relational.Error.Load
-            then
-              Format.eprintf "hint: --lenient quarantines unparseable tuples@.";
-            report_partial ?checkpoint_dir p)
+        | Error p -> report_failure ~lenient ?checkpoint_dir p)
   in
   let doc =
     "Reverse-engineer a database given its DDL, extension and programs."
@@ -441,30 +402,32 @@ let analyze_cmd =
 
 let inds_cmd =
   let run ddl data programs oracle engine lenient =
-    match (parse_oracle oracle, parse_engine engine) with
-    | Error msg, _ | _, Error msg ->
+    match spec_of_flags ~ddl ~data ~programs ~oracle ~engine ~lenient () with
+    | Error msg ->
         prerr_endline msg;
         1
-    | Ok oracle, Ok engine ->
+    | Ok (spec, oracle) -> (
         handle_errors ~hint:(not lenient) @@ fun () ->
-        let db, quarantine =
-          load_database ~lenient ~engine ~ddl_path:ddl ~data_dir:data ()
-        in
-        print_quarantine quarantine;
-        let joins =
-          let extraction = Sqlx.Embedded.scan_files (load_programs programs) in
-          Sqlx.Equijoin.dedupe
-            (List.concat_map
-               (Sqlx.Equijoin.of_statement (Database.schema db))
-               extraction.Sqlx.Embedded.statements)
-        in
-        Format.printf "Equi-joins:@.%a@.@." Dbre.Report.pp_equijoins joins;
-        let r = Dbre.Ind_discovery.run ~engine oracle db joins in
-        Format.printf "Trace:@.%a@.@." Dbre.Report.pp_ind_steps
-          r.Dbre.Ind_discovery.steps;
-        Format.printf "IND:@.%a@." Dbre.Report.pp_inds
-          r.Dbre.Ind_discovery.inds;
-        0
+        match Dbre.Job.database spec with
+        | Error e -> report_error ~hint:(not lenient) e
+        | Ok (db, quarantine) ->
+            print_quarantine quarantine;
+            let joins =
+              Dbre.Pipeline.extract_equijoins db spec.Dbre.Job_spec.workload
+            in
+            Format.printf "Equi-joins:@.%a@.@." Dbre.Report.pp_equijoins joins;
+            let oracle =
+              match oracle with Some o -> o | None -> Dbre.Job_spec.oracle spec
+            in
+            let r =
+              Dbre.Ind_discovery.run ~engine:spec.Dbre.Job_spec.engine oracle
+                db joins
+            in
+            Format.printf "Trace:@.%a@.@." Dbre.Report.pp_ind_steps
+              r.Dbre.Ind_discovery.steps;
+            Format.printf "IND:@.%a@." Dbre.Report.pp_inds
+              r.Dbre.Ind_discovery.inds;
+            0)
   in
   let doc = "Elicit inclusion dependencies only (stop after §6.1)." in
   Cmd.v
@@ -487,38 +450,50 @@ let discover_cmd =
     Arg.(value & opt int 2 & info [ "max-lhs" ] ~doc)
   in
   let run what ddl data max_lhs =
-    handle_errors @@ fun () ->
-    let db, _ = load_database ~ddl_path:ddl ~data_dir:data () in
-    (match what with
-    | "fds" ->
-        List.iter
-          (fun rel ->
-            let name = rel.Relation.name in
-            let fds, stats =
-              Deps.Fd_infer.discover ~max_lhs ~rel:name
-                (Database.table db name)
-            in
-            Format.printf "-- %s (%d candidates tested):@." name
-              stats.Deps.Fd_infer.candidates_tested;
-            List.iter (fun fd -> Format.printf "  %a@." Deps.Fd.pp fd) fds)
-          (Schema.relations (Database.schema db))
-    | "inds" ->
-        let inds, stats = Deps.Ind_infer.discover_unary db in
-        Format.printf
-          "-- unary INDs (%d pairs considered, %d tested):@."
-          stats.Deps.Ind_infer.pairs_considered
-          stats.Deps.Ind_infer.pairs_tested;
-        List.iter (fun ind -> Format.printf "  %a@." Deps.Ind.pp ind) inds
-    | "keys" ->
-        List.iter
-          (fun (rel, keys) ->
-            Format.printf "-- %s:@." rel;
-            List.iter
-              (fun k -> Format.printf "  unique (%s)@." (String.concat ", " k))
-              keys)
-          (Deps.Key_infer.suggest ~max_size:max_lhs db)
-    | other -> Printf.eprintf "unknown target %S (use fds|inds|keys)\n" other);
-    0
+    match Dbre.Job_spec.of_args ~ddl ~data_dir:data () with
+    | Error msg ->
+        prerr_endline msg;
+        1
+    | Ok spec -> (
+        match Dbre.Job.database spec with
+        | Error e -> report_error e
+        | Ok (db, _) ->
+            (match what with
+            | "fds" ->
+                List.iter
+                  (fun rel ->
+                    let name = rel.Relation.name in
+                    let fds, stats =
+                      Deps.Fd_infer.discover ~max_lhs ~rel:name
+                        (Database.table db name)
+                    in
+                    Format.printf "-- %s (%d candidates tested):@." name
+                      stats.Deps.Fd_infer.candidates_tested;
+                    List.iter
+                      (fun fd -> Format.printf "  %a@." Deps.Fd.pp fd)
+                      fds)
+                  (Schema.relations (Database.schema db))
+            | "inds" ->
+                let inds, stats = Deps.Ind_infer.discover_unary db in
+                Format.printf
+                  "-- unary INDs (%d pairs considered, %d tested):@."
+                  stats.Deps.Ind_infer.pairs_considered
+                  stats.Deps.Ind_infer.pairs_tested;
+                List.iter
+                  (fun ind -> Format.printf "  %a@." Deps.Ind.pp ind)
+                  inds
+            | "keys" ->
+                List.iter
+                  (fun (rel, keys) ->
+                    Format.printf "-- %s:@." rel;
+                    List.iter
+                      (fun k ->
+                        Format.printf "  unique (%s)@." (String.concat ", " k))
+                      keys)
+                  (Deps.Key_infer.suggest ~max_size:max_lhs db)
+            | other ->
+                Printf.eprintf "unknown target %S (use fds|inds|keys)\n" other);
+            0)
   in
   let doc =
     "Exhaustive dependency discovery (the baseline the paper's \
@@ -545,59 +520,50 @@ let migrate_cmd =
     Arg.(value & flag & info [ "verify" ] ~doc)
   in
   let run ddl data programs oracle engine lenient out verify =
-    match (parse_oracle oracle, parse_engine engine) with
-    | Error msg, _ | _, Error msg ->
+    match spec_of_flags ~ddl ~data ~programs ~oracle ~engine ~lenient () with
+    | Error msg ->
         prerr_endline msg;
         1
-    | Ok oracle, Ok engine -> (
-        handle_errors ~hint:(not lenient) @@ fun () ->
-        let db, quarantine =
-          load_database ~lenient ~engine ~ddl_path:ddl ~data_dir:data ()
-        in
-        print_quarantine quarantine;
-        let original = Database.schema db in
-        let config =
-          {
-            Dbre.Pipeline.default_config with
-            Dbre.Pipeline.oracle;
-            engine;
-          }
-        in
-        match
-          Dbre.Pipeline.run_checked ~config db
-            (Dbre.Job_spec.Programs (load_programs programs))
-        with
-        | Error p -> report_partial p
-        | Ok result ->
+    | Ok (spec, oracle) -> (
+        match Dbre.Job.run ?oracle spec with
+        | Error p -> report_failure ~lenient p
+        | Ok result -> (
+            print_quarantine result.Dbre.Pipeline.quarantine;
+            (* the run parsed this DDL already *)
+            let original, _ =
+              Sqlx.Ddl.schema_of_script spec.Dbre.Job_spec.ddl
+            in
             let sql = Dbre.Migration.script ~original result in
             (match out with
             | Some path ->
                 write_file path sql;
                 Printf.printf "migration written to %s\n" path
             | None -> print_string sql);
-            if verify then begin
-              let fresh, _ =
-                load_database ~lenient ~engine ~ddl_path:ddl ~data_dir:data ()
-              in
-              Sqlx.Exec.exec_script fresh sql;
-              let expected =
-                Option.get
-                  result.Dbre.Pipeline.restruct_result.Dbre.Restruct.database
-              in
-              let ok =
-                List.for_all
-                  (fun rel ->
-                    let name = rel.Relation.name in
-                    let sort t =
-                      List.sort compare (Table.to_lists (Database.table t name))
-                    in
-                    sort fresh = sort expected)
-                  (Schema.relations (Database.schema expected))
-              in
-              Printf.printf "verification: %s\n" (if ok then "OK" else "FAILED");
-              if not ok then exit 1
-            end;
-            0)
+            if not verify then 0
+            else
+              match Dbre.Job.database spec with
+              | Error e -> report_error e
+              | Ok (fresh, _) ->
+                  Sqlx.Exec.exec_script fresh sql;
+                  let expected =
+                    Option.get
+                      result.Dbre.Pipeline.restruct_result
+                        .Dbre.Restruct.database
+                  in
+                  let ok =
+                    List.for_all
+                      (fun rel ->
+                        let name = rel.Relation.name in
+                        let sort t =
+                          List.sort compare
+                            (Table.to_lists (Database.table t name))
+                        in
+                        sort fresh = sort expected)
+                      (Schema.relations (Database.schema expected))
+                  in
+                  Printf.printf "verification: %s\n"
+                    (if ok then "OK" else "FAILED");
+                  if ok then 0 else 1))
   in
   let doc =
     "Generate (and optionally verify) the SQL migration script that \
@@ -743,7 +709,8 @@ let lint_cmd =
         | None, Some ddl_path -> (
             let sources =
               Dbre_lint.Lint.source ~name:(Filename.basename ddl_path)
-                Dbre_lint.Lint.Schema_script (read_file ddl_path)
+                Dbre_lint.Lint.Schema_script
+                In_channel.(with_open_bin ddl_path input_all)
               ::
               (match programs with
               | None -> []
@@ -751,7 +718,8 @@ let lint_cmd =
                   Sys.readdir dir |> Array.to_list |> List.sort String.compare
                   |> List.map (fun f ->
                          Dbre_lint.Lint.source ~name:f Dbre_lint.Lint.Program
-                           (read_file (Filename.concat dir f))))
+                           In_channel.(
+                             with_open_bin (Filename.concat dir f) input_all)))
             in
             let static = Dbre_lint.Lint.run sources in
             match (verify, data) with
@@ -760,19 +728,19 @@ let lint_cmd =
                 prerr_endline "--verify without --scenario requires --data";
                 1
             | true, Some data_dir -> (
-                let db, _ =
-                  load_database ~ddl_path ~data_dir ()
-                in
-                let progs =
-                  match programs with
-                  | None -> []
-                  | Some dir -> load_programs dir
-                in
                 match
-                  verify_pipeline ~config:Dbre.Pipeline.default_config db progs
+                  Dbre.Job_spec.of_args ~ddl:ddl_path ~data_dir
+                    ?programs_dir:programs ()
                 with
-                | Ok r -> finish (Dbre_lint.Lint.merge static r)
-                | Stdlib.Error p -> report_partial p))
+                | Stdlib.Error msg ->
+                    prerr_endline msg;
+                    1
+                | Ok spec -> (
+                    match Dbre.Job.run spec with
+                    | Ok r ->
+                        finish
+                          (Dbre_lint.Lint.merge static (Dbre_lint.Lint.verify r))
+                    | Stdlib.Error p -> report_partial p)))
         | None, None ->
             prerr_endline "lint: give --scenario NAME|all or --ddl FILE";
             1)
@@ -986,9 +954,8 @@ let submit_cmd =
   let run socket ddl data programs label oracle engine deadline max_heap_mb
       on_exhausted lenient wait =
     match
-      spec_of_flags ?label ~ddl ~data ~programs ~oracle ~engine ~deadline
-        ~max_heap_mb ~on_exhausted ~lenient ~checkpoint_dir:None ~resume:false
-        ()
+      spec_of_flags ?label ?data ?programs ?deadline ?max_heap_mb
+        ~on_exhausted ~ddl ~oracle ~engine ~lenient ()
     with
     | Error msg ->
         prerr_endline msg;

@@ -21,17 +21,18 @@ let path ~dir stage =
   Filename.concat dir
     (Printf.sprintf "%d-%s.ckpt" (stage_index stage) (stage_name stage))
 
-let version = 2
+(* v3: JSON documents; v2 files were s-expressions and read as stale *)
+let version = 3
 
 exception Corrupt of string
 
 let corrupt msg = raise (Corrupt msg)
 
-(* Content checksum (v2): FNV-1a 64 over the canonical serialization
-   of the payload sexp. Verified on read against a re-serialization of
-   the parsed payload, so a file that was truncated or hand-edited into
-   something still parseable is detected as corrupt (and recomputed)
-   rather than resumed from. *)
+(* Content checksum: FNV-1a 64 over the canonical (compact) rendering of
+   the payload. Verified on read against a re-rendering of the parsed
+   payload, so a file that was truncated or hand-edited into something
+   still parseable is detected as corrupt (and recomputed) rather than
+   resumed from. *)
 let fnv1a64 s =
   let h = ref 0xcbf29ce484222325L in
   String.iter
@@ -40,57 +41,53 @@ let fnv1a64 s =
     s;
   Printf.sprintf "%016Lx" !h
 
-(* --- generic sexp helpers --- *)
+(* --- generic JSON helpers: decoders raise [Corrupt], caught by [load] --- *)
 
-let atom = function Sexp.Atom a -> a | Sexp.List _ -> corrupt "expected atom"
+let field key j =
+  match Json.member key j with
+  | Some v -> v
+  | None -> corrupt ("missing field " ^ key)
 
-let int_atom s =
-  match int_of_string_opt (atom s) with
-  | Some i -> i
-  | None -> corrupt "expected integer atom"
+let str = function Json.String s -> s | _ -> corrupt "expected string"
+let int = function Json.Int i -> i | _ -> corrupt "expected integer"
 
-let assoc tag fields =
-  let hit = function
-    | Sexp.List (Sexp.Atom t :: _) -> String.equal t tag
-    | _ -> false
-  in
-  match List.find_opt hit fields with
-  | Some (Sexp.List (_ :: rest)) -> rest
-  | _ -> corrupt ("missing field " ^ tag)
+let list f = function
+  | Json.List xs -> List.map f xs
+  | _ -> corrupt "expected array"
 
-let tagged tag items = Sexp.List (Sexp.Atom tag :: items)
+let strings l = Json.List (List.map (fun s -> Json.String s) l)
+
+(* floats travel as their exact "%h" rendering: Json.Float would print
+   NaN and infinities as null and decimal forms need not round-trip *)
+let float_str f = Json.String (Printf.sprintf "%h" f)
+
+let float_of_str j =
+  match float_of_string_opt (str j) with
+  | Some f -> f
+  | None -> corrupt "bad float"
 
 (* --- leaf codecs --- *)
 
-let sexp_of_value = function
-  | Value.Null -> tagged "null" []
-  | Value.Bool b -> tagged "bool" [ Sexp.Atom (string_of_bool b) ]
-  | Value.Int i -> tagged "int" [ Sexp.Atom (string_of_int i) ]
-  | Value.Float f -> tagged "float" [ Sexp.Atom (Printf.sprintf "%h" f) ]
-  | Value.String s -> tagged "string" [ Sexp.Atom s ]
+(* strings, ints, bools and null map to their JSON kinds; floats and
+   dates are one-field objects, so no string is ever re-typed *)
+let json_of_value = function
+  | Value.Null -> Json.Null
+  | Value.Bool b -> Json.Bool b
+  | Value.Int i -> Json.Int i
+  | Value.Float f -> Json.Obj [ ("float", float_str f) ]
+  | Value.String s -> Json.String s
   | Value.Date { Value.year; month; day } ->
-      tagged "date"
-        [
-          Sexp.Atom (string_of_int year);
-          Sexp.Atom (string_of_int month);
-          Sexp.Atom (string_of_int day);
-        ]
+      Json.Obj
+        [ ("date", Json.List [ Json.Int year; Json.Int month; Json.Int day ]) ]
 
-let value_of_sexp = function
-  | Sexp.List [ Sexp.Atom "null" ] -> Value.Null
-  | Sexp.List [ Sexp.Atom "bool"; b ] -> (
-      match atom b with
-      | "true" -> Value.Bool true
-      | "false" -> Value.Bool false
-      | _ -> corrupt "bad bool")
-  | Sexp.List [ Sexp.Atom "int"; i ] -> Value.Int (int_atom i)
-  | Sexp.List [ Sexp.Atom "float"; f ] -> (
-      match float_of_string_opt (atom f) with
-      | Some f -> Value.Float f
-      | None -> corrupt "bad float")
-  | Sexp.List [ Sexp.Atom "string"; s ] -> Value.String (atom s)
-  | Sexp.List [ Sexp.Atom "date"; y; m; d ] ->
-      Value.date (int_atom y) (int_atom m) (int_atom d)
+let value_of_json = function
+  | Json.Null -> Value.Null
+  | Json.Bool b -> Value.Bool b
+  | Json.Int i -> Value.Int i
+  | Json.String s -> Value.String s
+  | Json.Obj [ ("float", f) ] -> Value.Float (float_of_str f)
+  | Json.Obj [ ("date", Json.List [ y; m; d ]) ] ->
+      Value.date (int y) (int m) (int d)
   | _ -> corrupt "bad value"
 
 let domain_of_string = function
@@ -102,222 +99,179 @@ let domain_of_string = function
   | "unknown" -> Domain.Unknown
   | s -> corrupt ("bad domain " ^ s)
 
-let names l = List.map (fun a -> Sexp.Atom a) l
-let names_of_sexps l = List.map atom l
-
-let sexp_of_relation (r : Relation.t) =
-  tagged "relation"
+let json_of_relation (r : Relation.t) =
+  Json.Obj
     [
-      tagged "name" [ Sexp.Atom r.Relation.name ];
-      tagged "attrs" (names r.Relation.attrs);
-      tagged "domains"
-        (List.map
-           (fun a -> Sexp.Atom (Domain.to_string (Relation.domain_of r a)))
-           r.Relation.attrs);
-      tagged "uniques"
-        (List.map (fun u -> Sexp.List (names u)) r.Relation.uniques);
-      tagged "not-nulls" (names r.Relation.not_nulls);
+      ("name", Json.String r.Relation.name);
+      ("attrs", strings r.Relation.attrs);
+      ( "domains",
+        strings
+          (List.map
+             (fun a -> Domain.to_string (Relation.domain_of r a))
+             r.Relation.attrs) );
+      ("uniques", Json.List (List.map strings r.Relation.uniques));
+      ("not_nulls", strings r.Relation.not_nulls);
     ]
 
-let relation_of_sexp = function
-  | Sexp.List (Sexp.Atom "relation" :: fields) ->
-      let name =
-        match assoc "name" fields with [ n ] -> atom n | _ -> corrupt "name"
-      in
-      let attrs = names_of_sexps (assoc "attrs" fields) in
-      let domains =
-        List.map2
-          (fun a d -> (a, domain_of_string (atom d)))
-          attrs (assoc "domains" fields)
-      in
-      let uniques =
-        List.map
-          (function
-            | Sexp.List u -> names_of_sexps u | Sexp.Atom _ -> corrupt "unique")
-          (assoc "uniques" fields)
-      in
-      let not_nulls = names_of_sexps (assoc "not-nulls" fields) in
-      Relation.make ~domains ~uniques ~not_nulls name attrs
-  | _ -> corrupt "bad relation"
+let relation_of_json j =
+  let attrs = list str (field "attrs" j) in
+  let domains =
+    List.map2
+      (fun a d -> (a, domain_of_string d))
+      attrs
+      (list str (field "domains" j))
+  in
+  Relation.make ~domains
+    ~uniques:(list (list str) (field "uniques" j))
+    ~not_nulls:(list str (field "not_nulls" j))
+    (str (field "name" j)) attrs
 
-let sexp_of_table t =
-  tagged "table"
+let json_of_table t =
+  Json.Obj
     [
-      sexp_of_relation (Table.schema t);
-      tagged "rows"
-        (List.map
-           (fun row -> Sexp.List (List.map sexp_of_value row))
-           (Table.to_lists t));
+      ("relation", json_of_relation (Table.schema t));
+      ( "rows",
+        Json.List
+          (List.map
+             (fun row -> Json.List (List.map json_of_value row))
+             (Table.to_lists t)) );
     ]
 
-let table_of_sexp = function
-  | Sexp.List [ Sexp.Atom "table"; rel; Sexp.List (Sexp.Atom "rows" :: rows) ]
-    ->
-      let t = Table.create (relation_of_sexp rel) in
-      List.iter
-        (function
-          | Sexp.List cells -> Table.insert t (List.map value_of_sexp cells)
-          | Sexp.Atom _ -> corrupt "bad row")
-        rows;
-      t
-  | _ -> corrupt "bad table"
+let table_of_json j =
+  let t = Table.create (relation_of_json (field "relation" j)) in
+  List.iter
+    (fun row -> Table.insert t (list value_of_json row))
+    (list Fun.id (field "rows" j));
+  t
 
-let sexp_of_attr (a : Attribute.t) =
-  tagged "attr" [ Sexp.Atom a.Attribute.rel; Sexp.List (names a.Attribute.attrs) ]
-
-let attr_of_sexp = function
-  | Sexp.List [ Sexp.Atom "attr"; rel; Sexp.List attrs ] ->
-      Attribute.make (atom rel) (names_of_sexps attrs)
-  | _ -> corrupt "bad attr"
-
-let sexp_of_join (j : Sqlx.Equijoin.t) =
-  tagged "join"
+let json_of_attr (a : Attribute.t) =
+  Json.Obj
     [
-      Sexp.Atom j.Sqlx.Equijoin.rel1;
-      Sexp.List (names j.Sqlx.Equijoin.attrs1);
-      Sexp.Atom j.Sqlx.Equijoin.rel2;
-      Sexp.List (names j.Sqlx.Equijoin.attrs2);
+      ("rel", Json.String a.Attribute.rel); ("attrs", strings a.Attribute.attrs);
     ]
 
-let join_of_sexp = function
-  | Sexp.List
-      [ Sexp.Atom "join"; r1; Sexp.List a1; r2; Sexp.List a2 ] ->
-      Sqlx.Equijoin.make
-        (atom r1, names_of_sexps a1)
-        (atom r2, names_of_sexps a2)
-  | _ -> corrupt "bad join"
+let attr_of_json j =
+  Attribute.make (str (field "rel" j)) (list str (field "attrs" j))
 
-let sexp_of_ind i = Sexp.Atom (Ind.to_string i)
-let ind_of_sexp s = Ind.parse (atom s)
-let sexp_of_fd f = Sexp.Atom (Fd.to_string f)
-let fd_of_sexp s = Fd.parse (atom s)
+let join_of_json j =
+  match Job_spec.equijoin_of_json j with Ok q -> q | Error m -> corrupt m
 
-let sexp_of_reason = function
-  | Supervise.Cancelled -> Sexp.Atom "cancelled"
+let json_of_ind i = Json.String (Ind.to_string i)
+let ind_of_json j = Ind.parse (str j)
+let json_of_fd f = Json.String (Fd.to_string f)
+let fd_of_json j = Fd.parse (str j)
+
+let json_of_reason = function
+  | Supervise.Cancelled -> Json.String "cancelled"
   | Supervise.Deadline { limit_s; elapsed_s } ->
-      tagged "deadline"
-        [
-          Sexp.Atom (Printf.sprintf "%h" limit_s);
-          Sexp.Atom (Printf.sprintf "%h" elapsed_s);
-        ]
+      Json.Obj
+        [ ("deadline", Json.List [ float_str limit_s; float_str elapsed_s ]) ]
   | Supervise.Heap { limit_words; live_words } ->
-      tagged "heap"
-        [
-          Sexp.Atom (string_of_int limit_words);
-          Sexp.Atom (string_of_int live_words);
-        ]
+      Json.Obj
+        [ ("heap", Json.List [ Json.Int limit_words; Json.Int live_words ]) ]
 
-let reason_of_sexp = function
-  | Sexp.Atom "cancelled" -> Supervise.Cancelled
-  | Sexp.List [ Sexp.Atom "deadline"; l; e ] -> (
-      match (float_of_string_opt (atom l), float_of_string_opt (atom e)) with
-      | Some limit_s, Some elapsed_s -> Supervise.Deadline { limit_s; elapsed_s }
-      | _ -> corrupt "bad deadline reason")
-  | Sexp.List [ Sexp.Atom "heap"; l; w ] ->
-      Supervise.Heap { limit_words = int_atom l; live_words = int_atom w }
+let reason_of_json = function
+  | Json.String "cancelled" -> Supervise.Cancelled
+  | Json.Obj [ ("deadline", Json.List [ l; e ]) ] ->
+      Supervise.Deadline
+        { limit_s = float_of_str l; elapsed_s = float_of_str e }
+  | Json.Obj [ ("heap", Json.List [ l; w ]) ] ->
+      Supervise.Heap { limit_words = int l; live_words = int w }
   | _ -> corrupt "bad reason"
 
-(* [None] (a complete stage) serializes as an empty [exhausted] field
-   so v2 checkpoints always carry the completeness verdict explicitly *)
-let sexp_of_exhausted = function
-  | None -> tagged "exhausted" []
-  | Some r -> tagged "exhausted" [ sexp_of_reason r ]
+(* [None] (a complete stage) is an explicit null, so every checkpoint
+   carries the completeness verdict *)
+let json_of_exhausted = function
+  | None -> Json.Null
+  | Some r -> json_of_reason r
 
-let exhausted_of_sexps = function
-  | [] -> None
-  | [ r ] -> Some (reason_of_sexp r)
-  | _ -> corrupt "bad exhausted"
+let exhausted_of_json = function
+  | Json.Null -> None
+  | r -> Some (reason_of_json r)
 
 (* --- ind-discovery --- *)
 
-let sexp_of_counts (c : Ind.counts) =
-  tagged "counts"
-    [
-      Sexp.Atom (string_of_int c.Ind.n_left);
-      Sexp.Atom (string_of_int c.Ind.n_right);
-      Sexp.Atom (string_of_int c.Ind.n_join);
-    ]
+let json_of_counts (c : Ind.counts) =
+  Json.List
+    [ Json.Int c.Ind.n_left; Json.Int c.Ind.n_right; Json.Int c.Ind.n_join ]
 
-let counts_of_sexp = function
-  | Sexp.List [ Sexp.Atom "counts"; l; r; j ] ->
-      { Ind.n_left = int_atom l; n_right = int_atom r; n_join = int_atom j }
+let counts_of_json = function
+  | Json.List [ l; r; j ] ->
+      { Ind.n_left = int l; n_right = int r; n_join = int j }
   | _ -> corrupt "bad counts"
 
-let sexp_of_decision = function
-  | Oracle.Conceptualize name -> tagged "conceptualize" [ Sexp.Atom name ]
-  | Oracle.Force_left_in_right -> Sexp.Atom "force-left-in-right"
-  | Oracle.Force_right_in_left -> Sexp.Atom "force-right-in-left"
-  | Oracle.Ignore_nei -> Sexp.Atom "ignore"
+let json_of_decision = function
+  | Oracle.Conceptualize name ->
+      Json.Obj [ ("conceptualize", Json.String name) ]
+  | Oracle.Force_left_in_right -> Json.String "force-left-in-right"
+  | Oracle.Force_right_in_left -> Json.String "force-right-in-left"
+  | Oracle.Ignore_nei -> Json.String "ignore"
 
-let decision_of_sexp = function
-  | Sexp.List [ Sexp.Atom "conceptualize"; n ] -> Oracle.Conceptualize (atom n)
-  | Sexp.Atom "force-left-in-right" -> Oracle.Force_left_in_right
-  | Sexp.Atom "force-right-in-left" -> Oracle.Force_right_in_left
-  | Sexp.Atom "ignore" -> Oracle.Ignore_nei
+let decision_of_json = function
+  | Json.Obj [ ("conceptualize", n) ] -> Oracle.Conceptualize (str n)
+  | Json.String "force-left-in-right" -> Oracle.Force_left_in_right
+  | Json.String "force-right-in-left" -> Oracle.Force_right_in_left
+  | Json.String "ignore" -> Oracle.Ignore_nei
   | _ -> corrupt "bad nei decision"
 
-let sexp_of_case = function
-  | Ind_discovery.Empty_intersection -> Sexp.Atom "empty"
+let json_of_case = function
+  | Ind_discovery.Empty_intersection -> Json.String "empty"
   | Ind_discovery.Included inds ->
-      tagged "included" (List.map sexp_of_ind inds)
-  | Ind_discovery.Nei d -> tagged "nei" [ sexp_of_decision d ]
+      Json.Obj [ ("included", Json.List (List.map json_of_ind inds)) ]
+  | Ind_discovery.Nei d -> Json.Obj [ ("nei", json_of_decision d) ]
 
-let case_of_sexp = function
-  | Sexp.Atom "empty" -> Ind_discovery.Empty_intersection
-  | Sexp.List (Sexp.Atom "included" :: inds) ->
-      Ind_discovery.Included (List.map ind_of_sexp inds)
-  | Sexp.List [ Sexp.Atom "nei"; d ] -> Ind_discovery.Nei (decision_of_sexp d)
+let case_of_json = function
+  | Json.String "empty" -> Ind_discovery.Empty_intersection
+  | Json.Obj [ ("included", inds) ] ->
+      Ind_discovery.Included (list ind_of_json inds)
+  | Json.Obj [ ("nei", d) ] -> Ind_discovery.Nei (decision_of_json d)
   | _ -> corrupt "bad case"
 
-let sexp_of_ind_step (s : Ind_discovery.step) =
-  tagged "step"
+let json_of_ind_step (s : Ind_discovery.step) =
+  Json.Obj
     [
-      sexp_of_join s.Ind_discovery.join;
-      sexp_of_counts s.Ind_discovery.counts;
-      sexp_of_case s.Ind_discovery.case;
+      ("join", Job_spec.equijoin_to_json s.Ind_discovery.join);
+      ("counts", json_of_counts s.Ind_discovery.counts);
+      ("case", json_of_case s.Ind_discovery.case);
     ]
 
-let ind_step_of_sexp = function
-  | Sexp.List [ Sexp.Atom "step"; j; c; k ] ->
-      {
-        Ind_discovery.join = join_of_sexp j;
-        counts = counts_of_sexp c;
-        case = case_of_sexp k;
-      }
-  | _ -> corrupt "bad ind step"
+let ind_step_of_json j =
+  {
+    Ind_discovery.join = join_of_json (field "join" j);
+    counts = counts_of_json (field "counts" j);
+    case = case_of_json (field "case" j);
+  }
 
 (* --- rhs-discovery --- *)
 
-let sexp_of_outcome = function
-  | Rhs_discovery.Fd_elicited fd -> tagged "fd-elicited" [ sexp_of_fd fd ]
-  | Rhs_discovery.Became_hidden -> Sexp.Atom "became-hidden"
-  | Rhs_discovery.Dropped -> Sexp.Atom "dropped"
-  | Rhs_discovery.Already_hidden -> Sexp.Atom "already-hidden"
+let json_of_outcome = function
+  | Rhs_discovery.Fd_elicited fd -> Json.Obj [ ("fd-elicited", json_of_fd fd) ]
+  | Rhs_discovery.Became_hidden -> Json.String "became-hidden"
+  | Rhs_discovery.Dropped -> Json.String "dropped"
+  | Rhs_discovery.Already_hidden -> Json.String "already-hidden"
 
-let outcome_of_sexp = function
-  | Sexp.List [ Sexp.Atom "fd-elicited"; fd ] ->
-      Rhs_discovery.Fd_elicited (fd_of_sexp fd)
-  | Sexp.Atom "became-hidden" -> Rhs_discovery.Became_hidden
-  | Sexp.Atom "dropped" -> Rhs_discovery.Dropped
-  | Sexp.Atom "already-hidden" -> Rhs_discovery.Already_hidden
+let outcome_of_json = function
+  | Json.Obj [ ("fd-elicited", fd) ] ->
+      Rhs_discovery.Fd_elicited (fd_of_json fd)
+  | Json.String "became-hidden" -> Rhs_discovery.Became_hidden
+  | Json.String "dropped" -> Rhs_discovery.Dropped
+  | Json.String "already-hidden" -> Rhs_discovery.Already_hidden
   | _ -> corrupt "bad outcome"
 
-let sexp_of_rhs_step (s : Rhs_discovery.step) =
-  tagged "step"
+let json_of_rhs_step (s : Rhs_discovery.step) =
+  Json.Obj
     [
-      sexp_of_attr s.Rhs_discovery.candidate;
-      Sexp.List (names s.Rhs_discovery.pruned_rhs);
-      sexp_of_outcome s.Rhs_discovery.outcome;
+      ("candidate", json_of_attr s.Rhs_discovery.candidate);
+      ("pruned_rhs", strings s.Rhs_discovery.pruned_rhs);
+      ("outcome", json_of_outcome s.Rhs_discovery.outcome);
     ]
 
-let rhs_step_of_sexp = function
-  | Sexp.List [ Sexp.Atom "step"; cand; Sexp.List pruned; out ] ->
-      {
-        Rhs_discovery.candidate = attr_of_sexp cand;
-        pruned_rhs = names_of_sexps pruned;
-        outcome = outcome_of_sexp out;
-      }
-  | _ -> corrupt "bad rhs step"
+let rhs_step_of_json j =
+  {
+    Rhs_discovery.candidate = attr_of_json (field "candidate" j);
+    pruned_rhs = list str (field "pruned_rhs" j);
+    outcome = outcome_of_json (field "outcome" j);
+  }
 
 (* --- file IO --- *)
 
@@ -328,50 +282,47 @@ let rec ensure_dir dir =
     try Sys.mkdir dir 0o755 with Sys_error _ -> ()
   end
 
+let write_atomic path contents =
+  let tmp = path ^ ".tmp" in
+  Out_channel.with_open_bin tmp (fun oc ->
+      Out_channel.output_string oc contents);
+  Sys.rename tmp path
+
 let write_file ~dir stage payload =
   ensure_dir dir;
-  let file = path ~dir stage in
-  let tmp = file ^ ".tmp" in
-  let doc =
-    tagged "checkpoint"
-      [
-        tagged "version" [ Sexp.Atom (string_of_int version) ];
-        tagged "stage" [ Sexp.Atom (stage_name stage) ];
-        tagged "checksum" [ Sexp.Atom (fnv1a64 (Sexp.to_string payload)) ];
-        payload;
-      ]
-  in
-  Out_channel.with_open_bin tmp (fun oc ->
-      Out_channel.output_string oc (Sexp.to_string doc);
-      Out_channel.output_char oc '\n');
-  Sys.rename tmp file
+  write_atomic (path ~dir stage)
+    (Json.to_string
+       (Json.Obj
+          [
+            ("version", Json.Int version);
+            ("stage", Json.String (stage_name stage));
+            ("checksum", Json.String (fnv1a64 (Json.to_string payload)));
+            ("payload", payload);
+          ]))
 
 let read_payload ~dir stage =
-  let file = path ~dir stage in
-  if not (Sys.file_exists file) then None
-  else
-    let text =
-      try Some (In_channel.with_open_bin file In_channel.input_all)
-      with Sys_error _ -> None
-    in
-    match Option.map Sexp.of_string_opt text with
-    | Some
-        (Some
-           (Sexp.List
-              [
-                Sexp.Atom "checkpoint";
-                Sexp.List [ Sexp.Atom "version"; Sexp.Atom v ];
-                Sexp.List [ Sexp.Atom "stage"; Sexp.Atom s ];
-                Sexp.List [ Sexp.Atom "checksum"; Sexp.Atom sum ];
-                payload;
-              ]))
-      when v = string_of_int version
-           && s = stage_name stage
-           && String.equal sum (fnv1a64 (Sexp.to_string payload)) ->
-        Some payload
-    | _ -> None
+  match In_channel.with_open_bin (path ~dir stage) In_channel.input_all with
+  | exception Sys_error _ -> None
+  | text -> (
+      match Json.of_string text with
+      | exception Json.Parse_error _ -> None
+      | Json.Obj
+          [
+            ("version", Json.Int v);
+            ("stage", Json.String s);
+            ("checksum", Json.String sum);
+            ("payload", payload);
+          ]
+        when v = version
+             && s = stage_name stage
+             && String.equal sum (fnv1a64 (Json.to_string payload)) ->
+          Some payload
+      | _ -> None)
 
-let decode payload f = try Some (f payload) with _ -> None
+(* the whole payload decodes before a caller acts on any of it *)
+let load ~dir stage f =
+  Option.bind (read_payload ~dir stage) (fun payload ->
+      try Some (f payload) with _ -> None)
 
 (* --- per-stage API --- *)
 
@@ -392,156 +343,141 @@ let write_ind ~dir db (r : Ind_discovery.result) =
     | None -> Table.create rel
   in
   write_file ~dir Ind
-    (tagged "ind"
+    (Json.Obj
        [
-         tagged "inds" (List.map sexp_of_ind r.Ind_discovery.inds);
-         tagged "new-relations"
-           (List.map
-              (fun rel -> sexp_of_table (table_of rel))
-              r.Ind_discovery.new_relations);
-         tagged "steps" (List.map sexp_of_ind_step r.Ind_discovery.steps);
-         tagged "unverified"
-           (List.map sexp_of_join r.Ind_discovery.unverified);
-         sexp_of_exhausted r.Ind_discovery.exhausted;
+         ("inds", Json.List (List.map json_of_ind r.Ind_discovery.inds));
+         ( "new_relations",
+           Json.List
+             (List.map
+                (fun rel -> json_of_table (table_of rel))
+                r.Ind_discovery.new_relations) );
+         ("steps", Json.List (List.map json_of_ind_step r.Ind_discovery.steps));
+         ( "unverified",
+           Json.List
+             (List.map Job_spec.equijoin_to_json r.Ind_discovery.unverified) );
+         ("exhausted", json_of_exhausted r.Ind_discovery.exhausted);
        ])
 
 let load_ind ~dir db =
-  match read_payload ~dir Ind with
-  | None -> None
-  | Some payload ->
-      decode payload (function
-        | Sexp.List (Sexp.Atom "ind" :: fields) ->
-            let inds = List.map ind_of_sexp (assoc "inds" fields) in
-            let tables = List.map table_of_sexp (assoc "new-relations" fields) in
-            let steps = List.map ind_step_of_sexp (assoc "steps" fields) in
-            (* conceptualized relations join the live database again, with
-               their checkpointed intersection extension *)
-            List.iter (Database.replace_table db) tables;
-            {
-              Ind_discovery.inds;
-              new_relations = List.map Table.schema tables;
-              steps;
-              unverified = List.map join_of_sexp (assoc "unverified" fields);
-              exhausted = exhausted_of_sexps (assoc "exhausted" fields);
-            }
-        | _ -> corrupt "bad ind payload")
+  let decoded =
+    load ~dir Ind (fun j ->
+        let tables = list table_of_json (field "new_relations" j) in
+        ( tables,
+          {
+            Ind_discovery.inds = list ind_of_json (field "inds" j);
+            new_relations = List.map Table.schema tables;
+            steps = list ind_step_of_json (field "steps" j);
+            unverified = list join_of_json (field "unverified" j);
+            exhausted = exhausted_of_json (field "exhausted" j);
+          } ))
+  in
+  Option.map
+    (fun (tables, result) ->
+      (* conceptualized relations join the live database again, with
+         their checkpointed intersection extension *)
+      List.iter (Database.replace_table db) tables;
+      result)
+    decoded
 
 let write_lhs ~dir (r : Lhs_discovery.result) =
   write_file ~dir Lhs
-    (tagged "lhs"
+    (Json.Obj
        [
-         tagged "lhs" (List.map sexp_of_attr r.Lhs_discovery.lhs);
-         tagged "hidden" (List.map sexp_of_attr r.Lhs_discovery.hidden);
+         ("lhs", Json.List (List.map json_of_attr r.Lhs_discovery.lhs));
+         ("hidden", Json.List (List.map json_of_attr r.Lhs_discovery.hidden));
        ])
 
 let load_lhs ~dir =
-  match read_payload ~dir Lhs with
-  | None -> None
-  | Some payload ->
-      decode payload (function
-        | Sexp.List (Sexp.Atom "lhs" :: fields) ->
-            {
-              Lhs_discovery.lhs = List.map attr_of_sexp (assoc "lhs" fields);
-              hidden = List.map attr_of_sexp (assoc "hidden" fields);
-            }
-        | _ -> corrupt "bad lhs payload")
+  load ~dir Lhs (fun j ->
+      {
+        Lhs_discovery.lhs = list attr_of_json (field "lhs" j);
+        hidden = list attr_of_json (field "hidden" j);
+      })
 
 let write_rhs ~dir (r : Rhs_discovery.result) =
   write_file ~dir Rhs
-    (tagged "rhs"
+    (Json.Obj
        [
-         tagged "fds" (List.map sexp_of_fd r.Rhs_discovery.fds);
-         tagged "hidden" (List.map sexp_of_attr r.Rhs_discovery.hidden);
-         tagged "steps" (List.map sexp_of_rhs_step r.Rhs_discovery.steps);
-         tagged "unverified"
-           (List.map sexp_of_attr r.Rhs_discovery.unverified);
-         sexp_of_exhausted r.Rhs_discovery.exhausted;
+         ("fds", Json.List (List.map json_of_fd r.Rhs_discovery.fds));
+         ("hidden", Json.List (List.map json_of_attr r.Rhs_discovery.hidden));
+         ("steps", Json.List (List.map json_of_rhs_step r.Rhs_discovery.steps));
+         ( "unverified",
+           Json.List (List.map json_of_attr r.Rhs_discovery.unverified) );
+         ("exhausted", json_of_exhausted r.Rhs_discovery.exhausted);
        ])
 
 let load_rhs ~dir =
-  match read_payload ~dir Rhs with
-  | None -> None
-  | Some payload ->
-      decode payload (function
-        | Sexp.List (Sexp.Atom "rhs" :: fields) ->
-            {
-              Rhs_discovery.fds = List.map fd_of_sexp (assoc "fds" fields);
-              hidden = List.map attr_of_sexp (assoc "hidden" fields);
-              steps = List.map rhs_step_of_sexp (assoc "steps" fields);
-              unverified = List.map attr_of_sexp (assoc "unverified" fields);
-              exhausted = exhausted_of_sexps (assoc "exhausted" fields);
-            }
-        | _ -> corrupt "bad rhs payload")
+  load ~dir Rhs (fun j ->
+      {
+        Rhs_discovery.fds = list fd_of_json (field "fds" j);
+        hidden = list attr_of_json (field "hidden" j);
+        steps = list rhs_step_of_json (field "steps" j);
+        unverified = list attr_of_json (field "unverified" j);
+        exhausted = exhausted_of_json (field "exhausted" j);
+      })
 
 let write_restruct ~dir (r : Restruct.result) =
-  let database =
-    match r.Restruct.database with
-    | None -> tagged "database" [ Sexp.Atom "none" ]
-    | Some db ->
-        tagged "database"
-          (List.map
-             (fun rel ->
-               sexp_of_table (Database.table db rel.Relation.name))
-             (Schema.relations (Database.schema db)))
-  in
   write_file ~dir Restruct
-    (tagged "restruct"
+    (Json.Obj
        [
-         tagged "schema"
-           (List.map sexp_of_relation (Schema.relations r.Restruct.schema));
-         tagged "inds" (List.map sexp_of_ind r.Restruct.inds);
-         tagged "ric" (List.map sexp_of_ind r.Restruct.ric);
-         tagged "renamings"
-           (List.map
-              (fun (a, name) -> Sexp.List [ sexp_of_attr a; Sexp.Atom name ])
-              r.Restruct.renamings);
-         database;
+         ( "schema",
+           Json.List
+             (List.map json_of_relation (Schema.relations r.Restruct.schema)) );
+         ("inds", Json.List (List.map json_of_ind r.Restruct.inds));
+         ("ric", Json.List (List.map json_of_ind r.Restruct.ric));
+         ( "renamings",
+           Json.List
+             (List.map
+                (fun (a, name) ->
+                  Json.List [ json_of_attr a; Json.String name ])
+                r.Restruct.renamings) );
+         ( "database",
+           match r.Restruct.database with
+           | None -> Json.Null
+           | Some db ->
+               Json.List
+                 (List.map
+                    (fun rel ->
+                      json_of_table (Database.table db rel.Relation.name))
+                    (Schema.relations (Database.schema db))) );
        ])
 
 let load_restruct ~dir =
-  match read_payload ~dir Restruct with
-  | None -> None
-  | Some payload ->
-      decode payload (function
-        | Sexp.List (Sexp.Atom "restruct" :: fields) ->
-            let schema =
-              Schema.of_relations
-                (List.map relation_of_sexp (assoc "schema" fields))
-            in
-            let inds = List.map ind_of_sexp (assoc "inds" fields) in
-            let ric = List.map ind_of_sexp (assoc "ric" fields) in
-            let renamings =
-              List.map
-                (function
-                  | Sexp.List [ a; n ] -> (attr_of_sexp a, atom n)
-                  | _ -> corrupt "bad renaming")
-                (assoc "renamings" fields)
-            in
-            let database =
-              match assoc "database" fields with
-              | [ Sexp.Atom "none" ] -> None
-              | tables ->
-                  let db = Database.create Schema.empty in
-                  List.iter
-                    (fun t -> Database.replace_table db (table_of_sexp t))
-                    tables;
-                  Some db
-            in
-            { Restruct.schema; inds; ric; renamings; database }
-        | _ -> corrupt "bad restruct payload")
+  load ~dir Restruct (fun j ->
+      let renaming = function
+        | Json.List [ a; n ] -> (attr_of_json a, str n)
+        | _ -> corrupt "bad renaming"
+      in
+      let database =
+        match field "database" j with
+        | Json.Null -> None
+        | tables ->
+            let db = Database.create Schema.empty in
+            List.iter (Database.replace_table db) (list table_of_json tables);
+            Some db
+      in
+      {
+        Restruct.schema =
+          Schema.of_relations (list relation_of_json (field "schema" j));
+        inds = list ind_of_json (field "inds" j);
+        ric = list ind_of_json (field "ric" j);
+        renamings = list renaming (field "renamings" j);
+        database;
+      })
 
 let write_translate ~dir (r : Translate.result) =
   (* The EER graph has no deserializer; this checkpoint is a completion
      marker carrying a human-readable rendering. Resume recomputes
      Translate from the restruct checkpoint (cheap and deterministic). *)
   write_file ~dir Translate
-    (tagged "translate"
+    (Json.Obj
        [
-         tagged "entities"
-           (List.map
-              (fun (r, e) -> Sexp.List [ Sexp.Atom r; Sexp.Atom e ])
-              r.Translate.entity_of_relation);
-         tagged "eer" [ Sexp.Atom (Er.Text_render.to_string r.Translate.eer) ];
+         ( "entities",
+           Json.List
+             (List.map
+                (fun (r, e) -> strings [ r; e ])
+                r.Translate.entity_of_relation) );
+         ("eer", Json.String (Er.Text_render.to_string r.Translate.eer));
        ])
 
 let translate_done ~dir = read_payload ~dir Translate <> None

@@ -1,15 +1,21 @@
 (** Per-stage pipeline checkpoints.
 
     Each stage serializes its output artifact to
-    [<dir>/<n>-<stage>.ckpt] as a single s-expression wrapped in
-    [(checkpoint (version 2) (stage ...) (checksum ...) <payload>)].
-    The checksum is FNV-1a 64 over the canonical serialization of the
-    payload, verified on load against a re-serialization of the parsed
-    payload — a file truncated or edited into something still
-    parseable reads as corrupt. Writes are atomic (tmp file + rename);
-    loads return [None] on a missing, corrupt, checksum-mismatched or
-    version-mismatched file, so a resuming run silently recomputes the
-    stage instead of failing.
+    [<dir>/<n>-<stage>.ckpt] as one {!Relational.Json} document,
+    [{"version":3,"stage":...,"checksum":...,"payload":...}]. The
+    checksum is FNV-1a 64 over the compact rendering of the payload,
+    verified on load against a re-rendering of the parsed payload — a
+    file truncated or edited into something still parseable reads as
+    corrupt. Writes are atomic (tmp file + rename); loads return [None]
+    on a missing, corrupt, checksum-mismatched or version-mismatched
+    file (version 2 files were s-expressions and read as stale), so a
+    resuming run silently recomputes the stage instead of failing.
+    Loads are total: {!Relational.Json.of_string} refuses deep nesting, and no
+    decoding failure escapes as an exception.
+
+    Values round-trip exactly: floats are stored as their ["%h"]
+    rendering (so NaN, infinities and [-0.0] survive) and dates as
+    tagged triples, never re-guessed from strings.
 
     Partial artifacts: the Ind and Rhs payloads carry their result's
     [unverified]/[exhausted] fields, so a budget-tripped stage
@@ -32,6 +38,11 @@ val path : dir:string -> stage -> string
 val ensure_dir : string -> unit
 (** Recursive [mkdir -p]; existing directories are fine. *)
 
+val write_atomic : string -> string -> unit
+(** [write_atomic path contents] writes [path ^ ".tmp"] and renames it
+    over [path], so a crash leaves the old contents or the new, never a
+    torn file. Raises [Sys_error] on IO failure. *)
+
 val invalidate : dir:string -> unit
 (** Delete every stage checkpoint in [dir]. Mutation makes all of them
     stale at once (each embeds verdicts over the old extension), so a
@@ -46,7 +57,8 @@ val write_ind : dir:string -> Database.t -> Ind_discovery.result -> unit
 
 val load_ind : dir:string -> Database.t -> Ind_discovery.result option
 (** On success, re-applies the conceptualized relations (schema and
-    extension) to [db] via [Database.replace_table]. *)
+    extension) to [db] via [Database.replace_table]. The whole payload
+    is decoded first: on [None], [db] is untouched. *)
 
 val write_lhs : dir:string -> Lhs_discovery.result -> unit
 val load_lhs : dir:string -> Lhs_discovery.result option

@@ -357,12 +357,6 @@ let of_string text =
 (* CLI flag folding                                                    *)
 (* ------------------------------------------------------------------ *)
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
 let of_args ?label ~ddl ?data_dir ?programs_dir ?(engine = "default")
     ?(oracle = "auto") ?deadline ?max_heap_mb ?(on_exhausted = "partial")
     ?(lenient = false) ?checkpoint_dir ?(resume = false)
@@ -405,7 +399,7 @@ let of_args ?label ~ddl ?data_dir ?programs_dir ?(engine = "default")
     else Ok ()
   in
   let* ddl_text =
-    match read_file ddl with
+    match In_channel.with_open_bin ddl In_channel.input_all with
     | text -> Ok text
     | exception Sys_error msg -> Error msg
   in
@@ -435,7 +429,9 @@ let of_args ?label ~ddl ?data_dir ?programs_dir ?(engine = "default")
     | Some dir -> (
         match
           Sys.readdir dir |> Array.to_list |> List.sort String.compare
-          |> List.map (fun f -> read_file (Filename.concat dir f))
+          |> List.map (fun f ->
+                 In_channel.with_open_bin (Filename.concat dir f)
+                   In_channel.input_all)
         with
         | texts -> Ok (Programs texts)
         | exception Sys_error msg -> Error msg)

@@ -122,5 +122,11 @@ val to_string : t -> (string, string) result
 
 val of_string : string -> (t, string) result
 
+val equijoin_to_json : Sqlx.Equijoin.t -> Json.t
+(** [{"rel1":..,"attrs1":[..],"rel2":..,"attrs2":[..]}] — the encoding
+    of an [Equijoins] workload entry, shared by {!Checkpoint}. *)
+
+val equijoin_of_json : Json.t -> (Sqlx.Equijoin.t, string) result
+
 val describe : t -> string
 (** One line for logs: label, source count, workload shape, engine. *)

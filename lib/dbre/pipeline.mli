@@ -75,6 +75,12 @@ val default_config : config
     sequential), data migration on, strict ([`Fail]) tuple handling,
     no hooks, no progress tap, dataflow analysis off. *)
 
+val extract_equijoins :
+  ?flow:bool -> Database.t -> Job_spec.workload -> Sqlx.Equijoin.t list
+(** The Extract stage: the workload's equi-joins over [db]'s schema,
+    deduplicated. [?flow] (default off) adds the inter-statement joins
+    of the dataflow analysis after the per-statement ones. *)
+
 type partial = {
   p_equijoins : Sqlx.Equijoin.t list option;
   p_ind_result : Ind_discovery.result option;

@@ -1,5 +1,6 @@
 (** Tiny JSON codec used by the serializable job descriptions
-    ({!Dbre.Job_spec}) and the analysis daemon's wire protocol.
+    ({!Dbre.Job_spec}), the analysis daemon's wire protocol and the
+    pipeline checkpoints.
 
     Printing is deterministic — object fields are emitted in the order
     given, numbers in a shortest round-tripping form — so encodings can
@@ -9,9 +10,10 @@
     exponent that fit in an OCaml [int] parse as {!Int}, everything
     else as {!Float}.
 
-    This module plays the role {!Sexp} plays for checkpoints: a small
-    self-contained codec at the bottom of the stack, with no external
-    dependencies. *)
+    It is the repository's one serialization format: job specs, the
+    daemon's wire protocol and the pipeline checkpoints
+    ({!Dbre.Checkpoint}) all go through it. A small self-contained codec
+    at the bottom of the stack, with no external dependencies. *)
 
 type t =
   | Null

@@ -69,52 +69,29 @@ let locked t f =
 (* Persistence: state_dir/<id>/{spec.json,status,error,artifacts/,ckpt/} *)
 (* ------------------------------------------------------------------ *)
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
-(* atomic publication: a crash never leaves a half-written status or
-   spec behind, only the previous value or the new one *)
-let write_file_atomic path contents =
-  let tmp = path ^ ".tmp" in
-  let oc = open_out_bin tmp in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> output_string oc contents);
-  Sys.rename tmp path
-
-let mkdir_p dir =
-  let rec go dir =
-    if not (Sys.file_exists dir) then begin
-      go (Filename.dirname dir);
-      try Sys.mkdir dir 0o755 with Sys_error _ -> ()
-    end
-  in
-  go dir
-
 let job_dir t id =
   Option.map (fun dir -> Filename.concat dir id) t.state_dir
 
+(* every file is published with the checkpoints' atomic write: a crash
+   leaves the previous value or the new one, never a half-written file *)
 let persist_status t entry =
   match job_dir t entry.id with
   | None -> ()
   | Some dir -> (
       try
-        write_file_atomic
+        Dbre.Checkpoint.write_atomic
           (Filename.concat dir "status")
           (state_to_string entry.state);
         if entry.error <> Json.Null then
-          write_file_atomic
+          Dbre.Checkpoint.write_atomic
             (Filename.concat dir "error")
             (Json.to_string entry.error);
         if settled entry.state && entry.artifacts <> [] then begin
           let adir = Filename.concat dir "artifacts" in
-          mkdir_p adir;
+          Dbre.Checkpoint.ensure_dir adir;
           List.iter
             (fun (name, text) ->
-              write_file_atomic (Filename.concat adir name) text)
+              Dbre.Checkpoint.write_atomic (Filename.concat adir name) text)
             entry.artifacts
         end
       with Sys_error _ -> ())
@@ -127,8 +104,10 @@ let persist_spec t entry =
       | Error _ -> ()  (* unserializable (Reader) jobs are session-only *)
       | Ok text -> (
           try
-            mkdir_p dir;
-            write_file_atomic (Filename.concat dir "spec.json") text;
+            Dbre.Checkpoint.ensure_dir dir;
+            Dbre.Checkpoint.write_atomic
+              (Filename.concat dir "spec.json")
+              text;
             persist_status t entry
           with Sys_error _ -> ()))
 
@@ -806,7 +785,7 @@ let acceptor t listener =
 let adopt_state t =
   match t.state_dir with
   | None -> ()
-  | Some dir when not (Sys.file_exists dir) -> mkdir_p dir
+  | Some dir when not (Sys.file_exists dir) -> Dbre.Checkpoint.ensure_dir dir
   | Some dir ->
       let ids =
         Sys.readdir dir |> Array.to_list
@@ -820,7 +799,11 @@ let adopt_state t =
       List.iter
         (fun id ->
           let jdir = Filename.concat dir id in
-          match Dbre.Job_spec.of_string (read_file (Filename.concat jdir "spec.json")) with
+          match
+            Dbre.Job_spec.of_string
+              In_channel.(
+                with_open_bin (Filename.concat jdir "spec.json") input_all)
+          with
           | exception Sys_error _ -> ()
           | Error _ -> ()
           | Ok spec ->
@@ -831,7 +814,10 @@ let adopt_state t =
               | Some n when n >= t.next_id -> t.next_id <- n + 1
               | _ -> ());
               let status =
-                match read_file (Filename.concat jdir "status") with
+                match
+                  In_channel.(
+                    with_open_bin (Filename.concat jdir "status") input_all)
+                with
                 | s -> s
                 | exception Sys_error _ -> "queued"
               in
@@ -847,7 +833,10 @@ let adopt_state t =
                 if settled state && Sys.file_exists adir then
                   Sys.readdir adir |> Array.to_list |> List.sort compare
                   |> List.filter_map (fun name ->
-                         match read_file (Filename.concat adir name) with
+                         match
+                           In_channel.(
+                             with_open_bin (Filename.concat adir name) input_all)
+                         with
                          | text -> Some (name, text)
                          | exception Sys_error _ -> None)
                 else []
@@ -855,7 +844,9 @@ let adopt_state t =
               let error =
                 let epath = Filename.concat jdir "error" in
                 if Sys.file_exists epath then
-                  match Json.of_string (read_file epath) with
+                  match
+                    Json.of_string In_channel.(with_open_bin epath input_all)
+                  with
                   | j -> j
                   | exception _ -> Json.Null
                 else Json.Null

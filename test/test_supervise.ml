@@ -9,7 +9,7 @@ open Dbre
 module Engine = Relational.Engine
 module Error = Relational.Error
 module Supervise = Relational.Supervise
-module Sexp = Relational.Sexp
+module Json = Relational.Json
 
 let rec rm_rf path =
   if Sys.file_exists path then
@@ -303,22 +303,20 @@ let test_checksum_tamper () =
   let p = Checkpoint.path ~dir Checkpoint.Rhs in
   let doc = In_channel.with_open_bin p In_channel.input_all in
   let mangled =
-    match Sexp.of_string doc with
-    | Sexp.List
-        [ hdr; ver; stage; sum; Sexp.List (Sexp.Atom "rhs" :: fields) ] ->
+    match Json.of_string doc with
+    | Json.Obj [ ver; stage; sum; ("payload", Json.Obj fields) ] ->
         let fields =
           List.map
             (function
-              | Sexp.List (Sexp.Atom "fds" :: _ :: rest) ->
-                  Sexp.List (Sexp.Atom "fds" :: rest)
+              | "fds", Json.List (_ :: rest) -> ("fds", Json.List rest)
               | f -> f)
             fields
         in
-        Sexp.List [ hdr; ver; stage; sum; Sexp.List (Sexp.Atom "rhs" :: fields) ]
+        Json.Obj [ ver; stage; sum; ("payload", Json.Obj fields) ]
     | _ -> Alcotest.fail "unexpected checkpoint layout"
   in
   Out_channel.with_open_bin p (fun oc ->
-      Out_channel.output_string oc (Sexp.to_string mangled));
+      Out_channel.output_string oc (Json.to_string mangled));
   Alcotest.(check bool) "tampered payload rejected by checksum" true
     (Checkpoint.load_rhs ~dir = None);
   (* resume silently recomputes the stage and matches the baseline *)
