@@ -6,10 +6,12 @@
 
    - the E-sections (E1..E5, F1) re-generate every §5-§7 artifact and the
      Figure 1 EER schema, printing them in the paper's notation;
-   - the B-groups (B1..B6) are Bechamel micro-benchmarks for the costs the
-     paper's design choices trade off (per-equi-join counting, query-guided
-     vs. exhaustive discovery, naive vs. partition FD checks, pipeline
-     scaling) — the quantitative backing for EXPERIMENTS.md.
+   - the B-groups guard the live design choices: B3 (FD checks on the
+     column store vs the reference engines), B13 (batched verification
+     on the domain pool), B14 (the CSV loader), B15 (supervision), B16
+     (serve), B17 (dataflow evidence), B18 (delta refresh) and B19 (the
+     out-of-core store). Those with a stated target gate it under
+     --check.
 
    Run `main.exe` for everything, `main.exe --experiments` for the paper
    artifacts only, `main.exe --bench` for the timings only. *)
@@ -131,11 +133,6 @@ let cfg =
   Benchmark.cfg ~limit:200 ~quota:(Time.second 0.5) ~kde:None
     ~stabilize:false ()
 
-(* overhead comparisons need tighter estimates than the survey groups *)
-let cfg_precise =
-  Benchmark.cfg ~limit:2_000 ~quota:(Time.second 3.0) ~kde:None
-    ~stabilize:true ()
-
 let cfg_smoke =
   Benchmark.cfg ~limit:3 ~quota:(Time.second 0.005) ~kde:None
     ~stabilize:false ()
@@ -149,13 +146,9 @@ let pretty_time ns =
   else if ns >= 1e3 then Printf.sprintf "%.2f us" (ns /. 1e3)
   else Printf.sprintf "%.0f ns" ns
 
-(* run a test group, print one line per element, and return the raw
-   (name, ns) measurements for shape checks *)
-let run_group ?cfg:cfg_opt (test : Test.t) =
-  let cfg =
-    if !smoke then cfg_smoke
-    else match cfg_opt with Some c -> c | None -> cfg
-  in
+(* run a test group and print (and record) one line per element *)
+let run_group (test : Test.t) =
+  let cfg = if !smoke then cfg_smoke else cfg in
   let raw = Benchmark.all cfg [ instance ] test in
   let analyzed = Analyze.all ols instance raw in
   let rows =
@@ -171,8 +164,7 @@ let run_group ?cfg:cfg_opt (test : Test.t) =
     (fun (name, est) ->
       Printf.printf "  %-58s %12s/run\n%!" name (pretty_time est);
       record name est "ns/run")
-    rows;
-  rows
+    rows
 
 let section title =
   (match String.index_opt title ':' with
@@ -272,67 +264,6 @@ let workloads =
 let paper_db = lazy (Workload.Paper_example.database ())
 
 (* ------------------------------------------------------------------ *)
-(* B1: IND-Discovery cost vs extension size                             *)
-(* ------------------------------------------------------------------ *)
-
-let b1 () =
-  section "B1: IND-Discovery (per-equi-join counting) vs extension size";
-  let tests =
-    List.map
-      (fun (n, g) ->
-        Test.make
-          ~name:(Printf.sprintf "ind-discovery/rows=%d" n)
-          (Staged.stage (fun () ->
-               ignore
-                 (Dbre.Ind_discovery.run Dbre.Oracle.automatic
-                    g.Workload.Gen_schema.db g.Workload.Gen_schema.equijoins))))
-      (Lazy.force workloads)
-  in
-  ignore (run_group (Test.make_grouped ~name:"b1" tests))
-
-(* ------------------------------------------------------------------ *)
-(* B2: query-guided vs exhaustive unary IND discovery                   *)
-(* ------------------------------------------------------------------ *)
-
-let b2 () =
-  section "B2: query-guided IND elicitation vs exhaustive unary discovery";
-  let n, g = List.nth (Lazy.force workloads) 1 (* 5k rows *) in
-  Printf.printf "  workload: %d rows/entity, %d relations\n" n
-    (Schema.size (Database.schema g.Workload.Gen_schema.db));
-  let _, stats = Deps.Ind_infer.discover_unary g.Workload.Gen_schema.db in
-  Printf.printf
-    "  candidate tests: query-guided=%d  exhaustive=%d (of %d ordered pairs)\n"
-    (List.length g.Workload.Gen_schema.equijoins)
-    stats.Deps.Ind_infer.pairs_tested stats.Deps.Ind_infer.pairs_considered;
-  let tests =
-    [
-      Test.make ~name:"guided"
-        (Staged.stage (fun () ->
-             ignore
-               (Dbre.Ind_discovery.run Dbre.Oracle.automatic
-                  g.Workload.Gen_schema.db g.Workload.Gen_schema.equijoins)));
-      Test.make ~name:"exhaustive"
-        (Staged.stage (fun () ->
-             ignore (Deps.Ind_infer.discover_unary g.Workload.Gen_schema.db)));
-    ]
-  in
-  let rows = run_group (Test.make_grouped ~name:"b2" tests) in
-  let find needle =
-    List.find_opt
-      (fun (name, _) ->
-        let nl = String.length needle and l = String.length name in
-        let rec go i = i + nl <= l && (String.sub name i nl = needle || go (i + 1)) in
-        go 0)
-      rows
-  in
-  match (find "guided", find "exhaustive") with
-  | Some (_, guided), Some (_, exhaustive) when guided > 0.0 ->
-      Printf.printf
-        "  shape: exhaustive/guided = %.1fx (paper's thesis: guidance wins)\n"
-        (exhaustive /. guided)
-  | _ -> ()
-
-(* ------------------------------------------------------------------ *)
 (* B3: FD check engines vs extension size                               *)
 (* ------------------------------------------------------------------ *)
 
@@ -366,7 +297,7 @@ let b3 () =
         ])
       (Lazy.force workloads)
   in
-  ignore (run_group (Test.make_grouped ~name:"b3" tests));
+  run_group (Test.make_grouped ~name:"b3" tests);
   (* the amortized regime: a full levelwise discovery re-checks many
      FDs over shared LHS prefixes — where memoized partitions pay off *)
   Printf.printf "  amortized (full discovery over a 7-attribute relation):\n";
@@ -383,457 +314,7 @@ let b3 () =
                (Reference.Fd_infer.discover_tane ~max_lhs:2 ~rel:"Person" dept)));
     ]
   in
-  ignore (run_group (Test.make_grouped ~name:"b3x" tests))
-
-(* ------------------------------------------------------------------ *)
-(* B4: query-guided FD elicitation vs full levelwise discovery          *)
-(* ------------------------------------------------------------------ *)
-
-let b4 () =
-  section "B4: query-guided FD elicitation vs full levelwise discovery";
-  let db = Lazy.force paper_db in
-  let lhs = [ Attribute.single "Department" "emp" ] in
-  let dept = Database.table db "Department" in
-  let _, stats = Deps.Fd_infer.discover ~max_lhs:2 ~rel:"Department" dept in
-  Printf.printf
-    "  Department: guided tests 1 candidate LHS; levelwise tested %d candidates\n"
-    stats.Deps.Fd_infer.candidates_tested;
-  let tests =
-    [
-      Test.make ~name:"guided (RHS-Discovery on Department.emp)"
-        (Staged.stage (fun () ->
-             ignore
-               (Dbre.Rhs_discovery.run Dbre.Oracle.automatic db ~lhs
-                  ~hidden:[])));
-      Test.make ~name:"levelwise (Mannila-Raiha baseline, lhs<=2)"
-        (Staged.stage (fun () ->
-             ignore (Deps.Fd_infer.discover ~max_lhs:2 ~rel:"Department" dept)));
-    ]
-  in
-  ignore (run_group (Test.make_grouped ~name:"b4" tests))
-
-(* ------------------------------------------------------------------ *)
-(* B5: full pipeline vs schema size                                     *)
-(* ------------------------------------------------------------------ *)
-
-let pipeline_spec n_rel =
-  {
-    Workload.Gen_schema.default_spec with
-    Workload.Gen_schema.n_entities = n_rel / 2;
-    n_denorm = n_rel / 2;
-    rows_per_entity = (if !smoke then 50 else 500);
-    rows_per_denorm = (if !smoke then 100 else 1_000);
-  }
-
-let b5 () =
-  section "B5: full pipeline vs number of relations";
-  let tests =
-    List.map
-      (fun n_rel ->
-        let g = Workload.Gen_schema.generate (pipeline_spec n_rel) in
-        Test.make
-          ~name:(Printf.sprintf "pipeline/relations=%d" n_rel)
-          (Staged.stage (fun () ->
-               ignore
-                 (Dbre.Pipeline.run
-                    ~config:
-                      {
-                        Dbre.Pipeline.default_config with
-                        Dbre.Pipeline.migrate_data = false;
-                      }
-                    g.Workload.Gen_schema.db
-                    (Dbre.Job_spec.Equijoins g.Workload.Gen_schema.equijoins)))))
-      (if !smoke then [ 4; 8 ] else [ 4; 8; 16; 32 ])
-  in
-  ignore (run_group (Test.make_grouped ~name:"b5" tests))
-
-(* ------------------------------------------------------------------ *)
-(* B6: Restruct + Translate, with 3NF verification                      *)
-(* ------------------------------------------------------------------ *)
-
-let b6 () =
-  section "B6: Restruct and Translate on the paper example";
-  let db = Workload.Paper_example.database () in
-  let result =
-    Dbre.Pipeline.run
-      ~config:
-        {
-          Dbre.Pipeline.default_config with
-          Dbre.Pipeline.oracle = Workload.Paper_example.oracle ();
-        }
-      db
-      (Dbre.Job_spec.Equijoins (Workload.Paper_example.equijoins ()))
-  in
-  let fds = result.Dbre.Pipeline.rhs_result.Dbre.Rhs_discovery.fds in
-  let hidden = result.Dbre.Pipeline.rhs_result.Dbre.Rhs_discovery.hidden in
-  let inds = result.Dbre.Pipeline.ind_result.Dbre.Ind_discovery.inds in
-  let schema = Database.schema db in
-  let tests =
-    [
-      Test.make ~name:"restruct (schema only)"
-        (Staged.stage (fun () ->
-             ignore
-               (Dbre.Restruct.run
-                  (Workload.Paper_example.oracle ())
-                  ~schema ~fds ~hidden ~inds ())));
-      Test.make ~name:"restruct (with data migration)"
-        (Staged.stage (fun () ->
-             ignore
-               (Dbre.Restruct.run
-                  (Workload.Paper_example.oracle ())
-                  ~db ~schema ~fds ~hidden ~inds ())));
-      Test.make ~name:"translate"
-        (Staged.stage (fun () ->
-             ignore
-               (Dbre.Translate.run
-                  ~schema:
-                    result.Dbre.Pipeline.restruct_result.Dbre.Restruct.schema
-                  result.Dbre.Pipeline.restruct_result.Dbre.Restruct.ric)));
-    ]
-  in
-  ignore (run_group (Test.make_grouped ~name:"b6" tests));
-  let all_3nf =
-    List.for_all
-      (fun (_, nf) ->
-        match nf with
-        | Deps.Normal_forms.Nf3 | Deps.Normal_forms.Bcnf -> true
-        | Deps.Normal_forms.Nf1 | Deps.Normal_forms.Nf2 -> false)
-      (Dbre.Pipeline.nf_report result)
-  in
-  Printf.printf "  3NF verification of restructured schema: %s\n"
-    (if all_3nf then "OK (all relations >= 3NF)" else "FAILED")
-
-(* ------------------------------------------------------------------ *)
-(* B7: recovery quality under corruption (precision/recall sweep)       *)
-(* ------------------------------------------------------------------ *)
-
-let b7_spec () =
-  {
-    Workload.Gen_schema.default_spec with
-    Workload.Gen_schema.rows_per_entity = (if !smoke then 100 else 1_000);
-    rows_per_denorm = (if !smoke then 200 else 2_000);
-    null_ref_rate = 0.0;
-  }
-
-let b7 () =
-  section "B7: dependency recovery vs corruption rate (precision/recall)";
-  Printf.printf
-    "  %-8s %-22s %-40s %-40s\n" "rate" "oracle" "IND metrics" "FD metrics";
-  let oracles =
-    [
-      ("automatic", fun () -> Dbre.Oracle.automatic);
-      ("threshold 0.8", fun () -> Dbre.Oracle.threshold ~nei_ratio:0.8);
-      ("threshold 0.5", fun () -> Dbre.Oracle.threshold ~nei_ratio:0.5);
-    ]
-  in
-  List.iter
-    (fun rate ->
-      List.iter
-        (fun (oracle_name, mk_oracle) ->
-          let g = Workload.Gen_schema.generate (b7_spec ()) in
-          let db = g.Workload.Gen_schema.db in
-          let rng = Workload.Rng.create 2024L in
-          (* corrupt every planted reference column at the given rate *)
-          List.iter
-            (fun (i : Deps.Ind.t) ->
-              if rate > 0.0 then
-                ignore
-                  (Workload.Corrupt.break_ind rng db ~rel:i.Deps.Ind.lhs_rel
-                     ~attr:(List.hd i.Deps.Ind.lhs_attrs) ~rate))
-            g.Workload.Gen_schema.truth.Workload.Gen_schema.planted_inds;
-          let config =
-            {
-              Dbre.Pipeline.default_config with
-              Dbre.Pipeline.oracle = mk_oracle ();
-              migrate_data = false;
-            }
-          in
-          let r =
-            Dbre.Pipeline.run ~config db
-              (Dbre.Job_spec.Equijoins g.Workload.Gen_schema.equijoins)
-          in
-          let im =
-            Workload.Evaluate.ind_metrics
-              ~truth:g.Workload.Gen_schema.truth.Workload.Gen_schema.planted_inds
-              r.Dbre.Pipeline.ind_result.Dbre.Ind_discovery.inds
-          in
-          let fm =
-            Workload.Evaluate.fd_metrics
-              ~truth:g.Workload.Gen_schema.truth.Workload.Gen_schema.planted_fds
-              ~found:r.Dbre.Pipeline.rhs_result.Dbre.Rhs_discovery.fds
-          in
-          Printf.printf "  %-8.2f %-22s %-40s %-40s\n" rate oracle_name
-            (Format.asprintf "%a" Workload.Evaluate.pp_metrics im)
-            (Format.asprintf "%a" Workload.Evaluate.pp_metrics fm))
-        oracles)
-    (if !smoke then [ 0.0; 0.1 ] else [ 0.0; 0.01; 0.05; 0.1; 0.2 ])
-
-(* ------------------------------------------------------------------ *)
-(* B8: count-based vs materialized IND test (§6.1 push-down ablation)   *)
-(* ------------------------------------------------------------------ *)
-
-let b8 () =
-  section "B8: IND test engines - count push-down vs materialized projections";
-  let _, g = List.nth (Lazy.force workloads) 2 (* 10k rows *) in
-  let db = g.Workload.Gen_schema.db in
-  let target = List.hd g.Workload.Gen_schema.truth.Workload.Gen_schema.planted_inds in
-  (* agreement check first *)
-  let agree =
-    Deps.Ind.satisfied db target = Reference.Counts.ind_satisfied db target
-  in
-  Printf.printf "  engines agree on %s: %b\n" (Deps.Ind.to_string target) agree;
-  let tests =
-    [
-      Test.make ~name:"count-based (SELECT COUNT DISTINCT push-down)"
-        (Staged.stage (fun () -> ignore (Deps.Ind.satisfied db target)));
-      Test.make ~name:"materialized projections"
-        (Staged.stage (fun () ->
-             ignore (Reference.Counts.ind_satisfied db target)));
-    ]
-  in
-  ignore (run_group (Test.make_grouped ~name:"b8" tests));
-  (* RIC redundancy analysis on both built-in scenarios *)
-  List.iter
-    (fun scenario ->
-      let sdb = scenario.Workload.Scenarios.database () in
-      let config =
-        {
-          Dbre.Pipeline.default_config with
-          Dbre.Pipeline.oracle = scenario.Workload.Scenarios.oracle ();
-          migrate_data = false;
-        }
-      in
-      let r =
-        Dbre.Pipeline.run ~config sdb
-          (Dbre.Job_spec.Programs scenario.Workload.Scenarios.programs)
-      in
-      let ric = r.Dbre.Pipeline.restruct_result.Dbre.Restruct.ric in
-      let redundant = Deps.Ind_closure.redundant ric in
-      Printf.printf "  %s: %d RICs, %d redundant under implication\n"
-        scenario.Workload.Scenarios.name (List.length ric)
-        (List.length redundant))
-    Workload.Scenarios.all
-
-(* ------------------------------------------------------------------ *)
-(* B9: cost of running legacy queries against the restructured schema   *)
-(* ------------------------------------------------------------------ *)
-
-let b9 () =
-  section "B9: legacy query vs rewritten query on the restructured database";
-  let db = Workload.Paper_example.database () in
-  let result =
-    Dbre.Pipeline.run
-      ~config:
-        {
-          Dbre.Pipeline.default_config with
-          Dbre.Pipeline.oracle = Workload.Paper_example.oracle ();
-        }
-      db
-      (Dbre.Job_spec.Equijoins (Workload.Paper_example.equijoins ()))
-  in
-  let plan = Dbre.Rewrite.plan result in
-  let migrated =
-    Option.get result.Dbre.Pipeline.restruct_result.Dbre.Restruct.database
-  in
-  let original = Workload.Paper_example.database () in
-  let legacy = "SELECT dep, skill FROM Department WHERE proj = 'pr001'" in
-  let rewritten = Dbre.Rewrite.sql plan legacy in
-  Printf.printf "  legacy:    %s\n  rewritten: %s\n" legacy rewritten;
-  (* answers agree (dropping the all-NULL legacy rows a join removes) *)
-  let rows_of db sql =
-    List.sort compare (Sqlx.Exec.run_string db sql).Algebra.rows
-  in
-  let before =
-    List.filter
-      (fun row -> not (List.for_all Value.is_null row))
-      (rows_of original legacy)
-  in
-  Printf.printf "  answers agree: %b (%d rows)\n"
-    (before = rows_of migrated rewritten)
-    (List.length before);
-  let tests =
-    [
-      Test.make ~name:"legacy query on original (denormalized read)"
-        (Staged.stage (fun () -> ignore (Sqlx.Exec.run_string original legacy)));
-      Test.make ~name:"rewritten query on migrated (join added)"
-        (Staged.stage (fun () -> ignore (Sqlx.Exec.run_string migrated rewritten)));
-    ]
-  in
-  ignore (run_group (Test.make_grouped ~name:"b9" tests))
-
-(* ------------------------------------------------------------------ *)
-(* B10: fault-tolerance overhead (wrapped runner, checkpoints, resume)  *)
-(* ------------------------------------------------------------------ *)
-
-let rec rm_rf path =
-  if Sys.file_exists path then
-    if Sys.is_directory path then begin
-      Array.iter (fun f -> rm_rf (Filename.concat path f)) (Sys.readdir path);
-      Sys.rmdir path
-    end
-    else Sys.remove path
-
-let b10 () =
-  section "B10: fault-tolerance overhead on the E5 scaling workload";
-  let g = Workload.Gen_schema.generate (pipeline_spec 8) in
-  let config =
-    {
-      Dbre.Pipeline.default_config with
-      Dbre.Pipeline.migrate_data = false;
-    }
-  in
-  let input = Dbre.Job_spec.Equijoins g.Workload.Gen_schema.equijoins in
-  let db = g.Workload.Gen_schema.db in
-  let ckpt_dir = "_bench_ckpt" in
-  rm_rf ckpt_dir;
-  (* pre-write a full checkpoint set for the resume measurement *)
-  ignore (Dbre.Pipeline.run ~config ~checkpoint_dir:ckpt_dir db input);
-  let tests =
-    [
-      Test.make ~name:"raw run (exception-raising wrapper)"
-        (Staged.stage (fun () ->
-             ignore (Dbre.Pipeline.run ~config db input)));
-      Test.make ~name:"run_checked (typed-error boundary)"
-        (Staged.stage (fun () ->
-             ignore (Dbre.Pipeline.run_checked ~config db input)));
-      Test.make ~name:"run_checked + per-stage checkpoints"
-        (Staged.stage (fun () ->
-             ignore
-               (Dbre.Pipeline.run_checked ~config ~checkpoint_dir:ckpt_dir db
-                  input)));
-      Test.make ~name:"run_checked resuming all stages from disk"
-        (Staged.stage (fun () ->
-             ignore
-               (Dbre.Pipeline.run_checked ~config ~resume_from:ckpt_dir db
-                  input)));
-    ]
-  in
-  let rows = run_group ~cfg:cfg_precise (Test.make_grouped ~name:"b10" tests) in
-  let find needle =
-    List.find_opt
-      (fun (name, _) ->
-        let nl = String.length needle and l = String.length name in
-        let rec go i =
-          i + nl <= l && (String.sub name i nl = needle || go (i + 1))
-        in
-        go 0)
-      rows
-  in
-  (match (find "raw run", find "typed-error") with
-  | Some (_, raw), Some (_, checked) when raw > 0.0 ->
-      Printf.printf
-        "  wrapper overhead: %+.2f%% (target: < 5%%)\n"
-        ((checked -. raw) /. raw *. 100.0)
-  | _ -> ());
-  (match (find "raw run", find "per-stage checkpoints") with
-  | Some (_, raw), Some (_, ckpt) when raw > 0.0 ->
-      Printf.printf "  checkpointing overhead: %+.2f%%\n"
-        ((ckpt -. raw) /. raw *. 100.0)
-  | _ -> ());
-  rm_rf ckpt_dir
-
-(* ------------------------------------------------------------------ *)
-(* B12: lint throughput - the diagnostics engine on growing workloads   *)
-(* ------------------------------------------------------------------ *)
-
-(* clean hospital-shaped navigation queries, varied by a literal so the
-   lexer/parser sees fresh text on every statement *)
-let b12_templates =
-  [|
-    (fun i ->
-      Printf.sprintf "SELECT name, born FROM Patient WHERE pat_no = %d" i);
-    (fun i ->
-      Printf.sprintf
-        "SELECT name, ward FROM Patient p, Admission a WHERE p.hosp_code = \
-         a.hosp_code AND p.pat_no = a.pat_no AND a.bed = %d"
-        i);
-    (fun i ->
-      Printf.sprintf
-        "SELECT drug_name, dose FROM Treatment t, Admission a WHERE \
-         t.hosp_code = a.hosp_code AND t.pat_no = a.pat_no AND t.adm_date = \
-         a.adm_date AND t.dose = %d"
-        i);
-    (fun i ->
-      Printf.sprintf
-        "SELECT s.name FROM Admission a, Staff s WHERE a.ward = s.ward_code \
-         AND a.bed = %d"
-        i);
-  |]
-
-let b12_program n =
-  let buf = Buffer.create (n * 160) in
-  Buffer.add_string buf "       PROCEDURE DIVISION.\n";
-  for i = 0 to n - 1 do
-    Buffer.add_string buf "           EXEC SQL\n             ";
-    Buffer.add_string buf (b12_templates.(i mod Array.length b12_templates) i);
-    Buffer.add_string buf "\n           END-EXEC.\n"
-  done;
-  Buffer.contents buf
-
-let b12 () =
-  section "B12: lint throughput - workload rules on 10/100/1000-query programs";
-  let hospital = Workload.Scenarios.hospital in
-  let schema =
-    Database.schema (hospital.Workload.Scenarios.database ())
-  in
-  let lint_program text =
-    Dbre_lint.Lint.run ~schema
-      [ Dbre_lint.Lint.source ~name:"prog" Dbre_lint.Lint.Program text ]
-  in
-  let sizes = if !smoke then [ 10; 100 ] else [ 10; 100; 1_000 ] in
-  let tests =
-    List.map
-      (fun n ->
-        let text = b12_program n in
-        (* the corpus is clean by construction; a diagnostic here means
-           the generator and the rules disagree *)
-        assert ((lint_program text).Dbre_lint.Lint.diags = []);
-        Test.make
-          ~name:(Printf.sprintf "lint %4d queries" n)
-          (Staged.stage (fun () -> ignore (lint_program text))))
-      sizes
-  in
-  let rows = run_group (Test.make_grouped ~name:"b12" tests) in
-  (* rows are name-sorted and the %4d names sort by size *)
-  if List.length rows = List.length sizes then
-    List.iter2
-      (fun n (_, ns) ->
-        if ns > 0.0 then
-          Printf.printf
-            "  throughput at %4d queries: %9.0f queries/s (target: >= 10k)\n"
-            n
-            (float_of_int n /. (ns /. 1e9)))
-      sizes rows;
-  (* lint as a fraction of the full hospital pipeline it gates *)
-  let programs = hospital.Workload.Scenarios.programs in
-  let config =
-    {
-      Dbre.Pipeline.default_config with
-      Dbre.Pipeline.oracle = hospital.Workload.Scenarios.oracle ();
-    }
-  in
-  let db = hospital.Workload.Scenarios.database () in
-  let t0 = Unix.gettimeofday () in
-  ignore (Dbre.Pipeline.run ~config db (Dbre.Job_spec.Programs programs));
-  let pipeline_s = Unix.gettimeofday () -. t0 in
-  let sources =
-    List.mapi
-      (fun i p ->
-        Dbre_lint.Lint.source
-          ~name:(Printf.sprintf "prog%02d" i)
-          Dbre_lint.Lint.Program p)
-      programs
-  in
-  let reps = if !smoke then 1 else 50 in
-  let t0 = Unix.gettimeofday () in
-  for _ = 1 to reps do
-    ignore (Dbre_lint.Lint.run ~schema sources)
-  done;
-  let lint_s = (Unix.gettimeofday () -. t0) /. float_of_int reps in
-  if pipeline_s > 0.0 then
-    Printf.printf
-      "  lint cost vs full hospital pipeline: %.3f%% (target: < 2%%)\n"
-      (lint_s /. pipeline_s *. 100.0)
+  run_group (Test.make_grouped ~name:"b3x" tests)
 
 (* ------------------------------------------------------------------ *)
 (* B13: Verify_plan batching + the persistent Domain_pool               *)
@@ -1766,9 +1247,7 @@ let b19 () =
 
 let all_benches =
   [
-    ("b1", b1); ("b2", b2); ("b3", b3); ("b4", b4); ("b5", b5); ("b6", b6);
-    ("b7", b7); ("b8", b8); ("b9", b9); ("b10", b10);
-    ("b12", b12); ("b13", b13); ("b14", b14); ("b15", b15); ("b16", b16);
+    ("b3", b3); ("b13", b13); ("b14", b14); ("b15", b15); ("b16", b16);
     ("b17", b17); ("b18", b18); ("b19", b19);
   ]
 
@@ -1779,7 +1258,7 @@ let () =
   if List.mem "--check" args then check_out := true;
   let experiments_only = List.mem "--experiments" args in
   let bench_only = List.mem "--bench" args in
-  (* bare group names (e.g. `main.exe b10`) select specific B-groups *)
+  (* bare group names (e.g. `main.exe b13`) select specific B-groups *)
   let selected =
     List.filter (fun (name, _) -> List.mem name args) all_benches
   in

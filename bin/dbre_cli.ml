@@ -290,20 +290,20 @@ let flow_arg =
   in
   Arg.(value & flag & info [ "flow" ] ~doc)
 
-let lint_hooks_arg =
+let lint_arg =
   let doc =
-    "Install the linter as pipeline pre/post hooks: workload diagnostics \
-     (L1xx) are printed before extraction and artifact verification \
-     diagnostics (L2xx) after Translate."
+    "Lint the run: workload diagnostics (L1xx) are printed once the \
+     extension is loaded, artifact verification diagnostics (L2xx) after \
+     Translate."
   in
   Arg.(value & flag & info [ "lint" ] ~doc)
 
-(* the pre/post pipeline hooks the --lint flag installs: diagnostics go
-   to stderr and never abort the run *)
-let lint_pre_hook db input =
+(* what --lint prints around the verification: diagnostics go to
+   stderr and never abort the run *)
+let print_workload_lint db workload =
   let schema = Database.schema db in
   let sources =
-    match (input : Dbre.Job_spec.workload) with
+    match (workload : Dbre.Job_spec.workload) with
     | Dbre.Job_spec.Equijoins _ -> []
     | Dbre.Job_spec.Programs progs ->
         List.mapi
@@ -325,30 +325,21 @@ let lint_pre_hook db input =
     Format.eprintf "--- lint (workload) ---@.%s"
       (Dbre_lint.Lint.render_text report)
 
-let lint_post_hook result =
+let print_verification_lint result =
   let report = Dbre_lint.Lint.verify result in
   if report.Dbre_lint.Lint.diags <> [] then
     Format.eprintf "--- lint (verification) ---@.%s"
       (Dbre_lint.Lint.render_text report)
 
-let with_lint_hooks lint config =
-  if not lint then config
-  else
-    {
-      config with
-      Dbre.Pipeline.pre_hook = Some lint_pre_hook;
-      post_hook = Some lint_post_hook;
-    }
-
 (* fold the per-run flags into one Job_spec — the exact value a daemon
    submission would carry — handling the one oracle mode that cannot
    live in a spec (interactive) as a Job.run override *)
-let spec_of_flags ?label ?data ?programs ?deadline ?max_heap_mb ?on_exhausted
-    ?checkpoint_dir ?resume ~ddl ~oracle ~engine ~lenient () =
+let spec_of_flags ?label ?data ?programs ?flow ?deadline ?max_heap_mb
+    ?on_exhausted ?checkpoint_dir ?resume ~ddl ~oracle ~engine ~lenient () =
   let interactive = oracle = "interactive" in
   match
     Dbre.Job_spec.of_args ?label ~ddl ?data_dir:data ?programs_dir:programs
-      ~engine
+      ?flow ~engine
       ~oracle:(if interactive then "auto" else oracle)
       ?deadline ?max_heap_mb ?on_exhausted ~lenient ?checkpoint_dir ?resume ()
   with
@@ -363,7 +354,7 @@ let analyze_cmd =
     match
       Result.bind (configure_ooc spill_dir resident_budget segment_rows)
         (fun () ->
-          spec_of_flags ~ddl ~data ~programs ?deadline ?max_heap_mb
+          spec_of_flags ~ddl ~data ~programs ~flow ?deadline ?max_heap_mb
             ~on_exhausted ?checkpoint_dir ~resume ~oracle ~engine ~lenient ())
     with
     | Error msg ->
@@ -371,13 +362,21 @@ let analyze_cmd =
         1
     | Ok (spec, oracle) -> (
         handle_errors ~hint:(not lenient) @@ fun () ->
-        match
-          Dbre.Job.run ?oracle
-            ~configure:(fun c ->
-              with_lint_hooks lint
-                { c with Dbre.Pipeline.workload_flow = flow })
-            spec
-        with
+        (* Job.run, with the lint printed between load and verification:
+           one token bounds both, as Job.run's does *)
+        let supervise = Dbre.Job_spec.supervisor spec in
+        let outcome =
+          match Dbre.Job.database ~supervise spec with
+          | Error e -> Error (Dbre.Job.load_failure e)
+          | Ok (db, quarantine) ->
+              if lint then print_workload_lint db spec.Dbre.Job_spec.workload;
+              let outcome =
+                Dbre.Job.verify ?oracle ~supervise ~db ~quarantine spec
+              in
+              if lint then Result.iter print_verification_lint outcome;
+              outcome
+        in
+        match outcome with
         | Ok result ->
             print_quarantine result.Dbre.Pipeline.quarantine;
             report_result ?dot ?markdown result;
@@ -393,7 +392,7 @@ let analyze_cmd =
       const run $ ddl_arg $ data_arg $ programs_arg $ oracle_arg $ engine_arg
       $ deadline_arg $ max_heap_arg $ on_exhausted_arg $ lenient_arg
       $ spill_dir_arg $ resident_budget_arg $ segment_rows_arg
-      $ lint_hooks_arg $ flow_arg $ checkpoint_arg $ resume_arg $ dot_arg
+      $ lint_arg $ flow_arg $ checkpoint_arg $ resume_arg $ dot_arg
       $ markdown_arg)
 
 (* ------------------------------------------------------------------ *)
@@ -951,10 +950,10 @@ let submit_cmd =
     in
     Arg.(value & flag & info [ "wait" ] ~doc)
   in
-  let run socket ddl data programs label oracle engine deadline max_heap_mb
-      on_exhausted lenient wait =
+  let run socket ddl data programs label flow oracle engine deadline
+      max_heap_mb on_exhausted lenient wait =
     match
-      spec_of_flags ?label ?data ?programs ?deadline ?max_heap_mb
+      spec_of_flags ?label ?data ?programs ~flow ?deadline ?max_heap_mb
         ~on_exhausted ~ddl ~oracle ~engine ~lenient ()
     with
     | Error msg ->
@@ -993,7 +992,7 @@ let submit_cmd =
     (Cmd.info "submit" ~doc)
     Term.(
       const run $ socket_arg $ ddl_arg $ data_arg $ programs_arg $ label_arg
-      $ oracle_arg $ engine_arg $ deadline_arg $ max_heap_arg
+      $ flow_arg $ oracle_arg $ engine_arg $ deadline_arg $ max_heap_arg
       $ on_exhausted_arg $ lenient_arg $ wait_arg)
 
 let job_cmd =

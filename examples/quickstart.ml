@@ -110,12 +110,9 @@ let () =
       (Dbre.Job_spec.Programs (Workload.Paper_example.programs ()))
   in
   Format.printf "@.Job spec: %s@." (Dbre.Job_spec.describe spec);
-  (match Dbre.Job_spec.to_string spec with
-  | Ok json ->
-      Format.printf "serialized spec: %d bytes of JSON (submit with: dbre \
-                     submit)@."
-        (String.length json)
-  | Error e -> Format.printf "spec not serializable: %s@." e);
+  Format.printf "serialized spec: %d bytes of JSON (submit with: dbre \
+                 submit)@."
+    (String.length (Dbre.Job_spec.to_string spec));
   match Dbre.Job.run ~oracle:(Workload.Paper_example.oracle ()) spec with
   | Error p ->
       Format.eprintf "job failed: %a@." Relational.Error.pp p.Dbre.Pipeline.p_error;

@@ -21,8 +21,9 @@ let path ~dir stage =
   Filename.concat dir
     (Printf.sprintf "%d-%s.ckpt" (stage_index stage) (stage_name stage))
 
-(* v3: JSON documents; v2 files were s-expressions and read as stale *)
-let version = 3
+(* v4: the header binds the run's inputs; v3 files lack that binding
+   and v2 files were s-expressions, so both read as stale *)
+let version = 4
 
 exception Corrupt of string
 
@@ -273,6 +274,26 @@ let rhs_step_of_json j =
     outcome = outcome_of_json (field "outcome" j);
   }
 
+(* --- the inputs a checkpoint is bound to --- *)
+
+let inputs db equijoins ~migrate_data =
+  let relations = Schema.relations (Database.schema db) in
+  Json.Obj
+    [
+      ("schema", Json.List (List.map json_of_relation relations));
+      ( "extension",
+        strings
+          (List.map
+             (fun (r : Relation.t) ->
+               Digest.to_hex
+                 (Column_store.digest
+                    (Table.store (Database.table db r.Relation.name))))
+             relations) );
+      ("equijoins", Json.List (List.map Job_spec.equijoin_to_json equijoins));
+      ("migrate_data", Json.Bool migrate_data);
+    ]
+  |> Json.to_string |> Digest.string |> Digest.to_hex
+
 (* --- file IO --- *)
 
 let rec ensure_dir dir =
@@ -288,7 +309,7 @@ let write_atomic path contents =
       Out_channel.output_string oc contents);
   Sys.rename tmp path
 
-let write_file ~dir stage payload =
+let write_file ~dir ~inputs stage payload =
   ensure_dir dir;
   write_atomic (path ~dir stage)
     (Json.to_string
@@ -296,11 +317,12 @@ let write_file ~dir stage payload =
           [
             ("version", Json.Int version);
             ("stage", Json.String (stage_name stage));
+            ("inputs", Json.String inputs);
             ("checksum", Json.String (fnv1a64 (Json.to_string payload)));
             ("payload", payload);
           ]))
 
-let read_payload ~dir stage =
+let read_payload ~dir ~inputs stage =
   match In_channel.with_open_bin (path ~dir stage) In_channel.input_all with
   | exception Sys_error _ -> None
   | text -> (
@@ -310,18 +332,20 @@ let read_payload ~dir stage =
           [
             ("version", Json.Int v);
             ("stage", Json.String s);
+            ("inputs", Json.String bound);
             ("checksum", Json.String sum);
             ("payload", payload);
           ]
         when v = version
              && s = stage_name stage
+             && String.equal bound inputs
              && String.equal sum (fnv1a64 (Json.to_string payload)) ->
           Some payload
       | _ -> None)
 
 (* the whole payload decodes before a caller acts on any of it *)
-let load ~dir stage f =
-  Option.bind (read_payload ~dir stage) (fun payload ->
+let load ~dir ~inputs stage f =
+  Option.bind (read_payload ~dir ~inputs stage) (fun payload ->
       try Some (f payload) with _ -> None)
 
 (* --- per-stage API --- *)
@@ -336,13 +360,13 @@ let invalidate ~dir =
       if Sys.file_exists file then try Sys.remove file with Sys_error _ -> ())
     [ Ind; Lhs; Rhs; Restruct; Translate ]
 
-let write_ind ~dir db (r : Ind_discovery.result) =
+let write_ind ~dir ~inputs db (r : Ind_discovery.result) =
   let table_of rel =
     match Database.table_opt db rel.Relation.name with
     | Some t -> t
     | None -> Table.create rel
   in
-  write_file ~dir Ind
+  write_file ~dir ~inputs Ind
     (Json.Obj
        [
          ("inds", Json.List (List.map json_of_ind r.Ind_discovery.inds));
@@ -358,9 +382,9 @@ let write_ind ~dir db (r : Ind_discovery.result) =
          ("exhausted", json_of_exhausted r.Ind_discovery.exhausted);
        ])
 
-let load_ind ~dir db =
+let load_ind ~dir ~inputs db =
   let decoded =
-    load ~dir Ind (fun j ->
+    load ~dir ~inputs Ind (fun j ->
         let tables = list table_of_json (field "new_relations" j) in
         ( tables,
           {
@@ -379,23 +403,23 @@ let load_ind ~dir db =
       result)
     decoded
 
-let write_lhs ~dir (r : Lhs_discovery.result) =
-  write_file ~dir Lhs
+let write_lhs ~dir ~inputs (r : Lhs_discovery.result) =
+  write_file ~dir ~inputs Lhs
     (Json.Obj
        [
          ("lhs", Json.List (List.map json_of_attr r.Lhs_discovery.lhs));
          ("hidden", Json.List (List.map json_of_attr r.Lhs_discovery.hidden));
        ])
 
-let load_lhs ~dir =
-  load ~dir Lhs (fun j ->
+let load_lhs ~dir ~inputs =
+  load ~dir ~inputs Lhs (fun j ->
       {
         Lhs_discovery.lhs = list attr_of_json (field "lhs" j);
         hidden = list attr_of_json (field "hidden" j);
       })
 
-let write_rhs ~dir (r : Rhs_discovery.result) =
-  write_file ~dir Rhs
+let write_rhs ~dir ~inputs (r : Rhs_discovery.result) =
+  write_file ~dir ~inputs Rhs
     (Json.Obj
        [
          ("fds", Json.List (List.map json_of_fd r.Rhs_discovery.fds));
@@ -406,8 +430,8 @@ let write_rhs ~dir (r : Rhs_discovery.result) =
          ("exhausted", json_of_exhausted r.Rhs_discovery.exhausted);
        ])
 
-let load_rhs ~dir =
-  load ~dir Rhs (fun j ->
+let load_rhs ~dir ~inputs =
+  load ~dir ~inputs Rhs (fun j ->
       {
         Rhs_discovery.fds = list fd_of_json (field "fds" j);
         hidden = list attr_of_json (field "hidden" j);
@@ -416,8 +440,8 @@ let load_rhs ~dir =
         exhausted = exhausted_of_json (field "exhausted" j);
       })
 
-let write_restruct ~dir (r : Restruct.result) =
-  write_file ~dir Restruct
+let write_restruct ~dir ~inputs (r : Restruct.result) =
+  write_file ~dir ~inputs Restruct
     (Json.Obj
        [
          ( "schema",
@@ -442,8 +466,8 @@ let write_restruct ~dir (r : Restruct.result) =
                     (Schema.relations (Database.schema db))) );
        ])
 
-let load_restruct ~dir =
-  load ~dir Restruct (fun j ->
+let load_restruct ~dir ~inputs =
+  load ~dir ~inputs Restruct (fun j ->
       let renaming = function
         | Json.List [ a; n ] -> (attr_of_json a, str n)
         | _ -> corrupt "bad renaming"
@@ -465,11 +489,11 @@ let load_restruct ~dir =
         database;
       })
 
-let write_translate ~dir (r : Translate.result) =
+let write_translate ~dir ~inputs (r : Translate.result) =
   (* The EER graph has no deserializer; this checkpoint is a completion
      marker carrying a human-readable rendering. Resume recomputes
      Translate from the restruct checkpoint (cheap and deterministic). *)
-  write_file ~dir Translate
+  write_file ~dir ~inputs Translate
     (Json.Obj
        [
          ( "entities",
@@ -480,4 +504,4 @@ let write_translate ~dir (r : Translate.result) =
          ("eer", Json.String (Er.Text_render.to_string r.Translate.eer));
        ])
 
-let translate_done ~dir = read_payload ~dir Translate <> None
+let translate_done ~dir ~inputs = read_payload ~dir ~inputs Translate <> None

@@ -2,14 +2,18 @@
 
     Each stage serializes its output artifact to
     [<dir>/<n>-<stage>.ckpt] as one {!Relational.Json} document,
-    [{"version":3,"stage":...,"checksum":...,"payload":...}]. The
-    checksum is FNV-1a 64 over the compact rendering of the payload,
-    verified on load against a re-rendering of the parsed payload — a
-    file truncated or edited into something still parseable reads as
-    corrupt. Writes are atomic (tmp file + rename); loads return [None]
-    on a missing, corrupt, checksum-mismatched or version-mismatched
-    file (version 2 files were s-expressions and read as stale), so a
-    resuming run silently recomputes the stage instead of failing.
+    [{"version":4,"stage":...,"inputs":...,"checksum":...,"payload":...}].
+    [inputs] is the run's {!inputs} digest: a checkpoint restores only
+    into a run over the same schema, extension, equi-joins and
+    migration setting. The checksum is FNV-1a 64 over the compact
+    rendering of the payload, verified on load against a re-rendering
+    of the parsed payload — a file truncated or edited into something
+    still parseable reads as corrupt. Writes are atomic (tmp file +
+    rename); loads return [None] on a missing, corrupt,
+    checksum-mismatched, version-mismatched or differently-bound file
+    (version 3 files carry no binding, version 2 files were
+    s-expressions: both read as stale), so a resuming run silently
+    recomputes the stage instead of failing.
     Loads are total: {!Relational.Json.of_string} refuses deep nesting, and no
     decoding failure escapes as an exception.
 
@@ -26,7 +30,11 @@
     graph has no deserializer): it stores the rendered schema for human
     inspection, and resume always recomputes Translate from the
     Restruct artifact — acceptable because Translate is deterministic
-    and cheap. *)
+    and cheap.
+
+    The oracle is not bound: it is a closure with no identity to
+    digest, so resuming under a different expert restores the first
+    expert's decisions. *)
 
 open Relational
 
@@ -43,6 +51,15 @@ val write_atomic : string -> string -> unit
     over [path], so a crash leaves the old contents or the new, never a
     torn file. Raises [Sys_error] on IO failure. *)
 
+val inputs :
+  Database.t -> Sqlx.Equijoin.t list -> migrate_data:bool -> string
+(** The hex digest every checkpoint of a run is bound to: the schema
+    (relations, domains, [K] and [N]), each relation's extension
+    ({!Relational.Column_store.digest}: dictionaries and codes), the
+    analyzed equi-joins and [migrate_data]. Take it before
+    IND-Discovery adds conceptualized relations. One pass over the
+    extension. *)
+
 val invalidate : dir:string -> unit
 (** Delete every stage checkpoint in [dir]. Mutation makes all of them
     stale at once (each embeds verdicts over the old extension), so a
@@ -50,23 +67,25 @@ val invalidate : dir:string -> unit
     swallowed: worst case a stale file survives and is overwritten by
     the re-run. *)
 
-val write_ind : dir:string -> Database.t -> Ind_discovery.result -> unit
+val write_ind :
+  dir:string -> inputs:string -> Database.t -> Ind_discovery.result -> unit
 (** Conceptualized relations are stored {e with} their intersection
     extensions (read from [db]), so a resuming run can re-materialize
     them. Raises [Sys_error] on IO failure. *)
 
-val load_ind : dir:string -> Database.t -> Ind_discovery.result option
+val load_ind :
+  dir:string -> inputs:string -> Database.t -> Ind_discovery.result option
 (** On success, re-applies the conceptualized relations (schema and
     extension) to [db] via [Database.replace_table]. The whole payload
     is decoded first: on [None], [db] is untouched. *)
 
-val write_lhs : dir:string -> Lhs_discovery.result -> unit
-val load_lhs : dir:string -> Lhs_discovery.result option
-val write_rhs : dir:string -> Rhs_discovery.result -> unit
-val load_rhs : dir:string -> Rhs_discovery.result option
-val write_restruct : dir:string -> Restruct.result -> unit
-val load_restruct : dir:string -> Restruct.result option
+val write_lhs : dir:string -> inputs:string -> Lhs_discovery.result -> unit
+val load_lhs : dir:string -> inputs:string -> Lhs_discovery.result option
+val write_rhs : dir:string -> inputs:string -> Rhs_discovery.result -> unit
+val load_rhs : dir:string -> inputs:string -> Rhs_discovery.result option
+val write_restruct : dir:string -> inputs:string -> Restruct.result -> unit
+val load_restruct : dir:string -> inputs:string -> Restruct.result option
 
-val write_translate : dir:string -> Translate.result -> unit
-val translate_done : dir:string -> bool
+val write_translate : dir:string -> inputs:string -> Translate.result -> unit
+val translate_done : dir:string -> inputs:string -> bool
 (** Whether a valid Translate marker exists. *)

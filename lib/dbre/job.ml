@@ -49,11 +49,11 @@ let database ?supervise ?progress (spec : Job_spec.t) =
 
 let config ?oracle ?progress (spec : Job_spec.t) =
   {
-    Pipeline.default_config with
     Pipeline.oracle =
       (match oracle with Some o -> o | None -> Job_spec.oracle spec);
     engine = spec.Job_spec.engine;
     migrate_data = spec.Job_spec.migrate_data;
+    workload_flow = spec.Job_spec.flow;
     progress =
       Option.map (fun f -> fun ev -> f (Stage ev)) progress;
   }
@@ -72,12 +72,11 @@ let load_failure e =
     p_error = e;
   }
 
-let verify ?oracle ?(configure = Fun.id) ?progress ?supervise ~db ~quarantine
-    (spec : Job_spec.t) =
+let verify ?oracle ?progress ?supervise ~db ~quarantine (spec : Job_spec.t) =
   let supervise =
     match supervise with Some s -> s | None -> Job_spec.supervisor spec
   in
-  let config = configure (config ?oracle ?progress spec) in
+  let config = config ?oracle ?progress spec in
   let resume_from =
     if spec.Job_spec.resume then spec.Job_spec.checkpoint_dir else None
   in
@@ -85,21 +84,20 @@ let verify ?oracle ?(configure = Fun.id) ?progress ?supervise ~db ~quarantine
     ?checkpoint_dir:spec.Job_spec.checkpoint_dir ?resume_from db
     spec.Job_spec.workload
 
-let run ?oracle ?configure ?progress ?supervise (spec : Job_spec.t) =
+let run ?oracle ?progress ?supervise (spec : Job_spec.t) =
   let supervise =
     match supervise with Some s -> s | None -> Job_spec.supervisor spec
   in
   match database ~supervise ?progress spec with
   | Error e -> Error (load_failure e)
   | Ok (db, quarantine) ->
-      verify ?oracle ?configure ?progress ~supervise ~db ~quarantine spec
+      verify ?oracle ?progress ~supervise ~db ~quarantine spec
 
-let refresh ?oracle ?(configure = Fun.id) ?progress ?supervise ~db ~quarantine
-    (spec : Job_spec.t) =
+let refresh ?oracle ?progress ?supervise ~db ~quarantine (spec : Job_spec.t) =
   let supervise =
     match supervise with Some s -> s | None -> Job_spec.supervisor spec
   in
-  let config = configure (config ?oracle ?progress spec) in
+  let config = config ?oracle ?progress spec in
   (* never resume: refresh_checked invalidates the checkpoint directory
      (mutation staled every stage artifact at once) *)
   Pipeline.refresh_checked ~config ~supervise ~quarantine

@@ -31,13 +31,17 @@ val database :
 val config :
   ?oracle:Oracle.t -> ?progress:(event -> unit) -> Job_spec.t ->
   Pipeline.config
-(** The {!Pipeline.config} the spec denotes. [?oracle] overrides the
-    spec's serialized oracle {e mode} with a live value — how the CLI
-    injects an interactive oracle that cannot travel in a spec. *)
+(** The {!Pipeline.config} the spec denotes, [flow] included. [?oracle]
+    overrides the spec's serialized oracle {e mode} with a live value —
+    how the CLI injects an interactive oracle that cannot travel in a
+    spec. Nothing else of a run is set outside the spec. *)
+
+val load_failure : Error.t -> Pipeline.partial
+(** A load error in the shape of a first-stage failure: no completed
+    stages, no events. *)
 
 val verify :
   ?oracle:Oracle.t ->
-  ?configure:(Pipeline.config -> Pipeline.config) ->
   ?progress:(event -> unit) ->
   ?supervise:Supervise.t ->
   db:Database.t ->
@@ -51,7 +55,6 @@ val verify :
 
 val refresh :
   ?oracle:Oracle.t ->
-  ?configure:(Pipeline.config -> Pipeline.config) ->
   ?progress:(event -> unit) ->
   ?supervise:Supervise.t ->
   db:Database.t ->
@@ -66,7 +69,6 @@ val refresh :
 
 val run :
   ?oracle:Oracle.t ->
-  ?configure:(Pipeline.config -> Pipeline.config) ->
   ?progress:(event -> unit) ->
   ?supervise:Supervise.t ->
   Job_spec.t ->
@@ -76,8 +78,9 @@ val run :
     (default: {!Job_spec.supervisor}, i.e. the engine budget plus the
     spec's [fuel]). A load failure is reported as [Error partial] with
     no completed stages, exactly like a first-stage failure — callers
-    see one shape. [?configure] post-processes the derived
-    {!Pipeline.config} (how the CLI installs its lint hooks);
-    [?progress] observes loading and every {!Pipeline.stage_event};
-    pass [?supervise] explicitly to keep a handle for cancelling the
-    run from another thread. *)
+    see one shape ({!load_failure}). [?progress] observes loading and
+    every {!Pipeline.stage_event}; pass [?supervise] explicitly to keep
+    a handle for cancelling the run from another thread. A caller that
+    acts between load and verification (the CLI's [--lint] prints the
+    workload diagnostics there) calls {!database} and {!verify} itself,
+    with one {!Job_spec.supervisor} token for both. *)

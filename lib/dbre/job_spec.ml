@@ -18,6 +18,7 @@ type t = {
   ddl : string;
   sources : (string * Source.t) list;
   workload : workload;
+  flow : bool;
   engine : Engine.t;
   oracle : oracle_spec;
   lenient : bool;
@@ -27,14 +28,15 @@ type t = {
   fuel : int option;
 }
 
-let make ?label ?(sources = []) ?(engine = Engine.default) ?(oracle = Auto)
-    ?(lenient = false) ?(migrate_data = true) ?checkpoint_dir
+let make ?label ?(sources = []) ?(flow = false) ?(engine = Engine.default)
+    ?(oracle = Auto) ?(lenient = false) ?(migrate_data = true) ?checkpoint_dir
     ?(resume = false) ?fuel ~ddl workload =
   {
     label;
     ddl;
     sources;
     workload;
+    flow;
     engine;
     oracle;
     lenient;
@@ -73,49 +75,28 @@ let supervisor spec =
     ?max_heap_words:b.Engine.max_heap_words ?fuel:spec.fuel ()
 
 (* ------------------------------------------------------------------ *)
-(* JSON encoding (version 2, pinned by a golden test)                  *)
+(* JSON encoding (version 3, pinned by a golden test)                  *)
 (* ------------------------------------------------------------------ *)
 
-(* v2 dropped the engine's "check" and "cache" fields; v1 documents
-   still decode with those two fields ignored, since artifacts never
-   depended on them *)
-let version = 2
+(* v3 added "flow"; v2 dropped the engine's "check" and "cache" fields.
+   Older documents still decode: without "flow" a run is flow-off, and
+   v1's check and cache are ignored, since artifacts never depended on
+   them *)
+let version = 3
 
 let source_to_json (relation, source) =
   let open Json in
-  match (source : Source.t) with
-  | Source.Csv_file path ->
-      Ok
-        (Obj
-           [
-             ("relation", String relation);
-             ("kind", String "csv-file");
-             ("path", String path);
-           ])
-  | Source.Csv_inline text ->
-      Ok
-        (Obj
-           [
-             ("relation", String relation);
-             ("kind", String "csv-inline");
-             ("text", String text);
-           ])
-  | Source.In_memory table ->
-      (* an in-memory extension travels as its CSV rendering: the
-         receiving side re-encodes into an identical column store
-         (first-occurrence interning is deterministic) *)
-      Ok
-        (Obj
-           [
-             ("relation", String relation);
-             ("kind", String "csv-inline");
-             ("text", String (Csv.dump_table table));
-           ])
-  | Source.Reader { name; _ } ->
-      Error
-        (Printf.sprintf
-           "source %s for %s is a live reader and cannot be serialized"
-           name relation)
+  let kind, key, text =
+    match (source : Source.t) with
+    | Source.Csv_file path -> ("csv-file", "path", path)
+    | Source.Csv_inline text -> ("csv-inline", "text", text)
+    | Source.In_memory table ->
+        (* an in-memory extension travels as its CSV rendering: the
+           receiving side re-encodes into an identical column store
+           (first-occurrence interning is deterministic) *)
+        ("csv-inline", "text", Csv.dump_table table)
+  in
+  Obj [ ("relation", String relation); ("kind", String kind); (key, String text) ]
 
 let source_of_json j =
   let open Json in
@@ -252,37 +233,27 @@ let engine_of_json j =
 
 let to_json spec =
   let open Json in
-  let rec sources acc = function
-    | [] -> Ok (List.rev acc)
-    | s :: tl -> (
-        match source_to_json s with
-        | Ok j -> sources (j :: acc) tl
-        | Error _ as e -> e |> Result.map (fun _ -> []))
-  in
-  match sources [] spec.sources with
-  | Error e -> Error e
-  | Ok srcs ->
-      Ok
-        (Obj
-           [
-             ("version", Int version);
-             ("label", opt_string spec.label);
-             ("ddl", String spec.ddl);
-             ("sources", List srcs);
-             ("workload", workload_to_json spec.workload);
-             ("engine", engine_to_json spec.engine);
-             ("oracle", String (oracle_spec_to_string spec.oracle));
-             ("lenient", Bool spec.lenient);
-             ("migrate_data", Bool spec.migrate_data);
-             ("checkpoint_dir", opt_string spec.checkpoint_dir);
-             ("resume", Bool spec.resume);
-             ("fuel", opt_int spec.fuel);
-           ])
+  Obj
+    [
+      ("version", Int version);
+      ("label", opt_string spec.label);
+      ("ddl", String spec.ddl);
+      ("sources", List (List.map source_to_json spec.sources));
+      ("workload", workload_to_json spec.workload);
+      ("flow", Bool spec.flow);
+      ("engine", engine_to_json spec.engine);
+      ("oracle", String (oracle_spec_to_string spec.oracle));
+      ("lenient", Bool spec.lenient);
+      ("migrate_data", Bool spec.migrate_data);
+      ("checkpoint_dir", opt_string spec.checkpoint_dir);
+      ("resume", Bool spec.resume);
+      ("fuel", opt_int spec.fuel);
+    ]
 
 let of_json j =
   let open Json in
   match mem_int "version" j with
-  | Some v when v <> 1 && v <> version ->
+  | Some v when v < 1 || v > version ->
       Error (Printf.sprintf "unsupported job-spec version %d" v)
   | None -> Error "job spec is missing \"version\""
   | Some _ -> (
@@ -335,6 +306,7 @@ let of_json j =
                     ddl;
                     sources;
                     workload;
+                    flow = Option.value ~default:false (mem_bool "flow" j);
                     engine;
                     oracle;
                     lenient =
@@ -346,7 +318,7 @@ let of_json j =
                     fuel = mem_int "fuel" j;
                   }))
 
-let to_string spec = Result.map Json.to_string (to_json spec)
+let to_string spec = Json.to_string (to_json spec)
 
 let of_string text =
   match Json.of_string text with
@@ -357,7 +329,7 @@ let of_string text =
 (* CLI flag folding                                                    *)
 (* ------------------------------------------------------------------ *)
 
-let of_args ?label ~ddl ?data_dir ?programs_dir ?(engine = "default")
+let of_args ?label ~ddl ?data_dir ?programs_dir ?flow ?(engine = "default")
     ?(oracle = "auto") ?deadline ?max_heap_mb ?(on_exhausted = "partial")
     ?(lenient = false) ?checkpoint_dir ?(resume = false)
     ?(migrate_data = true) ?fuel () =
@@ -437,7 +409,7 @@ let of_args ?label ~ddl ?data_dir ?programs_dir ?(engine = "default")
         | exception Sys_error msg -> Error msg)
   in
   Ok
-    (make ?label ~sources ~engine ~oracle ~lenient ~migrate_data
+    (make ?label ~sources ?flow ~engine ~oracle ~lenient ~migrate_data
        ?checkpoint_dir ~resume ?fuel ~ddl:ddl_text workload)
 
 let describe spec =

@@ -2,20 +2,21 @@
 
     A {!t} gathers everything a run needs — the DDL text, one
     {!Relational.Source.t} per relation's extension, the workload the
-    equi-joins come from, the {!Engine.t} (including its resource
-    budget), the oracle mode, leniency, and checkpoint options — into a
-    single value with a pinned JSON encoding ({!to_string}). The
-    one-shot CLI builds one from its flags ({!of_args}); the analysis
-    daemon receives the identical JSON over its wire protocol; both
-    hand it to {!Job.run}. Anything either front end can express, the
-    other can replay byte for byte.
+    equi-joins come from and whether its dataflow is analyzed, the
+    {!Engine.t} (including its resource budget), the oracle mode,
+    leniency, and checkpoint options — into a single value with a
+    pinned JSON encoding ({!to_string}). The one-shot CLI builds one
+    from its flags ({!of_args}); the analysis daemon receives the
+    identical JSON over its wire protocol; both hand it to {!Job.run}.
+    Anything either front end can express, the other can replay byte
+    for byte.
 
-    {b Serialization limits.} {!Relational.Source.In_memory} tables
-    travel as their CSV rendering (re-encoding is deterministic);
-    {!Relational.Source.Reader} sources are connections, not data, and
-    make {!to_json} return [Error]. Oracles are serialized by {e mode}
-    ({!oracle_spec}), not by value — an interactive oracle cannot cross
-    a socket; callers that need one pass it to {!Job.run} directly. *)
+    {b Serialization limits.} Every spec serializes: every source shape
+    is data, and {!Relational.Source.In_memory} tables travel as their
+    CSV rendering (re-encoding is deterministic). Oracles are
+    serialized by {e mode} ({!oracle_spec}), not by value — an
+    interactive oracle cannot cross a socket; callers that need one
+    pass it to {!Job.run} directly. *)
 
 open Relational
 
@@ -36,6 +37,9 @@ type t = {
       (** extension per relation name; relations without an entry run
           with an empty extension *)
   workload : workload;
+  flow : bool;
+      (** run the inter-statement dataflow analysis over the workload
+          at Extract ({!Pipeline.config}'s [workload_flow]) *)
   engine : Engine.t;
   oracle : oracle_spec;
   lenient : bool;  (** quarantine bad tuples instead of failing *)
@@ -50,6 +54,7 @@ type t = {
 val make :
   ?label:string ->
   ?sources:(string * Source.t) list ->
+  ?flow:bool ->
   ?engine:Engine.t ->
   ?oracle:oracle_spec ->
   ?lenient:bool ->
@@ -60,14 +65,15 @@ val make :
   ddl:string ->
   workload ->
   t
-(** Defaults: no label, no sources, {!Engine.default}, [Auto], strict,
-    [migrate_data = true], no checkpointing, no fuel. *)
+(** Defaults: no label, no sources, flow off, {!Engine.default},
+    [Auto], strict, [migrate_data = true], no checkpointing, no fuel. *)
 
 val of_args :
   ?label:string ->
   ddl:string ->
   ?data_dir:string ->
   ?programs_dir:string ->
+  ?flow:bool ->
   ?engine:string ->
   ?oracle:string ->
   ?deadline:float ->
@@ -105,19 +111,19 @@ val oracle_spec_of_string : string -> (oracle_spec, string) result
 val oracle_spec_to_string : oracle_spec -> string
 
 val version : int
-(** Encoding version stamped into every document (currently 2).
-    {!of_json} also accepts version 1, whose engine object carried
-    ["check"] and ["cache"] fields; they are ignored, since the
+(** Encoding version stamped into every document (currently 3).
+    {!of_json} also accepts versions 2 and 1, which have no ["flow"]
+    field (they decode flow-off); version 1's engine object carried
+    ["check"] and ["cache"] fields, which are ignored, since the
     artifacts never depended on them. Any other version is an
     [Error]. *)
 
-val to_json : t -> (Json.t, string) result
-(** Deterministic encoding (field order fixed, version stamped);
-    [Error] when a source cannot be serialized ([Reader]). *)
+val to_json : t -> Json.t
+(** Deterministic encoding (field order fixed, version stamped). *)
 
 val of_json : Json.t -> (t, string) result
 
-val to_string : t -> (string, string) result
+val to_string : t -> string
 (** Compact JSON text: [to_json] rendered by {!Json.to_string}. *)
 
 val of_string : string -> (t, string) result

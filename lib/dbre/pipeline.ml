@@ -11,8 +11,6 @@ type config = {
   oracle : Oracle.t;
   engine : Engine.t;
   migrate_data : bool;
-  pre_hook : (Database.t -> Job_spec.workload -> unit) option;
-  post_hook : (result -> unit) option;
   progress : (stage_event -> unit) option;
   workload_flow : bool;
 }
@@ -33,8 +31,6 @@ let default_config =
     oracle = Oracle.automatic;
     engine = Engine.default;
     migrate_data = true;
-    pre_hook = None;
-    post_hook = None;
     progress = None;
     workload_flow = false;
   }
@@ -120,171 +116,136 @@ let run_checked ?(config = default_config) ?supervise ?(quarantine = [])
      invalidated, and the finished artifacts are identical to an
      unbudgeted run's. *)
   let stale = ref false in
+  (* the digest every checkpoint of the run is bound to, taken by
+     Extract when the run checkpoints or resumes *)
+  let inputs = ref "" in
   let save write =
     match checkpoint_dir with
     | None -> ()
-    | Some dir -> ( try write ~dir with Sys_error _ -> ())
+    | Some dir -> ( try write ~dir ~inputs:!inputs with Sys_error _ -> ())
   in
   let restore load =
     match resume_from with
-    | None -> None
-    | Some dir -> if !stale then None else load ~dir
+    | Some dir when not !stale -> load ~dir ~inputs:!inputs
+    | _ -> None
   in
-  (* resume when a valid checkpoint exists, otherwise compute (under the
-     error boundary) and checkpoint the fresh artifact best-effort *)
-  let stage_run name restore_stage write_stage f =
+  (* Run one stage: restore its artifact when a valid checkpoint exists,
+     otherwise compute it under the error boundary and checkpoint it
+     best-effort. Ind and Rhs artifacts may be partial (a budget tripped
+     mid-stage): a restored partial one seeds the stage's [?prior] so
+     only the unverified tail is processed, and a partial anywhere
+     marks downstream checkpoints stale. [into] keeps the completed
+     prefix a later failure reports. *)
+  let stage ?(into = ref None) ?(is_partial = fun _ -> false) name load write
+      compute =
     notify (Stage_started name);
-    match restore restore_stage with
-    | Some v ->
-        notify (Stage_restored name);
-        Ok v
-    | None -> (
-        match wrap name f with
-        | Ok v ->
-            save (fun ~dir -> write_stage ~dir v);
-            notify (Stage_finished name);
-            Ok v
-        | Stdlib.Error e ->
-            notify (Stage_failed (name, e));
-            Stdlib.Error e)
-  in
-  (* Ind and Rhs artifacts may themselves be partial (a budget tripped
-     mid-stage). A restored complete artifact is final; a restored
-     partial one seeds the stage's [?prior] so only the unverified tail
-     is processed; either way a partial anywhere marks downstream
-     checkpoints stale. *)
-  let partial_stage name restore_stage write_stage ~is_partial compute =
-    notify (Stage_started name);
-    match restore restore_stage with
-    | Some v when not (is_partial v) ->
-        notify (Stage_restored name);
-        Ok v
-    | prior -> (
-        if Option.is_some prior then stale := true;
-        match wrap name (fun () -> compute prior) with
-        | Ok v ->
-            if is_partial v then stale := true;
-            save (fun ~dir -> write_stage ~dir v);
-            notify (Stage_finished name);
-            Ok v
-        | Stdlib.Error e ->
-            notify (Stage_failed (name, e));
-            Stdlib.Error e)
-  in
-  let no_ckpt ~dir:_ = None in
-  let no_write ~dir:_ _ = () in
-  let partial ?equijoins ?ind ?lhs ?rhs ?restruct error =
-    {
-      p_equijoins = equijoins;
-      p_ind_result = ind;
-      p_lhs_result = lhs;
-      p_rhs_result = rhs;
-      p_restruct_result = restruct;
-      p_events = events ();
-      p_quarantine = quarantine;
-      p_error = error;
-    }
-  in
-  match
-    stage_run Error.Extract no_ckpt no_write (fun () ->
-        (match config.pre_hook with Some h -> h db input | None -> ());
-        extract_equijoins ~flow:config.workload_flow db input)
-  with
-  | Stdlib.Error e -> Stdlib.Error (partial e)
-  | Ok equijoins -> (
-      match
-        partial_stage Error.Ind_discovery
-          (fun ~dir -> Checkpoint.load_ind ~dir db)
-          (fun ~dir r -> Checkpoint.write_ind ~dir db r)
-          ~is_partial:(fun r -> r.Ind_discovery.unverified <> [])
-          (fun prior ->
-            Ind_discovery.run ~engine:config.engine ~supervise ?prior oracle
-              db equijoins)
-      with
-      | Stdlib.Error e -> Stdlib.Error (partial ~equijoins e)
-      | Ok ind_result -> (
-          let schema = Database.schema db in
-          let s_names =
-            List.map
-              (fun r -> r.Relation.name)
-              ind_result.Ind_discovery.new_relations
-          in
-          match
-            stage_run Error.Lhs_discovery Checkpoint.load_lhs
-              Checkpoint.write_lhs (fun () ->
-                Lhs_discovery.run ~schema ~s_names
-                  ind_result.Ind_discovery.inds)
-          with
+    let settled =
+      match restore load with
+      | Some v when not (is_partial v) ->
+          notify (Stage_restored name);
+          Ok v
+      | prior -> (
+          if Option.is_some prior then stale := true;
+          match wrap name (fun () -> compute prior) with
+          | Ok v ->
+              if is_partial v then stale := true;
+              save (fun ~dir ~inputs -> write ~dir ~inputs v);
+              notify (Stage_finished name);
+              Ok v
           | Stdlib.Error e ->
-              Stdlib.Error (partial ~equijoins ~ind:ind_result e)
-          | Ok lhs_result -> (
-              match
-                partial_stage Error.Rhs_discovery Checkpoint.load_rhs
-                  Checkpoint.write_rhs
-                  ~is_partial:(fun r -> r.Rhs_discovery.unverified <> [])
-                  (fun prior ->
-                    Rhs_discovery.run ~engine:config.engine ~supervise ?prior
-                      oracle db ~lhs:lhs_result.Lhs_discovery.lhs
-                      ~hidden:lhs_result.Lhs_discovery.hidden)
-              with
-              | Stdlib.Error e ->
-                  Stdlib.Error
-                    (partial ~equijoins ~ind:ind_result ~lhs:lhs_result e)
-              | Ok rhs_result -> (
-                  match
-                    stage_run Error.Restruct Checkpoint.load_restruct
-                      Checkpoint.write_restruct (fun () ->
-                        Restruct.run oracle
-                          ?db:(if config.migrate_data then Some db else None)
-                          ~schema:(Database.schema db)
-                          ~fds:rhs_result.Rhs_discovery.fds
-                          ~hidden:rhs_result.Rhs_discovery.hidden
-                          ~inds:ind_result.Ind_discovery.inds ())
-                  with
-                  | Stdlib.Error e ->
-                      Stdlib.Error
-                        (partial ~equijoins ~ind:ind_result ~lhs:lhs_result
-                           ~rhs:rhs_result e)
-                  | Ok restruct_result -> (
-                      (* Translate is deterministic and cheap: always
-                         recomputed, even on resume (its checkpoint is a
-                         completion marker, not a loadable artifact) *)
-                      match
-                        stage_run Error.Translate no_ckpt
-                          Checkpoint.write_translate (fun () ->
-                            Translate.run
-                              ?db:restruct_result.Restruct.database
-                              ~schema:restruct_result.Restruct.schema
-                              restruct_result.Restruct.ric)
-                      with
-                      | Stdlib.Error e ->
-                          Stdlib.Error
-                            (partial ~equijoins ~ind:ind_result
-                               ~lhs:lhs_result ~rhs:rhs_result
-                               ~restruct:restruct_result e)
-                      | Ok translate_result -> (
-                          let result =
-                            {
-                              equijoins;
-                              ind_result;
-                              lhs_result;
-                              rhs_result;
-                              restruct_result;
-                              translate_result;
-                              events = events ();
-                              quarantine;
-                            }
-                          in
-                          match config.post_hook with
-                          | None -> Ok result
-                          | Some h -> (
-                              match wrap Error.Translate (fun () -> h result) with
-                              | Ok () -> Ok result
-                              | Stdlib.Error e ->
-                                  Stdlib.Error
-                                    (partial ~equijoins ~ind:ind_result
-                                       ~lhs:lhs_result ~rhs:rhs_result
-                                       ~restruct:restruct_result e))))))))
+              notify (Stage_failed (name, e));
+              Stdlib.Error e)
+    in
+    Result.iter (fun v -> into := Some v) settled;
+    settled
+  in
+  let no_load ~dir:_ ~inputs:_ = None in
+  let no_write ~dir:_ ~inputs:_ _ = () in
+  let p_equijoins = ref None and p_ind_result = ref None in
+  let p_lhs_result = ref None and p_rhs_result = ref None in
+  let p_restruct_result = ref None in
+  let ( let* ) = Result.bind in
+  let outcome =
+    let* equijoins =
+      stage ~into:p_equijoins Error.Extract no_load no_write (fun _ ->
+          let q = extract_equijoins ~flow:config.workload_flow db input in
+          if checkpoint_dir <> None || resume_from <> None then
+            inputs :=
+              Checkpoint.inputs db q ~migrate_data:config.migrate_data;
+          q)
+    in
+    let* ind_result =
+      stage ~into:p_ind_result
+        ~is_partial:(fun r -> r.Ind_discovery.unverified <> [])
+        Error.Ind_discovery
+        (fun ~dir ~inputs -> Checkpoint.load_ind ~dir ~inputs db)
+        (fun ~dir ~inputs r -> Checkpoint.write_ind ~dir ~inputs db r)
+        (fun prior ->
+          Ind_discovery.run ~engine:config.engine ~supervise ?prior oracle db
+            equijoins)
+    in
+    let* lhs_result =
+      stage ~into:p_lhs_result Error.Lhs_discovery Checkpoint.load_lhs
+        Checkpoint.write_lhs (fun _ ->
+          Lhs_discovery.run ~schema:(Database.schema db)
+            ~s_names:
+              (List.map
+                 (fun r -> r.Relation.name)
+                 ind_result.Ind_discovery.new_relations)
+            ind_result.Ind_discovery.inds)
+    in
+    let* rhs_result =
+      stage ~into:p_rhs_result
+        ~is_partial:(fun r -> r.Rhs_discovery.unverified <> [])
+        Error.Rhs_discovery Checkpoint.load_rhs Checkpoint.write_rhs
+        (fun prior ->
+          Rhs_discovery.run ~engine:config.engine ~supervise ?prior oracle db
+            ~lhs:lhs_result.Lhs_discovery.lhs
+            ~hidden:lhs_result.Lhs_discovery.hidden)
+    in
+    let* restruct_result =
+      stage ~into:p_restruct_result Error.Restruct Checkpoint.load_restruct
+        Checkpoint.write_restruct (fun _ ->
+          Restruct.run oracle
+            ?db:(if config.migrate_data then Some db else None)
+            ~schema:(Database.schema db) ~fds:rhs_result.Rhs_discovery.fds
+            ~hidden:rhs_result.Rhs_discovery.hidden
+            ~inds:ind_result.Ind_discovery.inds ())
+    in
+    (* Translate is deterministic and cheap: always recomputed, even on
+       resume (its checkpoint is a completion marker, not a loadable
+       artifact) *)
+    let* translate_result =
+      stage Error.Translate no_load Checkpoint.write_translate (fun _ ->
+          Translate.run ?db:restruct_result.Restruct.database
+            ~schema:restruct_result.Restruct.schema
+            restruct_result.Restruct.ric)
+    in
+    Ok
+      {
+        equijoins;
+        ind_result;
+        lhs_result;
+        rhs_result;
+        restruct_result;
+        translate_result;
+        events = events ();
+        quarantine;
+      }
+  in
+  Result.map_error
+    (fun e ->
+      {
+        p_equijoins = !p_equijoins;
+        p_ind_result = !p_ind_result;
+        p_lhs_result = !p_lhs_result;
+        p_rhs_result = !p_rhs_result;
+        p_restruct_result = !p_restruct_result;
+        p_events = events ();
+        p_quarantine = quarantine;
+        p_error = e;
+      })
+    outcome
 
 let run ?config ?supervise ?quarantine ?checkpoint_dir ?resume_from db input =
   match

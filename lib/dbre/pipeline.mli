@@ -34,15 +34,6 @@ type config = {
           with {!Engine.make}, or use {!Engine.default} or
           {!Engine.parallel} *)
   migrate_data : bool;  (** populate the restructured database *)
-  pre_hook : (Database.t -> Job_spec.workload -> unit) option;
-      (** called with the inputs before the first stage (under the
-          [Extract] error boundary) — e.g. a lint gate over the schema
-          and workload; raising [Error.Error] aborts the run with a
-          typed partial result *)
-  post_hook : (result -> unit) option;
-      (** called with the completed result before it is returned (under
-          the [Translate] error boundary) — e.g. verification linting of
-          the produced artifacts *)
   progress : (stage_event -> unit) option;
       (** observability tap: called synchronously as each stage starts
           and settles. Exceptions it raises are swallowed — a listener
@@ -72,8 +63,8 @@ and result = {
 
 val default_config : config
 (** {!Oracle.automatic}, {!Engine.default} (memoized columnar,
-    sequential), data migration on, strict ([`Fail]) tuple handling,
-    no hooks, no progress tap, dataflow analysis off. *)
+    sequential), data migration on, no progress tap, dataflow analysis
+    off. *)
 
 val extract_equijoins :
   ?flow:bool -> Database.t -> Job_spec.workload -> Sqlx.Equijoin.t list
@@ -118,8 +109,11 @@ val run_checked :
     [?checkpoint_dir] serializes each completed stage's artifact there
     (atomically, best-effort: IO errors never fail the run).
     [?resume_from] loads valid stage checkpoints from a directory
-    instead of recomputing; corrupt or missing checkpoints are silently
-    recomputed. Stages restored from checkpoints produce no oracle
+    instead of recomputing; corrupt or missing checkpoints, and those
+    written for other inputs ({!Checkpoint.inputs}: schema, extension,
+    equi-joins, [migrate_data]), are silently recomputed. The inputs
+    digest is taken once, at Extract, and only when checkpointing or
+    resuming. Stages restored from checkpoints produce no oracle
     [events]. Translate is always recomputed (cheap, deterministic).
 
     [?supervise] (default: a fresh token from the engine's budget via

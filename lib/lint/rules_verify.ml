@@ -195,7 +195,7 @@ let first_record_width (source : Source.t) =
               match input_line ic with
               | line -> width_of_text line
               | exception End_of_file -> None))
-  | Source.In_memory _ | Source.Reader _ -> None
+  | Source.In_memory _ -> None
 
 let check_job (spec : Dbre.Job_spec.t) =
   match Sqlx.Ddl.schema_of_script spec.Dbre.Job_spec.ddl with

@@ -651,6 +651,24 @@ let residency t =
     dict_words = Array.fold_left (fun acc (c : column) -> acc + Dict.heap_words c.dict) 0 t.columns;
   }
 
+(* per column, its dictionary's entries and its codes in row order: the
+   same rows digest alike whatever the segment size or load chunking,
+   since both produce the first-occurrence encoding *)
+let digest t =
+  let b = Buffer.create 64 in
+  Array.iter
+    (fun (c : column) ->
+      Buffer.add_string b (Dict.digest c.dict);
+      let h = ref (cardinality t) in
+      iter_blocks [| c |] (fun bufs len _ ->
+          let codes = bufs.(0) in
+          for i = 0 to len - 1 do
+            h := (!h lxor codes.(i)) * 0x100000001b3
+          done);
+      Buffer.add_string b (string_of_int !h))
+    t.columns;
+  Digest.string (Buffer.contents b)
+
 (* ------------------------------------------------------------------ *)
 (* mutations                                                           *)
 (* ------------------------------------------------------------------ *)

@@ -247,6 +247,12 @@ val residency : t -> residency
     and serve status. Does not touch payloads (a spilled segment stays
     spilled). *)
 
+val digest : t -> Digest.t
+(** A digest of the extension's content: every column's dictionary and
+    its codes in row order. Stores holding the same rows agree whatever
+    their segment size or load chunking. One pass over every segment
+    (mapping spilled ones back); what checkpoints bind to. *)
+
 type store = t
 
 (** Streaming store construction: the ingest path appends dictionary

@@ -51,9 +51,10 @@ val fold_reader :
   (unit -> string option) ->
   'a * syntax_error list
 (** Like {!fold}, but pulls input as chunks from a reader ([None] means
-    EOF). Chunk boundaries may fall anywhere, including inside quoted
-    fields and [\r\n] pairs; row indices, lines and columns are
-    identical to a single-string {!fold} of the concatenation. *)
+    EOF): the chunk-boundary test seam of the scanner. Chunk boundaries
+    may fall anywhere, including inside quoted fields and [\r\n]
+    pairs; row indices, lines and columns are identical to a
+    single-string {!fold} of the concatenation. *)
 
 val parse : string -> string list list
 (** Parse a whole CSV document into rows of raw fields. Handles quoted
@@ -133,12 +134,12 @@ val load_from_reader :
   Relation.t ->
   (unit -> string option) ->
   (Table.t * Quarantine.report option, Error.t) result
-(** {!load} fed from a chunk reader ([None] means EOF) — the streaming
-    back end of {!Source.Reader} extensions, where a live database
-    cursor plugs in. Chunk boundaries may fall anywhere; the result is
-    identical to {!load} of the concatenation. Always sequential (a
-    reader has no random access to split on). A [Sys_error] escaping
-    the reader comes back as [Error e] with code {!Error.Io_error}. *)
+(** {!load} fed from a chunk reader ([None] means EOF): the seam the
+    chunk-boundary tests drive, running the same sequential loader as
+    {!load_file} without a pool. Chunk boundaries may fall anywhere; the
+    result is identical to {!load} of the concatenation. A [Sys_error]
+    escaping the reader comes back as [Error e] with code
+    {!Error.Io_error}. *)
 
 val dump_table : ?header:bool -> Table.t -> string
 (** Render a table's extension as CSV (header row by default). *)

@@ -79,6 +79,33 @@ let to_strings d =
         | Strs -> Bytes.sub_string d.arena d.offs.(c) (str_len d c)
         | _ -> Value.to_string (get d c))
 
+(* entries 1 .. len-1 read off the plane, no value built: ints and
+   string lengths mixed into one word, the string bytes (back to back
+   in the arena) digested in place *)
+let digest d =
+  let h = ref d.len in
+  let mix x = h := (!h lxor x) * 0x100000001b3 in
+  let body =
+    if d.len = 1 then ""
+    else
+      match d.plane with
+      | Empty -> ""
+      | Ints ->
+          for c = 1 to d.len - 1 do
+            mix d.ints.(c)
+          done;
+          "i"
+      | Strs ->
+          for c = 1 to d.len - 1 do
+            mix (str_len d c)
+          done;
+          "s" ^ Digest.subbytes d.arena d.offs.(1) (d.offs.(d.len) - d.offs.(1))
+      | Values ->
+          "v"
+          ^ Marshal.to_string (Array.sub d.vals 1 (d.len - 1)) [ Marshal.No_sharing ]
+  in
+  Digest.string (body ^ string_of_int !h)
+
 let domain d =
   if d.len = 1 then Domain.Unknown
   else

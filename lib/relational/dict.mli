@@ -34,6 +34,11 @@ val to_array : t -> Value.t array
 val to_strings : t -> string array
 (** code -> the value's [Value.to_string], [""] for NULL. *)
 
+val digest : t -> Digest.t
+(** A digest of the entries in code order, read off the plane without
+    building a value: the same entries in the same plane digest
+    alike. *)
+
 val domain : t -> Domain.t
 (** The lub of the entries' domains ([Unknown] with none), read off
     the plane when it has one constructor. *)

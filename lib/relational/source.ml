@@ -4,37 +4,19 @@ type t =
   | Csv_file of string
   | Csv_inline of string
   | In_memory of Table.t
-  | Reader of { name : string; connect : unit -> unit -> string option }
 
 let csv_file path = Csv_file path
 let csv_inline text = Csv_inline text
 let in_memory table = In_memory table
-let reader ~name connect = Reader { name; connect }
-
-let of_strings ~name chunks =
-  Reader
-    {
-      name;
-      connect =
-        (fun () ->
-          let rest = ref chunks in
-          fun () ->
-            match !rest with
-            | [] -> None
-            | c :: tl ->
-                rest := tl;
-                Some c);
-    }
 
 let describe = function
   | Csv_file path -> "csv-file:" ^ path
   | Csv_inline text -> Printf.sprintf "csv-inline:%db" (String.length text)
   | In_memory table -> "in-memory:" ^ (Table.schema table).Relation.name
-  | Reader { name; _ } -> "reader:" ^ name
 
 (* adopt an in-memory table only when its relation agrees with the
-   declared one: same name, same attributes in the same order — the
-   check a live source cannot skip, since nothing else revalidates *)
+   declared one: same name, same attributes in the same order — nothing
+   downstream revalidates an adopted table *)
 let adopt rel table =
   let have = Table.schema table in
   if
@@ -60,11 +42,3 @@ let load ?header ?mode ?pool ?supervise ?min_parallel_bytes rel = function
   | Csv_inline text ->
       Csv.load ?header ?mode ?pool ?supervise ?min_parallel_bytes rel text
   | In_memory table -> adopt rel table
-  | Reader { name; connect } -> (
-      match connect () with
-      | read -> Csv.load_from_reader ?header ?mode ?supervise rel read
-      | exception Sys_error msg ->
-          Error
-            (Error.make ~stage:Error.Load ~relation:rel.Relation.name
-               Error.Io_error
-               (Printf.sprintf "source %s failed to connect: %s" name msg)))

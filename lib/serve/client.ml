@@ -29,15 +29,13 @@ let ping t =
   | exception _ -> false
 
 let submit t spec =
-  match Dbre.Job_spec.to_json spec with
-  | Error msg -> Error ("spec-unserializable", msg)
-  | Ok spec_json ->
-      let response =
-        request t (Protocol.request "submit" [ ("spec", spec_json) ])
-      in
-      result_of response (fun r ->
-          ( Option.value ~default:"" (Json.mem_string "id" r),
-            Option.value ~default:[] (Json.mem_list "diagnostics" r) ))
+  let response =
+    request t
+      (Protocol.request "submit" [ ("spec", Dbre.Job_spec.to_json spec) ])
+  in
+  result_of response (fun r ->
+      ( Option.value ~default:"" (Json.mem_string "id" r),
+        Option.value ~default:[] (Json.mem_list "diagnostics" r) ))
 
 let status t id =
   let response =

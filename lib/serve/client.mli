@@ -21,10 +21,9 @@ val ping : t -> bool
 
 val submit :
   t -> Dbre.Job_spec.t -> (string * Json.t list, string * string) result
-(** Submit a spec: [Ok (job id, L207 diagnostics)] or
-    [Error (code, message)]. Serialization failures (a [Reader]
-    source) surface as [Error ("spec-unserializable", …)] without
-    touching the wire. *)
+(** Submit a spec — every spec serializes, so it always goes out on the
+    wire as {!Dbre.Job_spec.to_json}: [Ok (job id, L207 diagnostics)] or
+    the daemon's [Error (code, message)]. *)
 
 val status : t -> string -> (Json.t, string * string) result
 

@@ -100,16 +100,13 @@ let persist_spec t entry =
   match job_dir t entry.id with
   | None -> ()
   | Some dir -> (
-      match Dbre.Job_spec.to_string entry.spec with
-      | Error _ -> ()  (* unserializable (Reader) jobs are session-only *)
-      | Ok text -> (
-          try
-            Dbre.Checkpoint.ensure_dir dir;
-            Dbre.Checkpoint.write_atomic
-              (Filename.concat dir "spec.json")
-              text;
-            persist_status t entry
-          with Sys_error _ -> ()))
+      try
+        Dbre.Checkpoint.ensure_dir dir;
+        Dbre.Checkpoint.write_atomic
+          (Filename.concat dir "spec.json")
+          (Dbre.Job_spec.to_string entry.spec);
+        persist_status t entry
+      with Sys_error _ -> ())
 
 (* ------------------------------------------------------------------ *)
 (* Events                                                              *)

@@ -1,9 +1,9 @@
 (* Checkpoint/resume: a run with [~checkpoint_dir] leaves one artifact
    per stage; resuming from those artifacts reproduces the
    uncheckpointed result without consulting the expert again; corrupt
-   checkpoints are silently recomputed. Loading is total — damaged
-   bytes give [None], never an exception — and values round-trip
-   exactly. *)
+   checkpoints, and those of a run over other inputs, are silently
+   recomputed. Loading is total — damaged bytes give [None], never an
+   exception — and values round-trip exactly. *)
 
 open Dbre
 module Json = Relational.Json
@@ -37,6 +37,16 @@ let run_scenario ?checkpoint_dir ?resume_from (s : Workload.Scenarios.t) =
 let run_hospital ?checkpoint_dir ?resume_from () =
   run_scenario ?checkpoint_dir ?resume_from Workload.Scenarios.hospital
 
+(* the inputs digest a run of the scenario binds its checkpoints to *)
+let scenario_inputs (s : Workload.Scenarios.t) =
+  let db = s.Workload.Scenarios.database () in
+  Checkpoint.inputs db
+    (Pipeline.extract_equijoins db
+       (Job_spec.Programs s.Workload.Scenarios.programs))
+    ~migrate_data:true
+
+let hospital_inputs = lazy (scenario_inputs Workload.Scenarios.hospital)
+
 let all_stages =
   [
     Checkpoint.Ind; Checkpoint.Lhs; Checkpoint.Rhs; Checkpoint.Restruct;
@@ -52,7 +62,7 @@ let test_checkpoint_files () =
       Alcotest.(check bool) (p ^ " written") true (Sys.file_exists p))
     all_stages;
   Alcotest.(check bool) "translate marker valid" true
-    (Checkpoint.translate_done ~dir);
+    (Checkpoint.translate_done ~dir ~inputs:(Lazy.force hospital_inputs));
   rm_rf dir
 
 let test_resume_roundtrip () =
@@ -108,6 +118,34 @@ let test_corrupt_checkpoint_recomputed () =
     (Er.Text_render.to_string resumed.Pipeline.translate_result.Translate.eer);
   rm_rf dir
 
+(* checkpoints of seed 7's run restore nothing into a run over seed 8's
+   extension and equi-joins, which ends as a fresh seed-8 run does *)
+let test_other_inputs_recomputed () =
+  let dir = fresh_dir "_ckpt_other_inputs" in
+  let run ?checkpoint_dir ?resume_from ?progress seed =
+    let g =
+      Workload.Gen_schema.generate
+        { Workload.Gen_schema.default_spec with Workload.Gen_schema.seed }
+    in
+    Pipeline.run
+      ~config:{ Pipeline.default_config with Pipeline.progress }
+      ?checkpoint_dir ?resume_from g.Workload.Gen_schema.db
+      (Job_spec.Equijoins g.Workload.Gen_schema.equijoins)
+  in
+  let restored = ref 0 in
+  let count = function Pipeline.Stage_restored _ -> incr restored | _ -> () in
+  ignore (run ~checkpoint_dir:dir 7L);
+  ignore (run ~resume_from:dir ~progress:count 7L);
+  Alcotest.(check int) "the same inputs restore four stages" 4 !restored;
+  restored := 0;
+  let resumed = run ~resume_from:dir ~progress:count 8L in
+  Alcotest.(check int) "other inputs restore no stage" 0 !restored;
+  Alcotest.(check (list (pair string string)))
+    "artifacts of a fresh run"
+    (Report.artifacts (run 8L))
+    (Report.artifacts resumed);
+  rm_rf dir
+
 let test_missing_dir_is_fresh_run () =
   (* resuming from a directory that does not exist just recomputes *)
   let baseline = run_hospital () in
@@ -153,7 +191,7 @@ let test_load_ind_decodes_before_applying () =
      equi-join: the relations decode, the later field does not *)
   let p = Checkpoint.path ~dir Checkpoint.Ind in
   (match Json.of_string (read p) with
-  | Json.Obj [ ver; stage; _; ("payload", Json.Obj fields) ] ->
+  | Json.Obj [ ver; stage; bound; _; ("payload", Json.Obj fields) ] ->
       let payload =
         Json.Obj
           (List.map
@@ -168,6 +206,7 @@ let test_load_ind_decodes_before_applying () =
               [
                 ver;
                 stage;
+                bound;
                 ("checksum", Json.String (fnv1a64 (Json.to_string payload)));
                 ("payload", payload);
               ]))
@@ -175,7 +214,7 @@ let test_load_ind_decodes_before_applying () =
   let db = paper.Workload.Scenarios.database () in
   let before = snapshot db in
   Alcotest.(check bool) "bad unverified entry loads as None" true
-    (Checkpoint.load_ind ~dir db = None);
+    (Checkpoint.load_ind ~dir ~inputs:(scenario_inputs paper) db = None);
   Alcotest.(check bool) "schema and tables untouched" true
     (snapshot db = before);
   rm_rf dir
@@ -184,12 +223,13 @@ let test_load_ind_decodes_before_applying () =
 
 let loads_without_raising ~dir =
   let db = Workload.Scenarios.hospital.Workload.Scenarios.database () in
+  let inputs = Lazy.force hospital_inputs in
   match
-    ignore (Checkpoint.load_ind ~dir db);
-    ignore (Checkpoint.load_lhs ~dir);
-    ignore (Checkpoint.load_rhs ~dir);
-    ignore (Checkpoint.load_restruct ~dir);
-    ignore (Checkpoint.translate_done ~dir)
+    ignore (Checkpoint.load_ind ~dir ~inputs db);
+    ignore (Checkpoint.load_lhs ~dir ~inputs);
+    ignore (Checkpoint.load_rhs ~dir ~inputs);
+    ignore (Checkpoint.load_restruct ~dir ~inputs);
+    ignore (Checkpoint.translate_done ~dir ~inputs)
   with
   | () -> true
   | exception e ->
@@ -252,11 +292,14 @@ let test_deep_nesting_refused () =
   let nest = String.make (3 * 1024 * 1024) '[' in
   List.iter (fun st -> write (Checkpoint.path ~dir st) nest) all_stages;
   let db = Workload.Scenarios.hospital.Workload.Scenarios.database () in
-  Alcotest.(check bool) "ind" true (Checkpoint.load_ind ~dir db = None);
-  Alcotest.(check bool) "lhs" true (Checkpoint.load_lhs ~dir = None);
-  Alcotest.(check bool) "rhs" true (Checkpoint.load_rhs ~dir = None);
-  Alcotest.(check bool) "restruct" true (Checkpoint.load_restruct ~dir = None);
-  Alcotest.(check bool) "translate" false (Checkpoint.translate_done ~dir);
+  let inputs = Lazy.force hospital_inputs in
+  Alcotest.(check bool) "ind" true (Checkpoint.load_ind ~dir ~inputs db = None);
+  Alcotest.(check bool) "lhs" true (Checkpoint.load_lhs ~dir ~inputs = None);
+  Alcotest.(check bool) "rhs" true (Checkpoint.load_rhs ~dir ~inputs = None);
+  Alcotest.(check bool) "restruct" true
+    (Checkpoint.load_restruct ~dir ~inputs = None);
+  Alcotest.(check bool) "translate" false
+    (Checkpoint.translate_done ~dir ~inputs);
   rm_rf dir
 
 (* --- exact value round-trip --- *)
@@ -288,7 +331,7 @@ let roundtrip rows =
   let db = Database.create (Relational.Schema.of_relations [ rel ]) in
   Database.replace_table db t;
   let dir = fresh_dir "_ckpt_values" in
-  Checkpoint.write_restruct ~dir
+  Checkpoint.write_restruct ~dir ~inputs:""
     {
       Restruct.schema = Database.schema db;
       inds = [];
@@ -296,7 +339,7 @@ let roundtrip rows =
       renamings = [];
       database = Some db;
     };
-  let loaded = Checkpoint.load_restruct ~dir in
+  let loaded = Checkpoint.load_restruct ~dir ~inputs:"" in
   rm_rf dir;
   match loaded with
   | Some { Restruct.database = Some db'; _ } ->
@@ -375,6 +418,8 @@ let suite =
     Alcotest.test_case "resume reproduces the run" `Quick test_resume_roundtrip;
     Alcotest.test_case "corrupt checkpoint recomputed" `Quick
       test_corrupt_checkpoint_recomputed;
+    Alcotest.test_case "checkpoints of other inputs recomputed" `Quick
+      test_other_inputs_recomputed;
     Alcotest.test_case "missing dir falls back to fresh run" `Quick
       test_missing_dir_is_fresh_run;
     Alcotest.test_case "failed IND load leaves the database untouched" `Quick

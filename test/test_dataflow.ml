@@ -1,6 +1,7 @@
 (* Sqlx.Dataflow: goldens on paper-style COBOL programs, the L109-L112
-   lint rules, fuzzed recovery against the generator's ground truth, and
-   span well-formedness of the recovered facts. *)
+   lint rules, fuzzed recovery against the generator's ground truth,
+   span well-formedness of the recovered facts, and totality of every
+   extraction entry point over damaged programs. *)
 
 open Relational
 open Sqlx
@@ -309,6 +310,50 @@ let test_flow_noop_on_paper_corpus () =
   Alcotest.check (Alcotest.list join_t) "same Q"
     off.Dbre.Pipeline.equijoins on.Dbre.Pipeline.equijoins
 
+(* ------------------------------------------------------------------ *)
+(* Totality: damaged programs extract, or raise only the typed errors   *)
+(* ------------------------------------------------------------------ *)
+
+let program_tokens =
+  [ "EXEC SQL"; "END-EXEC"; "SELECT"; "INTO"; "FROM"; "WHERE"; "AND"; "JOIN";
+    "ON"; "DECLARE"; "CURSOR FOR"; "OPEN"; "FETCH"; "="; "."; ","; ";"; "(";
+    ")"; ":w-x"; "'"; {|"|}; "*"; "--"; "/*"; " " ]
+
+(* every scenario program, with the schema it runs against *)
+let program_corpus =
+  List.concat_map
+    (fun (s : Workload.Scenarios.t) ->
+      let schema = Database.schema (s.Workload.Scenarios.database ()) in
+      List.map (fun p -> (schema, p)) s.Workload.Scenarios.programs)
+    Workload.Scenarios.all
+
+let prop_extraction_total =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:5000
+       ~name:"mutated programs extract or raise Parser/Lexer errors"
+       (QCheck.make
+          ~print:(fun (_, text) -> Printf.sprintf "%S" text)
+          QCheck.Gen.(
+            oneofl program_corpus >>= fun (schema, program) ->
+            map
+              (fun text -> (schema, text))
+              (Helpers.gen_mutated ~tokens:program_tokens program)))
+       (fun (schema, text) ->
+         let typed f =
+           match f () with
+           | () -> ()
+           | exception (Parser.Error _ | Lexer.Error _) -> ()
+         in
+         let joins stmts =
+           List.iter
+             (fun stmt -> typed (fun () -> ignore (Equijoin.of_statement schema stmt)))
+             stmts
+         in
+         typed (fun () -> joins (Embedded.scan_files [ text ]).Embedded.statements);
+         typed (fun () -> joins (Parser.parse_script text));
+         typed (fun () -> ignore (Dataflow.joins_of_program schema text));
+         true))
+
 let suite =
   [
     Alcotest.test_case "select-into chain" `Quick test_select_into_chain;
@@ -333,6 +378,7 @@ let suite =
     prop "fuzz: generated flow corpus lints clean" fuzz_flow_corpus_lints_clean;
     Alcotest.test_case "spans inside host text" `Quick
       test_spans_inside_host_text;
+    prop_extraction_total;
     Alcotest.test_case "flow is a no-op on the paper corpus" `Quick
       test_flow_noop_on_paper_corpus;
   ]

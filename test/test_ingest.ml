@@ -676,6 +676,17 @@ let test_load_file () =
         (Error.code_to_string e.Error.code)
   | Ok _ -> Alcotest.fail "missing file must be an Io_error"
 
+(* a reader that fails mid-stream is a typed load error, not an
+   exception *)
+let test_reader_failure () =
+  match
+    Csv.load_from_reader rel3 (fun () -> raise (Sys_error "connection reset"))
+  with
+  | Ok _ -> Alcotest.fail "loaded from a reader that raised"
+  | Error e ->
+      Alcotest.(check string) "typed io error" "io-error"
+        (Error.code_to_string e.Error.code)
+
 let suite =
   [
     Alcotest.test_case "chunked scan = whole scan" `Quick
@@ -701,4 +712,6 @@ let suite =
     Alcotest.test_case "golden edge cases" `Quick test_golden_edges;
     Alcotest.test_case "load_file roundtrip and Io_error" `Quick
       test_load_file;
+    Alcotest.test_case "reader failure is a typed io error" `Quick
+      test_reader_failure;
   ]

@@ -2,7 +2,8 @@
    CLI and the daemon's wire protocol. The JSON encoding is pinned by a
    golden string — each version is a compatibility promise, so any
    change here must bump [Job_spec.version], and the decoder keeps
-   accepting the older versions (pinned by the v1 goldens below). *)
+   accepting the older versions (pinned by the v2 and v1 goldens
+   below). *)
 
 open Relational
 module Job_spec = Dbre.Job_spec
@@ -14,17 +15,19 @@ let golden_spec () =
       (Engine.make ~parallelism:(Engine.Domains 3) ~deadline_s:2.5
          ~max_heap_words:1_000_000 ~on_exhausted:`Fail ())
     ~oracle:(Job_spec.Threshold 0.8) ~lenient:true ~migrate_data:false
-    ~checkpoint_dir:"/tmp/ck" ~resume:true ~fuel:42
+    ~checkpoint_dir:"/tmp/ck" ~resume:true ~fuel:42 ~flow:true
     ~ddl:"CREATE TABLE R (a INT, b VARCHAR(4));"
     (Job_spec.Equijoins [ Sqlx.Equijoin.make ("R", [ "a" ]) ("S", [ "a" ]) ])
 
-let golden_json ~version ~engine_prefix =
+(* [flow] is the document's "flow" member, if it has one *)
+let golden_json ~version ~flow ~engine_prefix =
   String.concat ""
     [
       Printf.sprintf {|{"version":%d,|} version;
       {|"label":"golden","ddl":"CREATE TABLE R (a INT, b VARCHAR(4));",|};
       {|"sources":[{"relation":"R","kind":"csv-inline","text":"a,b\n1,x\n"}],|};
       {|"workload":{"kind":"equijoins","joins":[{"rel1":"R","attrs1":["a"],"rel2":"S","attrs2":["a"]}]},|};
+      flow;
       {|"engine":{|};
       engine_prefix;
       {|"domains":3,"deadline_s":2.5,"max_heap_words":1000000,"on_exhausted":"fail"},|};
@@ -32,17 +35,21 @@ let golden_json ~version ~engine_prefix =
       {|"checkpoint_dir":"/tmp/ck","resume":true,"fuel":42}|};
     ]
 
-let golden_v2 = golden_json ~version:2 ~engine_prefix:""
+let golden_v3 = golden_json ~version:3 ~flow:{|"flow":true,|} ~engine_prefix:""
 
-(* the same spec as version 1 wrote it, when the engine still
-   carried a check algorithm and a cache policy *)
+(* what an older document re-encodes as: it had no flow, so it is off *)
+let golden_v3_flow_off =
+  golden_json ~version:3 ~flow:{|"flow":false,|} ~engine_prefix:""
+
+(* the same spec as version 2 wrote it, before "flow" *)
+let golden_v2 = golden_json ~version:2 ~flow:"" ~engine_prefix:""
+
+(* and as version 1 wrote it, when the engine still carried a check
+   algorithm and a cache policy *)
 let golden_v1 =
-  golden_json ~version:1 ~engine_prefix:{|"check":"partition","cache":false,|}
+  golden_json ~version:1 ~flow:""
+    ~engine_prefix:{|"check":"partition","cache":false,|}
 
-let to_string_exn spec =
-  match Job_spec.to_string spec with
-  | Ok s -> s
-  | Error e -> Alcotest.fail e
 
 let of_string_exn text =
   match Job_spec.of_string text with
@@ -50,14 +57,22 @@ let of_string_exn text =
   | Error e -> Alcotest.fail e
 
 let test_golden () =
-  Alcotest.(check string) "pinned v2 encoding" golden_v2
-    (to_string_exn (golden_spec ()))
+  Alcotest.(check string) "pinned v3 encoding" golden_v3
+    (Job_spec.to_string (golden_spec ()))
+
+(* a v2 document still decodes, flow off, and re-encoding writes v3 *)
+let test_golden_v2 () =
+  let spec = of_string_exn golden_v2 in
+  Alcotest.(check bool) "v2 decodes flow-off" false spec.Job_spec.flow;
+  Alcotest.(check string) "v2 re-encodes as v3" golden_v3_flow_off
+    (Job_spec.to_string spec)
 
 (* a v1 document still decodes: its check and cache are ignored,
-   everything else survives, and re-encoding writes v2 *)
+   everything else survives, and re-encoding writes v3 *)
 let test_golden_v1 () =
-  Alcotest.(check string) "v1 decodes and re-encodes as v2" golden_v2
-    (to_string_exn (of_string_exn golden_v1));
+  Alcotest.(check string) "v1 decodes and re-encodes as v3"
+    golden_v3_flow_off
+    (Job_spec.to_string (of_string_exn golden_v1));
   let minimal =
     of_string_exn
       {|{"version":1,"ddl":"","workload":{"kind":"programs","texts":[]},"engine":{"check":"partition","cache":false}}|}
@@ -67,15 +82,16 @@ let test_golden_v1 () =
 
 let test_roundtrip () =
   let spec = golden_spec () in
-  let reparsed = of_string_exn (to_string_exn spec) in
+  let reparsed = of_string_exn (Job_spec.to_string spec) in
   (* re-serialization is the structural-equality oracle: sources carry
      closures-free constructors, so byte equality means field equality *)
-  Alcotest.(check string) "fixpoint" (to_string_exn spec)
-    (to_string_exn reparsed);
+  Alcotest.(check string) "fixpoint" (Job_spec.to_string spec)
+    (Job_spec.to_string reparsed);
   Alcotest.(check (option string)) "label" spec.Job_spec.label
     reparsed.Job_spec.label;
   Alcotest.(check bool) "lenient" spec.Job_spec.lenient
     reparsed.Job_spec.lenient;
+  Alcotest.(check bool) "flow" spec.Job_spec.flow reparsed.Job_spec.flow;
   Alcotest.(check bool) "engine" true
     (spec.Job_spec.engine = reparsed.Job_spec.engine);
   Alcotest.(check bool) "workload" true
@@ -83,9 +99,9 @@ let test_roundtrip () =
 
 let test_defaults_roundtrip () =
   let spec = Job_spec.make ~ddl:"CREATE TABLE R (a INT);" (Job_spec.Programs []) in
-  let reparsed = of_string_exn (to_string_exn spec) in
-  Alcotest.(check string) "fixpoint" (to_string_exn spec)
-    (to_string_exn reparsed);
+  let reparsed = of_string_exn (Job_spec.to_string spec) in
+  Alcotest.(check string) "fixpoint" (Job_spec.to_string spec)
+    (Job_spec.to_string reparsed);
   Alcotest.(check bool) "default engine survives" true
     (reparsed.Job_spec.engine = Engine.default)
 
@@ -104,7 +120,7 @@ let test_in_memory_travels_as_csv () =
     Job_spec.make ~sources:[ ("R", Source.in_memory table) ]
       ~ddl:"CREATE TABLE R (a INT, b VARCHAR(4));" (Job_spec.Programs [])
   in
-  let reparsed = of_string_exn (to_string_exn spec) in
+  let reparsed = of_string_exn (Job_spec.to_string spec) in
   match reparsed.Job_spec.sources with
   | [ ("R", Source.Csv_inline text) ] ->
       let reloaded =
@@ -115,24 +131,6 @@ let test_in_memory_travels_as_csv () =
       Alcotest.(check string) "identical extension after the round trip"
         (Csv.dump_table table) (Csv.dump_table reloaded)
   | _ -> Alcotest.fail "in-memory source did not become csv-inline"
-
-let test_reader_is_unserializable () =
-  let spec =
-    Job_spec.make
-      ~sources:[ ("R", Source.reader ~name:"live" (fun () -> fun () -> None)) ]
-      ~ddl:"CREATE TABLE R (a INT);" (Job_spec.Programs [])
-  in
-  let contains ~sub s =
-    let n = String.length sub in
-    let rec go i = i + n <= String.length s
-                   && (String.sub s i n = sub || go (i + 1)) in
-    n = 0 || go 0
-  in
-  match Job_spec.to_string spec with
-  | Ok _ -> Alcotest.fail "serialized a live reader"
-  | Error msg ->
-      Alcotest.(check bool) "message names the reader" true
-        (contains ~sub:"live" msg)
 
 let test_validation () =
   let bad version_line =
@@ -203,7 +201,8 @@ let test_of_args () =
   let spec =
     match
       Job_spec.of_args ~label:"cli" ~ddl:ddl_path ~data_dir:data
-        ~programs_dir:programs ~engine:"parallel:2" ~oracle:"skeptical"
+        ~programs_dir:programs ~flow:true ~engine:"parallel:2"
+        ~oracle:"skeptical"
         ~deadline:1.5 ~max_heap_mb:64 ~on_exhausted:"fail" ~lenient:true ()
     with
     | Ok spec -> spec
@@ -223,6 +222,7 @@ let test_of_args () =
   | _ -> Alcotest.fail "expected two programs");
   Alcotest.(check bool) "oracle folded" true
     (spec.Job_spec.oracle = Job_spec.Skeptical);
+  Alcotest.(check bool) "flow folded" true spec.Job_spec.flow;
   let b = spec.Job_spec.engine.Engine.budget in
   Alcotest.(check (option (float 0.0))) "deadline folded" (Some 1.5)
     b.Engine.deadline_s;
@@ -235,7 +235,7 @@ let test_of_args () =
     (spec.Job_spec.engine.Engine.parallelism = Engine.Domains 2);
   (* the spec is self-contained: serializing it embeds the DDL text and
      keeps the CSV as a path *)
-  let reparsed = of_string_exn (to_string_exn spec) in
+  let reparsed = of_string_exn (Job_spec.to_string spec) in
   Alcotest.(check bool) "ddl text embedded" true
     (reparsed.Job_spec.ddl = spec.Job_spec.ddl
     && String.length spec.Job_spec.ddl > 0)
@@ -286,29 +286,28 @@ let test_engine_grammar () =
       Alcotest.(check bool) (s ^ " refused") true (Engine.of_string s = None))
     [ "naive"; "partition"; "columnar"; "parallel:0"; "parallel:x"; "" ]
 
-(* whatever a damaged v2 document holds, decoding answers Ok or Error *)
+(* whatever a damaged v3 document holds, decoding answers Ok or Error *)
 let prop_of_string_total =
   QCheck_alcotest.to_alcotest
-    (QCheck.Test.make ~count:3000 ~name:"mutated v2 specs decode to Ok or Error"
+    (QCheck.Test.make ~count:3000 ~name:"mutated v3 specs decode to Ok or Error"
        (QCheck.make ~print:(Printf.sprintf "%S")
           (Helpers.gen_mutated
              ~tokens:[ "{"; "}"; "["; "]"; ":"; ","; {|"|}; "\\"; "\\u"; "null"; "true"; "-1";
                        "1e999"; {|"version"|}; {|"ddl"|}; {|"kind"|}; "0" ]
-             golden_v2))
+             golden_v3))
        (fun text ->
          match Job_spec.of_string text with Ok _ | Error _ -> true))
 
 let suite =
   [
-    Alcotest.test_case "golden v2 JSON" `Quick test_golden;
+    Alcotest.test_case "golden v3 JSON" `Quick test_golden;
+    Alcotest.test_case "golden v2 JSON still decodes" `Quick test_golden_v2;
     Alcotest.test_case "golden v1 JSON still decodes" `Quick test_golden_v1;
     Alcotest.test_case "engine grammar" `Quick test_engine_grammar;
     Alcotest.test_case "round-trip" `Quick test_roundtrip;
     Alcotest.test_case "defaults round-trip" `Quick test_defaults_roundtrip;
     Alcotest.test_case "in-memory travels as csv-inline" `Quick
       test_in_memory_travels_as_csv;
-    Alcotest.test_case "reader is unserializable" `Quick
-      test_reader_is_unserializable;
     Alcotest.test_case "validation" `Quick test_validation;
     Alcotest.test_case "oracle spec grammar" `Quick test_oracle_spec_strings;
     Alcotest.test_case "of_args folds the CLI flags" `Quick test_of_args;

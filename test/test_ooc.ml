@@ -97,6 +97,29 @@ let test_boundary_equivalence () =
             [ 1; 3; 12; 200 ])
         [ 0; 1; 15; 16; 17; 31; 32; 33; 47; 48; 49 ])
 
+(* the content digest checkpoints bind to reads the same rows alike at
+   any segment size, resident or spilled, and tells other rows apart *)
+let test_digest_layout_free () =
+  reset_lcg ();
+  let text = gen_text ~n:200 ~cardinality:12 in
+  let digest text () =
+    match Csv.load rel2 text with
+    | Ok (t, _) -> Digest.to_hex (Column_store.digest (Table.store t))
+    | Error e -> Alcotest.fail (Error.to_string e)
+  in
+  let resident = digest text () in
+  Alcotest.(check string) "16-row segments" resident
+    (Ooc.with_config ~segment_rows:16 (digest text));
+  let dir = fresh_spill_dir () in
+  Fun.protect ~finally:(fun () -> rm_rf dir) (fun () ->
+      Alcotest.(check string) "spilled segments" resident
+        (Ooc.with_config ~spill_dir:dir ~resident_budget_words:64
+           ~segment_rows:32 (digest text)));
+  let more = digest (text ^ "1,s1\n") () in
+  Alcotest.(check bool) "one more row" true (resident <> more);
+  Alcotest.(check bool) "one cell changed" true
+    (more <> digest (text ^ "1,s2\n") ())
+
 (* 300+ distinct values forces 16-bit segments; 66000+ forces 32-bit *)
 let test_wide_dictionaries () =
   reset_lcg ();
@@ -464,6 +487,8 @@ let suite =
       test_boundary_equivalence;
     Alcotest.test_case "16/32-bit dictionaries" `Quick test_wide_dictionaries;
     Alcotest.test_case "spill -> mmap round-trip" `Quick test_spill_roundtrip;
+    Alcotest.test_case "digest ignores segment layout" `Quick
+      test_digest_layout_free;
     Alcotest.test_case "IND disjoint-range short-circuit" `Quick
       test_ind_short_circuit;
     Alcotest.test_case "multi-attribute counts = reference" `Quick

@@ -1,8 +1,8 @@
-(* Source abstraction: the four source shapes are one seam. The same
-   extension loaded as a CSV file, inline text, an adopted in-memory
-   table or a chunked reader yields byte-identical tables; quarantine
-   behavior is shape-independent; the In_memory schema check refuses
-   extensions that disagree with the dictionary. *)
+(* Source abstraction: the three source shapes are one seam. The same
+   extension loaded as a CSV file, inline text or an adopted in-memory
+   table yields byte-identical tables; quarantine behavior is
+   shape-independent; the In_memory schema check refuses extensions
+   that disagree with the dictionary. *)
 
 open Relational
 
@@ -27,32 +27,14 @@ let with_temp_file contents f =
       Out_channel.output_string oc contents);
   Fun.protect ~finally:(fun () -> Sys.remove path) (fun () -> f path)
 
-(* split [s] into chunks of [n] bytes: boundaries fall mid-field and
-   mid-line, which a reader source must tolerate *)
-let chunks_of n s =
-  let rec go off acc =
-    if off >= String.length s then List.rev acc
-    else
-      let len = min n (String.length s - off) in
-      go (off + len) (String.sub s off len :: acc)
-  in
-  go 0 []
-
-let test_four_shapes_identical () =
+let test_three_shapes_identical () =
   let baseline = dump (Source.csv_inline csv) in
   with_temp_file csv (fun path ->
       Alcotest.(check string) "csv-file = csv-inline" baseline
         (dump (Source.csv_file path)));
   let table, _ = load (Source.csv_inline csv) in
   Alcotest.(check string) "in-memory = csv-inline" baseline
-    (dump (Source.in_memory table));
-  List.iter
-    (fun n ->
-      Alcotest.(check string)
-        (Printf.sprintf "reader(%d-byte chunks) = csv-inline" n)
-        baseline
-        (dump (Source.of_strings ~name:"test" (chunks_of n csv))))
-    [ 1; 2; 3; 5; 1024 ]
+    (dump (Source.in_memory table))
 
 let test_in_memory_schema_check () =
   let other =
@@ -74,29 +56,17 @@ let test_quarantine_parity () =
   (* row 2 is ill-typed, row 4 has the wrong width: every shape must
      keep the same survivors and report the same casualties *)
   let dirty = "a,b\n1,x\noops,y\n2,z\n3\n4,w\n" in
-  let reports =
-    List.map
-      (fun source ->
-        let table, report = load ~mode:`Quarantine source in
-        let r = Option.get report in
-        (Csv.dump_table table, r.Quarantine.kept, Quarantine.count r))
-      [
-        Source.csv_inline dirty;
-        Source.of_strings ~name:"dirty" (chunks_of 4 dirty);
-      ]
+  let outcome source =
+    let table, report = load ~mode:`Quarantine source in
+    let r = Option.get report in
+    (Csv.dump_table table, r.Quarantine.kept, Quarantine.count r)
   in
+  let d, kept, count = outcome (Source.csv_inline dirty) in
   with_temp_file dirty (fun path ->
-      let table, report = load ~mode:`Quarantine (Source.csv_file path) in
-      let r = Option.get report in
-      let file = (Csv.dump_table table, r.Quarantine.kept, Quarantine.count r) in
-      List.iter
-        (fun (d, kept, count) ->
-          let fd, fkept, fcount = file in
-          Alcotest.(check string) "same survivors" fd d;
-          Alcotest.(check int) "same kept" fkept kept;
-          Alcotest.(check int) "same quarantine count" fcount count)
-        reports);
-  let _, kept, _ = List.hd reports in
+      let fd, fkept, fcount = outcome (Source.csv_file path) in
+      Alcotest.(check string) "same survivors" fd d;
+      Alcotest.(check int) "same kept" fkept kept;
+      Alcotest.(check int) "same quarantine count" fcount count);
   Alcotest.(check int) "three rows survive" 3 kept
 
 let test_missing_file_is_io_error () =
@@ -106,36 +76,21 @@ let test_missing_file_is_io_error () =
       Alcotest.(check string) "typed io error" "io-error"
         (Error.code_to_string e.Error.code)
 
-let test_reader_failure_is_io_error () =
-  let source =
-    Source.reader ~name:"flaky" (fun () ->
-        fun () -> raise (Sys_error "connection reset"))
-  in
-  match Source.load (rel ()) source with
-  | Ok _ -> Alcotest.fail "loaded from a reader that raised"
-  | Error e ->
-      Alcotest.(check string) "typed io error" "io-error"
-        (Error.code_to_string e.Error.code)
-
 let test_describe () =
   Alcotest.(check string) "inline" "csv-inline:12b"
     (Source.describe (Source.csv_inline "a,b\n1,x\n2,y\n"));
   Alcotest.(check string) "file" "csv-file:/tmp/r.csv"
-    (Source.describe (Source.csv_file "/tmp/r.csv"));
-  Alcotest.(check string) "reader" "reader:cursor"
-    (Source.describe (Source.reader ~name:"cursor" (fun () -> fun () -> None)))
+    (Source.describe (Source.csv_file "/tmp/r.csv"))
 
 let suite =
   [
-    Alcotest.test_case "four shapes load identically" `Quick
-      test_four_shapes_identical;
+    Alcotest.test_case "three shapes load identically" `Quick
+      test_three_shapes_identical;
     Alcotest.test_case "in-memory schema check" `Quick
       test_in_memory_schema_check;
     Alcotest.test_case "quarantine is shape-independent" `Quick
       test_quarantine_parity;
     Alcotest.test_case "missing file is a typed io error" `Quick
       test_missing_file_is_io_error;
-    Alcotest.test_case "reader failure is a typed io error" `Quick
-      test_reader_failure_is_io_error;
     Alcotest.test_case "describe" `Quick test_describe;
   ]

@@ -296,15 +296,20 @@ let test_checksum_tamper () =
   in
   Alcotest.(check bool) "baseline elicited FDs" true
     (baseline.Pipeline.rhs_result.Rhs_discovery.fds <> []);
+  let inputs =
+    let g = generate () in
+    Checkpoint.inputs g.Workload.Gen_schema.db g.Workload.Gen_schema.equijoins
+      ~migrate_data:true
+  in
   Alcotest.(check bool) "intact artifact loads" true
-    (Checkpoint.load_rhs ~dir <> None);
+    (Checkpoint.load_rhs ~dir ~inputs <> None);
   (* drop one elicited FD from the payload but keep the stored checksum:
      the file still parses, so only the content checksum can reject it *)
   let p = Checkpoint.path ~dir Checkpoint.Rhs in
   let doc = In_channel.with_open_bin p In_channel.input_all in
   let mangled =
     match Json.of_string doc with
-    | Json.Obj [ ver; stage; sum; ("payload", Json.Obj fields) ] ->
+    | Json.Obj [ ver; stage; bound; sum; ("payload", Json.Obj fields) ] ->
         let fields =
           List.map
             (function
@@ -312,13 +317,13 @@ let test_checksum_tamper () =
               | f -> f)
             fields
         in
-        Json.Obj [ ver; stage; sum; ("payload", Json.Obj fields) ]
+        Json.Obj [ ver; stage; bound; sum; ("payload", Json.Obj fields) ]
     | _ -> Alcotest.fail "unexpected checkpoint layout"
   in
   Out_channel.with_open_bin p (fun oc ->
       Out_channel.output_string oc (Json.to_string mangled));
   Alcotest.(check bool) "tampered payload rejected by checksum" true
-    (Checkpoint.load_rhs ~dir = None);
+    (Checkpoint.load_rhs ~dir ~inputs = None);
   (* resume silently recomputes the stage and matches the baseline *)
   let resumed =
     let g = generate () in
