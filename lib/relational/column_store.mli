@@ -276,9 +276,9 @@ module Builder : sig
 
   val begin_row : t -> unit
   (** Open a row of cells, closed by {!end_row} or {!drop_row}: grow
-      now every intern table that one more insert would take past half
-      full, so the slot each [cell_*] call probes stays valid until the
-      row ends. *)
+      now every intern table that one more insert would take past
+      three-quarters full, so the slot each [cell_*] call probes stays
+      valid until the row ends. *)
 
   val cell_int : t -> int -> int -> int
   val cell_bytes : t -> int -> bytes -> int -> int -> int

@@ -846,7 +846,7 @@ let guarded mode rel run =
       | `Strict -> Ok (table, None)
       | `Quarantine ->
           Ok (table, if Quarantine.is_empty report then None else Some report))
-  | exception Error.Error e -> Stdlib.Error e
+  | exception Error.Error e -> Stdlib.Error (Error.at_stage Error.Load e)
   | exception Supervise.Interrupt r ->
       Stdlib.Error (Supervise.error_of ~stage:Error.Load r)
   | exception Sys_error msg ->

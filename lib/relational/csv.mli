@@ -81,7 +81,8 @@ val load :
   (Table.t * Quarantine.report option, Error.t) result
 (** [load rel csv] builds a table for [rel] from CSV text. A tripped
     [supervise] token (polled per ingest chunk) comes back as [Error e]
-    with code {!Error.Resource_exhausted}, never an exception. With
+    with code {!Error.Resource_exhausted}, never an exception. Every
+    [Error e] is attributed to stage {!Error.Load}. With
     [~header:true] (default) the first row names the columns and they may
     appear in any order; without a header the columns must follow the
     declared attribute order. Fields are parsed through each attribute's

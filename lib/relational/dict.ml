@@ -16,18 +16,19 @@
 
 type plane = Empty | Ints | Strs | Values
 
-(* Flat open-addressing intern table: interleaved [key; code] slot
-   pairs. On [Ints] the key is the int itself and [min_int] marks an
-   empty slot ([Int min_int] keeps its code aside); on [Strs] and
-   [Values] it is the hash ([lor 1], so 0 marks an empty slot) and the
-   key's identity is read from the plane at the slot's code. *)
+(* Flat open-addressing intern table, one word a slot: 0 is empty,
+   otherwise [frag lsl 32 lor code], [frag] being 30 bits of the key's
+   hash. A key's identity is read from the plane at the slot's code;
+   placement (home slot [frag land mask]) reads only the slot, so a
+   rehash never touches the plane. The table grows before it would pass
+   three-quarters full, and has at most 2^30 slots (checked where slots
+   are made): so [frag] covers every mask, and a code, below the slot
+   count, fits in the low 32 bits. *)
 type tab = {
-  mutable cap : int;  (* power of two *)
   mutable size : int;
-  mutable slots : int array;
-  mutable min_code : int;  (* Ints: the code of [Int min_int], or -1 *)
-  mutable st_slot : int;  (* the staged miss's slot; -1 is [min_int] *)
-  mutable st_word : int;  (* its key word *)
+  mutable slots : int array;  (* power-of-two length *)
+  mutable st_slot : int;  (* the staged miss's slot *)
+  mutable st_frag : int;  (* its hash fragment *)
 }
 
 type t = {
@@ -182,53 +183,49 @@ let write d v =
 (* the intern table                                                    *)
 (* ------------------------------------------------------------------ *)
 
-(* the smallest power of two that holds [n] keys at most half full *)
+let max_slots = 1 lsl 30
+let frag_mask = max_slots - 1
+let code_mask = (1 lsl 32) - 1
+
+let word frag c = (frag lsl 32) lor c
+
+let code_of w = w land code_mask
+let frag_of w = w lsr 32
+
+(* the smallest power of two that holds [n + 1] keys at most
+   three-quarters full *)
 let cap_for n =
   let c = ref 16 in
-  while !c < 2 * (n + 1) do
+  while 4 * (n + 1) > 3 * !c do
     c := 2 * !c
   done;
   !c
 
-let empty_word plane = if plane = Ints then min_int else 0
+let empty_slots n =
+  if n > max_slots then invalid_arg "Dict: an intern table past 2^30 slots";
+  Array.make n 0
 
-let tab_make plane n =
-  let cap = cap_for n in
-  {
-    cap;
-    size = 0;
-    slots = Array.make (2 * cap) (empty_word plane);
-    min_code = -1;
-    st_slot = 0;
-    st_word = 0;
-  }
+(* The fragments. An int's low bits pass through so runs of sequential
+   keys occupy sequential slots; high bits are folded in so huge keys
+   still spread. Strings hash by FNV-1a over a byte range, so the loader
+   hashes a CSV cell in place and an arena entry hashes as its bytes do;
+   the final fold brings high bits down. *)
+let int_frag n = (n lxor (n lsr 32)) land frag_mask
 
-(* Placement only, never identity. An int's low bits pass through so
-   runs of sequential keys occupy sequential slots; high bits are
-   folded in so huge keys still spread. A stored hash is [h lor 1], so
-   it is placed by [h lsr 1]: placing by the low bit would leave every
-   even slot without a home. *)
-let int_hash n = (n lxor (n lsr 32)) land max_int
-let place plane w = if plane = Ints then int_hash w else w lsr 1
-
-(* The one string hash: FNV-1a over a byte range, so the loader hashes
-   a CSV cell in place, and an arena entry hashes as its bytes do. The
-   final fold brings high bits down to the ones [place] uses. *)
-let bytes_hash buf off len =
+let bytes_frag buf off len =
   let h = ref 0x2bf29ce484222325 in
   for i = off to off + len - 1 do
     h := (!h lxor Char.code (Bytes.unsafe_get buf i)) * 0x100000001b3
   done;
-  !h lxor (!h lsr 29) lor 1
+  (!h lxor (!h lsr 29)) land frag_mask
 
-let value_hash v = Hashtbl.hash v lor 1
+let value_frag v = Hashtbl.hash v land frag_mask
 
-(* the key word of entry [c] *)
-let entry_word d c =
+let entry_frag d c =
   match d.plane with
-  | Ints -> d.ints.(c)
-  | Strs -> bytes_hash d.arena d.offs.(c) (str_len d c)
-  | _ -> value_hash d.vals.(c)
+  | Ints -> int_frag d.ints.(c)
+  | Strs -> bytes_frag d.arena d.offs.(c) (str_len d c)
+  | _ -> value_frag d.vals.(c)
 
 (* does entry [c] spell the bytes [buf.[off] .. buf.[off+len-1]]? *)
 let spells d c buf off len =
@@ -241,78 +238,71 @@ let spells d c buf off len =
   done;
   !i = len
 
-(* Probe loops. Indices are masked to the (power-of-two) capacity, so
-   the unchecked reads cannot go out of bounds; each stops at the key's
-   slot or the first empty one. *)
-let int_slot t n =
-  let mask = t.cap - 1 in
-  let i = ref (int_hash n land mask) in
+(* Probe loops, one per plane: from the home of fragment [f], stop at
+   the slot of the key (its fragment matches and the plane at its code
+   holds the key) or at the first empty one. Indices are masked to the
+   power-of-two length, so the unchecked slot reads stay in bounds. *)
+let int_slot d t f n =
+  let mask = Array.length t.slots - 1 in
+  let i = ref (f land mask) in
   while
-    let k = Array.unsafe_get t.slots (2 * !i) in
-    k <> min_int && k <> n
+    let w = Array.unsafe_get t.slots !i in
+    w <> 0 && not (frag_of w = f && d.ints.(code_of w) = n)
   do
     i := (!i + 1) land mask
   done;
   !i
 
-let str_slot d t h buf off len =
-  let mask = t.cap - 1 in
-  let i = ref ((h lsr 1) land mask) in
+let str_slot d t f buf off len =
+  let mask = Array.length t.slots - 1 in
+  let i = ref (f land mask) in
   while
-    let h' = Array.unsafe_get t.slots (2 * !i) in
-    h' <> 0
-    && not (h' = h && spells d (Array.unsafe_get t.slots ((2 * !i) + 1)) buf off len)
+    let w = Array.unsafe_get t.slots !i in
+    w <> 0 && not (frag_of w = f && spells d (code_of w) buf off len)
   do
     i := (!i + 1) land mask
   done;
   !i
 
-let value_slot d t h v =
-  let mask = t.cap - 1 in
-  let i = ref ((h lsr 1) land mask) in
+let value_slot d t f v =
+  let mask = Array.length t.slots - 1 in
+  let i = ref (f land mask) in
   while
-    let h' = Array.unsafe_get t.slots (2 * !i) in
-    h' <> 0
-    && not (h' = h && Stdlib.compare d.vals.(Array.unsafe_get t.slots ((2 * !i) + 1)) v = 0)
+    let w = Array.unsafe_get t.slots !i in
+    w <> 0 && not (frag_of w = f && Stdlib.compare d.vals.(code_of w) v = 0)
   do
     i := (!i + 1) land mask
   done;
   !i
 
-(* put a key word known to be absent at the first empty slot from its
-   home: no key is read, only moved *)
-let place_new plane t w c =
-  let empty = empty_word plane and mask = t.cap - 1 in
-  let i = ref (place plane w land mask) in
-  while t.slots.(2 * !i) <> empty do
+(* the code at slot [i], or -1 for an empty one *)
+let hit t i =
+  let w = t.slots.(i) in
+  if w = 0 then -1 else code_of w
+
+(* put a slot word whose key is known to be absent at the first empty
+   slot from its home: no key is read, only moved *)
+let place_new t w =
+  let mask = Array.length t.slots - 1 in
+  let i = ref (frag_of w land mask) in
+  while t.slots.(!i) <> 0 do
     i := (!i + 1) land mask
   done;
-  t.slots.(2 * !i) <- w;
-  t.slots.((2 * !i) + 1) <- c
+  t.slots.(!i) <- w
 
-let grow plane t =
-  let old = t.slots and old_cap = t.cap in
-  let empty = empty_word plane in
-  t.cap <- 2 * old_cap;
-  t.slots <- Array.make (2 * t.cap) empty;
-  for j = 0 to old_cap - 1 do
-    let w = old.(2 * j) in
-    if w <> empty then place_new plane t w old.((2 * j) + 1)
-  done
+let grow t =
+  let old = t.slots in
+  t.slots <- empty_slots (2 * Array.length old);
+  Array.iter (fun w -> if w <> 0 then place_new t w) old
 
 (* the table over [d], built from its plane on first need *)
 let table d =
   match d.tab with
   | Some t -> t
   | None ->
-      let t = tab_make d.plane d.len in
+      let t = { size = d.len - 1; slots = empty_slots (cap_for d.len); st_slot = 0; st_frag = 0 } in
       for c = 1 to d.len - 1 do
-        let w = entry_word d c in
-        if d.plane = Ints && w = min_int then t.min_code <- c
-        else begin
-          place_new d.plane t w c;
-          t.size <- t.size + 1
-        end
+        place_new t (word (entry_frag d c) c)
       done;
       d.tab <- Some t;
       t
@@ -354,17 +344,13 @@ let admit d p =
 (* on [Values] *)
 let find_boxed d v =
   let t = table d in
-  let i = value_slot d t (value_hash v) v in
-  if t.slots.(2 * i) <> 0 then t.slots.((2 * i) + 1) else -1
+  hit t (value_slot d t (value_frag v) v)
 
 let find_int d n =
   match d.plane with
   | Ints ->
       let t = table d in
-      if n = min_int then t.min_code
-      else
-        let i = int_slot t n in
-        if t.slots.(2 * i) <> min_int then t.slots.((2 * i) + 1) else -1
+      hit t (int_slot d t (int_frag n) n)
   | Values -> find_boxed d (Value.Int n)
   | Empty | Strs -> -1
 
@@ -372,8 +358,7 @@ let find_bytes d buf off len =
   match d.plane with
   | Strs ->
       let t = table d in
-      let i = str_slot d t (bytes_hash buf off len) buf off len in
-      if t.slots.(2 * i) <> 0 then t.slots.((2 * i) + 1) else -1
+      hit t (str_slot d t (bytes_frag buf off len) buf off len)
   | Values -> find_boxed d (Value.String (Bytes.sub_string buf off len))
   | Empty | Ints -> -1
 
@@ -400,49 +385,42 @@ let included d1 d2 =
 (* ------------------------------------------------------------------ *)
 
 (* Interning takes one probe. [reserve] first grows a table that one
-   more insert would take past half full, so the empty slot a probe
-   stops at stays valid until one insert: a miss is *staged* there (its
-   entry written past the plane's end, its slot still empty, so no
-   probe sees it) and [commit] takes it as the next code. *)
+   more insert would take past three-quarters full, so the empty slot a
+   probe stops at stays valid until one insert: a miss is *staged*
+   there (its entry written past the plane's end, its slot still empty,
+   so no probe sees it) and [commit] takes it as the next code. *)
 let reserve d =
   let t = table d in
-  if (t.size + 1) * 2 > t.cap then grow d.plane t
+  if 4 * (t.size + 1) > 3 * Array.length t.slots then grow t
 
-let stage t i w =
+let stage t i f =
   t.st_slot <- i;
-  t.st_word <- w;
+  t.st_frag <- f;
   -1
 
 let rec probe_int d n =
   admit d Ints;
   if d.plane <> Ints then probe_value d (Value.Int n)
   else
-    let t = table d in
-    if n = min_int then
-      if t.min_code >= 0 then t.min_code
-      else begin
+    let t = table d and f = int_frag n in
+    let i = int_slot d t f n in
+    match hit t i with
+    | -1 ->
         write_int d n;
-        stage t (-1) n
-      end
-    else
-      let i = int_slot t n in
-      if t.slots.(2 * i) <> min_int then t.slots.((2 * i) + 1)
-      else begin
-        write_int d n;
-        stage t i n
-      end
+        stage t i f
+    | c -> c
 
 and probe_bytes d buf off len =
   admit d Strs;
   if d.plane <> Strs then probe_value d (Value.String (Bytes.sub_string buf off len))
   else
-    let t = table d and h = bytes_hash buf off len in
-    let i = str_slot d t h buf off len in
-    if t.slots.(2 * i) <> 0 then t.slots.((2 * i) + 1)
-    else begin
-      write_bytes d buf off len;
-      stage t i h
-    end
+    let t = table d and f = bytes_frag buf off len in
+    let i = str_slot d t f buf off len in
+    match hit t i with
+    | -1 ->
+        write_bytes d buf off len;
+        stage t i f
+    | c -> c
 
 and probe_value d v =
   match v with
@@ -452,14 +430,14 @@ and probe_value d v =
       match (d.plane, v) with
       | Ints, Value.Int n -> probe_int d n
       | Strs, Value.String s -> probe_bytes d (Bytes.unsafe_of_string s) 0 (String.length s)
-      | _ ->
-          let t = table d and h = value_hash v in
-          let i = value_slot d t h v in
-          if t.slots.(2 * i) <> 0 then t.slots.((2 * i) + 1)
-          else begin
-            write_value d v;
-            stage t i h
-          end)
+      | _ -> (
+          let t = table d and f = value_frag v in
+          let i = value_slot d t f v in
+          match hit t i with
+          | -1 ->
+              write_value d v;
+              stage t i f
+          | c -> c))
 
 (* take the entry written at code [len] as that code *)
 let take d =
@@ -468,12 +446,8 @@ let take d =
 
 let commit d =
   let t = table d in
-  if t.st_slot < 0 then t.min_code <- d.len
-  else begin
-    t.slots.(2 * t.st_slot) <- t.st_word;
-    t.slots.((2 * t.st_slot) + 1) <- d.len;
-    t.size <- t.size + 1
-  end;
+  t.slots.(t.st_slot) <- word t.st_frag d.len;
+  t.size <- t.size + 1;
   take d
 
 (* the code of [v] in [d], or -1, by reading the plane; also the
@@ -543,43 +517,33 @@ let push_from d src c =
 (* deletes                                                             *)
 (* ------------------------------------------------------------------ *)
 
-(* the slot holding code [c] (present), found by its key word; -1 for
-   [Ints]' [min_int] *)
+(* the slot holding code [c] (present), found by its slot word *)
 let slot_of_code d t c =
-  let w = entry_word d c in
-  match d.plane with
-  | Ints -> if w = min_int then -1 else int_slot t w
-  | _ ->
-      let mask = t.cap - 1 in
-      let i = ref ((w lsr 1) land mask) in
-      while t.slots.((2 * !i) + 1) <> c || t.slots.(2 * !i) = 0 do
-        i := (!i + 1) land mask
-      done;
-      !i
+  let w = word (entry_frag d c) c and mask = Array.length t.slots - 1 in
+  let i = ref (frag_of w land mask) in
+  while t.slots.(!i) <> w do
+    i := (!i + 1) land mask
+  done;
+  !i
 
 (* Empty slot [i] and close the gap: each later entry of the probe run
    moves back into the hole unless its home lies cyclically in
    (hole, j], so every remaining key stays reachable from its home. *)
-let unbind d t c =
-  match slot_of_code d t c with
-  | -1 -> t.min_code <- -1
-  | i ->
-      let empty = empty_word d.plane and mask = t.cap - 1 in
-      let s = t.slots in
-      s.(2 * i) <- empty;
-      let hole = ref i and j = ref ((i + 1) land mask) in
-      while s.(2 * !j) <> empty do
-        let h = place d.plane s.(2 * !j) land mask in
-        let stays = if !hole <= !j then !hole < h && h <= !j else !hole < h || h <= !j in
-        if not stays then begin
-          s.(2 * !hole) <- s.(2 * !j);
-          s.((2 * !hole) + 1) <- s.((2 * !j) + 1);
-          s.(2 * !j) <- empty;
-          hole := !j
-        end;
-        j := (!j + 1) land mask
-      done;
-      t.size <- t.size - 1
+let unbind t i =
+  let s = t.slots and mask = Array.length t.slots - 1 in
+  s.(i) <- 0;
+  let hole = ref i and j = ref ((i + 1) land mask) in
+  while s.(!j) <> 0 do
+    let h = frag_of s.(!j) land mask in
+    let stays = if !hole <= !j then !hole < h && h <= !j else !hole < h || h <= !j in
+    if not stays then begin
+      s.(!hole) <- s.(!j);
+      s.(!j) <- 0;
+      hole := !j
+    end;
+    j := (!j + 1) land mask
+  done;
+  t.size <- t.size - 1
 
 (* Entry [lo + j] becomes entry [remap.(j)] (within [lo, next)), or is
    dropped when that is negative. A table stays exact: the dropped
@@ -590,13 +554,11 @@ let reclaim d ~lo remap ~next =
   (match d.tab with
   | None -> ()
   | Some t ->
-      Array.iteri (fun j c -> if c < 0 then unbind d t (lo + j)) remap;
+      Array.iteri (fun j c -> if c < 0 then unbind t (slot_of_code d t (lo + j))) remap;
       let slots =
-        Array.mapi (fun j c -> if c >= 0 && c <> lo + j then slot_of_code d t (lo + j) else -2) remap
+        Array.mapi (fun j c -> if c >= 0 && c <> lo + j then slot_of_code d t (lo + j) else -1) remap
       in
-      Array.iteri
-        (fun j i -> if i = -1 then t.min_code <- remap.(j) else if i >= 0 then t.slots.((2 * i) + 1) <- remap.(j))
-        slots);
+      Array.iteri (fun j i -> if i >= 0 then t.slots.(i) <- word (frag_of t.slots.(i)) remap.(j)) slots);
   (match d.plane with
   | Ints ->
       let moved = Array.sub d.ints lo n in

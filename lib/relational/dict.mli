@@ -7,8 +7,11 @@
     [Value.t] array for anything else. The first value of another
     constructor widens the dictionary to the boxed plane once, in
     O(dictionary). So a column loaded from CSV under an [Int] or
-    [String] domain holds no [Value.t], and its intern table holds
-    only [(key or hash, code)] pairs.
+    [String] domain holds no [Value.t]. Its intern table is one word a
+    slot, 30 bits of the key's hash and the code, at most
+    three-quarters full: a key is confirmed against the plane at the
+    slot's code. Growing a table past 2^30 slots raises
+    [Invalid_argument], so the codes a slot holds fit in 32 bits.
 
     Identity is that of a polymorphic hashtable ([Stdlib.compare _ _ =
     0]): [Int 1] and [Float 1.0] are two entries, every NaN is one.
@@ -73,7 +76,7 @@ val included : t -> t -> bool
 
 val reserve : t -> unit
 (** Build the table if there is none, and grow it if one more insert
-    would take it past half full. *)
+    would take it past three-quarters full. *)
 
 val probe_int : t -> int -> int
 val probe_bytes : t -> bytes -> int -> int -> int

@@ -276,7 +276,7 @@ let load ?(header = true) ?(mode = `Strict) rel csv =
   | `Strict -> (
       match load_strict ~header rel csv with
       | table -> Ok (table, None)
-      | exception Error.Error e -> Stdlib.Error e)
+      | exception Error.Error e -> Stdlib.Error (Error.at_stage Error.Load e))
   | `Quarantine ->
       let table, report = load_lenient ~header rel csv in
       Ok (table, if Quarantine.is_empty report then None else Some report)
