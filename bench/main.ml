@@ -603,9 +603,8 @@ let b14 () =
 
   (* identity: on a dirty document (ill-typed cells, wrong-width rows),
      the strict error and the quarantine outcome (surviving extension +
-     report) must match the seed loader byte for byte at every domain
-     count. [~min_parallel_bytes:1] forces the parallel path even on
-     this small input. *)
+     report) must match the seed loader byte for byte. The load has no
+     parallel path, so one domain is the only count. *)
   let dirty = b14_csv ~dirty:true (if !smoke then 300 else 5_000) in
   let show = function
     | Ok (t, rep) ->
@@ -615,22 +614,12 @@ let b14 () =
   in
   let reference mode = show (Reference.Csv.load ~mode b14_rel dirty) in
   let ref_strict = reference `Strict and ref_q = reference `Quarantine in
-  List.iter
-    (fun n ->
-      let pool = if n = 1 then None else Some (Domain_pool.get n) in
-      let got mode =
-        show (Csv.load ~mode ?pool ~min_parallel_bytes:1 b14_rel dirty)
-      in
-      let ok = got `Strict = ref_strict && got `Quarantine = ref_q in
-      Printf.printf
-        "  strict + quarantine outputs identical to seed (domains=%d): %s\n%!"
-        n
-        (if ok then "OK" else "FAILED");
-      record ~target:1.0
-        (Printf.sprintf "identity/domains=%d" n)
-        (if ok then 1.0 else 0.0)
-        "bool")
-    [ 1; 2; 4 ];
+  let got mode = show (Csv.load ~mode b14_rel dirty) in
+  let ok = got `Strict = ref_strict && got `Quarantine = ref_q in
+  Printf.printf
+    "  strict + quarantine outputs identical to seed (domains=1): %s\n%!"
+    (if ok then "OK" else "FAILED");
+  record ~target:1.0 "identity/domains=1" (if ok then 1.0 else 0.0) "bool";
 
   (* pipeline artifacts: dump a generated database to CSV, reload it
      through each loader, run the full pipeline on both copies — F, H,
@@ -667,10 +656,7 @@ let b14 () =
       r.Dbre.Pipeline.ind_result.Dbre.Ind_discovery.inds Dbre.Report.pp_inds
       r.Dbre.Pipeline.restruct_result.Dbre.Restruct.ric
   in
-  let pool = Domain_pool.get 4 in
-  let via_streaming =
-    render (reload (fun rel text -> Csv.load ~pool ~min_parallel_bytes:1 rel text))
-  in
+  let via_streaming = render (reload (fun rel text -> Csv.load rel text)) in
   let via_reference = render (reload (fun rel text -> Reference.Csv.load rel text)) in
   let identical = via_streaming = via_reference in
   Printf.printf

@@ -58,10 +58,10 @@ let parse_engine s =
    stays a string because job specs fold it through Engine.of_string *)
 let engine_arg =
   let doc =
-    "Extension-check parallelism: 'default' (sequential), 'parallel' (one \
-     domain per recommended core, capped at 16) or 'parallel:<domains>'. \
-     Every check runs over the memoized dictionary-encoded column store; \
-     artifacts are identical at every domain count."
+    "Domains of the IND-batch fan-out, the one parallel pass: 'default' \
+     (sequential), 'parallel' (one domain per recommended core, capped at \
+     16) or 'parallel:<domains>'. The CSV load and every other check run \
+     sequentially; artifacts are identical at every domain count."
   in
   let engine =
     Arg.conv

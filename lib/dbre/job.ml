@@ -19,7 +19,6 @@ let database ?supervise ?progress (spec : Job_spec.t) =
   | schema, _fks -> (
       let db = Database.create schema in
       let mode = if spec.Job_spec.lenient then `Quarantine else `Strict in
-      let pool = Engine.pool spec.Job_spec.engine in
       let rec load reports = function
         | [] -> Ok (db, List.rev reports)
         | (name, source) :: rest -> (
@@ -34,7 +33,7 @@ let database ?supervise ?progress (spec : Job_spec.t) =
                         (Source.describe source) name))
             | Some rel -> (
                 notify progress (Loading name);
-                match Source.load ~mode ?pool ?supervise rel source with
+                match Source.load ~mode ?supervise rel source with
                 | Error e -> Error e
                 | Ok (table, report) ->
                     Database.replace_table db table;

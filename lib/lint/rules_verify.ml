@@ -215,21 +215,11 @@ let check_job (spec : Dbre.Job_spec.t) =
               let arity = List.length rel.Relation.attrs in
               match source with
               | Source.In_memory table ->
-                  let have = Table.schema table in
-                  if
-                    String.equal have.Relation.name rel.Relation.name
-                    && have.Relation.attrs = rel.Relation.attrs
-                  then None
-                  else
-                    Some
-                      (diag ~code:"L207" Diagnostic.Warning
-                         (Printf.sprintf
-                            "job source for %s is an in-memory table \
-                             declaring %s(%s), but the DDL declares %s(%s)"
-                            name have.Relation.name
-                            (String.concat ", " have.Relation.attrs)
-                            rel.Relation.name
-                            (String.concat ", " rel.Relation.attrs)))
+                  Option.map
+                    (fun msg ->
+                      diag ~code:"L207" Diagnostic.Warning
+                        (Printf.sprintf "job source for %s: %s" name msg))
+                    (Source.disagreement rel table)
               | Source.Csv_file path when not (Sys.file_exists path) ->
                   Some
                     (diag ~code:"L207" Diagnostic.Warning

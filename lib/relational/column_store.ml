@@ -260,8 +260,8 @@ let version t = t.version
 
 let same_attributes t (rel : Relation.t) = rel.Relation.attrs = t.rel.Relation.attrs
 
-(* The one append path — row inserts, loads, load merges and
-   projections all come through here: push a code onto each column's
+(* The one append path — row inserts, loads and projections all come
+   through here: push a code onto each column's
    tail, then close the row, which seals every tail together once they
    hold a full segment (all of a store's columns seal at the same row
    boundaries). *)
@@ -1122,47 +1122,6 @@ module Builder = struct
       b.row.(p) <- 0
     done;
     row_done b.store
-
-  (* Merge [src] (a chunk-local builder) onto the end of [dst].
-     Appending chunk dictionaries in chunk order reproduces the global
-     first-occurrence interning order, so the merged store is identical
-     to a sequential build over the concatenated rows. Rows stream
-     through block by block, so [dst]'s seal boundaries stay aligned
-     regardless of where they fell in [src]; [src]'s segments are
-     released once drained. *)
-  let merge dst src =
-    let d = dst.store and s = src.store in
-    if Array.length d.columns <> Array.length s.columns then
-      invalid_arg "Column_store.Builder.merge: arity mismatch";
-    if d.seg_rows <> s.seg_rows then
-      invalid_arg "Column_store.Builder.merge: segment size mismatch";
-    let remap =
-      Array.mapi
-        (fun p (col : column) ->
-          let r = Array.make (Dict.length col.dict) 0 in
-          for c = 1 to Dict.length col.dict - 1 do
-            r.(c) <- Dict.intern_from d.columns.(p).dict col.dict c
-          done;
-          r)
-        s.columns
-    in
-    if Array.length s.columns = 0 then
-      for _ = 1 to s.n_rows do
-        row_done d
-      done
-    else
-      iter_blocks s.columns (fun bufs len _ ->
-          for i = 0 to len - 1 do
-            for p = 0 to Array.length d.columns - 1 do
-              push_code d d.columns.(p) remap.(p).(bufs.(p).(i))
-            done;
-            row_done d
-          done);
-    Array.iter
-      (fun (col : column) ->
-        Array.iter Ooc.release col.segs;
-        col.segs <- [||])
-      s.columns
 
   (* a finished load keeps exact-length arrays and no intern tables *)
   let finish b =

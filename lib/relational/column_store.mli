@@ -304,14 +304,6 @@ module Builder : sig
       declaration order). The array is copied; callers may reuse it.
       Seals a segment whenever the open tail fills. *)
 
-  val merge : t -> t -> unit
-  (** [merge dst src] appends [src]'s rows after [dst]'s, re-interning
-      [src]'s chunk-local dictionaries with a code-remap sweep. Merging
-      parallel chunks in input order reproduces the sequential
-      first-occurrence dictionaries exactly; [dst]'s seal boundaries
-      stay aligned no matter where [src]'s fell, and [src]'s segments
-      are released as they drain. [src] must not be used afterwards. *)
-
   val finish : t -> store
   (** The built store, every array trimmed to its exact length and the
       intern tables dropped. *)

@@ -25,10 +25,9 @@ type row = { index : int; line : int; fields : string array }
    escapes or straddling a chunk boundary a view into [sc_scratch]
    (touched only then). [sc_row] follows the last cell of each row, and
    [sc_drop] discards the cells of a row torn at EOF. So the common
-   path copies and allocates nothing. Positions ([sc_line],
-   [sc_line_start], [sc_abs]) are absolute document offsets, which is
-   what lets a parallel worker resume mid-document with exact line and
-   column reporting.
+   path copies and allocates nothing. Offsets ([sc_line_start],
+   [sc_abs]) count from the start of the document, not of the chunk,
+   so a quote's column is exact wherever the chunks split.
 
    Two one-byte lookaheads can straddle a chunk boundary and are carried
    as modes: [Cr_end] (a row just ended on '\r'; a following '\n'
@@ -38,7 +37,7 @@ type sc_mode = Sc_plain | Sc_quoted | Sc_quote_end | Sc_cr_end
 
 type scanner = {
   sc_cell : bytes -> int -> int -> unit;
-  sc_row : int -> int -> int -> unit;  (* row index, line, start offset *)
+  sc_row : int -> int -> unit;  (* row index, line *)
   sc_drop : unit -> unit;
   mutable sc_scratch : bytes;
   mutable sc_slen : int;
@@ -47,14 +46,13 @@ type scanner = {
   mutable sc_line : int;
   mutable sc_line_start : int;  (* absolute offset where the line starts *)
   mutable sc_row_line : int;
-  mutable sc_row_start : int;  (* absolute offset where the row starts *)
   mutable sc_row_index : int;
   mutable sc_abs : int;  (* absolute offset of the next byte to be fed *)
   mutable sc_qline : int;  (* where the currently open quote opened *)
   mutable sc_qcol : int;
 }
 
-let scanner_start ?(row_index = 0) ?(line = 1) ?(abs = 0) ~cell ~row ~drop () =
+let scanner_start ~cell ~row ~drop () =
   {
     sc_cell = cell;
     sc_row = row;
@@ -63,12 +61,11 @@ let scanner_start ?(row_index = 0) ?(line = 1) ?(abs = 0) ~cell ~row ~drop () =
     sc_slen = 0;
     sc_cells = 0;
     sc_mode = Sc_plain;
-    sc_line = line;
-    sc_line_start = abs;
-    sc_row_line = line;
-    sc_row_start = abs;
-    sc_row_index = row_index;
-    sc_abs = abs;
+    sc_line = 1;
+    sc_line_start = 0;
+    sc_row_line = 1;
+    sc_row_index = 0;
+    sc_abs = 0;
     sc_qline = 0;
     sc_qcol = 0;
   }
@@ -84,7 +81,7 @@ let scratch_add st s off len =
   st.sc_slen <- need
 
 let emit_row st =
-  st.sc_row st.sc_row_index st.sc_row_line st.sc_row_start;
+  st.sc_row st.sc_row_index st.sc_row_line;
   st.sc_row_index <- st.sc_row_index + 1;
   st.sc_cells <- 0
 
@@ -103,13 +100,12 @@ let push_cell st s fstart j =
     st.sc_slen <- 0
   end
 
-(* a row ended; the next line and row start at absolute offset [next] *)
+(* a row ended; the next line starts at absolute offset [next] *)
 let end_row st next =
   emit_row st;
   st.sc_line <- st.sc_line + 1;
   st.sc_line_start <- next;
-  st.sc_row_line <- st.sc_line;
-  st.sc_row_start <- next
+  st.sc_row_line <- st.sc_line
 
 (* the bytes that end a plain run and a quoted run *)
 let stop_table stops =
@@ -139,7 +135,6 @@ let scanner_feed st s off len =
           fstart := off + 1
         end;
         st.sc_line_start <- base + !i;
-        st.sc_row_start <- base + !i;
         st.sc_mode <- Sc_plain
     | Sc_quote_end ->
         if Bytes.get s off = '"' then begin
@@ -175,7 +170,7 @@ let scanner_feed st s off len =
                 incr i;
                 if !i = limit then st.sc_mode <- Sc_cr_end
                 else if Bytes.unsafe_get s !i = '\n' then incr i;
-                (* at a chunk's end, the next chunk fixes the row start *)
+                (* at a chunk's end, the next chunk fixes the line start *)
                 end_row st (base + !i);
                 fstart := !i
             | _ (* '"' *) ->
@@ -264,9 +259,9 @@ let scanner_finish st =
    deadline stops a bulk load at a chunk boundary *)
 let supervised_rows = 4096
 
-let supervised supervise row index line start =
+let supervised supervise row index line =
   if index land (supervised_rows - 1) = 0 then Supervise.check supervise;
-  row index line start
+  row index line
 
 (* Feed [next]'s chunks, (bytes, length) until [None], to [st], then
    finish it. The scanner keeps no view into a chunk once
@@ -293,7 +288,7 @@ let once text = Seq.to_dispenser (Seq.return text)
    become its [fields] *)
 let fold_reader ?(supervise = Supervise.unlimited) ~f ~init read =
   let acc = ref init and cells = ref [] in
-  let row index line _ =
+  let row index line =
     let fields = Array.of_list (List.rev !cells) in
     cells := [];
     acc := f !acc { index; line; fields }
@@ -398,16 +393,10 @@ type sink = {
   mutable k_stopped : bool;
 }
 
-let sink_make ~strict ~header ?inv_width rel =
+let sink_make ~strict ~header rel =
   let arity = Relation.arity rel in
   let attrs = Array.of_list rel.Relation.attrs in
-  let inv, width, have_map =
-    match inv_width with
-    | Some (inv, width) -> (inv, width, true)
-    | None ->
-        if header then ([||], 0, false)
-        else (Array.init arity Fun.id, arity, true)
-  in
+  let inv, width = if header then ([||], 0) else (Array.init arity Fun.id, arity) in
   {
     k_rel = rel;
     k_name = rel.Relation.name;
@@ -418,7 +407,7 @@ let sink_make ~strict ~header ?inv_width rel =
     k_domains = Array.map (Relation.domain_of rel) attrs;
     k_inv = inv;
     k_width = width;
-    k_have_map = have_map;
+    k_have_map = not header;
     k_hdr_cells = [];
     k_nf = 0;
     k_bad = arity;
@@ -647,7 +636,7 @@ let reset_row k =
    the legacy loader scanned the whole document up front, so a torn
    quote at EOF outranks any earlier row error. The sink goes inert and
    the (cheap) scan drains to EOF to find out. *)
-let sink_row_end k idx line _ =
+let sink_row_end k idx line =
   if not k.k_stopped then begin
     (try sink_row k idx line with Stop_sink -> k.k_stopped <- true);
     reset_row k
@@ -659,8 +648,8 @@ let sink_drop k =
   Column_store.Builder.drop_row k.k_builder;
   reset_row k
 
-let sink_scanner ?row_index ?line ?abs ?(supervise = Supervise.unlimited) k =
-  scanner_start ?row_index ?line ?abs ~cell:(sink_cell k)
+let sink_scanner ~supervise k =
+  scanner_start ~cell:(sink_cell k)
     ~row:(supervised supervise (sink_row_end k))
     ~drop:(fun () -> sink_drop k)
     ()
@@ -713,131 +702,6 @@ let finalize ~strict k (errors : syntax_error list) =
       } )
   end
 
-(* ------------------------------------------------------------------ *)
-(* parallel chunking                                                   *)
-(* ------------------------------------------------------------------ *)
-
-(* Quote parity cannot split this grammar (a mid-field quote is
-   literal), so the chunk plan comes from one pass of the scanner
-   itself, which reports where each row starts: for each target offset,
-   the first row starting at or after it, with the row index and line
-   there — exactly the state a worker's scanner resumes from. The same
-   pass finds where data starts (the second row, under a header) and
-   whether the document ends inside an open quote.
-   chunk: (start offset, end offset, first row index, first line) *)
-let plan_chunks ~header text k =
-  let n = String.length text in
-  let step = n / k in
-  let data = ref (if header then None else Some (0, 0, 1)) in
-  let bounds = ref [] and t = ref 1 in
-  let row index line start =
-    if header && index = 1 then data := Some (start, index, line);
-    if !t < k && start >= !t * step then begin
-      if start > 0 && start < n then bounds := (start, index, line) :: !bounds;
-      while !t < k && start >= !t * step do
-        incr t
-      done
-    end
-  in
-  let st = scanner_start ~cell:(fun _ _ _ -> ()) ~row ~drop:ignore () in
-  scanner_feed st (Bytes.unsafe_of_string text) 0 n;
-  let syntax = scanner_finish st in
-  Option.map
-    (fun ((doff, _, _) as first) ->
-      let later = List.filter (fun (off, _, _) -> off > doff) !bounds in
-      let starts = Array.of_list (first :: List.rev later) in
-      let m = Array.length starts in
-      let chunks =
-        Array.init m (fun c ->
-            let s, r, l = starts.(c) in
-            let stop =
-              if c + 1 < m then
-                let s', _, _ = starts.(c + 1) in
-                s'
-              else n
-            in
-            (s, stop, r, l))
-      in
-      (chunks, syntax))
-    !data
-
-let run_parallel ~header ~strict ~pool rel text chunks plan_syntax =
-  let name = rel.Relation.name in
-  let master = sink_make ~strict ~header rel in
-  (if header then begin
-     (* the header row is the slice before the first chunk; it ends at
-        a row boundary, so this emits exactly one row and no errors *)
-     let doff, _, _, _ = chunks.(0) in
-     let st = sink_scanner master in
-     scanner_feed st (Bytes.unsafe_of_string text) 0 doff;
-     ignore (scanner_finish st)
-   end);
-  if master.k_stopped then begin
-    (* strict header problem; a torn quote anywhere still outranks it *)
-    match plan_syntax with
-    | e :: _ -> raise_syntax ~relation:name e
-    | [] -> (
-        match master.k_error with
-        | Some e -> raise (Error.Error e)
-        | None -> assert false)
-  end;
-  let inv_width = (master.k_inv, master.k_width) in
-  let outs =
-    Domain_pool.map_array pool
-      (fun (start_off, stop_off, srow, sline) ->
-        let k = sink_make ~strict ~header ~inv_width rel in
-        let st = sink_scanner ~row_index:srow ~line:sline ~abs:start_off k in
-        scanner_feed st (Bytes.unsafe_of_string text) start_off
-          (stop_off - start_off);
-        let errs = scanner_finish st in
-        (k, errs))
-      chunks
-  in
-  (* only the last chunk can end inside a quote, so this concat holds
-     at most one error *)
-  let syntax = Array.fold_left (fun acc (_, errs) -> acc @ errs) [] outs in
-  if strict then begin
-    (match syntax with e :: _ -> raise_syntax ~relation:name e | [] -> ());
-    Array.iter
-      (fun ((k : sink), _) ->
-        match k.k_error with Some e -> raise (Error.Error e) | None -> ())
-      outs
-  end;
-  (* chunk-order merge = sequential first-occurrence dictionaries *)
-  Array.iter
-    (fun ((k : sink), _) ->
-      Column_store.Builder.merge master.k_builder k.k_builder;
-      master.k_rows <- master.k_rows + k.k_rows;
-      master.k_kept <- master.k_kept + k.k_kept;
-      master.k_row_entries <- k.k_row_entries @ master.k_row_entries)
-    outs;
-  finalize ~strict master syntax
-
-let default_min_parallel_bytes = 1 lsl 16
-
-(* The sequential loader, whatever the input: [next] yields chunks as
-   (bytes, length) until [None] (see [scan_chunks]). *)
-let run_sequential ~header ~strict ~supervise rel next =
-  let k = sink_make ~strict ~header rel in
-  finalize ~strict k (scan_chunks ~supervise (sink_scanner ~supervise k) next)
-
-let run_load ~header ~strict ?pool ?(supervise = Supervise.unlimited)
-    ?(min_parallel_bytes = default_min_parallel_bytes) rel text =
-  Supervise.check supervise;
-  let nchunks =
-    match pool with
-    | Some p
-      when Domain_pool.size p > 1 && String.length text >= min_parallel_bytes ->
-        Domain_pool.size p
-    | _ -> 1
-  in
-  let plan = if nchunks > 1 then plan_chunks ~header text nchunks else None in
-  match (plan, pool) with
-  | Some (chunks, plan_syntax), Some pool when Array.length chunks > 1 ->
-      Supervise.check supervise;
-      run_parallel ~header ~strict ~pool rel text chunks plan_syntax
-  | _ -> run_sequential ~header ~strict ~supervise rel (of_strings (once text))
-
 (* run a loader, turning every failure it can raise into a typed error *)
 let guarded mode rel run =
   match run () with
@@ -854,35 +718,30 @@ let guarded mode rel run =
         (Error.make ~stage:Error.Load ~relation:rel.Relation.name
            Error.Io_error msg)
 
-let load ?(header = true) ?(mode = `Strict) ?pool ?supervise
-    ?min_parallel_bytes rel csv =
+(* The one loader, whatever the input: [next] yields chunks as
+   (bytes, length) until [None] (see [scan_chunks]). *)
+let run ~header ~mode ~supervise rel next =
   let strict = mode = `Strict in
-  guarded mode rel (fun () ->
-      run_load ~header ~strict ?pool ?supervise ?min_parallel_bytes rel csv)
+  let k = sink_make ~strict ~header rel in
+  finalize ~strict k (scan_chunks ~supervise (sink_scanner ~supervise k) next)
 
 let load_from_reader ?(header = true) ?(mode = `Strict)
     ?(supervise = Supervise.unlimited) rel read =
-  let strict = mode = `Strict in
   guarded mode rel (fun () ->
-      run_sequential ~header ~strict ~supervise rel (of_strings read))
+      run ~header ~mode ~supervise rel (of_strings read))
 
-let load_file ?(header = true) ?(mode = `Strict) ?pool
-    ?(supervise = Supervise.unlimited) ?min_parallel_bytes rel path =
-  let strict = mode = `Strict in
+let load ?header ?mode ?supervise rel csv =
+  load_from_reader ?header ?mode ?supervise rel (once csv)
+
+let load_file ?(header = true) ?(mode = `Strict)
+    ?(supervise = Supervise.unlimited) rel path =
   guarded mode rel (fun () ->
-      match pool with
-      | Some p when Domain_pool.size p > 1 ->
-          (* the splitter needs the whole document in memory *)
-          let text = In_channel.with_open_bin path In_channel.input_all in
-          run_load ~header ~strict ~pool:p ~supervise ?min_parallel_bytes rel
-            text
-      | _ ->
-          In_channel.with_open_bin path (fun ic ->
-              let buf = Bytes.create (1 lsl 20) in
-              (* fed in place: see [scan_chunks] *)
-              run_sequential ~header ~strict ~supervise rel (fun () ->
-                  let r = input ic buf 0 (Bytes.length buf) in
-                  if r > 0 then Some (buf, r) else None)))
+      In_channel.with_open_bin path (fun ic ->
+          let buf = Bytes.create (1 lsl 20) in
+          (* fed in place: see [scan_chunks] *)
+          run ~header ~mode ~supervise rel (fun () ->
+              let r = input ic buf 0 (Bytes.length buf) in
+              if r > 0 then Some (buf, r) else None)))
 
 (* Straight from the codes: each distinct value of a column is rendered
    once, through its dictionary, and every row concatenates those

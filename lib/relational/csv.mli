@@ -15,9 +15,11 @@
     {!fold} and {!fold_reader} are the consumer that copies cells out
     into {!row}s.
 
-    Every entry point comes in two flavors: strict (raises
-    [Error.Error] with a positioned message) and lenient (drops the
-    offending row and reports it, for quarantine-mode loading). *)
+    {!parse} raises [Error.Error] with a positioned message;
+    {!parse_lenient} drops a torn row and reports it. The loaders
+    never raise: they return a [result], and their [~mode] picks
+    strict (the first problem is the [Error]) or quarantine (offending
+    rows are dropped and reported). *)
 
 type syntax_error = {
   se_row : int;  (** 0-based index among all rows, header included *)
@@ -73,9 +75,7 @@ val render : string list list -> string
 val load :
   ?header:bool ->
   ?mode:[ `Strict | `Quarantine ] ->
-  ?pool:Domain_pool.t ->
   ?supervise:Supervise.t ->
-  ?min_parallel_bytes:int ->
   Relation.t ->
   string ->
   (Table.t * Quarantine.report option, Error.t) result
@@ -104,27 +104,17 @@ val load :
     only when something was actually quarantined); undeclared header
     columns are ignored and missing declared columns filled with NULL,
     each reported as a table-level entry. The surviving extension is
-    what dependency discovery will run against.
-
-    With [~pool] (and at least [~min_parallel_bytes] of input, default
-    64 KiB), the document is split at row boundaries and chunks are
-    parsed, typed and dictionary-encoded concurrently with chunk-local
-    dictionaries, merged afterwards by a code-remap sweep in input
-    order. Errors, report contents and dictionaries are identical at
-    every domain count; a pool of size 1 is the sequential path. *)
+    what dependency discovery will run against. *)
 
 val load_file :
   ?header:bool ->
   ?mode:[ `Strict | `Quarantine ] ->
-  ?pool:Domain_pool.t ->
   ?supervise:Supervise.t ->
-  ?min_parallel_bytes:int ->
   Relation.t ->
   string ->
   (Table.t * Quarantine.report option, Error.t) result
-(** {!load} fed from a file path. Without a pool the file streams
-    through the scanner in fixed-size chunks and is never resident as a
-    whole; with a pool it is read fully, then chunk-split. Open and
+(** {!load} fed from a file path. The file streams through the scanner
+    in fixed-size chunks and is never resident as a whole. Open and
     read failures come back as [Error e] with code {!Error.Io_error}
     (never an exception). *)
 
@@ -136,8 +126,8 @@ val load_from_reader :
   (unit -> string option) ->
   (Table.t * Quarantine.report option, Error.t) result
 (** {!load} fed from a chunk reader ([None] means EOF): the seam the
-    chunk-boundary tests drive, running the same sequential loader as
-    {!load_file} without a pool. Chunk boundaries may fall anywhere; the
+    chunk-boundary tests drive, running the same loader as {!load} and
+    {!load_file}. Chunk boundaries may fall anywhere; the
     result is identical to {!load} of the concatenation. A [Sys_error]
     escaping the reader comes back as [Error e] with code
     {!Error.Io_error}. *)

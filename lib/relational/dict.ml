@@ -490,16 +490,6 @@ let intern d v =
       let c = probe_value d v in
       if c >= 0 then c else commit d
 
-let intern_from d src c =
-  reserve d;
-  let c' =
-    match src.plane with
-    | Ints -> probe_int d src.ints.(c)
-    | Strs -> probe_bytes d src.arena src.offs.(c) (str_len src c)
-    | _ -> probe_value d (get src c)
-  in
-  if c' >= 0 then c' else commit d
-
 let push_from d src c =
   d.tab <- None;
   match (src.plane, d.plane) with

@@ -94,9 +94,6 @@ val intern : t -> Value.t -> int
     dictionary with no table reads its plane until its lookups have
     read as many entries as it holds, and only then builds the table. *)
 
-val intern_from : t -> t -> int -> int
-(** [intern_from d src c] interns [src]'s entry [c] into [d]. *)
-
 val push_from : t -> t -> int -> int
 (** [push_from d src c] appends [src]'s entry [c], which the caller
     knows is new to [d], as [d]'s next code, with no probe. Drops [d]'s

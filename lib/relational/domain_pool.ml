@@ -10,9 +10,9 @@
    batch self-balances (a worker that finishes its task "steals" the
    next unclaimed index from the shared bag).
 
-   Determinism contract: [parallel_for] and [map_array] identify tasks
-   by index and write results by index, so the caller observes results
-   in submission order whatever the interleaving. Tasks must write only
+   Determinism contract: [parallel_for] identifies tasks by index and
+   tasks write results by index, so the caller observes results in
+   submission order whatever the interleaving. Tasks must write only
    to their own index (and read only shared state no task writes).
    Tasks are trusted to be finite; the only per-task bookkeeping is one
    atomic load of the batch's supervision token. *)
@@ -182,15 +182,6 @@ let parallel_for ?(supervise = Supervise.unlimited) t count run =
       Mutex.unlock t.mutex;
       match Atomic.get job.j_exn with None -> () | Some f -> reraise f
     end
-  end
-
-let map_array ?supervise t f xs =
-  let n = Array.length xs in
-  if n = 0 then [||]
-  else begin
-    let out = Array.make n None in
-    parallel_for ?supervise t n (fun i -> out.(i) <- Some (f xs.(i)));
-    Array.map (function Some y -> y | None -> assert false) out
   end
 
 (* ------------------------------------------------------------------ *)

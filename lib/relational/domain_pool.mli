@@ -12,9 +12,9 @@
     count or the interleaving. Tasks must only write state owned by
     their own index.
 
-    {b One batch tier.} {!parallel_for}/{!map_array} are the hot
-    verify path: trusted, finite tasks, no per-task fencing beyond one
-    atomic read of the batch's {!Supervise.t}.
+    {b One batch tier.} {!parallel_for} is the hot verify path:
+    trusted, finite tasks, no per-task fencing beyond one atomic read
+    of the batch's {!Supervise.t}.
 
     Batches may be submitted from several sys-threads or domains at
     once (the analysis daemon's worker domains share the registry
@@ -46,9 +46,6 @@ val parallel_for : ?supervise:Supervise.t -> t -> int -> (int -> unit) -> unit
     are drained without running and [Supervise.Interrupt] is raised —
     the batch never evaluates limits itself (tasks are trusted to be
     finite), it only honors a verdict latched elsewhere. *)
-
-val map_array : ?supervise:Supervise.t -> t -> ('a -> 'b) -> 'a array -> 'b array
-(** Parallel map; [out.(i) = f xs.(i)] regardless of scheduling. *)
 
 val batches : t -> int
 (** Batches served so far (observability for tests and bench logs). *)

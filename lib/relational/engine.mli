@@ -4,14 +4,15 @@
     [||r[X]||], [||r_k[A_k] ⋈ r_l[A_l]||], FD satisfaction, key checks —
     has exactly one implementation, over the table's memoized
     {!Column_store}. An {!t} value carries only what a run may vary
-    around it: how much [Domain]-level parallelism independent passes
-    may use ({!parallelism}) and the run's resource {!budget}. It is
-    pure data, so the type can sit at the bottom of the dependency
-    stack. *)
+    around it: how many domains the IND-batch pre-pass
+    ({!Verify_plan.ind_batch}) fans its per-table preparation out over
+    ({!parallelism}; nothing else, the CSV load included, runs on the
+    pool) and the run's resource {!budget}. It is pure data, so the
+    type can sit at the bottom of the dependency stack. *)
 
 type parallelism =
   | Sequential
-  | Domains of int  (** fan independent checks out over [n] domains *)
+  | Domains of int  (** fan the IND-batch pre-pass out over [n] domains *)
 
 type budget = {
   deadline_s : float option;  (** wall-clock budget for the whole run *)
@@ -89,7 +90,7 @@ val of_string : string -> t option
     for anything else. *)
 
 val pool : t -> Domain_pool.t option
-(** The persistent worker pool backing this engine's parallelism:
+(** The persistent worker pool of the IND-batch fan-out:
     [None] for [Sequential] (and for [Domains n] with [n <= 1]),
     otherwise the process-wide shared {!Domain_pool.get} of the
     engine's domain count (clamped to {!max_domains}) — spawned once on

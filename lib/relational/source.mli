@@ -9,15 +9,14 @@
     Three shapes, each of them data (so a {!Dbre.Job_spec} holding
     them always serializes):
     - {!Csv_file} — a path, loaded by the chunked streaming
-      {!Csv.load_file} (never whole-file resident on the sequential
-      path, parallel chunk-split with a pool);
+      {!Csv.load_file} (never whole-file resident);
     - {!Csv_inline} — CSV text already in memory, loaded by {!Csv.load}
       (this is also how in-memory extensions travel over the daemon's
       wire protocol);
     - {!In_memory} — an already-built {!Table.t} (dictionary-encoded
       {!Column_store} and all), adopted as-is after a schema check.
 
-    Loading honors the same [mode]/[pool]/[supervise] controls as the
+    Loading honors the same [mode]/[supervise] controls as the
     CSV loaders, so every budget and quarantine behavior of the
     one-shot path applies to every source shape. *)
 
@@ -36,15 +35,22 @@ val describe : t -> string
 val load :
   ?header:bool ->
   ?mode:[ `Strict | `Quarantine ] ->
-  ?pool:Domain_pool.t ->
   ?supervise:Supervise.t ->
-  ?min_parallel_bytes:int ->
   Relation.t ->
   t ->
   (Table.t * Quarantine.report option, Error.t) result
 (** Load [rel]'s extension from the source. CSV shapes behave exactly
     like the {!Csv} loaders they delegate to. [In_memory] checks that
-    the table's relation has [rel]'s name and attributes (same names,
-    same order) and returns it unchanged — code {!Error.Type_mismatch}
-    on disagreement — so an adopted extension can never silently
-    disagree with the schema the dictionary declared. *)
+    the table's relation agrees with [rel] — same name, attributes in
+    order, domains, uniques and not-null set ({!Relation.not_null_attrs},
+    the paper's [N], so a key's implied NOT NULL matches a declared
+    one) — and returns it unchanged; otherwise code
+    {!Error.Type_mismatch}, with the {!disagreement} as its message. So
+    an adopted extension can never silently replace the keys,
+    not-nulls or domains the dictionary declared. *)
+
+val disagreement : Relation.t -> Table.t -> string option
+(** What the table's relation declares otherwise than [rel] (see
+    {!load}): [None] when they agree, else a message naming the
+    differing name and attributes, or the differing domains, uniques
+    and not-nulls. *)

@@ -8,8 +8,9 @@
    re-scans the extension per candidate; this module groups the
    requests and answers every group from one pass — one fused sweep
    over the encoded columns for all RHS attributes of an FD group, one
-   code-level preparation per projection side of an IND batch — fanning the
-   independent passes over the engine's persistent Domain_pool.
+   code-level preparation per projection side of an IND batch — and
+   fans an IND batch's per-table preparations over the engine's
+   persistent Domain_pool.
 
    Determinism: results always come back in submission order, whatever
    the domain count, and verdicts/counts equal the row-at-a-time

@@ -122,9 +122,7 @@ let test_scanner_chunking () =
       [ 1; 2; 3; 7; 64 ]
   done
 
-(* -- loader: streaming = reference, sequential and parallel ----------- *)
-
-let pool3 = lazy (Domain_pool.get 3)
+(* -- loader: streaming = reference, from text and from a file -------- *)
 
 let test_loader_equivalence () =
   reset_lcg ();
@@ -141,22 +139,30 @@ let test_loader_equivalence () =
       [ `Strict; `Quarantine ]
   done
 
-let test_parallel_equivalence () =
+(* the file loader streams through its own fixed-size buffer, refilled
+   in place; every generated document goes through a temp file *)
+let test_load_file_equivalence () =
   reset_lcg ();
-  let pool = Lazy.force pool3 in
-  for _ = 1 to 400 do
-    let header = rand 2 = 0 in
-    let text = gen_csv ~header () in
-    List.iter
-      (fun mode ->
-        let reference = show (Reference.Csv.load ~header ~mode rel3 text) in
-        Alcotest.(check string)
-          (Printf.sprintf "parallel %S" text)
-          reference
-          (show
-             (Csv.load ~header ~mode ~pool ~min_parallel_bytes:1 rel3 text)))
-      [ `Strict; `Quarantine ]
-  done
+  let path = Filename.temp_file "dbre_ingest" ".csv" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      for _ = 1 to 400 do
+        let header = rand 2 = 0 in
+        let text = gen_csv ~header () in
+        Out_channel.with_open_bin path (fun oc ->
+            Out_channel.output_string oc text);
+        List.iter
+          (fun mode ->
+            let reference =
+              show (Reference.Csv.load ~header ~mode rel3 text)
+            in
+            Alcotest.(check string)
+              (Printf.sprintf "load_file %S" text)
+              reference
+              (show (Csv.load_file ~header ~mode rel3 path)))
+          [ `Strict; `Quarantine ]
+      done)
 
 (* -- dictionaries: codes and first-occurrence order ------------------- *)
 
@@ -218,7 +224,7 @@ let test_loader_chunking () =
 
 (* [Csv.load] and the reference agree on [text] in both modes: the same
    error, or the same report and dictionaries *)
-let check_vs_reference ?pool what rel text =
+let check_vs_reference what rel text =
   List.iter
     (fun mode ->
       let tag =
@@ -226,7 +232,7 @@ let check_vs_reference ?pool what rel text =
           (match mode with `Strict -> "strict" | `Quarantine -> "quarantine")
       in
       match
-        ( Csv.load ~mode ?pool ~min_parallel_bytes:1 rel text,
+        ( Csv.load ~mode rel text,
           Reference.Csv.load ~mode rel text )
       with
       | Ok (t1, r1), Ok (t2, r2) ->
@@ -390,16 +396,12 @@ let bypass_csv ~dirty rows =
 let test_high_cardinality () =
   let rows = 40_000 in
   let dirty = bypass_csv ~dirty:true rows in
-  let pool = Lazy.force pool3 in
   List.iter
     (fun mode ->
-      let reference = show (Reference.Csv.load ~mode bypass_rel dirty) in
       Alcotest.(check string)
-        "dirty, sequential" reference
-        (show (Csv.load ~mode bypass_rel dirty));
-      Alcotest.(check string)
-        "dirty, parallel" reference
-        (show (Csv.load ~mode ~pool ~min_parallel_bytes:1 bypass_rel dirty)))
+        "dirty"
+        (show (Reference.Csv.load ~mode bypass_rel dirty))
+        (show (Csv.load ~mode bypass_rel dirty)))
     [ `Strict; `Quarantine ];
   let clean = bypass_csv ~dirty:false rows in
   match (Csv.load bypass_rel clean, Reference.Csv.load bypass_rel clean) with
@@ -453,67 +455,60 @@ let test_spellings () =
       @ List.filteri (fun i _ -> i >= 4) spell_rows
       @ [ "77,9.25,t,2021-01-04,new" ])
   in
+  let load mode text = Csv.load ~mode spell_rel text in
   List.iter
-    (fun n ->
-      let pool = if n = 1 then None else Some (Domain_pool.get n) in
-      let load mode text =
-        Csv.load ~mode ?pool ~min_parallel_bytes:1 spell_rel text
-      in
-      let tag s = Printf.sprintf "%s, domains=%d" s n in
+    (fun (what, text) -> check_vs_reference what spell_rel text)
+    [ ("clean", clean); ("dirty", dirty) ];
+  (match load `Strict clean with
+  | Ok (t, _) ->
+      for row = 1 to 4 do
+        Alcotest.(check int)
+          (Printf.sprintf "int spelling %d" row)
+          (code_of t "i" 0) (code_of t "i" row)
+      done;
+      Alcotest.(check int) "-0 is 0" (code_of t "i" 5)
+        (code_of t "i" 6);
       List.iter
-        (fun (what, text) -> check_vs_reference ?pool (tag what) spell_rel text)
-        [ ("clean", clean); ("dirty", dirty) ];
-      (match load `Strict clean with
-      | Ok (t, _) ->
-          for row = 1 to 4 do
-            Alcotest.(check int)
-              (tag (Printf.sprintf "int spelling %d" row))
-              (code_of t "i" 0) (code_of t "i" row)
-          done;
-          Alcotest.(check int) (tag "-0 is 0") (code_of t "i" 5)
-            (code_of t "i" 6);
-          List.iter
-            (fun row ->
-              Alcotest.(check int)
-                (tag (Printf.sprintf "float spelling %d" row))
-                (code_of t "f" 0) (code_of t "f" row))
-            [ 1; 2; 8 ];
-          for row = 4 to 6 do
-            Alcotest.(check int)
-              (tag (Printf.sprintf "NaN spelling %d" row))
-              (code_of t "f" 3) (code_of t "f" row)
-          done;
-          List.iter
-            (fun row ->
-              Alcotest.(check int)
-                (tag (Printf.sprintf "bool spelling %d" row))
-                (code_of t "b" 0) (code_of t "b" row))
-            [ 1; 2; 3; 4; 8 ];
-          Alcotest.(check int) (tag "unknown 16 = 016") (code_of t "u" 0)
-            (code_of t "u" 1)
-      | Error e -> Alcotest.failf "clean spellings: %s" (Error.to_string e));
-      match load `Quarantine dirty with
-      | Ok (t, _) ->
-          let dict = dict_of t in
-          (* the last row re-introduces 77 and 9.25 after the poisoned
-             rows: they must take the next codes, not stale ones *)
-          Alcotest.(check bool)
-            (tag "77 interned once, last") true
-            (let d = dict "i" in
-             d.(Array.length d - 1) = vi 77
-             && Array.fold_left (fun n v -> if v = vi 77 then n + 1 else n) 0 d
-                = 1);
-          Alcotest.(check bool)
-            (tag "78 never interned") false
-            (Array.mem (vi 78) (dict "i"));
-          Alcotest.(check bool)
-            (tag "9.5 never interned") false
-            (Array.mem (Value.Float 9.5) (dict "f"));
-          Alcotest.(check bool)
-            (tag "newer never interned") false
-            (Array.mem (vs "newer") (dict "u"))
-      | Error e -> Alcotest.failf "dirty spellings: %s" (Error.to_string e))
-    [ 1; 2; 4 ]
+        (fun row ->
+          Alcotest.(check int)
+            (Printf.sprintf "float spelling %d" row)
+            (code_of t "f" 0) (code_of t "f" row))
+        [ 1; 2; 8 ];
+      for row = 4 to 6 do
+        Alcotest.(check int)
+          (Printf.sprintf "NaN spelling %d" row)
+          (code_of t "f" 3) (code_of t "f" row)
+      done;
+      List.iter
+        (fun row ->
+          Alcotest.(check int)
+            (Printf.sprintf "bool spelling %d" row)
+            (code_of t "b" 0) (code_of t "b" row))
+        [ 1; 2; 3; 4; 8 ];
+      Alcotest.(check int) "unknown 16 = 016" (code_of t "u" 0)
+        (code_of t "u" 1)
+  | Error e -> Alcotest.failf "clean spellings: %s" (Error.to_string e));
+  match load `Quarantine dirty with
+  | Ok (t, _) ->
+      let dict = dict_of t in
+      (* the last row re-introduces 77 and 9.25 after the poisoned
+         rows: they must take the next codes, not stale ones *)
+      Alcotest.(check bool)
+        "77 interned once, last" true
+        (let d = dict "i" in
+         d.(Array.length d - 1) = vi 77
+         && Array.fold_left (fun n v -> if v = vi 77 then n + 1 else n) 0 d
+            = 1);
+      Alcotest.(check bool)
+        "78 never interned" false
+        (Array.mem (vi 78) (dict "i"));
+      Alcotest.(check bool)
+        "9.5 never interned" false
+        (Array.mem (Value.Float 9.5) (dict "f"));
+      Alcotest.(check bool)
+        "newer never interned" false
+        (Array.mem (vs "newer") (dict "u"))
+  | Error e -> Alcotest.failf "dirty spellings: %s" (Error.to_string e)
 
 (* -- plain decimals: the Float fast path is bit-exact ------------------ *)
 
@@ -693,8 +688,8 @@ let suite =
       test_scanner_chunking;
     Alcotest.test_case "streaming = reference (randomized)" `Quick
       test_loader_equivalence;
-    Alcotest.test_case "parallel = reference (randomized)" `Quick
-      test_parallel_equivalence;
+    Alcotest.test_case "load_file = reference (randomized)" `Quick
+      test_load_file_equivalence;
     Alcotest.test_case "dictionaries match the reference encode" `Quick
       test_dictionary_equivalence;
     Alcotest.test_case "chunked load = reference" `Quick test_loader_chunking;

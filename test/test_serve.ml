@@ -360,15 +360,15 @@ let raw_connect server =
   Unix.connect fd (Unix.ADDR_UNIX (Server.socket server));
   fd
 
+(* a 4-byte big-endian length prefix *)
+let header len =
+  String.init 4 (fun i -> Char.chr ((len lsr (8 * (3 - i))) land 0xff))
+
+let frame payload = header (String.length payload) ^ payload
+
 let send_raw fd payload =
-  let len = String.length payload in
-  let buf = Bytes.create (4 + len) in
-  Bytes.set buf 0 (Char.chr ((len lsr 24) land 0xff));
-  Bytes.set buf 1 (Char.chr ((len lsr 16) land 0xff));
-  Bytes.set buf 2 (Char.chr ((len lsr 8) land 0xff));
-  Bytes.set buf 3 (Char.chr (len land 0xff));
-  Bytes.blit_string payload 0 buf 4 len;
-  ignore (Unix.write fd buf 0 (4 + len))
+  let bytes = frame payload in
+  ignore (Unix.write_substring fd bytes 0 (String.length bytes))
 
 let response_code fd =
   match Protocol.error_of (Json.of_string (Protocol.read_frame fd)) with
@@ -434,6 +434,145 @@ let test_oversize_frame_closes_connection () =
   | exception Protocol.Closed -> ()
   | exception Protocol.Frame_error _ -> ()
   | _ -> Alcotest.fail "connection survived a broken frame boundary"
+
+(* ------------------------------------------------------------------ *)
+(* Mutated wire frames                                                 *)
+(* ------------------------------------------------------------------ *)
+
+(* Valid request frames, damaged. A [Framed] payload is sent under a
+   length prefix that matches its bytes, so the frame boundary holds
+   whatever the JSON became: payload flips, truncations and splices,
+   and a prefix padded past the JSON's own length. A [Torn]
+   byte string breaks the boundary — a frame cut short, a flipped
+   length byte, an oversize length — and the stream ends after it. *)
+type wire_case = Framed of string | Torn of string
+
+let wire_requests =
+  List.map Json.to_string
+    [
+      Protocol.request "ping" [];
+      Protocol.request "jobs" [];
+      Protocol.request "status" [ ("id", Json.String "job-000001") ];
+      Protocol.request "events"
+        [ ("id", Json.String "job-000001"); ("since", Json.Int 0) ];
+      Protocol.request "watch"
+        [ ("id", Json.String "job-000001"); ("since", Json.Int 2) ];
+      Protocol.request "cancel" [ ("id", Json.String "job-000001") ];
+      Protocol.request "artifacts" [ ("id", Json.String "job-000001") ];
+      Protocol.request "refresh" [ ("id", Json.String "job-000001") ];
+      Protocol.request "mutate"
+        [
+          ("id", Json.String "job-000001"); ("relation", Json.String "R");
+          ("insert", Json.List [ Json.String "1,x" ]);
+        ];
+      Protocol.request "submit" [ ("spec", Json.Obj []) ];
+    ]
+
+let gen_wire_case =
+  QCheck.Gen.(
+    let* payload = oneofl wire_requests in
+    let n = String.length payload in
+    let* cut = int_range 0 (n - 1) in
+    let* pad = string_size ~gen:(oneofl [ ' '; '}'; ']'; '"'; 'x'; '\000' ]) (int_range 1 8) in
+    let* byte = int_range 0 3 and* bit = int_range 0 7 in
+    let* oversize = int_range (Protocol.max_frame + 1) 0xFFFF_FFFF in
+    let flipped =
+      String.mapi
+        (fun i c -> if i = byte then Char.chr (Char.code c lxor (1 lsl bit)) else c)
+        (frame payload)
+    in
+    frequency
+      [
+        ( 5,
+          map
+            (fun p -> Framed p)
+            (Helpers.gen_mutated
+               ~tokens:[ "{"; "}"; "["; "]"; ":"; ","; {|"|}; "\\"; "null"; "-1"; "1e999"; {|"op"|}; {|"id"|} ]
+               payload) );
+        (1, return (Framed (payload ^ pad)));
+        (1, return (Torn (String.sub (frame payload) 0 (4 + cut))));
+        (1, return (Torn (String.sub (header n) 0 (1 + (cut mod 3)))));
+        (1, return (Torn flipped));
+        (1, return (Torn (header oversize ^ payload)));
+      ])
+
+let show_wire_case = function
+  | Framed p -> Printf.sprintf "framed %S" p
+  | Torn b -> Printf.sprintf "torn %S" b
+
+(* the exception that ends [Protocol.read_frame]'s pass over [bytes] *)
+let decode_all bytes =
+  let r, w = Unix.pipe ~cloexec:true () in
+  ignore (Unix.write_substring w bytes 0 (String.length bytes));
+  Unix.close w;
+  let rec go () =
+    match Protocol.read_frame r with _ -> go () | exception e -> e
+  in
+  Fun.protect ~finally:(fun () -> Unix.close r) go
+
+(* the codes a damaged request may earn: a typed refusal, or the
+   answer its op gives when no job exists. [internal-error] means the
+   request raised, so it is not among them. *)
+let wire_codes = [ "ok"; "bad-json"; "bad-request"; "unknown-op"; "unknown-job"; "spec-invalid" ]
+
+(* every response until the server closes the connection *)
+let drain fd =
+  let rec go acc =
+    match Protocol.read_frame fd with
+    | payload -> go (payload :: acc)
+    | exception (Protocol.Closed | Unix.Unix_error (Unix.ECONNRESET, _, _)) ->
+        List.rev acc
+  in
+  go []
+
+let code_of_payload payload =
+  match Protocol.error_of (Json.of_string payload) with
+  | None -> "ok"
+  | Some (code, _) -> code
+
+let test_mutated_frames () =
+  with_server @@ fun server ->
+  let connect () =
+    let fd = raw_connect server in
+    (* a hung daemon fails the test rather than stalling it *)
+    Unix.setsockopt_float fd Unix.SO_RCVTIMEO 5.0;
+    fd
+  in
+  let framed = connect () in
+  Fun.protect ~finally:(fun () -> Unix.close framed) @@ fun () ->
+  let prop case =
+    let bytes = match case with Framed p -> frame p | Torn b -> b in
+    (match decode_all bytes with
+    | Protocol.Closed | Protocol.Frame_error _ -> ()
+    | e -> QCheck.Test.fail_reportf "read_frame raised %s" (Printexc.to_string e));
+    match case with
+    | Framed p ->
+        (* no damaged request may stop the daemon *)
+        QCheck.assume
+          (match Json.of_string p with
+          | j -> Json.mem_string "op" j <> Some "shutdown"
+          | exception Json.Parse_error _ -> true);
+        send_raw framed p;
+        let code = response_code framed in
+        if not (List.mem code wire_codes) then
+          QCheck.Test.fail_reportf "answered %s" code;
+        Protocol.write_frame framed (Protocol.request "ping" []);
+        response_code framed = "ok"
+    | Torn b ->
+        let fd = connect () in
+        Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+        ignore (Unix.write_substring fd b 0 (String.length b));
+        Unix.shutdown fd Unix.SHUTDOWN_SEND;
+        (* whole frames before the tear are answered as usual; the tear
+           itself gets one bad-frame, and the connection closes *)
+        match List.rev_map code_of_payload (drain fd) with
+        | "bad-frame" :: earlier -> List.for_all (fun c -> List.mem c wire_codes) earlier
+        | codes -> QCheck.Test.fail_reportf "answered [%s]" (String.concat "; " (List.rev codes))
+  in
+  QCheck.Test.check_exn ~rand:(Random.State.make [| 27 |])
+    (QCheck.Test.make ~count:600 ~name:"mutated wire frames"
+       (QCheck.make ~print:show_wire_case gen_wire_case)
+       prop)
 
 (* ------------------------------------------------------------------ *)
 (* L207: sources vs. declared schema                                   *)
@@ -909,6 +1048,8 @@ let suite =
       test_deep_frame_keeps_serving;
     Alcotest.test_case "oversize frame closes the connection" `Quick
       test_oversize_frame_closes_connection;
+    Alcotest.test_case "mutated frames get typed answers" `Quick
+      test_mutated_frames;
     Alcotest.test_case "L207 diagnostics over the wire" `Quick
       test_l207_over_the_wire;
     Alcotest.test_case "restart picks up a queued job" `Quick

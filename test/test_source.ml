@@ -46,11 +46,58 @@ let test_in_memory_schema_check () =
     | Ok r -> r
     | Error e -> Alcotest.fail (Error.to_string e)
   in
-  match Source.load (rel ()) (Source.in_memory table) with
+  (match Source.load (rel ()) (Source.in_memory table) with
   | Ok _ -> Alcotest.fail "adopted a table with the wrong attributes"
   | Error e ->
       Alcotest.(check string) "typed refusal" "type-mismatch"
-        (Error.code_to_string e.Error.code)
+        (Error.code_to_string e.Error.code));
+  (* same name and attributes, but none of the DDL's key, not-null or
+     domains: adopting it would drop K and N from the schema *)
+  let ddl = "CREATE TABLE R (a INTEGER NOT NULL, b VARCHAR(10), UNIQUE (a));" in
+  let rows = "a,b\n1,x\n2,y\n" in
+  let database source =
+    Dbre.Job.database
+      (Dbre.Job_spec.make ~sources:[ ("R", source) ] ~ddl
+         (Dbre.Job_spec.Programs []))
+  in
+  let bare =
+    match Csv.load (Relation.make "R" [ "a"; "b" ]) rows with
+    | Ok (t, _) -> t
+    | Error e -> Alcotest.fail (Error.to_string e)
+  in
+  (match database (Source.in_memory bare) with
+  | Ok (db, _) ->
+      let r = Table.schema (Database.table db "R") in
+      Alcotest.failf "adopted R with uniques=%d not_nulls=%d dom_a=%s"
+        (List.length r.Relation.uniques)
+        (List.length r.Relation.not_nulls)
+        (Domain.to_string (Relation.domain_of r "a"))
+  | Error e ->
+      Alcotest.(check string) "undeclared constraints refused" "type-mismatch"
+        (Error.code_to_string e.Error.code);
+      Alcotest.(check string) "the message names what differs"
+        "in-memory extension of R disagrees with the schema: domains (a \
+         unknown, b unknown), expected (a int, b string); uniques (), \
+         expected ((a)); not-nulls (), expected (a)"
+        e.Error.message);
+  (* the same rows inline, and the DDL's own relation in memory, load
+     with the declared K, N and domains *)
+  match database (Source.csv_inline rows) with
+  | Error e -> Alcotest.fail (Error.to_string e)
+  | Ok (db, _) -> (
+      let typed = Database.table db "R" in
+      let declared = Table.schema typed in
+      Alcotest.(check (list (list string))) "inline uniques" [ [ "a" ] ]
+        declared.Relation.uniques;
+      Alcotest.(check (list string)) "inline not-nulls" [ "a" ]
+        (Relation.not_null_attrs declared);
+      Alcotest.(check string) "inline domain of a" "int"
+        (Domain.to_string (Relation.domain_of declared "a"));
+      match database (Source.in_memory typed) with
+      | Ok (db, _) ->
+          Alcotest.(check bool) "an equal relation is adopted" true
+            (Relation.equal declared (Table.schema (Database.table db "R")))
+      | Error e -> Alcotest.fail (Error.to_string e))
 
 let test_quarantine_parity () =
   (* row 2 is ill-typed, row 4 has the wrong width: every shape must

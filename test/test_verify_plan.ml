@@ -283,16 +283,6 @@ let test_pool_sequential_fallback () =
     (List.rev !order);
   Domain_pool.shutdown pool
 
-let test_pool_map_array_order () =
-  let pool = Domain_pool.create 4 in
-  let input = Array.init 100 (fun i -> i) in
-  let out = Domain_pool.map_array pool (fun x -> x * x) input in
-  Alcotest.(check (array int))
-    "results by index whatever the scheduling"
-    (Array.init 100 (fun i -> i * i))
-    out;
-  Domain_pool.shutdown pool
-
 let test_pool_reuse_and_registry () =
   (* Engine.pool: no pool for sequential engines, one shared persistent
      pool per size otherwise *)
@@ -389,7 +379,8 @@ let test_pool_concurrent_submitters ~spawn () =
     let ok = ref true in
     for r = 1 to rounds do
       let input = Array.init 64 (fun i -> (k * 1000) + r + i) in
-      let out = Domain_pool.map_array pool (fun x -> x * 2) input in
+      let out = Array.make 64 0 in
+      Domain_pool.parallel_for pool 64 (fun i -> out.(i) <- input.(i) * 2);
       if out <> Array.map (fun x -> x * 2) input then ok := false
     done;
     !ok
@@ -418,8 +409,6 @@ let suite =
       test_batch_after_invalidation;
     Alcotest.test_case "pool: 1-domain sequential fallback" `Quick
       test_pool_sequential_fallback;
-    Alcotest.test_case "pool: map_array preserves order" `Quick
-      test_pool_map_array_order;
     Alcotest.test_case "pool: persistent + engine registry" `Quick
       test_pool_reuse_and_registry;
     Alcotest.test_case "pool: cancelled token runs no task (1 domain)" `Quick
