@@ -7,11 +7,10 @@
    - the E-sections (E1..E5, F1) re-generate every §5-§7 artifact and the
      Figure 1 EER schema, printing them in the paper's notation;
    - the B-groups guard the live design choices: B3 (FD checks on the
-     column store vs the reference engines), B13 (batched verification
-     on the domain pool), B14 (the CSV loader), B15 (supervision), B16
-     (serve), B17 (dataflow evidence), B18 (delta refresh) and B19 (the
-     out-of-core store). Those with a stated target gate it under
-     --check.
+     column store vs the reference engines), B13 (batched verification),
+     B14 (the CSV loader), B15 (supervision), B16 (serve), B17 (dataflow
+     evidence), B18 (delta refresh) and B19 (the out-of-core store).
+     Those with a stated target gate it under --check.
 
    Run `main.exe` for everything, `main.exe --experiments` for the paper
    artifacts only, `main.exe --bench` for the timings only. *)
@@ -317,7 +316,7 @@ let b3 () =
   run_group (Test.make_grouped ~name:"b3x" tests)
 
 (* ------------------------------------------------------------------ *)
-(* B13: Verify_plan batching + the persistent Domain_pool               *)
+(* B13: Verify_plan batching                                            *)
 (* ------------------------------------------------------------------ *)
 
 (* the --scale path: the default workload blown up to 50k-row entities
@@ -327,8 +326,8 @@ let b13_spec () =
     (if !smoke then 0.05 else 50.0)
     Workload.Gen_schema.default_spec
 
-(* smaller workload for the byte-identical artifact check: the full
-   pipeline runs once per engine *)
+(* smaller workload for B15's byte-identical resume check: the full
+   pipeline runs once per configuration *)
 let b13_artifact_spec () =
   Workload.Gen_schema.scale
     (if !smoke then 0.05 else 5.0)
@@ -355,17 +354,16 @@ let b13_time ?(setup = ignore) reps f =
   !best *. 1e9
 
 let b13 () =
-  section "B13: batched verification planner + persistent domain pool";
+  section "B13: batched verification planner";
   let g = Workload.Gen_schema.generate (b13_spec ()) in
   let db = g.Workload.Gen_schema.db in
-  Printf.printf "  batched engine: %s\n" (Engine.describe Engine.default);
   let reps = if !smoke then 2 else 5 in
 
   (* FD batching: the RHS-Discovery shape — one candidate LHS (a planted
      reference attribute), every non-key non-LHS attribute of the
      relation as RHS. Unbatched is the reference per-candidate loop
      (one full row scan per RHS); batched is one fused sweep over the
-     table's store with no memoized verdict, both at one domain. *)
+     table's store with no memoized verdict. *)
   let f =
     List.hd g.Workload.Gen_schema.truth.Workload.Gen_schema.planted_fds
   in
@@ -415,9 +413,9 @@ let b13 () =
   let per_probe () =
     List.map (fun (l, r) -> Reference.Counts.ind_counts db l r) probes
   in
-  let batched_probes ?engine () =
+  let batched_probes () =
     cold_db db;
-    Verify_plan.ind_batch ?engine db probes
+    Verify_plan.ind_batch db probes
   in
   let agree = per_probe () = batched_probes () in
   Printf.printf "  ind batch: %d probes; counts agree: %b\n"
@@ -429,60 +427,7 @@ let b13 () =
     (per_probe_ns /. ind_batch_ns);
   record "ind-batch/per-probe" per_probe_ns "ns";
   record "ind-batch/batched" ind_batch_ns "ns";
-  record "ind-batch/speedup" (per_probe_ns /. ind_batch_ns) "x";
-
-  (* scaling curve: the same batch fanned over the persistent pool at
-     1/2/4 domains, cold stores each run (1 domain = sequential
-     fallback, no pool) *)
-  Printf.printf "  ind-batch wall-clock vs domains (cold stores):\n";
-  List.iter
-    (fun n ->
-      let engine =
-        Engine.make
-          ~parallelism:
-            (if n = 1 then Engine.Sequential else Engine.Domains n)
-          ()
-      in
-      let ns = b13_time reps (batched_probes ~engine) in
-      Printf.printf "    %-52s %12s\n" (Engine.describe engine) (pretty_time ns);
-      record (Printf.sprintf "ind-batch/domains=%d" n) ns "ns")
-    [ 1; 2; 4 ];
-  (match Engine.pool (Engine.make ~parallelism:(Engine.Domains 4) ()) with
-  | Some pool ->
-      Printf.printf "  pool reuse: %d batches served by one 4-domain spawn\n"
-        (Domain_pool.batches pool)
-  | None -> ());
-
-  (* byte-identical artifacts: the full pipeline at one domain and at
-     four must render the same F, H, IND and RIC *)
-  let render engine =
-    let g = Workload.Gen_schema.generate (b13_artifact_spec ()) in
-    let config =
-      {
-        Dbre.Pipeline.default_config with
-        Dbre.Pipeline.engine;
-        migrate_data = false;
-      }
-    in
-    let r =
-      Dbre.Pipeline.run ~config g.Workload.Gen_schema.db
-        (Dbre.Job_spec.Equijoins g.Workload.Gen_schema.equijoins)
-    in
-    Format.asprintf "F=%a@.H=%a@.IND=%a@.RIC=%a@." Dbre.Report.pp_fds
-      r.Dbre.Pipeline.rhs_result.Dbre.Rhs_discovery.fds Dbre.Report.pp_qattrs
-      r.Dbre.Pipeline.rhs_result.Dbre.Rhs_discovery.hidden Dbre.Report.pp_inds
-      r.Dbre.Pipeline.ind_result.Dbre.Ind_discovery.inds Dbre.Report.pp_inds
-      r.Dbre.Pipeline.restruct_result.Dbre.Restruct.ric
-  in
-  let identical =
-    render Engine.default
-    = render (Engine.make ~parallelism:(Engine.Domains 4) ())
-  in
-  Printf.printf
-    "  pipeline artifacts (F, H, IND, RIC) byte-identical 1 vs 4 domains: %s\n"
-    (if identical then "OK" else "FAILED");
-  record ~target:1.0 "artifacts/byte-identical" (if identical then 1.0 else 0.0)
-    "bool"
+  record "ind-batch/speedup" (per_probe_ns /. ind_batch_ns) "x"
 
 (* B14 workload: a denormalized order extension with every shape the
    scanner has to handle — quoted fields with embedded commas, quoted
@@ -950,12 +895,11 @@ let b16 () =
   record "throughput/sequential" (seq_s *. 1e9) "ns";
   record "throughput/concurrent" (conc_s *. 1e9) "ns";
   (* the daemon runs each of its 2 workers on its own domain, so on a
-     multi-core host the K interleaved jobs overlap; a job's own engine
-     batches still share one Domain_pool, and on one core the workers
-     only multiplex. The gate is therefore an overhead bound that holds
-     on any core count, not a speedup floor: interleaving K jobs must
-     not cost more than ~25% over running them back to back (enforced
-     outside --smoke; tiny smoke jobs are all fixed cost) *)
+     multi-core host the K interleaved jobs overlap; on one core the
+     workers only multiplex. The gate is therefore an overhead bound
+     that holds on any core count, not a speedup floor: interleaving K
+     jobs must not cost more than ~25% over running them back to back
+     (enforced outside --smoke; tiny smoke jobs are all fixed cost) *)
   record ?target:(full_target 0.8) "throughput/multiplex-margin"
     (seq_s /. conc_s) "x";
   record ~target:1.0 "serve/byte-identical" (if identical then 1.0 else 0.0)

@@ -46,32 +46,6 @@ let oracle_arg =
   in
   Arg.(value & opt string "auto" & info [ "oracle" ] ~docv:"MODE" ~doc)
 
-let parse_engine s =
-  match Relational.Engine.of_string s with
-  | Some e -> Ok e
-  | None ->
-      Error
-        (Printf.sprintf "unknown engine %S (use default|parallel|parallel:<n>)"
-           s)
-
-(* validated at parse time, so a bad value is a usage error; the flag
-   stays a string because job specs fold it through Engine.of_string *)
-let engine_arg =
-  let doc =
-    "Domains of the IND-batch fan-out, the one parallel pass: 'default' \
-     (sequential), 'parallel' (one domain per recommended core, capped at \
-     16) or 'parallel:<domains>'. The CSV load and every other check run \
-     sequentially; artifacts are identical at every domain count."
-  in
-  let engine =
-    Arg.conv
-      ( (fun s ->
-          Result.map_error (fun m -> `Msg m)
-            (Result.map (fun _ -> s) (parse_engine s))),
-        Format.pp_print_string )
-  in
-  Arg.(value & opt engine "default" & info [ "engine" ] ~docv:"ENGINE" ~doc)
-
 let deadline_arg =
   let doc =
     "Wall-clock budget for the run, in seconds. When it trips, discovery \
@@ -335,12 +309,11 @@ let print_verification_lint result =
    submission would carry — handling the one oracle mode that cannot
    live in a spec (interactive) as a Job.run override *)
 let spec_of_flags ?label ?data ?programs ?flow ?deadline ?max_heap_mb
-    ?on_exhausted ?checkpoint_dir ?resume ~ddl ~oracle ~engine ~lenient () =
+    ?on_exhausted ?checkpoint_dir ?resume ~ddl ~oracle ~lenient () =
   let interactive = oracle = "interactive" in
   match
     Dbre.Job_spec.of_args ?label ~ddl ?data_dir:data ?programs_dir:programs
-      ?flow ~engine
-      ~oracle:(if interactive then "auto" else oracle)
+      ?flow ~oracle:(if interactive then "auto" else oracle)
       ?deadline ?max_heap_mb ?on_exhausted ~lenient ?checkpoint_dir ?resume ()
   with
   | Error _ as e -> e
@@ -348,14 +321,14 @@ let spec_of_flags ?label ?data ?programs ?flow ?deadline ?max_heap_mb
       Ok (spec, if interactive then Some (Dbre.Oracle.interactive ()) else None)
 
 let analyze_cmd =
-  let run ddl data programs oracle engine deadline max_heap_mb on_exhausted
+  let run ddl data programs oracle deadline max_heap_mb on_exhausted
       lenient spill_dir resident_budget segment_rows lint flow checkpoint_dir
       resume dot markdown =
     match
       Result.bind (configure_ooc spill_dir resident_budget segment_rows)
         (fun () ->
           spec_of_flags ~ddl ~data ~programs ~flow ?deadline ?max_heap_mb
-            ~on_exhausted ?checkpoint_dir ~resume ~oracle ~engine ~lenient ())
+            ~on_exhausted ?checkpoint_dir ~resume ~oracle ~lenient ())
     with
     | Error msg ->
         prerr_endline msg;
@@ -389,7 +362,7 @@ let analyze_cmd =
   Cmd.v
     (Cmd.info "analyze" ~doc)
     Term.(
-      const run $ ddl_arg $ data_arg $ programs_arg $ oracle_arg $ engine_arg
+      const run $ ddl_arg $ data_arg $ programs_arg $ oracle_arg
       $ deadline_arg $ max_heap_arg $ on_exhausted_arg $ lenient_arg
       $ spill_dir_arg $ resident_budget_arg $ segment_rows_arg
       $ lint_arg $ flow_arg $ checkpoint_arg $ resume_arg $ dot_arg
@@ -400,8 +373,8 @@ let analyze_cmd =
 (* ------------------------------------------------------------------ *)
 
 let inds_cmd =
-  let run ddl data programs oracle engine lenient =
-    match spec_of_flags ~ddl ~data ~programs ~oracle ~engine ~lenient () with
+  let run ddl data programs oracle lenient =
+    match spec_of_flags ~ddl ~data ~programs ~oracle ~lenient () with
     | Error msg ->
         prerr_endline msg;
         1
@@ -432,7 +405,7 @@ let inds_cmd =
   Cmd.v
     (Cmd.info "inds" ~doc)
     Term.(
-      const run $ ddl_arg $ data_arg $ programs_arg $ oracle_arg $ engine_arg
+      const run $ ddl_arg $ data_arg $ programs_arg $ oracle_arg
       $ lenient_arg)
 
 (* ------------------------------------------------------------------ *)
@@ -518,8 +491,8 @@ let migrate_cmd =
     in
     Arg.(value & flag & info [ "verify" ] ~doc)
   in
-  let run ddl data programs oracle engine lenient out verify =
-    match spec_of_flags ~ddl ~data ~programs ~oracle ~engine ~lenient () with
+  let run ddl data programs oracle lenient out verify =
+    match spec_of_flags ~ddl ~data ~programs ~oracle ~lenient () with
     | Error msg ->
         prerr_endline msg;
         1
@@ -571,7 +544,7 @@ let migrate_cmd =
   Cmd.v
     (Cmd.info "migrate" ~doc)
     Term.(
-      const run $ ddl_arg $ data_arg $ programs_arg $ oracle_arg $ engine_arg
+      const run $ ddl_arg $ data_arg $ programs_arg $ oracle_arg
       $ lenient_arg $ out_arg $ verify_arg)
 
 (* ------------------------------------------------------------------ *)
@@ -851,13 +824,13 @@ let serve_cmd =
       value & opt (some string) None & info [ "state-dir" ] ~docv:"DIR" ~doc)
   in
   let max_jobs_arg =
+    let cap = Dbre_serve.Server.max_jobs_cap in
     let doc =
       Printf.sprintf
         "Number of jobs run at once, each on its own worker domain and \
          under its own supervision budget (0 to %d; 0 accepts and persists \
-         jobs without running them). The engine-level domain pool is \
-         shared by all jobs."
-        Engine.max_domains
+         jobs without running them)."
+        cap
     in
     (* bounded at parse time, so an out-of-range count is a usage error
        rather than a daemon that spawns a domain per job *)
@@ -865,12 +838,12 @@ let serve_cmd =
       Arg.conv
         ( (fun s ->
             match int_of_string_opt s with
-            | Some n when n >= 0 && n <= Engine.max_domains -> Ok n
+            | Some n when n >= 0 && n <= cap -> Ok n
             | _ ->
                 Error
                   (`Msg
                     (Printf.sprintf "must be an integer between 0 and %d, got %S"
-                       Engine.max_domains s))),
+                       cap s))),
           Format.pp_print_int )
     in
     Arg.(value & opt jobs 2 & info [ "max-jobs" ] ~docv:"N" ~doc)
@@ -950,11 +923,11 @@ let submit_cmd =
     in
     Arg.(value & flag & info [ "wait" ] ~doc)
   in
-  let run socket ddl data programs label flow oracle engine deadline
+  let run socket ddl data programs label flow oracle deadline
       max_heap_mb on_exhausted lenient wait =
     match
       spec_of_flags ?label ?data ?programs ~flow ?deadline ?max_heap_mb
-        ~on_exhausted ~ddl ~oracle ~engine ~lenient ()
+        ~on_exhausted ~ddl ~oracle ~lenient ()
     with
     | Error msg ->
         prerr_endline msg;
@@ -992,7 +965,7 @@ let submit_cmd =
     (Cmd.info "submit" ~doc)
     Term.(
       const run $ socket_arg $ ddl_arg $ data_arg $ programs_arg $ label_arg
-      $ flow_arg $ oracle_arg $ engine_arg $ deadline_arg $ max_heap_arg
+      $ flow_arg $ oracle_arg $ deadline_arg $ max_heap_arg
       $ on_exhausted_arg $ lenient_arg $ wait_arg)
 
 let job_cmd =

@@ -54,18 +54,16 @@ let fresh_name db base =
   go 0
 
 (* Plan every count the elicitation loop will need as one batch: the
-   planner prepares each distinct (table, attrs) side once — fanning
-   tables over the engine's persistent Domain_pool under a parallel
-   engine, replacing the domain-spawn-per-call warm-up of
-   PR 2 — and answers the N_k / N_l / N_kl triples in Q-order. The
-   elicitation loop itself stays sequential in the order of [Q]
-   (expert decisions are inherently ordered) and conceptualization
-   only ever inserts into freshly created relations, so the planned
-   counts cannot go stale mid-loop; a join that only becomes
-   resolvable mid-loop (its relation conceptualized by an earlier NEI
-   decision) falls back to direct per-join counting, preserving the
-   exact semantics of the unbatched loop. *)
-let plan ~engine ~supervise db joins =
+   planner prepares each distinct (table, attrs) side once and answers
+   the N_k / N_l / N_kl triples in Q-order. The elicitation loop
+   itself stays in the order of [Q] (expert decisions are inherently
+   ordered) and conceptualization only ever inserts into freshly
+   created relations, so the planned counts cannot go stale mid-loop;
+   a join that only becomes resolvable mid-loop (its relation
+   conceptualized by an earlier NEI decision) falls back to direct
+   per-join counting, preserving the exact semantics of the unbatched
+   loop. *)
+let plan ~supervise db joins =
   let planned = ref [] and probes = ref [] and n_probes = ref 0 in
   List.iter
     (fun (j : Sqlx.Equijoin.t) ->
@@ -80,7 +78,7 @@ let plan ~engine ~supervise db joins =
       else planned := None :: !planned)
     joins;
   let counts =
-    Array.of_list (Verify_plan.ind_batch ~engine ~supervise db (List.rev !probes))
+    Array.of_list (Verify_plan.ind_batch ~supervise db (List.rev !probes))
   in
   let planned = Array.of_list (List.rev !planned) in
   fun i ->
@@ -108,7 +106,7 @@ let run ?(engine = Engine.default) ?(supervise = Supervise.unlimited) ?prior
   let planned_counts =
     (* a trip while planning falls back to per-join counting, which the
        loop's own first poll then cuts off before any oracle call *)
-    try plan ~engine ~supervise db todo
+    try plan ~supervise db todo
     with Supervise.Interrupt _ -> fun _ -> None
   in
   let inds = ref [] and new_relations = ref [] and steps = ref [] in

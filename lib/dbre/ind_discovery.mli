@@ -56,13 +56,11 @@ val run :
     {!Empty_intersection} with zero counts). Duplicate INDs are elicited
     once.
 
-    All three counts come from the tables' memoized column stores
-    ([engine] defaults to {!Engine.default}). With
-    [parallelism = Domains n] (n > 1), the per-table stores and distinct
-    sets of every side of [Q] are pre-built by [n] domains — each table
-    owned by exactly one domain — before the sequential elicitation loop
-    consumes them, so the result (and its order) is identical to the
-    sequential run.
+    All three counts come from the tables' memoized column stores,
+    planned as one {!Verify_plan.ind_batch} over every resolvable
+    equi-join of [Q] before the elicitation loop consumes them in
+    [Q] order. [engine] (default {!Engine.default}) supplies only the
+    budget policy.
 
     [supervise] is polled once per equi-join, between oracle decisions.
     On a trip the run degrades gracefully: the already-processed prefix

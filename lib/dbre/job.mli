@@ -3,8 +3,8 @@
 
     [Job] is the glue between a serialized spec and {!Pipeline}: it
     parses the spec's DDL, loads every source through
-    {!Relational.Source.load} (honoring leniency and the engine's
-    pool), builds the {!Pipeline.config} the spec denotes, and runs
+    {!Relational.Source.load} (honoring leniency and the spec's
+    budget), builds the {!Pipeline.config} the spec denotes, and runs
     {!Pipeline.run_checked} under the spec's checkpoint/resume options.
     Because both front ends call exactly this function with exactly the
     spec, their artifacts are byte-identical by construction. *)

@@ -80,7 +80,8 @@ let supervisor spec =
 
 (* v3 added "flow"; v2 dropped the engine's "check" and "cache" fields.
    Older documents still decode: without "flow" a run is flow-off, and
-   v1's check and cache are ignored, since artifacts never depended on
+   v1's check and cache and the engine's "domains" (every IND batch now
+   runs sequentially) are ignored, since artifacts never depended on
    them *)
 let version = 3
 
@@ -199,11 +200,6 @@ let engine_to_json (e : Engine.t) =
   let open Json in
   Obj
     [
-      ( "domains",
-        Int
-          (match e.Engine.parallelism with
-          | Engine.Sequential -> 1
-          | Engine.Domains n -> n) );
       ("deadline_s", opt_float e.Engine.budget.Engine.deadline_s);
       ("max_heap_words", opt_int e.Engine.budget.Engine.max_heap_words);
       ( "on_exhausted",
@@ -219,13 +215,8 @@ let engine_of_json j =
   | Some s when s <> "fail" && s <> "partial" ->
       Error (Printf.sprintf "unknown on_exhausted policy %S" s)
   | on_exhausted ->
-      let parallelism =
-        match mem_int "domains" j with
-        | Some n when n > 1 -> Engine.Domains n
-        | _ -> Engine.Sequential
-      in
       Ok
-        (Engine.make ~parallelism ?deadline_s:(mem_float "deadline_s" j)
+        (Engine.make ?deadline_s:(mem_float "deadline_s" j)
            ?max_heap_words:(mem_int "max_heap_words" j)
            ~on_exhausted:
              (if on_exhausted = Some "fail" then `Fail else `Partial)
@@ -329,20 +320,10 @@ let of_string text =
 (* CLI flag folding                                                    *)
 (* ------------------------------------------------------------------ *)
 
-let of_args ?label ~ddl ?data_dir ?programs_dir ?flow ?(engine = "default")
-    ?(oracle = "auto") ?deadline ?max_heap_mb ?(on_exhausted = "partial")
-    ?(lenient = false) ?checkpoint_dir ?(resume = false)
+let of_args ?label ~ddl ?data_dir ?programs_dir ?flow ?(oracle = "auto")
+    ?deadline ?max_heap_mb ?(on_exhausted = "partial") ?(lenient = false) ?checkpoint_dir ?(resume = false)
     ?(migrate_data = true) ?fuel () =
   let ( let* ) = Result.bind in
-  let* engine =
-    match Engine.of_string engine with
-    | Some e -> Ok e
-    | None ->
-        Error
-          (Printf.sprintf
-             "unknown engine %S (use default|parallel|parallel:<n>)"
-             engine)
-  in
   let* on_exhausted =
     match on_exhausted with
     | "partial" -> Ok `Partial
@@ -358,11 +339,7 @@ let of_args ?label ~ddl ?data_dir ?programs_dir ?flow ?(engine = "default")
         (fun mb -> mb * 1024 * 1024 / (Sys.word_size / 8))
         max_heap_mb
     in
-    if deadline = None && max_heap_words = None && on_exhausted = `Partial
-    then engine
-    else
-      Engine.with_budget ?deadline_s:deadline ?max_heap_words ~on_exhausted
-        engine
+    Engine.make ?deadline_s:deadline ?max_heap_words ~on_exhausted ()
   in
   let* oracle = oracle_spec_of_string oracle in
   let* () =

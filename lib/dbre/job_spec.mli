@@ -74,7 +74,6 @@ val of_args :
   ?data_dir:string ->
   ?programs_dir:string ->
   ?flow:bool ->
-  ?engine:string ->
   ?oracle:string ->
   ?deadline:float ->
   ?max_heap_mb:int ->
@@ -89,12 +88,13 @@ val of_args :
 (** Fold the CLI's per-run flags into a spec: [ddl] is a path (read
     here, so the spec is self-contained); [data_dir] contributes a
     [Csv_file] source per [<relation>.csv] present; [programs_dir]'s
-    files (sorted by name) become a [Programs] workload. String-typed
-    flags use the CLI grammars: [engine] per {!Engine.of_string},
-    [oracle] as ["auto" | "skeptical" | "threshold:<r>"],
-    [on_exhausted] as ["partial" | "fail"]. Errors are human-readable
-    messages ([--resume] without [--checkpoint-dir], unknown engine,
-    unreadable files, unparsable DDL). *)
+    files (sorted by name) become a [Programs] workload; [deadline],
+    [max_heap_mb] and [on_exhausted] make the engine's budget.
+    String-typed flags use the CLI grammars: [oracle] as
+    ["auto" | "skeptical" | "threshold:<r>"], [on_exhausted] as
+    ["partial" | "fail"]. Errors are human-readable messages
+    ([--resume] without [--checkpoint-dir], unreadable files,
+    unparsable DDL). *)
 
 val oracle : t -> Oracle.t
 (** The oracle the spec's mode denotes. *)
@@ -113,10 +113,11 @@ val oracle_spec_to_string : oracle_spec -> string
 val version : int
 (** Encoding version stamped into every document (currently 3).
     {!of_json} also accepts versions 2 and 1, which have no ["flow"]
-    field (they decode flow-off); version 1's engine object carried
-    ["check"] and ["cache"] fields, which are ignored, since the
-    artifacts never depended on them. Any other version is an
-    [Error]. *)
+    field (they decode flow-off). Version 1's engine object carried
+    ["check"] and ["cache"] fields, and engine objects of versions 1–3
+    may carry ["domains"] (the IND batch's former domain count); all
+    three are ignored, since the artifacts never depended on them, and
+    {!to_json} emits none of them. Any other version is an [Error]. *)
 
 val to_json : t -> Json.t
 (** Deterministic encoding (field order fixed, version stamped). *)

@@ -28,11 +28,10 @@ type stage_event =
 type config = {
   oracle : Oracle.t;
   engine : Engine.t;
-      (** one engine descriptor drives every extension check of the run:
-          FD checks (RHS-Discovery), distinct/join counting
-          (IND-Discovery) and the optional parallel warm-up. Build one
-          with {!Engine.make}, or use {!Engine.default} or
-          {!Engine.parallel} *)
+      (** the run's resource budget, shared by every extension check:
+          FD checks (RHS-Discovery) and distinct/join counting
+          (IND-Discovery), all sequential. Build one with
+          {!Engine.make}, or use {!Engine.default} *)
   migrate_data : bool;  (** populate the restructured database *)
   progress : (stage_event -> unit) option;
       (** observability tap: called synchronously as each stage starts
@@ -62,9 +61,8 @@ and result = {
 }
 
 val default_config : config
-(** {!Oracle.automatic}, {!Engine.default} (memoized columnar,
-    sequential), data migration on, no progress tap, dataflow analysis
-    off. *)
+(** {!Oracle.automatic}, {!Engine.default} (no budget), data
+    migration on, no progress tap, dataflow analysis off. *)
 
 val extract_equijoins :
   ?flow:bool -> Database.t -> Job_spec.workload -> Sqlx.Equijoin.t list

@@ -51,10 +51,11 @@ val run :
   lhs:Attribute.t list ->
   hidden:Attribute.t list ->
   result
-(** [engine] selects the FD-check implementation (default
-    {!Engine.default}: memoized columnar — every candidate [A -> b_t]
-    over the same relation shares the store's LHS partition).
-    Candidates over unknown relations are dropped.
+(** Every candidate [A -> b_t] is checked on the table's memoized
+    column store, and candidates over the same relation share the
+    store's LHS partition; [engine] (default {!Engine.default})
+    supplies only the budget policy. Candidates over unknown relations
+    are dropped.
 
     [supervise] is polled once per candidate attribute (and threaded to
     the per-candidate verification batch). On a trip the processed

@@ -146,8 +146,8 @@ type store = t
 let uid_counter = Atomic.make 0
 let fresh_uid () = Atomic.fetch_and_add uid_counter 1
 
-(* process-wide refresh counters, surfaced by [Engine.describe] and the
-   serve job status *)
+(* process-wide refresh counters, surfaced by bench logs and the serve
+   job status *)
 type delta_stats = {
   rows_absorbed : int;
   incremental_refreshes : int;

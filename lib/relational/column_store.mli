@@ -148,8 +148,8 @@ type delta_stats = {
 }
 
 val delta_stats : unit -> delta_stats
-(** Process-wide counters over every {!refresh_all}, for
-    {!Engine.describe} and serve status. *)
+(** Process-wide counters over every {!refresh_all}, for bench logs
+    and serve status. *)
 
 val reset_delta_stats : unit -> unit
 
@@ -214,8 +214,7 @@ val common_values : t -> string list -> t -> string list -> Value.t list list
 val prepare : ?probe:bool -> t -> string list -> unit
 (** Build one side of a join count: for several attributes, its
     distinct code tuples; with [~probe:true] (the side {!walks_left}
-    probes) also its intern tables. Touches only this store, so
-    distinct stores may be prepared on different domains. *)
+    probes) also its intern tables. Touches only this store. *)
 
 val fd_batch : t -> lhs:string list -> rhs:string list -> (string * bool) list
 (** [(a, lhs -> a holds)] for every [a] of [rhs], in order: the FD
@@ -243,8 +242,8 @@ type residency = {
 }
 
 val residency : t -> residency
-(** Segment residency of this store's columns, for [Engine.describe]
-    and serve status. Does not touch payloads (a spilled segment stays
+(** Segment residency of this store's columns, for bench logs and
+    serve status. Does not touch payloads (a spilled segment stays
     spilled). *)
 
 val digest : t -> Digest.t

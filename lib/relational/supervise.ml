@@ -6,15 +6,15 @@
    chunk, never per row — so an armed token costs one atomic load on
    the fast path and a clock/GC read only at those boundaries. The
    token is latched: the first tripped reason wins and every later
-   poll returns it, so a batch that fans out over domains observes one
-   consistent verdict.
+   poll returns it, and a [cancel] from another domain (the daemon's
+   cancel operation) is seen by the next poll.
 
-   Determinism: [poll]/[check] are only ever called from sequential
-   driver code (stage loops, batch submission points); pool tasks may
-   read the latched flag ([tripped]) but never evaluate limits. The
-   sequence of evaluation points is therefore identical whatever the
-   domain count, which is what makes the fuel-tripped prefix tests
-   (and budget-partial resume) reproducible. *)
+   Determinism: [poll]/[check] are only ever called from driver code
+   (stage loops, batch submission points); preparation passes between
+   them read the latched flag ([tripped]) but never evaluate limits.
+   The sequence of evaluation points is therefore fixed by the stage
+   loops, which is what makes the fuel-tripped prefix tests (and
+   budget-partial resume) reproducible. *)
 
 type reason =
   | Cancelled

@@ -9,10 +9,11 @@
 
     {b Determinism contract.} {!poll}/{!check} must only be called from
     sequential driver code — stage loops and batch submission points.
-    Pool tasks may read the latched verdict with {!tripped} (one atomic
-    load, no limit evaluation) but never poll, so the sequence of
-    evaluation points — and therefore the exact group boundary where a
-    fuel-tripped run stops — is independent of the domain count. *)
+    Preparation passes between them (the IND-batch pre-pass) read the
+    latched verdict with {!tripped} (one atomic load, no limit
+    evaluation) but never poll, so the sequence of evaluation points —
+    and therefore the exact group boundary where a fuel-tripped run
+    stops — is fixed by the stage loops alone. *)
 
 type reason =
   | Cancelled  (** {!cancel} was called (or the fuel ran out) *)
@@ -47,7 +48,7 @@ val cancel : t -> unit
 
 val tripped : t -> reason option
 (** The latched verdict, without evaluating limits: one atomic load.
-    This is the only read pool tasks may perform. *)
+    This is the only read a preparation pass may perform. *)
 
 val poll : t -> reason option
 (** Evaluate limits (fuel, then deadline, then heap), latch the first

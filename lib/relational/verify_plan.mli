@@ -12,16 +12,14 @@
       scans;
     - an {b IND batch} prepares each distinct [(table, attrs)] side
       once — its code-tuple set, then the intern tables of
-      the side each count probes ({!Column_store.prepare}) — and reuses
-      it across every probe that mentions it, fanning per-table work
-      over the engine's persistent {!Domain_pool}.
+      the side each count probes ({!Column_store.prepare}) — table by
+      table, and reuses it across every probe that mentions it.
 
     {b Determinism contract.} Results come back in submission order,
-    and every verdict/count is domain-count-independent and equal to
-    the row-at-a-time reference the equivalence suite checks against,
-    so an oracle consuming batched answers sees exactly the decision
-    sequence of per-candidate checks. [Domains n] draws workers from
-    the shared {!Domain_pool.get} pool. *)
+    and every verdict/count equals the row-at-a-time reference the
+    equivalence suite checks against, so an oracle consuming batched
+    answers sees exactly the decision sequence of per-candidate
+    checks. *)
 
 type side = string * string list
 (** A projection side: relation name × attribute list. *)
@@ -44,7 +42,6 @@ val fd_group :
     a group boundary. *)
 
 val ind_batch :
-  ?engine:Engine.t ->
   ?supervise:Supervise.t ->
   Database.t ->
   (side * side) list ->
@@ -53,5 +50,7 @@ val ind_batch :
     order. Every relation mentioned must resolve in [db] and every
     attribute in its relation (raises [Not_found] / [Invalid_argument]
     otherwise — filter with resolvability first, as IND-Discovery
-    does). [supervise] is polled per side build and per probe; a trip
-    raises [Supervise.Interrupt]. *)
+    does). [supervise] is polled once per batch and once per probe;
+    between the tables of the pre-pass only its latched verdict
+    ({!Supervise.tripped}) is read, so the pre-pass consumes no fuel. A
+    trip raises [Supervise.Interrupt]. *)

@@ -877,11 +877,16 @@ let adopt_state t =
 (* Lifecycle                                                           *)
 (* ------------------------------------------------------------------ *)
 
+(* hosts can recommend absurd core counts; past ~16 domains every stage
+   here is memory-bound and extra workers only buy GC-barrier
+   contention *)
+let max_jobs_cap = 16
+
 let create ?(max_jobs = 2) ?state_dir ~socket () =
-  if max_jobs < 0 || max_jobs > Engine.max_domains then
+  if max_jobs < 0 || max_jobs > max_jobs_cap then
     invalid_arg
       (Printf.sprintf "Server.create: max_jobs must be between 0 and %d, got %d"
-         Engine.max_domains max_jobs);
+         max_jobs_cap max_jobs);
   {
     socket_path = socket;
     state_dir;

@@ -6,19 +6,18 @@
     run in parallel. The acceptor and the per-connection handlers are
     sys-threads of the calling domain. Each job runs under its own
     supervision token ({!Dbre.Job_spec.supervisor}), so [cancel] trips
-    exactly one job's budget; parallelism inside a job comes from its
-    engine's {!Relational.Domain_pool}, which serializes whole batches
-    across the jobs that share it.
+    exactly one job's budget; a job itself runs sequentially on its
+    worker domain.
 
     {b What jobs share.} Two jobs on two domains share only
     domain-safe state: the out-of-core manager ({!Relational.Ooc}: a
     mutex plus a lock-free graveyard for finalized segments), the
-    column-store and [Ooc] counters (atomics), the {!Relational.Domain_pool}
-    registry (a mutex), and the read-only SQL keyword table. Supervision
-    tokens are atomics, one per job. A job's own entry — state, events,
-    error, artifacts — is written under the daemon's lock, in the same
-    locked section as its settlement, and every handler reads it under
-    that lock. The one unlocked read is [status]'s per-store residency
+    column-store and [Ooc] counters (atomics), and the read-only SQL
+    keyword table. Supervision tokens are atomics, one per job. A
+    job's own entry — state, events, error, artifacts — is written
+    under the daemon's lock, in the same locked section as its
+    settlement, and every handler reads it under that lock. The one
+    unlocked read is [status]'s per-store residency
     of a running job's database, which counts segments while the worker
     may still be sealing or spilling them: the counts are a snapshot,
     never a crash.
@@ -57,6 +56,11 @@
 
 type t
 
+val max_jobs_cap : int
+(** The ceiling (16) on [max_jobs], shared by {!create} and the CLI's
+    [--max-jobs] parser: a worker domain per job past that many buys
+    only GC-barrier contention on the memory-bound stages. *)
+
 val create :
   ?max_jobs:int -> ?state_dir:string -> socket:string -> unit -> t
 (** [max_jobs] (default 2) is the number of jobs in flight, one worker
@@ -67,9 +71,7 @@ val create :
     until {!start}.
 
     @raise Invalid_argument if [max_jobs] is negative or above
-    {!Relational.Engine.max_domains}: a domain per job past that many
-    buys only contention, and the runtime's domain limit is shared with
-    every job's engine pool. *)
+    {!max_jobs_cap}. *)
 
 val start : t -> unit
 (** Bind the socket (an existing file at the path is replaced), spawn

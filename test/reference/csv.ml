@@ -1,8 +1,8 @@
 (* The seed row-at-a-time CSV loader, kept as the equivalence oracle
    for the streaming columnar [Relational.Csv.load]: the ingest and
    out-of-core suites and bench B14 pin the streaming path against
-   this, byte for byte. Same contract as [Relational.Csv.load], minus
-   parallelism: it parses the whole document into a list of boxed
+   this, byte for byte. Same contract as [Relational.Csv.load], but it
+   parses the whole document into a list of boxed
    tuples first, as the seed did, and hands them to the table in one
    [Table.insert_many], so the tuples are all live while it encodes. *)
 

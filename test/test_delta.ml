@@ -3,8 +3,8 @@
    insert / delete / batch-append sequences over generated workloads
    assert that a [Pipeline.refresh_checked] after mutation yields
    byte-identical F/H/IND/RIC artifacts to a cold run over the same
-   mutated extension — at 1, 2 and 4 domains and on both sides of the
-   rebuild-fallback threshold — plus pinned verdict-flip cases: an FD
+   mutated extension — on both sides of the rebuild-fallback
+   threshold — plus pinned verdict-flip cases: an FD
    broken by an insert and an IND broken by deleting a referenced row.
 
    Deterministic by construction: every mutation burst is driven by a
@@ -95,15 +95,13 @@ let check_refresh_equivalence ?burst ~msg config seed =
   Alcotest.(check (list (pair string string))) msg cold refreshed;
   report
 
-let with_engine engine = { Pipeline.default_config with Pipeline.engine }
-
 let test_fuzz_columnar () =
   List.iter
     (fun seed ->
       let report =
         check_refresh_equivalence
           ~msg:(Printf.sprintf "artifacts (seed %Ld)" seed)
-          (with_engine Engine.default) seed
+          Pipeline.default_config seed
       in
       (* the burst is small (≤6 rows on 40+-row tables): under the
          default fraction every touched store absorbs its delta *)
@@ -116,15 +114,13 @@ let test_fuzz_columnar () =
         0 report.Refresh.rebuilt)
     [ 7L; 19L; 23L ]
 
-let test_fuzz_domains () =
-  List.iter
-    (fun domains ->
+(* the same fuzzed refresh over segmented stores: 16-row segments put
+   every delta across segment boundaries *)
+let test_fuzz_segmented () =
+  Ooc.with_config ~segment_rows:16 (fun () ->
       ignore
-        (check_refresh_equivalence
-           ~msg:(Printf.sprintf "artifacts (%d domains)" domains)
-           (with_engine (Engine.parallel ~domains ()))
-           11L))
-    [ 2; 4 ]
+        (check_refresh_equivalence ~msg:"artifacts (16-row segments)"
+           Pipeline.default_config 11L))
 
 (* the same workload on both sides of the fallback threshold: the
    default burst stays within the fraction and every delta is absorbed,
@@ -282,13 +278,10 @@ let t_row rng ~appended fresh =
 
 let ind_probes = [ ("a", [ "a" ]); ("a,d", [ "a"; "d" ]) ]
 
-let seq_fuzz_domains domains =
-  let engine =
-    if domains = 1 then Engine.default else Engine.parallel ~domains ()
-  in
-  let rng = Rng.create (Int64.of_int (4242 + domains)) in
+let test_sequence_fuzz () =
+  let rng = Rng.create 4243L in
   (* T draws from its own stream, so S's operation mix is unchanged *)
-  let trng = Rng.create (Int64.of_int (8484 + domains)) in
+  let trng = Rng.create 8485L in
   let seg = 16 in
   Ooc.with_config ~segment_rows:seg (fun () ->
       for round = 1 to 12 do
@@ -308,7 +301,7 @@ let seq_fuzz_domains domains =
         let store () = Table.store t in
         let step = ref 0 in
         let ctx () =
-          Printf.sprintf "%d domains, round %d, step %d" domains round !step
+          Printf.sprintf "round %d, step %d" round !step
         in
         let batch lhs =
           let others = List.filter (fun a -> not (List.mem a lhs)) seq_attrs in
@@ -367,7 +360,7 @@ let seq_fuzz_domains domains =
                     (Column_store.witness_count (Table.store tbl) attrs))
                 [ ("S", t); ("T", tt) ])
             ind_probes
-            (Verify_plan.ind_batch ~engine db probes)
+            (Verify_plan.ind_batch db probes)
         in
         let check_encoding () =
           let cold = cold_store t and s = store () in
@@ -441,8 +434,6 @@ let seq_fuzz_domains domains =
           ops;
         List.iter batch seq_lhss
       done)
-
-let test_sequence_fuzz () = List.iter seq_fuzz_domains [ 1; 2; 4 ]
 
 (* an IND (join count = referencing side's distinct count) must flip
    when the referenced row is deleted, through the coordinated
@@ -602,15 +593,15 @@ let suite =
   [
     Alcotest.test_case "fuzzed refresh = cold recompute (columnar)" `Quick
       test_fuzz_columnar;
-    Alcotest.test_case "fuzzed refresh = cold recompute (2/4 domains)" `Quick
-      test_fuzz_domains;
+    Alcotest.test_case "fuzzed refresh = cold recompute (segmented)" `Quick
+      test_fuzz_segmented;
     Alcotest.test_case "identical across the fallback threshold" `Quick
       test_fallback_threshold;
     Alcotest.test_case "FD broken by insert flips incrementally" `Quick
       test_fd_broken_by_insert;
     Alcotest.test_case "Int/Float RHS on the delta path" `Quick
       test_fd_int_float_rhs;
-    Alcotest.test_case "operation sequences = reference (1/2/4 domains)"
+    Alcotest.test_case "operation sequences = reference"
       `Quick test_sequence_fuzz;
     Alcotest.test_case "IND broken by delete flips via refresh" `Quick
       test_ind_broken_by_delete;

@@ -2,10 +2,8 @@
    each extension primitive — FD satisfaction (single and batched), key
    checks, distinct counting, equi-join distinct counting, IND batches
    and CSV loading — must agree with the row-at-a-time [Reference]
-   implementations (the engine-driven checks at 1, 2 and 4 domains; the
-   CSV load has no parallel path),
-   including on NULL-heavy extensions, and the memoized stores must never serve stale answers
-   after an insert.
+   implementations, including on NULL-heavy extensions, and the memoized
+   stores must never serve stale answers after an insert.
 
    Deterministic by construction: tables come from Workload.Rng streams
    and the schema-level cases from Workload.Gen_schema, both seeded. *)
@@ -14,13 +12,6 @@ open Helpers
 open Relational
 open Deps
 module Rng = Workload.Rng
-
-let engines =
-  [
-    ("1 domain", Engine.default);
-    ("2 domains", Engine.parallel ~domains:2 ());
-    ("4 domains", Engine.parallel ~domains:4 ());
-  ]
 
 let random_rows rng ~null_rate attrs n_rows =
   List.init n_rows (fun _ ->
@@ -172,13 +163,10 @@ let test_ind_batch_agree () =
     let expected =
       List.map (fun (l, r) -> Reference.Counts.ind_counts db l r) probes
     in
-    List.iter
-      (fun (name, engine) ->
-        Alcotest.(check (list counts_t))
-          (Printf.sprintf "round %d: ind_batch via %s" round name)
-          expected
-          (Verify_plan.ind_batch ~engine (db_of [ mk1 (); mk2 () ]) probes))
-      engines
+    Alcotest.(check (list counts_t))
+      (Printf.sprintf "round %d: ind_batch" round)
+      expected
+      (Verify_plan.ind_batch (db_of [ mk1 (); mk2 () ]) probes)
   done
 
 (* ---------- key checks ---------- *)
@@ -335,7 +323,7 @@ let test_join_cache_invalidation () =
 (* ---------- schema-scale: Gen_schema workloads ---------- *)
 
 (* every planted dependency and every navigation equi-join of a small
-   synthetic workload gets the reference verdict at every domain count *)
+   synthetic workload gets the reference verdict *)
 let test_generated_workload_agree () =
   List.iter
     (fun seed ->
@@ -350,12 +338,8 @@ let test_generated_workload_agree () =
       in
       let g = Workload.Gen_schema.generate spec in
       let db = g.Workload.Gen_schema.db in
-      let per_engine =
-        List.map
-          (fun (name, engine) ->
-            (name, engine, (Workload.Gen_schema.generate spec).Workload.Gen_schema.db))
-          engines
-      in
+      (* the batch answers from a second, cold copy *)
+      let cold = (Workload.Gen_schema.generate spec).Workload.Gen_schema.db in
       List.iter
         (fun (f : Fd.t) ->
           Alcotest.(check bool) (Fd.to_string f)
@@ -366,20 +350,15 @@ let test_generated_workload_agree () =
         (fun (j : Sqlx.Equijoin.t) ->
           let left = (j.Sqlx.Equijoin.rel1, j.Sqlx.Equijoin.attrs1) in
           let right = (j.Sqlx.Equijoin.rel2, j.Sqlx.Equijoin.attrs2) in
-          let expected = Reference.Counts.ind_counts db left right in
-          List.iter
-            (fun (name, engine, db) ->
-              Alcotest.(check counts_t)
-                (Printf.sprintf "counts of %s via %s"
-                   (Sqlx.Equijoin.to_string j) name)
-                expected
-                (List.hd (Verify_plan.ind_batch ~engine db [ (left, right) ])))
-            per_engine)
+          Alcotest.(check counts_t)
+            (Printf.sprintf "counts of %s" (Sqlx.Equijoin.to_string j))
+            (Reference.Counts.ind_counts db left right)
+            (List.hd (Verify_plan.ind_batch cold [ (left, right) ])))
         g.Workload.Gen_schema.equijoins)
     [ 3L; 101L ]
 
-(* the full IND-Discovery stage returns the identical elicitation at
-   every domain count, and every step's counts are the reference's *)
+(* every step of the full IND-Discovery stage has the reference's
+   counts *)
 let test_ind_discovery_agree () =
   let spec =
     {
@@ -390,22 +369,11 @@ let test_ind_discovery_agree () =
       null_ref_rate = 0.2;
     }
   in
-  let run engine =
-    let g = Workload.Gen_schema.generate spec in
-    let db = g.Workload.Gen_schema.db in
-    let r =
-      Dbre.Ind_discovery.run ~engine Dbre.Oracle.automatic db
-        g.Workload.Gen_schema.equijoins
-    in
-    check_ind_steps_reference "step" db r;
-    r.Dbre.Ind_discovery.inds
-  in
-  let expected = run Engine.default in
-  List.iter
-    (fun (name, engine) ->
-      check_sorted_inds (Printf.sprintf "INDs via %s" name) expected
-        (run engine))
-    engines
+  let g = Workload.Gen_schema.generate spec in
+  let db = g.Workload.Gen_schema.db in
+  check_ind_steps_reference "step" db
+    (Dbre.Ind_discovery.run Dbre.Oracle.automatic db
+       g.Workload.Gen_schema.equijoins)
 
 let suite =
   [
@@ -426,6 +394,6 @@ let suite =
       test_join_cache_invalidation;
     Alcotest.test_case "generated workloads = reference" `Quick
       test_generated_workload_agree;
-    Alcotest.test_case "ind-discovery = reference at 1/2/4 domains" `Quick
+    Alcotest.test_case "ind-discovery = reference" `Quick
       test_ind_discovery_agree;
   ]

@@ -1,9 +1,9 @@
 (* Job_spec: the serializable run description shared by the one-shot
    CLI and the daemon's wire protocol. The JSON encoding is pinned by a
    golden string — each version is a compatibility promise, so any
-   change here must bump [Job_spec.version], and the decoder keeps
-   accepting the older versions (pinned by the v2 and v1 goldens
-   below). *)
+   change a decoder of the same version would read differently must
+   bump [Job_spec.version], and the decoder keeps accepting the older
+   versions (pinned by the v2 and v1 goldens below). *)
 
 open Relational
 module Job_spec = Dbre.Job_spec
@@ -12,14 +12,15 @@ let golden_spec () =
   Job_spec.make ~label:"golden"
     ~sources:[ ("R", Source.csv_inline "a,b\n1,x\n") ]
     ~engine:
-      (Engine.make ~parallelism:(Engine.Domains 3) ~deadline_s:2.5
-         ~max_heap_words:1_000_000 ~on_exhausted:`Fail ())
+      (Engine.make ~deadline_s:2.5 ~max_heap_words:1_000_000
+         ~on_exhausted:`Fail ())
     ~oracle:(Job_spec.Threshold 0.8) ~lenient:true ~migrate_data:false
     ~checkpoint_dir:"/tmp/ck" ~resume:true ~fuel:42 ~flow:true
     ~ddl:"CREATE TABLE R (a INT, b VARCHAR(4));"
     (Job_spec.Equijoins [ Sqlx.Equijoin.make ("R", [ "a" ]) ("S", [ "a" ]) ])
 
-(* [flow] is the document's "flow" member, if it has one *)
+(* [flow] is the document's "flow" member, if it has one; [engine_prefix]
+   the engine members older encoders wrote before "deadline_s" *)
 let golden_json ~version ~flow ~engine_prefix =
   String.concat ""
     [
@@ -30,7 +31,7 @@ let golden_json ~version ~flow ~engine_prefix =
       flow;
       {|"engine":{|};
       engine_prefix;
-      {|"domains":3,"deadline_s":2.5,"max_heap_words":1000000,"on_exhausted":"fail"},|};
+      {|"deadline_s":2.5,"max_heap_words":1000000,"on_exhausted":"fail"},|};
       {|"oracle":"threshold:0.8","lenient":true,"migrate_data":false,|};
       {|"checkpoint_dir":"/tmp/ck","resume":true,"fuel":42}|};
     ]
@@ -41,14 +42,20 @@ let golden_v3 = golden_json ~version:3 ~flow:{|"flow":true,|} ~engine_prefix:""
 let golden_v3_flow_off =
   golden_json ~version:3 ~flow:{|"flow":false,|} ~engine_prefix:""
 
-(* the same spec as version 2 wrote it, before "flow" *)
-let golden_v2 = golden_json ~version:2 ~flow:"" ~engine_prefix:""
+(* the same spec as a version-3 encoder wrote it while the engine
+   still carried the IND batch's domain count *)
+let golden_v3_domains =
+  golden_json ~version:3 ~flow:{|"flow":true,|} ~engine_prefix:{|"domains":4,|}
+
+(* as version 2 wrote it, before "flow" *)
+let golden_v2 =
+  golden_json ~version:2 ~flow:"" ~engine_prefix:{|"domains":3,|}
 
 (* and as version 1 wrote it, when the engine still carried a check
    algorithm and a cache policy *)
 let golden_v1 =
   golden_json ~version:1 ~flow:""
-    ~engine_prefix:{|"check":"partition","cache":false,|}
+    ~engine_prefix:{|"check":"partition","cache":false,"domains":3,|}
 
 
 let of_string_exn text =
@@ -60,6 +67,16 @@ let test_golden () =
   Alcotest.(check string) "pinned v3 encoding" golden_v3
     (Job_spec.to_string (golden_spec ()))
 
+(* a v3 document with a "domains" member still decodes: the member is
+   ignored, the document decodes equal to the one without it, and
+   re-encoding drops it *)
+let test_golden_v3_domains () =
+  let with_domains = of_string_exn golden_v3_domains in
+  Alcotest.(check bool) "\"domains\" ignored" true
+    (with_domains = of_string_exn golden_v3);
+  Alcotest.(check string) "re-encodes without \"domains\"" golden_v3
+    (Job_spec.to_string with_domains)
+
 (* a v2 document still decodes, flow off, and re-encoding writes v3 *)
 let test_golden_v2 () =
   let spec = of_string_exn golden_v2 in
@@ -67,8 +84,8 @@ let test_golden_v2 () =
   Alcotest.(check string) "v2 re-encodes as v3" golden_v3_flow_off
     (Job_spec.to_string spec)
 
-(* a v1 document still decodes: its check and cache are ignored,
-   everything else survives, and re-encoding writes v3 *)
+(* a v1 document still decodes: its check, cache and domains are
+   ignored, everything else survives, and re-encoding writes v3 *)
 let test_golden_v1 () =
   Alcotest.(check string) "v1 decodes and re-encodes as v3"
     golden_v3_flow_off
@@ -201,8 +218,7 @@ let test_of_args () =
   let spec =
     match
       Job_spec.of_args ~label:"cli" ~ddl:ddl_path ~data_dir:data
-        ~programs_dir:programs ~flow:true ~engine:"parallel:2"
-        ~oracle:"skeptical"
+        ~programs_dir:programs ~flow:true ~oracle:"skeptical"
         ~deadline:1.5 ~max_heap_mb:64 ~on_exhausted:"fail" ~lenient:true ()
     with
     | Ok spec -> spec
@@ -231,8 +247,6 @@ let test_of_args () =
     b.Engine.max_heap_words;
   Alcotest.(check bool) "fail policy folded" true
     (b.Engine.on_exhausted = `Fail);
-  Alcotest.(check bool) "parallelism folded" true
-    (spec.Job_spec.engine.Engine.parallelism = Engine.Domains 2);
   (* the spec is self-contained: serializing it embeds the DDL text and
      keeps the CSV as a path *)
   let reparsed = of_string_exn (Job_spec.to_string spec) in
@@ -251,12 +265,6 @@ let test_of_args_errors () =
   let ddl_path = Filename.temp_file "dbre_args" ".sql" in
   write ddl_path "CREATE TABLE R (a INT);";
   Fun.protect ~finally:(fun () -> Sys.remove ddl_path) @@ fun () ->
-  check_err "unknown engine" (Job_spec.of_args ~ddl:ddl_path ~engine:"warp" ());
-  List.iter
-    (fun old ->
-      check_err ("retired engine " ^ old)
-        (Job_spec.of_args ~ddl:ddl_path ~engine:old ()))
-    [ "naive"; "partition"; "columnar" ];
   check_err "unknown oracle" (Job_spec.of_args ~ddl:ddl_path ~oracle:"psychic" ());
   check_err "unknown policy"
     (Job_spec.of_args ~ddl:ddl_path ~on_exhausted:"shrug" ());
@@ -273,19 +281,6 @@ let test_supervisor_is_cancellable () =
   Supervise.cancel s;
   Alcotest.(check bool) "cancel trips it" true (Supervise.tripped s <> None)
 
-(* the --engine grammar: one sequential default and the parallel
-   forms; the retired check-algorithm names are refused *)
-let test_engine_grammar () =
-  Alcotest.(check bool) "default" true
-    (Engine.of_string "default" = Some Engine.default);
-  Alcotest.(check bool) "parallel:3" true
-    (Engine.of_string "parallel:3" = Some (Engine.parallel ~domains:3 ()));
-  Alcotest.(check bool) "parallel" true (Engine.of_string "parallel" <> None);
-  List.iter
-    (fun s ->
-      Alcotest.(check bool) (s ^ " refused") true (Engine.of_string s = None))
-    [ "naive"; "partition"; "columnar"; "parallel:0"; "parallel:x"; "" ]
-
 (* whatever a damaged v3 document holds, decoding answers Ok or Error *)
 let prop_of_string_total =
   QCheck_alcotest.to_alcotest
@@ -301,9 +296,10 @@ let prop_of_string_total =
 let suite =
   [
     Alcotest.test_case "golden v3 JSON" `Quick test_golden;
+    Alcotest.test_case "golden v3 JSON with domains still decodes" `Quick
+      test_golden_v3_domains;
     Alcotest.test_case "golden v2 JSON still decodes" `Quick test_golden_v2;
     Alcotest.test_case "golden v1 JSON still decodes" `Quick test_golden_v1;
-    Alcotest.test_case "engine grammar" `Quick test_engine_grammar;
     Alcotest.test_case "round-trip" `Quick test_roundtrip;
     Alcotest.test_case "defaults round-trip" `Quick test_defaults_roundtrip;
     Alcotest.test_case "in-memory travels as csv-inline" `Quick

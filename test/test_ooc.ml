@@ -12,7 +12,10 @@
      deletes recompact, and both end up identical to a fresh encode of
      the surviving rows;
    - the full pipeline under a spill budget produces byte-identical
-     artifacts to an in-RAM run. *)
+     artifacts to an in-RAM run;
+   - a spill file truncated, extended, emptied, deleted or replaced by
+     a directory fails its segment's decode with a typed [Io_error]
+     and leaves its siblings decodable. *)
 
 open Relational
 open Helpers
@@ -481,6 +484,128 @@ let test_damaged_spill_files () =
               Out_channel.output_string oc (String.make 8 '\000')) );
     ]
 
+(* -- the spill-file decoder is total -------------------------------- *)
+
+(* Seal segments under a one-word budget, so each spills itself as it
+   is sealed, then damage every spill file but one: [Ooc.decode_into]
+   of a damaged segment raises [Error.Error] with [Io_error] and
+   nothing else, and the undamaged sibling still decodes to its codes.
+   A flipped payload byte goes unseen (spill files carry no checksum),
+   so damage here changes a file's size or kind. *)
+
+type damage = Truncate of int | Extend of int | Empty | Delete | Directory
+
+let damage_to_string = function
+  | Truncate k -> Printf.sprintf "truncate by %d" k
+  | Extend k -> Printf.sprintf "extend by %d" k
+  | Empty -> "empty"
+  | Delete -> "delete"
+  | Directory -> "directory"
+
+let apply_damage path = function
+  | Truncate k ->
+      let size = (Unix.stat path).Unix.st_size in
+      Unix.truncate path (max 0 (size - k))
+  | Extend k ->
+      Out_channel.with_open_gen [ Open_append; Open_binary ] 0o600 path (fun oc ->
+          Out_channel.output_string oc (String.make k '\001'))
+  | Empty -> Unix.truncate path 0
+  | Delete -> Sys.remove path
+  | Directory ->
+      Sys.remove path;
+      Unix.mkdir path 0o700
+
+(* a segment's codes: a small range packs narrow, a code past 32 bits
+   stays raw (width 0, eight bytes a code). 512 raw or 4096 byte-wide
+   codes make a 4096-byte file, the size of a directory on ext4, so a
+   directory in its place passes the size check and fails the map. *)
+let gen_codes =
+  QCheck.Gen.(
+    let* n = frequency [ (8, int_range 1 40); (1, return 512); (1, return 4096) ] in
+    let* top = oneofl [ 1; 3; 15; 255; 65_535; 1 lsl 40 ] in
+    array_size (return n) (int_bound (min top (1 lsl 30 - 1)))
+    >|= fun codes ->
+    if top > 1 lsl 32 then codes.(0) <- top;
+    codes)
+
+let gen_damage =
+  QCheck.Gen.(
+    oneof
+      [
+        map (fun k -> Truncate k) (int_range 1 16);
+        map (fun k -> Extend k) (int_range 1 16);
+        return Empty;
+        return Delete;
+        return Directory;
+      ])
+
+let prop_damaged_spill_decode =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:200 ~name:"damaged spill files: decode_into raises only Io_error"
+       (QCheck.make
+          ~print:(fun (segs, keep) ->
+            Printf.sprintf "keep %d of [%s]" keep
+              (String.concat "; "
+                 (List.map
+                    (fun (codes, d) ->
+                      Printf.sprintf "%d codes, %s" (Array.length codes) (damage_to_string d))
+                    segs)))
+          QCheck.Gen.(
+            let* segs = list_size (int_range 2 5) (pair gen_codes gen_damage) in
+            let* keep = int_bound (List.length segs - 1) in
+            return (segs, keep)))
+       (fun (segs, keep) ->
+         let dir = fresh_spill_dir () in
+         let cleanup () =
+           if Sys.file_exists dir then
+             Array.iter
+               (fun f ->
+                 let path = Filename.concat dir f in
+                 if Sys.is_directory path then Unix.rmdir path)
+               (Sys.readdir dir);
+           rm_rf dir
+         in
+         Fun.protect ~finally:cleanup @@ fun () ->
+         Ooc.with_config ~spill_dir:dir ~resident_budget_words:1 (fun () ->
+             (* the budget is process-wide: a first seal spills every
+                other resident segment here, so from then on the one file
+                each seal leaves behind is its own segment's *)
+             ignore (Ooc.seal [| 0 |] 0 1);
+             let sealed =
+               List.map
+                 (fun (codes, damage) ->
+                   let before = Sys.readdir dir in
+                   let seg = Ooc.seal codes 0 (Array.length codes) in
+                   match
+                     List.filter
+                       (fun f -> not (Array.mem f before))
+                       (Array.to_list (Sys.readdir dir))
+                   with
+                   | [ f ] -> (seg, codes, Filename.concat dir f, damage)
+                   | _ -> QCheck.Test.fail_report "a seal did not spill exactly one file")
+                 segs
+             in
+             List.iteri
+               (fun i (_, _, path, damage) -> if i <> keep then apply_damage path damage)
+               sealed;
+             List.iteri
+               (fun i (seg, codes, _, damage) ->
+                 let dst = Array.make (Array.length codes) (-1) in
+                 if i = keep then begin
+                   Ooc.decode_into seg dst;
+                   if dst <> codes then
+                     QCheck.Test.fail_report "the undamaged sibling decoded other codes"
+                 end
+                 else
+                   match Ooc.decode_into seg dst with
+                   | () -> QCheck.Test.fail_reportf "%s: decoded" (damage_to_string damage)
+                   | exception Error.Error e when e.Error.code = Error.Io_error -> ()
+                   | exception exn ->
+                       QCheck.Test.fail_reportf "%s: raised %s" (damage_to_string damage)
+                         (Printexc.to_string exn))
+               sealed;
+             true)))
+
 let suite =
   [
     Alcotest.test_case "segment boundaries: builder = reference" `Quick
@@ -500,4 +625,5 @@ let suite =
     Alcotest.test_case "pipeline artifacts identical across spill" `Quick
       test_pipeline_spilled_identity;
     Alcotest.test_case "damaged spill files raise Io_error" `Quick test_damaged_spill_files;
+    prop_damaged_spill_decode;
   ]

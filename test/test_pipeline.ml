@@ -101,33 +101,22 @@ let test_sql_scripts_input () =
     r.Pipeline.ind_result.Ind_discovery.inds
 
 (* the paper's expert neither enforces nor rejects an FD, so every
-   elicited FD must be exactly the reference's verdicts; the
-   multi-domain runs must also repeat the sequential F *)
-let test_domain_counts_agree () =
-  let run (name, engine) =
-    let db = Workload.Paper_example.database () in
-    let config =
-      {
-        Pipeline.default_config with
-        Pipeline.oracle = Workload.Paper_example.oracle ();
-        engine;
-        migrate_data = false;
-      }
-    in
-    let r =
-      Pipeline.run ~config db
-        (Job_spec.Equijoins (Workload.Paper_example.equijoins ()))
-    in
-    check_ind_steps_reference ("IND step via " ^ name) db
-      r.Pipeline.ind_result;
-    check_rhs_steps_reference ("F via " ^ name) db r.Pipeline.rhs_result;
-    r.Pipeline.rhs_result.Rhs_discovery.fds
+   elicited FD must be exactly the reference's verdicts *)
+let test_steps_match_reference () =
+  let db = Workload.Paper_example.database () in
+  let config =
+    {
+      Pipeline.default_config with
+      Pipeline.oracle = Workload.Paper_example.oracle ();
+      migrate_data = false;
+    }
   in
-  let expected = run ("1 domain", Relational.Engine.default) in
-  check_sorted_fds "2 domains agree on F" expected
-    (run ("2 domains", Relational.Engine.parallel ~domains:2 ()));
-  check_sorted_fds "4 domains agree on F" expected
-    (run ("4 domains", Relational.Engine.parallel ~domains:4 ()))
+  let r =
+    Pipeline.run ~config db
+      (Job_spec.Equijoins (Workload.Paper_example.equijoins ()))
+  in
+  check_ind_steps_reference "IND step" db r.Pipeline.ind_result;
+  check_rhs_steps_reference "F" db r.Pipeline.rhs_result
 
 let test_no_migration_config () =
   let db = Workload.Paper_example.database () in
@@ -211,7 +200,8 @@ let suite =
     Alcotest.test_case "paper: expert events" `Quick test_paper_events;
     Alcotest.test_case "paper: report renders" `Quick test_paper_report_renders;
     Alcotest.test_case "sql-scripts input" `Quick test_sql_scripts_input;
-    Alcotest.test_case "domain counts agree" `Quick test_domain_counts_agree;
+    Alcotest.test_case "IND and FD steps = reference" `Quick
+      test_steps_match_reference;
     Alcotest.test_case "no-migration config" `Quick test_no_migration_config;
     Alcotest.test_case "synthetic ground truth" `Quick test_synthetic_recovery;
     Alcotest.test_case "synthetic via programs" `Quick test_synthetic_from_programs;

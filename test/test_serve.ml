@@ -325,7 +325,7 @@ let test_budget_trip_is_typed () =
      daemon reports the typed resource-exhausted error over the wire *)
   let s =
     spec ~label:"tripped"
-      ~engine:(Engine.with_budget ~on_exhausted:`Fail Engine.default)
+      ~engine:(Engine.make ~on_exhausted:`Fail ())
       ~fuel:1 ()
   in
   with_server @@ fun server ->
@@ -641,7 +641,7 @@ let staged_interrupted_run ~ckpt base =
         {
           base with
           Job_spec.engine =
-            Engine.with_budget ~on_exhausted:`Fail Engine.default;
+            Engine.make ~on_exhausted:`Fail ();
           checkpoint_dir = Some ckpt;
           fuel = Some fuel;
         }
@@ -822,16 +822,17 @@ let test_mutate_refresh_matches_resubmit () =
 let test_max_jobs_bounded () =
   (* rejected before anything is bound or spawned: [start] is never
      called *)
+  Alcotest.(check int) "cap" 16 Server.max_jobs_cap;
   List.iter
     (fun max_jobs ->
       match Server.create ~max_jobs ~socket:(fresh_socket ()) () with
       | _ -> Alcotest.failf "max_jobs %d was accepted" max_jobs
       | exception Invalid_argument _ -> ())
-    [ -1; Engine.max_domains + 1 ];
+    [ -1; 17 ];
   List.iter
     (fun max_jobs ->
       ignore (Server.create ~max_jobs ~socket:(fresh_socket ()) ()))
-    [ 0; Engine.max_domains ]
+    [ 0; 16 ]
 
 let test_held_job_does_not_block_another () =
   (* one worker is stuck in a load; the other runs a second job to the
@@ -878,7 +879,7 @@ let test_poll_while_jobs_settle () =
   in
   let tripped =
     spec ~label:"tripped"
-      ~engine:(Engine.with_budget ~on_exhausted:`Fail Engine.default)
+      ~engine:(Engine.make ~on_exhausted:`Fail ())
       ~fuel:1 ()
   in
   let good i =

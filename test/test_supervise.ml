@@ -1,9 +1,8 @@
 (* The supervised execution runtime: token semantics and budget-tripped
    pipeline runs that degrade to typed partial results, checkpoint, and
-   resume to artifacts identical to an unbudgeted run. The fuel trip is deterministic and — by the
-   Supervise contract — lands on the same group boundary whatever the
-   domain count, which the randomized prefix suite asserts at 1/2/4
-   domains. *)
+   resume to artifacts identical to an unbudgeted run. The fuel trip is
+   deterministic and — by the Supervise contract — lands on a group
+   boundary, which the randomized prefix suite asserts. *)
 
 open Dbre
 module Engine = Relational.Engine
@@ -102,19 +101,12 @@ let test_csv_budget () =
       Alcotest.(check bool) "typed Resource_exhausted, no exception" true
         (e.Error.code = Error.Resource_exhausted)
 
-(* --- randomized cancellation: deterministic prefix at 1/2/4 domains --- *)
+(* --- randomized cancellation: deterministic prefix --- *)
 
-let engine_for domains =
-  if domains <= 1 then Engine.default
-  else Engine.make ~parallelism:(Engine.Domains domains) ()
-
-let run_with_fuel ~domains ~fuel =
+let run_with_fuel ~fuel =
   let g = generate () in
-  let config =
-    { Pipeline.default_config with Pipeline.engine = engine_for domains }
-  in
   match
-    Pipeline.run_checked ~config
+    Pipeline.run_checked
       ~supervise:(Supervise.create ~fuel ())
       g.Workload.Gen_schema.db
       (Job_spec.Equijoins g.Workload.Gen_schema.equijoins)
@@ -134,7 +126,7 @@ let test_cancellation_prefix () =
   let fuels = List.init 3 (fun _ -> 1 + Workload.Rng.int rng 30) in
   List.iter
     (fun fuel ->
-      let base = run_with_fuel ~domains:1 ~fuel in
+      let base = run_with_fuel ~fuel in
       let bi = base.Pipeline.ind_result in
       Alcotest.(check bool)
         (Printf.sprintf "fuel %d: IND steps are a prefix of the full run" fuel)
@@ -158,25 +150,7 @@ let test_cancellation_prefix () =
           Alcotest.(check bool)
             (Printf.sprintf "fuel %d: complete IND has no unverified" fuel)
             true
-            (bi.Ind_discovery.unverified = []));
-      (* same fuel, more domains: byte-identical partial artifacts *)
-      List.iter
-        (fun domains ->
-          let r = run_with_fuel ~domains ~fuel in
-          let ri = r.Pipeline.ind_result in
-          Alcotest.(check bool)
-            (Printf.sprintf "fuel %d @ %d domains: same trip boundary" fuel
-               domains)
-            true
-            (ri.Ind_discovery.steps = bi.Ind_discovery.steps
-            && ri.Ind_discovery.inds = bi.Ind_discovery.inds
-            && ri.Ind_discovery.unverified = bi.Ind_discovery.unverified
-            && ri.Ind_discovery.exhausted = bi.Ind_discovery.exhausted
-            && r.Pipeline.rhs_result.Rhs_discovery.unverified
-               = base.Pipeline.rhs_result.Rhs_discovery.unverified
-            && r.Pipeline.rhs_result.Rhs_discovery.fds
-               = base.Pipeline.rhs_result.Rhs_discovery.fds))
-        [ 2; 4 ])
+            (bi.Ind_discovery.unverified = [])))
     fuels
 
 (* --- graceful degradation end to end --- *)
@@ -347,7 +321,7 @@ let suite =
       test_token_unlimited;
     Alcotest.test_case "ingest: tripped token is a typed error" `Quick
       test_csv_budget;
-    Alcotest.test_case "cancellation prefix at 1/2/4 domains" `Quick
+    Alcotest.test_case "cancellation prefix" `Quick
       test_cancellation_prefix;
     Alcotest.test_case "partial run annotated in report and lint" `Quick
       test_partial_annotated;

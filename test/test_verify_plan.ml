@@ -1,10 +1,9 @@
-(* Verify_plan + Domain_pool: the batching planner must return exactly
-   what the per-candidate row-at-a-time reference returns — FD verdicts
-   in RHS order, IND count triples in probe order — and identical NEI
-   decisions at every domain count, on NULL-heavy and scaled
-   extensions, including right after an insert; and the pool must fall
-   back to in-order sequential execution on one domain, preserve result
-   order on many, and propagate task exceptions.
+(* Verify_plan: the batching planner must return exactly what the
+   per-candidate row-at-a-time reference returns — FD verdicts in RHS
+   order, IND count triples in probe order — on NULL-heavy and scaled
+   extensions, including right after an insert; poll its token once per
+   batch and once per probe; and answer batches run on two domains at
+   once like batches run alone.
 
    Deterministic by construction: tables come from seeded Workload.Rng
    streams and Workload.Gen_schema specs. *)
@@ -13,14 +12,6 @@ open Helpers
 open Relational
 open Deps
 module Rng = Workload.Rng
-
-let parallel_engines =
-  [
-    ("2 domains", Engine.parallel ~domains:2 ());
-    ("4 domains", Engine.parallel ~domains:4 ());
-  ]
-
-let engines = ("1 domain", Engine.default) :: parallel_engines
 
 let random_table rng ?(null_rate = 0.15) name attrs n_rows =
   let cell rng i =
@@ -113,15 +104,12 @@ let test_ind_batch_matches_naive () =
     let probes = List.init (Rng.int_in rng 1 6) (fun _ -> probe rng) in
     let probes = probes @ probes in
     let expected = naive_counts db probes in
-    List.iter
-      (fun (name, engine) ->
-        Column_store.drop_memos (Table.store t1);
-        Column_store.drop_memos (Table.store t2);
-        Alcotest.(check (list (triple int int int)))
-          (Printf.sprintf "round %d: ind_batch via %s" round name)
-          expected
-          (triples (Relational.Verify_plan.ind_batch ~engine db probes)))
-      engines
+    Column_store.drop_memos (Table.store t1);
+    Column_store.drop_memos (Table.store t2);
+    Alcotest.(check (list (triple int int int)))
+      (Printf.sprintf "round %d: ind_batch" round)
+      expected
+      (triples (Relational.Verify_plan.ind_batch db probes))
   done
 
 (* ---------- scaled workload: full stages agree, incl. NEI ---------- *)
@@ -137,8 +125,7 @@ let scaled_spec seed =
     }
 
 (* corrupt a planted reference so the elicitation hits real NEI
-   decision points, then require the identical decision trace (counts
-   triples, cases, INDs, FDs) at every domain count *)
+   decision points *)
 let corrupted_workload () =
   let g = Workload.Gen_schema.generate (scaled_spec 77L) in
   let db = g.Workload.Gen_schema.db in
@@ -164,35 +151,18 @@ let nei_trace (r : Dbre.Ind_discovery.result) =
     r.Dbre.Ind_discovery.steps
 
 let test_scaled_ind_discovery_agree () =
-  (* every run's counts and cases are the reference's; the multi-domain
-     runs must also repeat the sequential trace *)
-  let run (name, engine) =
-    let g = corrupted_workload () in
-    let db = g.Workload.Gen_schema.db in
-    let r =
-      Dbre.Ind_discovery.run ~engine
-        (Dbre.Oracle.threshold ~nei_ratio:0.8)
-        db g.Workload.Gen_schema.equijoins
-    in
-    check_ind_steps_reference (Printf.sprintf "NEI step via %s" name) db r;
-    r
+  (* every step's counts and case are the reference's *)
+  let g = corrupted_workload () in
+  let db = g.Workload.Gen_schema.db in
+  let r =
+    Dbre.Ind_discovery.run
+      (Dbre.Oracle.threshold ~nei_ratio:0.8)
+      db g.Workload.Gen_schema.equijoins
   in
-  let expected = run (List.hd engines) in
+  check_ind_steps_reference "NEI step" db r;
   Alcotest.(check bool)
     "corruption produced at least one NEI decision" true
-    (List.exists
-       (fun s -> contains ~sub:"nei" s)
-       (nei_trace expected));
-  List.iter
-    (fun (name, engine) ->
-      let r = run (name, engine) in
-      Alcotest.(check (list string))
-        (Printf.sprintf "NEI trace via %s" name)
-        (nei_trace expected) (nei_trace r);
-      check_sorted_inds
-        (Printf.sprintf "INDs via %s" name)
-        expected.Dbre.Ind_discovery.inds r.Dbre.Ind_discovery.inds)
-    parallel_engines
+    (List.exists (fun s -> contains ~sub:"nei" s) (nei_trace r))
 
 let test_scaled_rhs_discovery_agree () =
   let lhs_of g =
@@ -200,29 +170,16 @@ let test_scaled_rhs_discovery_agree () =
       (fun (i : Ind.t) -> Attribute.make i.Ind.lhs_rel i.Ind.lhs_attrs)
       g.Workload.Gen_schema.truth.Workload.Gen_schema.planted_inds
   in
-  (* every (lhs, candidate) verdict is the reference's; the
-     multi-domain runs must also repeat the sequential F *)
-  let run (name, engine) =
-    let g = Workload.Gen_schema.generate (scaled_spec 83L) in
-    let db = g.Workload.Gen_schema.db in
-    let r =
-      Dbre.Rhs_discovery.run ~engine Dbre.Oracle.automatic db ~lhs:(lhs_of g)
-        ~hidden:[]
-    in
-    check_rhs_steps_reference (Printf.sprintf "F via %s" name) db r;
-    r
+  (* every (lhs, candidate) verdict is the reference's *)
+  let g = Workload.Gen_schema.generate (scaled_spec 83L) in
+  let db = g.Workload.Gen_schema.db in
+  let r =
+    Dbre.Rhs_discovery.run Dbre.Oracle.automatic db ~lhs:(lhs_of g) ~hidden:[]
   in
-  let expected = run (List.hd engines) in
+  check_rhs_steps_reference "F" db r;
   Alcotest.(check bool)
     "workload elicits at least one FD" true
-    (expected.Dbre.Rhs_discovery.fds <> []);
-  List.iter
-    (fun (name, engine) ->
-      check_sorted_fds
-        (Printf.sprintf "F via %s" name)
-        expected.Dbre.Rhs_discovery.fds
-        (run (name, engine)).Dbre.Rhs_discovery.fds)
-    parallel_engines
+    (r.Dbre.Rhs_discovery.fds <> [])
 
 (* ---------- batches stay correct across cache invalidation ---------- *)
 
@@ -239,11 +196,10 @@ let test_batch_after_invalidation () =
     let db = db_rows t in
     let lhs = [ Rng.pick rng attrs6 ] in
     let rhs = List.filter (fun a -> not (List.mem a lhs)) attrs6 in
-    let engine = Engine.default in
     (* warm the memoized store with a first batch + counts *)
     ignore (Relational.Verify_plan.fd_group t ~lhs ~rhs);
     ignore
-      (Relational.Verify_plan.ind_batch ~engine db
+      (Relational.Verify_plan.ind_batch db
          [ (("T", lhs), ("T", [ List.hd rhs ])) ]);
     (* the insert is absorbed by the memoized store's delta refresh;
        the next batch must see the new row *)
@@ -262,136 +218,138 @@ let test_batch_after_invalidation () =
     Alcotest.(check (list (triple int int int)))
       (Printf.sprintf "round %d: ind_batch after insert" round)
       (naive_counts db probes)
-      (triples (Relational.Verify_plan.ind_batch ~engine db probes))
+      (triples (Relational.Verify_plan.ind_batch db probes))
   done
 
-(* ---------- Domain_pool ---------- *)
+(* ---------- the batch contract: order, supervision, errors ---------- *)
 
-(* size-1 pool: pure sequential fallback, in submission order, on the
-   calling domain *)
-let test_pool_sequential_fallback () =
-  let pool = Domain_pool.create 1 in
-  Alcotest.(check int) "size" 1 (Domain_pool.size pool);
-  let order = ref [] in
-  let self = Stdlib.Domain.self () in
-  Domain_pool.parallel_for pool 8 (fun i ->
-      Alcotest.(check bool)
-        "runs on the calling domain" true
-        (Stdlib.Domain.self () = self);
-      order := i :: !order);
-  Alcotest.(check (list int)) "in-order execution" [ 0; 1; 2; 3; 4; 5; 6; 7 ]
-    (List.rev !order);
-  Domain_pool.shutdown pool
+(* a fixed two-table database for the contract cases *)
+let contract_db seed =
+  let rng = Rng.create seed in
+  let t1 = random_table rng "L" [ "a"; "b"; "c" ] 30 in
+  let t2 = random_table rng "R" [ "u"; "v"; "w" ] 30 in
+  let db = Database.create (Schema.of_relations [ Table.schema t1; Table.schema t2 ]) in
+  Database.replace_table db t1;
+  Database.replace_table db t2;
+  db
 
-let test_pool_reuse_and_registry () =
-  (* Engine.pool: no pool for sequential engines, one shared persistent
-     pool per size otherwise *)
-  Alcotest.(check bool)
-    "sequential engine has no pool" true
-    (Engine.pool Engine.default = None);
-  Alcotest.(check bool)
-    "1-domain engine has no pool" true
-    (Engine.pool (Engine.make ~parallelism:(Engine.Domains 1) ()) = None);
+let contract_probes =
+  [
+    (("L", [ "a" ]), ("R", [ "u" ]));
+    (("L", [ "b" ]), ("R", [ "v" ]));
+    (("L", [ "a"; "c" ]), ("R", [ "u"; "w" ]));
+    (("R", [ "w" ]), ("L", [ "c" ]));
+  ]
+
+(* answers follow submission order: a permuted batch is answered by the
+   same permutation, for IND probes and for FD right-hand sides *)
+let test_submission_order () =
+  let db = contract_db 61L in
+  let forward = triples (Relational.Verify_plan.ind_batch db contract_probes) in
+  let backward =
+    triples (Relational.Verify_plan.ind_batch db (List.rev contract_probes))
+  in
+  Alcotest.(check (list (triple int int int)))
+    "reversed probes, reversed answers" (List.rev forward) backward;
+  let t = Database.table db "L" in
+  let forward = Relational.Verify_plan.fd_group t ~lhs:[ "a" ] ~rhs:[ "b"; "c" ] in
+  let backward = Relational.Verify_plan.fd_group t ~lhs:[ "a" ] ~rhs:[ "c"; "b" ] in
+  Alcotest.(check (list (pair string bool)))
+    "reversed rhs, reversed verdicts" (List.rev forward) backward
+
+(* a probe and its mirror count the same join, with the sides' distinct
+   counts swapped *)
+let test_mirrored_probe () =
+  let db = contract_db 67L in
+  let mirrored = List.map (fun (l, r) -> (r, l)) contract_probes in
+  List.iter2
+    (fun (l, r, j) (l', r', j') ->
+      Alcotest.(check (triple int int int)) "mirror swaps the sides" (r, l, j)
+        (l', r', j'))
+    (triples (Relational.Verify_plan.ind_batch db contract_probes))
+    (triples (Relational.Verify_plan.ind_batch db mirrored))
+
+(* an empty batch is answered without a poll: even a token whose first
+   poll trips is left untouched *)
+let test_empty_batches () =
+  let db = contract_db 71L in
+  let s = Supervise.create ~fuel:0 () in
+  Alcotest.(check int) "no probes, no counts" 0
+    (List.length (Relational.Verify_plan.ind_batch ~supervise:s db []));
+  Alcotest.(check int) "no rhs, no verdicts" 0
+    (List.length
+       (Relational.Verify_plan.fd_group ~supervise:s (Database.table db "L")
+          ~lhs:[ "a" ] ~rhs:[]));
+  Alcotest.(check bool) "token never polled" true (Supervise.tripped s = None)
+
+(* one poll per batch and one per probe, none in the pre-pass: k probes
+   complete on k + 2 fuel and trip on k + 1 *)
+let test_ind_batch_fuel () =
+  let db = contract_db 73L in
+  let k = List.length contract_probes in
+  Alcotest.(check (list (triple int int int)))
+    "completes on k + 2 fuel" (naive_counts db contract_probes)
+    (triples
+       (Relational.Verify_plan.ind_batch
+          ~supervise:(Supervise.create ~fuel:(k + 2) ())
+          db contract_probes));
   match
-    ( Engine.pool (Engine.parallel ~domains:3 ()),
-      Engine.pool (Engine.parallel ~domains:3 ()) )
+    Relational.Verify_plan.ind_batch
+      ~supervise:(Supervise.create ~fuel:(k + 1) ())
+      db contract_probes
   with
-  | Some p1, Some p2 ->
-      Alcotest.(check bool) "same pool instance across calls" true (p1 == p2);
-      let before = Domain_pool.batches p1 in
-      Domain_pool.parallel_for p1 4 (fun _ -> ());
-      Domain_pool.parallel_for p1 4 (fun _ -> ());
-      Alcotest.(check int) "batches served by the one spawn" (before + 2)
-        (Domain_pool.batches p1)
-  | _ -> Alcotest.fail "parallel engine must expose a pool"
+  | _ -> Alcotest.fail "expected Supervise.Interrupt on k + 1 fuel"
+  | exception Supervise.Interrupt Supervise.Cancelled -> ()
 
-exception Boom of int
-
-let test_pool_exception_propagation () =
-  List.iter
-    (fun size ->
-      let pool = Domain_pool.create size in
-      (match
-         Domain_pool.parallel_for pool 16 (fun i ->
-             if i = 11 then raise (Boom i))
-       with
-      | () -> Alcotest.fail "expected the task exception to re-raise"
-      | exception Boom 11 -> ());
-      (* the pool survives a failed batch *)
-      let hits = Atomic.make 0 in
-      Domain_pool.parallel_for pool 16 (fun _ ->
-          ignore (Atomic.fetch_and_add hits 1));
-      Alcotest.(check int)
-        (Printf.sprintf "pool of %d usable after failure" size)
-        16 (Atomic.get hits);
-      Domain_pool.shutdown pool)
-    [ 1; 4 ]
-
-(* a tripped token: the batch runs no task and re-raises the latched
-   verdict, on the sequential fallback and on worker domains alike *)
-let test_pool_cancelled_token size () =
-  let pool = Domain_pool.create size in
+(* a cancelled token stops both batch kinds before any answer *)
+let test_cancelled_batches () =
+  let db = contract_db 79L in
   let s = Supervise.create () in
   Supervise.cancel s;
-  let ran = Atomic.make 0 in
-  (match
-     Domain_pool.parallel_for ~supervise:s pool 16 (fun _ ->
-         ignore (Atomic.fetch_and_add ran 1))
-   with
-  | () -> Alcotest.fail "expected Supervise.Interrupt"
+  (match Relational.Verify_plan.ind_batch ~supervise:s db contract_probes with
+  | _ -> Alcotest.fail "ind_batch: expected Supervise.Interrupt"
   | exception Supervise.Interrupt Supervise.Cancelled -> ());
-  Alcotest.(check int)
-    (Printf.sprintf "pool of %d runs no task" size)
-    0 (Atomic.get ran);
-  Domain_pool.shutdown pool
+  match
+    Relational.Verify_plan.fd_group ~supervise:s (Database.table db "L")
+      ~lhs:[ "a" ] ~rhs:[ "b"; "c" ]
+  with
+  | _ -> Alcotest.fail "fd_group: expected Supervise.Interrupt"
+  | exception Supervise.Interrupt Supervise.Cancelled -> ()
 
-(* idempotent shutdown: the second call returns at once, after a pool
-   that served batches and after one that never did *)
-let test_pool_shutdown_twice () =
-  List.iter
-    (fun size ->
-      let pool = Domain_pool.create size in
-      let hits = Atomic.make 0 in
-      Domain_pool.parallel_for pool 16 (fun _ ->
-          ignore (Atomic.fetch_and_add hits 1));
-      Domain_pool.shutdown pool;
-      Alcotest.(check int)
-        (Printf.sprintf "pool of %d ran its batch before shutdown" size)
-        16 (Atomic.get hits);
-      Domain_pool.shutdown pool;
-      Alcotest.(check int)
-        (Printf.sprintf "second shutdown of pool of %d serves nothing" size)
-        1 (Domain_pool.batches pool);
-      let idle = Domain_pool.create size in
-      Domain_pool.shutdown idle;
-      Domain_pool.shutdown idle)
-    [ 1; 4 ]
+(* sides that do not resolve raise, as the interface states *)
+let test_unresolved_sides () =
+  let db = contract_db 83L in
+  (match
+     Relational.Verify_plan.ind_batch db [ (("L", [ "a" ]), ("Nowhere", [ "u" ])) ]
+   with
+  | _ -> Alcotest.fail "unknown relation: expected Not_found"
+  | exception Not_found -> ());
+  match
+    Relational.Verify_plan.ind_batch db [ (("L", [ "zz" ]), ("R", [ "u" ])) ]
+  with
+  | _ -> Alcotest.fail "unknown attribute: expected Invalid_argument"
+  | exception Invalid_argument _ -> ()
 
-(* the daemon's worker domains share registry pools: batches submitted
-   from two submitters at once, sys-threads of one domain or two
-   domains, queue on the pool and each completes as if it ran alone.
-   [spawn f] starts [f] and returns its join. *)
-let test_pool_concurrent_submitters ~spawn () =
-  let pool = Domain_pool.get 2 in
-  let before = Domain_pool.batches pool in
-  let rounds = 50 in
-  let submitter k () =
+(* the daemon runs jobs on worker domains: batches over separate
+   databases, on two domains at once, each get the reference counts *)
+let test_batches_on_two_domains () =
+  let run seed () =
+    let db = contract_db seed in
     let ok = ref true in
-    for r = 1 to rounds do
-      let input = Array.init 64 (fun i -> (k * 1000) + r + i) in
-      let out = Array.make 64 0 in
-      Domain_pool.parallel_for pool 64 (fun i -> out.(i) <- input.(i) * 2);
-      if out <> Array.map (fun x -> x * 2) input then ok := false
+    for _ = 1 to 20 do
+      List.iter
+        (fun rel -> Column_store.drop_memos (Table.store (Database.table db rel)))
+        [ "L"; "R" ];
+      if
+        triples (Relational.Verify_plan.ind_batch db contract_probes)
+        <> naive_counts db contract_probes
+      then ok := false
     done;
     !ok
   in
-  let results = Array.make 2 false in
-  let joins = List.init 2 (fun k -> spawn (fun () -> results.(k) <- submitter k ())) in
-  List.iter (fun join -> join ()) joins;
-  Alcotest.(check (array bool)) "every batch result correct" [| true; true |]
-    results;
-  Alcotest.(check int) "one batch per submission" (before + (2 * rounds))
-    (Domain_pool.batches pool)
+  let domains = List.map (fun seed -> Stdlib.Domain.spawn (run seed)) [ 89L; 97L ] in
+  Alcotest.(check (list bool)) "every batch matches the reference" [ true; true ]
+    (List.map Stdlib.Domain.join domains)
 
 let suite =
   [
@@ -407,24 +365,16 @@ let suite =
       test_scaled_rhs_discovery_agree;
     Alcotest.test_case "batches see inserts" `Quick
       test_batch_after_invalidation;
-    Alcotest.test_case "pool: 1-domain sequential fallback" `Quick
-      test_pool_sequential_fallback;
-    Alcotest.test_case "pool: persistent + engine registry" `Quick
-      test_pool_reuse_and_registry;
-    Alcotest.test_case "pool: cancelled token runs no task (1 domain)" `Quick
-      (test_pool_cancelled_token 1);
-    Alcotest.test_case "pool: cancelled token runs no task (4 domains)" `Quick
-      (test_pool_cancelled_token 4);
-    Alcotest.test_case "pool: second shutdown is a no-op" `Quick
-      test_pool_shutdown_twice;
-    Alcotest.test_case "pool: concurrent submitters share a pool" `Quick
-      (test_pool_concurrent_submitters ~spawn:(fun f ->
-           let th = Thread.create f () in
-           fun () -> Thread.join th));
-    Alcotest.test_case "pool: submitters on two domains share a pool" `Quick
-      (test_pool_concurrent_submitters ~spawn:(fun f ->
-           let d = Stdlib.Domain.spawn f in
-           fun () -> Stdlib.Domain.join d));
-    Alcotest.test_case "pool: task exceptions propagate" `Quick
-      test_pool_exception_propagation;
+    Alcotest.test_case "answers follow submission order" `Quick
+      test_submission_order;
+    Alcotest.test_case "mirrored probe swaps the sides" `Quick
+      test_mirrored_probe;
+    Alcotest.test_case "empty batches poll nothing" `Quick test_empty_batches;
+    Alcotest.test_case "ind_batch: one poll per batch and probe" `Quick
+      test_ind_batch_fuel;
+    Alcotest.test_case "cancelled token stops both batches" `Quick
+      test_cancelled_batches;
+    Alcotest.test_case "unresolved sides raise" `Quick test_unresolved_sides;
+    Alcotest.test_case "batches on two domains at once" `Quick
+      test_batches_on_two_domains;
   ]
