@@ -387,9 +387,12 @@ let b13 () =
   let cold () = Column_store.drop_memos (Table.store table) in
   let batched () = Deps.Fd_infer.holds_all table ~lhs ~rhs in
   cold ();
+  let verdicts_agree = per_candidate () = batched () in
   Printf.printf "  fd batch: %d rows, 1 LHS x %d RHS; verdicts agree: %b\n"
-    (Table.cardinality table) (List.length rhs)
-    (per_candidate () = batched ());
+    (Table.cardinality table) (List.length rhs) verdicts_agree;
+  record ~target:1.0 "fd-batch/verdicts-agree"
+    (if verdicts_agree then 1.0 else 0.0)
+    "bool";
   let unbatched_ns = b13_time reps per_candidate in
   let batched_ns = b13_time ~setup:cold reps batched in
   Printf.printf
@@ -420,6 +423,7 @@ let b13 () =
   let agree = per_probe () = batched_probes () in
   Printf.printf "  ind batch: %d probes; counts agree: %b\n"
     (List.length probes) agree;
+  record ~target:1.0 "ind-batch/counts-agree" (if agree then 1.0 else 0.0) "bool";
   let per_probe_ns = b13_time reps per_probe in
   let ind_batch_ns = b13_time reps batched_probes in
   Printf.printf "  ind batch: per-probe %s, batched %s -> %.1fx\n"

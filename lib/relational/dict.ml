@@ -42,6 +42,9 @@ type t = {
       (* built on first need and kept exact; a column with none reads
          its plane instead (see [intern]) *)
   mutable scanned : int;  (* entries [intern] has read with no table *)
+  mutable asc : bool;
+      (* the plane is [Ints] or empty, each entry above the one before:
+         a key above the last is new, one outside the range absent *)
 }
 
 let create () =
@@ -54,6 +57,7 @@ let create () =
     vals = [||];
     tab = None;
     scanned = 0;
+    asc = true;
   }
 
 let length d = d.len
@@ -317,6 +321,7 @@ let admit d p =
     let had_tab = Option.is_some d.tab in
     if d.len = 1 then begin
       d.plane <- p;
+      d.asc <- p = Ints;
       d.ints <- [||];
       d.arena <- Bytes.empty;
       d.offs <- [||];
@@ -328,6 +333,7 @@ let admit d p =
         vals.(c) <- get d c
       done;
       d.plane <- Values;
+      d.asc <- false;
       d.vals <- vals;
       d.ints <- [||];
       d.arena <- Bytes.empty;
@@ -346,11 +352,25 @@ let find_boxed d v =
   let t = table d in
   hit t (value_slot d t (value_frag v) v)
 
+(* [n] is above every entry of an ascending plane *)
+let above d n = d.asc && (d.len = 1 || n > d.ints.(d.len - 1))
+
+(* [n] lies outside an ascending plane's range, so is absent *)
+let outside d n = above d n || (d.asc && n < d.ints.(1))
+
 let find_int d n =
   match d.plane with
-  | Ints ->
-      let t = table d in
-      hit t (int_slot d t (int_frag n) n)
+  | Ints -> (
+      match d.tab with
+      | None when outside d n -> -1
+      | _ ->
+          (* an in-range key of a sequential run sits at its home slot;
+             past it, the range answers a miss that would walk the run *)
+          let t = table d and f = int_frag n in
+          let w = t.slots.(f land (Array.length t.slots - 1)) in
+          if w <> 0 && frag_of w = f && d.ints.(code_of w) = n then code_of w
+          else if outside d n then -1
+          else hit t (int_slot d t f n))
   | Values -> find_boxed d (Value.Int n)
   | Empty | Strs -> -1
 
@@ -388,10 +408,14 @@ let included d1 d2 =
    more insert would take past three-quarters full, so the empty slot a
    probe stops at stays valid until one insert: a miss is *staged*
    there (its entry written past the plane's end, its slot still empty,
-   so no probe sees it) and [commit] takes it as the next code. *)
+   so no probe sees it) and [commit] takes it as the next code. An
+   ascending plane with no table stages a key above its last entry with
+   no slot; the first other key builds the table, which [table] makes
+   with room for one insert. *)
 let reserve d =
-  let t = table d in
-  if 4 * (t.size + 1) > 3 * Array.length t.slots then grow t
+  if not (d.asc && d.tab = None) then
+    let t = table d in
+    if 4 * (t.size + 1) > 3 * Array.length t.slots then grow t
 
 let stage t i f =
   t.st_slot <- i;
@@ -401,6 +425,10 @@ let stage t i f =
 let rec probe_int d n =
   admit d Ints;
   if d.plane <> Ints then probe_value d (Value.Int n)
+  else if d.tab = None && above d n then begin
+    write_int d n;
+    -1
+  end
   else
     let t = table d and f = int_frag n in
     let i = int_slot d t f n in
@@ -441,13 +469,17 @@ and probe_value d v =
 
 (* take the entry written at code [len] as that code *)
 let take d =
+  if d.asc && d.len > 1 then d.asc <- d.ints.(d.len) > d.ints.(d.len - 1);
   d.len <- d.len + 1;
   d.len - 1
 
+(* with no table, the miss was staged above an ascending plane *)
 let commit d =
-  let t = table d in
-  t.slots.(t.st_slot) <- word t.st_frag d.len;
-  t.size <- t.size + 1;
+  (match d.tab with
+  | Some t ->
+      t.slots.(t.st_slot) <- word t.st_frag d.len;
+      t.size <- t.size + 1
+  | None -> ());
   take d
 
 (* the code of [v] in [d], or -1, by reading the plane; also the
@@ -481,6 +513,7 @@ let push d v =
 let intern d v =
   match (v, d.tab) with
   | Value.Null, _ -> 0
+  | Value.Int n, None when above d n -> push d v
   | _, None when d.scanned < d.len ->
       let c, read = scan d v in
       d.scanned <- d.scanned + read;
@@ -506,6 +539,9 @@ let push_from d src c =
 (* ------------------------------------------------------------------ *)
 (* deletes                                                             *)
 (* ------------------------------------------------------------------ *)
+
+(* entries [c .. hi-1] of [a] (c >= 2), each above the one before *)
+let rec ascending a c hi = c >= hi || (a.(c) > a.(c - 1) && ascending a (c + 1) hi)
 
 (* the slot holding code [c] (present), found by its slot word *)
 let slot_of_code d t c =
@@ -552,7 +588,8 @@ let reclaim d ~lo remap ~next =
   (match d.plane with
   | Ints ->
       let moved = Array.sub d.ints lo n in
-      Array.iteri (fun j c -> if c >= 0 then d.ints.(c) <- moved.(j)) remap
+      Array.iteri (fun j c -> if c >= 0 then d.ints.(c) <- moved.(j)) remap;
+      d.asc <- d.asc && ascending d.ints (max 2 lo) next
   | Values ->
       let moved = Array.sub d.vals lo n in
       Array.iteri (fun j c -> if c >= 0 then d.vals.(c) <- moved.(j)) remap;
@@ -579,8 +616,11 @@ let select d order n =
   let e = create () in
   if n > 1 then begin
     e.plane <- d.plane;
+    e.asc <- false;
     match d.plane with
-    | Ints -> e.ints <- Array.init n (fun i -> if i = 0 then 0 else d.ints.(order.(i)))
+    | Ints ->
+        e.ints <- Array.init n (fun i -> if i = 0 then 0 else d.ints.(order.(i)));
+        e.asc <- ascending e.ints 2 n
     | Strs ->
         let total = ref 0 in
         for i = 1 to n - 1 do

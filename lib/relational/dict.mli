@@ -11,7 +11,12 @@
     slot, 30 bits of the key's hash and the code, at most
     three-quarters full: a key is confirmed against the plane at the
     slot's code. Growing a table past 2^30 slots raises
-    [Invalid_argument], so the codes a slot holds fit in 32 bits.
+    [Invalid_argument], so the codes a slot holds fit in 32 bits. An
+    [Int] plane whose entries each exceed the one before (an ascending
+    surrogate id) needs no table while it stays so: a key above the
+    last entry is new, and one below the first or above the last is
+    absent. Its table is built by the first key at or below the last
+    entry, or by a lookup of a key inside its range.
 
     Identity is that of a polymorphic hashtable ([Stdlib.compare _ _ =
     0]): [Int 1] and [Float 1.0] are two entries, every NaN is one.
@@ -54,13 +59,16 @@ val heap_words : t -> int
 (** {2 Lookups} *)
 
 val index : t -> unit
-(** Build the intern table now if there is none. After it, lookups
-    only read, so several domains may probe one dictionary. *)
+(** Build the intern table now if there is none, ascending plane or
+    not. After it, lookups only read, so several domains may probe one
+    dictionary. *)
 
 val find_in : t -> t -> int -> int
 (** [find_in d src c] is the code in [d] of [src]'s entry [c], or -1;
-    builds [d]'s table if it has none. Reads both planes directly
-    when they are of one kind. *)
+    builds [d]'s table if it has none, except for an [Int] key outside
+    an ascending plane's range, which is -1 with no table built and no
+    slot read past the key's home. Reads both planes directly when they
+    are of one kind. *)
 
 val included : t -> t -> bool
 (** [included d1 d2]: every entry of [d1] is one of [d2]'s. *)
@@ -76,7 +84,10 @@ val included : t -> t -> bool
 
 val reserve : t -> unit
 (** Build the table if there is none, and grow it if one more insert
-    would take it past three-quarters full. *)
+    would take it past three-quarters full. An ascending plane with no
+    table builds nothing: a probe above its last entry stages the miss
+    with no slot, and any other probe builds the table with room for
+    the one insert. *)
 
 val probe_int : t -> int -> int
 val probe_bytes : t -> bytes -> int -> int -> int
@@ -87,12 +98,16 @@ val probe_value : t -> Value.t -> int
 (** NULL is always 0. *)
 
 val commit : t -> int
-(** Take the staged miss as the next code, and return it. *)
+(** Take the staged miss as the next code, and return it. With no
+    table (a miss staged above an ascending plane) it only takes the
+    code. *)
 
 val intern : t -> Value.t -> int
 (** The code of a value, interning it on a miss; NULL is 0. A
     dictionary with no table reads its plane until its lookups have
-    read as many entries as it holds, and only then builds the table. *)
+    read as many entries as it holds, and only then builds the table;
+    an [Int] above an ascending plane's last entry is appended without
+    a read. *)
 
 val push_from : t -> t -> int -> int
 (** [push_from d src c] appends [src]'s entry [c], which the caller
