@@ -175,6 +175,15 @@ let section title =
 (* E-sections: the paper's artifacts                                    *)
 (* ------------------------------------------------------------------ *)
 
+(* a pipeline run the bench needs whole: a stage failure aborts it *)
+let run_ok = function
+  | Ok r -> r
+  | Error p -> raise (Error.Error p.Dbre.Pipeline.p_error)
+
+let run_pipeline ?config ?checkpoint_dir ?resume_from db input =
+  run_ok
+    (Dbre.Pipeline.run_checked ?config ?checkpoint_dir ?resume_from db input)
+
 let run_experiments () =
   section "E1: the paper's input (schema, K, N, Q) [section 5]";
   let schema = Workload.Paper_example.schema () in
@@ -184,7 +193,7 @@ let run_experiments () =
   Format.printf "Q =@.%a@." Dbre.Report.pp_equijoins
     (Workload.Paper_example.equijoins ());
 
-  let result = Workload.Paper_example.run () in
+  let result = run_ok (Dbre.Job.run (Workload.Paper_example.spec ())) in
 
   section "E2: IND-Discovery [section 6.1] - trace and elicited IND";
   Format.printf "%a@." Dbre.Report.pp_ind_steps
@@ -596,7 +605,7 @@ let b14 () =
       { Dbre.Pipeline.default_config with Dbre.Pipeline.migrate_data = false }
     in
     let r =
-      Dbre.Pipeline.run ~config db
+      run_pipeline ~config db
         (Dbre.Job_spec.Equijoins g.Workload.Gen_schema.equijoins)
     in
     Format.asprintf "F=%a@.H=%a@.IND=%a@.RIC=%a@." Dbre.Report.pp_fds
@@ -696,7 +705,7 @@ let b15 () =
   let full =
     let g = Workload.Gen_schema.generate spec in
     render
-      (Dbre.Pipeline.run ~config g.Workload.Gen_schema.db
+      (run_pipeline ~config g.Workload.Gen_schema.db
          (Dbre.Job_spec.Equijoins g.Workload.Gen_schema.equijoins))
   in
   let dir =
@@ -724,7 +733,7 @@ let b15 () =
   let resumed =
     let g = Workload.Gen_schema.generate spec in
     render
-      (Dbre.Pipeline.run ~config ~checkpoint_dir:dir ~resume_from:dir
+      (run_pipeline ~config ~checkpoint_dir:dir ~resume_from:dir
          g.Workload.Gen_schema.db
          (Dbre.Job_spec.Equijoins g.Workload.Gen_schema.equijoins))
   in
@@ -932,7 +941,7 @@ let b17 () =
     let g = Workload.Gen_schema.generate spec in
     let t0 = Unix.gettimeofday () in
     let r =
-      Dbre.Pipeline.run
+      run_pipeline
         ~config:{ Dbre.Pipeline.default_config with workload_flow = flow }
         g.Workload.Gen_schema.db input
     in
@@ -970,7 +979,7 @@ let b17 () =
   let default_run, _ =
     let g = Workload.Gen_schema.generate spec in
     let t0 = Unix.gettimeofday () in
-    let r = Dbre.Pipeline.run g.Workload.Gen_schema.db input in
+    let r = run_pipeline g.Workload.Gen_schema.db input in
     (r, Unix.gettimeofday () -. t0)
   in
   let identical =
@@ -1034,7 +1043,7 @@ let b18 () =
   let input = Dbre.Job_spec.Equijoins g.Workload.Gen_schema.equijoins in
   let db = g.Workload.Gen_schema.db in
   let t0 = Unix.gettimeofday () in
-  ignore (Dbre.Pipeline.run ~config db input);
+  ignore (run_pipeline ~config db input);
   let warm_s = Unix.gettimeofday () -. t0 in
   mutate db;
   let t0 = Unix.gettimeofday () in
@@ -1055,7 +1064,7 @@ let b18 () =
     (fun rel -> Column_store.drop_memos (Table.store (Database.table hdb rel.Relation.name)))
     (Schema.relations (Database.schema hdb));
   let t0 = Unix.gettimeofday () in
-  let full = Dbre.Pipeline.run ~config hdb input in
+  let full = run_pipeline ~config hdb input in
   let full_s = Unix.gettimeofday () -. t0 in
   let identical = Dbre.Report.artifacts full = refreshed in
   Printf.printf
@@ -1113,18 +1122,18 @@ let b19 () =
      the restructured relations' own stores to the residency numbers
      this group isolates *)
   let config = { Dbre.Pipeline.default_config with migrate_data = false } in
-  let run_pipeline () =
+  let artifacts () =
     let g = Workload.Gen_schema.generate spec in
     let input = Dbre.Job_spec.Equijoins g.Workload.Gen_schema.equijoins in
     Dbre.Report.artifacts
-      (Dbre.Pipeline.run ~config g.Workload.Gen_schema.db input)
+      (run_pipeline ~config g.Workload.Gen_schema.db input)
   in
   (* budgeted run first (see heap note above) *)
   Ooc.reset_stats ();
   let t0 = Unix.gettimeofday () in
   let spilled_arts =
     Ooc.with_config ~spill_dir ~resident_budget_words:budget_words
-      ~segment_rows:seg_rows run_pipeline
+      ~segment_rows:seg_rows artifacts
   in
   let spilled_s = Unix.gettimeofday () -. t0 in
   let spilled_top = (Gc.quick_stat ()).Gc.top_heap_words in
@@ -1135,7 +1144,7 @@ let b19 () =
   Gc.full_major ();
   Ooc.reset_stats ();
   let t0 = Unix.gettimeofday () in
-  let ram_arts = Ooc.with_config ~segment_rows:seg_rows run_pipeline in
+  let ram_arts = Ooc.with_config ~segment_rows:seg_rows artifacts in
   let ram_s = Unix.gettimeofday () -. t0 in
   let ram_top = (Gc.quick_stat ()).Gc.top_heap_words in
   (* with no budget nothing evicts: resident words = the packed extension *)

@@ -41,8 +41,9 @@ let handle_errors ?hint f =
 let oracle_arg =
   let doc =
     "Expert-user mode: 'auto' (accept data verdicts), 'skeptical' (refuse \
-     hidden objects), 'interactive' (prompt on stdin), or \
-     'threshold:<ratio>' (force NEIs whose overlap exceeds the ratio)."
+     hidden objects), 'interactive' (prompt on stdin; the daemon refuses \
+     it), or 'threshold:<ratio>' (force NEIs whose overlap exceeds the \
+     ratio)."
   in
   Arg.(value & opt string "auto" & info [ "oracle" ] ~docv:"MODE" ~doc)
 
@@ -213,22 +214,10 @@ let example_cmd =
     | None ->
         Printf.eprintf "unknown scenario %S (try: %s)\n" scenario
           (String.concat ", "
-             (List.map
-                (fun s -> s.Workload.Scenarios.name)
-                Workload.Scenarios.all));
+             (List.map (fun s -> s.Workload.Scenarios.name) Workload.Scenarios.all));
         1
     | Some s -> (
-        let db = s.Workload.Scenarios.database () in
-        let config =
-          {
-            Dbre.Pipeline.default_config with
-            Dbre.Pipeline.oracle = s.Workload.Scenarios.oracle ();
-          }
-        in
-        match
-          Dbre.Pipeline.run_checked ~config db
-            (Dbre.Job_spec.Programs s.Workload.Scenarios.programs)
-        with
+        match Dbre.Job.run (Workload.Scenarios.spec s) with
         | Ok result ->
             report_result ?dot ?markdown result;
             0
@@ -305,21 +294,6 @@ let print_verification_lint result =
     Format.eprintf "--- lint (verification) ---@.%s"
       (Dbre_lint.Lint.render_text report)
 
-(* fold the per-run flags into one Job_spec — the exact value a daemon
-   submission would carry — handling the one oracle mode that cannot
-   live in a spec (interactive) as a Job.run override *)
-let spec_of_flags ?label ?data ?programs ?flow ?deadline ?max_heap_mb
-    ?on_exhausted ?checkpoint_dir ?resume ~ddl ~oracle ~lenient () =
-  let interactive = oracle = "interactive" in
-  match
-    Dbre.Job_spec.of_args ?label ~ddl ?data_dir:data ?programs_dir:programs
-      ?flow ~oracle:(if interactive then "auto" else oracle)
-      ?deadline ?max_heap_mb ?on_exhausted ~lenient ?checkpoint_dir ?resume ()
-  with
-  | Error _ as e -> e
-  | Ok spec ->
-      Ok (spec, if interactive then Some (Dbre.Oracle.interactive ()) else None)
-
 let analyze_cmd =
   let run ddl data programs oracle deadline max_heap_mb on_exhausted
       lenient spill_dir resident_budget segment_rows lint flow checkpoint_dir
@@ -327,13 +301,14 @@ let analyze_cmd =
     match
       Result.bind (configure_ooc spill_dir resident_budget segment_rows)
         (fun () ->
-          spec_of_flags ~ddl ~data ~programs ~flow ?deadline ?max_heap_mb
-            ~on_exhausted ?checkpoint_dir ~resume ~oracle ~lenient ())
+          Dbre.Job_spec.of_args ~ddl ~data_dir:data ~programs_dir:programs
+            ~flow ~oracle ?deadline ?max_heap_mb ~on_exhausted ?checkpoint_dir
+            ~resume ~lenient ())
     with
     | Error msg ->
         prerr_endline msg;
         1
-    | Ok (spec, oracle) -> (
+    | Ok spec -> (
         handle_errors ~hint:(not lenient) @@ fun () ->
         (* Job.run, with the lint printed between load and verification:
            one token bounds both, as Job.run's does *)
@@ -344,7 +319,7 @@ let analyze_cmd =
           | Ok (db, quarantine) ->
               if lint then print_workload_lint db spec.Dbre.Job_spec.workload;
               let outcome =
-                Dbre.Job.verify ?oracle ~supervise ~db ~quarantine spec
+                Dbre.Job.verify ~supervise ~db ~quarantine spec
               in
               if lint then Result.iter print_verification_lint outcome;
               outcome
@@ -374,11 +349,14 @@ let analyze_cmd =
 
 let inds_cmd =
   let run ddl data programs oracle lenient =
-    match spec_of_flags ~ddl ~data ~programs ~oracle ~lenient () with
+    match
+      Dbre.Job_spec.of_args ~ddl ~data_dir:data ~programs_dir:programs ~oracle
+        ~lenient ()
+    with
     | Error msg ->
         prerr_endline msg;
         1
-    | Ok (spec, oracle) -> (
+    | Ok spec -> (
         handle_errors ~hint:(not lenient) @@ fun () ->
         match Dbre.Job.database spec with
         | Error e -> report_error ~hint:(not lenient) e
@@ -388,11 +366,9 @@ let inds_cmd =
               Dbre.Pipeline.extract_equijoins db spec.Dbre.Job_spec.workload
             in
             Format.printf "Equi-joins:@.%a@.@." Dbre.Report.pp_equijoins joins;
-            let oracle =
-              match oracle with Some o -> o | None -> Dbre.Job_spec.oracle spec
-            in
             let r =
-              Dbre.Ind_discovery.run ~engine:spec.Dbre.Job_spec.engine oracle
+              Dbre.Ind_discovery.run ~engine:spec.Dbre.Job_spec.engine
+                (Dbre.Oracle.of_mode spec.Dbre.Job_spec.oracle)
                 db joins
             in
             Format.printf "Trace:@.%a@.@." Dbre.Report.pp_ind_steps
@@ -492,12 +468,15 @@ let migrate_cmd =
     Arg.(value & flag & info [ "verify" ] ~doc)
   in
   let run ddl data programs oracle lenient out verify =
-    match spec_of_flags ~ddl ~data ~programs ~oracle ~lenient () with
+    match
+      Dbre.Job_spec.of_args ~ddl ~data_dir:data ~programs_dir:programs ~oracle
+        ~lenient ()
+    with
     | Error msg ->
         prerr_endline msg;
         1
-    | Ok (spec, oracle) -> (
-        match Dbre.Job.run ?oracle spec with
+    | Ok spec -> (
+        match Dbre.Job.run spec with
         | Error p -> report_failure ~lenient p
         | Ok result -> (
             print_quarantine result.Dbre.Pipeline.quarantine;
@@ -617,13 +596,6 @@ let lint_cmd =
     in
     Arg.(value & opt string "error" & info [ "fail-on" ] ~docv:"SEVERITY" ~doc)
   in
-  let verify_pipeline ~config db programs =
-    match
-      Dbre.Pipeline.run_checked ~config db (Dbre.Job_spec.Programs programs)
-    with
-    | Ok result -> Ok (Dbre_lint.Lint.verify result)
-    | Error p -> Stdlib.Error p
-  in
   let run scenario ddl programs data json verify fail_on =
     match Dbre_lint.Diagnostic.severity_of_string fail_on with
     | None ->
@@ -663,18 +635,11 @@ let lint_cmd =
                   let rec verify_all acc = function
                     | [] -> finish acc
                     | s :: rest -> (
-                        let db = s.Workload.Scenarios.database () in
-                        let config =
-                          {
-                            Dbre.Pipeline.default_config with
-                            Dbre.Pipeline.oracle = s.Workload.Scenarios.oracle ();
-                          }
-                        in
-                        match
-                          verify_pipeline ~config db
-                            s.Workload.Scenarios.programs
-                        with
-                        | Ok r -> verify_all (Dbre_lint.Lint.merge acc r) rest
+                        match Dbre.Job.run (Workload.Scenarios.spec s) with
+                        | Ok r ->
+                            verify_all
+                              (Dbre_lint.Lint.merge acc (Dbre_lint.Lint.verify r))
+                              rest
                         | Stdlib.Error p -> report_partial p)
                   in
                   verify_all static scenarios)
@@ -926,13 +891,13 @@ let submit_cmd =
   let run socket ddl data programs label flow oracle deadline
       max_heap_mb on_exhausted lenient wait =
     match
-      spec_of_flags ?label ?data ?programs ~flow ?deadline ?max_heap_mb
-        ~on_exhausted ~ddl ~oracle ~lenient ()
+      Dbre.Job_spec.of_args ?label ~ddl ?data_dir:data ?programs_dir:programs
+        ~flow ~oracle ?deadline ?max_heap_mb ~on_exhausted ~lenient ()
     with
     | Error msg ->
         prerr_endline msg;
         1
-    | Ok (spec, _interactive) -> (
+    | Ok spec -> (
         with_client socket @@ fun client ->
         match Dbre_serve.Client.submit client spec with
         | Error e -> protocol_error e

@@ -94,7 +94,7 @@ let () =
   ignore (run_with "automatic (trusts data)" Dbre.Oracle.automatic);
 
   (* (v)/(vi): a threshold policy treats >=80% overlap as corruption *)
-  ignore (run_with "threshold 0.8" (Dbre.Oracle.threshold ~nei_ratio:0.8));
+  ignore (run_with "threshold 0.8" (Dbre.Oracle.of_mode (Threshold 0.8)));
 
   (* (iv): conceptualize the intersection as its own relation *)
   let conceptualizer =
@@ -113,7 +113,7 @@ let () =
   let scrambled_attr = List.hd tfd.Fd.rhs in
   let enforcing =
     {
-      (Dbre.Oracle.threshold ~nei_ratio:0.8) with
+      (Dbre.Oracle.of_mode (Threshold 0.8)) with
       Dbre.Oracle.enforce_fd =
         (fun ~rel ~lhs ~attr ->
           String.equal rel tfd.Fd.rel

@@ -45,7 +45,11 @@ let () =
   List.iter (fun i -> Format.printf "   %s@." (Ind.to_string i)) inds;
 
   Format.printf "@.== Query-guided elicitation (the paper's method) ==@.";
-  let result = Workload.Paper_example.run () in
+  let result =
+    match Dbre.Job.run (Workload.Paper_example.spec ()) with
+    | Ok r -> r
+    | Error p -> raise (Error.Error p.Dbre.Pipeline.p_error)
+  in
   let guided_fds = result.Dbre.Pipeline.rhs_result.Dbre.Rhs_discovery.fds in
   let guided_inds = result.Dbre.Pipeline.ind_result.Dbre.Ind_discovery.inds in
   Format.printf "%d equi-joins analyzed -> %d INDs, %d FDs@."

@@ -27,19 +27,9 @@ let () =
   let s = Workload.Scenarios.hospital in
   Format.printf "Scenario: %s@.%s@.@." s.Workload.Scenarios.name
     s.Workload.Scenarios.description;
-  let db = s.Workload.Scenarios.database () in
-  let original = Database.schema db in
-  let config =
-    {
-      Dbre.Pipeline.default_config with
-      Dbre.Pipeline.oracle = s.Workload.Scenarios.oracle ();
-    }
-  in
+  let original = Database.schema (s.Workload.Scenarios.database ()) in
   let result =
-    match
-      Dbre.Pipeline.run_checked ~config db
-        (Dbre.Job_spec.Programs s.Workload.Scenarios.programs)
-    with
+    match Dbre.Job.run (Workload.Scenarios.spec s) with
     | Ok r -> r
     | Error p ->
         Format.eprintf "pipeline failed: %a@." Relational.Error.pp

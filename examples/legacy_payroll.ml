@@ -75,17 +75,8 @@ let () =
         (String.concat ", " lonely));
 
   (* run the full method with the scenario's scripted expert *)
-  let config =
-    {
-      Dbre.Pipeline.default_config with
-      Dbre.Pipeline.oracle = scenario.Workload.Scenarios.oracle ();
-    }
-  in
   let result =
-    match
-      Dbre.Pipeline.run_checked ~config db
-        (Dbre.Job_spec.Programs scenario.Workload.Scenarios.programs)
-    with
+    match Dbre.Job.run (Workload.Scenarios.spec scenario) with
     | Ok r -> r
     | Error p ->
         Format.eprintf "pipeline failed: %a@." Relational.Error.pp

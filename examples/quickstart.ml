@@ -27,16 +27,19 @@ let () =
   Format.printf "Q (from the application programs):@.%a@.@."
     Dbre.Report.pp_equijoins q;
 
-  (* 3. The expert user. Scripted here so the run is deterministic; use
-     Dbre.Oracle.interactive () to answer the questions yourself, or
-     Dbre.Oracle.automatic for a hands-free run. *)
-  let oracle = Workload.Paper_example.oracle () in
+  (* 3. The expert user, as data. Scripted here so the run is
+     deterministic; Dbre.Oracle.Interactive answers the questions on the
+     terminal, Dbre.Oracle.Auto runs hands-free. *)
+  let oracle = Dbre.Oracle.Scripted Workload.Paper_example.oracle_script in
 
-  (* 4. Run the method. [run_checked] returns a typed partial result on
-     a stage failure instead of raising. *)
-  let config = { Dbre.Pipeline.default_config with Dbre.Pipeline.oracle } in
+  (* 4. Run the method on one job spec: the database as in-memory
+     sources, Q given directly. [Job.run] returns a typed partial result
+     on a stage failure instead of raising. *)
   let result =
-    match Dbre.Pipeline.run_checked ~config db (Dbre.Job_spec.Equijoins q) with
+    match
+      Dbre.Job.run
+        (Dbre.Job_spec.of_database ~oracle db (Dbre.Job_spec.Equijoins q))
+    with
     | Ok r -> r
     | Error p ->
         Format.eprintf "pipeline failed: %a@." Relational.Error.pp
@@ -91,29 +94,26 @@ let () =
   close_out oc;
   Format.printf "EER schema written to %s (render with: dot -Tpng)@." path;
 
-  (* 10. The same analysis as one serializable job. A Job_spec gathers
-     the DDL, one Source per relation's extension and the engine/oracle
-     options into a single value with a pinned JSON encoding; the
-     one-shot CLI and the `dbre serve` daemon both run exactly such
-     specs through Job.run, so what we get here is byte for byte what a
-     daemon client would fetch. The scripted expert cannot travel in a
-     spec, so it is passed to Job.run directly. *)
-  let fresh = Workload.Paper_example.database () in
+  (* 10. The same analysis from the programs, as JSON. A Job_spec has a
+     pinned JSON encoding, the scripted expert included; the one-shot
+     CLI and the `dbre serve` daemon both run exactly such specs through
+     Job.run, so what we get here from the decoded JSON is byte for byte
+     what a daemon client would fetch. *)
   let spec =
-    Dbre.Job_spec.make ~label:"quickstart"
-      ~sources:
-        (List.map
-           (fun (rel : Relation.t) ->
-             (rel.Relation.name, Source.in_memory (Database.table fresh rel.Relation.name)))
-           (Schema.relations (Database.schema fresh)))
-      ~ddl:Workload.Paper_example.ddl
+    Dbre.Job_spec.of_database ~label:"quickstart" ~oracle
+      (Workload.Paper_example.database ())
       (Dbre.Job_spec.Programs (Workload.Paper_example.programs ()))
   in
   Format.printf "@.Job spec: %s@." (Dbre.Job_spec.describe spec);
   Format.printf "serialized spec: %d bytes of JSON (submit with: dbre \
                  submit)@."
     (String.length (Dbre.Job_spec.to_string spec));
-  match Dbre.Job.run ~oracle:(Workload.Paper_example.oracle ()) spec with
+  let decoded =
+    match Dbre.Job_spec.of_string (Dbre.Job_spec.to_string spec) with
+    | Ok decoded -> decoded
+    | Error msg -> failwith msg
+  in
+  match Dbre.Job.run decoded with
   | Error p ->
       Format.eprintf "job failed: %a@." Relational.Error.pp p.Dbre.Pipeline.p_error;
       exit 1

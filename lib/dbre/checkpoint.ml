@@ -276,7 +276,7 @@ let rhs_step_of_json j =
 
 (* --- the inputs a checkpoint is bound to --- *)
 
-let inputs db equijoins ~migrate_data =
+let inputs db equijoins ~migrate_data ~oracle =
   let relations = Schema.relations (Database.schema db) in
   Json.Obj
     [
@@ -291,6 +291,7 @@ let inputs db equijoins ~migrate_data =
              relations) );
       ("equijoins", Json.List (List.map Job_spec.equijoin_to_json equijoins));
       ("migrate_data", Json.Bool migrate_data);
+      ("oracle", Job_spec.oracle_to_json oracle);
     ]
   |> Json.to_string |> Digest.string |> Digest.to_hex
 

@@ -4,8 +4,8 @@
     [<dir>/<n>-<stage>.ckpt] as one {!Relational.Json} document,
     [{"version":4,"stage":...,"inputs":...,"checksum":...,"payload":...}].
     [inputs] is the run's {!inputs} digest: a checkpoint restores only
-    into a run over the same schema, extension, equi-joins and
-    migration setting. The checksum is FNV-1a 64 over the compact
+    into a run over the same schema, extension, equi-joins, migration
+    setting and expert mode. The checksum is FNV-1a 64 over the compact
     rendering of the payload, verified on load against a re-rendering
     of the parsed payload — a file truncated or edited into something
     still parseable reads as corrupt. Writes are atomic (tmp file +
@@ -30,11 +30,7 @@
     graph has no deserializer): it stores the rendered schema for human
     inspection, and resume always recomputes Translate from the
     Restruct artifact — acceptable because Translate is deterministic
-    and cheap.
-
-    The oracle is not bound: it is a closure with no identity to
-    digest, so resuming under a different expert restores the first
-    expert's decisions. *)
+    and cheap. *)
 
 open Relational
 
@@ -52,11 +48,16 @@ val write_atomic : string -> string -> unit
     torn file. Raises [Sys_error] on IO failure. *)
 
 val inputs :
-  Database.t -> Sqlx.Equijoin.t list -> migrate_data:bool -> string
+  Database.t ->
+  Sqlx.Equijoin.t list ->
+  migrate_data:bool ->
+  oracle:Oracle.mode ->
+  string
 (** The hex digest every checkpoint of a run is bound to: the schema
     (relations, domains, [K] and [N]), each relation's extension
     ({!Relational.Column_store.digest}: dictionaries and codes), the
-    analyzed equi-joins and [migrate_data]. Take it before
+    analyzed equi-joins, [migrate_data] and the expert's mode
+    ({!Job_spec.oracle_to_json}; [Interactive] binds like any other). Take it before
     IND-Discovery adds conceptualized relations. One pass over the
     extension. *)
 

@@ -46,15 +46,13 @@ let database ?supervise ?progress (spec : Job_spec.t) =
       in
       load [] spec.Job_spec.sources)
 
-let config ?oracle ?progress (spec : Job_spec.t) =
+let config ?progress (spec : Job_spec.t) =
   {
-    Pipeline.oracle =
-      (match oracle with Some o -> o | None -> Job_spec.oracle spec);
+    Pipeline.oracle = Oracle.of_mode spec.Job_spec.oracle;
     engine = spec.Job_spec.engine;
     migrate_data = spec.Job_spec.migrate_data;
     workload_flow = spec.Job_spec.flow;
-    progress =
-      Option.map (fun f -> fun ev -> f (Stage ev)) progress;
+    progress = Option.map (fun f ev -> f (Stage ev)) progress;
   }
 
 (* a load failure wears the same shape as a first-stage failure: an
@@ -71,11 +69,11 @@ let load_failure e =
     p_error = e;
   }
 
-let verify ?oracle ?progress ?supervise ~db ~quarantine (spec : Job_spec.t) =
+let verify ?progress ?supervise ~db ~quarantine (spec : Job_spec.t) =
   let supervise =
     match supervise with Some s -> s | None -> Job_spec.supervisor spec
   in
-  let config = config ?oracle ?progress spec in
+  let config = config ?progress spec in
   let resume_from =
     if spec.Job_spec.resume then spec.Job_spec.checkpoint_dir else None
   in
@@ -83,20 +81,19 @@ let verify ?oracle ?progress ?supervise ~db ~quarantine (spec : Job_spec.t) =
     ?checkpoint_dir:spec.Job_spec.checkpoint_dir ?resume_from db
     spec.Job_spec.workload
 
-let run ?oracle ?progress ?supervise (spec : Job_spec.t) =
+let run ?progress ?supervise (spec : Job_spec.t) =
   let supervise =
     match supervise with Some s -> s | None -> Job_spec.supervisor spec
   in
   match database ~supervise ?progress spec with
   | Error e -> Error (load_failure e)
-  | Ok (db, quarantine) ->
-      verify ?oracle ?progress ~supervise ~db ~quarantine spec
+  | Ok (db, quarantine) -> verify ?progress ~supervise ~db ~quarantine spec
 
-let refresh ?oracle ?progress ?supervise ~db ~quarantine (spec : Job_spec.t) =
+let refresh ?progress ?supervise ~db ~quarantine (spec : Job_spec.t) =
   let supervise =
     match supervise with Some s -> s | None -> Job_spec.supervisor spec
   in
-  let config = config ?oracle ?progress spec in
+  let config = config ?progress spec in
   (* never resume: refresh_checked invalidates the checkpoint directory
      (mutation staled every stage artifact at once) *)
   Pipeline.refresh_checked ~config ~supervise ~quarantine

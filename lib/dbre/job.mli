@@ -4,10 +4,11 @@
     [Job] is the glue between a serialized spec and {!Pipeline}: it
     parses the spec's DDL, loads every source through
     {!Relational.Source.load} (honoring leniency and the spec's
-    budget), builds the {!Pipeline.config} the spec denotes, and runs
-    {!Pipeline.run_checked} under the spec's checkpoint/resume options.
-    Because both front ends call exactly this function with exactly the
-    spec, their artifacts are byte-identical by construction. *)
+    budget), builds the {!Pipeline.config} the spec denotes, expert
+    included ({!Oracle.of_mode}), and runs {!Pipeline.run_checked}
+    under the spec's checkpoint/resume options.
+    Both front ends call it with exactly the spec, so their artifacts
+    are byte-identical by construction. *)
 
 open Relational
 
@@ -28,20 +29,11 @@ val database :
     relation ([Unknown_relation]), and whatever {!Source.load} reports.
     Lenient specs quarantine bad tuples and collect the reports. *)
 
-val config :
-  ?oracle:Oracle.t -> ?progress:(event -> unit) -> Job_spec.t ->
-  Pipeline.config
-(** The {!Pipeline.config} the spec denotes, [flow] included. [?oracle]
-    overrides the spec's serialized oracle {e mode} with a live value —
-    how the CLI injects an interactive oracle that cannot travel in a
-    spec. Nothing else of a run is set outside the spec. *)
-
 val load_failure : Error.t -> Pipeline.partial
 (** A load error in the shape of a first-stage failure: no completed
     stages, no events. *)
 
 val verify :
-  ?oracle:Oracle.t ->
   ?progress:(event -> unit) ->
   ?supervise:Supervise.t ->
   db:Database.t ->
@@ -54,7 +46,6 @@ val verify :
     daemon) use this to re-verify without reloading. *)
 
 val refresh :
-  ?oracle:Oracle.t ->
   ?progress:(event -> unit) ->
   ?supervise:Supervise.t ->
   db:Database.t ->
@@ -68,7 +59,6 @@ val refresh :
     from scratch on the mutated extension. *)
 
 val run :
-  ?oracle:Oracle.t ->
   ?progress:(event -> unit) ->
   ?supervise:Supervise.t ->
   Job_spec.t ->

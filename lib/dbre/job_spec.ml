@@ -11,8 +11,6 @@ type workload =
   | Programs of string list
   | Sql_scripts of string list
 
-type oracle_spec = Auto | Skeptical | Threshold of float
-
 type t = {
   label : string option;
   ddl : string;
@@ -20,7 +18,7 @@ type t = {
   workload : workload;
   flow : bool;
   engine : Engine.t;
-  oracle : oracle_spec;
+  oracle : Oracle.mode;
   lenient : bool;
   migrate_data : bool;
   checkpoint_dir : string option;
@@ -29,7 +27,7 @@ type t = {
 }
 
 let make ?label ?(sources = []) ?(flow = false) ?(engine = Engine.default)
-    ?(oracle = Auto) ?(lenient = false) ?(migrate_data = true) ?checkpoint_dir
+    ?(oracle = Oracle.Auto) ?(lenient = false) ?(migrate_data = true) ?checkpoint_dir
     ?(resume = false) ?fuel ~ddl workload =
   {
     label;
@@ -46,25 +44,28 @@ let make ?label ?(sources = []) ?(flow = false) ?(engine = Engine.default)
     fuel;
   }
 
-let oracle spec =
-  match spec.oracle with
-  | Auto -> Oracle.automatic
-  | Skeptical -> Oracle.skeptical
-  | Threshold r -> Oracle.threshold ~nei_ratio:r
+let of_database ?label ?oracle db workload =
+  let relations = Schema.relations (Database.schema db) in
+  make ?label ?oracle
+    ~sources:
+      (List.map
+         (fun (r : Relation.t) ->
+           (r.name, Source.in_memory (Database.table db r.name)))
+         relations)
+    ~ddl:
+      (String.concat ""
+         (List.map (fun r -> Sqlx.Ddl.create_table_sql r ^ ";\n") relations))
+    workload
 
-let oracle_spec_of_string = function
-  | "auto" -> Ok Auto
-  | "skeptical" -> Ok Skeptical
+let oracle_of_string = function
+  | "auto" -> Ok Oracle.Auto
+  | "skeptical" -> Ok Oracle.Skeptical
+  | "interactive" -> Ok Oracle.Interactive
   | s when String.length s > 10 && String.sub s 0 10 = "threshold:" -> (
       match float_of_string_opt (String.sub s 10 (String.length s - 10)) with
-      | Some r -> Ok (Threshold r)
+      | Some r -> Ok (Oracle.Threshold r)
       | None -> Error (Printf.sprintf "bad threshold in %S" s))
   | s -> Error (Printf.sprintf "unknown oracle mode %S" s)
-
-let oracle_spec_to_string = function
-  | Auto -> "auto"
-  | Skeptical -> "skeptical"
-  | Threshold r -> Printf.sprintf "threshold:%g" r
 
 let supervisor spec =
   let b = spec.engine.Engine.budget in
@@ -75,15 +76,93 @@ let supervisor spec =
     ?max_heap_words:b.Engine.max_heap_words ?fuel:spec.fuel ()
 
 (* ------------------------------------------------------------------ *)
-(* JSON encoding (version 3, pinned by a golden test)                  *)
+(* JSON encoding (version 4, pinned by a golden test)                  *)
 (* ------------------------------------------------------------------ *)
 
-(* v3 added "flow"; v2 dropped the engine's "check" and "cache" fields.
-   Older documents still decode: without "flow" a run is flow-off, and
-   v1's check and cache and the engine's "domains" (every IND batch now
-   runs sequentially) are ignored, since artifacts never depended on
-   them *)
-let version = 3
+(* v4 added the scripted oracle object; v3 added "flow"; v2 dropped the
+   engine's "check" and "cache" fields. Older documents still decode:
+   without "flow" a run is flow-off, and v1's check and cache and the
+   engine's "domains" (every IND batch now runs sequentially) are
+   ignored, since artifacts never depended on them *)
+let version = 4
+
+let strings_json xs = Json.List (List.map (fun x -> Json.String x) xs)
+
+let oracle_to_json =
+  let open Json in
+  let pairs k v xs =
+    List (List.map (fun (a, b) -> Obj [ (k, String a); (v, String b) ]) xs)
+  in
+  let choice (join, (d : Oracle.nei_decision)) =
+    let decision, name =
+      match d with
+      | Conceptualize n -> ("conceptualize", [ ("name", String n) ])
+      | Force_left_in_right -> ("force-left", [])
+      | Force_right_in_left -> ("force-right", [])
+      | Ignore_nei -> ("ignore", [])
+    in
+    Obj (("join", String join) :: ("decision", String decision) :: name)
+  in
+  function
+  | Oracle.Auto -> String "auto"
+  | Skeptical -> String "skeptical"
+  | Interactive -> String "interactive"
+  | Threshold r ->
+      let g = Printf.sprintf "%g" r in
+      let g = if float_of_string g = r then g else Printf.sprintf "%.17g" r in
+      String ("threshold:" ^ g)
+  | Scripted s ->
+      Obj
+        [
+          ("kind", String "scripted");
+          ("nei_choices", List (List.map choice s.nei_choices));
+          ("fd_rejections", strings_json s.fd_rejections);
+          ("fd_enforcements", pairs "relation" "attr" s.fd_enforcements);
+          ("hidden_accepted", strings_json s.hidden_accepted);
+          ("hidden_names", pairs "candidate" "name" s.hidden_names);
+          ("fd_names", pairs "fd" "name" s.fd_names);
+        ]
+
+let script_of_json j =
+  let open Json in
+  let ( let* ) = Result.bind in
+  let bad what = Error ("scripted oracle: " ^ what) in
+  (* a missing list is empty: a script names only what it decides *)
+  let field key decode =
+    match member key j with
+    | None -> Ok []
+    | Some (List xs) -> decode_list decode xs
+    | Some _ -> bad (Printf.sprintf "%S must be a list" key)
+  in
+  let string = function String s -> Ok s | _ -> bad "expected a string" in
+  let pair k v x =
+    match (mem_string k x, mem_string v x) with
+    | Some a, Some b -> Ok (a, b)
+    | _ -> bad (Printf.sprintf "an entry needs %S and %S" k v)
+  in
+  let choice x =
+    match (mem_string "join" x, mem_string "decision" x, mem_string "name" x) with
+    | Some j, Some "conceptualize", Some n -> Ok (j, Oracle.Conceptualize n)
+    | Some j, Some "force-left", _ -> Ok (j, Oracle.Force_left_in_right)
+    | Some j, Some "force-right", _ -> Ok (j, Oracle.Force_right_in_left)
+    | Some j, Some "ignore", _ -> Ok (j, Oracle.Ignore_nei)
+    | _ -> bad "an NEI choice needs \"join\" and a known \"decision\""
+  in
+  let* nei_choices = field "nei_choices" choice in
+  let* fd_rejections = field "fd_rejections" string in
+  let* fd_enforcements = field "fd_enforcements" (pair "relation" "attr") in
+  let* hidden_accepted = field "hidden_accepted" string in
+  let* hidden_names = field "hidden_names" (pair "candidate" "name") in
+  let* fd_names = field "fd_names" (pair "fd" "name") in
+  Ok
+    (Oracle.Scripted
+       { nei_choices; fd_rejections; fd_enforcements; hidden_accepted;
+         hidden_names; fd_names })
+
+let oracle_of_json = function
+  | Json.String s -> oracle_of_string s
+  | j when Json.mem_string "kind" j = Some "scripted" -> script_of_json j
+  | _ -> Error "\"oracle\" must be a mode string or a scripted object"
 
 let source_to_json (relation, source) =
   let open Json in
@@ -118,23 +197,17 @@ let equijoin_to_json (q : Sqlx.Equijoin.t) =
   Obj
     [
       ("rel1", String q.Sqlx.Equijoin.rel1);
-      ("attrs1", List (List.map (fun a -> String a) q.Sqlx.Equijoin.attrs1));
+      ("attrs1", strings_json q.Sqlx.Equijoin.attrs1);
       ("rel2", String q.Sqlx.Equijoin.rel2);
-      ("attrs2", List (List.map (fun a -> String a) q.Sqlx.Equijoin.attrs2));
+      ("attrs2", strings_json q.Sqlx.Equijoin.attrs2);
     ]
 
 let equijoin_of_json j =
   let open Json in
   let strings key =
-    match mem_list key j with
-    | None -> None
-    | Some xs ->
-        let rec go acc = function
-          | [] -> Some (List.rev acc)
-          | String s :: tl -> go (s :: acc) tl
-          | _ -> None
-        in
-        go [] xs
+    Option.bind (mem_list key j) (fun xs ->
+        Result.to_option
+          (decode_list (function String s -> Ok s | _ -> Error ()) xs))
   in
   match
     (mem_string "rel1" j, strings "attrs1", mem_string "rel2" j,
@@ -150,10 +223,7 @@ let equijoin_of_json j =
 let workload_to_json =
   let open Json in
   let texts kind ts =
-    Obj
-      [
-        ("kind", String kind); ("texts", List (List.map (fun t -> String t) ts));
-      ]
+    Obj [ ("kind", String kind); ("texts", strings_json ts) ]
   in
   function
   | Programs ts -> texts "programs" ts
@@ -171,12 +241,11 @@ let workload_of_json j =
     match mem_list "texts" j with
     | None -> Error "workload is missing \"texts\""
     | Some xs ->
-        let rec go acc = function
-          | [] -> Ok (List.rev acc)
-          | String s :: tl -> go (s :: acc) tl
-          | _ -> Error "workload \"texts\" must be strings"
-        in
-        go [] xs
+        decode_list
+          (function
+            | String s -> Ok s
+            | _ -> Error "workload \"texts\" must be strings")
+          xs
   in
   match mem_string "kind" j with
   | Some "programs" -> Result.map (fun ts -> Programs ts) (texts ())
@@ -185,14 +254,7 @@ let workload_of_json j =
       match mem_list "joins" j with
       | None -> Error "equijoins workload is missing \"joins\""
       | Some js ->
-          let rec go acc = function
-            | [] -> Ok (Equijoins (List.rev acc))
-            | x :: tl -> (
-                match equijoin_of_json x with
-                | Ok q -> go (q :: acc) tl
-                | Error _ as e -> e |> Result.map (fun _ -> Equijoins []))
-          in
-          go [] js)
+          Result.map (fun qs -> Equijoins qs) (decode_list equijoin_of_json js))
   | Some kind -> Error (Printf.sprintf "unknown workload kind %S" kind)
   | None -> Error "workload is missing \"kind\""
 
@@ -233,7 +295,7 @@ let to_json spec =
       ("workload", workload_to_json spec.workload);
       ("flow", Bool spec.flow);
       ("engine", engine_to_json spec.engine);
-      ("oracle", String (oracle_spec_to_string spec.oracle));
+      ("oracle", oracle_to_json spec.oracle);
       ("lenient", Bool spec.lenient);
       ("migrate_data", Bool spec.migrate_data);
       ("checkpoint_dir", opt_string spec.checkpoint_dir);
@@ -254,15 +316,7 @@ let of_json j =
           let sources =
             match mem_list "sources" j with
             | None -> Ok []
-            | Some xs ->
-                let rec go acc = function
-                  | [] -> Ok (List.rev acc)
-                  | x :: tl -> (
-                      match source_of_json x with
-                      | Ok s -> go (s :: acc) tl
-                      | Error _ as e -> e |> Result.map (fun _ -> []))
-                in
-                go [] xs
+            | Some xs -> decode_list source_of_json xs
           in
           let workload =
             match member "workload" j with
@@ -275,9 +329,9 @@ let of_json j =
             | Some e -> engine_of_json e
           in
           let oracle =
-            match mem_string "oracle" j with
-            | None -> Ok Auto
-            | Some s -> oracle_spec_of_string s
+            match member "oracle" j with
+            | None -> Ok Oracle.Auto
+            | Some o -> oracle_of_json o
           in
           match (sources, workload, engine, oracle) with
           | Error e, _, _, _
@@ -341,7 +395,7 @@ let of_args ?label ~ddl ?data_dir ?programs_dir ?flow ?(oracle = "auto")
     in
     Engine.make ?deadline_s:deadline ?max_heap_words ~on_exhausted ()
   in
-  let* oracle = oracle_spec_of_string oracle in
+  let* oracle = oracle_of_string oracle in
   let* () =
     if resume && checkpoint_dir = None then
       Error "--resume requires --checkpoint-dir"

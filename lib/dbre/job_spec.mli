@@ -13,10 +13,10 @@
 
     {b Serialization limits.} Every spec serializes: every source shape
     is data, and {!Relational.Source.In_memory} tables travel as their
-    CSV rendering (re-encoding is deterministic). Oracles are
-    serialized by {e mode} ({!oracle_spec}), not by value — an
-    interactive oracle cannot cross a socket; callers that need one
-    pass it to {!Job.run} directly. *)
+    CSV rendering (re-encoding is deterministic). The expert is its
+    {!Oracle.mode}, data too: a scripted expert travels as an object.
+    Only [Interactive] needs the terminal it runs on, so the daemon
+    refuses it ([spec-invalid]). *)
 
 open Relational
 
@@ -24,11 +24,6 @@ type workload =
   | Equijoins of Sqlx.Equijoin.t list  (** the paper's [Q], given directly *)
   | Programs of string list  (** embedded-SQL program texts *)
   | Sql_scripts of string list  (** plain SQL script texts *)
-
-type oracle_spec =
-  | Auto  (** {!Oracle.automatic} *)
-  | Skeptical  (** {!Oracle.skeptical} *)
-  | Threshold of float  (** {!Oracle.threshold} with this [nei_ratio] *)
 
 type t = {
   label : string option;  (** display name for logs and job listings *)
@@ -41,7 +36,7 @@ type t = {
       (** run the inter-statement dataflow analysis over the workload
           at Extract ({!Pipeline.config}'s [workload_flow]) *)
   engine : Engine.t;
-  oracle : oracle_spec;
+  oracle : Oracle.mode;
   lenient : bool;  (** quarantine bad tuples instead of failing *)
   migrate_data : bool;
   checkpoint_dir : string option;
@@ -56,7 +51,7 @@ val make :
   ?sources:(string * Source.t) list ->
   ?flow:bool ->
   ?engine:Engine.t ->
-  ?oracle:oracle_spec ->
+  ?oracle:Oracle.mode ->
   ?lenient:bool ->
   ?migrate_data:bool ->
   ?checkpoint_dir:string ->
@@ -67,6 +62,12 @@ val make :
   t
 (** Defaults: no label, no sources, flow off, {!Engine.default},
     [Auto], strict, [migrate_data = true], no checkpointing, no fuel. *)
+
+val of_database :
+  ?label:string -> ?oracle:Oracle.mode -> Database.t -> workload -> t
+(** A spec over an in-memory database: its schema as DDL
+    ({!Sqlx.Ddl.create_table_sql}) and each relation's table as an
+    {!Relational.Source.In_memory} source (adopted, not copied). *)
 
 val of_args :
   ?label:string ->
@@ -91,13 +92,10 @@ val of_args :
     files (sorted by name) become a [Programs] workload; [deadline],
     [max_heap_mb] and [on_exhausted] make the engine's budget.
     String-typed flags use the CLI grammars: [oracle] as
-    ["auto" | "skeptical" | "threshold:<r>"], [on_exhausted] as
+    {!oracle_of_string}'s, [on_exhausted] as
     ["partial" | "fail"]. Errors are human-readable messages
     ([--resume] without [--checkpoint-dir], unreadable files,
     unparsable DDL). *)
-
-val oracle : t -> Oracle.t
-(** The oracle the spec's mode denotes. *)
 
 val supervisor : t -> Supervise.t
 (** A fresh supervision token for one run of this spec: the engine's
@@ -107,13 +105,21 @@ val supervisor : t -> Supervise.t
     the daemon's [cancel] operation. Deadlines anchor at this call:
     mint one token per run. *)
 
-val oracle_spec_of_string : string -> (oracle_spec, string) result
-val oracle_spec_to_string : oracle_spec -> string
+val oracle_of_string : string -> (Oracle.mode, string) result
+(** The CLI grammar of a mode: ["auto" | "skeptical" | "interactive" |
+    "threshold:<r>"]. A script has no string form. *)
+
+val oracle_to_json : Oracle.mode -> Json.t
+(** The mode's CLI string (a threshold's ratio exact), or a [Scripted]
+    mode's object of the script's lists ({!Oracle.script} field names;
+    pairs are objects). Canonical: {!Checkpoint.inputs} digests it. *)
+
 
 val version : int
-(** Encoding version stamped into every document (currently 3).
-    {!of_json} also accepts versions 2 and 1, which have no ["flow"]
-    field (they decode flow-off). Version 1's engine object carried
+(** Encoding version stamped into every document (currently 4; v4
+    added the scripted oracle object). {!of_json} also accepts
+    versions 3, 2 and 1; 2 and 1 have no ["flow"] field (they decode
+    flow-off). Version 1's engine object carried
     ["check"] and ["cache"] fields, and engine objects of versions 1–3
     may carry ["domains"] (the IND batch's former domain count); all
     three are ignored, since the artifacts never depended on them, and

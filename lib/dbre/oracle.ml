@@ -9,7 +9,24 @@ type nei_decision =
   | Force_right_in_left
   | Ignore_nei
 
+type script = {
+  nei_choices : (string * nei_decision) list;
+  fd_rejections : string list;
+  fd_enforcements : (string * string) list;
+  hidden_accepted : string list;
+  hidden_names : (string * string) list;
+  fd_names : (string * string) list;
+}
+
+type mode =
+  | Auto
+  | Skeptical
+  | Threshold of float
+  | Scripted of script
+  | Interactive
+
 type t = {
+  mode : mode;
   on_nei : nei_context -> nei_decision;
   validate_fd : Fd.t -> bool;
   enforce_fd : rel:string -> lhs:string list -> attr:string -> bool;
@@ -28,6 +45,7 @@ let default_fd_name (fd : Fd.t) =
 
 let automatic =
   {
+    mode = Auto;
     on_nei = (fun _ -> Ignore_nei);
     validate_fd = (fun _ -> true);
     enforce_fd = (fun ~rel:_ ~lhs:_ ~attr:_ -> false);
@@ -36,9 +54,7 @@ let automatic =
     name_fd_relation = default_fd_name;
   }
 
-let skeptical = { automatic with conceptualize_hidden = (fun _ -> false) }
-
-let threshold ~nei_ratio =
+let threshold nei_ratio =
   let on_nei { counts; _ } =
     let smaller = min counts.Ind.n_left counts.Ind.n_right in
     if smaller = 0 then Ignore_nei
@@ -48,19 +64,11 @@ let threshold ~nei_ratio =
       else Force_right_in_left
     else Ignore_nei
   in
-  { automatic with on_nei }
-
-type script = {
-  nei_choices : (string * nei_decision) list;
-  fd_rejections : string list;
-  fd_enforcements : (string * string) list;
-  hidden_accepted : string list;
-  hidden_names : (string * string) list;
-  fd_names : (string * string) list;
-}
+  { automatic with mode = Threshold nei_ratio; on_nei }
 
 let scripted script =
   {
+    mode = Scripted script;
     on_nei =
       (fun ctx ->
         match
@@ -113,6 +121,7 @@ let interactive ?(in_channel = stdin) ?(out_channel = stdout) () =
       fallback 1
   in
   {
+    mode = Interactive;
     on_nei =
       (fun ctx ->
         let describe =
@@ -162,6 +171,14 @@ let interactive ?(in_channel = stdin) ?(out_channel = stdout) () =
           (default_fd_name fd) 0);
   }
 
+let of_mode = function
+  | Auto -> automatic
+  | Skeptical ->
+      { automatic with mode = Skeptical; conceptualize_hidden = (fun _ -> false) }
+  | Threshold r -> threshold r
+  | Scripted script -> scripted script
+  | Interactive -> interactive ()
+
 type event =
   | Nei_decided of nei_context * nei_decision
   | Fd_validated of Fd.t * bool
@@ -194,6 +211,7 @@ let traced oracle =
   let log e = events := e :: !events in
   let wrapped =
     {
+      oracle with
       on_nei =
         (fun ctx ->
           let d = oracle.on_nei ctx in
@@ -214,8 +232,6 @@ let traced oracle =
           let b = oracle.conceptualize_hidden a in
           log (Hidden_considered (a, b));
           b);
-      name_hidden = oracle.name_hidden;
-      name_fd_relation = oracle.name_fd_relation;
     }
   in
   (wrapped, fun () -> List.rev !events)

@@ -2,10 +2,11 @@
 
     The paper's method is interactive: a human validates presumptions at
     fixed choice points. This module reifies those choice points as a
-    record of callbacks, so an "expert" can be a script (reproducing a
-    paper run exactly), a policy (thresholds over the observed counts),
-    a constant (fully automatic runs for benchmarks), or an actual human
-    on stdin. A tracing wrapper records every decision. *)
+    record of callbacks built from a {!mode}, so an "expert" can be a
+    script (reproducing a paper run exactly), a policy (thresholds over
+    the observed counts), a constant (fully automatic runs for
+    benchmarks), or an actual human on stdin. A tracing wrapper records
+    every decision. *)
 
 open Relational
 open Deps
@@ -24,7 +25,44 @@ type nei_decision =
   | Force_right_in_left  (** case (v) *)
   | Ignore_nei  (** case (vii) *)
 
+type script = {
+  nei_choices : (string * nei_decision) list;
+      (** keyed by [Equijoin.to_string] *)
+  fd_rejections : string list;  (** [Fd.to_string] of FDs to refuse *)
+  fd_enforcements : (string * string) list;
+      (** [(rel, attr)] pairs to enforce despite dirty data *)
+  hidden_accepted : string list;
+      (** [Attribute.to_string] of candidates to conceptualize; others
+          are refused *)
+  hidden_names : (string * string) list;
+      (** [Attribute.to_string → relation name] *)
+  fd_names : (string * string) list;  (** [Fd.to_string → relation name] *)
+}
+
+(** The one way to name a run's expert: data, so a {!Job_spec.t}
+    serializes it and a checkpoint binds it. *)
+type mode =
+  | Auto
+      (** fully non-interactive: NEIs ignored, data-backed FDs
+          accepted, dirty FDs never enforced, hidden objects always
+          conceptualized, derived names ([Rel_attr] style) *)
+  | Skeptical
+      (** like [Auto] but refuses hidden objects — the most
+          conservative expert; a lower-bound baseline *)
+  | Threshold of float
+      (** policy expert: on an NEI, if [N_kl / min N_k N_l ≥ ratio]
+          treat the extension as corrupted and force the smaller side
+          into the larger ((v)/(vi), ties force left), otherwise ignore;
+          everything else as [Auto] *)
+  | Scripted of script
+      (** unscripted decisions: ignore NEI, accept FD, don't enforce,
+          refuse hidden objects, derived names *)
+  | Interactive  (** prompt on stdin/stdout ({!interactive}) *)
+
 type t = {
+  mode : mode;
+      (** what a checkpoint binds; [{ o with ... }] keeps [o]'s, so only
+          wrappers that keep every decision should derive one *)
   on_nei : nei_context -> nei_decision;
   validate_fd : Fd.t -> bool;
       (** §6.2.2 (iii): accept an FD found in the data? *)
@@ -40,44 +78,16 @@ type t = {
       (** §7: name for the relation carrying a split-off FD. *)
 }
 
+val of_mode : mode -> t
+(** The expert a mode denotes. *)
+
 val automatic : t
-(** Fully non-interactive default: NEIs ignored, data-backed FDs
-    accepted, dirty FDs never enforced, hidden objects always
-    conceptualized, deterministic derived names ([Rel_attr] style). *)
-
-val skeptical : t
-(** Like {!automatic} but also refuses hidden objects — the most
-    conservative expert; useful as a lower-bound baseline. *)
-
-val threshold : nei_ratio:float -> t
-(** Policy expert: on an NEI, if [N_kl / min N_k N_l ≥ nei_ratio] treat
-    the extension as corrupted and force the smaller side into the
-    larger ((v)/(vi), ties force left), otherwise ignore. Everything
-    else as {!automatic}. *)
-
-type script = {
-  nei_choices : (string * nei_decision) list;
-      (** keyed by [Equijoin.to_string] *)
-  fd_rejections : string list;  (** [Fd.to_string] of FDs to refuse *)
-  fd_enforcements : (string * string) list;
-      (** [(rel, attr)] pairs to enforce despite dirty data *)
-  hidden_accepted : string list;
-      (** [Attribute.to_string] of candidates to conceptualize; others
-          are refused *)
-  hidden_names : (string * string) list;
-      (** [Attribute.to_string → relation name] *)
-  fd_names : (string * string) list;  (** [Fd.to_string → relation name] *)
-}
-
-val scripted : script -> t
-(** Deterministic expert following a script; unscripted decisions fall
-    back to: ignore NEI, accept FD, don't enforce, refuse hidden
-    objects, derived names. *)
+(** [of_mode Auto]. *)
 
 val interactive : ?in_channel:in_channel -> ?out_channel:out_channel -> unit -> t
-(** Prompting expert on the given channels (defaults: stdin/stdout).
-    Unparsable answers re-prompt once, then fall back to the
-    {!automatic} behaviour. *)
+(** [of_mode Interactive] on the given channels (defaults:
+    stdin/stdout). Unparsable answers re-prompt once, then fall back to
+    the [Auto] behaviour. *)
 
 (** {2 Decision traces} *)
 
@@ -90,9 +100,9 @@ type event =
 val pp_event : Format.formatter -> event -> unit
 
 val traced : t -> t * (unit -> event list)
-(** [traced oracle] wraps every callback to record its decision; the
-    second component returns the events observed so far (oldest
-    first). *)
+(** [traced oracle] wraps every callback to record its decision (the
+    mode is kept); the second component returns the events observed so
+    far (oldest first). *)
 
 val default_hidden_name : Attribute.t -> string
 (** The derived-name scheme used by non-scripted oracles:

@@ -171,7 +171,8 @@ let run_checked ?(config = default_config) ?supervise ?(quarantine = [])
           let q = extract_equijoins ~flow:config.workload_flow db input in
           if checkpoint_dir <> None || resume_from <> None then
             inputs :=
-              Checkpoint.inputs db q ~migrate_data:config.migrate_data;
+              Checkpoint.inputs db q ~migrate_data:config.migrate_data
+                ~oracle:config.oracle.Oracle.mode;
           q)
     in
     let* ind_result =
@@ -246,14 +247,6 @@ let run_checked ?(config = default_config) ?supervise ?(quarantine = [])
         p_error = e;
       })
     outcome
-
-let run ?config ?supervise ?quarantine ?checkpoint_dir ?resume_from db input =
-  match
-    run_checked ?config ?supervise ?quarantine ?checkpoint_dir ?resume_from db
-      input
-  with
-  | Ok r -> r
-  | Stdlib.Error p -> raise (Error.Error p.p_error)
 
 let refresh_checked ?(config = default_config) ?supervise ?quarantine
     ?checkpoint_dir db input =

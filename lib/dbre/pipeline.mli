@@ -8,9 +8,9 @@
 
     The driver is fault-tolerant: {!run_checked} wraps every stage in a
     typed-error boundary and returns a {!partial} result carrying the
-    artifacts of all stages completed before the failure; {!run} is the
-    historical exception-raising wrapper. Stage artifacts can be
-    checkpointed to disk and resumed (see {!Checkpoint}). *)
+    artifacts of all stages completed before the failure. Stage
+    artifacts can be checkpointed to disk and resumed (see
+    {!Checkpoint}). *)
 
 open Relational
 
@@ -26,7 +26,7 @@ type stage_event =
           clients. *)
 
 type config = {
-  oracle : Oracle.t;
+  oracle : Oracle.t;  (** checkpoints bind its [mode] *)
   engine : Engine.t;
       (** the run's resource budget, shared by every extension check:
           FD checks (RHS-Discovery) and distinct/join counting
@@ -109,7 +109,8 @@ val run_checked :
     [?resume_from] loads valid stage checkpoints from a directory
     instead of recomputing; corrupt or missing checkpoints, and those
     written for other inputs ({!Checkpoint.inputs}: schema, extension,
-    equi-joins, [migrate_data]), are silently recomputed. The inputs
+    equi-joins, [migrate_data], the oracle's mode), are silently
+    recomputed. The inputs
     digest is taken once, at Extract, and only when checkpointing or
     resuming. Stages restored from checkpoints produce no oracle
     [events]. Translate is always recomputed (cheap, deterministic).
@@ -149,21 +150,6 @@ val refresh_checked :
     re-verification reuses every memo a mutation provably could not
     flip, so its artifacts are byte-identical to a full
     recompute-from-scratch over the mutated extension — only faster. *)
-
-val run :
-  ?config:config ->
-  ?supervise:Supervise.t ->
-  ?quarantine:Quarantine.report list ->
-  ?checkpoint_dir:string ->
-  ?resume_from:string ->
-  Database.t ->
-  Job_spec.workload ->
-  result
-(** Thin wrapper over {!run_checked} keeping the historical
-    exception-raising contract: raises [Error.Error] (the structured
-    [p_error]) on a stage failure.
-    @deprecated New code should use {!run_checked}, which also carries
-    the artifacts of the stages that completed before the failure. *)
 
 type degradation = {
   deg_relation : string;

@@ -347,6 +347,13 @@ let mem_float key v = Option.bind (member key v) to_float_opt
 let mem_bool key v = Option.bind (member key v) to_bool_opt
 let mem_list key v = Option.bind (member key v) to_list_opt
 
+let decode_list decode xs =
+  let rec go acc = function
+    | [] -> Ok (List.rev acc)
+    | x :: rest -> Result.bind (decode x) (fun y -> go (y :: acc) rest)
+  in
+  go [] xs
+
 let opt_string = function Some s -> String s | None -> Null
 let opt_int = function Some i -> Int i | None -> Null
 let opt_float = function Some f -> Float f | None -> Null

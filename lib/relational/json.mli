@@ -67,6 +67,9 @@ val mem_float : string -> t -> float option
 val mem_bool : string -> t -> bool option
 val mem_list : string -> t -> t list option
 
+val decode_list : (t -> ('a, 'e) result) -> t list -> ('a list, 'e) result
+(** Decode every element in order; the first [Error] is the result. *)
+
 val opt_string : string option -> t
 (** [String s] or [Null] — for optional fields of an encoding. *)
 

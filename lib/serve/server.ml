@@ -281,6 +281,9 @@ let enqueue t entry =
 let submit t spec_json =
   match Dbre.Job_spec.of_json spec_json with
   | Error msg -> Protocol.error ~code:"spec-invalid" msg
+  | Ok { oracle = Dbre.Oracle.Interactive; _ } ->
+      Protocol.error ~code:"spec-invalid"
+        "the interactive oracle needs a terminal; the daemon runs none"
   | Ok spec ->
       let diags = Dbre_lint.Rules_verify.check_job spec in
       locked t (fun () ->
@@ -400,8 +403,6 @@ let status_fields entry =
           ("map_loads", Json.Int os.Ooc.map_loads);
           ("evictions", Json.Int os.Ooc.evictions);
           ("zone_segments_swept", Json.Int os.Ooc.zone_segments_swept);
-          ( "ind_zone_short_circuits",
-            Json.Int os.Ooc.ind_zone_short_circuits );
           ("stores", residency_json entry.db);
         ] );
   ]
@@ -418,31 +419,15 @@ let value_of_json = function
   | Json.String s -> Ok (Value.parse s)
   | Json.List _ | Json.Obj _ -> Error "row cells must be JSON scalars"
 
-let rows_of_json rows =
-  let rec go acc = function
-    | [] -> Ok (List.rev acc)
-    | Json.List cells :: rest -> (
-        let rec cells_go vacc = function
-          | [] -> Ok (List.rev vacc)
-          | c :: cs -> (
-              match value_of_json c with
-              | Ok v -> cells_go (v :: vacc) cs
-              | Error _ as e -> e)
-        in
-        match cells_go [] cells with
-        | Ok row -> go (row :: acc) rest
-        | Error _ as e -> e)
-    | _ -> Error "\"insert\" must be a list of rows (lists of scalars)"
-  in
-  go [] rows
+let rows_of_json =
+  Json.decode_list (function
+    | Json.List cells -> Json.decode_list value_of_json cells
+    | _ -> Error "\"insert\" must be a list of rows (lists of scalars)")
 
-let indices_of_json idxs =
-  let rec go acc = function
-    | [] -> Ok (List.rev acc)
-    | Json.Int i :: rest -> go (i :: acc) rest
-    | _ -> Error "\"delete\" must be a list of row indices"
-  in
-  go [] idxs
+let indices_of_json =
+  Json.decode_list (function
+    | Json.Int i -> Ok i
+    | _ -> Error "\"delete\" must be a list of row indices")
 
 (* caller holds the lock; entry is settled and its database present *)
 let apply_mutation t entry db request =

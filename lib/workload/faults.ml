@@ -115,10 +115,6 @@ let failing_oracle ~every (oracle : Dbre.Oracle.t) =
 
 (* --- execution faults (supervised-runtime harness) --- *)
 
-let slow_oracle ~delay_s (oracle : Dbre.Oracle.t) =
-  if delay_s < 0.0 then invalid_arg "Faults.slow_oracle: negative delay";
-  wrap_decisions (fun () -> Unix.sleepf delay_s) oracle
-
 let cancelling_oracle ~after supervise (oracle : Dbre.Oracle.t) =
   if after <= 0 then invalid_arg "Faults.cancelling_oracle: after must be positive";
   let n = ref 0 in

@@ -46,14 +46,8 @@ val failing_oracle : every:int -> Dbre.Oracle.t -> Dbre.Oracle.t
 
 (** {2 Execution faults}
 
-    Deterministic stand-ins for the expert-side pathologies the
-    supervised runtime ({!Relational.Supervise}) must survive: a stalled
-    expert and a cancelled session. *)
-
-val slow_oracle : delay_s:float -> Dbre.Oracle.t -> Dbre.Oracle.t
-(** Sleep [delay_s] seconds before every decision — an expert session
-    that still answers, but slowly enough to blow a deadline budget.
-    Raises [Invalid_argument] on a negative delay. *)
+    A deterministic stand-in for a cancelled expert session, which the
+    supervised runtime ({!Relational.Supervise}) must survive. *)
 
 val cancelling_oracle :
   after:int -> Supervise.t -> Dbre.Oracle.t -> Dbre.Oracle.t

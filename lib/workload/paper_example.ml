@@ -258,17 +258,7 @@ let oracle_script =
       ];
   }
 
-let oracle () = Dbre.Oracle.scripted oracle_script
-
-let config () =
-  { Dbre.Pipeline.default_config with Dbre.Pipeline.oracle = oracle () }
-
-let run () =
-  let db = database () in
-  Dbre.Pipeline.run ~config:(config ()) db
+let spec () =
+  Dbre.Job_spec.of_database ~label:"paper"
+    ~oracle:(Dbre.Oracle.Scripted oracle_script) (database ())
     (Dbre.Job_spec.Equijoins (equijoins ()))
-
-let run_from_programs () =
-  let db = database () in
-  Dbre.Pipeline.run ~config:(config ()) db
-    (Dbre.Job_spec.Programs (programs ()))

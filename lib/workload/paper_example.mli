@@ -45,11 +45,7 @@ val oracle_script : Dbre.Oracle.script
     [Assignment.emp] and [Department.proj], names the Restruct relations
     [Employee] / [Other-Dept] / [Manager] / [Project]. *)
 
-val oracle : unit -> Dbre.Oracle.t
-
-val run : unit -> Dbre.Pipeline.result
-(** The full reproduction: pipeline over a fresh database with the
-    scripted expert and [Q] given directly (experiments E1–F1). *)
-
-val run_from_programs : unit -> Dbre.Pipeline.result
-(** Same, but [Q] is extracted from {!programs} — the full front-end. *)
+val spec : unit -> Dbre.Job_spec.t
+(** The full reproduction (experiments E1–F1): a fresh database, [Q]
+    given directly, the scripted expert. {!Scenarios.paper}'s spec
+    extracts [Q] from {!programs} instead. *)

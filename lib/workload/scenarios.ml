@@ -5,8 +5,12 @@ type t = {
   description : string;
   database : unit -> Database.t;
   programs : string list;
-  oracle : unit -> Dbre.Oracle.t;
+  oracle : Dbre.Oracle.mode;
 }
+
+let spec s =
+  Dbre.Job_spec.of_database ~label:s.name ~oracle:s.oracle (s.database ())
+    (Dbre.Job_spec.Programs s.programs)
 
 (* ------------------------------------------------------------------ *)
 (* The paper's running example                                          *)
@@ -20,7 +24,7 @@ let paper =
        Assignment (section 5).";
     database = Paper_example.database;
     programs = Paper_example.programs ();
-    oracle = Paper_example.oracle;
+    oracle = Dbre.Oracle.Scripted Paper_example.oracle_script;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -215,8 +219,8 @@ audit("SELECT p1.ssn, p2.ssn FROM Payslip p1, Payslip p2 " +
 |};
   ]
 
-let payroll_oracle () =
-  Dbre.Oracle.scripted
+let payroll_oracle =
+  Dbre.Oracle.Scripted
     {
       Dbre.Oracle.nei_choices =
         [
@@ -410,8 +414,8 @@ check("SELECT drug_name FROM Treatment " +
 |};
   ]
 
-let hospital_oracle () =
-  Dbre.Oracle.scripted
+let hospital_oracle =
+  Dbre.Oracle.Scripted
     {
       Dbre.Oracle.nei_choices =
         [
@@ -455,7 +459,7 @@ let synthetic spec =
     database =
       (fun () -> (Gen_schema.generate spec).Gen_schema.db);
     programs = generated.Gen_schema.programs;
-    oracle = (fun () -> Dbre.Oracle.automatic);
+    oracle = Dbre.Oracle.Auto;
   }
 
 let all = [ paper; payroll; hospital ]

@@ -8,8 +8,13 @@ type t = {
   description : string;
   database : unit -> Database.t;  (** fresh extension on every call *)
   programs : string list;  (** application-program sources *)
-  oracle : unit -> Dbre.Oracle.t;  (** the scenario's scripted expert *)
+  oracle : Dbre.Oracle.mode;
+      (** the scenario's expert: a script for the built-in scenarios *)
 }
+
+val spec : t -> Dbre.Job_spec.t
+(** The scenario as a run ({!Dbre.Job_spec.of_database} of a fresh
+    database, the programs as the workload, the scenario's expert). *)
 
 val paper : t
 (** The §5 running example ({!Paper_example}). *)
@@ -32,7 +37,8 @@ val hospital : t
     [Admission] weak entity discriminated by its admission date. *)
 
 val synthetic : Gen_schema.spec -> t
-(** Wrap a generated workload as a scenario (automatic oracle). *)
+(** Wrap a generated workload as a scenario ([Auto] expert: generated
+    candidates have no names to script). *)
 
 val all : t list
 (** [paper; payroll; hospital]. *)

@@ -175,6 +175,18 @@ let check_join_counts msg (t1, a1) (t2, a2) =
        (List.filter (Hashtbl.mem right) (Reference.Counts.project_distinct t1 a1)))
     (List.sort compare (Column_store.common_values s1 a1 s2 a2))
 
+(* the result of a run the test needs whole: a stage failure fails it *)
+let ok = function
+  | Ok r -> r
+  | Error (p : Dbre.Pipeline.partial) ->
+      Alcotest.failf "run failed: %s" (Error.to_string p.Dbre.Pipeline.p_error)
+
+let run_ok ?config ?checkpoint_dir ?resume_from db input =
+  ok (Dbre.Pipeline.run_checked ?config ?checkpoint_dir ?resume_from db input)
+
+(* the §5 reproduction (E1-F1) *)
+let paper () = ok (Dbre.Job.run (Workload.Paper_example.spec ()))
+
 (* substring check for error-message assertions *)
 let contains ~sub s =
   let n = String.length s and m = String.length sub in

@@ -27,10 +27,10 @@ let run_scenario ?checkpoint_dir ?resume_from (s : Workload.Scenarios.t) =
   let config =
     {
       Pipeline.default_config with
-      Pipeline.oracle = s.Workload.Scenarios.oracle ();
+      Pipeline.oracle = Oracle.of_mode s.Workload.Scenarios.oracle;
     }
   in
-  Pipeline.run ~config ?checkpoint_dir ?resume_from
+  Helpers.run_ok ~config ?checkpoint_dir ?resume_from
     (s.Workload.Scenarios.database ())
     (Job_spec.Programs s.Workload.Scenarios.programs)
 
@@ -43,7 +43,7 @@ let scenario_inputs (s : Workload.Scenarios.t) =
   Checkpoint.inputs db
     (Pipeline.extract_equijoins db
        (Job_spec.Programs s.Workload.Scenarios.programs))
-    ~migrate_data:true
+    ~migrate_data:true ~oracle:s.Workload.Scenarios.oracle
 
 let hospital_inputs = lazy (scenario_inputs Workload.Scenarios.hospital)
 
@@ -95,7 +95,7 @@ let test_corrupt_checkpoint_recomputed () =
   in
   let g = generate () in
   let baseline =
-    Pipeline.run ~checkpoint_dir:dir g.Workload.Gen_schema.db
+    Helpers.run_ok ~checkpoint_dir:dir g.Workload.Gen_schema.db
       (Job_spec.Equijoins g.Workload.Gen_schema.equijoins)
   in
   (* mangle the RHS-Discovery artifact: resume must recompute it *)
@@ -103,7 +103,7 @@ let test_corrupt_checkpoint_recomputed () =
       Out_channel.output_string oc "((( not a checkpoint");
   let g2 = generate () in
   let resumed =
-    Pipeline.run ~resume_from:dir g2.Workload.Gen_schema.db
+    Helpers.run_ok ~resume_from:dir g2.Workload.Gen_schema.db
       (Job_spec.Equijoins g2.Workload.Gen_schema.equijoins)
   in
   Alcotest.(check bool) "same INDs" true
@@ -127,7 +127,7 @@ let test_other_inputs_recomputed () =
       Workload.Gen_schema.generate
         { Workload.Gen_schema.default_spec with Workload.Gen_schema.seed }
     in
-    Pipeline.run
+    Helpers.run_ok
       ~config:{ Pipeline.default_config with Pipeline.progress }
       ?checkpoint_dir ?resume_from g.Workload.Gen_schema.db
       (Job_spec.Equijoins g.Workload.Gen_schema.equijoins)
@@ -144,6 +144,35 @@ let test_other_inputs_recomputed () =
     "artifacts of a fresh run"
     (Report.artifacts (run 8L))
     (Report.artifacts resumed);
+  rm_rf dir
+
+(* the expert is part of a run's inputs: checkpoints written under
+   [Auto] restore every stage into an [Auto] resume and none into a
+   [Skeptical] one, which ends as a fresh [Skeptical] run does *)
+let test_resume_binds_the_expert () =
+  let dir = fresh_dir "_ckpt_expert" in
+  let run ?checkpoint_dir ?(resume = false) oracle =
+    let restored = ref 0 in
+    let progress = function
+      | Job.Stage (Pipeline.Stage_restored _) -> incr restored
+      | _ -> ()
+    in
+    let spec = Workload.Scenarios.spec Workload.Scenarios.paper in
+    let r =
+      Helpers.ok
+        (Job.run ~progress { spec with oracle; checkpoint_dir; resume })
+    in
+    (Report.artifacts r, !restored)
+  in
+  let auto, _ = run ~checkpoint_dir:dir Auto in
+  let _, restored = run ~checkpoint_dir:dir ~resume:true Auto in
+  Alcotest.(check int) "an Auto resume restores four stages" 4 restored;
+  let fresh, _ = run Skeptical in
+  Alcotest.(check bool) "the experts disagree" true (fresh <> auto);
+  let resumed, restored = run ~checkpoint_dir:dir ~resume:true Skeptical in
+  Alcotest.(check int) "a Skeptical resume restores no stage" 0 restored;
+  Alcotest.(check (list (pair string string)))
+    "artifacts of a fresh Skeptical run" fresh resumed;
   rm_rf dir
 
 let test_missing_dir_is_fresh_run () =
@@ -420,6 +449,8 @@ let suite =
       test_corrupt_checkpoint_recomputed;
     Alcotest.test_case "checkpoints of other inputs recomputed" `Quick
       test_other_inputs_recomputed;
+    Alcotest.test_case "resume under another expert recomputes" `Quick
+      test_resume_binds_the_expert;
     Alcotest.test_case "missing dir falls back to fresh run" `Quick
       test_missing_dir_is_fresh_run;
     Alcotest.test_case "failed IND load leaves the database untouched" `Quick

@@ -295,16 +295,9 @@ let test_spans_inside_host_text () =
    evidence with the analysis on or off *)
 let test_flow_noop_on_paper_corpus () =
   let result_with flow =
-    let db = Workload.Paper_example.database () in
-    let config =
-      {
-        Dbre.Pipeline.default_config with
-        oracle = Workload.Paper_example.oracle ();
-        workload_flow = flow;
-      }
-    in
-    Dbre.Pipeline.run ~config db
-      (Dbre.Job_spec.Programs (Workload.Paper_example.programs ()))
+    Helpers.ok
+      (Dbre.Job.run
+         { (Workload.Scenarios.spec Workload.Scenarios.paper) with flow })
   in
   let off = result_with false and on = result_with true in
   Alcotest.check (Alcotest.list join_t) "same Q"

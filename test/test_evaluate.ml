@@ -65,7 +65,7 @@ let test_fd_attr_level () =
 let test_clean_pipeline_scores_perfectly () =
   let g = Gen_schema.generate Gen_schema.default_spec in
   let r =
-    Dbre.Pipeline.run g.Gen_schema.db
+    Helpers.run_ok g.Gen_schema.db
       (Dbre.Job_spec.Equijoins g.Gen_schema.equijoins)
   in
   let im =

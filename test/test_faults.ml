@@ -116,7 +116,7 @@ let payroll_decisions =
   lazy
     (let s = Workload.Scenarios.payroll in
      let n = ref 0 in
-     let o = s.Workload.Scenarios.oracle () in
+     let o = Oracle.of_mode s.Workload.Scenarios.oracle in
      let counting =
        {
          o with
@@ -140,7 +140,7 @@ let payroll_decisions =
      in
      let config = { Pipeline.default_config with oracle = counting } in
      ignore
-       (Pipeline.run ~config
+       (Helpers.run_ok ~config
           (s.Workload.Scenarios.database ())
           (Job_spec.Programs s.Workload.Scenarios.programs));
      !n)
@@ -152,7 +152,8 @@ let test_oracle_failure_first_decision () =
     {
       Pipeline.default_config with
       Pipeline.oracle =
-        Workload.Faults.failing_oracle ~every:1 (s.Workload.Scenarios.oracle ());
+        Workload.Faults.failing_oracle ~every:1
+          (Oracle.of_mode s.Workload.Scenarios.oracle);
     }
   in
   match
@@ -217,7 +218,7 @@ let suite =
             Pipeline.default_config with
             Pipeline.oracle =
               Workload.Faults.failing_oracle ~every
-                (s.Workload.Scenarios.oracle ());
+                (Oracle.of_mode s.Workload.Scenarios.oracle);
           }
         in
         match

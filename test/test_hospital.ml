@@ -6,16 +6,7 @@ open Helpers
 open Deps
 open Dbre
 
-let run () =
-  let s = Workload.Scenarios.hospital in
-  let db = s.Workload.Scenarios.database () in
-  let config =
-    {
-      Pipeline.default_config with
-      Pipeline.oracle = s.Workload.Scenarios.oracle ();
-    }
-  in
-  Pipeline.run ~config db (Job_spec.Programs s.Workload.Scenarios.programs)
+let run () = Helpers.ok (Job.run (Workload.Scenarios.spec Workload.Scenarios.hospital))
 
 let result = lazy (run ())
 
@@ -129,13 +120,7 @@ let test_migration_roundtrip () =
   let s = Workload.Scenarios.hospital in
   let db = s.Workload.Scenarios.database () in
   let original = Database.schema db in
-  let config =
-    {
-      Pipeline.default_config with
-      Pipeline.oracle = s.Workload.Scenarios.oracle ();
-    }
-  in
-  let r = Pipeline.run ~config db (Job_spec.Programs s.Workload.Scenarios.programs) in
+  let r = Helpers.ok (Job.run (Workload.Scenarios.spec s)) in
   let sql = Migration.script ~original r in
   let fresh = s.Workload.Scenarios.database () in
   Sqlx.Exec.exec_script fresh sql;

@@ -87,7 +87,7 @@ let test_closure_unary () =
 
 let test_paper_ric_irredundant () =
   (* the §7 RIC set contains no redundant constraint *)
-  let result = Workload.Paper_example.run () in
+  let result = Helpers.paper () in
   let ric = result.Dbre.Pipeline.restruct_result.Dbre.Restruct.ric in
   Alcotest.(check (list ind_t)) "no redundancy" []
     (Ind_closure.redundant ric)

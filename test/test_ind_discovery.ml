@@ -111,8 +111,9 @@ let test_paper_counts () =
   (* the §6.1 worked numbers *)
   let db = Workload.Paper_example.database () in
   let r =
-    Ind_discovery.run (Workload.Paper_example.oracle ()) db
-      (Workload.Paper_example.equijoins ())
+    Ind_discovery.run
+      (Oracle.of_mode (Scripted Workload.Paper_example.oracle_script))
+      db (Workload.Paper_example.equijoins ())
   in
   match r.Ind_discovery.steps with
   | { Ind_discovery.counts = c1; _ } :: _ ->

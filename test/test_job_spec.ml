@@ -3,10 +3,11 @@
    golden string — each version is a compatibility promise, so any
    change a decoder of the same version would read differently must
    bump [Job_spec.version], and the decoder keeps accepting the older
-   versions (pinned by the v2 and v1 goldens below). *)
+   versions (pinned by the v3, v2 and v1 goldens below). *)
 
 open Relational
 module Job_spec = Dbre.Job_spec
+open Dbre.Oracle
 
 let golden_spec () =
   Job_spec.make ~label:"golden"
@@ -14,7 +15,7 @@ let golden_spec () =
     ~engine:
       (Engine.make ~deadline_s:2.5 ~max_heap_words:1_000_000
          ~on_exhausted:`Fail ())
-    ~oracle:(Job_spec.Threshold 0.8) ~lenient:true ~migrate_data:false
+    ~oracle:(Dbre.Oracle.Threshold 0.8) ~lenient:true ~migrate_data:false
     ~checkpoint_dir:"/tmp/ck" ~resume:true ~fuel:42 ~flow:true
     ~ddl:"CREATE TABLE R (a INT, b VARCHAR(4));"
     (Job_spec.Equijoins [ Sqlx.Equijoin.make ("R", [ "a" ]) ("S", [ "a" ]) ])
@@ -36,11 +37,14 @@ let golden_json ~version ~flow ~engine_prefix =
       {|"checkpoint_dir":"/tmp/ck","resume":true,"fuel":42}|};
     ]
 
+let golden_v4 = golden_json ~version:4 ~flow:{|"flow":true,|} ~engine_prefix:""
+
+(* as version 3 wrote it: the same document, before scripted oracles *)
 let golden_v3 = golden_json ~version:3 ~flow:{|"flow":true,|} ~engine_prefix:""
 
 (* what an older document re-encodes as: it had no flow, so it is off *)
-let golden_v3_flow_off =
-  golden_json ~version:3 ~flow:{|"flow":false,|} ~engine_prefix:""
+let golden_v4_flow_off =
+  golden_json ~version:4 ~flow:{|"flow":false,|} ~engine_prefix:""
 
 (* the same spec as a version-3 encoder wrote it while the engine
    still carried the IND batch's domain count *)
@@ -64,8 +68,89 @@ let of_string_exn text =
   | Error e -> Alcotest.fail e
 
 let test_golden () =
-  Alcotest.(check string) "pinned v3 encoding" golden_v3
+  Alcotest.(check string) "pinned v4 encoding" golden_v4
     (Job_spec.to_string (golden_spec ()))
+
+(* a v3 document decodes to the same spec and re-encodes as v4 *)
+let test_golden_v3 () =
+  Alcotest.(check string) "v3 re-encodes as v4" golden_v4
+    (Job_spec.to_string (of_string_exn golden_v3))
+
+(* a scripted expert is data: its object is pinned, and it survives the
+   round trip *)
+let script =
+  {
+    Dbre.Oracle.nei_choices =
+      [
+        ("A[x] |X| B[y]", Dbre.Oracle.Conceptualize "AB");
+        ("C[z] |X| D[z]", Dbre.Oracle.Force_right_in_left);
+      ];
+    fd_rejections = [ "R: a -> b" ];
+    fd_enforcements = [ ("R", "c") ];
+    hidden_accepted = [ "R.a" ];
+    hidden_names = [ ("R.a", "Thing") ];
+    fd_names = [ ("R: a -> c", "Named") ];
+  }
+
+let golden_scripted_oracle =
+  String.concat ""
+    [
+      {|{"kind":"scripted","nei_choices":[|};
+      {|{"join":"A[x] |X| B[y]","decision":"conceptualize","name":"AB"},|};
+      {|{"join":"C[z] |X| D[z]","decision":"force-right"}],|};
+      {|"fd_rejections":["R: a -> b"],|};
+      {|"fd_enforcements":[{"relation":"R","attr":"c"}],|};
+      {|"hidden_accepted":["R.a"],|};
+      {|"hidden_names":[{"candidate":"R.a","name":"Thing"}],|};
+      {|"fd_names":[{"fd":"R: a -> c","name":"Named"}]}|};
+    ]
+
+let scripted_spec () =
+  Job_spec.make ~oracle:(Scripted script) ~ddl:"CREATE TABLE R (a INT);"
+    (Job_spec.Programs [])
+
+let test_golden_scripted () =
+  Alcotest.(check string) "pinned scripted oracle" golden_scripted_oracle
+    (Json.to_string (Job_spec.oracle_to_json (Scripted script)));
+  let spec = scripted_spec () in
+  Alcotest.(check bool) "round-trips" true
+    ((of_string_exn (Job_spec.to_string spec)).Job_spec.oracle
+    = spec.Job_spec.oracle);
+  let decode oracle =
+    Result.map
+      (fun spec -> spec.Job_spec.oracle)
+      (Job_spec.of_string
+         (Printf.sprintf
+            {|{"version":4,"ddl":"","workload":{"kind":"programs","texts":[]},"oracle":%s}|}
+            oracle))
+  in
+  (* lists a script leaves out are empty *)
+  Alcotest.(check bool) "missing lists are empty" true
+    (decode {|{"kind":"scripted"}|}
+    = Ok
+        (Scripted
+           {
+             nei_choices = [];
+             fd_rejections = [];
+             fd_enforcements = [];
+             hidden_accepted = [];
+             hidden_names = [];
+             fd_names = [];
+           }));
+  List.iter
+    (fun (name, text) ->
+      match decode text with
+      | Ok _ -> Alcotest.failf "%s accepted" name
+      | Error e -> Helpers.check_contains name ~sub:"oracle" e)
+    [
+      ("unknown decision", {|{"kind":"scripted","nei_choices":[{"join":"j","decision":"maybe"}]}|});
+      ("nameless conceptualize", {|{"kind":"scripted","nei_choices":[{"join":"j","decision":"conceptualize"}]}|});
+      ("non-list field", {|{"kind":"scripted","fd_rejections":"R: a -> b"}|});
+      ("non-string entry", {|{"kind":"scripted","hidden_accepted":[1]}|});
+      ("half a pair", {|{"kind":"scripted","fd_names":[{"fd":"R: a -> c"}]}|});
+      ("unknown object", {|{"kind":"psychic"}|});
+      ("a number", "0.5");
+    ]
 
 (* a v3 document with a "domains" member still decodes: the member is
    ignored, the document decodes equal to the one without it, and
@@ -74,21 +159,21 @@ let test_golden_v3_domains () =
   let with_domains = of_string_exn golden_v3_domains in
   Alcotest.(check bool) "\"domains\" ignored" true
     (with_domains = of_string_exn golden_v3);
-  Alcotest.(check string) "re-encodes without \"domains\"" golden_v3
+  Alcotest.(check string) "re-encodes without \"domains\"" golden_v4
     (Job_spec.to_string with_domains)
 
-(* a v2 document still decodes, flow off, and re-encoding writes v3 *)
+(* a v2 document still decodes, flow off, and re-encoding writes v4 *)
 let test_golden_v2 () =
   let spec = of_string_exn golden_v2 in
   Alcotest.(check bool) "v2 decodes flow-off" false spec.Job_spec.flow;
-  Alcotest.(check string) "v2 re-encodes as v3" golden_v3_flow_off
+  Alcotest.(check string) "v2 re-encodes as v4" golden_v4_flow_off
     (Job_spec.to_string spec)
 
 (* a v1 document still decodes: its check, cache and domains are
-   ignored, everything else survives, and re-encoding writes v3 *)
+   ignored, everything else survives, and re-encoding writes v4 *)
 let test_golden_v1 () =
-  Alcotest.(check string) "v1 decodes and re-encodes as v3"
-    golden_v3_flow_off
+  Alcotest.(check string) "v1 decodes and re-encodes as v4"
+    golden_v4_flow_off
     (Job_spec.to_string (of_string_exn golden_v1));
   let minimal =
     of_string_exn
@@ -173,18 +258,26 @@ let test_validation () =
 
 let test_oracle_spec_strings () =
   List.iter
-    (fun (s, spec) ->
+    (fun (s, (mode : Dbre.Oracle.mode)) ->
       Alcotest.(check bool) (s ^ " parses") true
-        (Job_spec.oracle_spec_of_string s = Ok spec);
-      Alcotest.(check string) (s ^ " prints") s
-        (Job_spec.oracle_spec_to_string spec))
+        (Job_spec.oracle_of_string s = Ok mode);
+      Alcotest.(check string) (s ^ " prints") (Printf.sprintf "%S" s)
+        (Json.to_string (Job_spec.oracle_to_json mode)))
     [
-      ("auto", Job_spec.Auto);
-      ("skeptical", Job_spec.Skeptical);
-      ("threshold:0.75", Job_spec.Threshold 0.75);
+      ("auto", Auto);
+      ("skeptical", Skeptical);
+      ("threshold:0.75", Threshold 0.75);
+      ("interactive", Interactive);
     ];
   Alcotest.(check bool) "junk refused" true
-    (Result.is_error (Job_spec.oracle_spec_of_string "psychic"))
+    (Result.is_error (Job_spec.oracle_of_string "psychic"));
+  (* a ratio %g would round to six digits travels exactly *)
+  let spec =
+    Job_spec.make ~oracle:(Threshold 0.123456789) ~ddl:"" (Job_spec.Programs [])
+  in
+  Alcotest.(check bool) "threshold round-trips exactly" true
+    ((of_string_exn (Job_spec.to_string spec)).Job_spec.oracle
+    = Threshold 0.123456789)
 
 let rec rm_rf path =
   if Sys.file_exists path then
@@ -237,7 +330,7 @@ let test_of_args () =
       Alcotest.(check string) "b.sql second" "SELECT a FROM R" p2
   | _ -> Alcotest.fail "expected two programs");
   Alcotest.(check bool) "oracle folded" true
-    (spec.Job_spec.oracle = Job_spec.Skeptical);
+    (spec.Job_spec.oracle = Skeptical);
   Alcotest.(check bool) "flow folded" true spec.Job_spec.flow;
   let b = spec.Job_spec.engine.Engine.budget in
   Alcotest.(check (option (float 0.0))) "deadline folded" (Some 1.5)
@@ -281,21 +374,26 @@ let test_supervisor_is_cancellable () =
   Supervise.cancel s;
   Alcotest.(check bool) "cancel trips it" true (Supervise.tripped s <> None)
 
-(* whatever a damaged v3 document holds, decoding answers Ok or Error *)
+(* whatever a damaged v4 document holds, scripted expert or not,
+   decoding answers Ok or Error *)
 let prop_of_string_total =
   QCheck_alcotest.to_alcotest
-    (QCheck.Test.make ~count:3000 ~name:"mutated v3 specs decode to Ok or Error"
+    (QCheck.Test.make ~count:3000 ~name:"mutated v4 specs decode to Ok or Error"
        (QCheck.make ~print:(Printf.sprintf "%S")
-          (Helpers.gen_mutated
-             ~tokens:[ "{"; "}"; "["; "]"; ":"; ","; {|"|}; "\\"; "\\u"; "null"; "true"; "-1";
-                       "1e999"; {|"version"|}; {|"ddl"|}; {|"kind"|}; "0" ]
-             golden_v3))
+          QCheck.Gen.(
+            oneofl [ golden_v4; Job_spec.to_string (scripted_spec ()) ]
+            >>= Helpers.gen_mutated
+                  ~tokens:[ "{"; "}"; "["; "]"; ":"; ","; {|"|}; "\\"; "\\u"; "null"; "true"; "-1";
+                            "1e999"; {|"version"|}; {|"ddl"|}; {|"kind"|}; "0";
+                            {|"decision"|}; {|"conceptualize"|}; {|"scripted"|} ]))
        (fun text ->
          match Job_spec.of_string text with Ok _ | Error _ -> true))
 
 let suite =
   [
-    Alcotest.test_case "golden v3 JSON" `Quick test_golden;
+    Alcotest.test_case "golden v4 JSON" `Quick test_golden;
+    Alcotest.test_case "golden v3 JSON still decodes" `Quick test_golden_v3;
+    Alcotest.test_case "golden scripted oracle" `Quick test_golden_scripted;
     Alcotest.test_case "golden v3 JSON with domains still decodes" `Quick
       test_golden_v3_domains;
     Alcotest.test_case "golden v2 JSON still decodes" `Quick test_golden_v2;

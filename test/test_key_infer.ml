@@ -110,14 +110,12 @@ let test_pipeline_on_undeclared_keys () =
   in
   Alcotest.(check int) "four keys confirmed" 4 added;
   let r =
-    Dbre.Pipeline.run
-      ~config:
-        {
-          Dbre.Pipeline.default_config with
-          Dbre.Pipeline.oracle = Workload.Paper_example.oracle ();
-        }
-      stripped
-      (Dbre.Job_spec.Equijoins (Workload.Paper_example.equijoins ()))
+    Helpers.ok
+      (Dbre.Job.run
+         (Dbre.Job_spec.of_database
+            ~oracle:(Scripted Workload.Paper_example.oracle_script)
+            stripped
+            (Dbre.Job_spec.Equijoins (Workload.Paper_example.equijoins ()))))
   in
   Alcotest.(check int) "six INDs as with declared keys" 6
     (List.length r.Dbre.Pipeline.ind_result.Dbre.Ind_discovery.inds)

@@ -63,7 +63,7 @@ let test_dedup () =
 
 let test_paper_sets () =
   (* the §6.2.1 worked result *)
-  let result = Workload.Paper_example.run () in
+  let result = Helpers.paper () in
   let lhs_strs =
     List.map Attribute.to_string result.Pipeline.lhs_result.Lhs_discovery.lhs
   in

@@ -207,16 +207,7 @@ let test_clean_corpus () =
         (s.Workload.Scenarios.name ^ " static diagnostics")
         0
         (List.length static.Lint.diags + List.length schema_diags);
-      let config =
-        {
-          Dbre.Pipeline.default_config with
-          Dbre.Pipeline.oracle = s.Workload.Scenarios.oracle ();
-        }
-      in
-      match
-        Dbre.Pipeline.run_checked ~config db
-          (Dbre.Job_spec.Programs s.Workload.Scenarios.programs)
-      with
+      match Dbre.Job.run (Workload.Scenarios.spec s) with
       | Error _ -> Alcotest.failf "%s pipeline failed" s.Workload.Scenarios.name
       | Ok result ->
           let verify = Lint.verify result in

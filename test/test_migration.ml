@@ -111,12 +111,10 @@ let databases_extensionally_equal expected actual =
     (Schema.relations (Database.schema expected))
 
 let roundtrip scenario_db oracle input fresh_db =
-  let db = scenario_db in
-  let original = Database.schema db in
+  let original = Database.schema scenario_db in
   let result =
-    Dbre.Pipeline.run
-      ~config:{ Dbre.Pipeline.default_config with Dbre.Pipeline.oracle }
-      db input
+    Helpers.ok
+      (Dbre.Job.run (Dbre.Job_spec.of_database ~oracle scenario_db input))
   in
   let sql = Dbre.Migration.script ~original result in
   let fresh = fresh_db in
@@ -130,7 +128,7 @@ let test_paper_roundtrip () =
   let sql, expected, fresh =
     roundtrip
       (Workload.Paper_example.database ())
-      (Workload.Paper_example.oracle ())
+      (Scripted Workload.Paper_example.oracle_script)
       (Dbre.Job_spec.Equijoins (Workload.Paper_example.equijoins ()))
       (Workload.Paper_example.database ())
   in
@@ -146,7 +144,7 @@ let test_payroll_roundtrip () =
   let _, expected, fresh =
     roundtrip
       (s.Workload.Scenarios.database ())
-      (s.Workload.Scenarios.oracle ())
+      s.Workload.Scenarios.oracle
       (Dbre.Job_spec.Programs s.Workload.Scenarios.programs)
       (s.Workload.Scenarios.database ())
   in
@@ -157,7 +155,7 @@ let test_synthetic_roundtrip () =
   let g () = Workload.Gen_schema.generate Workload.Gen_schema.default_spec in
   let w = g () in
   let _, expected, fresh =
-    roundtrip w.Workload.Gen_schema.db Dbre.Oracle.automatic
+    roundtrip w.Workload.Gen_schema.db Auto
       (Dbre.Job_spec.Equijoins w.Workload.Gen_schema.equijoins)
       (g ()).Workload.Gen_schema.db
   in
@@ -166,18 +164,8 @@ let test_synthetic_roundtrip () =
 
 let test_migration_fks_validate () =
   (* applying the script must not raise: every generated FK holds *)
-  let db = Workload.Paper_example.database () in
-  let original = Database.schema db in
-  let result =
-    Dbre.Pipeline.run
-      ~config:
-        {
-          Dbre.Pipeline.default_config with
-          Dbre.Pipeline.oracle = Workload.Paper_example.oracle ();
-        }
-      db
-      (Dbre.Job_spec.Equijoins (Workload.Paper_example.equijoins ()))
-  in
+  let original = Workload.Paper_example.schema () in
+  let result = Helpers.paper () in
   let sql = Dbre.Migration.script ~original result in
   let fresh = Workload.Paper_example.database () in
   (* would raise Exec.Error on any violated ALTER ... ADD FOREIGN KEY *)

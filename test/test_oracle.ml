@@ -22,10 +22,10 @@ let test_automatic () =
 
 let test_skeptical () =
   Alcotest.(check bool) "hidden refused" false
-    (Oracle.skeptical.Oracle.conceptualize_hidden (Attribute.single "R" "a"))
+    ((Oracle.of_mode Skeptical).Oracle.conceptualize_hidden (Attribute.single "R" "a"))
 
 let test_threshold () =
-  let o = Oracle.threshold ~nei_ratio:0.8 in
+  let o = Oracle.of_mode (Threshold 0.8) in
   Alcotest.(check bool) "high overlap forced" true
     (o.Oracle.on_nei (nei_ctx 10 100 9) = Oracle.Force_left_in_right);
   Alcotest.(check bool) "forced toward larger side" true
@@ -37,7 +37,7 @@ let test_threshold () =
 
 let test_scripted () =
   let o =
-    Oracle.scripted
+    Oracle.of_mode @@ Oracle.Scripted
       {
         Oracle.nei_choices = [ ("A[x] |X| B[y]", Oracle.Conceptualize "AB") ];
         fd_rejections = [ "R: a -> b" ];

@@ -7,13 +7,13 @@ open Dbre
 
 let test_paper_q_from_programs () =
   (* the front-end recovers exactly the §5 set Q from program sources *)
-  let r = Workload.Paper_example.run_from_programs () in
+  let r = Helpers.ok (Job.run (Workload.Scenarios.spec Workload.Scenarios.paper)) in
   Alcotest.(check (list equijoin_t)) "Q"
     (Workload.Paper_example.equijoins ())
     r.Pipeline.equijoins
 
 let test_paper_ind_set () =
-  let r = Workload.Paper_example.run () in
+  let r = Helpers.paper () in
   check_sorted_inds "the six §6.1 INDs"
     [
       ind ("HEmployee", [ "no" ]) ("Person", [ "id" ]);
@@ -29,7 +29,7 @@ let test_paper_ind_set () =
   | _ -> Alcotest.fail "expected exactly one conceptualized relation"
 
 let test_paper_f_set () =
-  let r = Workload.Paper_example.run () in
+  let r = Helpers.paper () in
   check_sorted_fds "the two §6.2.2 FDs"
     [
       fd "Department" [ "emp" ] [ "skill"; "proj" ];
@@ -41,7 +41,7 @@ let test_paper_f_set () =
     (List.map Attribute.to_string r.Pipeline.rhs_result.Rhs_discovery.hidden)
 
 let test_paper_3nf () =
-  let r = Workload.Paper_example.run () in
+  let r = Helpers.paper () in
   List.iter
     (fun (name, nf) ->
       Alcotest.(check bool)
@@ -59,14 +59,14 @@ let test_paper_zipcode_not_elicited () =
   Alcotest.(check bool) "holds in data" true
     (Reference.Fd_infer.satisfied_by (Database.table db "Person")
        (fd "Person" [ "zip-code" ] [ "state" ]));
-  let r = Workload.Paper_example.run () in
+  let r = Helpers.paper () in
   Alcotest.(check bool) "never elicited" false
     (List.exists
        (fun (f : Fd.t) -> f.Fd.rel = "Person")
        r.Pipeline.rhs_result.Rhs_discovery.fds)
 
 let test_paper_events () =
-  let r = Workload.Paper_example.run () in
+  let r = Helpers.paper () in
   let conceptualizations =
     List.filter
       (function
@@ -82,7 +82,7 @@ let test_paper_events () =
   Alcotest.(check int) "one hidden object accepted" 1 (List.length hidden_accepted)
 
 let test_paper_report_renders () =
-  let r = Workload.Paper_example.run () in
+  let r = Helpers.paper () in
   let text = Format.asprintf "%a" Report.pp_result r in
   Alcotest.(check bool) "nonempty narrative" true (String.length text > 2000)
 
@@ -91,7 +91,7 @@ let test_paper_report_renders () =
 let test_sql_scripts_input () =
   let db = Workload.Paper_example.database () in
   let r =
-    Pipeline.run db
+    Helpers.run_ok db
       (Job_spec.Sql_scripts
          [ "SELECT name FROM Person, HEmployee WHERE HEmployee.no = Person.id;" ])
   in
@@ -104,33 +104,18 @@ let test_sql_scripts_input () =
    elicited FD must be exactly the reference's verdicts *)
 let test_steps_match_reference () =
   let db = Workload.Paper_example.database () in
-  let config =
-    {
-      Pipeline.default_config with
-      Pipeline.oracle = Workload.Paper_example.oracle ();
-      migrate_data = false;
-    }
+  let spec =
+    Job_spec.of_database ~oracle:(Scripted Workload.Paper_example.oracle_script)
+      db (Job_spec.Equijoins (Workload.Paper_example.equijoins ()))
   in
-  let r =
-    Pipeline.run ~config db
-      (Job_spec.Equijoins (Workload.Paper_example.equijoins ()))
-  in
+  let r = Helpers.ok (Job.run { spec with migrate_data = false }) in
   check_ind_steps_reference "IND step" db r.Pipeline.ind_result;
   check_rhs_steps_reference "F" db r.Pipeline.rhs_result
 
 let test_no_migration_config () =
-  let db = Workload.Paper_example.database () in
-  let config =
-    {
-      Pipeline.default_config with
-      Pipeline.oracle = Workload.Paper_example.oracle ();
-      engine = Relational.Engine.default;
-      migrate_data = false;
-    }
-  in
   let r =
-    Pipeline.run ~config db
-      (Job_spec.Equijoins (Workload.Paper_example.equijoins ()))
+    Helpers.ok
+      (Job.run { (Workload.Paper_example.spec ()) with migrate_data = false })
   in
   Alcotest.(check bool) "no migrated db" true
     (r.Pipeline.restruct_result.Restruct.database = None)
@@ -140,7 +125,7 @@ let test_no_migration_config () =
 let test_synthetic_recovery () =
   let g = Workload.Gen_schema.generate Workload.Gen_schema.default_spec in
   let r =
-    Pipeline.run g.Workload.Gen_schema.db
+    Helpers.run_ok g.Workload.Gen_schema.db
       (Job_spec.Equijoins g.Workload.Gen_schema.equijoins)
   in
   check_sorted_inds "all planted INDs recovered"
@@ -153,7 +138,7 @@ let test_synthetic_recovery () =
 let test_synthetic_from_programs () =
   let g = Workload.Gen_schema.generate Workload.Gen_schema.default_spec in
   let r =
-    Pipeline.run g.Workload.Gen_schema.db
+    Helpers.run_ok g.Workload.Gen_schema.db
       (Job_spec.Programs g.Workload.Gen_schema.programs)
   in
   check_sorted_inds "program scan finds the same INDs"
@@ -161,15 +146,7 @@ let test_synthetic_from_programs () =
     r.Pipeline.ind_result.Ind_discovery.inds
 
 let test_payroll_scenario () =
-  let s = Workload.Scenarios.payroll in
-  let db = s.Workload.Scenarios.database () in
-  let config =
-    {
-      Pipeline.default_config with
-      Pipeline.oracle = s.Workload.Scenarios.oracle ();
-    }
-  in
-  let r = Pipeline.run ~config db (Job_spec.Programs s.Workload.Scenarios.programs) in
+  let r = Helpers.ok (Job.run (Workload.Scenarios.spec Workload.Scenarios.payroll)) in
   (* headline structures *)
   let schema = r.Pipeline.restruct_result.Restruct.schema in
   List.iter

@@ -39,7 +39,7 @@ let arb_spec = QCheck.make ~print:print_spec gen_spec
 let run_pipeline spec =
   let g = Workload.Gen_schema.generate spec in
   let r =
-    Dbre.Pipeline.run g.Workload.Gen_schema.db
+    Helpers.run_ok g.Workload.Gen_schema.db
       (Dbre.Job_spec.Equijoins g.Workload.Gen_schema.equijoins)
   in
   (g, r)
@@ -107,7 +107,7 @@ let suite =
     prop "IND order does not change the elicited set" (fun spec ->
         let g = Workload.Gen_schema.generate spec in
         let run joins =
-          (Dbre.Pipeline.run g.Workload.Gen_schema.db
+          (Helpers.run_ok g.Workload.Gen_schema.db
              (Dbre.Job_spec.Equijoins joins))
             .Dbre.Pipeline.ind_result.Dbre.Ind_discovery.inds
           |> List.sort Ind.compare
@@ -121,7 +121,7 @@ let suite =
         let db = g.Workload.Gen_schema.db in
         let original = Database.schema db in
         let r =
-          Dbre.Pipeline.run db
+          Helpers.run_ok db
             (Dbre.Job_spec.Equijoins g.Workload.Gen_schema.equijoins)
         in
         let sql = Dbre.Migration.script ~original r in

@@ -5,7 +5,7 @@ let contains haystack needle =
   let rec go i = i + nl <= hl && (String.sub haystack i nl = needle || go (i + 1)) in
   go 0
 
-let result = lazy (Workload.Paper_example.run ())
+let result = lazy (Helpers.paper ())
 
 let test_markdown_sections () =
   let md = Dbre.Report.markdown (Lazy.force result) in

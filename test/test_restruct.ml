@@ -23,7 +23,7 @@ let setup () =
   (db, inds)
 
 let oracle =
-  Oracle.scripted
+  Oracle.of_mode @@ Oracle.Scripted
     {
       Oracle.nei_choices = [];
       fd_rejections = [];
@@ -117,7 +117,7 @@ let test_no_db_mode () =
 let test_name_collision () =
   let db, inds = setup () in
   let clash =
-    Oracle.scripted
+    Oracle.of_mode @@ Oracle.Scripted
       {
         Oracle.nei_choices = [];
         fd_rejections = [];
@@ -135,7 +135,7 @@ let test_name_collision () =
   Alcotest.(check bool) "suffixed name" true (Schema.mem r.Restruct.schema "R_1")
 
 let test_paper_restructured_schema () =
-  let result = Workload.Paper_example.run () in
+  let result = Helpers.paper () in
   let schema = result.Pipeline.restruct_result.Restruct.schema in
   Alcotest.(check (list string)) "nine relations, paper order"
     [
@@ -154,7 +154,7 @@ let test_paper_restructured_schema () =
     (Schema.find_exn schema "Project").Relation.attrs
 
 let test_paper_ric () =
-  let result = Workload.Paper_example.run () in
+  let result = Helpers.paper () in
   let ric = result.Pipeline.restruct_result.Restruct.ric in
   check_sorted_inds "the ten §7 RICs"
     [
@@ -172,7 +172,7 @@ let test_paper_ric () =
     ric
 
 let test_paper_migrated_constraints () =
-  let result = Workload.Paper_example.run () in
+  let result = Helpers.paper () in
   match result.Pipeline.restruct_result.Restruct.database with
   | Some db ->
       (* every RIC and every declared constraint holds after migration *)
@@ -232,13 +232,10 @@ let check_moves msg input (r : Restruct.result) =
     (Schema.relations (Database.schema out))
 
 let test_scenario_moves (sc : Workload.Scenarios.t) () =
-  let db = sc.Workload.Scenarios.database () in
-  let result =
-    Pipeline.run
-      ~config:
-        { Pipeline.default_config with Pipeline.oracle = sc.Workload.Scenarios.oracle () }
-      db (Job_spec.Programs sc.Workload.Scenarios.programs)
-  in
+  (* the run's own database: conceptualized relations are moves too *)
+  let spec = Workload.Scenarios.spec sc in
+  let db, quarantine = Result.get_ok (Dbre.Job.database spec) in
+  let result = Helpers.ok (Dbre.Job.verify ~db ~quarantine spec) in
   let r = result.Pipeline.restruct_result in
   Alcotest.(check bool) (sc.Workload.Scenarios.name ^ ": something moved") true
     (r.Restruct.renamings <> []);

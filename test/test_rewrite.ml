@@ -7,17 +7,7 @@ open Sqlx
 open Dbre
 
 let setup () =
-  let db = Workload.Paper_example.database () in
-  let result =
-    Pipeline.run
-      ~config:
-        {
-          Pipeline.default_config with
-          Pipeline.oracle = Workload.Paper_example.oracle ();
-        }
-      db
-      (Job_spec.Equijoins (Workload.Paper_example.equijoins ()))
-  in
+  let result = Helpers.paper () in
   let plan = Rewrite.plan result in
   let migrated = Option.get result.Pipeline.restruct_result.Restruct.database in
   (plan, migrated)

@@ -56,7 +56,7 @@ let test_empty_rhs_becomes_hidden () =
 
 let test_empty_rhs_refused () =
   let r =
-    Rhs_discovery.run Oracle.skeptical (db ()) ~lhs:[ cand "W" "extra" ] ~hidden:[]
+    Rhs_discovery.run (Oracle.of_mode Skeptical) (db ()) ~lhs:[ cand "W" "extra" ] ~hidden:[]
   in
   Alcotest.(check (list attr)) "dropped" [] r.Rhs_discovery.hidden;
   match r.Rhs_discovery.steps with

@@ -134,6 +134,27 @@ let test_one_job_byte_identical () =
   Alcotest.(check string) "done" "done" state;
   check_artifacts "byte-identical to the local run" expected artifacts
 
+(* a scripted expert is data: the paper scenario's spec survives JSON
+   and the daemon with the artifacts of the in-process run, and the
+   one expert that needs a terminal is refused *)
+let test_scripted_job_byte_identical () =
+  let s = Workload.Scenarios.spec Workload.Scenarios.paper in
+  let text = Job_spec.to_string s in
+  let expected = local_artifacts s in
+  (match Job_spec.of_string text with
+  | Ok decoded ->
+      check_artifacts "decoded from JSON" expected (local_artifacts decoded)
+  | Error e -> Alcotest.fail e);
+  with_server @@ fun server ->
+  with_client server @@ fun c ->
+  let id, _ = submit_exn c s in
+  let state, artifacts = wait_exn c id in
+  Alcotest.(check string) "done" "done" state;
+  check_artifacts "byte-identical to the local run" expected artifacts;
+  match Client.submit c { s with oracle = Interactive } with
+  | Error (code, _) -> Alcotest.(check string) "interactive" "spec-invalid" code
+  | Ok _ -> Alcotest.fail "the daemon accepted an interactive spec"
+
 let test_event_stream_shape () =
   let s = spec ~label:"events" () in
   with_server @@ fun server ->
@@ -705,7 +726,7 @@ let test_restart_adopts_v1_spec () =
   Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
   let s = spec ~label:"elder" () in
   let expected = local_artifacts s in
-  let v3 = Job_spec.to_string s in
+  let current = Job_spec.to_string s in
   let replace ~sub ~by text =
     let n = String.length sub in
     let rec find i =
@@ -717,8 +738,10 @@ let test_restart_adopts_v1_spec () =
     String.sub text 0 i ^ by ^ String.sub text (i + n) (String.length text - i - n)
   in
   let v1 =
-    v3
-    |> replace ~sub:{|{"version":3,|} ~by:{|{"version":1,|}
+    current
+    |> replace
+         ~sub:(Printf.sprintf {|{"version":%d,|} Job_spec.version)
+         ~by:{|{"version":1,|}
     |> replace ~sub:{|"flow":false,|} ~by:""
     |> replace ~sub:{|"engine":{|} ~by:{|"engine":{"check":"partition","cache":false,|}
   in
@@ -1033,6 +1056,8 @@ let suite =
     Alcotest.test_case "one job is byte-identical to a local run" `Quick
       test_one_job_byte_identical;
     Alcotest.test_case "event stream shape" `Quick test_event_stream_shape;
+    Alcotest.test_case "a scripted job is byte-identical to a local run"
+      `Quick test_scripted_job_byte_identical;
     Alcotest.test_case "4 concurrent jobs byte-identical" `Quick
       (test_concurrent_jobs_byte_identical ~max_jobs:2);
     Alcotest.test_case "4 concurrent jobs byte-identical on 1 worker" `Quick

@@ -119,7 +119,7 @@ let run_with_fuel ~fuel =
 let test_cancellation_prefix () =
   let full =
     let g = generate () in
-    Pipeline.run g.Workload.Gen_schema.db
+    Helpers.run_ok g.Workload.Gen_schema.db
       (Job_spec.Equijoins g.Workload.Gen_schema.equijoins)
   in
   let rng = Workload.Rng.create 0x5eedL in
@@ -162,7 +162,7 @@ let test_partial_annotated () =
   let supervise = Supervise.create () in
   let oracle =
     Workload.Faults.cancelling_oracle ~after:2 supervise
-      (s.Workload.Scenarios.oracle ())
+      (Oracle.of_mode s.Workload.Scenarios.oracle)
   in
   let config = { Pipeline.default_config with Pipeline.oracle = oracle } in
   match
@@ -213,7 +213,7 @@ let test_partial_resume_identity () =
   let dir = fresh_dir "_supervise_resume" in
   let full =
     let g = generate () in
-    Pipeline.run g.Workload.Gen_schema.db
+    Helpers.run_ok g.Workload.Gen_schema.db
       (Job_spec.Equijoins g.Workload.Gen_schema.equijoins)
   in
   let partial =
@@ -234,7 +234,7 @@ let test_partial_resume_identity () =
     || partial.Pipeline.rhs_result.Rhs_discovery.unverified <> []);
   let resumed =
     let g = generate () in
-    Pipeline.run ~resume_from:dir g.Workload.Gen_schema.db
+    Helpers.run_ok ~resume_from:dir g.Workload.Gen_schema.db
       (Job_spec.Equijoins g.Workload.Gen_schema.equijoins)
   in
   Alcotest.(check bool) "resumed run is complete" true
@@ -265,7 +265,7 @@ let test_checksum_tamper () =
   let dir = fresh_dir "_supervise_checksum" in
   let baseline =
     let g = generate () in
-    Pipeline.run ~checkpoint_dir:dir g.Workload.Gen_schema.db
+    Helpers.run_ok ~checkpoint_dir:dir g.Workload.Gen_schema.db
       (Job_spec.Equijoins g.Workload.Gen_schema.equijoins)
   in
   Alcotest.(check bool) "baseline elicited FDs" true
@@ -273,7 +273,7 @@ let test_checksum_tamper () =
   let inputs =
     let g = generate () in
     Checkpoint.inputs g.Workload.Gen_schema.db g.Workload.Gen_schema.equijoins
-      ~migrate_data:true
+      ~migrate_data:true ~oracle:Auto
   in
   Alcotest.(check bool) "intact artifact loads" true
     (Checkpoint.load_rhs ~dir ~inputs <> None);
@@ -301,7 +301,7 @@ let test_checksum_tamper () =
   (* resume silently recomputes the stage and matches the baseline *)
   let resumed =
     let g = generate () in
-    Pipeline.run ~resume_from:dir g.Workload.Gen_schema.db
+    Helpers.run_ok ~resume_from:dir g.Workload.Gen_schema.db
       (Job_spec.Equijoins g.Workload.Gen_schema.equijoins)
   in
   Alcotest.(check bool) "recomputed FDs match" true

@@ -96,7 +96,7 @@ let test_rejects_invalid () =
 (* ---------- the round-trip on the paper example ---------- *)
 
 let test_paper_roundtrip () =
-  let result = Workload.Paper_example.run () in
+  let result = Helpers.paper () in
   let restructured = result.Dbre.Pipeline.restruct_result.Dbre.Restruct.schema in
   let forward =
     To_relational.map result.Dbre.Pipeline.translate_result.Dbre.Translate.eer
@@ -143,16 +143,7 @@ let test_paper_roundtrip () =
 
 let test_hospital_roundtrip_names () =
   let s = Workload.Scenarios.hospital in
-  let db = s.Workload.Scenarios.database () in
-  let config =
-    {
-      Dbre.Pipeline.default_config with
-      Dbre.Pipeline.oracle = s.Workload.Scenarios.oracle ();
-    }
-  in
-  let result =
-    Dbre.Pipeline.run ~config db (Dbre.Job_spec.Programs s.Workload.Scenarios.programs)
-  in
+  let result = Helpers.ok (Dbre.Job.run (Workload.Scenarios.spec s)) in
   let restructured = result.Dbre.Pipeline.restruct_result.Dbre.Restruct.schema in
   let forward =
     To_relational.map result.Dbre.Pipeline.translate_result.Dbre.Translate.eer

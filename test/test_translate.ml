@@ -103,7 +103,7 @@ let test_standalone_entities () =
 (* ------- the paper's Figure 1 ------- *)
 
 let figure1 () =
-  let result = Workload.Paper_example.run () in
+  let result = Helpers.paper () in
   result.Pipeline.translate_result.Translate.eer
 
 let test_figure1_entities () =

@@ -156,7 +156,7 @@ let test_scaled_ind_discovery_agree () =
   let db = g.Workload.Gen_schema.db in
   let r =
     Dbre.Ind_discovery.run
-      (Dbre.Oracle.threshold ~nei_ratio:0.8)
+      (Dbre.Oracle.of_mode (Threshold 0.8))
       db g.Workload.Gen_schema.equijoins
   in
   check_ind_steps_reference "NEI step" db r;

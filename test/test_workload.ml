@@ -139,11 +139,11 @@ let test_corruption_to_nei_pipeline () =
   let config =
     {
       Dbre.Pipeline.default_config with
-      Dbre.Pipeline.oracle = Dbre.Oracle.threshold ~nei_ratio:0.5;
+      Dbre.Pipeline.oracle = Dbre.Oracle.of_mode (Threshold 0.5);
     }
   in
   let r =
-    Dbre.Pipeline.run ~config db (Dbre.Job_spec.Equijoins g.Gen_schema.equijoins)
+    Helpers.run_ok ~config db (Dbre.Job_spec.Equijoins g.Gen_schema.equijoins)
   in
   Alcotest.(check bool) "forced IND recovered despite corruption" true
     (List.exists (Ind.equal target) r.Dbre.Pipeline.ind_result.Dbre.Ind_discovery.inds)
@@ -168,7 +168,7 @@ let test_payloadless_refs_become_hidden_objects () =
   Alcotest.(check int) "no planted FDs" 0
     (List.length g.Gen_schema.truth.Gen_schema.planted_fds);
   let r =
-    Dbre.Pipeline.run g.Gen_schema.db
+    Helpers.run_ok g.Gen_schema.db
       (Dbre.Job_spec.Equijoins g.Gen_schema.equijoins)
   in
   Alcotest.(check int) "two hidden objects" 2
