@@ -12,7 +12,13 @@
    [Stdlib.compare _ _ = 0] is identity — so [Int 1] and [Float 1.0]
    (which [Value.compare] equates) take two codes, and every NaN one.
    Cross-constructor values never compare equal, so giving the two bulk
-   constructors their own planes cannot change identity. *)
+   constructors their own planes cannot change identity.
+
+   An [Ints] plane of consecutive keys (a surrogate id column) is
+   [dense]: entry [c] is [base + c - 1], so it keeps no array and no
+   table, and a lookup is arithmetic. The first write that breaks the
+   run builds the array from [base] once ([materialize]); reads never
+   do. *)
 
 type plane = Empty | Ints | Strs | Values
 
@@ -45,6 +51,8 @@ type t = {
   mutable asc : bool;
       (* the plane is [Ints] or empty, each entry above the one before:
          a key above the last is new, one outside the range absent *)
+  mutable dense : bool;  (* Ints with no array and no table: entry c is base + c - 1 *)
+  mutable base : int;
 }
 
 let create () =
@@ -58,17 +66,20 @@ let create () =
     tab = None;
     scanned = 0;
     asc = true;
+    dense = false;
+    base = 0;
   }
 
 let length d = d.len
 let plane_of = function Value.Int _ -> Ints | Value.String _ -> Strs | _ -> Values
 let str_len d c = d.offs.(c + 1) - d.offs.(c)
+let int_at d c = if d.dense then d.base + c - 1 else d.ints.(c)
 
 let get d c =
   if c = 0 then Value.Null
   else
     match d.plane with
-    | Ints -> Value.Int d.ints.(c)
+    | Ints -> Value.Int (int_at d c)
     | Strs -> Value.String (Bytes.sub_string d.arena d.offs.(c) (str_len d c))
     | Values -> d.vals.(c)
     | Empty -> invalid_arg "Dict.get"
@@ -80,7 +91,7 @@ let to_strings d =
       if c = 0 then ""
       else
         match d.plane with
-        | Ints -> string_of_int d.ints.(c)
+        | Ints -> string_of_int (int_at d c)
         | Strs -> Bytes.sub_string d.arena d.offs.(c) (str_len d c)
         | _ -> Value.to_string (get d c))
 
@@ -97,7 +108,7 @@ let digest d =
       | Empty -> ""
       | Ints ->
           for c = 1 to d.len - 1 do
-            mix d.ints.(c)
+            mix (int_at d c)
           done;
           "i"
       | Strs ->
@@ -153,13 +164,34 @@ let ensure d =
   | Strs -> if Array.length d.offs < n + 1 then d.offs <- grown d.offs (n + 1) 0
   | Values -> if Array.length d.vals < n then d.vals <- grown d.vals n Value.Null
 
+(* [n] would be a dense plane's next entry: its first, or one above its
+   last, never wrapping past [max_int] *)
+let extends d n =
+  d.len = 1
+  ||
+  let last = d.base + d.len - 2 in
+  n > last && n - 1 = last
+
+(* write a dense plane's entries out, once, with room for the entry at
+   code [len]: from here it is an ascending [Ints] plane *)
+let materialize d =
+  if d.dense then begin
+    d.ints <- Array.init (max 16 (d.len + 1)) (fun c -> if c = 0 || c >= d.len then 0 else d.base + c - 1);
+    d.dense <- false
+  end
+
 (* Write the entry at code [len] without taking the code: a staged
    miss, or the first half of a push. On [Strs] the bytes go past the
    arena's end and [offs.(len+1)] closes them, so a staged miss that is
-   never committed leaves nothing to undo. *)
+   never committed leaves nothing to undo. A key that extends a dense
+   plane is implied by the code, so nothing is written. *)
 let write_int d n =
-  ensure d;
-  d.ints.(d.len) <- n
+  if d.dense && extends d n then (if d.len = 1 then d.base <- n)
+  else begin
+    materialize d;
+    ensure d;
+    d.ints.(d.len) <- n
+  end
 
 let write_bytes d buf off len =
   ensure d;
@@ -227,7 +259,7 @@ let value_frag v = Hashtbl.hash v land frag_mask
 
 let entry_frag d c =
   match d.plane with
-  | Ints -> int_frag d.ints.(c)
+  | Ints -> int_frag (int_at d c)
   | Strs -> bytes_frag d.arena d.offs.(c) (str_len d c)
   | _ -> value_frag d.vals.(c)
 
@@ -304,6 +336,7 @@ let table d =
   match d.tab with
   | Some t -> t
   | None ->
+      materialize d;
       let t = { size = d.len - 1; slots = empty_slots (cap_for d.len); st_slot = 0; st_frag = 0 } in
       for c = 1 to d.len - 1 do
         place_new t (word (entry_frag d c) c)
@@ -311,7 +344,8 @@ let table d =
       d.tab <- Some t;
       t
 
-let index d = ignore (table d)
+(* a dense plane's lookups only read, with no table *)
+let index d = if not d.dense then ignore (table d)
 
 (* Set the plane of a dictionary holding only NULL, or widen one of
    another plane to [Values] once, in O(dictionary); a table is rebuilt
@@ -322,6 +356,7 @@ let admit d p =
     if d.len = 1 then begin
       d.plane <- p;
       d.asc <- p = Ints;
+      d.dense <- p = Ints;
       d.ints <- [||];
       d.arena <- Bytes.empty;
       d.offs <- [||];
@@ -334,6 +369,7 @@ let admit d p =
       done;
       d.plane <- Values;
       d.asc <- false;
+      d.dense <- false;
       d.vals <- vals;
       d.ints <- [||];
       d.arena <- Bytes.empty;
@@ -353,16 +389,17 @@ let find_boxed d v =
   hit t (value_slot d t (value_frag v) v)
 
 (* [n] is above every entry of an ascending plane *)
-let above d n = d.asc && (d.len = 1 || n > d.ints.(d.len - 1))
+let above d n = d.asc && (d.len = 1 || n > int_at d (d.len - 1))
 
 (* [n] lies outside an ascending plane's range, so is absent *)
-let outside d n = above d n || (d.asc && n < d.ints.(1))
+let outside d n = above d n || (d.asc && n < int_at d 1)
 
 let find_int d n =
   match d.plane with
   | Ints -> (
       match d.tab with
       | None when outside d n -> -1
+      | None when d.dense -> n - d.base + 1
       | _ ->
           (* an in-range key of a sequential run sits at its home slot;
              past it, the range answers a miss that would walk the run *)
@@ -392,7 +429,7 @@ let find_value d v =
 
 let find_in d src c =
   match src.plane with
-  | Ints -> find_int d src.ints.(c)
+  | Ints -> find_int d (int_at src c)
   | Strs -> find_bytes d src.arena src.offs.(c) (str_len src c)
   | _ -> find_value d (get src c)
 
@@ -429,6 +466,7 @@ let rec probe_int d n =
     write_int d n;
     -1
   end
+  else if d.dense && n >= d.base then n - d.base + 1
   else
     let t = table d and f = int_frag n in
     let i = int_slot d t f n in
@@ -469,7 +507,7 @@ and probe_value d v =
 
 (* take the entry written at code [len] as that code *)
 let take d =
-  if d.asc && d.len > 1 then d.asc <- d.ints.(d.len) > d.ints.(d.len - 1);
+  if d.asc && d.len > 1 && not d.dense then d.asc <- d.ints.(d.len) > d.ints.(d.len - 1);
   d.len <- d.len + 1;
   d.len - 1
 
@@ -493,6 +531,7 @@ let scan d v =
     ((if !c < d.len then !c else -1), !c)
   in
   match (d.plane, v) with
+  | Ints, Value.Int n when d.dense -> (find_int d n, 0)  (* arithmetic: no entry read *)
   | Ints, Value.Int n -> walk (fun c -> d.ints.(c) = n)
   | Strs, Value.String s ->
       let b = Bytes.unsafe_of_string s in
@@ -528,7 +567,7 @@ let push_from d src c =
   match (src.plane, d.plane) with
   | Ints, (Ints | Empty) ->
       admit d Ints;
-      write_int d src.ints.(c);
+      write_int d (int_at src c);
       take d
   | Strs, (Strs | Empty) ->
       admit d Strs;
@@ -576,6 +615,7 @@ let unbind t i =
    entries leave it first, then every moved entry's slot is found while
    the plane still holds it, and only then rebound. *)
 let reclaim d ~lo remap ~next =
+  materialize d;
   let n = Array.length remap in
   (match d.tab with
   | None -> ()
@@ -619,7 +659,7 @@ let select d order n =
     e.asc <- false;
     match d.plane with
     | Ints ->
-        e.ints <- Array.init n (fun i -> if i = 0 then 0 else d.ints.(order.(i)));
+        e.ints <- Array.init n (fun i -> if i = 0 then 0 else int_at d order.(i));
         e.asc <- ascending e.ints 2 n
     | Strs ->
         let total = ref 0 in

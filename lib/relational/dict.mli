@@ -16,7 +16,12 @@
     surrogate id) needs no table while it stays so: a key above the
     last entry is new, and one below the first or above the last is
     absent. Its table is built by the first key at or below the last
-    entry, or by a lookup of a key inside its range.
+    entry, or by a lookup of a key inside its range. An [Int] plane of
+    consecutive keys (a dense surrogate id) keeps no array either:
+    entry [c] is [base + c - 1], a key one above the last entry extends
+    it, and a lookup is arithmetic. The first write that breaks the run
+    (a gap above, a key at or below the last entry, {!reclaim}, a
+    widening) builds the array once; no read ever does.
 
     Identity is that of a polymorphic hashtable ([Stdlib.compare _ _ =
     0]): [Int 1] and [Float 1.0] are two entries, every NaN is one.
@@ -54,21 +59,23 @@ val domain : t -> Domain.t
 val heap_words : t -> int
 (** Heap words of the plane's arrays (the boxed plane with the values
     it reaches) and of the intern table, if one is live: a report, not
-    a budget. *)
+    a budget. 0 for a dense plane, which keeps neither. *)
 
 (** {2 Lookups} *)
 
 val index : t -> unit
 (** Build the intern table now if there is none, ascending plane or
-    not. After it, lookups only read, so several domains may probe one
+    not; a dense plane builds nothing, its lookups being arithmetic.
+    After it, lookups only read, so several domains may probe one
     dictionary. *)
 
 val find_in : t -> t -> int -> int
 (** [find_in d src c] is the code in [d] of [src]'s entry [c], or -1;
     builds [d]'s table if it has none, except for an [Int] key outside
     an ascending plane's range, which is -1 with no table built and no
-    slot read past the key's home. Reads both planes directly when they
-    are of one kind. *)
+    slot read past the key's home, and for any [Int] key of a dense
+    plane, answered by arithmetic. Reads both planes directly when they
+    are of one kind; a dense [src] is read, never built. *)
 
 val included : t -> t -> bool
 (** [included d1 d2]: every entry of [d1] is one of [d2]'s. *)
@@ -86,8 +93,9 @@ val reserve : t -> unit
 (** Build the table if there is none, and grow it if one more insert
     would take it past three-quarters full. An ascending plane with no
     table builds nothing: a probe above its last entry stages the miss
-    with no slot, and any other probe builds the table with room for
-    the one insert. *)
+    with no slot, a dense plane answers an in-range probe by arithmetic,
+    and any other probe builds the table with room for the one
+    insert. *)
 
 val probe_int : t -> int -> int
 val probe_bytes : t -> bytes -> int -> int -> int

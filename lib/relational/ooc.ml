@@ -81,13 +81,15 @@ let note_zone_sweep () = Atomic.incr zone_segments_swept
 
 (* Where a sealed segment's codes are: [codes] is the resident payload
    (packed in the heap, or mapped from the spill file), [None] once
-   evicted; [path] is the spill file, once written. The LRU entry holds
+   evicted; [path] is the spill file, once written, and [sum] the
+   checksum of its bytes, which map-back checks. The LRU entry holds
    this cell, not the segment, so a segment nothing else reaches is
-   collected and its finaliser ([seal]) runs. Both fields change only
+   collected and its finaliser ([seal]) runs. Its fields change only
    under the manager lock, or by the segment's owner. *)
 type payload = {
   mutable codes : Packed_codes.t option;
   mutable path : string option;
+  mutable sum : int;
 }
 
 type segment = {
@@ -120,7 +122,7 @@ let evict id p =
             let path =
               Filename.concat dir (Printf.sprintf "dbre-seg-%d-%d.bin" (Unix.getpid ()) id)
             in
-            Packed_codes.write_file path codes;
+            p.sum <- Packed_codes.write_file path codes;
             p.path <- Some path;
             Atomic.incr spill_writes;
             true
@@ -241,7 +243,7 @@ let seal (src : int array) off n =
       len = n;
       max_code = !top;
       width = Packed_codes.width codes;
-      payload = { codes = Some codes; path = None };
+      payload = { codes = Some codes; path = None; sum = 0 };
     }
   in
   (* a collected segment leaves the budget and takes its spill file
@@ -266,7 +268,7 @@ let decode_into s dst =
         codes
     | None ->
         let path = match s.payload.path with Some p -> p | None -> assert false in
-        let codes = Packed_codes.map_file path ~width:s.width ~len:s.len in
+        let codes = Packed_codes.map_file path ~width:s.width ~len:s.len ~checksum:s.payload.sum in
         s.payload.codes <- Some codes;
         Atomic.incr map_loads;
         register s codes;

@@ -61,7 +61,8 @@ val decode_into : segment -> int array -> unit
 (** Write the segment's codes to [dst.(0 .. length-1)], mapping its
     spill file back first when it is evicted (an LRU bump when
     resident). Raises [Error.Error] with [Io_error] on a damaged spill
-    file. *)
+    file: one of the wrong size or kind, or whose bytes do not match the
+    checksum taken when it was written. *)
 
 val release : segment -> unit
 (** The segment is dead (its column was compacted, its load chunk

@@ -172,24 +172,59 @@ let raw_to_bytes (a : int array) =
   Array.iteri (fun i c -> Bytes.set_int64_le data (8 * i) (Int64.of_int c)) a;
   data
 
+(* A checksum of a payload's bytes, four at a time: each step is a
+   bijection of the running sum for a given word, and of the word for a
+   given sum, so damage inside one 4-byte word always changes it. The
+   two loops are twinned as the decoders are. *)
+let sum_step h w = (h lxor w) * 0x100000001b3
+
+external buf_get32 : buf -> int -> int32 = "%caml_bigstring_get32u"
+
+let bytes_checksum (b : Bytes.t) =
+  let n = Bytes.length b in
+  let h = ref n and i = ref 0 in
+  while !i + 4 <= n do
+    h := sum_step !h (Int32.to_int (Bytes.get_int32_ne b !i));
+    i := !i + 4
+  done;
+  for j = !i to n - 1 do
+    h := sum_step !h (Char.code (Bytes.get b j))
+  done;
+  !h
+
+let buf_checksum (b : buf) =
+  let n = Bigarray.Array1.dim b in
+  let h = ref n and i = ref 0 in
+  while !i + 4 <= n do
+    h := sum_step !h (Int32.to_int (buf_get32 b !i));
+    i := !i + 4
+  done;
+  for j = !i to n - 1 do
+    h := sum_step !h (Char.code (Bigarray.Array1.get b j))
+  done;
+  !h
+
 let write_file path t =
+  let bytes =
+    match t with
+    | Packed { data; _ } -> data
+    | Raw a -> raw_to_bytes a
+    | Mapped _ ->
+        (* a mapped payload already lives in its spill file *)
+        invalid_arg "write_file: the payload is already mapped"
+  in
   let fd =
     Unix.openfile path [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o600
   in
-  Fun.protect
-    ~finally:(fun () -> Unix.close fd)
-    (fun () ->
-      match t with
-      | Packed { data; _ } -> write_all fd data
-      | Raw a -> write_all fd (raw_to_bytes a)
-      | Mapped _ ->
-          (* a mapped payload already lives in its spill file *)
-          invalid_arg "write_file: the payload is already mapped")
+  Fun.protect ~finally:(fun () -> Unix.close fd) (fun () -> write_all fd bytes);
+  bytes_checksum bytes
 
 (* A spill file of the wrong size is damaged: a short one would make
    [Unix.map_file] try to grow a read-only descriptor, and a long one
-   would map its prefix without complaint. *)
-let map_file path ~width ~len =
+   would map its prefix without complaint. One of the right size is
+   damaged when its bytes do not sum to the checksum taken as it was
+   written. *)
+let map_file path ~width ~len ~checksum =
   let expected = if width = 0 then 8 * len else packed_bytes ~width len in
   let fail msg = Error.raisef Error.Io_error "spill file %s: %s" path msg in
   let map fd =
@@ -205,6 +240,7 @@ let map_file path ~width ~len =
       Fun.protect ~finally:(fun () -> Unix.close fd) (fun () -> map fd)
     with Unix.Unix_error (e, fn, _) -> fail (fn ^ ": " ^ Unix.error_message e)
   in
+  if buf_checksum data <> checksum then fail "checksum mismatch";
   if width = 0 then
     (* unpackable segments round-trip through the 64-bit encoding *)
     Raw

@@ -38,14 +38,17 @@ val decode_into : t -> int array -> unit
 (** [decode_into t dst] writes every code of [t] into [dst.(0..)],
     which may be longer. *)
 
-val write_file : string -> t -> unit
+val write_file : string -> t -> int
 (** Write the packed payload (or the 64-bit LE encoding of a [Raw]) to
-    a spill file. Raises [Invalid_argument] on [Mapped] payloads, which
-    already live in their spill file. *)
+    a spill file, and return a checksum of the bytes written; the file
+    holds the payload alone. Raises [Invalid_argument] on [Mapped]
+    payloads, which already live in their spill file. *)
 
-val map_file : string -> width:int -> len:int -> t
+val map_file : string -> width:int -> len:int -> checksum:int -> t
 (** Map a spill file written by {!write_file} back as a [Mapped]
-    payload ([Raw] for [width = 0]). Raises [Error.Error] with
-    {!Error.Io_error}, naming the path, when the file cannot be opened
-    or mapped, or when its size is not exactly the payload's (the
-    message gives both byte counts). *)
+    payload ([Raw] for [width = 0]), [checksum] being what the write
+    returned. Raises [Error.Error] with {!Error.Io_error}, naming the
+    path, when the file cannot be opened or mapped, when its size is not
+    exactly the payload's (the message gives both byte counts), or when
+    its bytes do not match the checksum (any damage inside one 4-byte
+    word is caught). *)

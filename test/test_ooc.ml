@@ -13,9 +13,9 @@
      the surviving rows;
    - the full pipeline under a spill budget produces byte-identical
      artifacts to an in-RAM run;
-   - a spill file truncated, extended, emptied, deleted or replaced by
-     a directory fails its segment's decode with a typed [Io_error]
-     and leaves its siblings decodable. *)
+   - a spill file truncated, extended, emptied, deleted, replaced by a
+     directory or with one byte flipped fails its segment's decode with
+     a typed [Io_error] and leaves its siblings decodable. *)
 
 open Relational
 open Helpers
@@ -431,6 +431,13 @@ let test_pipeline_spilled_identity () =
   Alcotest.(check (list (pair string string)))
     "artifacts byte-identical across the spill threshold" in_ram spilled
 
+(* xor one byte of a file with a nonzero [mask] *)
+let flip_byte path f mask =
+  let bytes = In_channel.with_open_bin path In_channel.input_all |> Bytes.of_string in
+  let i = int_of_float (f *. float_of_int (Bytes.length bytes)) in
+  Bytes.set bytes i (Char.chr (Char.code (Bytes.get bytes i) lxor mask));
+  Out_channel.with_open_bin path (fun oc -> Out_channel.output_bytes oc bytes)
+
 (* -- a damaged spill file ---------------------------------------------- *)
 
 (* Spill a generated database under a tiny budget, then damage every
@@ -482,6 +489,7 @@ let test_damaged_spill_files () =
         fun path ->
           Out_channel.with_open_gen [ Open_append; Open_binary ] 0o600 path (fun oc ->
               Out_channel.output_string oc (String.make 8 '\000')) );
+      ("flipped", fun path -> flip_byte path 0.5 0x80);
     ]
 
 (* -- the spill-file decoder is total -------------------------------- *)
@@ -490,10 +498,16 @@ let test_damaged_spill_files () =
    is sealed, then damage every spill file but one: [Ooc.decode_into]
    of a damaged segment raises [Error.Error] with [Io_error] and
    nothing else, and the undamaged sibling still decodes to its codes.
-   A flipped payload byte goes unseen (spill files carry no checksum),
-   so damage here changes a file's size or kind. *)
+   A flipped byte keeps the file's size and kind: the checksum taken as
+   the file was written catches it. *)
 
-type damage = Truncate of int | Extend of int | Empty | Delete | Directory
+type damage =
+  | Truncate of int
+  | Extend of int
+  | Empty
+  | Delete
+  | Directory
+  | Flip of float * int  (* xor the byte at that fraction of the file with a nonzero mask *)
 
 let damage_to_string = function
   | Truncate k -> Printf.sprintf "truncate by %d" k
@@ -501,6 +515,7 @@ let damage_to_string = function
   | Empty -> "empty"
   | Delete -> "delete"
   | Directory -> "directory"
+  | Flip (f, m) -> Printf.sprintf "flip the byte at %g by %#x" f m
 
 let apply_damage path = function
   | Truncate k ->
@@ -514,6 +529,7 @@ let apply_damage path = function
   | Directory ->
       Sys.remove path;
       Unix.mkdir path 0o700
+  | Flip (f, mask) -> flip_byte path f mask
 
 (* a segment's codes: a small range packs narrow, a code past 32 bits
    stays raw (width 0, eight bytes a code). 512 raw or 4096 byte-wide
@@ -537,6 +553,7 @@ let gen_damage =
         return Empty;
         return Delete;
         return Directory;
+        map2 (fun f m -> Flip (f, m)) (float_bound_exclusive 1.) (int_range 1 255);
       ])
 
 let prop_damaged_spill_decode =
