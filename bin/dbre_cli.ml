@@ -5,6 +5,7 @@
      analyze   run the pipeline on a DDL script + CSV extension + programs
      inds      stop after IND-Discovery
      discover  exhaustive FD/IND discovery baselines
+     migrate   write the SQL migration script to the 3NF schema
      lint      span-carrying diagnostics over schemas/workloads/artifacts
      generate  emit a synthetic workload to a directory
      serve     persistent analysis daemon on a Unix-domain socket
@@ -460,14 +461,7 @@ let migrate_cmd =
     let doc = "Write the migration SQL script to $(docv) (default stdout)." in
     Arg.(value & opt (some string) None & info [ "out" ] ~docv:"FILE" ~doc)
   in
-  let verify_arg =
-    let doc =
-      "Re-apply the generated script to a fresh copy of the database and \
-       check the result matches the in-memory restructuring."
-    in
-    Arg.(value & flag & info [ "verify" ] ~doc)
-  in
-  let run ddl data programs oracle lenient out verify =
+  let run ddl data programs oracle lenient out =
     match
       Dbre.Job_spec.of_args ~ddl ~data_dir:data ~programs_dir:programs ~oracle
         ~lenient ()
@@ -490,41 +484,17 @@ let migrate_cmd =
                 write_file path sql;
                 Printf.printf "migration written to %s\n" path
             | None -> print_string sql);
-            if not verify then 0
-            else
-              match Dbre.Job.database spec with
-              | Error e -> report_error e
-              | Ok (fresh, _) ->
-                  Sqlx.Exec.exec_script fresh sql;
-                  let expected =
-                    Option.get
-                      result.Dbre.Pipeline.restruct_result
-                        .Dbre.Restruct.database
-                  in
-                  let ok =
-                    List.for_all
-                      (fun rel ->
-                        let name = rel.Relation.name in
-                        let sort t =
-                          List.sort compare
-                            (Table.to_lists (Database.table t name))
-                        in
-                        sort fresh = sort expected)
-                      (Schema.relations (Database.schema expected))
-                  in
-                  Printf.printf "verification: %s\n"
-                    (if ok then "OK" else "FAILED");
-                  if ok then 0 else 1))
+            0))
   in
   let doc =
-    "Generate (and optionally verify) the SQL migration script that \
-     restructures the legacy database to 3NF."
+    "Generate the SQL migration script that restructures the legacy \
+     database to 3NF."
   in
   Cmd.v
     (Cmd.info "migrate" ~doc)
     Term.(
       const run $ ddl_arg $ data_arg $ programs_arg $ oracle_arg
-      $ lenient_arg $ out_arg $ verify_arg)
+      $ lenient_arg $ out_arg)
 
 (* ------------------------------------------------------------------ *)
 (* lint                                                                 *)

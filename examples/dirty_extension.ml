@@ -37,11 +37,11 @@ let fresh_corrupted () =
   let target_ind = List.hd g.Workload.Gen_schema.truth.Workload.Gen_schema.planted_inds in
   let target_fd = List.hd g.Workload.Gen_schema.truth.Workload.Gen_schema.planted_fds in
   let broken_cells =
-    Workload.Corrupt.break_ind rng db ~rel:target_ind.Ind.lhs_rel
+    Support.Corrupt.break_ind rng db ~rel:target_ind.Ind.lhs_rel
       ~attr:(List.hd target_ind.Ind.lhs_attrs) ~rate:0.08
   in
   let scrambled =
-    Workload.Corrupt.break_fd rng db ~rel:target_fd.Fd.rel
+    Support.Corrupt.break_fd rng db ~rel:target_fd.Fd.rel
       ~lhs:target_fd.Fd.lhs
       ~rhs:(List.hd target_fd.Fd.rhs)
       ~rate:0.05

@@ -14,7 +14,7 @@
      (the §6.1 warning applies: the structure then no longer matches the
      extension, and the migration script marks that constraint);
    - the forward round-trip: mapping the derived EER schema back to
-     relations (Er.To_relational) reproduces the restructured schema —
+     relations (Support.To_relational) reproduces the restructured schema —
      §3's claim that DBRE applies exactly to forward-designable schemas,
      checked on this output;
    - the Markdown report for project documentation.
@@ -40,7 +40,7 @@ let () =
 
   (* forward round-trip: EER -> relational must reproduce the schema *)
   let eer = result.Dbre.Pipeline.translate_result.Dbre.Translate.eer in
-  let forward = Er.To_relational.map eer in
+  let forward = Support.To_relational.map eer in
   let restructured = result.Dbre.Pipeline.restruct_result.Dbre.Restruct.schema in
   let names schema =
     List.sort String.compare
@@ -48,9 +48,9 @@ let () =
   in
   Format.printf
     "@.Forward mapping the EER schema reproduces the relational design: %b@."
-    (names forward.Er.To_relational.schema = names restructured);
+    (names forward.Support.To_relational.schema = names restructured);
   Format.printf "forward references: %d (restructured RIC: %d)@."
-    (List.length forward.Er.To_relational.refs)
+    (List.length forward.Support.To_relational.refs)
     (List.length result.Dbre.Pipeline.restruct_result.Dbre.Restruct.ric);
 
   (* the migration script marks the expert-forced, data-violated FK *)

@@ -65,10 +65,10 @@ let () =
   (* the logical navigation graph: which relations the programs cluster
      together, and which are never navigated *)
   let nav =
-    Sqlx.Navigation.of_equijoins counted
+    Support.Navigation.of_equijoins counted
   in
-  Format.printf "@.%a@." Sqlx.Navigation.pp nav;
-  (match Sqlx.Navigation.never_navigated nav (Database.schema db) with
+  Format.printf "@.%a@." Support.Navigation.pp nav;
+  (match Support.Navigation.never_navigated nav (Database.schema db) with
   | [] -> ()
   | lonely ->
       Format.printf "never navigated by any program: %s@."

@@ -65,17 +65,9 @@ let () =
   | None -> ());
 
   (* 7. A re-engineering project wants the migration script: the SQL that
-     turns the legacy database into the restructured one. It round-trips
-     through the library's own SQL interpreter. *)
-  let migration =
-    Dbre.Migration.script ~original:(Database.schema (Workload.Paper_example.database ())) result
-  in
-  Format.printf "@.=== Migration script ===@.%s@." migration;
-  let replay = Workload.Paper_example.database () in
-  Sqlx.Exec.exec_script replay migration;
-  Format.printf "replayed migration: %d relations, %d tuples@."
-    (Schema.size (Database.schema replay))
-    (Database.total_tuples replay);
+     turns the legacy database into the restructured one. *)
+  Format.printf "@.=== Migration script ===@.%s@."
+    (Dbre.Migration.script ~original:(Workload.Paper_example.schema ()) result);
 
   (* 8. Legacy queries that read moved attributes can be rewritten
      automatically against the new schema. *)

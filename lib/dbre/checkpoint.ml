@@ -25,9 +25,9 @@ let path ~dir stage =
    and v2 files were s-expressions, so both read as stale *)
 let version = 4
 
-exception Corrupt of string
+exception Malformed of string
 
-let corrupt msg = raise (Corrupt msg)
+let corrupt msg = raise (Malformed msg)
 
 (* Content checksum: FNV-1a 64 over the canonical (compact) rendering of
    the payload. Verified on read against a re-rendering of the parsed
@@ -42,7 +42,7 @@ let fnv1a64 s =
     s;
   Printf.sprintf "%016Lx" !h
 
-(* --- generic JSON helpers: decoders raise [Corrupt], caught by [load] --- *)
+(* --- generic JSON helpers: decoders raise [Malformed], caught by [load] --- *)
 
 let field key j =
   match Json.member key j with

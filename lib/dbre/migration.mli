@@ -22,9 +22,10 @@
       to be enabled after data repair.
 
     The script round-trips through this repository's own SQL subset:
-    applying it with {!Sqlx.Exec.exec_script} to a copy of the original
-    database yields a database extensionally identical to
-    [Restruct.result.database] (tested in [test/test_migration.ml]). *)
+    replaying it with the reference SQL interpreter of [test/reference]
+    on a copy of the original database yields a database extensionally
+    identical to [Restruct.result.database] (tested in
+    [test/test_migration.ml]). *)
 
 val script : original:Relational.Schema.t -> Pipeline.result -> string
 (** [script ~original result] — [original] is the schema {e before} the

@@ -79,7 +79,7 @@ let extract_equijoins ?(flow = false) db = function
               match Sqlx.Parser.parse_script script with
               | stmts ->
                   Sqlx.Dataflow.joins_of_statements (Database.schema db) stmts
-              | exception (Sqlx.Parser.Error _ | Sqlx.Lexer.Error _) -> [])
+              | exception Sqlx.Parser.Error _ -> [])
             scripts
       in
       Sqlx.Equijoin.dedupe (per_statement @ flow_joins)

@@ -13,7 +13,6 @@ let severity_of_string = function
   | "error" -> Some Error
   | _ -> None
 
-let pp_severity ppf s = Format.pp_print_string ppf (severity_to_string s)
 let severity_rank = function Info -> 0 | Warning -> 1 | Error -> 2
 
 type t = {

@@ -17,7 +17,6 @@ type severity = Info | Warning | Error
 
 val severity_to_string : severity -> string
 val severity_of_string : string -> severity option
-val pp_severity : Format.formatter -> severity -> unit
 
 val severity_rank : severity -> int
 (** [Info] 0, [Warning] 1, [Error] 2. *)

@@ -22,7 +22,7 @@ let schema_of_sources sources =
       if src.src_kind <> Schema_script then schema
       else
         match Parser.parse_script src.src_text with
-        | exception (Parser.Error _ | Lexer.Error _) -> schema
+        | exception Parser.Error _ -> schema
         | stmts ->
             List.fold_left
               (fun schema stmt ->

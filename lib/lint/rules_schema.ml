@@ -248,7 +248,7 @@ let check_script ?source_name script =
         (List.filter_map
            (function Ast.Create ct -> Some ct | _ -> None)
            stmts)
-  | exception (Parser.Error msg | Lexer.Error (msg, _)) ->
+  | exception Parser.Error msg ->
       [
         diag ?source_name ~code:"L006" Diagnostic.Error
           (Printf.sprintf "DDL script does not parse: %s" msg);

@@ -501,7 +501,7 @@ let check_script ?source_name schema text =
   | stmts ->
       List.concat_map (check_statement ?source_name schema) stmts
       @ dataflow_rules ?source_name schema stmts
-  | exception (Parser.Error msg | Lexer.Error (msg, _)) ->
+  | exception Parser.Error msg ->
       [
         diag ?source_name ~code:"L108" Diagnostic.Warning
           (Printf.sprintf "SQL script does not parse: %s" msg);

@@ -77,16 +77,6 @@ let invariant message = raise_ Invariant ("invariant violated: " ^ message)
 let at_stage stage e =
   match e.stage with Some _ -> e | None -> { e with stage = Some stage }
 
-let in_relation ?attribute relation e =
-  {
-    e with
-    relation = (match e.relation with Some _ as r -> r | None -> Some relation);
-    attribute =
-      (match (e.attribute, attribute) with
-      | (Some _ as a), _ -> a
-      | None, a -> a);
-  }
-
 let of_exn stage = function
   | Error e -> at_stage stage e
   | Failure msg -> make ~stage Unclassified msg

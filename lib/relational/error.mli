@@ -88,9 +88,6 @@ val invariant : string -> 'a
 val at_stage : stage -> t -> t
 (** Attribute the error to a stage unless already attributed. *)
 
-val in_relation : ?attribute:string -> string -> t -> t
-(** Attach relation/attribute context unless already present. *)
-
 val of_exn : stage -> exn -> t
 (** Classify an arbitrary exception caught at a stage boundary:
     {!Error} payloads pass through (stage filled in), [Failure] maps to

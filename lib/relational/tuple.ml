@@ -3,24 +3,6 @@ type t = Value.t array
 let of_list = Array.of_list
 let to_list = Array.to_list
 
-let equal a b =
-  Array.length a = Array.length b
-  &&
-  let rec go i = i >= Array.length a || (Value.equal a.(i) b.(i) && go (i + 1)) in
-  go 0
-
-let compare a b =
-  let la = Array.length a and lb = Array.length b in
-  let rec go i =
-    if i >= la && i >= lb then 0
-    else if i >= la then -1
-    else if i >= lb then 1
-    else
-      match Value.compare a.(i) b.(i) with 0 -> go (i + 1) | c -> c
-  in
-  go 0
-
-let hash t = Array.fold_left (fun acc v -> (acc * 31) + Value.hash v) 7 t
 let project idx tup = Array.map (fun i -> tup.(i)) idx
 
 let project_list idx tup =

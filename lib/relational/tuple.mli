@@ -5,9 +5,6 @@ type t = Value.t array
 
 val of_list : Value.t list -> t
 val to_list : t -> Value.t list
-val equal : t -> t -> bool
-val compare : t -> t -> int
-val hash : t -> int
 
 val project : int array -> t -> t
 (** [project idx tup] picks the components at positions [idx], in order. *)

@@ -94,11 +94,6 @@ let date y m d =
     invalid_arg "Value.date: day out of range";
   Date { year = y; month = m; day = d }
 
-let of_int i = Int i
-let of_float f = Float f
-let of_string s = String s
-let of_bool b = Bool b
-
 let parse_date s =
   (* strict YYYY-MM-DD *)
   if String.length s <> 10 || s.[4] <> '-' || s.[7] <> '-' then None

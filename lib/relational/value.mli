@@ -47,11 +47,6 @@ val date : int -> int -> int -> t
 (** [date y m d] builds a {!Date}; raises [Invalid_argument] on an
     out-of-range month or day. *)
 
-val of_int : int -> t
-val of_float : float -> t
-val of_string : string -> t
-val of_bool : bool -> t
-
 val parse : string -> t
 (** [parse s] guesses the most specific value for a raw (CSV) field:
     empty string ⇒ [Null]; then int, float, date ([YYYY-MM-DD]), bool

@@ -193,10 +193,6 @@ let fragments_of text =
   in
   blocks @ literals
 
-let located_fragments text =
-  let locate = Span.locator text in
-  List.map (fun f -> (f.f_text, locate f.f_off)) (fragments_of text)
-
 let extract_sql_fragments text =
   List.map (fun f -> f.f_text) (fragments_of text)
 
@@ -232,7 +228,7 @@ let scan text =
           | None -> Parser.parse_script ~base:(host_locate f.f_off) f.f_text
         with
         | parsed -> (parsed :: chunks, fails)
-        | exception (Parser.Error _ | Lexer.Error _) ->
+        | exception Parser.Error _ ->
             (chunks, (f.f_text, span_of_fragment host_locate f) :: fails))
       ([], []) fragments
   in

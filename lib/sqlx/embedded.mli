@@ -41,8 +41,3 @@ val extract_sql_fragments : string -> string list
     preserved (the SQL lexer understands [:var]). Adjacent string
     literals separated only by whitespace or [+]/[&] concatenation
     operators are joined, covering multi-line dynamic SQL. *)
-
-val located_fragments : string -> (string * Span.base) list
-(** {!extract_sql_fragments} with the host position each fragment starts
-    at — the base to hand {!Parser.parse_script} for host-coordinate
-    spans. *)

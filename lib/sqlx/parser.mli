@@ -31,11 +31,13 @@ val parse_statement :
     AST nodes carry source spans; [base] (default {!Span.base0}) re-bases
     them onto an enclosing text, and [locate] maps offsets through a
     non-affine fragment-to-host correspondence instead (see
-    {!Lexer.tokenize_spanned}). *)
+    {!Lexer.tokenize_spanned}). Lexical errors arrive as {!Error}
+    (["lexical error at offset …"]); {!Lexer.Error} never escapes. *)
 
 val parse_script :
   ?base:Span.base -> ?locate:(int -> Span.base) -> string -> Ast.statement list
-(** Parse a [';']-separated script. Empty statements are skipped. *)
+(** Parse a [';']-separated script. Empty statements are skipped;
+    lexical errors arrive as {!Error}, as for {!parse_statement}. *)
 
 val parse_query : string -> Ast.query
 (** Parse a single query (convenience wrapper). *)

@@ -40,7 +40,3 @@ let to_string = function
 let pp ppf t = Format.pp_print_string ppf (to_string t)
 
 type spanned = { tok : t; span : Span.t }
-
-let pp_spanned ppf s =
-  if Span.is_dummy s.span then pp ppf s.tok
-  else Format.fprintf ppf "%a@@%a" pp s.tok Span.pp s.span

@@ -23,6 +23,3 @@ val to_string : t -> string
 type spanned = { tok : t; span : Span.t }
 (** A token with its source location — what {!Lexer.tokenize_spanned}
     produces and the parser threads into the AST. *)
-
-val pp_spanned : Format.formatter -> spanned -> unit
-(** [SELECT@1:1] style. *)

@@ -29,8 +29,6 @@ val chance : t -> float -> bool
 val pick : t -> 'a list -> 'a
 (** Uniform element; raises [Invalid_argument] on an empty list. *)
 
-val pick_array : t -> 'a array -> 'a
-
 val shuffle : t -> 'a list -> 'a list
 (** Fisher–Yates. *)
 

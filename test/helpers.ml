@@ -187,6 +187,26 @@ let run_ok ?config ?checkpoint_dir ?resume_from db input =
 (* the §5 reproduction (E1-F1) *)
 let paper () = ok (Dbre.Job.run (Workload.Paper_example.spec ()))
 
+(* replay [result]'s migration script from [original] on [fresh], a
+   second copy of the run's input, through the reference SQL
+   interpreter: true when every relation of Restruct's database comes
+   out with the same attribute list and the same bag of rows *)
+let migration_replays ~original result fresh =
+  Reference.Exec.exec_script fresh (Dbre.Migration.script ~original result);
+  let expected =
+    Option.get result.Dbre.Pipeline.restruct_result.Dbre.Restruct.database
+  in
+  List.for_all
+    (fun rel ->
+      let name = rel.Relation.name in
+      let sort t = List.sort compare (Table.to_lists t) in
+      match Database.table_opt fresh name with
+      | None -> false
+      | Some t ->
+          (Table.schema t).Relation.attrs = rel.Relation.attrs
+          && sort t = sort (Database.table expected name))
+    (Schema.relations (Database.schema expected))
+
 (* substring check for error-message assertions *)
 let contains ~sub s =
   let n = String.length s and m = String.length sub in

@@ -1,3 +1,5 @@
+open Relational
+
 type derived = { cols : string list; rows : Value.t list list }
 
 type pred =

@@ -1,9 +1,11 @@
 (** A small relational-algebra evaluator.
 
-    Used by the SQL execution layer ({!module:Sqlx.Exec} in the [sqlx]
-    library) and by tests as an independent specification of the counting
-    primitives. Results are {e derived tables}: bags of rows with named
-    columns (duplicates preserved unless {!expr-Distinct} is applied). *)
+    The evaluation layer of the reference SQL interpreter ({!Exec}), and
+    an independent specification of the counting primitives for tests.
+    Results are {e derived tables}: bags of rows with named columns
+    (duplicates preserved unless {!expr-Distinct} is applied). *)
+
+open Relational
 
 type derived = { cols : string list; rows : Value.t list list }
 (** A computed result. Column names are unique within [cols]. *)

@@ -1,4 +1,5 @@
 open Relational
+open Sqlx
 
 exception Error of string
 

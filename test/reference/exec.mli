@@ -8,9 +8,10 @@
     SUM / AVG / MIN / MAX, ORDER BY, and INTERSECT / UNION / EXCEPT.
 
     Used by tests as an independent oracle for the counting primitives
-    and by examples to replay application queries. *)
+    and to replay migration scripts. *)
 
 open Relational
+open Sqlx
 
 exception Error of string
 

@@ -1,4 +1,5 @@
 open Relational
+open Deps
 
 let closed_sets fds ~attrs =
   let attrs = Attribute.Names.normalize attrs in

@@ -14,6 +14,7 @@
     small relation schemas of tests and examples. *)
 
 open Relational
+open Deps
 
 val closed_sets : Fd.t list -> attrs:string list -> string list list
 (** All distinct closures [X⁺] for [X ⊆ attrs] (including [attrs]

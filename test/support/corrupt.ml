@@ -1,4 +1,5 @@
 open Relational
+open Workload
 
 let rebuild db rel rows =
   let table = Database.table db rel in

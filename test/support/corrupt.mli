@@ -3,6 +3,7 @@
     (§6.1 cases (iv)–(vii), §6.2.2 case (ii)). *)
 
 open Relational
+open Workload
 
 val break_ind :
   Rng.t -> Database.t -> rel:string -> attr:string -> rate:float -> int

@@ -1,4 +1,5 @@
 open Relational
+open Workload
 
 type csv_fault =
   | Unterminated_quote

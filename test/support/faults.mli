@@ -9,6 +9,7 @@
     reproducible from a seed. *)
 
 open Relational
+open Workload
 
 type csv_fault =
   | Unterminated_quote

@@ -1,4 +1,5 @@
 open Relational
+open Sqlx
 
 type edge = { join : Equijoin.t; count : int }
 

@@ -10,6 +10,7 @@
     the traffic. *)
 
 open Relational
+open Sqlx
 
 type edge = { join : Equijoin.t; count : int }
 

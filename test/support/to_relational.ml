@@ -1,4 +1,5 @@
 open Relational
+open Er
 
 type result = {
   schema : Schema.t;

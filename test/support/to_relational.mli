@@ -26,6 +26,7 @@
       choice). *)
 
 open Relational
+open Er
 
 type result = {
   schema : Schema.t;

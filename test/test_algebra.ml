@@ -1,5 +1,6 @@
 open Relational
 open Helpers
+open Reference
 
 let db () =
   database

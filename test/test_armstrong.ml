@@ -1,5 +1,6 @@
 open Helpers
 open Deps
+open Support
 
 let abc = [ "a"; "b"; "c" ]
 

@@ -1,6 +1,7 @@
 open Relational
 open Helpers
 open Sqlx
+open Reference
 
 let db () =
   database

@@ -52,9 +52,9 @@ let inject_all rng fault g =
   List.iter
     (fun rel ->
       let csv = Csv.dump_table (Database.table db rel.Relation.name) in
-      let inj = Workload.Faults.inject_csv rng rel fault csv in
-      injected := !injected + inj.Workload.Faults.injected;
-      (match Csv.load ~mode:`Quarantine rel inj.Workload.Faults.csv with
+      let inj = Support.Faults.inject_csv rng rel fault csv in
+      injected := !injected + inj.Support.Faults.injected;
+      (match Csv.load ~mode:`Quarantine rel inj.Support.Faults.csv with
       | Ok (t, report) ->
           Database.replace_table fresh t;
           Option.iter (fun r -> reports := r :: !reports) report
@@ -87,10 +87,10 @@ let fault_class_prop name mk_fault =
 let pick_fault rng =
   Workload.Rng.pick rng
     [
-      Workload.Faults.Unterminated_quote;
-      Workload.Faults.Extra_field (Workload.Rng.int_in rng 1 3);
-      Workload.Faults.Type_mismatch (Workload.Rng.int_in rng 1 3);
-      Workload.Faults.Drop_column;
+      Support.Faults.Unterminated_quote;
+      Support.Faults.Extra_field (Workload.Rng.int_in rng 1 3);
+      Support.Faults.Type_mismatch (Workload.Rng.int_in rng 1 3);
+      Support.Faults.Drop_column;
     ]
 
 (* The artifact options of a partial must form a prefix: no stage result
@@ -152,7 +152,7 @@ let test_oracle_failure_first_decision () =
     {
       Pipeline.default_config with
       Pipeline.oracle =
-        Workload.Faults.failing_oracle ~every:1
+        Support.Faults.failing_oracle ~every:1
           (Oracle.of_mode s.Workload.Scenarios.oracle);
     }
   in
@@ -178,18 +178,18 @@ let test_failing_oracle_validation () =
   Alcotest.check_raises "every must be positive"
     (Invalid_argument "Faults.failing_oracle: every must be positive")
     (fun () ->
-      ignore (Workload.Faults.failing_oracle ~every:0 Oracle.automatic))
+      ignore (Support.Faults.failing_oracle ~every:0 Oracle.automatic))
 
 let suite =
   [
     fault_class_prop "unterminated quote: quarantined, never raises"
-      (fun _ -> Workload.Faults.Unterminated_quote);
+      (fun _ -> Support.Faults.Unterminated_quote);
     fault_class_prop "extra fields: quarantined, never raises" (fun rng ->
-        Workload.Faults.Extra_field (Workload.Rng.int_in rng 1 3));
+        Support.Faults.Extra_field (Workload.Rng.int_in rng 1 3));
     fault_class_prop "type mismatches: quarantined, never raises" (fun rng ->
-        Workload.Faults.Type_mismatch (Workload.Rng.int_in rng 1 3));
+        Support.Faults.Type_mismatch (Workload.Rng.int_in rng 1 3));
     fault_class_prop "dropped column: quarantined, never raises" (fun _ ->
-        Workload.Faults.Drop_column);
+        Support.Faults.Drop_column);
     prop "strict loader refuses every faulted document" arb_spec (fun spec ->
         let g = Workload.Gen_schema.generate spec in
         let rng =
@@ -202,10 +202,10 @@ let suite =
               Csv.dump_table
                 (Database.table g.Workload.Gen_schema.db rel.Relation.name)
             in
-            let inj = Workload.Faults.inject_csv rng rel fault csv in
-            if inj.Workload.Faults.injected = 0 then true
+            let inj = Support.Faults.inject_csv rng rel fault csv in
+            if inj.Support.Faults.injected = 0 then true
             else
-              match Csv.load rel inj.Workload.Faults.csv with
+              match Csv.load rel inj.Support.Faults.csv with
               | Ok _ -> false
               | Error _ -> true)
           (Schema.relations (Database.schema g.Workload.Gen_schema.db)));
@@ -217,7 +217,7 @@ let suite =
           {
             Pipeline.default_config with
             Pipeline.oracle =
-              Workload.Faults.failing_oracle ~every
+              Support.Faults.failing_oracle ~every
                 (Oracle.of_mode s.Workload.Scenarios.oracle);
           }
         in

@@ -113,7 +113,7 @@ let test_tane_agrees_with_discover () =
 let test_tane_on_armstrong () =
   (* TANE over an Armstrong relation recovers exactly the cover's closure *)
   let fds = [ fd "R" [ "a" ] [ "b" ]; fd "R" [ "b" ] [ "c" ] ] in
-  let t = Armstrong.relation ~rel:"R" fds ~attrs:[ "a"; "b"; "c" ] in
+  let t = Support.Armstrong.relation ~rel:"R" fds ~attrs:[ "a"; "b"; "c" ] in
   let found, _ = Reference.Fd_infer.discover_tane ~max_lhs:2 ~rel:"R" t in
   List.iter
     (fun (f : Fd.t) ->

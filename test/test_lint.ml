@@ -186,6 +186,24 @@ let test_excerpt () =
           (String.length suffix)
         = suffix)
 
+(* a lexical error is a parse failure like any other: one L006 for a
+   DDL with an unterminated string, one L108 for a script or a host
+   program with an illegal character *)
+let test_lexical_errors () =
+  let check msg code ?(sub = "lexical error at offset") kind text =
+    match (Lint.run ~schema:(hospital_schema ()) [ Lint.source ~name:"src" kind text ]).Lint.diags with
+    | [ d ] ->
+        Alcotest.(check string) msg code d.Diagnostic.code;
+        Helpers.check_contains msg ~sub d.Diagnostic.message
+    | ds -> Alcotest.failf "%s: %d diagnostics" msg (List.length ds)
+  in
+  check "unterminated string" "L006" Lint.Schema_script
+    "CREATE TABLE T (a VARCHAR(8));\nINSERT INTO T VALUES ('open);";
+  check "illegal character in a script" "L108" Lint.Sql_script
+    "SELECT ward FROM Admission WHERE ward = #1;";
+  check "illegal character in a program" "L108" ~sub:"= #1" Lint.Program
+    "       EXEC SQL SELECT ward FROM Admission WHERE ward = #1 END-EXEC."
+
 (* the clean corpus stays clean: all three scenarios, schema rules plus
    workload rules plus pipeline verification, produce no diagnostics *)
 let test_clean_corpus () =
@@ -282,3 +300,4 @@ let suite =
     Alcotest.test_case "clean corpus stays clean" `Slow test_clean_corpus;
   ]
   @ span_props
+  @ [ Alcotest.test_case "lexical errors are parse errors" `Quick test_lexical_errors ]

@@ -1,6 +1,7 @@
 open Relational
 open Helpers
 open Sqlx
+module Exec = Reference.Exec
 
 (* ---------- statement execution primitives ---------- *)
 
@@ -98,34 +99,18 @@ let test_alter_parse_print_roundtrip () =
 
 (* ---------- migration round-trips ---------- *)
 
-let databases_extensionally_equal expected actual =
-  List.for_all
-    (fun rel ->
-      let name = rel.Relation.name in
-      match Database.table_opt actual name with
-      | None -> false
-      | Some t ->
-          let sort tbl = List.sort compare (Table.to_lists tbl) in
-          (Table.schema t).Relation.attrs = rel.Relation.attrs
-          && sort t = sort (Database.table expected name))
-    (Schema.relations (Database.schema expected))
-
-let roundtrip scenario_db oracle input fresh_db =
+(* run [input] over [scenario_db], then replay the migration script on
+   [fresh]: the script, and whether the replay matches Restruct *)
+let roundtrip scenario_db oracle input fresh =
   let original = Database.schema scenario_db in
   let result =
     Helpers.ok
       (Dbre.Job.run (Dbre.Job_spec.of_database ~oracle scenario_db input))
   in
-  let sql = Dbre.Migration.script ~original result in
-  let fresh = fresh_db in
-  Exec.exec_script fresh sql;
-  let expected =
-    Option.get result.Dbre.Pipeline.restruct_result.Dbre.Restruct.database
-  in
-  (sql, expected, fresh)
+  (Dbre.Migration.script ~original result, migration_replays ~original result fresh)
 
 let test_paper_roundtrip () =
-  let sql, expected, fresh =
+  let sql, replays =
     roundtrip
       (Workload.Paper_example.database ())
       (Scripted Workload.Paper_example.oracle_script)
@@ -133,34 +118,58 @@ let test_paper_roundtrip () =
       (Workload.Paper_example.database ())
   in
   Alcotest.(check bool) "script nonempty" true (String.length sql > 500);
-  Alcotest.(check bool) "extensionally equal" true
-    (databases_extensionally_equal expected fresh);
+  Alcotest.(check bool) "extensionally equal" true replays;
   (* every statement of the script parses back *)
   Alcotest.(check bool) "script reparses" true
     (List.length (Parser.parse_script sql) > 10)
 
 let test_payroll_roundtrip () =
   let s = Workload.Scenarios.payroll in
-  let _, expected, fresh =
-    roundtrip
-      (s.Workload.Scenarios.database ())
-      s.Workload.Scenarios.oracle
-      (Dbre.Job_spec.Programs s.Workload.Scenarios.programs)
-      (s.Workload.Scenarios.database ())
-  in
   Alcotest.(check bool) "extensionally equal" true
-    (databases_extensionally_equal expected fresh)
+    (snd
+       (roundtrip
+          (s.Workload.Scenarios.database ())
+          s.Workload.Scenarios.oracle
+          (Dbre.Job_spec.Programs s.Workload.Scenarios.programs)
+          (s.Workload.Scenarios.database ())))
 
 let test_synthetic_roundtrip () =
   let g () = Workload.Gen_schema.generate Workload.Gen_schema.default_spec in
   let w = g () in
-  let _, expected, fresh =
-    roundtrip w.Workload.Gen_schema.db Auto
-      (Dbre.Job_spec.Equijoins w.Workload.Gen_schema.equijoins)
-      (g ()).Workload.Gen_schema.db
-  in
   Alcotest.(check bool) "extensionally equal" true
-    (databases_extensionally_equal expected fresh)
+    (snd
+       (roundtrip w.Workload.Gen_schema.db Auto
+          (Dbre.Job_spec.Equijoins w.Workload.Gen_schema.equijoins)
+          (g ()).Workload.Gen_schema.db))
+
+(* the default generated fixture as `dbre generate` writes it: a DDL
+   script, one CSV per relation and the embedded programs *)
+let generated () =
+  let g = Workload.Gen_schema.generate Workload.Gen_schema.default_spec in
+  let rels = Schema.relations (Database.schema g.Workload.Gen_schema.db) in
+  let source r =
+    let t = Database.table g.Workload.Gen_schema.db r.Relation.name in
+    (r.Relation.name, Source.csv_inline (Csv.dump_table t))
+  in
+  ( g,
+    Dbre.Job_spec.make
+      ~ddl:(String.concat "" (List.map (fun r -> Ddl.create_table_sql r ^ ";\n") rels))
+      ~sources:(List.map source rels)
+      (Dbre.Job_spec.Programs g.Workload.Gen_schema.programs) )
+
+let load spec =
+  match Dbre.Job.database spec with
+  | Ok loaded -> loaded
+  | Error e -> Alcotest.failf "load: %s" (Error.to_string e)
+
+(* `dbre migrate` over that fixture: the script replayed on a second
+   load of the same spec gives Restruct's database *)
+let test_generated_csv_roundtrip () =
+  let _, spec = generated () in
+  let result = Helpers.ok (Dbre.Job.run spec) in
+  let original, _ = Ddl.schema_of_script spec.Dbre.Job_spec.ddl in
+  Alcotest.(check bool) "extensionally equal" true
+    (migration_replays ~original result (fst (load spec)))
 
 let test_migration_fks_validate () =
   (* applying the script must not raise: every generated FK holds *)
@@ -183,26 +192,9 @@ let test_migration_fks_validate () =
    then [Job.verify]; the two halves are called apart to keep hold of
    the loaded tables. *)
 let test_analyze_keeps_rows () =
-  let g = Workload.Gen_schema.generate Workload.Gen_schema.default_spec in
+  let g, spec = generated () in
   let rels = Schema.relations (Database.schema g.Workload.Gen_schema.db) in
-  let spec =
-    Dbre.Job_spec.make
-      ~ddl:(String.concat "" (List.map (fun r -> Ddl.create_table_sql r ^ ";\n") rels))
-      ~sources:
-        (List.map
-           (fun r ->
-             let name = r.Relation.name in
-             ( name,
-               Source.csv_inline
-                 (Csv.dump_table (Database.table g.Workload.Gen_schema.db name)) ))
-           rels)
-      (Dbre.Job_spec.Programs g.Workload.Gen_schema.programs)
-  in
-  let db, quarantine =
-    match Dbre.Job.database spec with
-    | Ok loaded -> loaded
-    | Error e -> Alcotest.failf "load: %s" (Error.to_string e)
-  in
+  let db, quarantine = load spec in
   let original = Database.schema db in
   let loaded = List.map (fun r -> Database.table db r.Relation.name) rels in
   let result =
@@ -245,4 +237,6 @@ let suite =
     Alcotest.test_case "migration FKs validate" `Quick test_migration_fks_validate;
     Alcotest.test_case "analyze keeps the loaded rows" `Quick
       test_analyze_keeps_rows;
+    Alcotest.test_case "generated CSV migration roundtrip" `Quick
+      test_generated_csv_roundtrip;
   ]

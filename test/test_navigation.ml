@@ -1,6 +1,7 @@
 open Relational
 open Helpers
 open Sqlx
+open Support
 
 let schema () =
   Schema.of_relations

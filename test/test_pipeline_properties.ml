@@ -124,18 +124,6 @@ let suite =
           Helpers.run_ok db
             (Dbre.Job_spec.Equijoins g.Workload.Gen_schema.equijoins)
         in
-        let sql = Dbre.Migration.script ~original r in
-        let fresh = (Workload.Gen_schema.generate spec).Workload.Gen_schema.db in
-        Sqlx.Exec.exec_script fresh sql;
-        let expected =
-          Option.get r.Dbre.Pipeline.restruct_result.Dbre.Restruct.database
-        in
-        List.for_all
-          (fun rel ->
-            let name = rel.Relation.name in
-            let sort t =
-              List.sort compare (Table.to_lists (Database.table t name))
-            in
-            sort fresh = sort expected)
-          (Schema.relations (Database.schema expected)));
+        Helpers.migration_replays ~original r
+          (Workload.Gen_schema.generate spec).Workload.Gen_schema.db);
   ]

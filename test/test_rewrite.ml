@@ -3,7 +3,6 @@
    migrated data. *)
 
 open Relational
-open Sqlx
 open Dbre
 
 let setup () =
@@ -14,7 +13,7 @@ let setup () =
 
 let state = lazy (setup ())
 
-let rows_of db sql = (Exec.run_string db sql).Algebra.rows
+let rows_of db sql = (Reference.Exec.run_string db sql).Reference.Algebra.rows
 
 (* answers over the ORIGINAL database vs the rewritten query over the
    MIGRATED database must agree as multisets *)

@@ -161,7 +161,7 @@ let test_partial_annotated () =
   let s = Workload.Scenarios.hospital in
   let supervise = Supervise.create () in
   let oracle =
-    Workload.Faults.cancelling_oracle ~after:2 supervise
+    Support.Faults.cancelling_oracle ~after:2 supervise
       (Oracle.of_mode s.Workload.Scenarios.oracle)
   in
   let config = { Pipeline.default_config with Pipeline.oracle = oracle } in

@@ -5,6 +5,7 @@
 open Relational
 open Helpers
 open Er
+open Support
 
 let entity ?(attrs = []) ?(key = []) ?weak_of name =
   { Eer.e_name = name; e_attrs = attrs; e_key = key; e_weak_of = weak_of }

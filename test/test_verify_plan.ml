@@ -133,7 +133,7 @@ let corrupted_workload () =
   List.iter
     (fun (i : Ind.t) ->
       ignore
-        (Workload.Corrupt.break_ind rng db ~rel:i.Ind.lhs_rel
+        (Support.Corrupt.break_ind rng db ~rel:i.Ind.lhs_rel
            ~attr:(List.hd i.Ind.lhs_attrs) ~rate:0.15))
     g.Workload.Gen_schema.truth.Workload.Gen_schema.planted_inds;
   g

@@ -95,7 +95,7 @@ let test_break_ind () =
   let target = List.hd g.Gen_schema.truth.Gen_schema.planted_inds in
   let rng = Rng.create 9L in
   let n =
-    Corrupt.break_ind rng db ~rel:target.Ind.lhs_rel
+    Support.Corrupt.break_ind rng db ~rel:target.Ind.lhs_rel
       ~attr:(List.hd target.Ind.lhs_attrs) ~rate:0.2
   in
   Alcotest.(check bool) "some cells corrupted" true (n > 0);
@@ -111,7 +111,7 @@ let test_break_fd () =
   let rhs_attr = List.hd target.Fd.rhs in
   let rng = Rng.create 9L in
   let n =
-    Corrupt.break_fd rng db ~rel:target.Fd.rel ~lhs:target.Fd.lhs
+    Support.Corrupt.break_fd rng db ~rel:target.Fd.rel ~lhs:target.Fd.lhs
       ~rhs:rhs_attr ~rate:0.3
   in
   Alcotest.(check bool) "rows touched" true (n > 0);
@@ -123,7 +123,7 @@ let test_delete_rows () =
   let g = Gen_schema.generate Gen_schema.default_spec in
   let db = g.Gen_schema.db in
   let before = Database.cardinality db "E0" in
-  let n = Corrupt.delete_rows (Rng.create 1L) db ~rel:"E0" ~rate:0.5 in
+  let n = Support.Corrupt.delete_rows (Rng.create 1L) db ~rel:"E0" ~rate:0.5 in
   Alcotest.(check int) "accounting" before (n + Database.cardinality db "E0");
   Alcotest.(check bool) "some dropped" true (n > 0)
 
@@ -134,7 +134,7 @@ let test_corruption_to_nei_pipeline () =
   let db = g.Gen_schema.db in
   let target = List.hd g.Gen_schema.truth.Gen_schema.planted_inds in
   ignore
-    (Corrupt.break_ind (Rng.create 11L) db ~rel:target.Ind.lhs_rel
+    (Support.Corrupt.break_ind (Rng.create 11L) db ~rel:target.Ind.lhs_rel
        ~attr:(List.hd target.Ind.lhs_attrs) ~rate:0.05);
   let config =
     {
