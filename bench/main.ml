@@ -994,7 +994,11 @@ let b17 () =
   let schema = Database.schema g.Workload.Gen_schema.db in
   let t0 = Unix.gettimeofday () in
   let flow_joins =
-    List.concat_map (Sqlx.Dataflow.joins_of_program schema) programs
+    List.concat_map
+      (fun p ->
+        Sqlx.Dataflow.joins_of_statements schema
+          (Sqlx.Embedded.scan p).Sqlx.Embedded.statements)
+      programs
   in
   let df_s = Unix.gettimeofday () -. t0 in
   ignore flow_joins;

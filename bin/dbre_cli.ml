@@ -361,22 +361,25 @@ let inds_cmd =
         handle_errors ~hint:(not lenient) @@ fun () ->
         match Dbre.Job.database spec with
         | Error e -> report_error ~hint:(not lenient) e
-        | Ok (db, quarantine) ->
+        | Ok (db, quarantine) -> (
             print_quarantine quarantine;
-            let joins =
+            match
               Dbre.Pipeline.extract_equijoins db spec.Dbre.Job_spec.workload
-            in
-            Format.printf "Equi-joins:@.%a@.@." Dbre.Report.pp_equijoins joins;
-            let r =
-              Dbre.Ind_discovery.run ~engine:spec.Dbre.Job_spec.engine
-                (Dbre.Oracle.of_mode spec.Dbre.Job_spec.oracle)
-                db joins
-            in
-            Format.printf "Trace:@.%a@.@." Dbre.Report.pp_ind_steps
-              r.Dbre.Ind_discovery.steps;
-            Format.printf "IND:@.%a@." Dbre.Report.pp_inds
-              r.Dbre.Ind_discovery.inds;
-            0)
+            with
+            | Error e -> report_error e
+            | Ok (joins, _) ->
+                Format.printf "Equi-joins:@.%a@.@." Dbre.Report.pp_equijoins
+                  joins;
+                let r =
+                  Dbre.Ind_discovery.run ~engine:spec.Dbre.Job_spec.engine
+                    (Dbre.Oracle.of_mode spec.Dbre.Job_spec.oracle)
+                    db joins
+                in
+                Format.printf "Trace:@.%a@.@." Dbre.Report.pp_ind_steps
+                  r.Dbre.Ind_discovery.steps;
+                Format.printf "IND:@.%a@." Dbre.Report.pp_inds
+                  r.Dbre.Ind_discovery.inds;
+                0))
   in
   let doc = "Elicit inclusion dependencies only (stop after §6.1)." in
   Cmd.v
@@ -392,7 +395,10 @@ let inds_cmd =
 let discover_cmd =
   let what_arg =
     let doc = "'fds', 'inds' or 'keys'." in
-    Arg.(value & pos 0 string "fds" & info [] ~docv:"WHAT" ~doc)
+    Arg.(
+      value
+      & pos 0 (enum [ ("fds", `Fds); ("inds", `Inds); ("keys", `Keys) ]) `Fds
+      & info [] ~docv:"WHAT" ~doc)
   in
   let max_lhs_arg =
     let doc = "Maximum FD left-hand-side size." in
@@ -408,7 +414,7 @@ let discover_cmd =
         | Error e -> report_error e
         | Ok (db, _) ->
             (match what with
-            | "fds" ->
+            | `Fds ->
                 List.iter
                   (fun rel ->
                     let name = rel.Relation.name in
@@ -422,7 +428,7 @@ let discover_cmd =
                       (fun fd -> Format.printf "  %a@." Deps.Fd.pp fd)
                       fds)
                   (Schema.relations (Database.schema db))
-            | "inds" ->
+            | `Inds ->
                 let inds, stats = Deps.Ind_infer.discover_unary db in
                 Format.printf
                   "-- unary INDs (%d pairs considered, %d tested):@."
@@ -431,7 +437,7 @@ let discover_cmd =
                 List.iter
                   (fun ind -> Format.printf "  %a@." Deps.Ind.pp ind)
                   inds
-            | "keys" ->
+            | `Keys ->
                 List.iter
                   (fun (rel, keys) ->
                     Format.printf "-- %s:@." rel;
@@ -439,9 +445,7 @@ let discover_cmd =
                       (fun k ->
                         Format.printf "  unique (%s)@." (String.concat ", " k))
                       keys)
-                  (Deps.Key_infer.suggest ~max_size:max_lhs db)
-            | other ->
-                Printf.eprintf "unknown target %S (use fds|inds|keys)\n" other);
+                  (Deps.Key_infer.suggest ~max_size:max_lhs db));
             0)
   in
   let doc =
@@ -474,17 +478,18 @@ let migrate_cmd =
         | Error p -> report_failure ~lenient p
         | Ok result -> (
             print_quarantine result.Dbre.Pipeline.quarantine;
-            (* the run parsed this DDL already *)
-            let original, _ =
-              Sqlx.Ddl.schema_of_script spec.Dbre.Job_spec.ddl
-            in
-            let sql = Dbre.Migration.script ~original result in
-            (match out with
-            | Some path ->
-                write_file path sql;
-                Printf.printf "migration written to %s\n" path
-            | None -> print_string sql);
-            0))
+            (* the run parsed this DDL already, so this parse succeeds *)
+            match Sqlx.Ddl.schema_of_script spec.Dbre.Job_spec.ddl with
+            | Error msg ->
+                report_error (Error.make ~stage:Error.Load Error.Sql_parse msg)
+            | Ok (original, _) ->
+                let sql = Dbre.Migration.script ~original result in
+                (match out with
+                | Some path ->
+                    write_file path sql;
+                    Printf.printf "migration written to %s\n" path
+                | None -> print_string sql);
+                0))
   in
   let doc =
     "Generate the SQL migration script that restructures the legacy \

@@ -32,31 +32,27 @@ let () =
     (Schema.relations (Database.schema db));
 
   (* show what the embedded-SQL scanner recovers from the sources *)
-  let extraction =
-    Sqlx.Embedded.scan_files scenario.Workload.Scenarios.programs
+  let scans =
+    List.map Sqlx.Embedded.scan scenario.Workload.Scenarios.programs
+  in
+  let sum f = List.fold_left (fun n e -> n + f e) 0 scans in
+  let statements =
+    List.concat_map (fun e -> e.Sqlx.Embedded.statements) scans
   in
   Format.printf "@.Scanned %d program(s): %d SQL fragment(s), %d parsed, %d \
                  unparsable@."
     (List.length scenario.Workload.Scenarios.programs)
-    extraction.Sqlx.Embedded.raw_found
-    (List.length extraction.Sqlx.Embedded.statements)
-    (List.length extraction.Sqlx.Embedded.parse_failures);
+    (sum (fun e -> e.Sqlx.Embedded.raw_found))
+    (List.length statements)
+    (sum (fun e -> List.length e.Sqlx.Embedded.failures));
   List.iter
     (fun stmt ->
       Format.printf "  %s@." (Sqlx.Pretty.statement_to_string stmt))
-    extraction.Sqlx.Embedded.statements;
+    statements;
 
   (* the equi-joins with their occurrence counts across the corpus -
      frequency is a relevance signal the expert can use *)
-  let counted =
-    Sqlx.Equijoin.of_corpus (Database.schema db)
-      (List.filter_map
-         (fun src ->
-           match Sqlx.Embedded.extract_sql_fragments src with
-           | [] -> None
-           | frags -> Some (String.concat ";\n" frags))
-         scenario.Workload.Scenarios.programs)
-  in
+  let counted = Support.Navigation.count (Database.schema db) statements in
   Format.printf "@.Equi-joins (by frequency):@.";
   List.iter
     (fun (j, n) -> Format.printf "  %dx %s@." n (Sqlx.Equijoin.to_string j))

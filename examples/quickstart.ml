@@ -74,7 +74,9 @@ let () =
   let plan = Dbre.Rewrite.plan result in
   let legacy = "SELECT dep, skill FROM Department WHERE proj = 'pr001'" in
   Format.printf "@.legacy query:    %s@." legacy;
-  Format.printf "rewritten query: %s@." (Dbre.Rewrite.sql plan legacy);
+  (match Dbre.Rewrite.sql plan legacy with
+  | Ok rewritten -> Format.printf "rewritten query: %s@." rewritten
+  | Error msg -> Format.printf "legacy query does not parse: %s@." msg);
 
   (* 9. Export the conceptual schema for graphviz. *)
   let dot =

@@ -14,9 +14,8 @@ let notify progress ev =
 
 let database ?supervise ?progress (spec : Job_spec.t) =
   match Sqlx.Ddl.schema_of_script spec.Job_spec.ddl with
-  | exception Sqlx.Parser.Error msg ->
-      Error (Error.make ~stage:Error.Load Error.Sql_parse msg)
-  | schema, _fks -> (
+  | Error msg -> Error (Error.make ~stage:Error.Load Error.Sql_parse msg)
+  | Ok (schema, _fks) -> (
       let db = Database.create schema in
       let mode = if spec.Job_spec.lenient then `Quarantine else `Strict in
       let rec load reports = function

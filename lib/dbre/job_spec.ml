@@ -413,7 +413,8 @@ let of_args ?label ~ddl ?data_dir ?programs_dir ?flow ?(oracle = "auto")
         (* one CSV per declared relation, in schema declaration order;
            relations without a file simply have an empty extension *)
         match Sqlx.Ddl.schema_of_script ddl_text with
-        | schema, _ ->
+        | Error msg -> Error (Printf.sprintf "cannot parse DDL %s: %s" ddl msg)
+        | Ok (schema, _) ->
             Ok
               (List.filter_map
                  (fun rel ->
@@ -422,9 +423,7 @@ let of_args ?label ~ddl ?data_dir ?programs_dir ?flow ?(oracle = "auto")
                    if Sys.file_exists path then
                      Some (name, Source.Csv_file path)
                    else None)
-                 (Schema.relations schema))
-        | exception Sqlx.Parser.Error msg ->
-            Error (Printf.sprintf "cannot parse DDL %s: %s" ddl msg))
+                 (Schema.relations schema)))
   in
   let* workload =
     match programs_dir with

@@ -15,8 +15,11 @@ type config = {
   workload_flow : bool;
 }
 
+and skipped = { sk_program : int; sk_line : string; sk_span : Sqlx.Span.t }
+
 and result = {
   equijoins : Sqlx.Equijoin.t list;
+  skipped : skipped list;
   ind_result : Ind_discovery.result;
   lhs_result : Lhs_discovery.result;
   rhs_result : Rhs_discovery.result;
@@ -46,51 +49,60 @@ type partial = {
   p_error : Error.t;
 }
 
-let extract_equijoins ?(flow = false) db = function
-  | Job_spec.Equijoins q -> q
+let extract_equijoins ?(flow = false) db workload =
+  let schema = Database.schema db in
+  (* [units] holds one statement list per program or script *)
+  let joins units =
+    let per_statement =
+      List.concat_map
+        (List.concat_map (Sqlx.Equijoin.of_statement schema))
+        units
+    in
+    (* host variables are program-local: the dataflow analysis runs over
+       each unit on its own, never the concatenated statement stream *)
+    let flow_joins =
+      if flow then
+        List.concat_map (Sqlx.Dataflow.joins_of_statements schema) units
+      else []
+    in
+    (* per-statement evidence first, so a flow-off run is byte-for-byte
+       the historical extraction *)
+    Sqlx.Equijoin.dedupe (per_statement @ flow_joins)
+  in
+  match workload with
+  | Job_spec.Equijoins q -> Ok (q, [])
   | Job_spec.Programs sources ->
-      let extraction = Sqlx.Embedded.scan_files sources in
-      let per_statement =
-        List.concat_map
-          (Sqlx.Equijoin.of_statement (Database.schema db))
-          extraction.Sqlx.Embedded.statements
+      let scans = List.map Sqlx.Embedded.scan sources in
+      let skipped i (e : Sqlx.Embedded.extraction) =
+        List.map
+          (fun (fragment, span) ->
+            {
+              sk_program = i;
+              sk_line = Sqlx.Embedded.first_line fragment;
+              sk_span = span;
+            })
+          e.failures
       in
-      let flow_joins =
-        if not flow then []
-        else
-          (* host variables are program-local: each program is analyzed
-             on its own, never the concatenated statement stream *)
-          List.concat_map
-            (Sqlx.Dataflow.joins_of_program (Database.schema db))
-            sources
-      in
-      (* per-statement evidence first, so a flow-off run is byte-for-byte
-         the historical extraction *)
-      Sqlx.Equijoin.dedupe (per_statement @ flow_joins)
+      Ok
+        ( joins
+            (List.map (fun (e : Sqlx.Embedded.extraction) -> e.statements) scans),
+          List.concat (List.mapi skipped scans) )
   | Job_spec.Sql_scripts scripts ->
-      let per_statement =
-        List.concat_map (Sqlx.Equijoin.of_script (Database.schema db)) scripts
+      let rec parse acc = function
+        | [] -> Ok (joins (List.rev acc), [])
+        | script :: rest -> (
+            match Sqlx.Parser.parse_script script with
+            | Ok stmts -> parse (stmts :: acc) rest
+            | Error msg ->
+                Error (Error.make ~stage:Error.Extract Error.Sql_parse msg))
       in
-      let flow_joins =
-        if not flow then []
-        else
-          List.concat_map
-            (fun script ->
-              match Sqlx.Parser.parse_script script with
-              | stmts ->
-                  Sqlx.Dataflow.joins_of_statements (Database.schema db) stmts
-              | exception Sqlx.Parser.Error _ -> [])
-            scripts
-      in
-      Sqlx.Equijoin.dedupe (per_statement @ flow_joins)
+      parse [] scripts
 
 (* Run one stage under the typed-error boundary: any escaping exception
    becomes a structured [Error.t] attributed to the stage. *)
 let wrap stage f =
   match f () with
   | v -> Ok v
-  | exception Sqlx.Parser.Error msg ->
-      Stdlib.Error (Error.make ~stage Error.Sql_parse msg)
   | exception exn -> Stdlib.Error (Error.of_exn stage exn)
 
 let run_checked ?(config = default_config) ?supervise ?(quarantine = [])
@@ -166,14 +178,18 @@ let run_checked ?(config = default_config) ?supervise ?(quarantine = [])
   let p_restruct_result = ref None in
   let ( let* ) = Result.bind in
   let outcome =
+    let skipped = ref [] in
     let* equijoins =
       stage ~into:p_equijoins Error.Extract no_load no_write (fun _ ->
-          let q = extract_equijoins ~flow:config.workload_flow db input in
-          if checkpoint_dir <> None || resume_from <> None then
-            inputs :=
-              Checkpoint.inputs db q ~migrate_data:config.migrate_data
-                ~oracle:config.oracle.Oracle.mode;
-          q)
+          match extract_equijoins ~flow:config.workload_flow db input with
+          | Stdlib.Error e -> raise (Error.Error e)
+          | Ok (q, sk) ->
+              skipped := sk;
+              if checkpoint_dir <> None || resume_from <> None then
+                inputs :=
+                  Checkpoint.inputs db q ~migrate_data:config.migrate_data
+                    ~oracle:config.oracle.Oracle.mode;
+              q)
     in
     let* ind_result =
       stage ~into:p_ind_result
@@ -225,6 +241,7 @@ let run_checked ?(config = default_config) ?supervise ?(quarantine = [])
     Ok
       {
         equijoins;
+        skipped = !skipped;
         ind_result;
         lhs_result;
         rhs_result;

@@ -47,8 +47,18 @@ type config = {
           evidence, then the union is deduplicated. *)
 }
 
+and skipped = {
+  sk_program : int;  (** index of the program in the workload *)
+  sk_line : string;  (** the fragment's first line ({!Sqlx.Embedded.first_line}) *)
+  sk_span : Sqlx.Span.t;  (** the fragment's span in its program *)
+}
+(** An embedded SQL fragment Extract could not parse and skipped. *)
+
 and result = {
   equijoins : Sqlx.Equijoin.t list;  (** the [Q] actually analyzed *)
+  skipped : skipped list;
+      (** the programs' skipped fragments, in workload and document
+          order; empty for script and equi-join workloads *)
   ind_result : Ind_discovery.result;
   lhs_result : Lhs_discovery.result;
   rhs_result : Rhs_discovery.result;
@@ -65,10 +75,17 @@ val default_config : config
     migration on, no progress tap, dataflow analysis off. *)
 
 val extract_equijoins :
-  ?flow:bool -> Database.t -> Job_spec.workload -> Sqlx.Equijoin.t list
+  ?flow:bool ->
+  Database.t ->
+  Job_spec.workload ->
+  (Sqlx.Equijoin.t list * skipped list, Error.t) Stdlib.result
 (** The Extract stage: the workload's equi-joins over [db]'s schema,
-    deduplicated. [?flow] (default off) adds the inter-statement joins
-    of the dataflow analysis after the per-statement ones. *)
+    deduplicated, and the program fragments it skipped. Each program is
+    scanned once and each script parsed once; [?flow] (default off) adds
+    the inter-statement joins of the dataflow analysis, unit by unit,
+    after the per-statement ones. [Error e] is a {!Error.Sql_parse}
+    error of the Extract stage carrying the message of the first script
+    that does not parse ({!Sqlx.Parser.parse_script}). *)
 
 type partial = {
   p_equijoins : Sqlx.Equijoin.t list option;

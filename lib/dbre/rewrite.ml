@@ -277,4 +277,6 @@ let statement plan (stmt : Ast.statement) =
       stmt
 
 let sql plan text =
-  Pretty.statement_to_string (statement plan (Parser.parse_statement text))
+  Result.map
+    (fun stmt -> Pretty.statement_to_string (statement plan stmt))
+    (Parser.parse_statement text)

@@ -38,5 +38,6 @@ val statement : plan -> Sqlx.Ast.statement -> Sqlx.Ast.statement
     other statements are returned unchanged (DML on moved columns needs
     human attention and is out of scope). *)
 
-val sql : plan -> string -> string
-(** Parse, rewrite, and re-print a SQL text (single statement). *)
+val sql : plan -> string -> (string, string) result
+(** Parse, rewrite, and re-print a SQL text (single statement);
+    [Error msg] when it does not parse ({!Sqlx.Parser.parse_statement}). *)

@@ -16,9 +16,6 @@ val nf_to_string : nf -> string
 val prime_attrs : Fd.t list -> all:string list -> string list
 (** Attributes belonging to at least one candidate key. *)
 
-val is_2nf : Fd.t list -> all:string list -> bool
-(** No non-prime attribute depends on a proper subset of a key. *)
-
 val is_3nf : Fd.t list -> all:string list -> bool
 (** For every nontrivial [X -> a]: [X] is a superkey or [a] is prime. *)
 

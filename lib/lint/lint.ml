@@ -22,17 +22,16 @@ let schema_of_sources sources =
       if src.src_kind <> Schema_script then schema
       else
         match Parser.parse_script src.src_text with
-        | exception Parser.Error _ -> schema
-        | stmts ->
+        | Error _ -> schema
+        | Ok stmts ->
             List.fold_left
               (fun schema stmt ->
                 match stmt with
                 | Ast.Create ct -> (
                     match Ddl.relation_of_create ct with
-                    | rel when not (Schema.mem schema rel.Relation.name) ->
+                    | Ok rel when not (Schema.mem schema rel.Relation.name) ->
                         Schema.add schema rel
-                    | _ -> schema
-                    | exception Invalid_argument _ -> schema)
+                    | Ok _ | Error _ -> schema)
                 | _ -> schema)
               schema stmts)
     Schema.empty sources

@@ -243,12 +243,12 @@ let check_creates ?source_name creates =
 
 let check_script ?source_name script =
   match Parser.parse_script script with
-  | stmts ->
+  | Ok stmts ->
       check_creates ?source_name
         (List.filter_map
            (function Ast.Create ct -> Some ct | _ -> None)
            stmts)
-  | exception Parser.Error msg ->
+  | Error msg ->
       [
         diag ?source_name ~code:"L006" Diagnostic.Error
           (Printf.sprintf "DDL script does not parse: %s" msg);

@@ -17,15 +17,10 @@
 
 open Relational
 
-val check_creates :
-  ?source_name:string -> Sqlx.Ast.create_table list -> Diagnostic.t list
-(** Check a parsed DDL script (the list of its [CREATE TABLE]
-    statements). Foreign keys are resolved against the other statements
-    of the same list. *)
-
 val check_script : ?source_name:string -> string -> Diagnostic.t list
-(** Parse a DDL script and run {!check_creates}; a parse failure yields
-    a single [L006] diagnostic instead of an exception. *)
+(** Parse a DDL script and check its [CREATE TABLE] statements, foreign
+    keys resolved against the other statements of the script; a parse
+    failure yields a single [L006] diagnostic. *)
 
 val check_schema : Schema.t -> Diagnostic.t list
 (** Dictionary-only variant for schemas that did not come from DDL text

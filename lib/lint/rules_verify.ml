@@ -199,8 +199,8 @@ let first_record_width (source : Source.t) =
 
 let check_job (spec : Dbre.Job_spec.t) =
   match Sqlx.Ddl.schema_of_script spec.Dbre.Job_spec.ddl with
-  | exception Sqlx.Parser.Error _ -> []
-  | schema, _fks ->
+  | Error _ -> []
+  | Ok (schema, _fks) ->
       List.filter_map
         (fun (name, source) ->
           match Schema.find schema name with

@@ -498,10 +498,10 @@ let check_statement ?source_name schema (stmt : Ast.statement) =
 
 let check_script ?source_name schema text =
   match Parser.parse_script text with
-  | stmts ->
+  | Ok stmts ->
       List.concat_map (check_statement ?source_name schema) stmts
       @ dataflow_rules ?source_name schema stmts
-  | exception Parser.Error msg ->
+  | Error msg ->
       [
         diag ?source_name ~code:"L108" Diagnostic.Warning
           (Printf.sprintf "SQL script does not parse: %s" msg);
@@ -512,17 +512,12 @@ let check_program ?source_name schema text =
   let failures =
     List.map
       (fun (fragment, span) ->
-        let first_line =
-          match String.index_opt fragment '\n' with
-          | Some i -> String.sub fragment 0 i
-          | None -> fragment
-        in
         diag ?source_name ~span ~code:"L108" Diagnostic.Warning
           (Printf.sprintf
              "embedded SQL fragment does not parse (skipped by \
               extraction): %s"
-             (String.trim first_line)))
-      e.Embedded.located_failures
+             (Embedded.first_line fragment)))
+      e.Embedded.failures
   in
   failures
   @ List.concat_map (check_statement ?source_name schema) e.Embedded.statements

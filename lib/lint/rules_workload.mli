@@ -40,18 +40,6 @@
 
 open Relational
 
-val check_statement :
-  ?source_name:string -> Schema.t -> Sqlx.Ast.statement -> Diagnostic.t list
-
-val dataflow_rules :
-  ?source_name:string ->
-  Schema.t ->
-  Sqlx.Ast.statement list ->
-  Diagnostic.t list
-(** The [L109]–[L112] checks over one program's ordered statements.
-    Called by {!check_script} and {!check_program}; exposed for callers
-    that already hold a parsed statement list. *)
-
 val check_script :
   ?source_name:string -> Schema.t -> string -> Diagnostic.t list
 (** Parse a plain SQL script and check each statement; a parse failure

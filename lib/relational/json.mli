@@ -55,7 +55,6 @@ val to_int_opt : t -> int option
 val to_float_opt : t -> float option
 (** {!Float} or {!Int}. *)
 
-val to_bool_opt : t -> bool option
 val to_list_opt : t -> t list option
 val to_obj_opt : t -> (string * t) list option
 

@@ -20,9 +20,6 @@ val width_for : int -> int
     that can hold every code in [\[0, max_code\]], or [0] if none can
     (callers fall back to [Raw]). *)
 
-val packed_bytes : width:int -> int -> int
-(** [packed_bytes ~width n] is the byte length of a packed payload. *)
-
 val pack : width:int -> int array -> int -> int -> t
 (** [pack ~width src off n] packs [src.(off .. off+n-1)]. [width] must
     come from {!width_for}; [width = 0] yields [Raw]. *)

@@ -24,6 +24,5 @@ val count : report -> int
 
 val is_empty : report -> bool
 
-val pp_entry : Format.formatter -> entry -> unit
 val pp : Format.formatter -> report -> unit
 val to_string : report -> string

@@ -533,6 +533,3 @@ let joins t =
   Equijoin.dedupe (chained @ t.view_joins)
 
 let joins_of_statements schema stmts = joins (analyze schema stmts)
-
-let joins_of_program schema text =
-  joins_of_statements schema (Embedded.scan text).statements

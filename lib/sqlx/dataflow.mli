@@ -105,10 +105,7 @@ val joins : t -> Equijoin.t list
     feed the candidate-IND machinery unchanged. *)
 
 val joins_of_statements : Schema.t -> Ast.statement list -> Equijoin.t list
-(** [joins (analyze schema stmts)]. *)
-
-val joins_of_program : Schema.t -> string -> Equijoin.t list
-(** Scan one host-program source text ({!Embedded.scan}) and elicit its
-    dataflow joins. Per-program granularity matters: host variables are
-    program-local, so chaining across program boundaries would
+(** [joins (analyze schema stmts)], over one program's statements
+    ({!Embedded.scan}). Per-program granularity matters: host variables
+    are program-local, so chaining across program boundaries would
     fabricate evidence. *)

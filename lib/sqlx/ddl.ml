@@ -1,10 +1,13 @@
 open Relational
 
+(* a statement the schema refuses; caught by the entry points *)
+exception Refused of string
+
 (* A statement [Relation.make] would refuse is malformed SQL: say so
    as a parse error naming the table and the column. *)
 let check_create (ct : Ast.create_table) attrs keys =
   let fail fmt =
-    Printf.ksprintf (fun m -> raise (Parser.Error m)) ("CREATE TABLE %s: " ^^ fmt) ct.ct_name
+    Printf.ksprintf (fun m -> raise (Refused m)) ("CREATE TABLE %s: " ^^ fmt) ct.ct_name
   in
   let rec distinct = function
     | [] -> ()
@@ -19,7 +22,7 @@ let check_create (ct : Ast.create_table) attrs keys =
     (List.iter (fun a -> if not (List.mem a attrs) then fail "key names undeclared column %s" a))
     keys
 
-let relation_of_create (ct : Ast.create_table) =
+let relation (ct : Ast.create_table) =
   let attrs = List.map (fun (c : Ast.column_def) -> c.col_name) ct.columns in
   let domains =
     List.map
@@ -58,6 +61,9 @@ let relation_of_create (ct : Ast.create_table) =
     ~uniques:(col_uniques @ table_uniques)
     ~not_nulls ct.ct_name attrs
 
+let relation_of_create ct =
+  match relation ct with rel -> Ok rel | exception Refused msg -> Error msg
+
 let foreign_keys_of_create (ct : Ast.create_table) =
   List.filter_map
     (function
@@ -68,23 +74,30 @@ let foreign_keys_of_create (ct : Ast.create_table) =
 
 let add_relation schema (ct : Ast.create_table) =
   if Schema.mem schema ct.ct_name then
-    raise (Parser.Error (Printf.sprintf "CREATE TABLE %s: table declared twice" ct.ct_name));
-  Schema.add schema (relation_of_create ct)
+    raise (Refused (Printf.sprintf "CREATE TABLE %s: table declared twice" ct.ct_name));
+  Schema.add schema (relation ct)
 
 let schema_of_script script =
-  let stmts = Parser.parse_script script in
-  List.fold_left
-    (fun (schema, fks) stmt ->
-      match stmt with
-      | Ast.Create ct -> (add_relation schema ct, fks @ foreign_keys_of_create ct)
-      | Ast.Query _ | Ast.Insert _ | Ast.Insert_select _ | Ast.Update _
-      | Ast.Delete _ | Ast.Alter _ | Ast.Select_into _ | Ast.Declare_cursor _
-      | Ast.Open_cursor _ | Ast.Fetch _ | Ast.Close_cursor _
-      | Ast.Create_view _ ->
-          (* views are macro-expanded at analysis time, not materialized
-             as schema relations *)
-          (schema, fks))
-    (Schema.empty, []) stmts
+  let schema_of stmts =
+    List.fold_left
+      (fun (schema, fks) stmt ->
+        match stmt with
+        | Ast.Create ct -> (add_relation schema ct, fks @ foreign_keys_of_create ct)
+        | Ast.Query _ | Ast.Insert _ | Ast.Insert_select _ | Ast.Update _
+        | Ast.Delete _ | Ast.Alter _ | Ast.Select_into _ | Ast.Declare_cursor _
+        | Ast.Open_cursor _ | Ast.Fetch _ | Ast.Close_cursor _
+        | Ast.Create_view _ ->
+            (* views are macro-expanded at analysis time, not materialized
+               as schema relations *)
+            (schema, fks))
+      (Schema.empty, []) stmts
+  in
+  match Parser.parse_script script with
+  | Error _ as e -> e
+  | Ok stmts -> (
+      match schema_of stmts with
+      | v -> Ok v
+      | exception Refused msg -> Error msg)
 
 let sql_type_of_domain = function
   | Domain.Int -> "INT"
@@ -109,68 +122,3 @@ let create_table_sql (rel : Relation.t) =
   in
   Printf.sprintf "CREATE TABLE %s (%s)" rel.Relation.name
     (String.concat ", " (cols @ uniques))
-
-let value_of_expr = function
-  | Ast.Lit v -> v
-  | Ast.Col c ->
-      Error.raisef Error.Sql_parse "Ddl.load_script: column %s in VALUES" c.col
-  | Ast.Host (h, _) ->
-      Error.raisef Error.Sql_parse
-        "Ddl.load_script: host variable %s in VALUES" h
-  | Ast.Agg_of _ -> Error.raise_ Error.Sql_parse "Ddl.load_script: aggregate in VALUES"
-
-let load_script script =
-  let stmts = Parser.parse_script script in
-  let schema =
-    List.fold_left
-      (fun schema stmt ->
-        match stmt with
-        | Ast.Create ct -> add_relation schema ct
-        | _ -> schema)
-      Schema.empty stmts
-  in
-  let db = Database.create schema in
-  List.iter
-    (fun stmt ->
-      match stmt with
-      | Ast.Insert (rel, cols, rows) ->
-          let relation =
-            match Schema.find schema rel with
-            | Some r -> r
-            | None ->
-                Error.raisef ~relation:rel Error.Unknown_relation
-                  "Ddl.load_script: unknown table %s" rel
-          in
-          List.iter
-            (fun row ->
-              let values = List.map value_of_expr row in
-              let tuple =
-                match cols with
-                | None ->
-                    if
-                      List.length values
-                      <> List.length relation.Relation.attrs
-                    then
-                      Error.raise_ ~relation:rel Error.Sql_parse
-                        "Ddl.load_script: VALUES width mismatch";
-                    values
-                | Some cs ->
-                    if List.length cs <> List.length values then
-                      Error.raise_ ~relation:rel Error.Sql_parse
-                        "Ddl.load_script: VALUES width mismatch";
-                    let bound = List.combine cs values in
-                    List.map
-                      (fun a ->
-                        Option.value ~default:Value.Null
-                          (List.assoc_opt a bound))
-                      relation.Relation.attrs
-              in
-              Database.insert db rel tuple)
-            rows
-      | Ast.Create _ | Ast.Query _ | Ast.Insert_select _ | Ast.Update _
-      | Ast.Delete _ | Ast.Alter _ | Ast.Select_into _ | Ast.Declare_cursor _
-      | Ast.Open_cursor _ | Ast.Fetch _ | Ast.Close_cursor _
-      | Ast.Create_view _ ->
-          ())
-    stmts;
-  db

@@ -1,8 +1,7 @@
 type extraction = {
   statements : Ast.statement list;
   raw_found : int;
-  parse_failures : string list;
-  located_failures : (string * Span.t) list;
+  failures : (string * Span.t) list;
 }
 
 (* substring search over already-lowercased text, allocation-free: the
@@ -193,9 +192,6 @@ let fragments_of text =
   in
   blocks @ literals
 
-let extract_sql_fragments text =
-  List.map (fun f -> f.f_text) (fragments_of text)
-
 let fragment_locate host_locate map off =
   let off = max 0 (min off (Array.length map - 1)) in
   host_locate map.(off)
@@ -227,34 +223,19 @@ let scan text =
                 f.f_text
           | None -> Parser.parse_script ~base:(host_locate f.f_off) f.f_text
         with
-        | parsed -> (parsed :: chunks, fails)
-        | exception Parser.Error _ ->
+        | Ok parsed -> (parsed :: chunks, fails)
+        | Error _ ->
             (chunks, (f.f_text, span_of_fragment host_locate f) :: fails))
       ([], []) fragments
   in
-  let statements = List.concat (List.rev chunks) in
-  let failures = List.rev failures in
   {
-    statements;
+    statements = List.concat (List.rev chunks);
     raw_found = List.length fragments;
-    parse_failures = List.map fst failures;
-    located_failures = failures;
+    failures = List.rev failures;
   }
 
-let scan_files texts =
-  List.fold_left
-    (fun acc text ->
-      let e = scan text in
-      {
-        statements = acc.statements @ e.statements;
-        raw_found = acc.raw_found + e.raw_found;
-        parse_failures = acc.parse_failures @ e.parse_failures;
-        located_failures = acc.located_failures @ e.located_failures;
-      })
-    {
-      statements = [];
-      raw_found = 0;
-      parse_failures = [];
-      located_failures = [];
-    }
-    texts
+let first_line fragment =
+  String.trim
+    (match String.index_opt fragment '\n' with
+    | Some i -> String.sub fragment 0 i
+    | None -> fragment)

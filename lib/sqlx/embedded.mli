@@ -4,9 +4,10 @@
     carry their data-manipulation statements either in [EXEC SQL …]
     blocks (COBOL: terminated by [END-EXEC]; C/PLI: terminated by [;])
     or as string literals handed to a dynamic-SQL API. This scanner
-    recovers both, parses them, and silently skips fragments that do not
-    parse (legacy sources are full of dialect noise — a real extractor
-    must survive them).
+    recovers both, parses them, and returns the fragments that do not
+    parse beside the statements (legacy sources are full of dialect
+    noise — a real extractor must survive them, and say what it
+    skipped).
 
     Every fragment keeps its exact host coordinates, so the parsed AST
     carries spans in host-program coordinates: a diagnostic about an
@@ -19,19 +20,13 @@
 type extraction = {
   statements : Ast.statement list;  (** successfully parsed statements *)
   raw_found : int;  (** candidate fragments found before parsing *)
-  parse_failures : string list;  (** fragments that failed to parse *)
-  located_failures : (string * Span.t) list;
-      (** the same failed fragments with their host-program spans *)
+  failures : (string * Span.t) list;
+      (** the fragments that failed to parse, in fragment order, with
+          their host-program spans *)
 }
 
 val scan : string -> extraction
-(** Scan one host-program source text. *)
-
-val scan_files : string list -> extraction
-(** Concatenation of per-file extractions (in order). *)
-
-val extract_sql_fragments : string -> string list
-(** The raw candidate SQL fragments of a source text, before parsing:
+(** Scan one host-program source text. The candidate SQL fragments are
     [EXEC SQL] blocks first (document order), then SQL-looking string
     literals (double- or single-quoted text starting with
     SELECT/INSERT/UPDATE/DELETE/CREATE/ALTER/DECLARE, case-insensitive;
@@ -40,4 +35,9 @@ val extract_sql_fragments : string -> string list
     ({!Ast.statement.Declare_cursor}). Host-variable markers are
     preserved (the SQL lexer understands [:var]). Adjacent string
     literals separated only by whitespace or [+]/[&] concatenation
-    operators are joined, covering multi-line dynamic SQL. *)
+    operators are joined, covering multi-line dynamic SQL. Each
+    fragment is parsed on its own. *)
+
+val first_line : string -> string
+(** A fragment's first line, trimmed: how diagnostics and reports name
+    a skipped fragment. *)

@@ -410,27 +410,3 @@ let of_statement schema (stmt : Ast.statement) =
   | Ast.Create _ | Ast.Insert _ | Ast.Alter _
   | Ast.Open_cursor _ | Ast.Fetch _ | Ast.Close_cursor _ ->
       []
-
-let of_script schema script =
-  let stmts = Parser.parse_script script in
-  dedupe (List.concat_map (of_statement schema) stmts)
-
-let of_corpus schema scripts =
-  let counts = Hashtbl.create 32 in
-  let order = ref [] in
-  List.iter
-    (fun script ->
-      List.iter
-        (fun j ->
-          match Hashtbl.find_opt counts j with
-          | Some c -> Hashtbl.replace counts j (c + 1)
-          | None ->
-              Hashtbl.add counts j 1;
-              order := j :: !order)
-        (List.concat_map (of_statement schema) (Parser.parse_script script)))
-    scripts;
-  let all = List.rev_map (fun j -> (j, Hashtbl.find counts j)) !order in
-  List.sort
-    (fun (j1, c1) (j2, c2) ->
-      match Int.compare c2 c1 with 0 -> compare j1 j2 | c -> c)
-    all

@@ -54,14 +54,6 @@ val of_statement : Schema.t -> Ast.statement -> t list
     contribute nothing. Inter-statement (host-variable) evidence is the
     job of {!Dataflow}. *)
 
-val of_script : Schema.t -> string -> t list
-(** Parse a SQL script and elicit from every statement, deduplicated. *)
-
-val of_corpus : Schema.t -> string list -> (t * int) list
-(** Elicit over many scripts, returning each distinct equi-join with its
-    number of occurrences (a relevance signal for the expert user),
-    sorted by decreasing count then by {!compare}. *)
-
 val dedupe : t list -> t list
 (** Order-preserving duplicate removal. *)
 
@@ -69,13 +61,9 @@ type resolved_col = { rc_rel : string; rc_attr : string; rc_span : Span.t }
 (** A schema-resolved column reference with the source span of the
     reference it was elicited from ({!Span.dummy} when synthesized). *)
 
-val column_pairs_of_query :
-  Schema.t -> Ast.query -> (resolved_col * resolved_col) list
-(** The raw equated column pairs behind {!of_query}, before grouping into
-    multi-attribute equi-joins — one pair per elicited equality, with
-    spans. Used by diagnostics (domain-compatibility checks need to point
-    at the offending predicate). *)
-
 val column_pairs_of_statement :
   Schema.t -> Ast.statement -> (resolved_col * resolved_col) list
-(** Like {!column_pairs_of_query}, over a whole statement. *)
+(** The raw equated column pairs behind {!of_statement}, before grouping
+    into multi-attribute equi-joins — one pair per elicited equality,
+    with spans. Used by diagnostics (domain-compatibility checks need to
+    point at the offending predicate). *)

@@ -1,4 +1,5 @@
-exception Error of string * int
+(* [(message, byte offset)]; caught only by [tokenize_spanned] *)
+exception Lex_error of string * int
 
 let is_digit c = c >= '0' && c <= '9'
 
@@ -28,7 +29,7 @@ let pos_of starts off =
   done;
   (!lo + 1, off - starts.(!lo) + 1)
 
-let tokenize_spanned ?(base = Span.base0) ?locate input =
+let lex ~base ?locate input =
   let n = String.length input in
   let toks = ref [] in
   (* emit the token lexed from [i, j) *)
@@ -43,7 +44,7 @@ let tokenize_spanned ?(base = Span.base0) ?locate input =
           skip (eol (i + 2))
       | '/' when i + 1 < n && input.[i + 1] = '*' ->
           let rec close j =
-            if j + 1 >= n then raise (Error ("unterminated comment", i))
+            if j + 1 >= n then raise (Lex_error ("unterminated comment", i))
             else if input.[j] = '*' && input.[j + 1] = '/' then j + 2
             else close (j + 1)
           in
@@ -70,12 +71,15 @@ let tokenize_spanned ?(base = Span.base0) ?locate input =
       let k = digits (j + 1) in
       (Token.Float (float_of_string (String.sub input i (k - i))), k)
     end
-    else (Token.Int (int_of_string (String.sub input i (j - i))), j)
+    else
+      match int_of_string_opt (String.sub input i (j - i)) with
+      | Some k -> (Token.Int k, j)
+      | None -> raise (Lex_error ("integer literal out of range", i))
   in
   let lex_string i =
     let buf = Buffer.create 16 in
     let rec go j =
-      if j >= n then raise (Error ("unterminated string", i))
+      if j >= n then raise (Lex_error ("unterminated string", i))
       else if input.[j] = '\'' then
         if j + 1 < n && input.[j + 1] = '\'' then begin
           Buffer.add_char buf '\'';
@@ -91,7 +95,7 @@ let tokenize_spanned ?(base = Span.base0) ?locate input =
   in
   let lex_quoted_ident i =
     let rec close j =
-      if j >= n then raise (Error ("unterminated quoted identifier", i))
+      if j >= n then raise (Lex_error ("unterminated quoted identifier", i))
       else if input.[j] = '"' then j
       else close (j + 1)
     in
@@ -158,13 +162,13 @@ let tokenize_spanned ?(base = Span.base0) ?locate input =
               emit (Token.Punct "!=") i (i + 2);
               go (i + 2)
             end
-            else raise (Error ("illegal character '!'", i))
+            else raise (Lex_error ("illegal character '!'", i))
         | '|' ->
             if i + 1 < n && input.[i + 1] = '|' then begin
               emit (Token.Punct "||") i (i + 2);
               go (i + 2)
             end
-            else raise (Error ("illegal character '|'", i))
+            else raise (Lex_error ("illegal character '|'", i))
         | '-' ->
             (* not a comment (handled in skip); negative number or minus *)
             if i + 1 < n && is_digit input.[i + 1] then begin
@@ -189,8 +193,8 @@ let tokenize_spanned ?(base = Span.base0) ?locate input =
               emit (Token.Ident (":" ^ word)) i j;
               go j
             end
-            else raise (Error ("illegal character ':'", i))
-        | _ -> raise (Error (Printf.sprintf "illegal character %C" c, i))
+            else raise (Lex_error ("illegal character ':'", i))
+        | _ -> raise (Lex_error (Printf.sprintf "illegal character %C" c, i))
   in
   go 0;
   let starts = line_starts input in
@@ -213,5 +217,13 @@ let tokenize_spanned ?(base = Span.base0) ?locate input =
   in
   List.rev_map (fun (tok, i, j) -> { Token.tok; span = span_of i j }) !toks
 
+let tokenize_spanned ?(base = Span.base0) ?locate input =
+  match lex ~base ?locate input with
+  | toks -> Ok toks
+  | exception Lex_error (msg, pos) ->
+      Error (Printf.sprintf "lexical error at offset %d: %s" pos msg)
+
 let tokenize input =
-  List.map (fun (s : Token.spanned) -> s.Token.tok) (tokenize_spanned input)
+  Result.map
+    (List.map (fun (s : Token.spanned) -> s.Token.tok))
+    (tokenize_spanned input)

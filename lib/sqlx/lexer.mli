@@ -2,17 +2,18 @@
 
     Skips whitespace, [-- line] comments and [/* block */] comments.
     Identifiers may be double-quoted (case preserved, never a keyword).
-    Raises {!Error} with a position on an illegal character or an
-    unterminated string/comment. *)
+    An illegal character, an unterminated string/comment or an integer
+    literal out of range is [Error "lexical error at offset N: …"],
+    [N] the byte offset in the input. *)
 
-exception Error of string * int
-(** [(message, byte offset)]. *)
-
-val tokenize : string -> Token.t list
-(** Whole-input lexing; the result always ends with [Token.Eof]. *)
+val tokenize : string -> (Token.t list, string) result
+(** Whole-input lexing; a token list always ends with [Token.Eof]. *)
 
 val tokenize_spanned :
-  ?base:Span.base -> ?locate:(int -> Span.base) -> string -> Token.spanned list
+  ?base:Span.base ->
+  ?locate:(int -> Span.base) ->
+  string ->
+  (Token.spanned list, string) result
 (** Like {!tokenize} but every token carries its source span. [base]
     (default {!Span.base0}) re-bases spans onto an enclosing text — used
     by {!Embedded} so spans of SQL extracted from a host program point

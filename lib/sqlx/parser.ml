@@ -1,6 +1,7 @@
 open Relational
 
-exception Error of string
+(* caught only by the entry points, which return it as [Error] *)
+exception Parse_error of string
 
 type state = { toks : Token.spanned array; mutable pos : int }
 
@@ -14,7 +15,7 @@ let advance st = st.pos <- st.pos + 1
 
 let fail st msg =
   raise
-    (Error (Printf.sprintf "%s (at token %s)" msg (Token.to_string (peek st))))
+    (Parse_error (Printf.sprintf "%s (at token %s)" msg (Token.to_string (peek st))))
 
 let eat st tok =
   if Token.equal (peek st) tok then advance st
@@ -658,38 +659,39 @@ let statement st =
   | Token.Kw "CLOSE" -> close_cursor st
   | _ -> fail st "expected a statement"
 
-let of_string ?base ?locate input =
-  let toks =
-    try Lexer.tokenize_spanned ?base ?locate input
-    with Lexer.Error (msg, pos) ->
-      raise (Error (Printf.sprintf "lexical error at offset %d: %s" pos msg))
-  in
-  { toks = Array.of_list toks; pos = 0 }
+(* lex [input], then run [parse] over its tokens; a lexical error
+   carries the lexer's message *)
+let run parse ?base ?locate input =
+  match Lexer.tokenize_spanned ?base ?locate input with
+  | Error _ as e -> e
+  | Ok toks -> (
+      match parse { toks = Array.of_list toks; pos = 0 } with
+      | v -> Ok v
+      | exception Parse_error msg -> Error msg)
 
 let parse_statement ?base ?locate input =
-  let st = of_string ?base ?locate input in
-  let s = statement st in
-  ignore (accept st (Token.Punct ";"));
-  (match peek st with
-  | Token.Eof -> ()
-  | _ -> fail st "trailing tokens after statement");
-  s
+  run
+    (fun st ->
+      let s = statement st in
+      ignore (accept st (Token.Punct ";"));
+      (match peek st with
+      | Token.Eof -> ()
+      | _ -> fail st "trailing tokens after statement");
+      s)
+    ?base ?locate input
 
 let parse_script ?base ?locate input =
-  let st = of_string ?base ?locate input in
-  let rec go acc =
-    match peek st with
-    | Token.Eof -> List.rev acc
-    | Token.Punct ";" ->
-        advance st;
-        go acc
-    | _ ->
-        let s = statement st in
-        go (s :: acc)
-  in
-  go []
-
-let parse_query input =
-  match parse_statement input with
-  | Ast.Query q -> q
-  | _ -> raise (Error "expected a query")
+  run
+    (fun st ->
+      let rec go acc =
+        match peek st with
+        | Token.Eof -> List.rev acc
+        | Token.Punct ";" ->
+            advance st;
+            go acc
+        | _ ->
+            let s = statement st in
+            go (s :: acc)
+      in
+      go [])
+    ?base ?locate input

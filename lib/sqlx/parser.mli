@@ -21,23 +21,22 @@
     [INTO :h] is only recognized on a top-level [SELECT] (never inside a
     subquery) and yields {!Ast.statement.Select_into}. *)
 
-exception Error of string
-(** Parse error with a human-readable message including the offending
-    token. *)
-
 val parse_statement :
-  ?base:Span.base -> ?locate:(int -> Span.base) -> string -> Ast.statement
+  ?base:Span.base ->
+  ?locate:(int -> Span.base) ->
+  string ->
+  (Ast.statement, string) result
 (** Parse exactly one statement (an optional trailing [';'] accepted).
     AST nodes carry source spans; [base] (default {!Span.base0}) re-bases
     them onto an enclosing text, and [locate] maps offsets through a
     non-affine fragment-to-host correspondence instead (see
-    {!Lexer.tokenize_spanned}). Lexical errors arrive as {!Error}
-    (["lexical error at offset …"]); {!Lexer.Error} never escapes. *)
+    {!Lexer.tokenize_spanned}). [Error msg] names the offending token,
+    or is the lexer's ["lexical error at offset …"]. *)
 
 val parse_script :
-  ?base:Span.base -> ?locate:(int -> Span.base) -> string -> Ast.statement list
+  ?base:Span.base ->
+  ?locate:(int -> Span.base) ->
+  string ->
+  (Ast.statement list, string) result
 (** Parse a [';']-separated script. Empty statements are skipped;
-    lexical errors arrive as {!Error}, as for {!parse_statement}. *)
-
-val parse_query : string -> Ast.query
-(** Parse a single query (convenience wrapper). *)
+    errors as for {!parse_statement}. *)

@@ -2,8 +2,5 @@
     case). Used by the workload generator to emit application programs
     and by error messages. *)
 
-val pp_query : Format.formatter -> Ast.query -> unit
-val pp_cond : Format.formatter -> Ast.cond -> unit
-val pp_statement : Format.formatter -> Ast.statement -> unit
 val query_to_string : Ast.query -> string
 val statement_to_string : Ast.statement -> string

@@ -181,6 +181,18 @@ let ok = function
   | Error (p : Dbre.Pipeline.partial) ->
       Alcotest.failf "run failed: %s" (Error.to_string p.Dbre.Pipeline.p_error)
 
+(* the value of an Sqlx entry point the test feeds valid SQL: an
+   [Error] fails the test with its message *)
+let sql_ok = function Ok v -> v | Error msg -> Alcotest.failf "SQL error: %s" msg
+
+let parse_script sql = sql_ok (Sqlx.Parser.parse_script sql)
+let parse_statement sql = sql_ok (Sqlx.Parser.parse_statement sql)
+
+let parse_query sql =
+  match parse_statement sql with
+  | Sqlx.Ast.Query q -> q
+  | _ -> Alcotest.failf "not a query: %s" sql
+
 let run_ok ?config ?checkpoint_dir ?resume_from db input =
   ok (Dbre.Pipeline.run_checked ?config ?checkpoint_dir ?resume_from db input)
 

@@ -424,9 +424,9 @@ let run ?(host = default_host) db q = eval_query host db None q
 
 let run_string ?host db input =
   match Parser.parse_statement input with
-  | Ast.Query q -> run ?host db q
-  | _ -> err "expected a query"
-  | exception Parser.Error msg -> err "parse error: %s" msg
+  | Ok (Ast.Query q) -> run ?host db q
+  | Ok _ -> err "expected a query"
+  | Error msg -> err "parse error: %s" msg
 
 (* ------------------------------------------------------------------ *)
 (* Statement execution                                                  *)
@@ -469,7 +469,9 @@ let exec_statement ?(host = default_host) db (stmt : Ast.statement) =
   | Ast.Create ct ->
       if Schema.mem (Database.schema db) ct.Ast.ct_name then
         err "CREATE TABLE %s: relation already exists" ct.Ast.ct_name;
-      Database.add_relation db (Ddl.relation_of_create ct)
+      (match Ddl.relation_of_create ct with
+      | Ok rel -> Database.add_relation db rel
+      | Error msg -> err "%s" msg)
   | Ast.Insert (rel, cols, rows) ->
       let literal = function
         | Ast.Lit v -> v
@@ -570,7 +572,9 @@ let exec_statement ?(host = default_host) db (stmt : Ast.statement) =
       ()
 
 let exec_script ?host db script =
-  List.iter (exec_statement ?host db) (Parser.parse_script script)
+  match Parser.parse_script script with
+  | Ok stmts -> List.iter (exec_statement ?host db) stmts
+  | Error msg -> err "parse error: %s" msg
 
 let count_distinct_sql db rel attrs =
   match attrs with

@@ -26,7 +26,8 @@ val run :
     non-grouped column projected next to an aggregate). *)
 
 val run_string : ?host:(string -> Value.t) -> Database.t -> string -> Algebra.derived
-(** Parse then {!run}. *)
+(** Parse then {!run}; raises {!Error} ["parse error: …"] on a text
+    that does not parse. *)
 
 val exec_statement : ?host:(string -> Value.t) -> Database.t -> Ast.statement -> unit
 (** Apply a statement to the database:
@@ -46,11 +47,13 @@ val exec_statement : ?host:(string -> Value.t) -> Database.t -> Ast.statement ->
       [ALTER]).
     [Query] statements evaluate and discard their result. Raises
     {!Error} on an unknown relation or column, a [CREATE TABLE] of an
-    existing relation, or foreign-key column lists of different
-    widths. *)
+    existing relation or one {!Ddl.relation_of_create} refuses, or
+    foreign-key column lists of different widths. *)
 
 val exec_script : ?host:(string -> Value.t) -> Database.t -> string -> unit
-(** Parse and {!exec_statement} each statement in order. *)
+(** Parse and {!exec_statement} each statement in order; a script that
+    does not parse raises {!Error} ["parse error: …"] before any
+    statement runs. *)
 
 val count_distinct_sql : Database.t -> string -> string list -> int
 (** [count_distinct_sql db r xs] runs

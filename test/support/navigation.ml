@@ -15,7 +15,24 @@ let of_equijoins counted =
   in
   { edge_list }
 
-let of_corpus schema scripts = of_equijoins (Equijoin.of_corpus schema scripts)
+let count schema stmts =
+  let counts = Hashtbl.create 32 in
+  let order = ref [] in
+  List.iter
+    (fun j ->
+      match Hashtbl.find_opt counts j with
+      | Some c -> Hashtbl.replace counts j (c + 1)
+      | None ->
+          Hashtbl.add counts j 1;
+          order := j :: !order)
+    (List.concat_map (Equijoin.of_statement schema) stmts);
+  let all = List.rev_map (fun j -> (j, Hashtbl.find counts j)) !order in
+  List.sort
+    (fun (j1, c1) (j2, c2) ->
+      match Int.compare c2 c1 with 0 -> Equijoin.compare j1 j2 | c -> c)
+    all
+
+let of_statements schema stmts = of_equijoins (count schema stmts)
 
 let relations t =
   List.concat_map

@@ -16,11 +16,17 @@ type edge = { join : Equijoin.t; count : int }
 
 type t
 
-val of_equijoins : (Equijoin.t * int) list -> t
-(** Build from counted equi-joins (see {!Equijoin.of_corpus}). *)
+val count : Schema.t -> Ast.statement list -> (Equijoin.t * int) list
+(** Elicit over a corpus of statements ({!Equijoin.of_statement}),
+    returning each distinct equi-join with its number of occurrences (a
+    relevance signal for the expert user), sorted by decreasing count
+    then by {!compare}. *)
 
-val of_corpus : Schema.t -> string list -> t
-(** Scan a corpus of SQL scripts and build the graph. *)
+val of_equijoins : (Equijoin.t * int) list -> t
+(** Build from counted equi-joins (see {!count}). *)
+
+val of_statements : Schema.t -> Ast.statement list -> t
+(** [of_equijoins (count schema stmts)]. *)
 
 val relations : t -> string list
 (** Nodes, sorted. Self-joins make a relation a node once. *)

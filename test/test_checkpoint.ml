@@ -41,8 +41,12 @@ let run_hospital ?checkpoint_dir ?resume_from () =
 let scenario_inputs (s : Workload.Scenarios.t) =
   let db = s.Workload.Scenarios.database () in
   Checkpoint.inputs db
-    (Pipeline.extract_equijoins db
-       (Job_spec.Programs s.Workload.Scenarios.programs))
+    (match
+       Pipeline.extract_equijoins db
+         (Job_spec.Programs s.Workload.Scenarios.programs)
+     with
+    | Ok (q, _) -> q
+    | Error e -> Alcotest.fail (Relational.Error.to_string e))
     ~migrate_data:true ~oracle:s.Workload.Scenarios.oracle
 
 let hospital_inputs = lazy (scenario_inputs Workload.Scenarios.hospital)

@@ -17,6 +17,10 @@ let join_t =
 (* Goldens: the three navigation shapes the analysis must recover        *)
 (* ------------------------------------------------------------------ *)
 
+(* the dataflow joins of one host program *)
+let program_joins schema program =
+  Dataflow.joins_of_statements schema (Embedded.scan program).Embedded.statements
+
 let select_into_program =
   String.concat "\n"
     [
@@ -30,7 +34,7 @@ let select_into_program =
     ]
 
 let test_select_into_chain () =
-  let joins = Dataflow.joins_of_program (schema ()) select_into_program in
+  let joins = program_joins (schema ()) select_into_program in
   Alcotest.check (Alcotest.list join_t) "Person-Department recovered"
     [ Equijoin.make ("Person", [ "id" ]) ("Department", [ "emp" ]) ]
     joins;
@@ -64,7 +68,7 @@ let cursor_program =
     ]
 
 let test_cursor_chain () =
-  let joins = Dataflow.joins_of_program (schema ()) cursor_program in
+  let joins = program_joins (schema ()) cursor_program in
   Alcotest.check (Alcotest.list join_t) "cursor FETCH chains to the use"
     [ Equijoin.make ("Department", [ "dep" ]) ("Assignment", [ "dep" ]) ]
     joins;
@@ -82,7 +86,7 @@ let test_cursor_chain () =
 
 let test_view_expansion () =
   let stmts =
-    Parser.parse_script
+    Helpers.parse_script
       "CREATE VIEW Staffing AS SELECT emp, dep FROM Assignment;\n\
        SELECT name FROM Person, Staffing WHERE Person.id = Staffing.emp"
   in
@@ -98,7 +102,7 @@ let test_view_expansion () =
 
 let test_kill_rule () =
   let stmts =
-    Parser.parse_script
+    Helpers.parse_script
       "SELECT id INTO :w FROM Person WHERE name = :a;\n\
        SELECT dep FROM Department WHERE emp = :w;\n\
        SELECT no INTO :w FROM HEmployee WHERE salary = :b;\n\
@@ -224,15 +228,17 @@ let prop name f =
 let recovered_joins g =
   let schema = Database.schema g.Workload.Gen_schema.db in
   let per_stmt =
-    let e = Embedded.scan_files g.Workload.Gen_schema.programs in
     Equijoin.dedupe
-      (List.concat_map (Equijoin.of_statement schema) e.Embedded.statements)
+      (List.concat_map
+         (fun p ->
+           List.concat_map (Equijoin.of_statement schema)
+             (Embedded.scan p).Embedded.statements)
+         g.Workload.Gen_schema.programs)
   in
   let flow =
     Equijoin.dedupe
       (per_stmt
-      @ List.concat_map (Dataflow.joins_of_program schema)
-          g.Workload.Gen_schema.programs)
+      @ List.concat_map (program_joins schema) g.Workload.Gen_schema.programs)
   in
   (per_stmt, flow)
 
@@ -304,7 +310,7 @@ let test_flow_noop_on_paper_corpus () =
     off.Dbre.Pipeline.equijoins on.Dbre.Pipeline.equijoins
 
 (* ------------------------------------------------------------------ *)
-(* Totality: damaged programs extract, or raise only the typed errors   *)
+(* Totality: damaged programs extract to Ok or Error, never raise      *)
 (* ------------------------------------------------------------------ *)
 
 let program_tokens =
@@ -323,7 +329,7 @@ let program_corpus =
 let prop_extraction_total =
   QCheck_alcotest.to_alcotest
     (QCheck.Test.make ~count:5000
-       ~name:"mutated programs extract or raise Parser/Lexer errors"
+       ~name:"mutated programs extract to Ok or Error"
        (QCheck.make
           ~print:(fun (_, text) -> Printf.sprintf "%S" text)
           QCheck.Gen.(
@@ -331,21 +337,15 @@ let prop_extraction_total =
             map
               (fun text -> (schema, text))
               (Helpers.gen_mutated ~tokens:program_tokens program)))
+       (* any exception escaping Extract fails the property: the text
+          is extracted as a program and as a script, dataflow on *)
        (fun (schema, text) ->
-         let typed f =
-           match f () with
-           | () -> ()
-           | exception (Parser.Error _ | Lexer.Error _) -> ()
-         in
-         let joins stmts =
-           List.iter
-             (fun stmt -> typed (fun () -> ignore (Equijoin.of_statement schema stmt)))
-             stmts
-         in
-         typed (fun () -> joins (Embedded.scan_files [ text ]).Embedded.statements);
-         typed (fun () -> joins (Parser.parse_script text));
-         typed (fun () -> ignore (Dataflow.joins_of_program schema text));
-         true))
+         let db = Database.create schema in
+         List.for_all
+           (fun workload ->
+             match Dbre.Pipeline.extract_equijoins ~flow:true db workload with
+             | Ok _ | Error _ -> true)
+           [ Dbre.Job_spec.Programs [ text ]; Dbre.Job_spec.Sql_scripts [ text ] ]))
 
 let suite =
   [

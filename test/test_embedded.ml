@@ -8,7 +8,7 @@ let test_exec_sql_cobol () =
       \           DISPLAY 'done'."
   in
   Alcotest.(check int) "one statement" 1 (List.length e.Embedded.statements);
-  Alcotest.(check int) "no failures" 0 (List.length e.Embedded.parse_failures)
+  Alcotest.(check int) "no failures" 0 (List.length e.Embedded.failures)
 
 let test_exec_sql_c () =
   let e =
@@ -45,9 +45,15 @@ let test_non_sql_strings_ignored () =
   Alcotest.(check int) "ignored" 0 (List.length e.Embedded.statements)
 
 let test_unparsable_recorded () =
-  let e = Embedded.scan {|run("SELECT FROM WHERE NONSENSE ((");|} in
+  let e =
+    Embedded.scan "x = 1;\n  run(\"SELECT FROM WHERE NONSENSE ((\");"
+  in
   Alcotest.(check int) "no statements" 0 (List.length e.Embedded.statements);
-  Alcotest.(check int) "failure recorded" 1 (List.length e.Embedded.parse_failures)
+  match e.Embedded.failures with
+  | [ (fragment, span) ] ->
+      Alcotest.(check string) "fragment" "SELECT FROM WHERE NONSENSE ((" fragment;
+      Alcotest.(check string) "host span" "2:8" (Span.to_string span)
+  | fs -> Alcotest.failf "expected one failure, got %d" (List.length fs)
 
 let test_host_variables_preserved () =
   let e =
@@ -69,17 +75,21 @@ let test_cursor_declaration () =
   | _ -> Alcotest.fail "expected a parsed cursor declaration"
 
 let test_scan_files () =
-  let e =
-    Embedded.scan_files
+  let es =
+    List.map Embedded.scan
       [ "EXEC SQL SELECT a FROM R;"; {|go("SELECT b FROM S");|} ]
   in
-  Alcotest.(check int) "both files" 2 (List.length e.Embedded.statements);
-  Alcotest.(check int) "raw count" 2 e.Embedded.raw_found
+  Alcotest.(check (list int)) "one statement a file" [ 1; 1 ]
+    (List.map (fun e -> List.length e.Embedded.statements) es);
+  Alcotest.(check (list int)) "raw counts" [ 1; 1 ]
+    (List.map (fun e -> e.Embedded.raw_found) es)
 
 let test_paper_programs () =
-  let e = Embedded.scan_files (Workload.Paper_example.programs ()) in
-  Alcotest.(check int) "five statements" 5 (List.length e.Embedded.statements);
-  Alcotest.(check (list string)) "no failures" [] e.Embedded.parse_failures
+  let es = List.map Embedded.scan (Workload.Paper_example.programs ()) in
+  Alcotest.(check int) "five statements" 5
+    (List.length (List.concat_map (fun e -> e.Embedded.statements) es));
+  Alcotest.(check int) "no failures" 0
+    (List.length (List.concat_map (fun e -> e.Embedded.failures) es))
 
 let suite =
   [

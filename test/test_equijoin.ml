@@ -14,7 +14,9 @@ let schema () =
         "Assignment" [ "emp"; "dep"; "proj"; "date" ];
     ]
 
-let extract sql = Equijoin.of_script (schema ()) sql
+let extract sql =
+  Equijoin.dedupe
+    (List.concat_map (Equijoin.of_statement (schema ())) (parse_script sql))
 
 let ej l r = Equijoin.make l r
 
@@ -102,7 +104,7 @@ let test_unknown_relations_skipped () =
 let test_update_delete () =
   check "delete with correlated subquery"
     [ ej ("Assignment", [ "emp" ]) ("HEmployee", [ "no" ]) ]
-    (Equijoin.of_script (schema ())
+    (extract
        "DELETE FROM Assignment WHERE emp IN (SELECT no FROM HEmployee)")
 
 let test_canonical_equal () =
@@ -115,9 +117,12 @@ let test_canonical_equal () =
     (ej ("A", [ "x"; "y" ]) ("B", [ "u"; "v" ]))
     (ej ("B", [ "v"; "u" ]) ("A", [ "y"; "x" ]))
 
-let test_of_corpus_counts () =
+let test_corpus_counts () =
   let q = "SELECT name FROM Person, HEmployee WHERE HEmployee.no = Person.id" in
-  let counted = Equijoin.of_corpus (schema ()) [ q; q; "SELECT name FROM Person" ] in
+  let counted =
+    Support.Navigation.count (schema ())
+      (List.concat_map parse_script [ q; q; "SELECT name FROM Person" ])
+  in
   match counted with
   | [ (j, 2) ] ->
       Alcotest.(check equijoin_t) "join" (ej ("HEmployee", [ "no" ]) ("Person", [ "id" ])) j
@@ -147,6 +152,6 @@ let suite =
     Alcotest.test_case "unknown relations" `Quick test_unknown_relations_skipped;
     Alcotest.test_case "update/delete statements" `Quick test_update_delete;
     Alcotest.test_case "canonical form" `Quick test_canonical_equal;
-    Alcotest.test_case "corpus counting" `Quick test_of_corpus_counts;
+    Alcotest.test_case "corpus counting" `Quick test_corpus_counts;
     Alcotest.test_case "make validation" `Quick test_make_validation;
   ]

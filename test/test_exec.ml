@@ -1,6 +1,5 @@
 open Relational
 open Helpers
-open Sqlx
 open Reference
 
 let db () =
@@ -126,7 +125,7 @@ let test_host_variables () =
   let host = function ":target" -> vs "d2" | h -> Alcotest.failf "unexpected %s" h in
   let d =
     Exec.run ~host (db ())
-      (Parser.parse_query "SELECT name FROM Person WHERE dept = :target")
+      (Helpers.parse_query "SELECT name FROM Person WHERE dept = :target")
   in
   Alcotest.(check int) "bound host var" 1 (List.length d.Algebra.rows);
   try

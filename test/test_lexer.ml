@@ -1,6 +1,6 @@
 open Sqlx
 
-let toks input = Lexer.tokenize input
+let toks input = Helpers.sql_ok (Lexer.tokenize input)
 
 let tok =
   Alcotest.testable Token.pp Token.equal
@@ -59,15 +59,16 @@ let test_minus_vs_ident () =
     (toks "a - b")
 
 let test_errors () =
-  (try
-     ignore (toks "'never closed");
-     Alcotest.fail "expected lexer error"
-   with Lexer.Error (msg, _) ->
-     Alcotest.(check string) "msg" "unterminated string" msg);
-  try
-    ignore (toks "a ? b");
-    Alcotest.fail "expected illegal char"
-  with Lexer.Error (_, _) -> ()
+  let error input = match Lexer.tokenize input with Ok _ -> None | Error m -> Some m in
+  Alcotest.(check (option string)) "unterminated string"
+    (Some "lexical error at offset 1: unterminated string")
+    (error "'never closed");
+  Alcotest.(check (option string)) "illegal char"
+    (Some "lexical error at offset 2: illegal character '?'")
+    (error "a ? b");
+  Alcotest.(check (option string)) "integer out of range"
+    (Some "lexical error at offset 4: integer literal out of range")
+    (error "a = 99999999999999999999")
 
 let suite =
   [

@@ -88,7 +88,7 @@ let test_exec_add_fk () =
 let test_alter_parse_print_roundtrip () =
   List.iter
     (fun sql ->
-      let stmt = Parser.parse_statement sql in
+      let stmt = Helpers.parse_statement sql in
       Alcotest.(check string) ("roundtrip " ^ sql) sql
         (Pretty.statement_to_string stmt))
     [
@@ -121,7 +121,7 @@ let test_paper_roundtrip () =
   Alcotest.(check bool) "extensionally equal" true replays;
   (* every statement of the script parses back *)
   Alcotest.(check bool) "script reparses" true
-    (List.length (Parser.parse_script sql) > 10)
+    (List.length (Helpers.parse_script sql) > 10)
 
 let test_payroll_roundtrip () =
   let s = Workload.Scenarios.payroll in
@@ -167,7 +167,9 @@ let load spec =
 let test_generated_csv_roundtrip () =
   let _, spec = generated () in
   let result = Helpers.ok (Dbre.Job.run spec) in
-  let original, _ = Ddl.schema_of_script spec.Dbre.Job_spec.ddl in
+  let original, _ =
+    Helpers.sql_ok (Ddl.schema_of_script spec.Dbre.Job_spec.ddl)
+  in
   Alcotest.(check bool) "extensionally equal" true
     (migration_replays ~original result (fst (load spec)))
 
@@ -183,7 +185,7 @@ let test_migration_fks_validate () =
     (List.length
        (List.filter
           (function Ast.Alter (_, Ast.Add_foreign_key _) -> true | _ -> false)
-          (Parser.parse_script sql)))
+          (Helpers.parse_script sql)))
 
 (* analyze with migration on over CSV-loaded sources: the loaded
    tables' rows, decoded from their stores, are the generator's rows

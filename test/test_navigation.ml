@@ -22,7 +22,8 @@ let corpus =
     "SELECT k FROM Island1 i1, Island2 i2 WHERE i1.k = i2.k;";
   ]
 
-let graph () = Navigation.of_corpus (schema ()) corpus
+let graph () =
+  Navigation.of_statements (schema ()) (List.concat_map parse_script corpus)
 
 let test_nodes_edges () =
   let g = graph () in
@@ -58,8 +59,8 @@ let test_never_navigated () =
 
 let test_self_join () =
   let g =
-    Navigation.of_corpus (schema ())
-      [ "SELECT e1.no FROM E e1, E e2 WHERE e1.x = e2.x;" ]
+    Navigation.of_statements (schema ())
+      (parse_script "SELECT e1.no FROM E e1, E e2 WHERE e1.x = e2.x;")
   in
   Alcotest.(check (list string)) "one node" [ "E" ] (Navigation.relations g);
   Alcotest.(check (list (pair string int))) "self neighbor"

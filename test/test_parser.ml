@@ -1,7 +1,7 @@
 open Sqlx
 
-let parse = Parser.parse_statement
-let parse_q = Parser.parse_query
+let parse = Helpers.parse_statement
+let parse_q = Helpers.parse_query
 
 let select_of = function
   | Ast.Select s -> s
@@ -156,16 +156,15 @@ let test_insert_update_delete () =
   | _ -> Alcotest.fail "delete"
 
 let test_script () =
-  let stmts = Parser.parse_script "SELECT a FROM R; ; SELECT b FROM S;" in
+  let stmts = Helpers.parse_script "SELECT a FROM R; ; SELECT b FROM S;" in
   Alcotest.(check int) "two statements" 2 (List.length stmts)
 
 let test_errors () =
   List.iter
     (fun input ->
-      try
-        ignore (parse input);
-        Alcotest.failf "expected parse error for %S" input
-      with Parser.Error _ -> ())
+      match Parser.parse_statement input with
+      | Ok _ -> Alcotest.failf "expected parse error for %S" input
+      | Error _ -> ())
     [
       "SELECT FROM R";
       "SELECT a FROM";

@@ -2,12 +2,12 @@ open Sqlx
 
 (* parse → print → parse must be a fixpoint *)
 let roundtrip input =
-  let s1 = Parser.parse_statement input in
+  let s1 = Helpers.parse_statement input in
   let printed = Pretty.statement_to_string s1 in
   let s2 =
-    try Parser.parse_statement printed
-    with Parser.Error msg ->
-      Alcotest.failf "re-parse of %S failed: %s" printed msg
+    match Parser.parse_statement printed with
+    | Ok s -> s
+    | Error msg -> Alcotest.failf "re-parse of %S failed: %s" printed msg
   in
   Alcotest.(check string) ("stable print of " ^ input) printed
     (Pretty.statement_to_string s2)
@@ -32,7 +32,7 @@ let test_roundtrips () =
     ]
 
 let test_specific_forms () =
-  let q = Parser.parse_query "select a from R where x = 'it''s'" in
+  let q = Helpers.parse_query "select a from R where x = 'it''s'" in
   Alcotest.(check string) "string escaping survives"
     "SELECT a FROM R WHERE x = 'it''s'"
     (Pretty.query_to_string q)

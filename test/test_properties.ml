@@ -319,7 +319,7 @@ let equijoin_props =
         let sql =
           Printf.sprintf "SELECT T1.a FROM T1, T2 WHERE T1.%s = T2.%s" a1 a2
         in
-        Sqlx.Equijoin.of_script schema sql
+        Sqlx.Equijoin.of_statement schema (Helpers.parse_statement sql)
         = [ Sqlx.Equijoin.make ("T1", [ a1 ]) ("T2", [ a2 ]) ]);
   ]
 

@@ -13,6 +13,8 @@ let setup () =
 
 let state = lazy (setup ())
 
+let rewrite plan sql = Helpers.sql_ok (Rewrite.sql plan sql)
+
 let rows_of db sql = (Reference.Exec.run_string db sql).Reference.Algebra.rows
 
 (* answers over the ORIGINAL database vs the rewritten query over the
@@ -20,7 +22,7 @@ let rows_of db sql = (Reference.Exec.run_string db sql).Reference.Algebra.rows
 let check_equivalent ?(only_non_null_lhs = false) name sql =
   let plan, migrated = Lazy.force state in
   let original_db = Workload.Paper_example.database () in
-  let rewritten = Rewrite.sql plan sql in
+  let rewritten = rewrite plan sql in
   let before = List.sort compare (rows_of original_db sql) in
   let after = List.sort compare (rows_of migrated rewritten) in
   let before =
@@ -37,11 +39,11 @@ let check_equivalent ?(only_non_null_lhs = false) name sql =
 let test_untouched_query_unchanged () =
   let plan, _ = Lazy.force state in
   let sql = "SELECT name FROM Person WHERE id = 3" in
-  Alcotest.(check string) "no change" sql (Rewrite.sql plan sql)
+  Alcotest.(check string) "no change" sql (rewrite plan sql)
 
 let test_moved_projection () =
   let plan, _ = Lazy.force state in
-  let rewritten = Rewrite.sql plan "SELECT skill FROM Department" in
+  let rewritten = rewrite plan "SELECT skill FROM Department" in
   Alcotest.(check string) "join added"
     "SELECT __dbre0.skill FROM Department, Manager __dbre0 WHERE \
      Department.emp = __dbre0.emp"
@@ -50,7 +52,7 @@ let test_moved_projection () =
 let test_moved_in_where () =
   let plan, _ = Lazy.force state in
   let rewritten =
-    Rewrite.sql plan "SELECT dep FROM Department WHERE proj = 'pr001'"
+    rewrite plan "SELECT dep FROM Department WHERE proj = 'pr001'"
   in
   Alcotest.(check string) "where requalified"
     "SELECT Department.dep FROM Department, Manager __dbre0 WHERE \
@@ -83,7 +85,7 @@ let test_equivalence_join_query () =
 let test_subquery_rewritten () =
   let plan, _ = Lazy.force state in
   let rewritten =
-    Rewrite.sql plan
+    rewrite plan
       "SELECT name FROM Person WHERE id IN (SELECT emp FROM Department \
        WHERE skill = 'sk-7')"
   in
@@ -105,7 +107,7 @@ let test_aggregate_rewrite () =
 let test_alias_respected () =
   let plan, _ = Lazy.force state in
   let rewritten =
-    Rewrite.sql plan "SELECT d.skill FROM Department d WHERE d.dep = 'd001'"
+    rewrite plan "SELECT d.skill FROM Department d WHERE d.dep = 'd001'"
   in
   Alcotest.(check string) "user alias preserved"
     "SELECT __dbre0.skill FROM Department d, Manager __dbre0 WHERE d.dep = \

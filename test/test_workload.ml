@@ -82,10 +82,12 @@ let test_generated_constraints_hold () =
 
 let test_programs_parse () =
   let g = Gen_schema.generate Gen_schema.default_spec in
-  let e = Sqlx.Embedded.scan_files g.Gen_schema.programs in
+  let es = List.map Sqlx.Embedded.scan g.Gen_schema.programs in
   Alcotest.(check int) "every program parses"
     (List.length g.Gen_schema.programs)
-    (List.length e.Sqlx.Embedded.statements)
+    (List.length (List.concat_map (fun e -> e.Sqlx.Embedded.statements) es));
+  Alcotest.(check int) "nothing skipped" 0
+    (List.length (List.concat_map (fun e -> e.Sqlx.Embedded.failures) es))
 
 (* ---------- Corrupt ---------- *)
 
