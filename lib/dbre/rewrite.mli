@@ -29,7 +29,11 @@ val plan : Pipeline.result -> plan
 
 val query : plan -> Sqlx.Ast.query -> Sqlx.Ast.query
 (** Rewrite a query. Queries that touch no moved attribute are returned
-    unchanged (structurally). Subqueries are rewritten recursively.
+    unchanged (structurally). Subqueries are rewritten recursively;
+    columns resolve through {!Sqlx.Scope} over the enclosing frames, so
+    a subquery's reference to a moved column of an outer entry gives
+    that outer entry the join and is requalified onto it. Fresh aliases
+    never repeat an enclosing select's.
     Aliases are generated fresh ([__dbre0], [__dbre1], …) for the joined
     split relations. *)
 

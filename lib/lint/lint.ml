@@ -27,11 +27,8 @@ let schema_of_sources sources =
             List.fold_left
               (fun schema stmt ->
                 match stmt with
-                | Ast.Create ct -> (
-                    match Ddl.relation_of_create ct with
-                    | Ok rel when not (Schema.mem schema rel.Relation.name) ->
-                        Schema.add schema rel
-                    | Ok _ | Error _ -> schema)
+                | Ast.Create ct ->
+                    Result.value ~default:schema (Ddl.add_relation schema ct)
                 | _ -> schema)
               schema stmts)
     Schema.empty sources

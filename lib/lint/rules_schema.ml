@@ -231,15 +231,36 @@ let l005 ?source_name (creates : Ast.create_table list)
                   else []))
     ct.constraints
 
+(* a table the dictionary reader refuses, in its own words; a duplicate
+   column is L003's *)
+let l007 ?source_name schema (ct : Ast.create_table) l003s =
+  match Ddl.add_relation schema ct with
+  | Ok schema -> (schema, [])
+  | Error _ when l003s <> [] -> (schema, [])
+  | Error msg ->
+      ( schema,
+        [
+          diag ?source_name ~span:ct.ct_span ~code:"L007" Diagnostic.Error
+            (Printf.sprintf "the dictionary refuses this table: %s" msg);
+        ] )
+
 let check_creates ?source_name creates =
-  List.concat_map
-    (fun ct ->
-      l003 ?source_name ct
-      @ l001 ?source_name ct
-      @ l002 ?source_name ct
-      @ l004 ?source_name ct
-      @ l005 ?source_name creates ct)
-    creates
+  let _, diags =
+    List.fold_left
+      (fun (schema, acc) ct ->
+        let l003s = l003 ?source_name ct in
+        let schema, l007s = l007 ?source_name schema ct l003s in
+        ( schema,
+          List.rev_append
+            (l003s @ l007s
+            @ l001 ?source_name ct
+            @ l002 ?source_name ct
+            @ l004 ?source_name ct
+            @ l005 ?source_name creates ct)
+            acc ))
+      (Schema.empty, []) creates
+  in
+  List.rev diags
 
 let check_script ?source_name script =
   match Parser.parse_script script with

@@ -13,7 +13,11 @@
     - [L005] (error/warning) — malformed [FOREIGN KEY]: width mismatch,
       unknown referenced table or column (errors), or a reference to a
       non-key of the target (warning — the paper's RICs are key-based).
-    - [L006] (error) — the DDL script does not parse. *)
+    - [L006] (error) — the DDL script does not parse.
+    - [L007] (error) — the dictionary reader ({!Sqlx.Ddl.add_relation})
+      refuses the table: a key names an undeclared column, a column
+      name is empty, or the table is declared twice; the message is
+      [Ddl]'s. A duplicate column is L003's alone. *)
 
 open Relational
 

@@ -3,18 +3,17 @@ open Sqlx
 
 let diag = Diagnostic.make
 
-(* one FROM entry; scope ids keep self-join instances distinct *)
-type entry = { e_alias : string; e_rel : string; e_span : Span.t; e_scope : int }
+type entry = Scope.entry = { e_alias : string; e_rel : string; e_span : Span.t; e_scope : int }
 
 type ctx = {
-  schema : Schema.t;
+  env : Scope.env;  (* the schema plus the views defined before the statement *)
   source_name : string option;
   mutable scope_ctr : int;
   mutable diags : Diagnostic.t list;
   mutable edges : ((int * string) * (int * string)) list;
       (* equality predicates between FROM instances, for connectivity *)
   mutable multi_frames : entry list list;  (* frames with >= 2 entries *)
-  mutable rels_seen : string list;  (* known relations the statement uses *)
+  mutable rels_seen : string list;  (* schema relations the statement uses *)
   mutable first_span : Span.t;  (* anchor for statement-level findings *)
 }
 
@@ -25,30 +24,14 @@ let fresh ctx =
   ctx.scope_ctr <- s + 1;
   s
 
-let known ctx rel = Schema.mem ctx.schema rel
+let known ctx rel = Scope.known ctx.env rel
 
-let rel_has ctx rel a =
-  match Schema.find ctx.schema rel with
-  | Some r -> Relation.has_attr r a
-  | None -> false
-
+(* only schema relations count for L107: elicitation resolves against
+   the schema alone *)
 let note_rel ctx span rel =
-  if known ctx rel && not (List.mem rel ctx.rels_seen) then
+  if Schema.mem (Scope.schema ctx.env) rel && not (List.mem rel ctx.rels_seen) then
     ctx.rels_seen <- rel :: ctx.rels_seen;
   if Span.is_dummy ctx.first_span then ctx.first_span <- span
-
-let entries_of_from ctx (from : Ast.table_ref list) =
-  let scope = fresh ctx in
-  List.map
-    (fun (r : Ast.table_ref) ->
-      note_rel ctx r.t_span r.rel;
-      {
-        e_alias = Option.value ~default:r.rel r.alias;
-        e_rel = r.rel;
-        e_span = r.t_span;
-        e_scope = scope;
-      })
-    from
 
 let qualify c =
   match c.Ast.tbl with
@@ -103,67 +86,30 @@ let check_frame ctx (outer : entry list list) (frame : entry list) =
 (* Column resolution: L102, L103                                      *)
 (* ---------------------------------------------------------------- *)
 
-type resolution =
-  | Rok of entry
-  | Rsuppressed  (** an unknown relation in scope may own the column *)
-  | Runknown_qual
-  | Rnocol of entry option  (** qualified miss carries the entry *)
-  | Rambig of entry list
-
-let resolve ctx (frames : entry list list) (c : Ast.column) =
-  match c.Ast.tbl with
-  | Some q ->
-      let rec search = function
-        | [] -> Runknown_qual
-        | f :: rest -> (
-            match List.find_opt (fun e -> e.e_alias = q) f with
-            | Some e ->
-                if not (known ctx e.e_rel) then Rsuppressed
-                else if rel_has ctx e.e_rel c.Ast.col then Rok e
-                else Rnocol (Some e)
-            | None -> search rest)
-      in
-      search frames
-  | None ->
-      let any_unknown =
-        List.exists
-          (fun f -> List.exists (fun e -> not (known ctx e.e_rel)) f)
-          frames
-      in
-      let rec search = function
-        | [] -> if any_unknown then Rsuppressed else Rnocol None
-        | f :: rest -> (
-            match List.filter (fun e -> rel_has ctx e.e_rel c.Ast.col) f with
-            | [ e ] -> Rok e
-            | [] -> search rest
-            | hits -> Rambig hits)
-      in
-      search frames
-
 let check_column ctx frames (c : Ast.column) =
-  let r = resolve ctx frames c in
+  let r = Scope.resolve ctx.env frames c in
   (match r with
-  | Rok _ | Rsuppressed -> ()
-  | Runknown_qual ->
+  | Scope.Found _ | Scope.Unknown_owner -> ()
+  | Scope.Unknown_qualifier ->
       add ctx
         (diag ?source_name:ctx.source_name ~span:c.Ast.c_span ~code:"L102"
            Diagnostic.Error
            (Printf.sprintf
               "unknown table or alias %s qualifying column %s"
               (Option.get c.Ast.tbl) (qualify c)))
-  | Rnocol (Some e) ->
+  | Scope.No_column (Some e) ->
       add ctx
         (diag ?source_name:ctx.source_name ~span:c.Ast.c_span ~code:"L102"
            Diagnostic.Error
            (Printf.sprintf "relation %s has no attribute %s" e.e_rel
               c.Ast.col))
-  | Rnocol None ->
+  | Scope.No_column None ->
       add ctx
         (diag ?source_name:ctx.source_name ~span:c.Ast.c_span ~code:"L102"
            Diagnostic.Error
            (Printf.sprintf "no relation in scope provides attribute %s"
               c.Ast.col))
-  | Rambig hits ->
+  | Scope.Ambiguous hits ->
       add ctx
         (diag ?source_name:ctx.source_name ~span:c.Ast.c_span ~code:"L103"
            Diagnostic.Warning
@@ -179,11 +125,11 @@ let check_column ctx frames (c : Ast.column) =
 (* Traversal                                                          *)
 (* ---------------------------------------------------------------- *)
 
-let node e = (e.e_scope, e.e_alias)
+let node (e : entry) = (e.e_scope, e.e_alias)
 
 let edge ctx a b =
   match (a, b) with
-  | Rok ea, Rok eb when node ea <> node eb ->
+  | Scope.Found ea, Scope.Found eb when node ea <> node eb ->
       ctx.edges <- (node ea, node eb) :: ctx.edges
   | _ -> ()
 
@@ -218,7 +164,7 @@ and walk_cond ctx frames (cond : Ast.cond) =
         | Ast.Col c, Ast.Select sub -> (
             match sub.Ast.projections with
             | [ Ast.Proj (Ast.Col proj, _) ] ->
-                Some (resolve ctx frames c, sub, proj)
+                Some (Scope.resolve ctx.env frames c, sub, proj)
             | _ -> None)
         | _ -> None
       in
@@ -227,7 +173,7 @@ and walk_cond ctx frames (cond : Ast.cond) =
           (* walk the subquery once, then resolve the projection against
              the frame the walk just used — rebuild it deterministically *)
           let frame = walk_select ctx frames sub in
-          edge ctx outer_res (resolve ctx (frame :: frames) proj)
+          edge ctx outer_res (Scope.resolve ctx.env (frame :: frames) proj)
       | None -> walk_query ctx frames q)
   | Ast.In_list (e, es) ->
       walk_expr ctx frames e;
@@ -247,7 +193,8 @@ and walk_query ctx frames (q : Ast.query) =
       walk_query ctx frames q2
 
 and walk_select ctx outer (s : Ast.select) =
-  let frame = entries_of_from ctx s.Ast.from in
+  List.iter (fun (r : Ast.table_ref) -> note_rel ctx r.t_span r.rel) s.Ast.from;
+  let frame = Scope.of_from (fresh ctx) s.Ast.from in
   check_frame ctx outer frame;
   let frames = frame :: outer in
   List.iter
@@ -306,16 +253,17 @@ let l106 ctx =
       end)
     ctx.multi_frames
 
-let l105 ctx stmt =
+(* the declared domain of a resolved column *)
+let dom schema (rc : Scope.column) =
+  match Schema.find schema rc.rc_rel with
+  | Some r when Relation.has_attr r rc.rc_attr -> Relation.domain_of r rc.rc_attr
+  | _ -> Domain.Unknown
+
+(* L105 and L107 read the statement's one elicitation walk *)
+let l105 ctx pairs =
   List.iter
-    (fun ((a : Equijoin.resolved_col), (b : Equijoin.resolved_col)) ->
-      let dom (rc : Equijoin.resolved_col) =
-        match Schema.find ctx.schema rc.rc_rel with
-        | Some r when Relation.has_attr r rc.rc_attr ->
-            Relation.domain_of r rc.rc_attr
-        | _ -> Domain.Unknown
-      in
-      let da = dom a and db = dom b in
+    (fun (_, (a : Scope.column), (b : Scope.column)) ->
+      let da = dom (Scope.schema ctx.env) a and db = dom (Scope.schema ctx.env) b in
       if not (Domain.compatible da db) then
         add ctx
           (diag ?source_name:ctx.source_name
@@ -327,16 +275,13 @@ let l105 ctx stmt =
                  dependency"
                 a.rc_rel a.rc_attr (Domain.to_string da) b.rc_rel b.rc_attr
                 (Domain.to_string db))))
-    (Equijoin.column_pairs_of_statement ctx.schema stmt)
+    pairs
 
-let l107 ctx stmt =
+let l107 ctx stmt pairs =
   match stmt with
   | Ast.Query _ | Ast.Update _ | Ast.Delete _ | Ast.Insert_select _
   | Ast.Select_into _ | Ast.Declare_cursor _ | Ast.Create_view _ ->
-      if
-        List.length ctx.rels_seen >= 2
-        && Equijoin.of_statement ctx.schema stmt = []
-      then
+      if List.length ctx.rels_seen >= 2 && pairs = [] then
         add ctx
           (diag ?source_name:ctx.source_name ~span:ctx.first_span
              ~code:"L107" Diagnostic.Info
@@ -382,15 +327,8 @@ let dataflow_rules ?source_name schema (stmts : Ast.statement list) =
   List.iter
     (fun (ch : Dataflow.chain) ->
       match (ch.Dataflow.c_def.d_col, ch.Dataflow.c_use.u_col) with
-      | Some (dc : Equijoin.resolved_col), Some (uc : Equijoin.resolved_col)
-        ->
-          let dom (rc : Equijoin.resolved_col) =
-            match Schema.find schema rc.rc_rel with
-            | Some r when Relation.has_attr r rc.rc_attr ->
-                Relation.domain_of r rc.rc_attr
-            | _ -> Domain.Unknown
-          in
-          let dd = dom dc and du = dom uc in
+      | Some (dc : Scope.column), Some (uc : Scope.column) ->
+          let dd = dom schema dc and du = dom schema uc in
           let key = (ch.Dataflow.c_def.d_span, ch.Dataflow.c_use.u_span) in
           if (not (Domain.compatible dd du)) && not (List.mem key !seen)
           then begin
@@ -431,16 +369,26 @@ let dataflow_rules ?source_name schema (stmts : Ast.statement list) =
 
 let synthetic_frame ctx rel =
   note_rel ctx Span.dummy rel;
-  let frame =
-    [ { e_alias = rel; e_rel = rel; e_span = Span.dummy; e_scope = fresh ctx } ]
-  in
+  let frame = Scope.target (fresh ctx) rel in
   check_frame ctx [] frame;
   frame
 
-let check_statement ?source_name schema (stmt : Ast.statement) =
+(* a column an INSERT or UPDATE names on its target resolves like a
+   qualified reference *)
+let check_target_column ctx rel a =
+  match Scope.resolve ctx.env [ Scope.target 0 rel ] (Ast.column ~tbl:rel a) with
+  | Scope.No_column _ ->
+      add ctx
+        (diag ?source_name:ctx.source_name ~code:"L102" Diagnostic.Error
+           (Printf.sprintf "relation %s has no attribute %s" rel a))
+  | Scope.Found _ | Scope.Ambiguous _ | Scope.Unknown_qualifier
+  | Scope.Unknown_owner ->
+      ()
+
+let check_statement ?source_name env (stmt : Ast.statement) =
   let ctx =
     {
-      schema;
+      env;
       source_name;
       scope_ctr = 0;
       diags = [];
@@ -451,15 +399,14 @@ let check_statement ?source_name schema (stmt : Ast.statement) =
     }
   in
   (match stmt with
-  | Ast.Query q -> walk_query ctx [] q
+  | Ast.Query q | Ast.Select_into (_, q) | Ast.Declare_cursor (_, q, _) ->
+      walk_query ctx [] q
+  | Ast.Create_view cv -> walk_query ctx [] cv.Ast.cv_query
   | Ast.Update (rel, sets, where) ->
       let frame = synthetic_frame ctx rel in
       List.iter
         (fun (a, e) ->
-          if known ctx rel && not (rel_has ctx rel a) then
-            add ctx
-              (diag ?source_name ~code:"L102" Diagnostic.Error
-                 (Printf.sprintf "relation %s has no attribute %s" rel a));
+          check_target_column ctx rel a;
           walk_expr ctx [ frame ] e)
         sets;
       Option.iter (walk_cond ctx [ frame ]) where
@@ -473,34 +420,37 @@ let check_statement ?source_name schema (stmt : Ast.statement) =
               (Printf.sprintf
                  "unknown table %s: the dictionary declares no such relation"
                  rel))
-       else
-         Option.iter
-           (List.iter (fun a ->
-                if not (rel_has ctx rel a) then
-                  add ctx
-                    (diag ?source_name ~code:"L102" Diagnostic.Error
-                       (Printf.sprintf "relation %s has no attribute %s" rel
-                          a))))
-           cols);
+       else Option.iter (List.iter (check_target_column ctx rel)) cols);
       (match stmt with
       | Ast.Insert_select (_, _, q) -> walk_query ctx [] q
       | _ -> ())
-  | Ast.Select_into (_, q) | Ast.Declare_cursor (_, q, _) ->
-      walk_query ctx [] q
-  | Ast.Create_view cv -> walk_query ctx [] cv.Ast.cv_query
   | Ast.Create _ | Ast.Alter _ | Ast.Open_cursor _ | Ast.Fetch _
   | Ast.Close_cursor _ ->
       ());
   l106 ctx;
-  l105 ctx stmt;
-  l107 ctx stmt;
+  let pairs = Equijoin.pairs (Scope.schema env) stmt in
+  l105 ctx pairs;
+  l107 ctx stmt pairs;
   List.rev ctx.diags
+
+(* statements in order: a view is a known relation from the statement
+   after its CREATE VIEW on *)
+let check_statements ?source_name schema stmts =
+  let _, diags =
+    List.fold_left
+      (fun (env, acc) stmt ->
+        let env' =
+          match stmt with Ast.Create_view cv -> Scope.define_view env cv | _ -> env
+        in
+        (env', List.rev_append (check_statement ?source_name env stmt) acc))
+      (Scope.of_schema schema, [])
+      stmts
+  in
+  List.rev diags @ dataflow_rules ?source_name schema stmts
 
 let check_script ?source_name schema text =
   match Parser.parse_script text with
-  | Ok stmts ->
-      List.concat_map (check_statement ?source_name schema) stmts
-      @ dataflow_rules ?source_name schema stmts
+  | Ok stmts -> check_statements ?source_name schema stmts
   | Error msg ->
       [
         diag ?source_name ~code:"L108" Diagnostic.Warning
@@ -519,6 +469,4 @@ let check_program ?source_name schema text =
              (Embedded.first_line fragment)))
       e.Embedded.failures
   in
-  failures
-  @ List.concat_map (check_statement ?source_name schema) e.Embedded.statements
-  @ dataflow_rules ?source_name schema e.Embedded.statements
+  failures @ check_statements ?source_name schema e.Embedded.statements

@@ -1,12 +1,17 @@
 (** Workload rules ([L1xx]) over parsed (embedded) SQL.
 
-    The checks resolve column references through FROM aliases and nested
-    scopes exactly like the equi-join elicitation ({!Sqlx.Equijoin}), so
-    every reference that elicitation would silently skip gets a
-    diagnostic explaining why:
+    The checks resolve column references through {!Sqlx.Scope.resolve},
+    the resolver of equi-join elicitation ({!Sqlx.Equijoin}), so every
+    reference that elicitation would silently skip gets a diagnostic
+    explaining why. The environment is the schema plus the views the
+    earlier statements of the same script or program define: a view is
+    a known FROM name, and its columns resolve as {!Sqlx.Dataflow}
+    resolves them. L105 and L107 read the statement's one elicitation
+    walk ({!Sqlx.Equijoin.pairs}).
 
     - [L101] (error) — FROM references a table the dictionary does not
-      know.
+      know and no earlier statement defines as a view.
+
     - [L102] (error) — column reference resolves to no relation in scope
       (unknown qualifier, attribute missing from the qualified relation,
       or unqualified attribute found nowhere). Suppressed when an

@@ -6,7 +6,7 @@ open Relational
 
 type def = {
   d_var : string;
-  d_col : Equijoin.resolved_col option;
+  d_col : Scope.column option;
   d_span : Span.t;
   d_stmt : int;
 }
@@ -19,7 +19,7 @@ type use_kind =
 
 type use = {
   u_var : string;
-  u_col : Equijoin.resolved_col option;
+  u_col : Scope.column option;
   u_kind : use_kind;
   u_span : Span.t;
   u_stmt : int;
@@ -47,135 +47,8 @@ type t = {
   view_joins : Equijoin.t list;
 }
 
-(* ------------------------------------------------------------------ *)
-(* Column resolution through schema relations and view column maps      *)
-(* ------------------------------------------------------------------ *)
-
-(* a view exports named columns, each mapping (when resolvable) to a
-   base-relation column; maps are computed at CREATE VIEW time, so a
-   view over a view resolves through the earlier map — statement order
-   bounds the recursion, no depth cap needed *)
-type view_cols = (string * Equijoin.resolved_col option) list
-
-type env = {
-  schema : Schema.t;
-  mutable views : (string * view_cols) list;
-}
-
-let provides env rel attr =
-  match Schema.find env.schema rel with
-  | Some r -> Relation.has_attr r attr
-  | None -> (
-      match List.assoc_opt rel env.views with
-      | Some cols -> List.mem_assoc attr cols
-      | None -> false)
-
-let base_col env rel attr span =
-  match Schema.find env.schema rel with
-  | Some _ -> Some { Equijoin.rc_rel = rel; rc_attr = attr; rc_span = span }
-  | None -> (
-      match List.assoc_opt rel env.views with
-      | Some cols -> (
-          match List.assoc_opt attr cols with
-          | Some (Some rc) -> Some { rc with Equijoin.rc_span = span }
-          | _ -> None)
-      | None -> None)
-
-(* frames: innermost first; each entry is (alias, relation-or-view) *)
-let resolve_col env (frames : (string * string) list list) (c : Ast.column) =
-  match c.Ast.tbl with
-  | Some q ->
-      let rec search = function
-        | [] -> None
-        | f :: rest -> (
-            match List.assoc_opt q f with
-            | Some rel ->
-                if provides env rel c.Ast.col then
-                  base_col env rel c.Ast.col c.Ast.c_span
-                else None
-            | None -> search rest)
-      in
-      search frames
-  | None ->
-      let rec search = function
-        | [] -> None
-        | f :: rest -> (
-            match List.filter (fun (_, rel) -> provides env rel c.Ast.col) f with
-            | [ (_, rel) ] -> base_col env rel c.Ast.col c.Ast.c_span
-            | [] -> search rest
-            | _ -> None (* ambiguous *))
-      in
-      search frames
-
-let frame_of_from (from : Ast.table_ref list) =
-  List.map
-    (fun (r : Ast.table_ref) -> (Option.value ~default:r.Ast.rel r.Ast.alias, r.Ast.rel))
-    from
-
-let first_select q = match Ast.query_selects q with s :: _ -> Some s | [] -> None
-
-(* ------------------------------------------------------------------ *)
-(* View column maps                                                     *)
-(* ------------------------------------------------------------------ *)
-
-let attrs_of env rel =
-  match Schema.find env.schema rel with
-  | Some r -> Some r.Relation.attrs
-  | None -> (
-      match List.assoc_opt rel env.views with
-      | Some cols -> Some (List.map fst cols)
-      | None -> None)
-
-let view_cols_of env (cv : Ast.create_view) : view_cols =
-  let computed =
-    match first_select cv.Ast.cv_query with
-    | None -> []
-    | Some s ->
-        let frame = frame_of_from s.Ast.from in
-        List.concat_map
-          (function
-            | Ast.Star ->
-                (* export every attribute of every FROM entry, first
-                   provider wins *)
-                List.concat_map
-                  (fun (_, rel) ->
-                    match attrs_of env rel with
-                    | Some attrs ->
-                        List.map
-                          (fun a ->
-                            (a, base_col env rel a Span.dummy))
-                          attrs
-                    | None -> [])
-                  frame
-            | Ast.Proj (Ast.Col c, alias) ->
-                let name = Option.value ~default:c.Ast.col alias in
-                [ (name, resolve_col env [ frame ] c) ]
-            | Ast.Proj (_, Some alias) -> [ (alias, None) ]
-            | Ast.Proj (_, None) -> []
-            | Ast.Agg (_, Some alias) -> [ (alias, None) ]
-            | Ast.Agg (_, None) -> [])
-          s.Ast.projections
-  in
-  (* drop duplicate export names (first provider wins) *)
-  let computed =
-    List.rev
-      (fst
-         (List.fold_left
-            (fun (acc, seen) (n, rc) ->
-              if List.mem n seen then (acc, seen)
-              else ((n, rc) :: acc, n :: seen))
-            ([], []) computed))
-  in
-  match cv.Ast.cv_cols with
-  | None -> computed
-  | Some names ->
-      (* explicit column list renames positionally *)
-      let rec rename names cols =
-        match (names, cols) with
-        | [], _ | _, [] -> []
-        | n :: ns, (_, rc) :: cs -> (n, rc) :: rename ns cs
-      in
-      rename names computed
+(* dataflow keys nothing on FROM instances: every frame is scope 0 *)
+let frame_of (s : Ast.select) = Scope.of_from 0 s.Ast.from
 
 (* ------------------------------------------------------------------ *)
 (* Def and use collection                                               *)
@@ -185,18 +58,17 @@ let view_cols_of env (cv : Ast.create_view) : view_cols =
    the i-th target receives the i-th projected column *)
 let defs_of_into env stmt_idx (targets : Ast.host_target list) q =
   let projections =
-    match first_select q with
-    | Some s -> (
-        let frame = frame_of_from s.Ast.from in
+    match Ast.query_selects q with
+    | s :: _ -> (
         match s.Ast.projections with
         | [ Ast.Star ] -> []
         | ps ->
             List.map
               (function
-                | Ast.Proj (Ast.Col c, _) -> resolve_col env [ frame ] c
+                | Ast.Proj (Ast.Col c, _) -> Scope.column env [ frame_of s ] c
                 | _ -> None)
               ps)
-    | None -> []
+    | [] -> []
   in
   List.mapi
     (fun i (t : Ast.host_target) ->
@@ -209,9 +81,9 @@ let defs_of_into env stmt_idx (targets : Ast.host_target list) q =
     targets
 
 type collector = {
-  env : env;
+  mutable env : Scope.env;
   mutable c_uses : use list;
-  mutable eq_pairs : (Equijoin.resolved_col * Equijoin.resolved_col) list;
+  mutable eq_pairs : (Scope.column * Scope.column) list;
       (* Col = Col equalities, for view macro-expansion *)
 }
 
@@ -230,7 +102,7 @@ and uses_in_cond col frames stmt_idx (c : Ast.cond) =
       add_use col
         {
           u_var = h;
-          u_col = resolve_col col.env frames cref;
+          u_col = Scope.column col.env frames cref;
           u_kind = U_cmp op;
           u_span = sp;
           u_stmt = stmt_idx;
@@ -238,7 +110,7 @@ and uses_in_cond col frames stmt_idx (c : Ast.cond) =
   | Ast.Cmp (Ast.Eq, Ast.Col c1, Ast.Col c2) -> (
       (* view macro-expansion: an equality whose sides resolve through a
          view contributes base-column join evidence *)
-      match (resolve_col col.env frames c1, resolve_col col.env frames c2) with
+      match (Scope.column col.env frames c1, Scope.column col.env frames c2) with
       | Some a, Some b -> col.eq_pairs <- (a, b) :: col.eq_pairs
       | _ -> ())
   | Ast.Cmp (_, e1, e2) ->
@@ -263,7 +135,7 @@ and uses_in_cond col frames stmt_idx (c : Ast.cond) =
       uses_in_expr col frames stmt_idx U_other e
 
 and uses_in_select col frames stmt_idx (s : Ast.select) =
-  let frames = frame_of_from s.Ast.from :: frames in
+  let frames = frame_of s :: frames in
   List.iter
     (function
       | Ast.Proj (e, _) -> uses_in_expr col frames stmt_idx U_other e
@@ -280,7 +152,7 @@ let uses_in_insert col stmt_idx rel cols rows =
     match cols with
     | Some cs -> Some cs
     | None -> (
-        match Schema.find col.env.schema rel with
+        match Schema.find (Scope.schema col.env) rel with
         | Some r -> Some r.Relation.attrs
         | None -> None)
   in
@@ -291,13 +163,8 @@ let uses_in_insert col stmt_idx rel cols rows =
           match e with
           | Ast.Host (h, sp) ->
               let u_col =
-                match attrs with
-                | Some attrs -> (
-                    match List.nth_opt attrs i with
-                    | Some a when provides col.env rel a ->
-                        base_col col.env rel a sp
-                    | _ -> None)
-                | None -> None
+                Option.bind attrs (fun attrs ->
+                    Option.bind (List.nth_opt attrs i) (fun a -> Scope.base col.env rel a sp))
               in
               add_use col
                 { u_var = h; u_col; u_kind = U_insert; u_span = sp; u_stmt = stmt_idx }
@@ -306,16 +173,19 @@ let uses_in_insert col stmt_idx rel cols rows =
     rows
 
 let uses_in_update col stmt_idx rel sets where =
-  let frames = [ [ (rel, rel) ] ] in
+  let frames = [ Scope.target 0 rel ] in
   List.iter
     (fun (a, e) ->
       match e with
       | Ast.Host (h, sp) ->
-          let u_col =
-            if provides col.env rel a then base_col col.env rel a sp else None
-          in
           add_use col
-            { u_var = h; u_col; u_kind = U_update_set; u_span = sp; u_stmt = stmt_idx }
+            {
+              u_var = h;
+              u_col = Scope.base col.env rel a sp;
+              u_kind = U_update_set;
+              u_span = sp;
+              u_stmt = stmt_idx;
+            }
       | _ -> ())
     sets;
   Option.iter (uses_in_cond col frames stmt_idx) where
@@ -333,8 +203,7 @@ type cursor_state = {
 }
 
 let analyze schema (stmts : Ast.statement list) =
-  let env = { schema; views = [] } in
-  let col = { env; c_uses = []; eq_pairs = [] } in
+  let col = { env = Scope.of_schema schema; c_uses = []; eq_pairs = [] } in
   let all_defs = ref [] in
   let cursors : (string * cursor_state) list ref = ref [] in
   let cursor_order = ref [] in
@@ -372,7 +241,7 @@ let analyze schema (stmts : Ast.statement list) =
         match stmt with
         | Ast.Select_into (targets, q) ->
             uses_in_query col [] idx q;
-            defs_of_into env idx targets q
+            defs_of_into col.env idx targets q
         | Ast.Declare_cursor (name, q, sp) ->
             (* the query is *evaluated* at OPEN; record it, defer the
                host-variable reads to the OPEN site *)
@@ -400,7 +269,7 @@ let analyze schema (stmts : Ast.statement list) =
             match List.assoc_opt name !cursors with
             | Some cs ->
                 cs.cs_fetches <- cs.cs_fetches + 1;
-                defs_of_into env idx targets cs.cs_query
+                defs_of_into col.env idx targets cs.cs_query
             | None -> [])
         | Ast.Close_cursor (name, _) ->
             (match List.assoc_opt name !cursors with
@@ -408,10 +277,10 @@ let analyze schema (stmts : Ast.statement list) =
             | None -> ());
             []
         | Ast.Create_view cv ->
-            env.views <- (cv.Ast.cv_name, view_cols_of env cv) :: env.views;
+            col.env <- Scope.define_view col.env cv;
             (* the view body's own equalities are join evidence for every
                referencing query *)
-            view_joins := Equijoin.of_query schema cv.Ast.cv_query @ !view_joins;
+            view_joins := Equijoin.of_statement schema stmt @ !view_joins;
             []
         | Ast.Query q ->
             uses_in_query col [] idx q;
@@ -426,7 +295,7 @@ let analyze schema (stmts : Ast.statement list) =
             uses_in_update col idx rel sets where;
             []
         | Ast.Delete (rel, where) ->
-            Option.iter (uses_in_cond col [ [ (rel, rel) ] ] idx) where;
+            Option.iter (uses_in_cond col [ Scope.target 0 rel ] idx) where;
             []
         | Ast.Create _ | Ast.Alter _ -> []
       in
@@ -474,7 +343,7 @@ let analyze schema (stmts : Ast.statement list) =
      — join extraction dedupes) *)
   let expanded =
     List.filter_map
-      (fun ((a : Equijoin.resolved_col), (b : Equijoin.resolved_col)) ->
+      (fun ((a : Scope.column), (b : Scope.column)) ->
         if a.rc_rel = b.rc_rel && a.rc_attr = b.rc_attr then None
         else Some (Equijoin.make (a.rc_rel, [ a.rc_attr ]) (b.rc_rel, [ b.rc_attr ])))
       (List.rev col.eq_pairs)
@@ -494,42 +363,21 @@ let analyze schema (stmts : Ast.statement list) =
 (* ------------------------------------------------------------------ *)
 
 let joins t =
-  let eligible =
+  (* keyed by (def stmt, use stmt, def rel, use rel): several variables
+     flowing between the same two statements form one multi-attribute
+     equi-join, mirroring the per-statement merge rule *)
+  let chained =
     List.filter_map
       (fun ch ->
-        match (ch.c_def.d_col, ch.c_use.u_col) with
-        | Some dc, Some uc -> (
-            match ch.c_use.u_kind with
-            | U_cmp Ast.Eq | U_insert | U_update_set ->
-                if dc.Equijoin.rc_rel = uc.Equijoin.rc_rel
-                   && dc.Equijoin.rc_attr = uc.Equijoin.rc_attr
-                then None
-                else Some (ch, dc, uc)
-            | U_cmp _ | U_other -> None)
+        match (ch.c_def.d_col, ch.c_use.u_col, ch.c_use.u_kind) with
+        | ( Some (dc : Scope.column),
+            Some (uc : Scope.column),
+            (U_cmp Ast.Eq | U_insert | U_update_set) )
+          when not (dc.rc_rel = uc.rc_rel && dc.rc_attr = uc.rc_attr) ->
+            Some ((ch.c_def.d_stmt, ch.c_use.u_stmt, dc.rc_rel, uc.rc_rel), dc, uc)
         | _ -> None)
       t.chains
   in
-  (* group by (def stmt, use stmt, def rel, use rel): several variables
-     flowing between the same two statements form one multi-attribute
-     equi-join, mirroring the per-statement merge rule *)
-  let tbl = Hashtbl.create 8 in
-  let order = ref [] in
-  List.iter
-    (fun (ch, (dc : Equijoin.resolved_col), (uc : Equijoin.resolved_col)) ->
-      let key = (ch.c_def.d_stmt, ch.c_use.u_stmt, dc.rc_rel, uc.rc_rel) in
-      match Hashtbl.find_opt tbl key with
-      | Some cell -> cell := (dc.rc_attr, uc.rc_attr) :: !cell
-      | None ->
-          Hashtbl.add tbl key (ref [ (dc.rc_attr, uc.rc_attr) ]);
-          order := key :: !order)
-    eligible;
-  let chained =
-    List.rev_map
-      (fun ((_, _, def_rel, use_rel) as key) ->
-        let pairs = List.sort_uniq Stdlib.compare !(Hashtbl.find tbl key) in
-        Equijoin.make (def_rel, List.map fst pairs) (use_rel, List.map snd pairs))
-      !order
-  in
-  Equijoin.dedupe (chained @ t.view_joins)
+  Equijoin.dedupe (Equijoin.group chained @ t.view_joins)
 
 let joins_of_statements schema stmts = joins (analyze schema stmts)

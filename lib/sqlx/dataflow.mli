@@ -34,6 +34,11 @@
       are macro-expanded to base-relation columns (processed in
       statement order, a view can only reference earlier views).
 
+    Every column reference resolves through {!Scope.resolve} in an
+    environment of the schema plus the views defined so far
+    ({!Scope.define_view}); a [Found] reference is kept as its base
+    column ({!Scope.column}), anything else as no column.
+
     A use no def reaches is recorded in [undefined_uses] (use before
     def — a bug in the program, and lint material), but still pairs with
     {e every} def of its variable as a flow-insensitive [Fallback]
@@ -45,7 +50,7 @@ open Relational
 
 type def = {
   d_var : string;  (** host variable name, leading [:] retained *)
-  d_col : Equijoin.resolved_col option;
+  d_col : Scope.column option;
       (** source column, when the paired projection resolves *)
   d_span : Span.t;  (** the INTO target, in host coordinates *)
   d_stmt : int;  (** index of the defining statement *)
@@ -59,7 +64,7 @@ type use_kind =
 
 type use = {
   u_var : string;
-  u_col : Equijoin.resolved_col option;
+  u_col : Scope.column option;
   u_kind : use_kind;
   u_span : Span.t;
   u_stmt : int;

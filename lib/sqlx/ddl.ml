@@ -72,17 +72,20 @@ let foreign_keys_of_create (ct : Ast.create_table) =
       | Ast.T_unique _ | Ast.T_primary_key _ -> None)
     ct.constraints
 
-let add_relation schema (ct : Ast.create_table) =
+let add schema (ct : Ast.create_table) =
   if Schema.mem schema ct.ct_name then
     raise (Refused (Printf.sprintf "CREATE TABLE %s: table declared twice" ct.ct_name));
   Schema.add schema (relation ct)
+
+let add_relation schema ct =
+  match add schema ct with s -> Ok s | exception Refused msg -> Error msg
 
 let schema_of_script script =
   let schema_of stmts =
     List.fold_left
       (fun (schema, fks) stmt ->
         match stmt with
-        | Ast.Create ct -> (add_relation schema ct, fks @ foreign_keys_of_create ct)
+        | Ast.Create ct -> (add schema ct, fks @ foreign_keys_of_create ct)
         | Ast.Query _ | Ast.Insert _ | Ast.Insert_select _ | Ast.Update _
         | Ast.Delete _ | Ast.Alter _ | Ast.Select_into _ | Ast.Declare_cursor _
         | Ast.Open_cursor _ | Ast.Fetch _ | Ast.Close_cursor _

@@ -14,6 +14,10 @@ val relation_of_create : Ast.create_table -> (Relation.t, string) result
     the table and the column when no column is declared, a column name
     is empty or declared twice, or a key names an undeclared column. *)
 
+val add_relation : Schema.t -> Ast.create_table -> (Schema.t, string) result
+(** Add the table's relation ({!relation_of_create}); [Error "CREATE
+    TABLE R: table declared twice"] when the schema already has [R]. *)
+
 val schema_of_script :
   string ->
   (Schema.t * (string * string list * string * string list) list, string) result

@@ -9,11 +9,13 @@
       column resolves through the enclosing scopes);
     - [SELECT x FROM R … INTERSECT SELECT y FROM S …].
 
-    Column references are resolved through FROM aliases and, for
-    unqualified names, through the schema; unresolvable or ambiguous
-    references are skipped silently (legacy programs reference dead
-    tables). Self-joins produce equi-joins between two instances of the
-    same relation. Equalities under [OR]/[NOT] are not elicited (they do
+    Column references resolve through {!Scope.resolve} against the
+    schema alone (no views: those are {!Dataflow}'s); a reference that
+    does not come back [Found] — ambiguous, unknown, or possibly owned
+    by a relation the schema does not know — is skipped silently
+    (legacy programs reference dead tables), and the workload lint
+    reports it instead. Self-joins produce equi-joins between two
+    instances of the same relation. Equalities under [OR]/[NOT] are not elicited (they do
     not constrain navigation), but subqueries nested under them are still
     visited. *)
 
@@ -41,29 +43,30 @@ val pp : Format.formatter -> t -> unit
 
 val to_string : t -> string
 
-val of_query : Schema.t -> Ast.query -> t list
-(** All equi-joins elicited from one query (duplicates removed). *)
-
-val of_statement : Schema.t -> Ast.statement -> t list
-(** Queries contribute via {!of_query}; [UPDATE]/[DELETE] conditions are
-    scanned too; [SELECT ... INTO], [DECLARE ... CURSOR] and
-    [CREATE VIEW] contribute their embedded query;
-    [INSERT INTO t (cols) SELECT ...] additionally pairs each target
-    column with its projected source column positionally (the copied
-    values must agree — navigation evidence); DDL and plain [INSERT]
-    contribute nothing. Inter-statement (host-variable) evidence is the
-    job of {!Dataflow}. *)
-
 val dedupe : t list -> t list
 (** Order-preserving duplicate removal. *)
 
-type resolved_col = { rc_rel : string; rc_attr : string; rc_span : Span.t }
-(** A schema-resolved column reference with the source span of the
-    reference it was elicited from ({!Span.dummy} when synthesized). *)
+val group : ('k * Scope.column * Scope.column) list -> t list
+(** Merge equated column pairs into equi-joins: the pairs that share a
+    key form one multi-attribute equi-join between the relations of
+    their first pair (keys in order of first appearance), duplicates
+    removed. The §4 rule keys by FROM-instance pair; {!Dataflow} keys
+    by statement and relation pair. *)
 
-val column_pairs_of_statement :
-  Schema.t -> Ast.statement -> (resolved_col * resolved_col) list
-(** The raw equated column pairs behind {!of_statement}, before grouping
-    into multi-attribute equi-joins — one pair per elicited equality,
-    with spans. Used by diagnostics (domain-compatibility checks need to
-    point at the offending predicate). *)
+val pairs :
+  Schema.t ->
+  Ast.statement ->
+  ((Scope.entry * Scope.entry) * Scope.column * Scope.column) list
+(** The one walk of a statement: every equated column pair, keyed by
+    the FROM-instance pair it links, in statement order, with the spans
+    of its references. Queries contribute as described above;
+    [UPDATE]/[DELETE] conditions are scanned too; [SELECT ... INTO],
+    [DECLARE ... CURSOR] and [CREATE VIEW] contribute their embedded
+    query; [INSERT INTO t (cols) SELECT ...] additionally pairs each
+    target column (no span) with its projected source column
+    positionally (the copied values must agree — navigation evidence);
+    DDL and plain [INSERT] contribute nothing. Inter-statement
+    (host-variable) evidence is the job of {!Dataflow}. *)
+
+val of_statement : Schema.t -> Ast.statement -> t list
+(** [group (pairs schema stmt)]. *)

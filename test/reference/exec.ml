@@ -169,11 +169,22 @@ and set_op host db outer op q1 q2 =
 
 and eval_select host db outer (s : Ast.select) : Algebra.derived =
   let cols, rows = from_product db s.from in
-  let keep row =
-    match s.where with
-    | None -> true
-    | Some c -> eval_cond host db { cols; row; outer } c
+  (* conjuncts without a subquery first: a correlated subquery then
+     runs only for the rows the cheap conjuncts keep *)
+  let conjuncts =
+    let rec nested = function
+      | Ast.In _ | Ast.Exists _ -> true
+      | Ast.And (a, b) | Ast.Or (a, b) -> nested a || nested b
+      | Ast.Not c -> nested c
+      | Ast.Cmp _ | Ast.In_list _ | Ast.Between _ | Ast.Like _ | Ast.Is_null _ -> false
+    in
+    let plain, subqueries =
+      List.partition (fun c -> not (nested c))
+        (Option.fold ~none:[] ~some:Ast.cond_conjuncts s.where)
+    in
+    plain @ subqueries
   in
+  let keep row = List.for_all (eval_cond host db { cols; row; outer }) conjuncts in
   let rows = List.filter keep rows in
   let has_agg =
     List.exists (function Ast.Agg _ -> true | _ -> false) s.projections

@@ -4,7 +4,8 @@
     alias-qualified tables, WHERE filters with collapsed three-valued
     logic (comparisons involving NULL are false), subqueries are
     re-evaluated per candidate row (correlation is resolved through the
-    enclosing row's bindings). Supports DISTINCT, GROUP BY with COUNT /
+    enclosing row's bindings) after the WHERE conjuncts that hold none
+    have kept it. Supports DISTINCT, GROUP BY with COUNT /
     SUM / AVG / MIN / MAX, ORDER BY, and INTERSECT / UNION / EXCEPT.
 
     Used by tests as an independent oracle for the counting primitives

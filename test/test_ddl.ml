@@ -97,7 +97,7 @@ let lint_codes script =
 let test_lint_refused_create () =
   Alcotest.(check (list string)) "duplicate column" [ "L001"; "L003" ]
     (lint_codes "CREATE TABLE T (a INT, a INT);");
-  Alcotest.(check (list string)) "key on an undeclared column" []
+  Alcotest.(check (list string)) "key on an undeclared column" [ "L007" ]
     (lint_codes "CREATE TABLE R (a INT, UNIQUE (c));")
 
 (* any exception escaping either entry point fails the property *)

@@ -93,6 +93,16 @@ let test_self_join () =
        "SELECT d1.dep FROM Department d1, Department d2 WHERE d1.proj = \
         d2.proj AND d1.dep <> d2.dep")
 
+(* the attribute pairs of a self-join are sorted before the side order
+   is chosen: in order of appearance this would read
+   Department[emp,proj] |X| Department[proj,dep] *)
+let test_self_join_multi_attribute () =
+  check "self join, several attributes"
+    [ ej ("Department", [ "dep"; "proj" ]) ("Department", [ "proj"; "emp" ]) ]
+    (extract
+       "SELECT d1.dep FROM Department d1, Department d2 WHERE d1.dep = \
+        d2.proj AND d1.proj = d2.emp")
+
 let test_same_instance_equality_skipped () =
   check "equality within one instance is not a join" []
     (extract "SELECT dep FROM Department d WHERE d.emp = d.proj")
@@ -154,4 +164,6 @@ let suite =
     Alcotest.test_case "canonical form" `Quick test_canonical_equal;
     Alcotest.test_case "corpus counting" `Quick test_corpus_counts;
     Alcotest.test_case "make validation" `Quick test_make_validation;
+    Alcotest.test_case "self join, several attributes" `Quick
+      test_self_join_multi_attribute;
   ]

@@ -204,6 +204,47 @@ let test_lexical_errors () =
   check "illegal character in a program" "L108" ~sub:"= #1" Lint.Program
     "       EXEC SQL SELECT ward FROM Admission WHERE ward = #1 END-EXEC."
 
+(* the dictionary reader's refusals that no other rule reports are
+   L007 errors worded by Ddl; a duplicate column stays L003's alone *)
+let test_ddl_refusals () =
+  let codes_and_messages text =
+    List.map
+      (fun (d : Diagnostic.t) -> (d.Diagnostic.code, d.Diagnostic.message))
+      (Lint.run [ Lint.source ~name:"ddl" Lint.Schema_script text ]).Lint.diags
+    |> List.filter (fun (code, _) -> code <> "L001")
+  in
+  let check name text expected =
+    Alcotest.(check (list (pair string string))) name expected (codes_and_messages text)
+  in
+  check "undeclared key column" "CREATE TABLE R (a INT, UNIQUE (c));"
+    [ ("L007", "the dictionary refuses this table: CREATE TABLE R: key names undeclared column c") ];
+  check "table declared twice" "CREATE TABLE R (a INT);\nCREATE TABLE R (b INT);"
+    [ ("L007", "the dictionary refuses this table: CREATE TABLE R: table declared twice") ];
+  check "empty column name" "CREATE TABLE R (\"\" INT);"
+    [ ("L007", "the dictionary refuses this table: CREATE TABLE R: empty column name") ];
+  check "duplicate column" "CREATE TABLE T (a INT, a INT);"
+    [ ("L003", "duplicate attribute a in relation T") ]
+
+(* a view an earlier statement defines is a known FROM name whose
+   columns resolve like a relation's *)
+let test_views_known () =
+  let schema = Workload.Paper_example.schema () in
+  let diags text =
+    (Lint.run ~schema [ Lint.source ~name:"s.sql" Lint.Sql_script text ]).Lint.diags
+  in
+  Alcotest.(check int) "view expansion script is clean" 0
+    (List.length
+       (diags
+          "CREATE VIEW Staffing AS SELECT emp, dep FROM Assignment;\n\
+           SELECT name FROM Person, Staffing WHERE Person.id = Staffing.emp"));
+  Alcotest.(check (list string)) "a column the view does not export is L102"
+    [ "L102" ]
+    (List.map
+       (fun (d : Diagnostic.t) -> d.Diagnostic.code)
+       (diags
+          "CREATE VIEW Staffing AS SELECT emp, dep FROM Assignment;\n\
+           SELECT Staffing.proj FROM Staffing"))
+
 (* the clean corpus stays clean: all three scenarios, schema rules plus
    workload rules plus pipeline verification, produce no diagnostics *)
 let test_clean_corpus () =
@@ -275,6 +316,46 @@ let run_all_kinds text =
       (Lint.run ~schema [ Lint.source ~name:"src" kind text ]).Lint.diags)
     [ Lint.Schema_script; Lint.Program; Lint.Sql_script ]
 
+(* no column of a pair elicitation keeps is one the lint calls unknown
+   (L102) or ambiguous (L103): "elicitation drops predicates it cannot
+   resolve" *)
+let prop_agreement =
+  let corpus =
+    List.concat_map
+      (fun (s : Workload.Scenarios.t) ->
+        let schema = Database.schema (s.Workload.Scenarios.database ()) in
+        List.map (fun p -> (schema, p)) s.Workload.Scenarios.programs)
+      Workload.Scenarios.all
+  in
+  let tokens = [ "a."; "p."; ","; "id"; " name"; " AND "; " = "; "(" ] in
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:300
+       ~name:"elicited pair columns carry no L102 or L103"
+       (QCheck.make
+          ~print:(fun (_, text) -> Printf.sprintf "%S" text)
+          QCheck.Gen.(
+            oneofl corpus >>= fun (schema, program) ->
+            map (fun text -> (schema, text)) (Helpers.gen_mutated ~tokens program)))
+       (fun (schema, text) ->
+         let flagged =
+           List.filter_map
+             (fun (d : Diagnostic.t) ->
+               if d.Diagnostic.code = "L102" || d.Diagnostic.code = "L103" then
+                 Some d.Diagnostic.span
+               else None)
+             (Lint.run ~schema [ Lint.source ~name:"p" Lint.Program text ]).Lint.diags
+         in
+         List.for_all
+           (fun stmt ->
+             List.for_all
+               (fun (_, (a : Scope.column), (b : Scope.column)) ->
+                 List.for_all
+                   (fun (c : Scope.column) ->
+                     Span.is_dummy c.rc_span || not (List.mem c.rc_span flagged))
+                   [ a; b ])
+               (Equijoin.pairs schema stmt))
+           (Embedded.scan text).Embedded.statements))
+
 let span_props =
   [
     prop "every diagnostic span lies inside its source text" arb_corrupted
@@ -300,4 +381,9 @@ let suite =
     Alcotest.test_case "clean corpus stays clean" `Slow test_clean_corpus;
   ]
   @ span_props
-  @ [ Alcotest.test_case "lexical errors are parse errors" `Quick test_lexical_errors ]
+  @ [
+      Alcotest.test_case "lexical errors are parse errors" `Quick test_lexical_errors;
+      Alcotest.test_case "DDL refusals are L007" `Quick test_ddl_refusals;
+      Alcotest.test_case "views are known relations" `Quick test_views_known;
+      prop_agreement;
+    ]

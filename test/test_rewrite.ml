@@ -100,6 +100,28 @@ let test_equivalence_subquery () =
     "SELECT name FROM Person WHERE id IN (SELECT emp FROM Department WHERE \
      skill = 'sk-7')"
 
+(* a subquery's reference to a moved column of an outer FROM entry
+   requalifies onto the join the outer select gains *)
+let test_correlated_rewritten () =
+  let plan, _ = Lazy.force state in
+  Alcotest.(check string) "outer entry gained the join"
+    "SELECT d.dep FROM Department d, Manager __dbre0 WHERE EXISTS (SELECT * \
+     FROM Person p WHERE p.id = d.emp AND __dbre0.skill = 'sk-7') AND \
+     d.emp = __dbre0.emp"
+    (rewrite plan
+       "SELECT d.dep FROM Department d WHERE EXISTS (SELECT * FROM Person p \
+        WHERE p.id = d.emp AND d.skill = 'sk-7')")
+
+let test_equivalence_correlated_exists () =
+  check_equivalent "correlated EXISTS on moved attr"
+    "SELECT d.dep FROM Department d WHERE EXISTS (SELECT * FROM Person p \
+     WHERE p.id = d.emp AND d.skill = 'sk-7')"
+
+let test_equivalence_correlated_in () =
+  check_equivalent "correlated IN on moved attr"
+    "SELECT d.dep FROM Department d WHERE d.emp IN (SELECT p.id FROM Person \
+     p WHERE p.name = d.skill)"
+
 let test_aggregate_rewrite () =
   check_equivalent "aggregate over moved attr"
     "SELECT COUNT(DISTINCT skill) FROM Department"
@@ -128,4 +150,8 @@ let suite =
     Alcotest.test_case "equivalence: subquery" `Quick test_equivalence_subquery;
     Alcotest.test_case "aggregate" `Quick test_aggregate_rewrite;
     Alcotest.test_case "alias respected" `Quick test_alias_respected;
+    Alcotest.test_case "correlated reference rewritten" `Quick test_correlated_rewritten;
+    Alcotest.test_case "equivalence: correlated EXISTS" `Quick
+      test_equivalence_correlated_exists;
+    Alcotest.test_case "equivalence: correlated IN" `Quick test_equivalence_correlated_in;
   ]
